@@ -12,7 +12,6 @@ import numpy as np
 from . import expr as ex
 from .defaults import TOL
 from .geometry import (
-    Chart,
     Connection,
     SymFormField,
     SymTensorField,
@@ -46,12 +45,6 @@ def killing_via_schouten(
     lifted = raise_indices(ginv, k)
     conn = levi_civita(g)
     return schouten(conn, ginv, lifted).is_zero_on(samples, tol)
-
-
-def killing_bracket_residual(g: SymFormField, k: SymFormField, samples=None) -> float:
-    ginv = invert_metric(g)
-    conn = levi_civita(g)
-    return schouten(conn, ginv, raise_indices(ginv, k)).residual_on(samples)
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +145,6 @@ def leibniz_residual(
     taf = sum((ta.entry(i) * f.diff(i) for i in range(chart.n)), start=chart.zero())
     rhs = beta.scale(taf) + cotangent_bracket(pair, alpha, beta).scale(f)
     return lhs - rhs
-
-
-def _differential(chart: Chart, f):
-    return SymFormField.from_dict(chart, 1, {(i,): f.diff(i) for i in range(chart.n)})
 
 
 def anchor_morphism_residual(

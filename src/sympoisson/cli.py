@@ -9,7 +9,8 @@ Commands:
     sympoisson report [--format text|csv] [--out PATH]
 
 Exit codes: 0 pass, 1 usage or parse error, 2 expectation mismatch,
-3 numeric failure (trajectory blow-up; partial CSV is still flushed).
+3 numeric failure (a domain error while computing verdicts, or trajectory
+blow-up; a partial CSV is still flushed).
 
 Structure files are INI-style documents; see README.md for the format.
 """
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import jj, liealg, registry
 from .defaults import N_SAMPLES, SEED, TOL
-from .expr import ExprError, ParseError
+from .expr import EvalDomainError, ExprError, ParseError
 from .geometry import Chart, Connection, GeometryError, SymTensorField
 from .poisson import (
     Involutivity,
@@ -428,11 +429,11 @@ def jj_suite(ident: str, tol: float, samples_n: int, seed: int) -> list[CheckLin
         )
     )
     if ident == "dim5_nonassoc":
-        lines.append(_dim5_commutator_line(suite, pair))
+        lines.append(_dim5_commutator_line(suite, pair, samples))
     return lines
 
 
-def _dim5_commutator_line(suite: str, pair: SymPoissonPair) -> CheckLine:
+def _dim5_commutator_line(suite: str, pair: SymPoissonPair, samples) -> CheckLine:
     """The only surviving commutator of the module generators is [X1, X3],
     an exact constant multiple of x3 d1 (hence inside the module)."""
     from .geometry import lie_bracket
@@ -442,7 +443,6 @@ def _dim5_commutator_line(suite: str, pair: SymPoissonPair) -> CheckLine:
     comm = lie_bracket(x1, x3)
     ok = True
     worst = 0.0
-    samples = pair.chart.sample_points()
     for p in samples:
         v = comm.evaluate(p)
         expected = np.zeros(5)
@@ -617,15 +617,35 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _verdict_error(err: Exception) -> int:
+    """Report a library error raised while computing verdicts; its exit code.
+
+    A domain error is a numeric failure; any other expression or geometry
+    error (such as a sample count below 1) is a usage error.
+    """
+    print(f"error: {err}", file=sys.stderr)
+    return NUMERIC_FAILURE if isinstance(err, EvalDomainError) else USAGE_ERROR
+
+
+def _catalog_lines(idents: list[str], args) -> list[CheckLine]:
+    lines = []
+    for ident in idents:
+        lines += run_catalog_id(ident, args.tol, args.samples, args.seed)
+    return lines
+
+
 def cmd_check(args) -> int:
     try:
         sf = load_structure(args.file)
     except (StructureFileError, ParseError, ExprError, GeometryError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
-    samples = sf.pair.chart.sample_points(args.samples, args.seed)
-    lines = _verdict_lines("check", sf.pair, sf.expect, args.tol, samples)
-    lines += _probe_lines("check", sf.pair, sf.probes)
+    try:
+        samples = sf.pair.chart.sample_points(args.samples, args.seed)
+        lines = _verdict_lines("check", sf.pair, sf.expect, args.tol, samples)
+        lines += _probe_lines("check", sf.pair, sf.probes)
+    except (ExprError, GeometryError) as err:
+        return _verdict_error(err)
     report = Report(lines, args.samples, args.seed, args.tol)
     sys.stdout.write(report.render_text())
     return 0 if report.ok else MISMATCH
@@ -695,24 +715,22 @@ def cmd_integrate(args) -> int:
 
 def cmd_catalog(args) -> int:
     try:
-        if args.all:
-            lines = []
-            for ident in catalog_ids():
-                lines += run_catalog_id(ident, args.tol, args.samples, args.seed)
-        else:
-            lines = run_catalog_id(args.ident, args.tol, args.samples, args.seed)
+        lines = _catalog_lines(catalog_ids() if args.all else [args.ident], args)
     except KeyError as err:
         print(f"error: unknown catalog id {err}", file=sys.stderr)
         return USAGE_ERROR
+    except (ExprError, GeometryError) as err:
+        return _verdict_error(err)
     report = Report(lines, args.samples, args.seed, args.tol)
     sys.stdout.write(report.render_text())
     return 0 if report.ok else MISMATCH
 
 
 def cmd_report(args) -> int:
-    lines = []
-    for ident in catalog_ids():
-        lines += run_catalog_id(ident, args.tol, args.samples, args.seed)
+    try:
+        lines = _catalog_lines(catalog_ids(), args)
+    except (ExprError, GeometryError) as err:
+        return _verdict_error(err)
     report = Report(lines, args.samples, args.seed, args.tol)
     text = report.render_csv() if args.format == "csv" else report.render_text()
     if args.out:

@@ -14,6 +14,5 @@ TOL = 1e-9
 # when computing ranks: |lam| <= RANK_TOL * (max |lam| + 1).
 RANK_TOL = 1e-8
 
-# Integrator defaults: classical fixed-step RK4 over t in [0, HORIZON].
+# Integrator default: the classical fixed-step RK4 step size.
 DT = 1e-3
-HORIZON = 1.0

@@ -21,8 +21,9 @@ canonical form.  Zero-testing is done by sampling (see :func:`is_zero_field`).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -71,7 +72,11 @@ class Expr:
         raise NotImplementedError
 
     def eval_scaled(self, values: Sequence[float]) -> tuple[float, float]:
-        """Return (value, scale) with scale = max |v| over all subterm values."""
+        """Return (value, scale) with scale = max |v| over all subterm values.
+
+        A tree walk at one point: the reference route that `Plan.residual`
+        is tested against.
+        """
         raise NotImplementedError
 
     def diff(self, index: int) -> "Expr":
@@ -587,6 +592,246 @@ def compile_expr(e: Expr) -> Callable[[Sequence[float]], float]:
 
 
 # ---------------------------------------------------------------------------
+# Evaluation plans: every distinct node evaluated once
+# ---------------------------------------------------------------------------
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+# why evaluation left the domain at a node of this kind; an OverflowError
+# anywhere reads "overflow"
+_DOMAIN_MESSAGES = {
+    "/": "division by zero",
+    "^": "zero raised to a negative power",
+    "exp": "overflow",
+    "ln": "ln of a non-positive argument",
+    "sqrt": "sqrt of a negative argument",
+    "sin": "sin of a non-finite argument",
+    "cos": "cos of a non-finite argument",
+}
+
+_FAILURES = (ZeroDivisionError, ValueError, OverflowError)
+
+
+def _children(e: Expr) -> tuple[Expr, ...]:
+    if isinstance(e, BinOp):
+        return (e.left, e.right)
+    if isinstance(e, Pow):
+        return (e.base,)
+    if isinstance(e, (Neg, Call)):
+        return (e.arg,)
+    return ()
+
+
+def _power(x: float, k: int) -> float:
+    """x ** k on Python floats; an overflow gives the +-inf a numpy float would."""
+    try:
+        return x ** k
+    except OverflowError:
+        return float(np.float64(x) ** k)
+
+
+def _elementwise(fn, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """fn over the entries of xs on Python floats, as a tree walk applies it.
+
+    numpy's power, exp and log differ from libm in the last ulp on a few
+    percent of inputs; applying the same functions keeps residuals equal to
+    the tree walk's bit for bit.  Returns the values and a mask of the
+    entries where fn raised (their values are nan), or None when it raised
+    nowhere.
+    """
+    try:
+        return np.array([fn(x) for x in xs.tolist()], dtype=float), None
+    except _FAILURES:
+        pass
+    out = np.empty(len(xs))
+    failed = np.zeros(len(xs), dtype=bool)
+    for i, x in enumerate(xs.tolist()):
+        try:
+            out[i] = fn(x)
+        except _FAILURES:
+            out[i] = math.nan
+            failed[i] = True
+    return out, failed
+
+
+# point-path operations as functions of two operands; unary ones ignore the second
+_POINT_UNARY = {
+    "neg": lambda x, _: -x,
+    **{name: (lambda x, _, fn=fn: fn(x)) for name, fn in _FUNCS.items()},
+}
+
+
+def _point_op(kind: str, exponent: int | None):
+    if kind in _BINARY:
+        return _BINARY[kind]
+    if kind == "^":
+        return lambda x, _: x ** exponent
+    return _POINT_UNARY[kind]
+
+
+class Plan:
+    """The distinct node objects behind some component expressions.
+
+    Nodes are deduplicated by object identity, so a subterm shared between
+    components, or repeated inside one, is evaluated once.  `nodes` lists
+    the constants, then the variables, then every other node in post-order
+    of a left-to-right walk over the expressions with repeats dropped; a
+    node's position is its slot in the value list.  `roots` holds the slots
+    of the expressions themselves.
+
+    `residual` runs the plan over numpy arrays of samples; `values` runs it
+    at one point on Python floats with `math.*`, in the order a compiled
+    lambda would, so its values equal those of `compile_expr`.
+    """
+
+    __slots__ = ("nodes", "roots", "_consts", "_vars", "_ops", "_point_ops")
+
+    def __init__(self, exprs: Iterable[Expr]):
+        exprs = list(exprs)
+        seen: set[int] = set()
+        walk: list[Expr] = []
+        for root in exprs:
+            stack = [(root, False)]
+            while stack:
+                e, expanded = stack.pop()
+                if id(e) in seen:
+                    continue
+                if expanded:
+                    seen.add(id(e))
+                    walk.append(e)
+                else:
+                    stack.append((e, True))
+                    stack.extend((c, False) for c in reversed(_children(e)))
+        consts = [e for e in walk if isinstance(e, Const)]
+        variables = [e for e in walk if isinstance(e, Var)]
+        interior = [e for e in walk if not isinstance(e, (Const, Var))]
+        self.nodes = consts + variables + interior
+        slot = {id(e): i for i, e in enumerate(self.nodes)}
+        self.roots = [slot[id(root)] for root in exprs]
+        self._consts = [e.value for e in consts]
+        self._vars = [e.index for e in variables]
+        self._ops = []
+        for e in interior:
+            a, *rest = (slot[id(c)] for c in _children(e))
+            if isinstance(e, BinOp):
+                self._ops.append((e.op, a, rest[0]))
+            elif isinstance(e, Pow):
+                self._ops.append(("^", a, e.exponent))
+            else:
+                self._ops.append(("neg" if isinstance(e, Neg) else e.func, a, None))
+        self._point_ops = [
+            (_point_op(kind, b), a, b if kind in _BINARY else a) for kind, a, b in self._ops
+        ]
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    @property
+    def _leaves(self) -> int:
+        return len(self._consts) + len(self._vars)
+
+    # -- one point -----------------------------------------------------------
+
+    def values(self, point: Sequence[float]) -> list[float]:
+        """The root values at one point.
+
+        Raises EvalDomainError where a compiled lambda would raise, and where
+        ``**`` or exp overflows.
+        """
+        v = self._consts + [float(point[i]) for i in self._vars]
+        append = v.append
+        try:
+            for op, a, b in self._point_ops:
+                append(op(v[a], v[b]))
+        except _FAILURES as err:
+            kind = self._ops[len(v) - self._leaves][0]
+            message = "overflow" if isinstance(err, OverflowError) else _DOMAIN_MESSAGES[kind]
+            raise EvalDomainError(message, self.nodes[len(v)].to_string()) from None
+        return [v[r] for r in self.roots]
+
+    # -- many samples ----------------------------------------------------------
+
+    def residual(self, samples) -> float:
+        """max over roots and samples of |v| / (1 + scale).
+
+        `scale` is the largest |value| of any subterm of the root at the
+        sample.  Every node is evaluated once, over all samples together.  A
+        NaN or infinite value or scale makes the residual inf.  A domain error
+        raises the EvalDomainError that a per-component, per-sample tree walk
+        would meet first.
+        """
+        pts = np.asarray(samples, dtype=float)
+        if pts.ndim != 2 or len(pts) == 0:
+            raise ExprError("samples must be a non-empty list of points")
+        vals = [np.full(len(pts), c) for c in self._consts] + [pts[:, i] for i in self._vars]
+        scales = [np.abs(v) for v in vals]
+        failures: dict[int, np.ndarray] = {}
+        with np.errstate(all="ignore"):
+            for kind, a, b in self._ops:
+                failed = None
+                if kind == "neg":
+                    vals.append(-vals[a])
+                    scales.append(scales[a])
+                    continue
+                if kind in _BINARY:
+                    v = _BINARY[kind](vals[a], vals[b])
+                    if kind == "/":
+                        failed = vals[b] == 0.0
+                    s = np.maximum(scales[a], scales[b])
+                else:
+                    fn = _FUNCS.get(kind) or (lambda x, k=b: _power(x, k))
+                    v, failed = _elementwise(fn, vals[a])
+                    s = scales[a]
+                if failed is not None and failed.any():
+                    v[failed] = math.nan
+                    failures[len(vals)] = failed
+                vals.append(v)
+                scales.append(np.maximum(s, np.abs(v)))
+        if failures:
+            raise self._first_failure(failures)
+        if not self.roots:
+            return 0.0
+        scale = np.array([scales[r] for r in self.roots])
+        if not np.isfinite(scale).all():
+            return math.inf
+        value = np.abs(np.array([vals[r] for r in self.roots]))
+        return float((value / (1.0 + scale)).max())
+
+    def _first_failure(self, failures: dict[int, np.ndarray]) -> EvalDomainError:
+        # A tree walk goes root by root, then sample by sample, and stops at
+        # the first failing node in post-order.  Nodes that an earlier root
+        # reaches never fail (that root would have raised), so within the
+        # first failing root, slot order is its walk order.
+        for root in self.roots:
+            hit = sorted(i for i in self._reach(root) if i in failures)
+            if hit:
+                sample = int(np.argmax(np.any([failures[i] for i in hit], axis=0)))
+                node = next(i for i in hit if failures[i][sample])
+                message = _DOMAIN_MESSAGES[self._ops[node - self._leaves][0]]
+                return EvalDomainError(message, self.nodes[node].to_string())
+        raise AssertionError("a failing node is reachable from some root")
+
+    def _reach(self, root: int) -> set[int]:
+        seen = set()
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            if i not in seen:
+                seen.add(i)
+                if i >= self._leaves:
+                    kind, a, b = self._ops[i - self._leaves]
+                    stack.append(a)
+                    if kind in _BINARY:
+                        stack.append(b)
+        return seen
+
+
+def residual(exprs: Iterable[Expr], samples) -> float:
+    """Worst scaled residual of the expressions over the samples (see Plan.residual)."""
+    return Plan(exprs).residual(samples)
+
+
+# ---------------------------------------------------------------------------
 # ScalarField: an expression plus its arity
 # ---------------------------------------------------------------------------
 
@@ -720,22 +965,12 @@ def is_zero_field(
     `scale` is the largest absolute value attained by any subterm of f at x,
     so cancellation between large intermediates is judged relatively.
     """
-    if len(samples) == 0:
-        raise ExprError("samples must be non-empty")
-    for x in samples:
-        v, scale = f.expr.eval_scaled(x)
-        if abs(v) > tol * (1.0 + scale):
-            return False
-    return True
+    return zero_residual(f, samples) <= tol
 
 
 def zero_residual(f: ScalarField, samples: Sequence[Sequence[float]]) -> float:
     """max over samples of |f(x)| / (1 + scale); 0 for the exact zero field."""
-    worst = 0.0
-    for x in samples:
-        v, scale = f.expr.eval_scaled(x)
-        worst = max(worst, abs(v) / (1.0 + scale))
-    return worst
+    return residual([f.expr], samples)
 
 
 def sample_box(
@@ -744,6 +979,8 @@ def sample_box(
     seed: int = SEED,
 ) -> np.ndarray:
     """Draw `count` points uniformly from the product of intervals `box`."""
+    if count < 1:
+        raise ExprError(f"sample count must be at least 1, got {count}")
     rng = np.random.default_rng(seed)
     lo = np.array([b[0] for b in box], dtype=float)
     hi = np.array([b[1] for b in box], dtype=float)

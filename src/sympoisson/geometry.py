@@ -84,6 +84,8 @@ class Chart:
         return ScalarField.constant(v, self.n)
 
     def sample_points(self, count: int = N_SAMPLES, seed: int = SEED) -> np.ndarray:
+        if count < 1:
+            raise GeometryError(f"sample count must be at least 1, got {count}")
         key = (count, seed)
         if key not in self._samples:
             self._samples[key] = ex.sample_box(self.box, count, seed)
@@ -177,23 +179,15 @@ class _SymField:
             raise GeometryError("not a degree-0 field")
         return ScalarField(self.comps[()], self.chart.n)
 
-    def _compiled_entries(self):
+    def plan(self) -> ex.Plan:
+        """The evaluation plan of the components, built once per field."""
         if self._compiled is None:
-            cache: dict[int, object] = {}
-            fns = []
-            for e in self.comps.flat:
-                key = id(e)
-                if key not in cache:
-                    cache[key] = ex.compile_expr(e)
-                fns.append(cache[key])
-            self._compiled = fns
+            self._compiled = ex.Plan(self.comps.flat)
         return self._compiled
 
     def evaluate(self, point: Sequence[float]) -> np.ndarray:
         """Numeric component array at a point."""
-        fns = self._compiled_entries()
-        flat = np.array([f(point) for f in fns], dtype=float)
-        return flat.reshape(self.comps.shape)
+        return np.array(self.plan().values(point), dtype=float).reshape(self.comps.shape)
 
     def is_zero_on(
         self,
@@ -206,23 +200,7 @@ class _SymField:
         """Worst scaled residual of all components over the samples."""
         if samples is None:
             samples = self.chart.sample_points()
-        worst = 0.0
-        for e in self.comps.flat:
-            if isinstance(e, ex.Const) and e.value == 0.0:
-                continue
-            for p in samples:
-                v, scale = e.eval_scaled(p)
-                worst = max(worst, abs(v) / (1.0 + scale))
-        return worst
-
-    def check_symmetric(self, tol: float = TOL) -> bool:
-        samples = self.chart.sample_points()
-        vals = [self.evaluate(p) for p in samples]
-        for perm in itertools.permutations(range(self.degree)):
-            for v in vals:
-                if not np.allclose(v, np.transpose(v, perm), rtol=0, atol=tol * (1 + np.abs(v).max())):
-                    return False
-        return True
+        return self.plan().residual(samples)
 
     # -- arithmetic --------------------------------------------------------------
 
@@ -347,28 +325,16 @@ class Connection:
                     out[k, i, j] = fns[k][i][j](point)
         return out
 
-    def torsion(self) -> np.ndarray:
-        """T[k][i][j] = G[k][i][j] - G[k][j][i]."""
-        n = self.chart.n
-        t = np.empty((n, n, n), dtype=object)
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    t[k, i, j] = ex.sub(self.gamma[k, i, j], self.gamma[k, j, i])
-        return t
-
     def is_torsion_free(self, tol: float = TOL) -> bool:
         if self._torsion_free is None:
-            worst = 0.0
-            samples = self.chart.sample_points()
-            for k in range(self.chart.n):
-                for i in range(self.chart.n):
-                    for j in range(i + 1, self.chart.n):
-                        d = ex.sub(self.gamma[k, i, j], self.gamma[k, j, i])
-                        for p in samples:
-                            v, scale = d.eval_scaled(p)
-                            worst = max(worst, abs(v) / (1.0 + scale))
-            self._torsion_free = worst <= tol
+            n = self.chart.n
+            torsion = [
+                ex.sub(self.gamma[k, i, j], self.gamma[k, j, i])
+                for k in range(n)
+                for i in range(n)
+                for j in range(i + 1, n)
+            ]
+            self._torsion_free = ex.residual(torsion, self.chart.sample_points()) <= tol
         return self._torsion_free
 
     def require_torsion_free(self):
@@ -401,21 +367,18 @@ class CurvatureField:
         self.comps = comps
         self._compiled = None
 
-    def evaluate(self, point: Sequence[float]) -> np.ndarray:
+    def plan(self) -> ex.Plan:
         if self._compiled is None:
-            self._compiled = [ex.compile_expr(e) for e in self.comps.flat]
-        flat = np.array([f(point) for f in self._compiled], dtype=float)
-        return flat.reshape(self.comps.shape)
+            self._compiled = ex.Plan(self.comps.flat)
+        return self._compiled
+
+    def evaluate(self, point: Sequence[float]) -> np.ndarray:
+        return np.array(self.plan().values(point), dtype=float).reshape(self.comps.shape)
 
     def is_zero_on(self, samples=None, tol: float = TOL) -> bool:
         if samples is None:
             samples = self.chart.sample_points()
-        for e in self.comps.flat:
-            for p in samples:
-                v, scale = e.eval_scaled(p)
-                if abs(v) > tol * (1.0 + scale):
-                    return False
-        return True
+        return self.plan().residual(samples) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -549,14 +512,9 @@ class MixedDerivative:
         return self.base_kind(self.chart, self.base_degree, comps)
 
     def residual_on(self, samples=None) -> float:
-        worst = 0.0
         if samples is None:
             samples = self.chart.sample_points()
-        for e in self.comps.flat:
-            for p in samples:
-                v, scale = e.eval_scaled(p)
-                worst = max(worst, abs(v) / (1.0 + scale))
-        return worst
+        return ex.residual(self.comps.flat, samples)
 
     def is_zero_on(self, samples=None, tol: float = TOL) -> bool:
         return self.residual_on(samples) <= tol
@@ -589,10 +547,6 @@ def covariant_derivative(conn: Connection, t: _SymField) -> MixedDerivative:
                     terms.append(ex.neg(ex.mul(conn.gamma[m, i, ja], t.comps[swapped])))
         comps[full] = ex.expr_sum(terms)
     return MixedDerivative(conn.chart, type(t), r, comps)
-
-
-def covariant_derivative_along(conn: Connection, t: _SymField, x: SymTensorField):
-    return covariant_derivative(conn, t).along(x)
 
 
 def symmetric_derivative(conn: Connection, phi: SymFormField) -> SymFormField:

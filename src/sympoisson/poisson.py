@@ -146,19 +146,14 @@ def strong_residual(pair: SymPoissonPair, samples=None) -> float:
     if samples is None:
         samples = chart.sample_points()
     nabla_theta = covariant_derivative(pair.nabla, pair.theta)
-    worst = 0.0
-    for i in range(n):
-        for idx in np.ndindex(n, n):
-            e = ex.expr_sum(
-                [
-                    ex.mul(pair.theta.comps[i, m], nabla_theta.comps[(m,) + idx])
-                    for m in range(n)
-                ]
-            )
-            for p in samples:
-                v, scale = e.eval_scaled(p)
-                worst = max(worst, abs(v) / (1.0 + scale))
-    return worst
+    components = [
+        ex.expr_sum(
+            [ex.mul(pair.theta.comps[i, m], nabla_theta.comps[(m,) + idx]) for m in range(n)]
+        )
+        for i in range(n)
+        for idx in np.ndindex(n, n)
+    ]
+    return ex.residual(components, samples)
 
 
 def is_parallel(pair: SymPoissonPair, tol: float = TOL, samples=None) -> bool:
@@ -282,6 +277,8 @@ def involutivity_check(
         for comm in commutators.values():
             v = comm.evaluate(p)
             res = data.project_residual(v) / (1.0 + float(np.linalg.norm(v)))
+            if not math.isfinite(res):
+                res = math.inf
             worst = max(worst, res)
             if res > tol:
                 failed = True

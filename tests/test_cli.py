@@ -186,6 +186,108 @@ def test_integrate_deterministic_bytes(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# verdicts that must not pass by accident
+# ---------------------------------------------------------------------------
+
+NAN_BOX = """\
+[chart]
+dim = 2
+names = x, y
+box = nan:1, -1:1
+
+[theta]
+theta[1,2] = "exp(-2*(x+y))"
+
+[connection]
+gamma[1,1,2] = "1"
+gamma[2,1,2] = "1"
+
+[expect]
+symmetric_poisson = true
+strong = true
+"""
+
+
+def test_check_nan_box_fails_instead_of_passing(tmp_path):
+    path = tmp_path / "nan_box.ini"
+    path.write_text(NAN_BOX)
+    code, out, err = run_cli("check", str(path))
+    assert code == 2, out + err
+    assert "check:strong" in out and "got=False residual=inf [MISMATCH]" in out
+    assert "PASS" not in out
+
+
+def test_check_overflow_is_a_numeric_failure(tmp_path):
+    path = tmp_path / "overflow.ini"
+    path.write_text(
+        "[chart]\ndim = 2\nnames = x, y\nbox = 2:1000, 2:1000\n\n"
+        "[theta]\ntheta[1,2] = \"x^400 + y\"\n"
+    )
+    code, out, err = run_cli("check", str(path))
+    assert code == 3, out + err
+    assert err.startswith("error: overflow in subterm")
+    assert "Traceback" not in out + err
+
+
+def test_check_domain_error_exits_3(tmp_path):
+    path = tmp_path / "ln.ini"
+    path.write_text("[chart]\ndim = 2\nnames = x, y\n\n[theta]\ntheta[1,1] = \"ln(x)\"\n")
+    code, out, err = run_cli("check", str(path))
+    assert code == 3, out + err
+    assert err == "error: ln of a non-positive argument in subterm 'ln(x1)'\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", str(STRUCTURES / "nondeg_kill.ini")],
+        ["catalog", "--id", "jj:dim5_nonassoc"],
+        ["catalog", "--all"],
+        ["report", "--format", "csv"],
+    ],
+)
+def test_sample_counts_below_one_are_usage_errors(argv, count):
+    code, out, err = run_cli(*argv, "--samples", count)
+    assert code == 1, out + err
+    assert err == f"error: sample count must be at least 1, got {count}\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [["catalog", "--all"], ["report"]])
+def test_catalog_domain_error_exits_3(monkeypatch, argv):
+    from sympoisson.expr import EvalDomainError
+
+    def failing(ident, tol, samples_n, seed):
+        raise EvalDomainError("sqrt of a negative argument", "sqrt(x1)")
+
+    monkeypatch.setattr(cli, "run_catalog_id", failing)
+    code, out, err = run_cli(*argv)
+    assert code == 3
+    assert err == "error: sqrt of a negative argument in subterm 'sqrt(x1)'\n"
+
+
+def test_dim5_commutator_line_uses_the_suite_samples(monkeypatch):
+    from sympoisson.geometry import SymTensorField
+    from sympoisson.jj import catalog_entry, to_linear_structure
+
+    seen = []
+    original = SymTensorField.evaluate
+
+    def recording(self, point):
+        seen.append(tuple(point))
+        return original(self, point)
+
+    monkeypatch.setattr(SymTensorField, "evaluate", recording)
+    lines = cli.run_catalog_id("jj:dim5_nonassoc", 1e-9, 3, 9)
+    assert all(line.ok for line in lines)
+    chart = to_linear_structure(catalog_entry("dim5_nonassoc").algebra).chart
+    suite_points = {tuple(p) for p in chart.sample_points(3, 9)}
+    assert seen and set(seen) == suite_points
+
+
+# ---------------------------------------------------------------------------
 # catalog
 # ---------------------------------------------------------------------------
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,11 +10,14 @@ from sympoisson import expr
 from sympoisson.expr import (
     EvalDomainError,
     ParseError,
+    Plan,
     ScalarField,
+    compile_expr,
     differentiate,
     evaluate,
     is_zero_field,
     parse,
+    residual,
     sample_box,
     zero_residual,
 )
@@ -225,3 +229,160 @@ def test_arity_validation():
     f = parse("x + y", ["x", "y"])
     with pytest.raises(expr.ExprError):
         f.diff(5)
+
+
+def test_sample_box_rejects_counts_below_one():
+    for count in (0, -3):
+        with pytest.raises(expr.ExprError, match="at least 1"):
+            sample_box([(-1, 1)], count=count)
+
+
+# ---------------------------------------------------------------------------
+# evaluation plans
+# ---------------------------------------------------------------------------
+
+def test_plan_evaluates_each_shared_node_once():
+    x = expr.var(0)
+    shared = expr.mul(expr.add(x, expr.const(1.0)), expr.add(x, expr.const(1.0)))
+    roots = [expr.add(shared, shared), expr.sub(shared, x), shared]
+    plan = Plan(roots)
+    # x, 1.0 twice (two Const objects), both sums, the product, and the two roots
+    assert len(plan) == 8
+    assert plan.values((2.0,)) == [18.0, 7.0, 9.0]
+
+
+def test_residual_is_inf_for_non_finite_values():
+    f = parse("x + y", ["x", "y"])
+    with_nan = np.array([[0.5, 0.5], [math.nan, 0.5]])
+    assert residual([f.expr], with_nan) == math.inf
+    # inf / (1 + inf) is NaN, which a plain max() would drop
+    big = parse("x^400 - x^400", ["x"])
+    pts = sample_box([(2.0, 1000.0)], count=25)
+    assert zero_residual(big, pts) == math.inf
+    assert not is_zero_field(big, pts)
+
+
+def test_residual_rejects_empty_samples():
+    with pytest.raises(expr.ExprError):
+        residual([parse("x", ["x"]).expr], [])
+
+
+def test_point_overflow_is_a_domain_error():
+    plan = Plan([parse("x^400", ["x"]).expr, parse("exp(x)", ["x"]).expr])
+    with pytest.raises(EvalDomainError, match="overflow in subterm 'x1\\^400'"):
+        plan.values((1000.0,))
+    with pytest.raises(EvalDomainError, match="overflow in subterm 'exp\\(x1\\)'"):
+        Plan([parse("exp(x)", ["x"]).expr]).values((1000.0,))
+    with pytest.raises(EvalDomainError, match="zero raised to a negative power"):
+        Plan([parse("x^-2", ["x"]).expr]).values((0.0,))
+
+
+def test_residual_reports_the_tree_walks_first_domain_error():
+    names = ["x", "y"]
+    # component 0 fails only at the second sample, component 1 at both:
+    # a component-by-component walk meets component 0's failure first
+    exprs = [parse("ln(x)", names).expr, parse("1 / (y - y) + sqrt(x)", names).expr]
+    pts = np.array([[0.5, 0.0], [-0.5, 0.0]])
+    with pytest.raises(EvalDomainError) as err:
+        residual(exprs, pts)
+    assert str(err.value) == "ln of a non-positive argument in subterm 'ln(x1)'"
+    with pytest.raises(EvalDomainError) as err:
+        residual(exprs[::-1], pts)
+    assert str(err.value) == "division by zero in subterm '1 / (x2 - x2)'"
+    # two nodes fail at the same sample: the left one comes first
+    with pytest.raises(EvalDomainError) as err:
+        residual([parse("sqrt(x) * ln(x)", names).expr], pts)
+    assert str(err.value) == "sqrt of a negative argument in subterm 'sqrt(x1)'"
+
+
+def _shared_exprs(rng):
+    """A few roots drawn from a pool in which every new node reuses older
+    nodes, so subterms are shared within and across roots."""
+    pool = [expr.var(0), expr.var(1)]
+    for _ in range(int(rng.integers(4, 11))):
+        a = pool[int(rng.integers(len(pool) // 2, len(pool)))]  # grow deep subterms
+        if rng.random() < 0.25:
+            b = expr.const(float(rng.integers(-4, 5)) / 2)
+        else:
+            b = pool[int(rng.integers(len(pool)))]
+        kind = int(rng.integers(0, 8))
+        try:  # constant folding may leave the domain
+            if kind == 0:
+                node = expr.add(a, b)
+            elif kind == 1:
+                node = expr.sub(a, b)
+            elif kind == 2:
+                node = expr.mul(a, b)
+            elif kind == 3:
+                node = expr.div(a, b)
+            elif kind == 4:
+                node = expr.powi(a, int(rng.choice([-2, -1, 2, 3])))
+            elif kind == 5:
+                node = expr.neg(a)
+            else:
+                node = expr.call(["exp", "ln", "sin", "cos", "sqrt"][int(rng.integers(0, 5))], a)
+        except (ZeroDivisionError, ValueError, OverflowError):
+            continue
+        pool.append(node)
+    picks = rng.integers(len(pool) // 2, len(pool), size=int(rng.integers(1, 5)))
+    return [pool[int(i)] for i in picks]
+
+
+def _tree_walk_residual(exprs, samples):
+    """The reference route: one eval_scaled walk per component and sample."""
+    worst = 0.0
+    with np.errstate(all="ignore"):
+        for e in exprs:
+            for p in samples:
+                v, scale = e.eval_scaled(p)
+                r = abs(v) / (1.0 + scale)
+                worst = max(worst, r if math.isfinite(r) and math.isfinite(scale) else math.inf)
+    return worst
+
+
+def _same_floats(a, b):
+    return len(a) == len(b) and all(x == y or (math.isnan(x) and math.isnan(y)) for x, y in zip(a, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_plan_agrees_with_tree_walk_and_compiled_lambdas(seed):
+    rng = np.random.default_rng(seed)
+    exprs = _shared_exprs(rng)
+    plan = Plan(exprs)
+    samples = sample_box([(-2, 2), (-2, 2)], count=int(rng.integers(1, 8)), seed=seed)
+
+    # residual vs the per-sample eval_scaled loop: same value, same failures
+    try:
+        want, want_err = _tree_walk_residual(exprs, samples), None
+    except (EvalDomainError, ValueError) as err:  # ValueError: sin/cos of inf
+        want, want_err = None, err
+    if want_err is None:
+        # the same float operations in the same order: equal, not merely close
+        assert plan.residual(samples) == want
+    else:
+        with pytest.raises(EvalDomainError) as got_err:
+            plan.residual(samples)
+        if isinstance(want_err, EvalDomainError):
+            assert str(got_err.value) == str(want_err)
+        else:
+            assert "non-finite argument" in str(got_err.value)
+
+    # point values vs compile_expr, on tuples and on numpy float64 rows
+    fns = [compile_expr(e) for e in exprs]
+    for row in samples:
+        point = tuple(float(c) for c in row)
+        try:
+            want_values = [f(point) for f in fns]
+        except (ZeroDivisionError, ValueError, OverflowError):
+            with pytest.raises(EvalDomainError):
+                plan.values(point)
+        else:
+            assert _same_floats(plan.values(point), want_values)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            try:
+                want_values = [f(row) for f in fns]
+            except (ArithmeticError, ValueError, RuntimeWarning):
+                continue
+        assert _same_floats(plan.values(row), want_values)

@@ -522,3 +522,22 @@ def test_torsion_free_part():
 def test_chart_mismatch_raises():
     with pytest.raises(geo.ChartMismatchError):
         sym_product(vec(R2, "x", "y"), vec(R3, "x", "y", "z"))
+
+
+def test_sample_points_rejects_counts_below_one():
+    for count in (0, -3):
+        with pytest.raises(geo.GeometryError, match="at least 1"):
+            R2.sample_points(count)
+
+
+def test_killing_bracket_plan_shares_nodes():
+    # [g^-1, g^-1 K] for K = g: a tree of 53,068 nodes over 978 distinct objects
+    g = SymFormField.from_dict(R2, 2, {(0, 0): "2 + 0.1*x", (0, 1): "0.2", (1, 1): "2 - 0.3*y"})
+    ginv = invert_metric(g)
+    bracket = schouten(levi_civita(g), ginv, raise_indices(ginv, g))
+    assert len(bracket.plan()) <= 978
+    assert bracket.plan() is bracket.plan()
+    assert bracket.residual_on() <= 1e-9
+    p = R2.sample_points()[3]
+    compiled = [ex.compile_expr(e)(p) for e in bracket.comps.flat]
+    assert bracket.evaluate(p).ravel().tolist() == compiled

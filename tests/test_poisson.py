@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -26,11 +28,13 @@ from sympoisson.poisson import (
     laplacian,
     one_dim_poisson_family,
     one_dim_residual,
+    parallel_residual,
     poisson_bracket,
     scalar_curvature,
     schouten_self,
     schouten_self_cyclic,
     strong_morphism_check,
+    strong_residual,
     symmetric_poisson_residual,
     verdict_suite,
 )
@@ -465,3 +469,14 @@ def test_scalar_curvature_curved_connection():
         )
         assert r(p) == pytest.approx(direct, rel=1e-12, abs=1e-12)
     assert not zero_on_samples(r, chart)
+
+
+def test_overflowing_structure_fails_every_residual():
+    # x^400 overflows on most of the box; inf / (1 + inf) must not read as 0
+    chart = Chart(["x", "y"], [(2.0, 1000.0), (2.0, 1000.0)])
+    theta = SymTensorField.from_dict(chart, 2, {(0, 1): "x^400 + y"})
+    pair = SymPoissonPair(theta, Connection.euclidean(chart))
+    assert symmetric_poisson_residual(pair) == math.inf
+    assert strong_residual(pair) == math.inf
+    assert parallel_residual(pair) == math.inf
+    assert not is_symmetric_poisson(pair)
