@@ -9,8 +9,8 @@ Commands:
     sympoisson report [--format text|csv] [--out PATH]
 
 Exit codes: 0 pass, 1 usage or parse error, 2 expectation mismatch,
-3 numeric failure (a domain error while computing verdicts, or trajectory
-blow-up; a partial CSV is still flushed).
+3 numeric failure (a domain error while computing verdicts or a trajectory,
+or trajectory blow-up; a partial CSV is still flushed).
 
 Structure files are INI-style documents; see README.md for the format.
 """
@@ -40,10 +40,10 @@ from .poisson import (
     symmetric_poisson_residual,
 )
 from .pw import (
-    BlowUpError,
     CotangentState,
     DynamicsError,
     PhaseField,
+    TrajectoryError,
     integrate_pw,
     monitor_geodesic_residual,
     speed_square_field,
@@ -617,14 +617,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _verdict_error(err: Exception) -> int:
+def _verdict_error(err: Exception, names=None) -> int:
     """Report a library error raised while computing verdicts; its exit code.
 
-    A domain error is a numeric failure; any other expression or geometry
-    error (such as a sample count below 1) is a usage error.
+    A domain error is a numeric failure, its subterm printed in `names`; any
+    other expression or geometry error (such as a sample count below 1) is a
+    usage error.
     """
+    if isinstance(err, EvalDomainError):
+        print(f"error: {err.named(names)}", file=sys.stderr)
+        return NUMERIC_FAILURE
     print(f"error: {err}", file=sys.stderr)
-    return NUMERIC_FAILURE if isinstance(err, EvalDomainError) else USAGE_ERROR
+    return USAGE_ERROR
 
 
 def _catalog_lines(idents: list[str], args) -> list[CheckLine]:
@@ -645,7 +649,7 @@ def cmd_check(args) -> int:
         lines = _verdict_lines("check", sf.pair, sf.expect, args.tol, samples)
         lines += _probe_lines("check", sf.pair, sf.probes)
     except (ExprError, GeometryError) as err:
-        return _verdict_error(err)
+        return _verdict_error(err, sf.pair.chart.names)
     report = Report(lines, args.samples, args.seed, args.tol)
     sys.stdout.write(report.render_text())
     return 0 if report.ok else MISMATCH
@@ -686,14 +690,18 @@ def cmd_integrate(args) -> int:
     code = 0
     try:
         traj = integrate_pw(pair.nabla, h, state, args.dt, args.steps, extra)
-    except BlowUpError as err:
+    except TrajectoryError as err:
         print(f"error: {err}", file=sys.stderr)
         traj = err.trajectory
         code = NUMERIC_FAILURE
     if want_geo and len(traj.xs) >= 3:
-        res = monitor_geodesic_residual(pair, traj)
-        padded = np.concatenate([[np.nan], res, [np.nan]])
-        traj.channels["geodesic_residual"] = padded
+        try:
+            res = monitor_geodesic_residual(pair, traj)
+        except EvalDomainError as err:
+            print(f"error: {err.named(chart.names)} in the geodesic_residual monitor", file=sys.stderr)
+            code = NUMERIC_FAILURE
+        else:
+            traj.channels["geodesic_residual"] = np.concatenate([[np.nan], res, [np.nan]])
 
     csv_text = trajectory_to_csv(traj)
     if args.out:

@@ -41,11 +41,23 @@ class ParseError(ExprError):
 
 
 class EvalDomainError(ExprError):
-    """Evaluation left the function's domain (log/sqrt/division)."""
+    """Evaluation left the function's domain (log/sqrt/division) or overflowed.
 
-    def __init__(self, message: str, subterm: str):
+    `subterm` is the failing node, or its text; `reason` is the message
+    without the subterm.
+    """
+
+    def __init__(self, message: str, subterm: "Expr | str"):
         super().__init__(f"{message} in subterm '{subterm}'")
-        self.subterm = subterm
+        self.reason = message
+        self.subterm = str(subterm)
+        self.node = subterm if isinstance(subterm, Expr) else None
+
+    def named(self, names: Sequence[str] | None) -> str:
+        """The message with the subterm printed in the given coordinate names."""
+        if self.node is None:
+            return str(self)
+        return f"{self.reason} in subterm '{self.node.to_string(names)}'"
 
 
 # ---------------------------------------------------------------------------
@@ -82,10 +94,6 @@ class Expr:
     def diff(self, index: int) -> "Expr":
         raise NotImplementedError
 
-    def emit(self) -> str:
-        """Python source for compilation; `v` is the value vector."""
-        raise NotImplementedError
-
     def max_var(self) -> int:
         """Largest variable index used, or -1 for constant expressions."""
         raise NotImplementedError
@@ -113,9 +121,6 @@ class Const(Expr):
     def diff(self, index):
         return ZERO
 
-    def emit(self):
-        return repr(self.value)
-
     def max_var(self):
         return -1
 
@@ -133,9 +138,6 @@ class Var(Expr):
 
     def diff(self, index):
         return ONE if index == self.index else ZERO
-
-    def emit(self):
-        return f"v[{self.index}]"
 
     def max_var(self):
         return self.index
@@ -157,7 +159,7 @@ class BinOp(Expr):
         if self.op == "*":
             return a * b
         if b == 0.0:
-            raise EvalDomainError("division by zero", self.to_string())
+            raise EvalDomainError("division by zero", self)
         return a / b
 
     def eval_scaled(self, values):
@@ -171,7 +173,7 @@ class BinOp(Expr):
             v = a * b
         else:
             if b == 0.0:
-                raise EvalDomainError("division by zero", self.to_string())
+                raise EvalDomainError("division by zero", self)
             v = a / b
         return v, max(sa, sb, abs(v))
 
@@ -188,9 +190,6 @@ class BinOp(Expr):
         return sub(div(da, self.right),
                    div(mul(self.left, db), powi(self.right, 2)))
 
-    def emit(self):
-        return f"({self.left.emit()} {self.op} {self.right.emit()})"
-
     def max_var(self):
         return max(self.left.max_var(), self.right.max_var())
 
@@ -203,13 +202,13 @@ class Pow(Expr):
     def evaluate(self, values):
         b = self.base.evaluate(values)
         if b == 0.0 and self.exponent < 0:
-            raise EvalDomainError("zero raised to a negative power", self.to_string())
+            raise EvalDomainError("zero raised to a negative power", self)
         return b ** self.exponent
 
     def eval_scaled(self, values):
         b, sb = self.base.eval_scaled(values)
         if b == 0.0 and self.exponent < 0:
-            raise EvalDomainError("zero raised to a negative power", self.to_string())
+            raise EvalDomainError("zero raised to a negative power", self)
         v = b ** self.exponent
         return v, max(sb, abs(v))
 
@@ -217,9 +216,6 @@ class Pow(Expr):
         db = self.base.diff(index)
         k = self.exponent
         return mul(mul(Const(float(k)), powi(self.base, k - 1)), db)
-
-    def emit(self):
-        return f"({self.base.emit()} ** {self.exponent})"
 
     def max_var(self):
         return self.base.max_var()
@@ -239,9 +235,6 @@ class Neg(Expr):
     def diff(self, index):
         return neg(self.arg.diff(index))
 
-    def emit(self):
-        return f"(-{self.arg.emit()})"
-
     def max_var(self):
         return self.arg.max_var()
 
@@ -257,13 +250,13 @@ class Call(Expr):
 
     def _apply(self, a: float) -> float:
         if self.func == "ln" and a <= 0.0:
-            raise EvalDomainError("ln of a non-positive argument", self.to_string())
+            raise EvalDomainError("ln of a non-positive argument", self)
         if self.func == "sqrt" and a < 0.0:
-            raise EvalDomainError("sqrt of a negative argument", self.to_string())
+            raise EvalDomainError("sqrt of a negative argument", self)
         try:
             return _FUNCS[self.func](a)
         except OverflowError:
-            raise EvalDomainError("overflow", self.to_string()) from None
+            raise EvalDomainError("overflow", self) from None
 
     def eval_scaled(self, values):
         a, s = self.arg.eval_scaled(values)
@@ -285,9 +278,6 @@ class Call(Expr):
         else:  # pragma: no cover
             raise ExprError(f"unknown function {self.func}")
         return mul(outer, da)
-
-    def emit(self):
-        return f"_{self.func}({self.arg.emit()})"
 
     def max_var(self):
         return self.arg.max_var()
@@ -357,7 +347,10 @@ def powi(a: Expr, k: int) -> Expr:
     if k == 1:
         return a
     if _is_const(a):
-        return Const(a.value ** k)
+        try:
+            return Const(a.value ** k)
+        except EVAL_FAILURES as err:
+            raise _domain_error(err, "^", Pow(a, k)) from None
     return Pow(a, k)
 
 
@@ -381,7 +374,10 @@ def call(func: str, a: Expr) -> Expr:
     if func not in _FUNCS:
         raise ExprError(f"unknown function {func}")
     if _is_const(a):
-        return Const(_FUNCS[func](a.value))
+        try:
+            return Const(_FUNCS[func](a.value))
+        except EVAL_FAILURES as err:
+            raise _domain_error(err, func, Call(func, a)) from None
     return Call(func, a)
 
 
@@ -579,19 +575,6 @@ class _Parser:
 
 
 # ---------------------------------------------------------------------------
-# Compilation to a fast callable
-# ---------------------------------------------------------------------------
-
-_COMPILE_ENV = {f"_{name}": fn for name, fn in _FUNCS.items()}
-
-
-def compile_expr(e: Expr) -> Callable[[Sequence[float]], float]:
-    """Compile to a plain Python callable; evaluation order matches .evaluate()."""
-    src = f"lambda v: {e.emit()}"
-    return eval(src, dict(_COMPILE_ENV))  # noqa: S307 - source is machine generated
-
-
-# ---------------------------------------------------------------------------
 # Evaluation plans: every distinct node evaluated once
 # ---------------------------------------------------------------------------
 
@@ -609,7 +592,14 @@ _DOMAIN_MESSAGES = {
     "cos": "cos of a non-finite argument",
 }
 
-_FAILURES = (ZeroDivisionError, ValueError, OverflowError)
+# what float arithmetic and math.* raise on Python floats; generated code
+# raises these, Plan.values turns them into a located EvalDomainError
+EVAL_FAILURES = (ZeroDivisionError, ValueError, OverflowError)
+
+
+def _domain_error(err: Exception, kind: str, node: Expr) -> EvalDomainError:
+    message = "overflow" if isinstance(err, OverflowError) else _DOMAIN_MESSAGES[kind]
+    return EvalDomainError(message, node)
 
 
 def _children(e: Expr) -> tuple[Expr, ...]:
@@ -641,14 +631,14 @@ def _elementwise(fn, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """
     try:
         return np.array([fn(x) for x in xs.tolist()], dtype=float), None
-    except _FAILURES:
+    except EVAL_FAILURES:
         pass
     out = np.empty(len(xs))
     failed = np.zeros(len(xs), dtype=bool)
     for i, x in enumerate(xs.tolist()):
         try:
             out[i] = fn(x)
-        except _FAILURES:
+        except EVAL_FAILURES:
             out[i] = math.nan
             failed[i] = True
     return out, failed
@@ -680,8 +670,8 @@ class Plan:
     of the expressions themselves.
 
     `residual` runs the plan over numpy arrays of samples; `values` runs it
-    at one point on Python floats with `math.*`, in the order a compiled
-    lambda would, so its values equal those of `compile_expr`.
+    at one point on Python floats with `math.*`, in the order of the code
+    `compile_plan` generates, so their values are equal.
     """
 
     __slots__ = ("nodes", "roots", "_consts", "_vars", "_ops", "_point_ops")
@@ -735,18 +725,17 @@ class Plan:
     def values(self, point: Sequence[float]) -> list[float]:
         """The root values at one point.
 
-        Raises EvalDomainError where a compiled lambda would raise, and where
-        ``**`` or exp overflows.
+        Raises EvalDomainError where the code `compile_plan` generates raises:
+        a domain error, or an overflow in ``**`` or exp.
         """
         v = self._consts + [float(point[i]) for i in self._vars]
         append = v.append
         try:
             for op, a, b in self._point_ops:
                 append(op(v[a], v[b]))
-        except _FAILURES as err:
+        except EVAL_FAILURES as err:
             kind = self._ops[len(v) - self._leaves][0]
-            message = "overflow" if isinstance(err, OverflowError) else _DOMAIN_MESSAGES[kind]
-            raise EvalDomainError(message, self.nodes[len(v)].to_string()) from None
+            raise _domain_error(err, kind, self.nodes[len(v)]) from None
         return [v[r] for r in self.roots]
 
     # -- many samples ----------------------------------------------------------
@@ -808,7 +797,7 @@ class Plan:
                 sample = int(np.argmax(np.any([failures[i] for i in hit], axis=0)))
                 node = next(i for i in hit if failures[i][sample])
                 message = _DOMAIN_MESSAGES[self._ops[node - self._leaves][0]]
-                return EvalDomainError(message, self.nodes[node].to_string())
+                return EvalDomainError(message, self.nodes[node])
         raise AssertionError("a failing node is reachable from some root")
 
     def _reach(self, root: int) -> set[int]:
@@ -829,6 +818,50 @@ class Plan:
 def residual(exprs: Iterable[Expr], samples) -> float:
     """Worst scaled residual of the expressions over the samples (see Plan.residual)."""
     return Plan(exprs).residual(samples)
+
+
+# ---------------------------------------------------------------------------
+# Code generation: one straight-line function per plan
+# ---------------------------------------------------------------------------
+
+_COMPILE_ENV = {"_float": float, **{f"_{name}": fn for name, fn in _FUNCS.items()}}
+
+
+def compile_plan(exprs: Iterable[Expr]) -> Callable[[Sequence[float]], tuple[float, ...]]:
+    """One generated Python function returning the values of `exprs` at a point.
+
+    The function walks `Plan(exprs)` as straight-line code: it reads each
+    variable once as a Python float and assigns each interior node once to
+    a local, so a shared subterm is computed once.  Constants are bound by
+    name, so a negative or non-finite one needs no literal.  Every node keeps
+    its operation and its `math.*` call, so the values equal `Plan.values`
+    bit for bit; where that raises EvalDomainError, this function raises the
+    plain ZeroDivisionError, ValueError or OverflowError behind it.
+    """
+    plan = Plan(exprs)
+    env = dict(_COMPILE_ENV)
+    env.update((f"s{i}", c) for i, c in enumerate(plan._consts))
+    body = [f"s{i} = _float(v[{index}])" for i, index in enumerate(plan._vars, len(plan._consts))]
+    for i, (kind, a, b) in enumerate(plan._ops, plan._leaves):
+        if kind in _BINARY:
+            rhs = f"s{a} {kind} s{b}"
+        elif kind == "^":
+            rhs = f"s{a} ** {b}"
+        elif kind == "neg":
+            rhs = f"-s{a}"
+        else:
+            rhs = f"_{kind}(s{a})"
+        body.append(f"s{i} = {rhs}")
+    body.append(f"return ({''.join(f's{r}, ' for r in plan.roots)})")
+    src = "def f(v):\n" + "".join(f"    {line}\n" for line in body)
+    exec(src, env)  # noqa: S102 - source is machine generated
+    return env["f"]
+
+
+def compile_expr(e: Expr) -> Callable[[Sequence[float]], float]:
+    """The one-expression case of `compile_plan`: a function returning a float."""
+    fn = compile_plan([e])
+    return lambda v: fn(v)[0]
 
 
 # ---------------------------------------------------------------------------

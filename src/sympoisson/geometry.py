@@ -306,24 +306,11 @@ class Connection:
     def entry(self, k: int, i: int, j: int) -> ScalarField:
         return ScalarField(self.gamma[k, i, j], self.chart.n)
 
-    def _compiled_gamma(self):
-        if self._compiled is None:
-            self._compiled = [
-                [[ex.compile_expr(self.gamma[k, i, j]) for j in range(self.chart.n)]
-                 for i in range(self.chart.n)]
-                for k in range(self.chart.n)
-            ]
-        return self._compiled
-
     def gamma_at(self, point: Sequence[float]) -> np.ndarray:
-        fns = self._compiled_gamma()
+        if self._compiled is None:
+            self._compiled = ex.compile_plan(self.gamma.flat)
         n = self.chart.n
-        out = np.empty((n, n, n), dtype=float)
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    out[k, i, j] = fns[k][i][j](point)
-        return out
+        return np.array(self._compiled(point)).reshape(n, n, n)
 
     def is_torsion_free(self, tol: float = TOL) -> bool:
         if self._torsion_free is None:

@@ -32,13 +32,25 @@ class DynamicsError(Exception):
     pass
 
 
-class BlowUpError(DynamicsError):
-    """Non-finite state encountered; carries the last finite prefix."""
+class TrajectoryError(DynamicsError):
+    """A run stopped at `step`; carries the prefix of states before it.
 
-    def __init__(self, step: int, trajectory: "Trajectory"):
-        super().__init__(f"trajectory blew up at step {step}")
+    Raised as is for a domain error (such as ln of a non-positive value) met
+    while computing that step or its monitors.
+    """
+
+    def __init__(self, message: str, step: int, trajectory: "Trajectory"):
+        super().__init__(message)
         self.step = step
         self.trajectory = trajectory
+
+
+class BlowUpError(TrajectoryError):
+    """The state became non-finite, or a value overflowed (`cause` names it)."""
+
+    def __init__(self, step: int, trajectory: "Trajectory", cause: str | None = None):
+        message = f"trajectory blew up at step {step}"
+        super().__init__(message if cause is None else f"{message}: {cause}", step, trajectory)
 
 
 # ---------------------------------------------------------------------------
@@ -246,29 +258,73 @@ class Trajectory:
         return float(np.abs(c - c[0]).max())
 
 
-def _rk4(rhs, y0: np.ndarray, dt: float, steps: int):
-    """Classical RK4; yields the state after each step."""
-    y = y0.astype(float)
-    for _ in range(steps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * dt * k1)
-        k3 = rhs(y + 0.5 * dt * k2)
-        k4 = rhs(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        yield y
+def _rk4(rhs, y: tuple[float, ...], dt: float) -> tuple[float, ...]:
+    """One classical RK4 step on tuples of Python floats.
+
+    The operation order is that of the array form
+    ``y + (dt/6) * (k1 + 2 k2 + 2 k3 + k4)``, element by element.
+    """
+    half = 0.5 * dt
+    k1 = rhs(y)
+    k2 = rhs([a + half * b for a, b in zip(y, k1)])
+    k3 = rhs([a + half * b for a, b in zip(y, k2)])
+    k4 = rhs([a + dt * b for a, b in zip(y, k3)])
+    sixth = dt / 6.0
+    return tuple(
+        [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+    )
 
 
-def _compile_fields(fields: list[ScalarField]):
-    fns = [f.compiled() for f in fields]
+def _integrate(
+    rhs_exprs, observe_exprs, y0, dt: float, steps: int, chart: Chart, channels: list[str], second: str
+) -> Trajectory:
+    """RK4 from y0 with `steps` steps of size dt.
 
-    def rhs(y: np.ndarray) -> np.ndarray:
-        v = tuple(map(float, y))
+    `rhs_exprs` give the derivative of the state; `observe_exprs` give the
+    velocity and then one value per channel at each stored state.  Both run
+    as generated code.  A failed step is run again through `Plan.values`,
+    which fails at the same node and names it.  A non-finite state or an
+    overflow raises BlowUpError, any other domain error TrajectoryError;
+    both name the step and carry the states before it.
+    """
+    rhs, observe = ex.compile_plan(rhs_exprs), ex.compile_plan(observe_exprs)
+    rows: list[tuple[float, ...]] = []
+    y = tuple(y0)
+    try:
+        for step in range(steps + 1):
+            prev = y
+            if step:
+                y = _rk4(rhs, prev, dt)
+                if not all(map(math.isfinite, y)):
+                    raise BlowUpError(step, _make_traj(dt, rows, chart.n, channels, second))
+            rows.append(y + observe(y))
+    except ex.EVAL_FAILURES:
+        rhs, observe = ex.Plan(rhs_exprs).values, ex.Plan(observe_exprs).values
         try:
-            return np.array([fn(v) for fn in fns], dtype=float)
-        except (ValueError, ZeroDivisionError, OverflowError):
-            return np.full(len(fns), np.nan)
+            observe(_rk4(rhs, prev, dt) if step else prev)
+        except ex.EvalDomainError as err:
+            located = err
+        else:  # Plan.values fails where the generated code does
+            raise
+        partial = _make_traj(dt, rows, chart.n, channels, second)
+        cause = located.named([*chart.names, *(f"p{i + 1}" for i in range(chart.n))])
+        if located.reason == "overflow":
+            raise BlowUpError(step, partial, cause) from located
+        raise TrajectoryError(f"{cause} at step {step}", step, partial) from located
+    return _make_traj(dt, rows, chart.n, channels, second)
 
-    return rhs
+
+def _make_traj(dt: float, rows, n: int, channels: list[str], second: str) -> Trajectory:
+    """Rows hold x, the second block, the velocity, then one value per channel."""
+    table = np.array(rows, dtype=float).reshape(len(rows), 3 * n + len(channels))
+    return Trajectory(
+        dt=dt,
+        xs=table[:, :n],
+        ps=table[:, n : 2 * n],
+        velocities=table[:, 2 * n : 3 * n],
+        channels={name: table[:, 3 * n + c] for c, name in enumerate(channels)},
+        second=second,
+    )
 
 
 def integrate_pw(
@@ -281,52 +337,18 @@ def integrate_pw(
 ) -> Trajectory:
     """Integrate the gradient flow of `h`; records the `hamiltonian` channel.
 
-    Raises BlowUpError (carrying the finite prefix) if the state leaves the
-    finite range.
+    The gradient is one generated function of the phase point, and the
+    velocities and monitors are another.  Raises BlowUpError if the state
+    leaves the finite range, TrajectoryError on a domain error; both carry
+    the finite prefix.
     """
     if dt <= 0 or steps < 1:
         raise DynamicsError("need dt > 0 and steps >= 1")
     n = conn.chart.n
-    grad = pw_gradient(conn, h)
-    rhs = _compile_fields(grad)
-    monitors = {"hamiltonian": h}
-    if extra_monitors:
-        monitors.update(extra_monitors)
-    mon_fns = {name: f.f.compiled() for name, f in monitors.items()}
-
-    xs = [np.array(s0.x, dtype=float)]
-    ps = [np.array(s0.p, dtype=float)]
-    vels = []
-    chans: dict[str, list[float]] = {name: [] for name in mon_fns}
-    vel_fns = [grad[i].compiled() for i in range(n)]
-
-    def record(y: np.ndarray):
-        v = tuple(map(float, y))
-        vels.append(np.array([fn(v) for fn in vel_fns]))
-        for name, fn in mon_fns.items():
-            chans[name].append(fn(v))
-
-    y0 = np.array(s0.flat(), dtype=float)
-    record(y0)
-    for k, y in enumerate(_rk4(rhs, y0, dt, steps)):
-        if not np.isfinite(y).all():
-            partial = _make_traj(dt, xs, ps, vels, chans)
-            raise BlowUpError(k + 1, partial)
-        xs.append(y[:n].copy())
-        ps.append(y[n:].copy())
-        record(y)
-    return _make_traj(dt, xs, ps, vels, chans)
-
-
-def _make_traj(dt, xs, ps, vels, chans, second="p") -> Trajectory:
-    return Trajectory(
-        dt=dt,
-        xs=np.array(xs),
-        ps=np.array(ps),
-        velocities=np.array(vels),
-        channels={k: np.array(v) for k, v in chans.items()},
-        second=second,
-    )
+    grad = [f.expr for f in pw_gradient(conn, h)]
+    monitors = {"hamiltonian": h, **(extra_monitors or {})}
+    observed = grad[:n] + [m.f.expr for m in monitors.values()]
+    return _integrate(grad, observed, s0.flat(), dt, steps, conn.chart, list(monitors), "p")
 
 
 def integrate_geodesic(
@@ -340,40 +362,15 @@ def integrate_geodesic(
     if dt <= 0 or steps < 1:
         raise DynamicsError("need dt > 0 and steps >= 1")
     n = conn.chart.n
-    gamma_fns = [
-        [[conn.entry(k, i, j).compiled() for j in range(n)] for i in range(n)]
-        for k in range(n)
-    ]
-    nonzero = [
-        (k, i, j)
-        for k in range(n)
-        for i in range(n)
-        for j in range(n)
-        if not (isinstance(conn.gamma[k, i, j], ex.Const) and conn.gamma[k, i, j].value == 0.0)
-    ]
-
-    def rhs(y: np.ndarray) -> np.ndarray:
-        x = tuple(map(float, y[:n]))
-        v = y[n:]
-        acc = np.zeros(n)
-        try:
-            for k, i, j in nonzero:
-                acc[k] -= gamma_fns[k][i][j](x) * v[i] * v[j]
-        except (ValueError, ZeroDivisionError, OverflowError):
-            return np.full(2 * n, np.nan)
-        return np.concatenate([v, acc])
-
-    xs = [np.array(x0, dtype=float)]
-    vs = [np.array(v0, dtype=float)]
-    y0 = np.concatenate([xs[0], vs[0]])
-    for k, y in enumerate(_rk4(rhs, y0, dt, steps)):
-        if not np.isfinite(y).all():
-            partial = _make_traj(dt, xs, vs, vs, {}, second="v")
-            raise BlowUpError(k + 1, partial)
-        xs.append(y[:n].copy())
-        vs.append(y[n:].copy())
-    traj = _make_traj(dt, xs, vs, vs, {}, second="v")
-    return traj
+    velocity = [ex.var(n + i) for i in range(n)]
+    acc = [ex.ZERO] * n
+    for k, i, j in np.ndindex(n, n, n):
+        g = conn.gamma[k, i, j]
+        if not (isinstance(g, ex.Const) and g.value == 0.0):
+            # acc[k] -= G^k_ij v^i v^j, accumulated from 0.0 in this order
+            acc[k] = ex.BinOp("-", acc[k], ex.mul(ex.mul(g, velocity[i]), velocity[j]))
+    y0 = [float(c) for c in x0] + [float(c) for c in v0]
+    return _integrate(velocity + acc, velocity, y0, dt, steps, conn.chart, [], "v")
 
 
 def geodesic_residual_along(conn: Connection, traj: Trajectory) -> np.ndarray:
@@ -432,24 +429,22 @@ def monitor_geodesic_residual(pair: SymPoissonPair, traj: Trajectory) -> np.ndar
         raise DynamicsError("need at least 3 stored states for finite differences")
     n = pair.chart.n
     cubic = schouten_self(pair)
-    fns = np.empty((n, n, n), dtype=object)
-    for idx in np.ndindex(n, n, n):
-        fns[idx] = ex.compile_expr(cubic.comps[idx])
-    gamma_cache = {}
+    # Gamma^k_ij, then [theta,theta]^ijm, in one generated call per state
+    exprs = [*pair.nabla.gamma.flat, *cubic.comps.flat]
+    fields = ex.compile_plan(exprs)
+    xs = traj.xs.tolist()
     out = []
     for k in range(1, len(traj.xs) - 1):
-        x = tuple(traj.xs[k])
+        try:
+            values = fields(xs[k])
+        except ex.EVAL_FAILURES:
+            ex.Plan(exprs).values(xs[k])  # raises the located EvalDomainError
+            raise
+        gamma, bracket = np.array(values).reshape(2, n, n, n)
         p = traj.ps[k]
         v = traj.velocities[k]
         acc = _fd_velocity(traj, k)
-        gamma = gamma_cache.get(x)
-        if gamma is None:
-            gamma = pair.nabla.gamma_at(x)
-            gamma_cache[x] = gamma
         lhs = acc + np.einsum("kij,i,j->k", gamma, v, v)
-        bracket = np.array(
-            [[[fns[i, j, m](x) for m in range(n)] for j in range(n)] for i in range(n)]
-        )
         rhs = 0.25 * np.einsum("i,j,ijm->m", p, p, bracket)
         out.append(np.linalg.norm(lhs - rhs))
     return np.array(out)
@@ -553,12 +548,9 @@ def trajectory_to_csv(traj: Trajectory) -> str:
         + [f"{second}{i + 1}" for i in range(n)]
         + list(traj.channels.keys())
     )
-    lines = [",".join(header)]
-    times = traj.times
-    for k in range(len(traj.xs)):
-        row = [times[k], *traj.xs[k], *traj.ps[k]]
-        row += [traj.channels[name][k] for name in traj.channels]
-        lines.append(",".join(f"{v:.17g}" for v in row))
+    table = np.column_stack([traj.times, traj.xs, traj.ps, *traj.channels.values()])
+    template = ",".join(["%.17g"] * table.shape[1])
+    lines = [",".join(header), *(template % tuple(row) for row in table.tolist())]
     return "\n".join(lines) + "\n"
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -169,6 +170,74 @@ def test_integrate_blow_up_flushes_partial(tmp_path):
     assert len(out_path.read_text().strip().split("\n")) > 1
 
 
+@pytest.mark.parametrize(
+    "x0, p0, message, rows",
+    [
+        # the second RK4 stage of step 1 lands on x = 0, where H_x = 1/x
+        ("0.001", "-2", "division by zero in subterm '1 / x' at step 1", 1),
+        # the first state is outside the domain of the hamiltonian monitor
+        ("-1", "0", "ln of a non-positive argument in subterm 'ln(x)' at step 0", 0),
+    ],
+)
+def test_integrate_domain_error_exits_3_and_flushes(tmp_path, x0, p0, message, rows):
+    out_path = tmp_path / "partial.csv"
+    code, out, err = run_cli(
+        "integrate", str(STRUCTURES / "oscillator.ini"), "--hamiltonian", "0.5*p1^2 + ln(x)",
+        f"--x0={x0}", f"--p0={p0}", "--out", str(out_path),
+    )
+    assert code == 3, out + err
+    assert err == f"error: {message}\n"
+    lines = out_path.read_text().splitlines()
+    assert lines[0] == "t,x1,p1,hamiltonian"
+    assert len(lines) == 1 + rows
+
+
+def test_integrate_monitor_overflow_exits_3_and_flushes(tmp_path):
+    out_path = tmp_path / "partial.csv"
+    code, out, err = run_cli(
+        "integrate", str(STRUCTURES / "oscillator.ini"), "--hamiltonian", "0.5*p1^2 + x^4",
+        "--x0=100", "--p0=1e30", "--out", str(out_path),
+    )
+    assert code == 3, out + err
+    assert re.match(r"error: trajectory blew up at step \d+: overflow in subterm '(p1|x)\^[24]'\n", err), err
+    assert len(out_path.read_text().splitlines()) >= 2
+
+
+def test_integrate_geodesic_monitor_domain_error(tmp_path):
+    src = tmp_path / "log.ini"
+    src.write_text("[chart]\ndim = 1\nnames = x\n\n[theta]\ntheta[1,1] = \"ln(x)\"\n")
+    out_path = tmp_path / "run.csv"
+    # x crosses 0 at t = 0.01; the flow of p1^2/2 never evaluates theta
+    code, out, err = run_cli(
+        "integrate", str(src), "--hamiltonian", "0.5*p1^2", "--x0=0.01", "--p0=-1",
+        "--steps", "50", "--monitors", "hamiltonian,geodesic_residual", "--out", str(out_path),
+    )
+    assert code == 3, out + err
+    assert err.startswith("error: ")
+    assert err.endswith("in subterm 'ln(x)' in the geodesic_residual monitor\n"), err
+    lines = out_path.read_text().splitlines()
+    assert lines[0] == "t,x1,p1,hamiltonian"
+    assert len(lines) == 52
+
+
+@pytest.mark.parametrize(
+    "theta, message",
+    [
+        ("0^-1 + {}", "zero raised to a negative power in subterm '0^-1'"),
+        ("exp(1000) * {}", "overflow in subterm 'exp(1000)'"),
+    ],
+)
+def test_constant_folding_errors_are_usage_errors(tmp_path, theta, message):
+    path = tmp_path / "fold.ini"
+    path.write_text(f"[chart]\ndim = 1\nnames = x\n\n[theta]\ntheta[1,1] = \"{theta.format('x')}\"\n")
+    assert run_cli("check", str(path)) == (1, "", f"error: {message}\n")
+    code, out, err = run_cli(
+        "integrate", str(STRUCTURES / "oscillator.ini"), "--hamiltonian", theta.format("p1"),
+        "--x0=1", "--p0=1",
+    )
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_integrate_deterministic_bytes(tmp_path):
     def once(path):
         run_cli(
@@ -234,7 +303,7 @@ def test_check_domain_error_exits_3(tmp_path):
     path.write_text("[chart]\ndim = 2\nnames = x, y\n\n[theta]\ntheta[1,1] = \"ln(x)\"\n")
     code, out, err = run_cli("check", str(path))
     assert code == 3, out + err
-    assert err == "error: ln of a non-positive argument in subterm 'ln(x1)'\n"
+    assert err == "error: ln of a non-positive argument in subterm 'ln(x)'\n"
     assert out == ""
 
 

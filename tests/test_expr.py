@@ -13,6 +13,7 @@ from sympoisson.expr import (
     Plan,
     ScalarField,
     compile_expr,
+    compile_plan,
     differentiate,
     evaluate,
     is_zero_field,
@@ -321,7 +322,7 @@ def _shared_exprs(rng):
                 node = expr.neg(a)
             else:
                 node = expr.call(["exp", "ln", "sin", "cos", "sqrt"][int(rng.integers(0, 5))], a)
-        except (ZeroDivisionError, ValueError, OverflowError):
+        except EvalDomainError:
             continue
         pool.append(node)
     picks = rng.integers(len(pool) // 2, len(pool), size=int(rng.integers(1, 5)))
@@ -386,3 +387,77 @@ def test_plan_agrees_with_tree_walk_and_compiled_lambdas(seed):
             except (ArithmeticError, ValueError, RuntimeWarning):
                 continue
         assert _same_floats(plan.values(row), want_values)
+
+
+# ---------------------------------------------------------------------------
+# generated code
+# ---------------------------------------------------------------------------
+
+def test_compile_plan_of_no_expressions_returns_an_empty_tuple():
+    assert compile_plan([])((1.0, 2.0)) == ()
+
+
+@pytest.mark.parametrize(
+    "node, point",
+    [
+        (expr.Pow(expr.Const(-2.0), 2), ()),  # was emitted as -2.0 ** 2 == -4.0
+        (expr.Pow(expr.Const(-0.5), -3), ()),
+        (expr.BinOp("-", expr.Var(0), expr.Const(-3.0)), (1.0,)),
+        (expr.Neg(expr.Const(-2.0)), ()),
+        (expr.BinOp("+", expr.Var(0), expr.Const(math.inf)), (1.0,)),
+        (expr.BinOp("*", expr.Var(0), expr.Const(-math.inf)), (2.0,)),
+        (expr.BinOp("+", expr.Var(0), expr.Const(math.nan)), (1.0,)),
+        (expr.Pow(expr.Const(-math.inf), 3), ()),
+    ],
+)
+def test_compiled_constants_evaluate_like_the_plan(node, point):
+    want = Plan([node]).values(point)
+    assert _same_floats(compile_plan([node])(point), want)
+    assert _same_floats([compile_expr(node)(point)], want)
+    assert _same_floats([node.evaluate(point)], want)
+
+
+def test_constant_folding_raises_domain_errors():
+    with pytest.raises(EvalDomainError, match="zero raised to a negative power in subterm '0\\^-1'"):
+        parse("0^-1 + x", ["x"])
+    with pytest.raises(EvalDomainError, match="overflow in subterm 'exp\\(1000\\)'"):
+        parse("exp(1000) * x", ["x"])
+    with pytest.raises(EvalDomainError, match="overflow in subterm '1e\\+200\\^2'"):
+        expr.powi(expr.const(1e200), 2)
+    with pytest.raises(EvalDomainError, match="ln of a non-positive argument in subterm 'ln\\(0\\)'"):
+        expr.call("ln", expr.ZERO)
+    with pytest.raises(EvalDomainError, match="sqrt of a negative argument"):
+        expr.call("sqrt", expr.const(-1.0))
+
+
+def test_domain_error_names_the_subterm_in_given_names():
+    with pytest.raises(EvalDomainError) as err:
+        Plan([parse("y + ln(x)", ["x", "y"]).expr]).values((-1.0, 0.0))
+    assert str(err.value) == "ln of a non-positive argument in subterm 'ln(x1)'"
+    assert err.value.named(["x", "y"]) == "ln of a non-positive argument in subterm 'ln(x)'"
+    assert err.value.named(None) == str(err.value)
+    # an error built from text has no node to rename
+    assert EvalDomainError("overflow", "x1^9").named(["x"]) == "overflow in subterm 'x1^9'"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_compile_plan_agrees_with_plan_values(seed):
+    """All roots in one generated function: equal values, and a raw float
+    error exactly where Plan.values raises EvalDomainError, at tuple points
+    and at numpy rows."""
+    rng = np.random.default_rng(seed)
+    exprs = _shared_exprs(rng)
+    plan = Plan(exprs)
+    fn = compile_plan(exprs)
+    for row in sample_box([(-2, 2), (-2, 2)], count=int(rng.integers(1, 8)), seed=seed):
+        for point in (tuple(float(c) for c in row), row):
+            try:
+                want = plan.values(point)
+            except EvalDomainError:
+                with pytest.raises(expr.EVAL_FAILURES):
+                    fn(point)
+            else:
+                got = fn(point)
+                assert type(got) is tuple and all(type(v) is float for v in got)
+                assert _same_floats(got, want)

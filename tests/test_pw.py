@@ -1,9 +1,11 @@
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sympoisson import registry
+from sympoisson import cli, registry
 from sympoisson.geometry import (
     Chart,
     Connection,
@@ -17,6 +19,7 @@ from sympoisson.pw import (
     BlowUpError,
     CotangentState,
     PhaseField,
+    TrajectoryError,
     base_lift,
     canonical_bracket,
     check_locally_geodesically_invariant,
@@ -310,6 +313,46 @@ def test_blow_up_reports_step_and_partial():
     assert len(err.value.trajectory.xs) == err.value.step
 
 
+def test_domain_error_is_not_a_blow_up():
+    line = Chart(["x"])
+    h = PhaseField.parse(line, "0.5*p1^2 + ln(x)")
+    # the second RK4 stage lands on x = 0, where H_x = 1/x
+    with pytest.raises(TrajectoryError) as err:
+        integrate_pw(Connection.euclidean(line), h, CotangentState((0.001,), (-2.0,)), dt=1e-3, steps=10)
+    assert not isinstance(err.value, BlowUpError)
+    assert str(err.value) == "division by zero in subterm '1 / x' at step 1"
+    assert err.value.step == 1
+    assert len(err.value.trajectory.xs) == 1
+
+
+def test_monitor_domain_error_at_the_first_state():
+    line = Chart(["x"])
+    h = PhaseField.parse(line, "p1")
+    log = {"log": PhaseField.parse(line, "ln(x)")}
+    with pytest.raises(TrajectoryError) as err:
+        integrate_pw(Connection.euclidean(line), h, CotangentState((-1.0,), (0.0,)), steps=5, extra_monitors=log)
+    assert str(err.value) == "ln of a non-positive argument in subterm 'ln(x)' at step 0"
+    assert trajectory_to_csv(err.value.trajectory) == "t,x1,p1,hamiltonian,log\n"
+
+
+def test_overflow_is_a_blow_up_naming_the_subterm():
+    line = Chart(["x"])
+    h = PhaseField.parse(line, "0.5*p1^2 + x^4")
+    with pytest.raises(BlowUpError) as err:
+        integrate_pw(Connection.euclidean(line), h, CotangentState((100.0,), (1e30,)), dt=1e-3, steps=10)
+    assert str(err.value).startswith(f"trajectory blew up at step {err.value.step}: overflow in subterm")
+    assert len(err.value.trajectory.xs) == err.value.step
+
+
+def test_geodesic_domain_error_names_the_step():
+    line = Chart(["x"])
+    conn = Connection.from_dict(line, {(0, 0, 0): "1/x"})
+    with pytest.raises(TrajectoryError) as err:
+        integrate_geodesic(conn, (0.0,), (1.0,), dt=1e-3, steps=10)
+    assert str(err.value) == "division by zero in subterm '1 / x' at step 1"
+    assert len(err.value.trajectory.xs) == 1
+
+
 def test_integrate_geodesic_straight_lines():
     conn = Connection.euclidean(R2)
     traj = integrate_geodesic(conn, (0.0, 0.0), (1.0, 2.0), dt=1e-3, steps=500)
@@ -535,3 +578,30 @@ def test_geodesic_residual_monitor_zero_structure():
     traj = integrate_pw(pair.nabla, h, CotangentState((0.2, -0.1), (1.0, 1.0)), dt=1e-2, steps=50)
     res = monitor_geodesic_residual(pair, traj)
     assert np.abs(res).max() == 0.0
+
+
+# CSV digests recorded before the right-hand side became generated code; the
+# flow, the monitors and the CSV formatting must keep every byte
+PINNED_CSV = {
+    "nondeg_kill": (
+        ["--hamiltonian", "theta_v", "--x0=0.1,0.2", "--p0=0.4,-0.3"],
+        "4f90f8c25ee91a4057a359aecfc90dbb2414098e3df016400a4dfd16ab277b55",
+    ),
+    "r5": (
+        ["--x0=0.3,-0.2,0.5,0.1,-0.4", "--p0=0.2,0.6,-0.5,0.3,0.1"],
+        "f9786142e4629188b06ab4d6b34ffc453a0a9dcebb01ef2d421b35a445e0b42d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CSV))
+def test_integrate_csv_bytes_are_pinned(name, tmp_path, capsys):
+    extra, digest = PINNED_CSV[name]
+    out = tmp_path / "run.csv"
+    structure = Path(__file__).resolve().parents[1] / "structures" / f"{name}.ini"
+    code = cli.main(
+        ["integrate", str(structure), *extra, "--steps", "200",
+         "--monitors", "hamiltonian,speed_sq,geodesic_residual", "--out", str(out)]
+    )
+    assert code == 0, capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
