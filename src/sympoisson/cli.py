@@ -22,22 +22,19 @@ import configparser
 import re
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from . import jj, liealg, registry
+from . import jj, registry
 from .defaults import N_SAMPLES, SEED, TOL
 from .expr import EvalDomainError, ExprError, ParseError
 from .geometry import Chart, Connection, GeometryError, SymTensorField
 from .poisson import (
     Involutivity,
     SymPoissonPair,
+    VerdictSuite,
     characteristic_data,
-    involutivity_check,
-    parallel_residual,
-    strong_residual,
-    symmetric_poisson_residual,
+    verdict_suite,
 )
 from .pw import (
     CotangentState,
@@ -120,8 +117,10 @@ def load_structure(path: str) -> StructureFile:
         raise StructureFileError(f"malformed file {path}: {err}") from err
 
     if cp.has_section("catalog"):
-        ident = _unquote(cp.get("catalog", "id"))
-        pair = _catalog_pair(ident)
+        try:
+            pair = registry.catalog_entry(_unquote(cp.get("catalog", "id", fallback=""))).pair()
+        except registry.CatalogError as err:
+            raise StructureFileError(str(err)) from err
     else:
         pair = _pair_from_sections(cp)
 
@@ -204,42 +203,6 @@ def _pair_from_sections(cp: configparser.ConfigParser) -> SymPoissonPair:
             gamma_entries[idx] = _unquote(raw)
     conn = Connection.from_dict(chart, gamma_entries)
     return SymPoissonPair(theta, conn)
-
-
-def _catalog_pair(ident: str) -> SymPoissonPair:
-    kind, _, name = ident.partition(":")
-    if kind == "jj":
-        return jj.to_linear_structure(jj.catalog_entry(name).algebra)
-    if kind == "ex":
-        return registry.build(name)
-    if kind == "liealg":
-        return _liealg_chart_pair(name)
-    raise StructureFileError(f"cannot build a chart pair from catalog id '{ident}'")
-
-
-def _liealg_chart_pair(name: str) -> SymPoissonPair:
-    """Realize a named invariant structure in coordinates.
-
-    Available for algebras with polynomial invariant frames; the bivector is
-    the one exercised by the catalog suite.
-    """
-    try:
-        chart, frame = liealg.polynomial_frame(name)
-    except KeyError as err:
-        raise StructureFileError(
-            f"'liealg:{name}' has no chart realization (no polynomial frame)"
-        ) from err
-    g = liealg.algebra(name)
-    t = liealg.LeftInvariantSymTensor.from_dict
-    if name == "aff1":
-        theta = t(2, 2, {(0, 0): 1, (0, 1): 1, (1, 1): 1})
-    elif name == "aff1xR":
-        theta = t(3, 2, {(0, 1): 1})
-    elif name == "heisenberg3":
-        theta = t(3, 2, {(0, 0): 1, (1, 2): 1})
-    else:  # abelian_n
-        theta = t(g.dim, 2, {(0, 0): 2, (0, g.dim - 1): -1})
-    return liealg.chart_export(g, liealg.weitzenboeck0(g), theta, chart, frame)
 
 
 def export_structure(pair: SymPoissonPair, expect: dict | None = None) -> str:
@@ -327,43 +290,19 @@ class Report:
         return "\n".join(rows) + "\n"
 
 
-def _verdict_lines(suite: str, pair: SymPoissonPair, expect: dict, tol: float, samples) -> list[CheckLine]:
+def _verdict_rows(suite: str, verdicts: VerdictSuite, expect: dict) -> list[CheckLine]:
+    """One line per computed verdict, judged against `expect` where it has one."""
+    expect = {{"sp": "symmetric_poisson"}.get(k, k): v for k, v in expect.items()}
     lines = []
-    sp = symmetric_poisson_residual(pair, samples)
-    st = strong_residual(pair, samples)
-    pl = parallel_residual(pair, samples)
-    inv = involutivity_check(pair, samples=samples)
-    got = {
-        "symmetric_poisson": (sp <= tol, sp),
-        "strong": (st <= tol, st),
-        "parallel": (pl <= tol, pl),
-    }
-    for name, (value, residual) in got.items():
-        expected = expect.get(name)
-        ok = True if expected is None else expected == value
-        lines.append(
-            CheckLine(
-                suite,
-                name,
-                "-" if expected is None else str(expected),
-                str(value),
-                residual,
-                ok,
-            )
-        )
-    expected_inv = expect.get("involutive")
-    ok = True if expected_inv is None else expected_inv == inv.verdict
-    lines.append(
-        CheckLine(
-            suite,
-            "involutive",
-            "-" if expected_inv is None else expected_inv.value,
-            inv.verdict.value,
-            inv.max_residual,
-            ok,
-        )
-    )
+    for name, residual in verdicts.residuals.items():
+        got, expected = getattr(verdicts, name), expect.get(name)
+        shown = "-" if expected is None else _shown(expected)
+        lines.append(CheckLine(suite, name, shown, _shown(got), residual, expected is None or expected == got))
     return lines
+
+
+def _shown(verdict) -> str:
+    return verdict.value if isinstance(verdict, Involutivity) else str(verdict)
 
 
 def _probe_lines(suite: str, pair: SymPoissonPair, probes: list[Probe]) -> list[CheckLine]:
@@ -399,8 +338,12 @@ def _probe_lines(suite: str, pair: SymPoissonPair, probes: list[Probe]) -> list[
 # catalog suites
 # ---------------------------------------------------------------------------
 
-def _bool_line(suite, name, expected: bool, got: bool, residual=None) -> CheckLine:
-    return CheckLine(suite, name, str(expected), str(got), residual, expected == got)
+def _bool_line(suite, name, expected: bool, got: bool) -> CheckLine:
+    return CheckLine(suite, name, str(expected), str(got), None, expected == got)
+
+
+# the sampled verdicts a jj: suite prints, in order; it prints no parallel
+JJ_VERDICTS = ("symmetric_poisson", "strong", "involutive")
 
 
 def jj_suite(ident: str, tol: float, samples_n: int, seed: int) -> list[CheckLine]:
@@ -409,25 +352,11 @@ def jj_suite(ident: str, tol: float, samples_n: int, seed: int) -> list[CheckLin
     alg = entry.algebra
     pair = jj.to_linear_structure(alg)
     samples = pair.chart.sample_points(samples_n, seed)
-    sp_res = symmetric_poisson_residual(pair, samples)
-    st_res = strong_residual(pair, samples)
     lines = [
         _bool_line(suite, "jacobi", entry.expect["jacobi"], jj.is_jacobi_jordan(alg)),
         _bool_line(suite, "associative", entry.expect["associative"], jj.is_associative(alg)),
-        _bool_line(suite, "symmetric_poisson", entry.expect["sp"], sp_res <= tol, sp_res),
-        _bool_line(suite, "strong", entry.expect["strong"], st_res <= tol, st_res),
     ]
-    inv = involutivity_check(pair, samples=samples)
-    lines.append(
-        CheckLine(
-            suite,
-            "involutive",
-            entry.expect["involutive"].value,
-            inv.verdict.value,
-            inv.max_residual,
-            entry.expect["involutive"] == inv.verdict,
-        )
-    )
+    lines += _verdict_rows(suite, verdict_suite(pair, tol, samples, JJ_VERDICTS), entry.expect)
     if ident == "dim5_nonassoc":
         lines.append(_dim5_commutator_line(suite, pair, samples))
     return lines
@@ -456,121 +385,21 @@ def _dim5_commutator_line(suite: str, pair: SymPoissonPair, samples) -> CheckLin
     return CheckLine(suite, "module_commutator", "[X1,X3] = -3/2 x3 d1", "same" if ok else "different", worst, ok)
 
 
-def liealg_suite(ident: str) -> list[CheckLine]:
-    suite = f"liealg:{ident}"
-    t = liealg.LeftInvariantSymTensor.from_dict
-    lines: list[CheckLine] = []
-    if ident == "so3":
-        g = liealg.algebra("so3")
-        conn = liealg.weitzenboeck0(g)
-        theta = t(3, 2, {(0, 0): 1, (1, 1): 1})
-        lines += [
-            _bool_line(suite, "symmetric_poisson", True, liealg.li_is_symmetric_poisson(theta, conn)),
-            _bool_line(suite, "strong", False, liealg.li_is_strong(theta, conn)),
-            _bool_line(suite, "involutive", False, liealg.li_is_involutive(theta, g)),
-        ]
-    elif ident == "su2":
-        g = liealg.algebra("su2")
-        conn = liealg.weitzenboeck0(g)
-        theta = t(3, 2, {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2), (2, 2): Fraction(1, 2)})
-        lc = liealg.li_levi_civita(g, [[2, 0, 0], [0, 2, 0], [0, 0, 2]])
-        lines += [
-            _bool_line(suite, "strong", True, liealg.li_is_strong(theta, conn)),
-            _bool_line(suite, "involutive", True, liealg.li_is_involutive(theta, g)),
-            _bool_line(suite, "levi_civita_is_halved_bracket", True, lc.a == conn.a),
-        ]
-    elif ident == "aff1":
-        g = liealg.algebra("aff1")
-        conn = liealg.weitzenboeck0(g)
-        for l1, l2, l3 in [(1, 0, 0), (1, 1, 1), (1, 1, 2), (0, 0, 1), (2, 2, 2), (1, 2, 4)]:
-            theta = t(2, 2, {(0, 0): l1, (0, 1): l2, (1, 1): l3})
-            expected = l1 * l3 - l2 * l2 == 0
-            lines.append(
-                _bool_line(
-                    suite,
-                    f"strong({l1},{l2},{l3})",
-                    expected,
-                    liealg.li_is_strong(theta, conn),
-                )
-            )
-            lines.append(
-                _bool_line(
-                    suite,
-                    f"symmetric_poisson({l1},{l2},{l3})",
-                    True,
-                    liealg.li_is_symmetric_poisson(theta, conn),
-                )
-            )
-    elif ident == "aff1xR":
-        g = liealg.algebra("aff1xR")
-        conn0 = liealg.weitzenboeck0(g)
-        theta = t(3, 2, {(0, 1): 1})
-        custom = liealg.aff1xR_parallelizing_connection()
-        lines += [
-            _bool_line(suite, "symmetric_poisson", True, liealg.li_is_symmetric_poisson(theta, conn0)),
-            _bool_line(suite, "strong_halved_bracket", False, liealg.li_is_strong(theta, conn0)),
-            _bool_line(suite, "involutive", True, liealg.li_is_involutive(theta, g)),
-            _bool_line(suite, "parallel_custom", True, liealg.li_is_parallel(theta, custom)),
-            _bool_line(suite, "strong_custom", True, liealg.li_is_strong(theta, custom)),
-        ]
-    elif ident == "heisenberg3":
-        g = liealg.algebra("heisenberg3")
-        conn = liealg.weitzenboeck0(g)
-        flat = all(
-            liealg.li_curvature_weitzenboeck(g, i, j, k) == (Fraction(0),) * 3
-            for i in range(3)
-            for j in range(3)
-            for k in range(3)
-        )
-        theta = t(3, 2, {(0, 0): 1, (1, 2): 1})
-        lines += [
-            _bool_line(suite, "flat_halved_bracket", True, flat),
-            _bool_line(suite, "symmetric_poisson", True, liealg.li_is_symmetric_poisson(theta, conn)),
-        ]
-    elif ident.startswith("abelian_"):
-        g = liealg.algebra(ident)
-        conn = liealg.weitzenboeck0(g)
-        theta = t(g.dim, 2, {(0, 0): 2, (0, g.dim - 1): -1})
-        lines += [
-            _bool_line(suite, "parallel", True, liealg.li_is_parallel(theta, conn)),
-            _bool_line(suite, "strong", True, liealg.li_is_strong(theta, conn)),
-        ]
-    else:
-        raise KeyError(ident)
-    return lines
-
-
-def chart_suite(ident: str, tol: float, samples_n: int, seed: int) -> list[CheckLine]:
-    entry = registry.CHART_ENTRIES[ident]
-    pair = entry.build()
-    samples = pair.chart.sample_points(samples_n, seed)
-    expect = {
-        {"sp": "symmetric_poisson"}.get(k, k): v for k, v in entry.expect.items()
-    }
-    return _verdict_lines(f"ex:{ident}", pair, expect, tol, samples)
-
-
 def catalog_ids() -> list[str]:
-    ids = [f"jj:{e.ident}" for e in jj.catalog()]
-    ids += [f"liealg:{name}" for name in ["so3", "su2", "aff1", "aff1xR", "heisenberg3", "abelian_2"]]
-    ids += [f"ex:{name}" for name in registry.CHART_ENTRIES]
-    return ids
+    return list(registry.CATALOG)
 
 
 def run_catalog_id(ident: str, tol: float, samples_n: int, seed: int) -> list[CheckLine]:
-    kind, _, name = ident.partition(":")
-    if not name:
-        matches = [full for full in catalog_ids() if full.split(":", 1)[1] == ident]
-        if len(matches) != 1:
-            raise KeyError(ident)
-        kind, _, name = matches[0].partition(":")
-    if kind == "jj":
-        return jj_suite(name, tol, samples_n, seed)
-    if kind == "liealg":
-        return liealg_suite(name)
-    if kind == "ex":
-        return chart_suite(name, tol, samples_n, seed)
-    raise KeyError(ident)
+    """The suite of a catalog id or an unambiguous bare name."""
+    entry = registry.catalog_entry(ident, bare=True)
+    suite = f"{entry.kind}:{entry.ident}"
+    if entry.kind == "jj":
+        return jj_suite(entry.ident, tol, samples_n, seed)
+    if entry.kind == "liealg":
+        return [_bool_line(suite, *row) for row in entry.verdicts()]
+    pair = entry.pair()
+    samples = pair.chart.sample_points(samples_n, seed)
+    return _verdict_rows(suite, verdict_suite(pair, tol, samples), entry.expect)
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +475,7 @@ def cmd_check(args) -> int:
         return USAGE_ERROR
     try:
         samples = sf.pair.chart.sample_points(args.samples, args.seed)
-        lines = _verdict_lines("check", sf.pair, sf.expect, args.tol, samples)
+        lines = _verdict_rows("check", verdict_suite(sf.pair, args.tol, samples), sf.expect)
         lines += _probe_lines("check", sf.pair, sf.probes)
     except (ExprError, GeometryError) as err:
         return _verdict_error(err, sf.pair.chart.names)
@@ -724,8 +553,8 @@ def cmd_integrate(args) -> int:
 def cmd_catalog(args) -> int:
     try:
         lines = _catalog_lines(catalog_ids() if args.all else [args.ident], args)
-    except KeyError as err:
-        print(f"error: unknown catalog id {err}", file=sys.stderr)
+    except registry.CatalogError as err:
+        print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
     except (ExprError, GeometryError) as err:
         return _verdict_error(err)

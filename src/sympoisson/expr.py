@@ -80,9 +80,6 @@ class Expr:
 
     # -- evaluation --------------------------------------------------------
 
-    def evaluate(self, values: Sequence[float]) -> float:
-        raise NotImplementedError
-
     def eval_scaled(self, values: Sequence[float]) -> tuple[float, float]:
         """Return (value, scale) with scale = max |v| over all subterm values.
 
@@ -112,9 +109,6 @@ class Expr:
 class Const(Expr):
     value: float
 
-    def evaluate(self, values):
-        return self.value
-
     def eval_scaled(self, values):
         return self.value, abs(self.value)
 
@@ -128,9 +122,6 @@ class Const(Expr):
 @dataclass(frozen=True, slots=True, repr=False)
 class Var(Expr):
     index: int
-
-    def evaluate(self, values):
-        return values[self.index]
 
     def eval_scaled(self, values):
         v = values[self.index]
@@ -148,19 +139,6 @@ class BinOp(Expr):
     op: str  # one of + - * /
     left: Expr
     right: Expr
-
-    def evaluate(self, values):
-        a = self.left.evaluate(values)
-        b = self.right.evaluate(values)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if b == 0.0:
-            raise EvalDomainError("division by zero", self)
-        return a / b
 
     def eval_scaled(self, values):
         a, sa = self.left.eval_scaled(values)
@@ -199,12 +177,6 @@ class Pow(Expr):
     base: Expr
     exponent: int
 
-    def evaluate(self, values):
-        b = self.base.evaluate(values)
-        if b == 0.0 and self.exponent < 0:
-            raise EvalDomainError("zero raised to a negative power", self)
-        return b ** self.exponent
-
     def eval_scaled(self, values):
         b, sb = self.base.eval_scaled(values)
         if b == 0.0 and self.exponent < 0:
@@ -225,9 +197,6 @@ class Pow(Expr):
 class Neg(Expr):
     arg: Expr
 
-    def evaluate(self, values):
-        return -self.arg.evaluate(values)
-
     def eval_scaled(self, values):
         v, s = self.arg.eval_scaled(values)
         return -v, s
@@ -243,10 +212,6 @@ class Neg(Expr):
 class Call(Expr):
     func: str
     arg: Expr
-
-    def evaluate(self, values):
-        a = self.arg.evaluate(values)
-        return self._apply(a)
 
     def _apply(self, a: float) -> float:
         if self.func == "ln" and a <= 0.0:
@@ -871,7 +836,7 @@ def compile_expr(e: Expr) -> Callable[[Sequence[float]], float]:
 class ScalarField:
     """A function of n chart coordinates given by an expression tree."""
 
-    __slots__ = ("expr", "arity", "_compiled")
+    __slots__ = ("expr", "arity", "_compiled", "_plan")
 
     def __init__(self, expr: Expr, arity: int):
         if expr.max_var() >= arity:
@@ -882,6 +847,7 @@ class ScalarField:
         self.expr = expr
         self.arity = arity
         self._compiled: Callable[[Sequence[float]], float] | None = None
+        self._plan: Plan | None = None
 
     # -- constructors -------------------------------------------------------
 
@@ -904,8 +870,16 @@ class ScalarField:
             self._compiled = compile_expr(self.expr)
         return self._compiled
 
+    def plan(self) -> Plan:
+        """The evaluation plan of the expression, built once and cached."""
+        if self._plan is None:
+            self._plan = Plan([self.expr])
+        return self._plan
+
     def __call__(self, point: Sequence[float]) -> float:
-        return self.expr.evaluate(point)
+        """The value at a point (Plan.values: EvalDomainError on a domain
+        error or an overflow)."""
+        return self.plan().values(point)[0]
 
     def is_zero_expr(self) -> bool:
         return _is_const(self.expr, 0.0)
@@ -981,7 +955,7 @@ def parse(text: str, names_or_arity: Sequence[str] | int) -> ScalarField:
 
 
 def evaluate(f: ScalarField, point: Sequence[float]) -> float:
-    return f.expr.evaluate(point)
+    return f(point)
 
 
 def differentiate(f: ScalarField, index: int) -> ScalarField:

@@ -65,6 +65,9 @@ class Chart:
         self.box = tuple(box) if box is not None else tuple((-1.0, 1.0) for _ in names)
         if len(self.box) != len(names):
             raise GeometryError("sample box must list one interval per coordinate")
+        for lo, hi in self.box:
+            if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+                raise GeometryError(f"sample box interval {lo:g}:{hi:g} must be finite with lo < hi")
         self._samples: dict[tuple[int, int], np.ndarray] = {}
 
     @property

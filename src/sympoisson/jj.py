@@ -225,16 +225,16 @@ def from_linear_structure(theta: SymTensorField, tol: float = 1e-12) -> Commutat
     c = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
     for i in range(d):
         for j in range(d):
-            e = theta.comps[i, j]
-            if abs(e.evaluate(origin)) > tol:
+            e = ex.ScalarField(theta.comps[i, j], d)
+            if abs(e(origin)) > tol:
                 raise AlgebraError(f"component ({i},{j}) has a constant part")
             for k in range(d):
                 dk = e.diff(k)
-                c[k][i][j] = Fraction(dk.evaluate(origin))
+                c[k][i][j] = Fraction(dk(origin))
                 for m in range(d):
                     second = dk.diff(m)
                     for pt in theta.chart.sample_points(5):
-                        if abs(second.evaluate(pt)) > tol:
+                        if abs(second(pt)) > tol:
                             raise AlgebraError(
                                 f"component ({i},{j}) is not linear in the coordinates"
                             )

@@ -403,29 +403,37 @@ def one_dim_poisson_family(lam: float, h: ScalarField, h_primitive: ScalarField)
 # verdict surface used by the CLI
 # ---------------------------------------------------------------------------
 
+# the four sampled verdicts, in the order a report prints them
+VERDICTS = ("symmetric_poisson", "strong", "parallel", "involutive")
+
+
 @dataclass
 class VerdictSuite:
-    symmetric_poisson: bool
-    strong: bool
-    parallel: bool
-    involutive: Involutivity
+    """Verdicts of a pair; those not asked for are None.  `residuals` holds
+    the computed ones, in the order they were asked for."""
+
+    symmetric_poisson: bool | None = None
+    strong: bool | None = None
+    parallel: bool | None = None
+    involutive: Involutivity | None = None
     residuals: dict = field(default_factory=dict)
 
 
-def verdict_suite(pair: SymPoissonPair, tol: float = TOL, samples=None) -> VerdictSuite:
-    sp = symmetric_poisson_residual(pair, samples)
-    st = strong_residual(pair, samples)
-    pl = parallel_residual(pair, samples)
-    inv = involutivity_check(pair, samples=samples)
-    return VerdictSuite(
-        symmetric_poisson=sp <= tol,
-        strong=st <= tol,
-        parallel=pl <= tol,
-        involutive=inv.verdict,
-        residuals={
-            "symmetric_poisson": sp,
-            "strong": st,
-            "parallel": pl,
-            "involutive": inv.max_residual,
-        },
-    )
+def verdict_suite(
+    pair: SymPoissonPair, tol: float = TOL, samples=None, verdicts=VERDICTS
+) -> VerdictSuite:
+    """Compute the named verdicts (a subsequence of VERDICTS) on the samples."""
+    got = {}
+    residuals = {}
+    for name in verdicts:
+        if name == "involutive":
+            inv = involutivity_check(pair, samples=samples)
+            got[name], residuals[name] = inv.verdict, inv.max_residual
+        else:
+            residual = {
+                "symmetric_poisson": symmetric_poisson_residual,
+                "strong": strong_residual,
+                "parallel": parallel_residual,
+            }[name](pair, samples)
+            got[name], residuals[name] = residual <= tol, residual
+    return VerdictSuite(**got, residuals=residuals)

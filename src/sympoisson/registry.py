@@ -1,25 +1,38 @@
-"""Built-in chart structures with their expected verdicts.
+"""The catalog: every built-in structure with its expected verdicts.
 
-These are the worked structures exercised by the CLI catalog, the test
-suite, and the acceptance battery.  Every entry returns a fresh pair so
+`CATALOG` maps each full id to its entry, in report order: the linear
+structures of `jj.catalog()` (`jj:`), the left-invariant structures of
+`LIE_ENTRIES` (`liealg:`) and the worked chart structures of
+`CHART_ENTRIES` (`ex:`).  Every entry's `pair()` builds a fresh pair so
 callers may mutate nothing shared.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Callable
+from fractions import Fraction
+from typing import Callable, ClassVar
 
+from . import jj, liealg
 from .geometry import Chart, Connection, SymFormField, SymTensorField
 from .poisson import Involutivity, SymPoissonPair
 
 
+class CatalogError(Exception):
+    pass
+
+
 @dataclass(frozen=True)
 class ChartEntry:
+    kind: ClassVar[str] = "ex"
     ident: str
     title: str
     build: Callable[[], SymPoissonPair]
     expect: dict
+
+    def pair(self) -> SymPoissonPair:
+        return self.build()
 
 
 def flat_pair(p: int, q: int) -> SymPoissonPair:
@@ -242,3 +255,155 @@ CHART_ENTRIES: dict[str, ChartEntry] = {
 
 def build(ident: str) -> SymPoissonPair:
     return CHART_ENTRIES[ident].build()
+
+
+# ---------------------------------------------------------------------------
+# linear structures and left-invariant structures
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class JJEntry:
+    """A linear structure of `jj.catalog()`, read back through `jj.catalog_entry`."""
+
+    kind: ClassVar[str] = "jj"
+    ident: str
+
+    def pair(self) -> SymPoissonPair:
+        return jj.to_linear_structure(jj.catalog_entry(self.ident).algebra)
+
+
+# Exact verdicts on (algebra, theta, connection) and the connections they
+# judge.  They look the liealg functions up when they run, so a wrapper
+# installed on the module afterwards sees every call.
+LIE_VERDICTS: dict[str, Callable] = {
+    "symmetric_poisson": lambda g, theta, conn: liealg.li_is_symmetric_poisson(theta, conn),
+    "strong": lambda g, theta, conn: liealg.li_is_strong(theta, conn),
+    "parallel": lambda g, theta, conn: liealg.li_is_parallel(theta, conn),
+    "involutive": lambda g, theta, conn: liealg.li_is_involutive(theta, g),
+    # the halved-bracket connection of g is flat
+    "flat": lambda g, theta, conn: all(
+        liealg.li_curvature_weitzenboeck(g, i, j, k) == (Fraction(0),) * g.dim
+        for i, j, k in itertools.product(range(g.dim), repeat=3)
+    ),
+    # conn is the Levi-Civita connection of the metric theta^-1
+    "levi_civita": lambda g, theta, conn: (
+        liealg.li_levi_civita(g, jj._exact_inverse(theta.comps.tolist())).a == conn.a
+    ),
+}
+LIE_CONNECTIONS: dict[str, Callable] = {
+    "halved": lambda g: liealg.weitzenboeck0(g),
+    "aff1xR_parallelizing": lambda g: liealg.aff1xR_parallelizing_connection(),
+}
+
+
+@dataclass(frozen=True)
+class LieCheck:
+    """A printed check name and its expected value; the LIE_VERDICTS key
+    (default: the name), theta index and LIE_CONNECTIONS key it is computed on."""
+
+    name: str
+    expected: bool
+    verdict: str | None = None
+    theta: int = 0
+    connection: str = "halved"
+
+
+@dataclass(frozen=True)
+class LieEntry:
+    """Left-invariant thetas on `liealg.algebra(ident)`, as {indices: value}
+    dicts in the invariant frame, with their checks; `export` picks the theta
+    that a `[catalog]` reference realizes in a chart."""
+
+    kind: ClassVar[str] = "liealg"
+    ident: str
+    thetas: tuple[dict, ...]
+    checks: tuple[LieCheck, ...]
+    export: int = 0
+
+    def verdicts(self) -> list[tuple[str, bool, bool]]:
+        """(name, expected, got) of every check, computed exactly."""
+        g = liealg.algebra(self.ident)
+        thetas = [liealg.LeftInvariantSymTensor.from_dict(g.dim, 2, t) for t in self.thetas]
+        conns = {key: LIE_CONNECTIONS[key](g) for key in dict.fromkeys(c.connection for c in self.checks)}
+        return [
+            (c.name, c.expected, LIE_VERDICTS[c.verdict or c.name](g, thetas[c.theta], conns[c.connection]))
+            for c in self.checks
+        ]
+
+    def pair(self) -> SymPoissonPair:
+        """The exported theta and the halved-bracket connection in the
+        coordinates of the algebra's polynomial invariant frame."""
+        try:
+            chart, frame = liealg.polynomial_frame(self.ident)
+        except KeyError as err:
+            raise CatalogError(f"'liealg:{self.ident}' has no chart realization (no polynomial frame)") from err
+        g = liealg.algebra(self.ident)
+        theta = liealg.LeftInvariantSymTensor.from_dict(g.dim, 2, self.thetas[self.export])
+        return liealg.chart_export(g, liealg.weitzenboeck0(g), theta, chart, frame)
+
+
+def _aff1_entry() -> LieEntry:
+    # every theta on aff(1) is symmetric Poisson, and strong exactly when
+    # it is degenerate: l1 l3 = l2^2
+    family = [(1, 0, 0), (1, 1, 1), (1, 1, 2), (0, 0, 1), (2, 2, 2), (1, 2, 4)]
+    checks = []
+    for k, (l1, l2, l3) in enumerate(family):
+        checks += [
+            LieCheck(f"strong({l1},{l2},{l3})", l1 * l3 == l2 * l2, "strong", k),
+            LieCheck(f"symmetric_poisson({l1},{l2},{l3})", True, "symmetric_poisson", k),
+        ]
+    thetas = tuple({(0, 0): l1, (0, 1): l2, (1, 1): l3} for l1, l2, l3 in family)
+    return LieEntry("aff1", thetas, tuple(checks), export=1)
+
+
+_HALF = Fraction(1, 2)
+_PARALLELIZING = dict(connection="aff1xR_parallelizing")
+
+LIE_ENTRIES: dict[str, LieEntry] = {
+    e.ident: e
+    for e in [
+        LieEntry("so3", ({(0, 0): 1, (1, 1): 1},), (
+            LieCheck("symmetric_poisson", True), LieCheck("strong", False), LieCheck("involutive", False),
+        )),
+        LieEntry("su2", ({(0, 0): _HALF, (1, 1): _HALF, (2, 2): _HALF},), (
+            LieCheck("strong", True), LieCheck("involutive", True),
+            LieCheck("levi_civita_is_halved_bracket", True, "levi_civita"),
+        )),
+        _aff1_entry(),
+        LieEntry("aff1xR", ({(0, 1): 1},), (
+            LieCheck("symmetric_poisson", True),
+            LieCheck("strong_halved_bracket", False, "strong"),
+            LieCheck("involutive", True),
+            LieCheck("parallel_custom", True, "parallel", **_PARALLELIZING),
+            LieCheck("strong_custom", True, "strong", **_PARALLELIZING),
+        )),
+        LieEntry("heisenberg3", ({(0, 0): 1, (1, 2): 1},), (
+            LieCheck("flat_halved_bracket", True, "flat"), LieCheck("symmetric_poisson", True),
+        )),
+        LieEntry("abelian_2", ({(0, 0): 2, (0, 1): -1},), (
+            LieCheck("parallel", True), LieCheck("strong", True),
+        )),
+    ]
+}
+
+
+# ---------------------------------------------------------------------------
+# the whole catalog
+# ---------------------------------------------------------------------------
+
+CATALOG: dict = {
+    f"{e.kind}:{e.ident}": e
+    for e in [*(JJEntry(j.ident) for j in jj.catalog()), *LIE_ENTRIES.values(), *CHART_ENTRIES.values()]
+}
+
+
+def catalog_entry(ident: str, bare: bool = False):
+    """The entry of a full catalog id, or with `bare` of a name that exactly
+    one entry has; CatalogError otherwise."""
+    entry = CATALOG.get(ident)
+    if entry is None and bare:
+        matches = [e for e in CATALOG.values() if e.ident == ident]
+        entry = matches[0] if len(matches) == 1 else None
+    if entry is None:
+        raise CatalogError(f"unknown catalog id '{ident}'")
+    return entry

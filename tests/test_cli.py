@@ -281,9 +281,19 @@ def test_check_nan_box_fails_instead_of_passing(tmp_path):
     path = tmp_path / "nan_box.ini"
     path.write_text(NAN_BOX)
     code, out, err = run_cli("check", str(path))
-    assert code == 2, out + err
-    assert "check:strong" in out and "got=False residual=inf [MISMATCH]" in out
+    assert code == 1, out + err
+    assert err == "error: sample box interval nan:1 must be finite with lo < hi\n"
     assert "PASS" not in out
+
+
+@pytest.mark.parametrize("box", ["1:-1, -1:1", "-1:1, 0:0", "inf:inf, -1:1", "-1:1, -inf:1", "-1:1, 0:nan"])
+def test_check_rejects_a_bad_sample_box(tmp_path, box):
+    path = tmp_path / "box.ini"
+    path.write_text(NAN_BOX.replace("box = nan:1, -1:1", f"box = {box}"))
+    code, out, err = run_cli("check", str(path))
+    assert code == 1, out + err
+    assert err.startswith("error: sample box interval ") and err.endswith(" must be finite with lo < hi\n")
+    assert out == ""
 
 
 def test_check_overflow_is_a_numeric_failure(tmp_path):
@@ -378,6 +388,67 @@ def test_catalog_unknown_id():
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "ident", ["liealg:abelian_x", "liealg:abelian_0", "liealg:abelian_3", "jj:nope", "ex:", ":so3", "so3:"]
+)
+def test_catalog_id_outside_the_table_exits_1(ident):
+    code, out, err = run_cli("catalog", "--id", ident)
+    assert code == 1, out + err
+    assert err == f"error: unknown catalog id '{ident}'\n"
+    assert out == ""
+
+
+def test_catalog_bare_names_resolve_only_for_catalog_id():
+    from sympoisson import registry
+
+    ids = cli.catalog_ids()
+    assert len(ids) == 27
+    for ident in ids:
+        bare = ident.split(":", 1)[1]
+        assert registry.catalog_entry(bare, bare=True) is registry.catalog_entry(ident)
+        with pytest.raises(registry.CatalogError):
+            registry.catalog_entry(bare)
+
+
+@pytest.mark.parametrize("ident", ["jj:nope", "ex:nope", "liealg:abelian_3", "dim5_nonassoc", ""])
+def test_check_catalog_reference_outside_the_table_exits_1(tmp_path, ident):
+    path = tmp_path / "ref.ini"
+    path.write_text(f"[catalog]\nid = {ident}\n")
+    code, out, err = run_cli("check", str(path))
+    assert code == 1, out + err
+    assert err == f"error: unknown catalog id '{ident}'\n"
+
+
+def test_check_catalog_section_without_an_id_exits_1(tmp_path):
+    path = tmp_path / "ref.ini"
+    path.write_text("[catalog]\nname = jj:dim2\n")
+    code, out, err = run_cli("check", str(path))
+    assert code == 1, out + err
+    assert err == "error: unknown catalog id ''\n"
+
+
+# sha256 of export_structure() of each [catalog] reference, recorded before the
+# catalog became a table (aff1 exports the (1, 1, 1) member of its family)
+REFERENCE_DIGESTS = {
+    "liealg:aff1": "2144a755b5bb3d6f701cd4a6657bce4896f2bb2d785168370eae9cd23a371f5d",
+    "liealg:aff1xR": "eeb9c134f4df5121464bde105e2b19e2beceb8573aada1f890bb23192d352754",
+    "liealg:heisenberg3": "ce5f36df9ff0e64f48b0d3a05b78722fdfc5d55ca4f9ababde66b30cf1424c5c",
+    "liealg:abelian_2": "dac02c4ec5574ee886db0023ede378f013210266c2f6959ee08460e30c8d528b",
+    "jj:dim4_5": "eac402818f24b28bb6fd0c4fef16d7b8bd7114239850f0ef91029ba067d9df71",
+    "ex:rotation": "3fb1b718997d61c3d830dad8b9b973a8f23c979a1a485d394085cf277cfa7d4b",
+}
+
+
+@pytest.mark.parametrize("ident", REFERENCE_DIGESTS)
+def test_catalog_reference_builds_the_recorded_pair(tmp_path, ident):
+    import hashlib
+
+    path = tmp_path / "ref.ini"
+    path.write_text(f"[catalog]\nid = {ident}\n")
+    text = cli.export_structure(cli.load_structure(str(path)).pair)
+    assert hashlib.sha256(text.encode()).hexdigest() == REFERENCE_DIGESTS[ident]
+
+
 def test_catalog_all_passes():
     code, out, err = run_cli("catalog", "--all")
     assert code == 0, out
@@ -402,6 +473,24 @@ def test_report_deterministic():
     code_a, a, _ = run_cli("report", "--format", "csv")
     code_b, b, _ = run_cli("report", "--format", "csv")
     assert a == b
+
+
+# sha256 of the catalog's output, recorded before the catalog became a table;
+# the residual column and every line's order are pinned with the verdicts
+CATALOG_DIGESTS = [
+    (("report", "--format", "csv"), "ad309a6de93e39043579684f0281a4841ded51d72d305ab5e88ebe015a4abcf9"),
+    (("report", "--format", "csv", "--seed", "7"), "4df7e0decab16e6296b4445175d5798de4fd83d9c20c6cf22c7e813f48cd8c5b"),
+    (("catalog", "--all"), "b19469f520e0add7cfb07b2ed02fcbc8ab995fc23234f4e839b1faf7ad73d304"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", CATALOG_DIGESTS, ids=[" ".join(a) for a, _ in CATALOG_DIGESTS])
+def test_catalog_output_bytes_are_pinned(argv, digest):
+    import hashlib
+
+    code, out, err = run_cli(*argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_console_script_entry_point():

@@ -1,0 +1,92 @@
+"""Generated structure files through `sympoisson check`, in-process.
+
+Whatever the file holds, `check` ends with a documented exit code (0 pass,
+1 usage or parse error, 2 mismatch, 3 numeric failure) and no exception
+escapes.  A sample box that is not finite with lo < hi, and a `[catalog]` id
+outside the catalog, are usage errors.
+"""
+
+import contextlib
+import io
+import math
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sympoisson import cli
+
+_BOUNDS = ["-1", "0", "0.5", "1", "2", "nan", "inf", "-inf"]
+
+intervals = st.one_of(
+    st.tuples(st.sampled_from(_BOUNDS), st.sampled_from(_BOUNDS)).map(":".join),
+    st.sampled_from(["", "1", ":", "a:b", "1:2:3"]),
+)
+
+catalog_ids = st.one_of(
+    st.sampled_from(cli.catalog_ids()),
+    st.sampled_from(["jj:nope", "ex:nope", "liealg:abelian_3", "liealg:abelian_x", "liealg:so3", "dim2", ""]),
+)
+
+atoms = st.sampled_from(["x", "y", "1", "2.5", "0", "(-1)"])
+exprs = st.recursive(
+    atoms,
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "/"]), inner).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(st.sampled_from(["ln", "sqrt", "exp"]), inner).map(lambda t: f"{t[0]}({t[1]})"),
+        st.tuples(inner, st.integers(-3, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
+    ),
+    max_leaves=5,
+)
+
+
+def _box_ok(box: list[str]) -> bool | None:
+    """Whether every interval is finite with lo < hi; None when one does not parse."""
+    ok = True
+    for tok in box:
+        lo, sep, hi = tok.partition(":")
+        try:
+            lo, hi = float(lo), float(hi)
+        except ValueError:
+            return None
+        ok = ok and math.isfinite(lo) and math.isfinite(hi) and lo < hi
+    return ok
+
+
+@st.composite
+def structure_files(draw):
+    if draw(st.booleans()):
+        ident = draw(catalog_ids)
+        return f"[catalog]\nid = {ident}\n", {"ident": ident}
+    box = draw(st.one_of(st.none(), st.lists(intervals, min_size=2, max_size=2)))
+    lines = ["[chart]", "dim = 2", "names = x, y"]
+    if box is not None:
+        lines.append(f"box = {', '.join(box)}")
+    lines.append("[theta]")
+    for key in draw(st.lists(st.sampled_from(["1,1", "1,2", "2,2"]), min_size=1, max_size=3, unique=True)):
+        lines.append(f'theta[{key}] = "{draw(exprs)}"')
+    if draw(st.booleans()):
+        lines += ["[connection]", f'gamma[1,1,2] = "{draw(exprs)}"']
+    if draw(st.booleans()):
+        lines += ["[expect]", f"symmetric_poisson = {draw(st.sampled_from(['true', 'false']))}"]
+    return "\n".join(lines) + "\n", {"box": box}
+
+
+@settings(max_examples=60, deadline=None)
+@given(structure_files())
+def test_check_never_escapes_its_exit_codes(drawn):
+    text, facts = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "drawn.ini"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["check", str(path), "--samples", "3"])
+    assert code in (0, 1, 2, 3), text
+    if "ident" in facts and facts["ident"] not in cli.catalog_ids():
+        assert code == 1, text
+        assert err.getvalue().startswith("error: "), text
+    if facts.get("box") is not None and _box_ok(facts["box"]) is False:
+        assert code == 1, text
+        assert "must be finite with lo < hi" in err.getvalue(), text

@@ -82,6 +82,15 @@ def test_domain_errors_name_subterm():
         evaluate(parse("sqrt(x)", ["x"]), (-1.0,))
 
 
+def test_point_evaluation_overflow_is_a_domain_error():
+    f = parse("x^400", ["x"])
+    with pytest.raises(EvalDomainError, match="overflow in subterm 'x1\\^400'"):
+        evaluate(f, (10.0,))
+    with pytest.raises(EvalDomainError, match="overflow"):
+        f((10.0,))
+    assert f.plan() is f.plan()
+
+
 def test_differentiate_examples():
     f = parse("exp(2*y)", ["x", "y"])
     df = differentiate(f, 1)
@@ -414,7 +423,6 @@ def test_compiled_constants_evaluate_like_the_plan(node, point):
     want = Plan([node]).values(point)
     assert _same_floats(compile_plan([node])(point), want)
     assert _same_floats([compile_expr(node)(point)], want)
-    assert _same_floats([node.evaluate(point)], want)
 
 
 def test_constant_folding_raises_domain_errors():

@@ -484,7 +484,7 @@ def test_ricci_symmetry_for_levi_civita():
     g = SymFormField.from_dict(R2, 2, {(0, 0): "exp(2*x)", (1, 1): "exp(2*y) + x^2"})
     ric = ricci(levi_civita(g))
     for p in R2.sample_points(10):
-        m = np.array([[e.evaluate(p) for e in row] for row in ric])
+        m = np.array([[ScalarField(e, R2.n)(p) for e in row] for row in ric])
         assert np.allclose(m, m.T, atol=1e-10)
 
 
@@ -528,6 +528,14 @@ def test_sample_points_rejects_counts_below_one():
     for count in (0, -3):
         with pytest.raises(geo.GeometryError, match="at least 1"):
             R2.sample_points(count)
+
+
+@pytest.mark.parametrize(
+    "interval", [(math.nan, 1.0), (0.0, math.nan), (1.0, -1.0), (0.0, 0.0), (math.inf, math.inf), (-math.inf, 1.0)]
+)
+def test_chart_rejects_a_box_that_is_not_finite_with_lo_below_hi(interval):
+    with pytest.raises(geo.GeometryError, match="must be finite with lo < hi"):
+        Chart(["x", "y"], box=[(-1.0, 1.0), interval])
 
 
 def test_killing_bracket_plan_shares_nodes():

@@ -463,7 +463,7 @@ def test_scalar_curvature_curved_connection():
     ric = ricci(pair.nabla)
     for p in chart.sample_points(10):
         direct = sum(
-            theta.evaluate(p)[i, j] * ric[i, j].evaluate(p)
+            theta.evaluate(p)[i, j] * ScalarField(ric[i, j], chart.n)(p)
             for i in range(2)
             for j in range(2)
         )
