@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import re
 import sys
 from dataclasses import dataclass, field
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import jj, registry
 from .defaults import N_SAMPLES, SEED, TOL
-from .expr import EvalDomainError, ExprError, ParseError
+from .expr import EvalDomainError, ExprError, ParseError, number_text
 from .geometry import Chart, Connection, GeometryError, SymTensorField
 from .poisson import (
     Involutivity,
@@ -150,6 +151,8 @@ def load_structure(path: str) -> StructureFile:
             point = tuple(float(tok) for tok in _unquote(body["point"]).split(","))
             if len(point) != pair.chart.n:
                 raise StructureFileError(f"[{section}] point has wrong dimension")
+            if not all(math.isfinite(v) for v in point):
+                raise StructureFileError(f"[{section}] point {point} must be finite")
             rank = int(body["rank"]) if "rank" in body else None
             sig = None
             if "signature" in body:
@@ -214,7 +217,7 @@ def export_structure(pair: SymPoissonPair, expect: dict | None = None) -> str:
     chart = pair.chart
     n = chart.n
     lines = ["[chart]", f"dim = {n}", f"names = {', '.join(chart.names)}"]
-    box = ", ".join(f"{lo:g}:{hi:g}" for lo, hi in chart.box)
+    box = ", ".join(f"{number_text(lo)}:{number_text(hi)}" for lo, hi in chart.box)
     lines.append(f"box = {box}")
     theta_lines = []
     for i in range(n):

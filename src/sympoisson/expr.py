@@ -367,15 +367,19 @@ def expr_product(factors: Sequence[Expr]) -> Expr:
 _PREC_EXPR, _PREC_TERM, _PREC_FACTOR, _PREC_BASE = 0, 1, 2, 3
 
 
+def number_text(v: float) -> str:
+    """repr(v) without a trailing '.0': the shortest text that reads back as v."""
+    s = repr(float(v))
+    return s[:-2] if s.endswith(".0") else s
+
+
 def _default_names(upto: int) -> list[str]:
     return [f"x{i + 1}" for i in range(upto + 1)]
 
 
 def _print(e: Expr, names: Sequence[str] | None, ctx: int) -> str:
     if isinstance(e, Const):
-        s = repr(e.value)
-        if s.endswith(".0"):
-            s = s[:-2]
+        s = number_text(e.value)
         if s.startswith("-"):
             return s if ctx == _PREC_EXPR else f"({s})"
         return s

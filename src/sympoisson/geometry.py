@@ -19,6 +19,8 @@ Degrees are capped at 4; nothing in the toolkit needs more.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -207,6 +209,13 @@ class _SymField:
 
     # -- arithmetic --------------------------------------------------------------
 
+    def _map(self, op, *others):
+        """The field of the same kind with components op(T[idx], *(O[idx] for O in others))."""
+        comps = np.empty(self.comps.shape, dtype=object)
+        for idx in np.ndindex(*self.comps.shape):
+            comps[idx] = op(self.comps[idx], *(o.comps[idx] for o in others))
+        return type(self)(self.chart, self.degree, comps)
+
     def _binary(self, other, op):
         if isinstance(other, _SymField):
             if type(other) is not type(self):
@@ -214,10 +223,7 @@ class _SymField:
             _require_same_chart(self, other)
             if other.degree != self.degree:
                 raise GeometryError("degree mismatch")
-            comps = np.empty(self.comps.shape, dtype=object)
-            for idx in np.ndindex(*self.comps.shape):
-                comps[idx] = op(self.comps[idx], other.comps[idx])
-            return type(self)(self.chart, self.degree, comps)
+            return self._map(op, other)
         raise TypeError(f"unsupported operand {other!r}")
 
     def __add__(self, other):
@@ -227,18 +233,12 @@ class _SymField:
         return self._binary(other, ex.sub)
 
     def __neg__(self):
-        comps = np.empty(self.comps.shape, dtype=object)
-        for idx in np.ndindex(*self.comps.shape):
-            comps[idx] = ex.neg(self.comps[idx])
-        return type(self)(self.chart, self.degree, comps)
+        return self._map(ex.neg)
 
     def scale(self, factor) -> "_SymField":
         """Multiply by a scalar field or number."""
         f = _as_field(self.chart, factor)
-        comps = np.empty(self.comps.shape, dtype=object)
-        for idx in np.ndindex(*self.comps.shape):
-            comps[idx] = ex.mul(f.expr, self.comps[idx])
-        return type(self)(self.chart, self.degree, comps)
+        return self._map(lambda e: ex.mul(f.expr, e))
 
     def __mul__(self, factor):
         return self.scale(factor)
@@ -255,15 +255,9 @@ class _SymField:
 class SymTensorField(_SymField):
     """Totally symmetric contravariant field (degree 1 = vector field)."""
 
-    def lower_with(self, g: "SymFormField") -> "SymFormField":
-        return lower_indices(g, self)
-
 
 class SymFormField(_SymField):
     """Totally symmetric covariant field (degree 2 = metric candidate)."""
-
-    def raise_with(self, ginv: "SymTensorField") -> "SymTensorField":
-        return raise_indices(ginv, self)
 
 
 def vector_field(chart: Chart, entries: dict) -> SymTensorField:
@@ -315,7 +309,8 @@ class Connection:
         n = self.chart.n
         return np.array(self._compiled(point)).reshape(n, n, n)
 
-    def is_torsion_free(self, tol: float = TOL) -> bool:
+    def is_torsion_free(self) -> bool:
+        """Whether the torsion vanishes on the chart's samples; computed once."""
         if self._torsion_free is None:
             n = self.chart.n
             torsion = [
@@ -324,7 +319,7 @@ class Connection:
                 for i in range(n)
                 for j in range(i + 1, n)
             ]
-            self._torsion_free = ex.residual(torsion, self.chart.sample_points()) <= tol
+            self._torsion_free = ex.residual(torsion, self.chart.sample_points()) <= TOL
         return self._torsion_free
 
     def require_torsion_free(self):
@@ -357,13 +352,8 @@ class CurvatureField:
         self.comps = comps
         self._compiled = None
 
-    def plan(self) -> ex.Plan:
-        if self._compiled is None:
-            self._compiled = ex.Plan(self.comps.flat)
-        return self._compiled
-
-    def evaluate(self, point: Sequence[float]) -> np.ndarray:
-        return np.array(self.plan().values(point), dtype=float).reshape(self.comps.shape)
+    plan = _SymField.plan
+    evaluate = _SymField.evaluate
 
     def is_zero_on(self, samples=None, tol: float = TOL) -> bool:
         if samples is None:
@@ -401,18 +391,14 @@ def sym_product(a: _SymField, b: _SymField):
     return type(a)(a.chart, p + q, comps)
 
 
-def _contract_first_slot(one_comps: np.ndarray, field: _SymField):
-    """a_m T^{m j...} for a 1-index array against the field's first slot."""
-    n = field.chart.n
-    r = field.degree
-    if r == 0:
-        return type(field).zero(field.chart, 0)
-    comps = np.empty((n,) * (r - 1), dtype=object)
-    for idx in np.ndindex(*comps.shape):
-        comps[idx] = ex.expr_sum(
-            [ex.mul(one_comps[m], field.comps[(m,) + idx]) for m in range(n)]
+def _contract_first_slot(one_comps: np.ndarray, comps: np.ndarray) -> np.ndarray:
+    """a_m T^{m j...}: a 1-index array against the first axis of a component array."""
+    out = np.empty(comps.shape[1:], dtype=object)
+    for idx in np.ndindex(*out.shape):
+        out[idx] = ex.expr_sum(
+            [ex.mul(one_comps[m], comps[(m,) + idx]) for m in range(len(one_comps))]
         )
-    return type(field)(field.chart, r - 1, comps)
+    return out
 
 
 def contract(a, b):
@@ -432,7 +418,9 @@ def contract(a, b):
     if a.degree != 1:
         raise GeometryError("first argument must have degree 1")
     _require_same_chart(a, b)
-    return _contract_first_slot(a.comps, b)
+    if b.degree == 0:
+        return type(b).zero(b.chart, 0)
+    return type(b)(b.chart, b.degree - 1, _contract_first_slot(a.comps, b.comps))
 
 
 def multi_contract(x: SymTensorField, phi: SymFormField) -> SymFormField:
@@ -450,10 +438,7 @@ def multi_contract(x: SymTensorField, phi: SymFormField) -> SymFormField:
     if r > s:
         return SymFormField.zero(phi.chart, 0)
     n = x.chart.n
-    factor = 1.0
-    for m in range(2, r + 1):
-        factor *= m
-    inv = ex.const(1.0 / factor)
+    inv = ex.const(1.0 / math.factorial(r))
     comps = np.empty((n,) * (s - r), dtype=object)
     for idx in np.ndindex(*comps.shape):
         terms = []
@@ -484,22 +469,13 @@ class MixedDerivative:
 
     def directional(self, i: int):
         """nabla_{d_i} T as a field of the original kind."""
-        comps = np.empty((self.chart.n,) * self.base_degree, dtype=object)
-        for idx in np.ndindex(*comps.shape):
-            comps[idx] = self.comps[(i,) + idx]
-        return self.base_kind(self.chart, self.base_degree, comps)
+        return self.base_kind(self.chart, self.base_degree, _slot_fill(self.comps, i))
 
     def along(self, x: SymTensorField):
         """nabla_X T for a vector field X."""
         if x.degree != 1:
             raise GeometryError("direction must be a vector field")
-        n = self.chart.n
-        comps = np.empty((n,) * self.base_degree, dtype=object)
-        for idx in np.ndindex(*comps.shape):
-            comps[idx] = ex.expr_sum(
-                [ex.mul(x.comps[(i,)], self.comps[(i,) + idx]) for i in range(n)]
-            )
-        return self.base_kind(self.chart, self.base_degree, comps)
+        return self.base_kind(self.chart, self.base_degree, _contract_first_slot(x.comps, self.comps))
 
     def residual_on(self, samples=None) -> float:
         if samples is None:
@@ -602,33 +578,7 @@ def schouten(conn: Connection, a: SymTensorField, b: SymTensorField) -> SymTenso
     """
     conn.require_torsion_free()
     _require_same_chart(conn, a, b)
-    r, l = a.degree, b.degree
-    if r + l < 1:
-        raise GeometryError("bracket needs total degree at least 1")
-    if r + l - 1 > DEGREE_CAP:
-        raise GeometryError(f"bracket degree {r + l - 1} exceeds cap {DEGREE_CAP}")
-    n = a.chart.n
-    na = covariant_derivative(conn, a)
-    nb = covariant_derivative(conn, b)
-    out = SymTensorField.zero(a.chart, r + l - 1)
-    for m in range(n):
-        if r >= 1:
-            ia = _slot_fill(a, m)
-            out = out + sym_product(ia, nb.directional(m))
-        if l >= 1:
-            ib = _slot_fill(b, m)
-            out = out + sym_product(na.directional(m), ib)
-    return out
-
-
-def _slot_fill(t: _SymField, m: int):
-    """i_{dx^m} T: fix the first index to m (no factor)."""
-    n = t.chart.n
-    r = t.degree
-    comps = np.empty((n,) * (r - 1), dtype=object)
-    for idx in np.ndindex(*comps.shape):
-        comps[idx] = t.comps[(m,) + idx]
-    return type(t)(t.chart, r - 1, comps)
+    return _trace_bracket(a, b, lambda t: covariant_derivative(conn, t).directional, operator.add)
 
 
 def anticommutative_schouten(a: SymTensorField, b: SymTensorField) -> SymTensorField:
@@ -640,27 +590,38 @@ def anticommutative_schouten(a: SymTensorField, b: SymTensorField) -> SymTensorF
     a derivation in each slot.  Partial derivatives replace the connection;
     the axioms force chart independence.
     """
+    return _trace_bracket(a, b, lambda t: lambda m: _partial(t, m), operator.sub)
+
+
+def _trace_bracket(a: SymTensorField, b: SymTensorField, derivative, combine) -> SymTensorField:
+    """sum_m (i_{dx^m} A) . (D_m B), then `combine` with (D_m A) . (i_{dx^m} B).
+
+    `derivative(T)` gives the map m -> D_m T; it runs once per field, after
+    the degree checks.  `combine` is operator.add or operator.sub.
+    """
     _require_same_chart(a, b)
     r, l = a.degree, b.degree
     if r + l < 1:
         raise GeometryError("bracket needs total degree at least 1")
     if r + l - 1 > DEGREE_CAP:
         raise GeometryError(f"bracket degree {r + l - 1} exceeds cap {DEGREE_CAP}")
-    n = a.chart.n
+    da, db = derivative(a), derivative(b)
     out = SymTensorField.zero(a.chart, r + l - 1)
-    for m in range(n):
+    for m in range(a.chart.n):
         if r >= 1:
-            out = out + sym_product(_slot_fill(a, m), _partial(b, m))
+            out = out + sym_product(type(a)(a.chart, r - 1, _slot_fill(a.comps, m)), db(m))
         if l >= 1:
-            out = out - sym_product(_partial(a, m), _slot_fill(b, m))
+            out = combine(out, sym_product(da(m), type(b)(b.chart, l - 1, _slot_fill(b.comps, m))))
     return out
 
 
+def _slot_fill(comps: np.ndarray, m: int) -> np.ndarray:
+    """i_{dx^m} T: the components with the first index fixed to m (no factor)."""
+    return comps[m, ...].copy()
+
+
 def _partial(t: _SymField, m: int):
-    comps = np.empty(t.comps.shape, dtype=object)
-    for idx in np.ndindex(*t.comps.shape):
-        comps[idx] = t.comps[idx].diff(m)
-    return type(t)(t.chart, t.degree, comps)
+    return t._map(lambda e: e.diff(m))
 
 
 def schouten_decomposable(
@@ -761,29 +722,24 @@ def _symbolic_det(m: np.ndarray):
     return ex.expr_sum(terms)
 
 
-def invert_metric(g: SymFormField, tol: float = TOL) -> SymTensorField:
-    """Symbolic inverse of a nondegenerate degree-2 form; checks invertibility on samples."""
+def invert_metric(g: _SymField, tol: float = TOL) -> _SymField:
+    """Symbolic inverse of a nondegenerate degree-2 field, as the other kind.
+
+    A metric gives a bivector and a bivector gives a form, so
+    `invert_bivector` is the same routine.  Checks invertibility on samples.
+    """
     if g.degree != 2:
-        raise GeometryError("invert_metric expects a degree-2 form")
-    _check_nondegenerate(g, tol)
-    inv = _symbolic_inverse(g.comps)
-    return SymTensorField(g.chart, 2, inv)
-
-
-def invert_bivector(theta: SymTensorField, tol: float = TOL) -> SymFormField:
-    if theta.degree != 2:
-        raise GeometryError("invert_bivector expects a degree-2 field")
-    _check_nondegenerate(theta, tol)
-    inv = _symbolic_inverse(theta.comps)
-    return SymFormField(theta.chart, 2, inv)
-
-
-def _check_nondegenerate(t: _SymField, tol: float):
-    for p in t.chart.sample_points():
-        m = t.evaluate(p)
+        raise GeometryError("inversion expects a degree-2 field")
+    for p in g.chart.sample_points():
+        m = g.evaluate(p)
         scale = np.abs(m).max() + 1.0
-        if abs(np.linalg.det(m)) <= (tol * scale) ** t.chart.n:
+        if abs(np.linalg.det(m)) <= (tol * scale) ** g.chart.n:
             raise DegenerateMetricError(f"degenerate at sample point {tuple(p)}")
+    dual = SymTensorField if isinstance(g, SymFormField) else SymFormField
+    return dual(g.chart, 2, _symbolic_inverse(g.comps))
+
+
+invert_bivector = invert_metric
 
 
 def levi_civita(g: SymFormField, tol: float = TOL) -> Connection:
@@ -806,13 +762,17 @@ def levi_civita(g: SymFormField, tol: float = TOL) -> Connection:
     return Connection(g.chart, gamma)
 
 
-def raise_indices(ginv: SymTensorField, phi: SymFormField) -> SymTensorField:
-    """g^{-1}(phi): raise every slot with the inverse metric."""
+def raise_indices(ginv: _SymField, phi: _SymField) -> _SymField:
+    """g^{-1}(phi): raise every slot with the inverse metric.
+
+    The result has the kind of the degree-2 field that maps the slots, so
+    `lower_indices(g, t)` is the same routine with the metric g.
+    """
     _require_same_chart(ginv, phi)
     n = phi.chart.n
     r = phi.degree
     if r == 0:
-        return SymTensorField(phi.chart, 0, phi.comps.copy())
+        return type(ginv)(phi.chart, 0, phi.comps.copy())
     comps = np.empty((n,) * r, dtype=object)
     for idx in np.ndindex(*comps.shape):
         terms = []
@@ -821,24 +781,10 @@ def raise_indices(ginv: SymTensorField, phi: SymFormField) -> SymTensorField:
             factors.append(phi.comps[multi])
             terms.append(ex.expr_product(factors))
         comps[idx] = ex.expr_sum(terms)
-    return SymTensorField(phi.chart, r, comps)
+    return type(ginv)(phi.chart, r, comps)
 
 
-def lower_indices(g: SymFormField, t: SymTensorField) -> SymFormField:
-    _require_same_chart(g, t)
-    n = t.chart.n
-    r = t.degree
-    if r == 0:
-        return SymFormField(t.chart, 0, t.comps.copy())
-    comps = np.empty((n,) * r, dtype=object)
-    for idx in np.ndindex(*comps.shape):
-        terms = []
-        for multi in np.ndindex(*(n,) * r):
-            factors = [g.comps[idx[a], multi[a]] for a in range(r)]
-            factors.append(t.comps[multi])
-            terms.append(ex.expr_product(factors))
-        comps[idx] = ex.expr_sum(terms)
-    return SymFormField(t.chart, r, comps)
+lower_indices = raise_indices
 
 
 def is_killing(conn: Connection, phi: SymFormField, tol: float = TOL, samples=None) -> bool:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import expr as ex
 from .geometry import Chart, Connection, SymTensorField
-from .poisson import Involutivity, SymPoissonPair
+from .poisson import Involutivity, SymPoissonPair, characteristic_generators  # noqa: F401 (re-exported)
 
 
 class AlgebraError(Exception):
@@ -42,10 +42,16 @@ def _frac(v) -> Fraction:
     raise AlgebraError(f"cannot interpret {v!r} as an exact rational")
 
 
-class CommutativeAlgebra:
-    """Structure constants c[k][i][j], exactly symmetric in (i, j)."""
+class _StructureConstants:
+    """Exact constants c[k][i][j] of a bilinear product e_i * e_j = c^k_{ij} e_k.
+
+    A subclass fixes the symmetry in (i, j): `_sign` 1 for symmetric, -1 for
+    antisymmetric constants; `_error` is the exception it raises.
+    """
 
     __slots__ = ("dim", "c")
+    _sign = 1
+    _error = AlgebraError
 
     def __init__(self, dim: int, c):
         self.dim = dim
@@ -53,30 +59,28 @@ class CommutativeAlgebra:
             tuple(tuple(_frac(c[k][i][j]) for j in range(dim)) for i in range(dim))
             for k in range(dim)
         )
-        for k in range(dim):
-            for i in range(dim):
-                for j in range(dim):
-                    if self.c[k][i][j] != self.c[k][j][i]:
-                        raise AlgebraError(f"constants not symmetric at (k,i,j)=({k},{i},{j})")
+        for k, level in enumerate(self.c):
+            mirror = tuple(zip(*level))
+            if self._sign < 0:
+                mirror = tuple(tuple(-v for v in row) for row in mirror)
+            if level != mirror:
+                i, j = next((i, j) for i in range(dim) for j in range(dim) if level[i][j] != mirror[i][j])
+                kind = "symmetric" if self._sign > 0 else "antisymmetric"
+                raise self._error(f"constants not {kind} at (k,i,j)=({k},{i},{j})")
 
     @classmethod
-    def zero(cls, dim: int) -> "CommutativeAlgebra":
-        z = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
-        return cls(dim, z)
-
-    @classmethod
-    def from_products(cls, dim: int, products: dict) -> "CommutativeAlgebra":
-        """{(i, j): {k: value}} meaning e_i . e_j = sum value * e_k (0-based)."""
+    def _from_entries(cls, dim: int, entries: dict):
+        """{(i, j): {k: value}} meaning e_i * e_j = sum value * e_k (0-based)."""
         c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-        for (i, j), comp in products.items():
+        for (i, j), comp in entries.items():
             for k, v in comp.items():
                 c[k][i][j] = _frac(v)
-                c[k][j][i] = _frac(v)
+                c[k][j][i] = cls._sign * _frac(v)
         return cls(dim, c)
 
-    def product(self, u: Sequence, v: Sequence) -> tuple[Fraction, ...]:
+    def _product(self, u: Sequence, v: Sequence) -> tuple[Fraction, ...]:
         if len(u) != self.dim or len(v) != self.dim:
-            raise AlgebraError("vector dimension mismatch")
+            raise self._error("vector dimension mismatch")
         u = [_frac(a) for a in u]
         v = [_frac(a) for a in v]
         return tuple(
@@ -90,15 +94,39 @@ class CommutativeAlgebra:
     def basis_product(self, i: int, j: int) -> tuple[Fraction, ...]:
         return tuple(self.c[k][i][j] for k in range(self.dim))
 
-    def _triple(self, i: int, j: int, k: int) -> tuple[Fraction, ...]:
-        """e_i . (e_j . e_k)."""
-        inner = self.basis_product(j, k)
+    def _times(self, vec: Sequence[Fraction], k: int) -> list[Fraction]:
+        """(sum_m vec[m] e_m) * e_k, skipping the zero coordinates of vec."""
         out = [Fraction(0)] * self.dim
-        for m in range(self.dim):
-            if inner[m]:
+        for m, vm in enumerate(vec):
+            if vm:
                 for l in range(self.dim):
-                    out[l] += self.c[l][i][m] * inner[m]
-        return tuple(out)
+                    out[l] += self.c[l][m][k] * vm
+        return out
+
+    def __repr__(self):
+        return f"{type(self).__name__}(dim={self.dim})"
+
+
+class CommutativeAlgebra(_StructureConstants):
+    """Structure constants c[k][i][j], exactly symmetric in (i, j)."""
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls, dim: int) -> "CommutativeAlgebra":
+        z = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+        return cls(dim, z)
+
+    @classmethod
+    def from_products(cls, dim: int, products: dict) -> "CommutativeAlgebra":
+        """{(i, j): {k: value}} meaning e_i . e_j = sum value * e_k (0-based)."""
+        return cls._from_entries(dim, products)
+
+    product = _StructureConstants._product
+
+    def _triple(self, i: int, j: int, k: int) -> list[Fraction]:
+        """e_i . (e_j . e_k), computed as (e_j . e_k) . e_i."""
+        return self._times(self.basis_product(j, k), i)
 
     def jacobiator(self, i: int, j: int, k: int) -> tuple[Fraction, ...]:
         a = self._triple(i, j, k)
@@ -109,19 +137,11 @@ class CommutativeAlgebra:
     def associator(self, i: int, j: int, k: int) -> tuple[Fraction, ...]:
         """e_i . (e_j . e_k) - (e_i . e_j) . e_k."""
         left = self._triple(i, j, k)
-        inner = self.basis_product(i, j)
-        right = [Fraction(0)] * self.dim
-        for m in range(self.dim):
-            if inner[m]:
-                for l in range(self.dim):
-                    right[l] += self.c[l][m][k] * inner[m]
+        right = self._times(self.basis_product(i, j), k)
         return tuple(left[l] - right[l] for l in range(self.dim))
 
     def __eq__(self, other):
         return isinstance(other, CommutativeAlgebra) and self.c == other.c
-
-    def __repr__(self):
-        return f"CommutativeAlgebra(dim={self.dim})"
 
 
 def product(alg: CommutativeAlgebra, u, v):
@@ -327,14 +347,3 @@ def catalog_entry(ident: str) -> CatalogEntry:
         if e.ident == ident:
             return e
     raise KeyError(ident)
-
-
-def characteristic_generators(pair: SymPoissonPair) -> list[SymTensorField]:
-    """theta(dx^i) for each coordinate covector (spanning the module)."""
-    from .geometry import SymFormField, contract
-
-    chart = pair.chart
-    return [
-        contract(SymFormField.from_dict(chart, 1, {(i,): 1.0}), pair.theta)
-        for i in range(chart.n)
-    ]

@@ -11,33 +11,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
-from .jj import _exact_inverse, _frac
+from .jj import _exact_inverse, _frac, _StructureConstants
 
 
 class LieAlgebraError(Exception):
     pass
 
 
-class LieAlgebra:
+class LieAlgebra(_StructureConstants):
     """Structure constants c[k][i][j] with [X_i, X_j] = c^k_{ij} X_k."""
 
-    __slots__ = ("dim", "c")
+    __slots__ = ()
+    _sign = -1
+    _error = LieAlgebraError
 
     def __init__(self, dim: int, c):
-        self.dim = dim
-        self.c = tuple(
-            tuple(tuple(_frac(c[k][i][j]) for j in range(dim)) for i in range(dim))
-            for k in range(dim)
-        )
-        for k in range(dim):
-            for i in range(dim):
-                for j in range(dim):
-                    if self.c[k][i][j] != -self.c[k][j][i]:
-                        raise LieAlgebraError("structure constants must be antisymmetric")
+        super().__init__(dim, c)
         self._check_jacobi()
 
     def _check_jacobi(self):
@@ -57,26 +49,9 @@ class LieAlgebra:
     @classmethod
     def from_brackets(cls, dim: int, brackets: dict) -> "LieAlgebra":
         """{(i, j): {k: value}} meaning [X_i, X_j] = sum value X_k for i < j."""
-        c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-        for (i, j), comp in brackets.items():
-            for k, v in comp.items():
-                c[k][i][j] = _frac(v)
-                c[k][j][i] = -_frac(v)
-        return cls(dim, c)
+        return cls._from_entries(dim, brackets)
 
-    def bracket(self, u: Sequence, v: Sequence) -> tuple[Fraction, ...]:
-        u = [_frac(a) for a in u]
-        v = [_frac(a) for a in v]
-        return tuple(
-            sum(
-                (self.c[k][i][j] * u[i] * v[j] for i in range(self.dim) for j in range(self.dim)),
-                start=Fraction(0),
-            )
-            for k in range(self.dim)
-        )
-
-    def __repr__(self):
-        return f"LieAlgebra(dim={self.dim})"
+    bracket = _StructureConstants._product
 
 
 @dataclass(frozen=True)
@@ -151,23 +126,13 @@ class LeftInvariantSymTensor:
         return all(v == 0 for v in self.comps.flat)
 
     def __add__(self, other):
-        comps = np.empty(self.comps.shape, dtype=object)
-        for idx in np.ndindex(*self.comps.shape):
-            comps[idx] = self.comps[idx] + other.comps[idx]
-        return LeftInvariantSymTensor(self.dim, self.degree, comps)
+        return LeftInvariantSymTensor(self.dim, self.degree, self.comps + other.comps)
 
     def __sub__(self, other):
-        comps = np.empty(self.comps.shape, dtype=object)
-        for idx in np.ndindex(*self.comps.shape):
-            comps[idx] = self.comps[idx] - other.comps[idx]
-        return LeftInvariantSymTensor(self.dim, self.degree, comps)
+        return LeftInvariantSymTensor(self.dim, self.degree, self.comps - other.comps)
 
     def scale(self, v):
-        v = _frac(v)
-        comps = np.empty(self.comps.shape, dtype=object)
-        for idx in np.ndindex(*self.comps.shape):
-            comps[idx] = v * self.comps[idx]
-        return LeftInvariantSymTensor(self.dim, self.degree, comps)
+        return LeftInvariantSymTensor(self.dim, self.degree, _frac(v) * self.comps)
 
 
 def li_symmetric_bracket(conn: LeftInvariantConnection, i: int, j: int) -> tuple[Fraction, ...]:
@@ -272,15 +237,8 @@ def _in_span(basis, row):
 
 def li_curvature_weitzenboeck(g: LieAlgebra, i: int, j: int, k: int) -> tuple[Fraction, ...]:
     """R(X_i, X_j) X_k = -1/4 [[X_i, X_j], X_k] for the halved-bracket connection."""
-    d = g.dim
-    inner = tuple(g.c[m][i][j] for m in range(d))
-    out = [Fraction(0)] * d
-    for m in range(d):
-        if inner[m]:
-            for l in range(d):
-                out[l] += inner[m] * g.c[l][m][k]
     q = Fraction(-1, 4)
-    return tuple(q * v for v in out)
+    return tuple(q * v for v in g._times(g.basis_product(i, j), k))
 
 
 def li_curvature_general(

@@ -99,21 +99,8 @@ def schouten_self_cyclic(pair: SymPoissonPair) -> SymTensorField:
 
         1/2 [theta, theta](a, b, c) = (nabla_{theta(a)} theta)(b, c) + cyclic.
     """
-    chart = pair.chart
-    n = chart.n
-    nabla_theta = covariant_derivative(pair.nabla, pair.theta)
-    # D[i] = nabla_{theta(dx^i)} theta = theta^{im} nabla_m theta
-    d = []
-    for i in range(n):
-        comps = np.empty((n, n), dtype=object)
-        for idx in np.ndindex(n, n):
-            comps[idx] = ex.expr_sum(
-                [
-                    ex.mul(pair.theta.comps[i, m], nabla_theta.comps[(m,) + idx])
-                    for m in range(n)
-                ]
-            )
-        d.append(comps)
+    n = pair.chart.n
+    d = _theta_directional(pair)
     out = np.empty((n, n, n), dtype=object)
     two = ex.const(2.0)
     for i in range(n):
@@ -121,7 +108,13 @@ def schouten_self_cyclic(pair: SymPoissonPair) -> SymTensorField:
             for k in range(n):
                 cyc = ex.expr_sum([d[i][j, k], d[j][k, i], d[k][i, j]])
                 out[i, j, k] = ex.mul(two, cyc)
-    return SymTensorField(chart, 3, out)
+    return SymTensorField(pair.chart, 3, out)
+
+
+def _theta_directional(pair: SymPoissonPair) -> list[np.ndarray]:
+    """D[i] = nabla_{theta(dx^i)} theta = theta^{im} nabla_m theta, n x n each."""
+    nabla_theta = covariant_derivative(pair.nabla, pair.theta).comps
+    return [geo._contract_first_slot(row, nabla_theta) for row in pair.theta.comps]
 
 
 def is_symmetric_poisson(pair: SymPoissonPair, tol: float = TOL, samples=None) -> bool:
@@ -141,19 +134,9 @@ def strong_residual(pair: SymPoissonPair, samples=None) -> float:
 
     Tensoriality in the covector slot makes the basis sufficient.
     """
-    chart = pair.chart
-    n = chart.n
     if samples is None:
-        samples = chart.sample_points()
-    nabla_theta = covariant_derivative(pair.nabla, pair.theta)
-    components = [
-        ex.expr_sum(
-            [ex.mul(pair.theta.comps[i, m], nabla_theta.comps[(m,) + idx]) for m in range(n)]
-        )
-        for i in range(n)
-        for idx in np.ndindex(n, n)
-    ]
-    return ex.residual(components, samples)
+        samples = pair.chart.sample_points()
+    return ex.residual([e for d in _theta_directional(pair) for e in d.flat], samples)
 
 
 def is_parallel(pair: SymPoissonPair, tol: float = TOL, samples=None) -> bool:
@@ -214,10 +197,17 @@ def characteristic_data(theta: SymTensorField, point, rank_tol: float = RANK_TOL
 
     Eigen-restricted inversion: eigenvalues below the threshold count as zero,
     the rest are inverted to produce the Gram matrix of the induced metric.
+    A theta or an eigenvalue that is not finite raises EvalDomainError.
     """
+    where = tuple(float(v) for v in point)
     m = theta.evaluate(point)
-    m = 0.5 * (m + m.T)  # symmetrize away representation roundoff
+    bad = np.flatnonzero(~np.isfinite(m))
+    if len(bad):
+        raise ex.EvalDomainError(f"theta is not finite at {where}", theta.comps.flat[bad[0]])
+    m = 0.5 * m + 0.5 * m.T  # symmetrize away representation roundoff; halving first cannot overflow
     lam, vecs = np.linalg.eigh(m)
+    if not np.isfinite(lam).all():
+        raise ex.EvalDomainError(f"the eigenvalues of theta overflow at {where}", "theta")
     threshold = rank_tol * (np.abs(lam).max() + 1.0)
     keep = np.abs(lam) > threshold
     lam_kept = lam[keep]
@@ -227,7 +217,7 @@ def characteristic_data(theta: SymTensorField, point, rank_tol: float = RANK_TOL
     neg = rank - pos
     gram = np.diag(1.0 / lam_kept) if rank else np.zeros((0, 0))
     return CharacteristicData(
-        point=tuple(float(v) for v in point),
+        point=where,
         rank=rank,
         signature=(pos, neg),
         eigenvalues=lam_kept,
@@ -259,11 +249,10 @@ def involutivity_check(
     A rank jump across samples downgrades a positive answer to inconclusive;
     a failed membership is conclusive either way.
     """
-    chart = pair.chart
-    n = chart.n
+    n = pair.chart.n
     if samples is None:
-        samples = chart.sample_points()
-    fields = [contract(_basis_form(chart, i), pair.theta) for i in range(n)]
+        samples = pair.chart.sample_points()
+    fields = characteristic_generators(pair)
     commutators = {}
     for i in range(n):
         for j in range(i + 1, n):
@@ -291,8 +280,13 @@ def involutivity_check(
     return InvolutivityReport(verdict, worst, tuple(ranks))
 
 
-def _basis_form(chart: Chart, i: int) -> SymFormField:
-    return SymFormField.from_dict(chart, 1, {(i,): 1.0})
+def characteristic_generators(pair: SymPoissonPair) -> list[SymTensorField]:
+    """theta(dx^i) for each coordinate covector (spanning the module)."""
+    chart = pair.chart
+    return [
+        contract(SymFormField.from_dict(chart, 1, {(i,): 1.0}), pair.theta)
+        for i in range(chart.n)
+    ]
 
 
 # ---------------------------------------------------------------------------

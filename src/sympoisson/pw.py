@@ -115,14 +115,11 @@ def vertical_lift(a: SymTensorField) -> PhaseField:
     r = a.degree
     if r == 0:
         return base_lift(chart, a.scalar())
-    factor = 1.0
-    for m in range(2, r + 1):
-        factor *= m
     terms = []
     for multi in np.ndindex(*(n,) * r):
         p_prod = ex.expr_product([ex.var(n + i) for i in multi])
         terms.append(ex.mul(a.comps[multi], p_prod))
-    e = ex.mul(ex.const(1.0 / factor), ex.expr_sum(terms))
+    e = ex.mul(ex.const(1.0 / math.factorial(r)), ex.expr_sum(terms))
     return PhaseField.from_expr(chart, e)
 
 

@@ -572,6 +572,49 @@ def test_check_bad_number_in_probe(tmp_path):
     assert "error" in err
 
 
+PROBE = "[chart]\ndim = 2\nnames = x, y\n\n[theta]\n{theta}\n[probe]\npoint = {point}\nrank = {rank}\n"
+
+
+@pytest.mark.parametrize("point", ["nan, 0", "0, inf", "-inf, 0.5"])
+def test_check_rejects_a_non_finite_probe_point(tmp_path, point):
+    path = tmp_path / "probe.ini"
+    path.write_text(PROBE.format(theta='theta[1,1] = "1/x"', point=point, rank=0))
+    code, out, err = run_cli("check", str(path))
+    assert code == 1, out + err
+    assert err.startswith("error: [probe] point (") and err.endswith(") must be finite\n")
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "theta, point, message",
+    [
+        ('theta[1,1] = "x*x*x*x"\ntheta[2,2] = "1"', "1e100, 0", "theta is not finite at (1e+100, 0.0) in subterm 'x * x * x * x'"),
+        ('theta[1,1] = "x"\ntheta[1,2] = "x"\ntheta[2,2] = "x"', "1e308, 0", "the eigenvalues of theta overflow at (1e+308, 0.0) in subterm 'theta'"),
+    ],
+)
+def test_check_probe_where_theta_is_not_finite_exits_3(tmp_path, theta, point, message):
+    path = tmp_path / "probe.ini"
+    path.write_text(PROBE.format(theta=theta, point=point, rank=0))
+    code, out, err = run_cli("check", str(path))
+    assert code == 3, out + err
+    assert err == f"error: {message}\n"
+    assert out == ""
+
+
+def test_export_keeps_box_bounds_exact(tmp_path):
+    from sympoisson.cli import export_structure, load_structure
+    from sympoisson.geometry import Chart, Connection, SymTensorField
+    from sympoisson.poisson import SymPoissonPair
+
+    chart = Chart(["x", "y"], box=[(0.1234567, 1.0), (-2.5e-7, 1e20)])
+    pair = SymPoissonPair(SymTensorField.from_dict(chart, 2, {(0, 0): "x"}), Connection.euclidean(chart))
+    text = export_structure(pair)
+    assert "box = 0.1234567:1, -2.5e-07:1e+20\n" in text
+    path = tmp_path / "box.ini"
+    path.write_text(text)
+    assert load_structure(str(path)).pair.chart.box == chart.box
+
+
 def test_integrate_bad_initial_state():
     code, out, err = run_cli(
         "integrate",

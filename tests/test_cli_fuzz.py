@@ -2,8 +2,9 @@
 
 Whatever the file holds, `check` ends with a documented exit code (0 pass,
 1 usage or parse error, 2 mismatch, 3 numeric failure) and no exception
-escapes.  A sample box that is not finite with lo < hi, and a `[catalog]` id
-outside the catalog, are usage errors.
+escapes.  A sample box that is not finite with lo < hi, a `[catalog]` id
+outside the catalog, and a `[probe]` point with a coordinate that is not
+finite are usage errors.
 """
 
 import contextlib
@@ -41,6 +42,27 @@ exprs = st.recursive(
 )
 
 
+coordinates = st.sampled_from(["0", "0.5", "-1", "2", "1e308", "nan", "inf", "-inf", "x"])
+
+probes = st.lists(
+    st.tuples(
+        st.sampled_from([2, 2, 2, 1, 3]).flatmap(lambda size: st.lists(coordinates, min_size=size, max_size=size)),
+        st.one_of(st.none(), st.sampled_from(["0", "1", "2", "x"])),
+        st.one_of(st.none(), st.sampled_from(["1, 0", "0, 0", "1, 1", "2"])),
+    ),
+    max_size=2,
+)
+
+
+def _non_finite_point(tokens: list[str]) -> bool:
+    """Whether every coordinate parses as a float and one is not finite."""
+    try:
+        values = [float(tok) for tok in tokens]
+    except ValueError:
+        return False
+    return not all(math.isfinite(v) for v in values)
+
+
 def _box_ok(box: list[str]) -> bool | None:
     """Whether every interval is finite with lo < hi; None when one does not parse."""
     ok = True
@@ -56,9 +78,17 @@ def _box_ok(box: list[str]) -> bool | None:
 
 @st.composite
 def structure_files(draw):
+    drawn_probes = draw(probes)
+    facts = {"non_finite_point": any(_non_finite_point(tokens) for tokens, _, _ in drawn_probes)}
+    probe_lines = []
+    for number, (tokens, rank, signature) in enumerate(drawn_probes):
+        section = "probe" if number == 0 else f"probe.{number}"
+        probe_lines += [f"[{section}]", f"point = {', '.join(tokens)}"]
+        probe_lines += [] if rank is None else [f"rank = {rank}"]
+        probe_lines += [] if signature is None else [f"signature = {signature}"]
     if draw(st.booleans()):
         ident = draw(catalog_ids)
-        return f"[catalog]\nid = {ident}\n", {"ident": ident}
+        return "\n".join([f"[catalog]\nid = {ident}", *probe_lines]) + "\n", {"ident": ident, **facts}
     box = draw(st.one_of(st.none(), st.lists(intervals, min_size=2, max_size=2)))
     lines = ["[chart]", "dim = 2", "names = x, y"]
     if box is not None:
@@ -70,7 +100,7 @@ def structure_files(draw):
         lines += ["[connection]", f'gamma[1,1,2] = "{draw(exprs)}"']
     if draw(st.booleans()):
         lines += ["[expect]", f"symmetric_poisson = {draw(st.sampled_from(['true', 'false']))}"]
-    return "\n".join(lines) + "\n", {"box": box}
+    return "\n".join(lines + probe_lines) + "\n", {"box": box, **facts}
 
 
 @settings(max_examples=60, deadline=None)
@@ -90,3 +120,6 @@ def test_check_never_escapes_its_exit_codes(drawn):
     if facts.get("box") is not None and _box_ok(facts["box"]) is False:
         assert code == 1, text
         assert "must be finite with lo < hi" in err.getvalue(), text
+    if facts["non_finite_point"]:
+        assert code == 1, text
+        assert err.getvalue().startswith("error: "), text

@@ -53,6 +53,13 @@ def test_jacobi_identity_enforced():
         LieAlgebra.from_brackets(3, {(0, 1): {2: 1}, (0, 2): {0: 1}})
 
 
+def test_constants_must_be_antisymmetric_and_vectors_match_the_dimension():
+    with pytest.raises(LieAlgebraError, match=r"not antisymmetric at \(k,i,j\)=\(0,0,1\)"):
+        LieAlgebra(2, [[[0, 1], [1, 0]], [[0, 0], [0, 0]]])
+    with pytest.raises(LieAlgebraError, match="dimension mismatch"):
+        algebra("so3").bracket([1, 0], [0, 1, 0])
+
+
 def test_weitzenboeck0_abelian():
     conn = weitzenboeck0(algebra("abelian_3"))
     assert all(
