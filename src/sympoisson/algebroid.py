@@ -111,7 +111,7 @@ def _sum_forms(forms):
 
 
 def _is_structural_zero(f) -> bool:
-    return all(isinstance(e, ex.Const) and e.value == 0.0 for e in f.comps.flat)
+    return all(map(ex.is_structural_zero, f.comps.flat))
 
 
 # ---------------------------------------------------------------------------

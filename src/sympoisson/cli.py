@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import math
 import re
 import sys
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import jj, registry
 from .defaults import N_SAMPLES, SEED, TOL
-from .expr import EvalDomainError, ExprError, ParseError, number_text
+from .expr import EvalDomainError, ExprError, ParseError, is_structural_zero, number_text
 from .geometry import Chart, Connection, GeometryError, SymTensorField
 from .poisson import (
     Involutivity,
@@ -223,7 +224,7 @@ def export_structure(pair: SymPoissonPair, expect: dict | None = None) -> str:
     for i in range(n):
         for j in range(i, n):
             e = pair.theta.comps[i, j]
-            if not (hasattr(e, "value") and getattr(e, "value", None) == 0.0):
+            if not is_structural_zero(e):
                 theta_lines.append(f"theta[{i + 1},{j + 1}] = \"{e.to_string(chart.names)}\"")
     if theta_lines:
         lines += ["", "[theta]"] + theta_lines
@@ -232,7 +233,7 @@ def export_structure(pair: SymPoissonPair, expect: dict | None = None) -> str:
         for i in range(n):
             for j in range(i, n):
                 e = pair.nabla.gamma[k, i, j]
-                if not (hasattr(e, "value") and getattr(e, "value", None) == 0.0):
+                if not is_structural_zero(e):
                     gamma_lines.append(
                         f"gamma[{k + 1},{i + 1},{j + 1}] = \"{e.to_string(chart.names)}\""
                     )
@@ -372,15 +373,11 @@ def _dim5_commutator_line(suite: str, pair: SymPoissonPair, samples) -> CheckLin
 
     gens = jj.characteristic_generators(pair)
     x1, x3 = gens[0], gens[3]
-    comm = lie_bracket(x1, x3)
-    ok = True
-    worst = 0.0
-    for p in samples:
-        v = comm.evaluate(p)
-        expected = np.zeros(5)
-        expected[0] = -1.5 * p[2]
-        worst = max(worst, float(np.abs(v - expected).max()))
-        ok = ok and np.allclose(v, expected, atol=1e-12)
+    v = lie_bracket(x1, x3).evaluate_on(samples)
+    expected = np.zeros_like(v)
+    expected[:, 0] = -1.5 * np.asarray(samples, dtype=float)[:, 2]
+    worst = float(np.abs(v - expected).max())
+    ok = bool(np.allclose(v, expected, atol=1e-12))
     others = [(0, 1), (0, 4), (1, 3), (1, 4), (3, 4)]
     for i, j in others:
         if not lie_bracket(gens[i], gens[j]).is_zero_on(samples):
@@ -416,7 +413,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once; `parse_args` leaves it unchanged."""
     parser = _Parser(prog="sympoisson", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

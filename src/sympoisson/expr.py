@@ -260,6 +260,11 @@ def _is_const(e: Expr, v: float | None = None) -> bool:
     return isinstance(e, Const) and (v is None or e.value == v)
 
 
+def is_structural_zero(e: Expr) -> bool:
+    """Whether e is the constant 0 or -0: zero without sampling."""
+    return _is_const(e, 0.0)
+
+
 def add(a: Expr, b: Expr) -> Expr:
     if _is_const(a) and _is_const(b):
         return Const(a.value + b.value)
@@ -638,9 +643,10 @@ class Plan:
     node's position is its slot in the value list.  `roots` holds the slots
     of the expressions themselves.
 
-    `residual` runs the plan over numpy arrays of samples; `values` runs it
-    at one point on Python floats with `math.*`, in the order of the code
-    `compile_plan` generates, so their values are equal.
+    `table` runs the plan over numpy arrays of samples, and `residual`
+    reduces the table; `values` runs it at one point on Python floats with
+    `math.*`, in the order of the code `compile_plan` generates, so their
+    values are equal.
     """
 
     __slots__ = ("nodes", "roots", "_consts", "_vars", "_ops", "_point_ops")
@@ -709,14 +715,16 @@ class Plan:
 
     # -- many samples ----------------------------------------------------------
 
-    def residual(self, samples) -> float:
-        """max over roots and samples of |v| / (1 + scale).
+    def table(self, samples) -> tuple[np.ndarray, np.ndarray]:
+        """The root values and their scales at every sample, each (samples, roots).
 
-        `scale` is the largest |value| of any subterm of the root at the
-        sample.  Every node is evaluated once, over all samples together.  A
-        NaN or infinite value or scale makes the residual inf.  A domain error
-        raises the EvalDomainError that a per-component, per-sample tree walk
-        would meet first.
+        Every node is evaluated once, over all samples together, with the
+        point path's elementwise operations.  A root's scale is the largest
+        |value| of any of its subterms at the sample, so where a row of
+        scales is finite the values equal `values` at that sample bit for
+        bit.  An overflow in ``**`` reads +-inf here, where `values` raises;
+        any other domain error raises the EvalDomainError that a per-root,
+        per-sample tree walk would meet first.
         """
         pts = np.asarray(samples, dtype=float)
         if pts.ndim != 2 or len(pts) == 0:
@@ -747,13 +755,19 @@ class Plan:
                 scales.append(np.maximum(s, np.abs(v)))
         if failures:
             raise self._first_failure(failures)
-        if not self.roots:
-            return 0.0
-        scale = np.array([scales[r] for r in self.roots])
+        shape = (len(self.roots), len(pts))
+        return tuple(np.array([col[r] for r in self.roots]).reshape(shape).T for col in (vals, scales))
+
+    def residual(self, samples) -> float:
+        """max over roots and samples of |v| / (1 + scale), from `table`.
+
+        A NaN or infinite value or scale makes the residual inf; no roots
+        give 0.
+        """
+        value, scale = self.table(samples)
         if not np.isfinite(scale).all():
             return math.inf
-        value = np.abs(np.array([vals[r] for r in self.roots]))
-        return float((value / (1.0 + scale)).max())
+        return float((np.abs(value) / (1.0 + scale)).max(initial=0.0))
 
     def _first_failure(self, failures: dict[int, np.ndarray]) -> EvalDomainError:
         # A tree walk goes root by root, then sample by sample, and stops at
@@ -886,7 +900,7 @@ class ScalarField:
         return self.plan().values(point)[0]
 
     def is_zero_expr(self) -> bool:
-        return _is_const(self.expr, 0.0)
+        return is_structural_zero(self.expr)
 
     # -- calculus ------------------------------------------------------------
 

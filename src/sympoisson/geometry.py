@@ -194,6 +194,17 @@ class _SymField:
         """Numeric component array at a point."""
         return np.array(self.plan().values(point), dtype=float).reshape(self.comps.shape)
 
+    def evaluate_on(self, samples) -> np.ndarray:
+        """The component arrays at every sample, stacked: the rows of `Plan.table`.
+
+        Where a row's scales are not finite, `evaluate` runs there first, so
+        this raises where the point path raises (an overflow in ``**``).
+        """
+        values, scales = self.plan().table(samples)
+        for s in np.flatnonzero(~np.isfinite(scales).all(axis=1)):
+            self.evaluate(samples[s])
+        return np.ascontiguousarray(values).reshape((len(values),) + self.comps.shape)
+
     def is_zero_on(
         self,
         samples: Iterable[Sequence[float]] | None = None,
@@ -730,11 +741,12 @@ def invert_metric(g: _SymField, tol: float = TOL) -> _SymField:
     """
     if g.degree != 2:
         raise GeometryError("inversion expects a degree-2 field")
-    for p in g.chart.sample_points():
-        m = g.evaluate(p)
-        scale = np.abs(m).max() + 1.0
-        if abs(np.linalg.det(m)) <= (tol * scale) ** g.chart.n:
-            raise DegenerateMetricError(f"degenerate at sample point {tuple(p)}")
+    samples = g.chart.sample_points()
+    m = g.evaluate_on(samples)
+    scale = np.abs(m).max(axis=(1, 2)) + 1.0
+    degenerate = np.abs(np.linalg.det(m)) <= (tol * scale) ** g.chart.n
+    if degenerate.any():
+        raise DegenerateMetricError(f"degenerate at sample point {tuple(samples[np.argmax(degenerate)])}")
     dual = SymTensorField if isinstance(g, SymFormField) else SymFormField
     return dual(g.chart, 2, _symbolic_inverse(g.comps))
 

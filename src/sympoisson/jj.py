@@ -17,7 +17,8 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -242,22 +243,19 @@ def from_linear_structure(theta: SymTensorField, tol: float = 1e-12) -> Commutat
         raise AlgebraError("expected a degree-2 field")
     d = theta.chart.n
     origin = (0.0,) * d
+    comps = {(i, j): ex.ScalarField(theta.comps[i, j], d) for i, j in np.ndindex(d, d)}
+    firsts = {(i, j, k): e.diff(k) for (i, j), e in comps.items() for k in range(d)}
+    seconds = ex.Plan(f.diff(m).expr for f in firsts.values() for m in range(d))
+    curved = (np.abs(seconds.table(theta.chart.sample_points(5))[0]) > tol).any(axis=0)
+    curved = curved.reshape(d, d, d * d).any(axis=2)
     c = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            e = ex.ScalarField(theta.comps[i, j], d)
-            if abs(e(origin)) > tol:
-                raise AlgebraError(f"component ({i},{j}) has a constant part")
-            for k in range(d):
-                dk = e.diff(k)
-                c[k][i][j] = Fraction(dk(origin))
-                for m in range(d):
-                    second = dk.diff(m)
-                    for pt in theta.chart.sample_points(5):
-                        if abs(second(pt)) > tol:
-                            raise AlgebraError(
-                                f"component ({i},{j}) is not linear in the coordinates"
-                            )
+    for i, j in np.ndindex(d, d):
+        if abs(comps[i, j](origin)) > tol:
+            raise AlgebraError(f"component ({i},{j}) has a constant part")
+        for k in range(d):
+            c[k][i][j] = Fraction(firsts[i, j, k](origin))
+        if curved[i, j]:
+            raise AlgebraError(f"component ({i},{j}) is not linear in the coordinates")
     return CommutativeAlgebra(d, c)
 
 
@@ -271,79 +269,49 @@ class CatalogEntry:
     dim: int
     algebra: CommutativeAlgebra
     coords: str  # display form of theta in chart coordinates
-    expect: dict
+    expect: Mapping  # read-only: entries are shared by every lookup
 
 
-def _entry(ident, dim, products, coords, **expect) -> CatalogEntry:
-    return CatalogEntry(
-        ident, dim, CommutativeAlgebra.from_products(dim, products), coords, dict(expect)
-    )
+def _expect(associative: bool) -> Mapping:
+    # every entry is Jacobi-Jordan, and strong exactly when associative
+    return MappingProxyType(dict(
+        jacobi=True, associative=associative, sp=True, strong=associative,
+        involutive=Involutivity.INVOLUTIVE_ON_SAMPLES,
+    ))
+
+
+_ASSOCIATIVE = _expect(True)
+
+# (ident, dim, {(i, j): {k: value}} with e_i . e_j = sum value e_k, coords, expect)
+_ROWS = (
+    ("dim2", 2, {(0, 0): {1: 1}}, "y dx.dx", _ASSOCIATIVE),
+    ("dim3_1", 3, {(0, 0): {2: 1}}, "z dx.dx", _ASSOCIATIVE),
+    ("dim3_2", 3, {(0, 0): {2: 1}, (1, 1): {2: 1}}, "z (dx.dx + dy.dy)", _ASSOCIATIVE),
+    ("dim4_1", 4, {(0, 0): {3: 1}}, "t dx.dx", _ASSOCIATIVE),
+    ("dim4_2", 4, {(0, 0): {3: 1}, (1, 1): {3: 1}}, "t (dx.dx + dy.dy)", _ASSOCIATIVE),
+    ("dim4_3", 4, {(0, 0): {3: 1}, (1, 1): {2: 1}}, "t dx.dx + z dy.dy", _ASSOCIATIVE),
+    ("dim4_4", 4, {(0, 0): {3: 1}, (0, 1): {2: 1}}, "t dx.dx + z dx.dy + z dy.dx", _ASSOCIATIVE),
+    ("dim4_5", 4, {(0, 0): {3: 1}, (1, 2): {3: 1}}, "t (dx.dx + dy.dz + dz.dy)", _ASSOCIATIVE),
+    (
+        "dim5_nonassoc", 5,
+        {(0, 0): {1: 1}, (0, 3): {4: 1}, (0, 4): {2: Fraction(-1, 2)}, (1, 3): {2: 1}},
+        "x2 d1.d1 + x5 (d1.d4 + d4.d1) - x3/2 (d1.d5 + d5.d1) + x3 (d2.d4 + d4.d2)",
+        _expect(False),
+    ),
+)
+
+# Nontrivial linear structures up to dimension 4, plus the unique
+# 5-dimensional non-associative normal form, built once.
+CATALOG = {
+    ident: CatalogEntry(ident, dim, CommutativeAlgebra.from_products(dim, products), coords, expect)
+    for ident, dim, products, coords, expect in _ROWS
+}
 
 
 def catalog() -> list[CatalogEntry]:
-    """Nontrivial linear structures up to dimension 4, plus the unique
-    5-dimensional non-associative normal form: nine entries in total."""
-    h = Fraction(1, 2)
-    entries = [
-        _entry(
-            "dim2", 2, {(0, 0): {1: 1}}, "y dx.dx",
-            jacobi=True, associative=True, sp=True, strong=True,
-            involutive=Involutivity.INVOLUTIVE_ON_SAMPLES,
-        ),
-        _entry(
-            "dim3_1", 3, {(0, 0): {2: 1}}, "z dx.dx",
-            jacobi=True, associative=True, sp=True, strong=True,
-            involutive=Involutivity.INVOLUTIVE_ON_SAMPLES,
-        ),
-        _entry(
-            "dim3_2", 3, {(0, 0): {2: 1}, (1, 1): {2: 1}}, "z (dx.dx + dy.dy)",
-            jacobi=True, associative=True, sp=True, strong=True,
-            involutive=Involutivity.INVOLUTIVE_ON_SAMPLES,
-        ),
-        _entry(
-            "dim4_1", 4, {(0, 0): {3: 1}}, "t dx.dx",
-            jacobi=True, associative=True, sp=True, strong=True,
-            involutive=Involutivity.INVOLUTIVE_ON_SAMPLES,
-        ),
-        _entry(
-            "dim4_2", 4, {(0, 0): {3: 1}, (1, 1): {3: 1}}, "t (dx.dx + dy.dy)",
-            jacobi=True, associative=True, sp=True, strong=True,
-            involutive=Involutivity.INVOLUTIVE_ON_SAMPLES,
-        ),
-        _entry(
-            "dim4_3", 4, {(0, 0): {3: 1}, (1, 1): {2: 1}}, "t dx.dx + z dy.dy",
-            jacobi=True, associative=True, sp=True, strong=True,
-            involutive=Involutivity.INVOLUTIVE_ON_SAMPLES,
-        ),
-        _entry(
-            "dim4_4", 4, {(0, 0): {3: 1}, (0, 1): {2: 1}}, "t dx.dx + z dx.dy + z dy.dx",
-            jacobi=True, associative=True, sp=True, strong=True,
-            involutive=Involutivity.INVOLUTIVE_ON_SAMPLES,
-        ),
-        _entry(
-            "dim4_5", 4, {(0, 0): {3: 1}, (1, 2): {3: 1}}, "t (dx.dx + dy.dz + dz.dy)",
-            jacobi=True, associative=True, sp=True, strong=True,
-            involutive=Involutivity.INVOLUTIVE_ON_SAMPLES,
-        ),
-        _entry(
-            "dim5_nonassoc",
-            5,
-            {
-                (0, 0): {1: 1},
-                (0, 3): {4: 1},
-                (0, 4): {2: -h},
-                (1, 3): {2: 1},
-            },
-            "x2 d1.d1 + x5 (d1.d4 + d4.d1) - x3/2 (d1.d5 + d5.d1) + x3 (d2.d4 + d4.d2)",
-            jacobi=True, associative=False, sp=True, strong=False,
-            involutive=Involutivity.INVOLUTIVE_ON_SAMPLES,
-        ),
-    ]
-    return entries
+    """The nine catalog entries, in report order."""
+    return list(CATALOG.values())
 
 
 def catalog_entry(ident: str) -> CatalogEntry:
-    for e in catalog():
-        if e.ident == ident:
-            return e
-    raise KeyError(ident)
+    return CATALOG[ident]

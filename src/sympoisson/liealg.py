@@ -9,6 +9,7 @@ conditions, and curvature of that connection is -1/4 [[X,Y],Z].
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -340,8 +341,9 @@ def su2_flow_closed_form_i(q0, t: float) -> np.ndarray:
 # named algebras
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def algebra(ident: str) -> LieAlgebra:
-    """Catalog: abelian_n, so3, su2, aff1, aff1xR, heisenberg3."""
+    """Catalog: abelian_n, so3, su2, aff1, aff1xR, heisenberg3; built once per ident."""
     if ident.startswith("abelian_"):
         return LieAlgebra.from_brackets(int(ident.split("_")[1]), {})
     if ident in ("so3", "su2"):

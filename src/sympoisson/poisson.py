@@ -59,9 +59,6 @@ class SymPoissonPair:
     def chart(self) -> Chart:
         return self.theta.chart
 
-    def theta_matrix(self, point) -> np.ndarray:
-        return self.theta.evaluate(point)
-
 
 # ---------------------------------------------------------------------------
 # bracket and gradient
@@ -199,31 +196,34 @@ def characteristic_data(theta: SymTensorField, point, rank_tol: float = RANK_TOL
     the rest are inverted to produce the Gram matrix of the induced metric.
     A theta or an eigenvalue that is not finite raises EvalDomainError.
     """
-    where = tuple(float(v) for v in point)
-    m = theta.evaluate(point)
-    bad = np.flatnonzero(~np.isfinite(m))
+    return _characteristic_stack(theta, [point], theta.evaluate(point)[None], rank_tol)[0]
+
+
+def _characteristic_stack(theta: SymTensorField, points, matrices: np.ndarray, rank_tol: float) -> list[CharacteristicData]:
+    """`characteristic_data` at each point, from the values of theta there
+    (samples, n, n), with one symmetrize / eigh / threshold over the stack.
+
+    A matrix or an eigenvalue that is not finite raises EvalDomainError at
+    the first such point.
+    """
+    where = [tuple(float(v) for v in p) for p in points]
+    bad = np.flatnonzero(~np.isfinite(matrices).all(axis=(1, 2)))
     if len(bad):
-        raise ex.EvalDomainError(f"theta is not finite at {where}", theta.comps.flat[bad[0]])
-    m = 0.5 * m + 0.5 * m.T  # symmetrize away representation roundoff; halving first cannot overflow
-    lam, vecs = np.linalg.eigh(m)
-    if not np.isfinite(lam).all():
-        raise ex.EvalDomainError(f"the eigenvalues of theta overflow at {where}", "theta")
-    threshold = rank_tol * (np.abs(lam).max() + 1.0)
-    keep = np.abs(lam) > threshold
-    lam_kept = lam[keep]
-    basis = vecs[:, keep]
-    rank = int(keep.sum())
-    pos = int((lam_kept > 0).sum())
-    neg = rank - pos
-    gram = np.diag(1.0 / lam_kept) if rank else np.zeros((0, 0))
-    return CharacteristicData(
-        point=where,
-        rank=rank,
-        signature=(pos, neg),
-        eigenvalues=lam_kept,
-        basis=basis,
-        metric_gram=gram,
-    )
+        entry = np.flatnonzero(~np.isfinite(matrices[bad[0]]))[0]
+        raise ex.EvalDomainError(f"theta is not finite at {where[bad[0]]}", theta.comps.flat[entry])
+    # symmetrize away representation roundoff; halving first cannot overflow
+    lam, vecs = np.linalg.eigh(0.5 * matrices + 0.5 * np.swapaxes(matrices, 1, 2))
+    bad = np.flatnonzero(~np.isfinite(lam).all(axis=1))
+    if len(bad):
+        raise ex.EvalDomainError(f"the eigenvalues of theta overflow at {where[bad[0]]}", "theta")
+    keep = np.abs(lam) > rank_tol * (np.abs(lam).max(axis=1, keepdims=True) + 1.0)
+    out = []
+    for point, lam_all, vecs_all, kept in zip(where, lam, vecs, keep):
+        lam_kept = lam_all[kept]
+        rank, pos = len(lam_kept), int((lam_kept > 0).sum())
+        gram = np.diag(1.0 / lam_kept) if rank else np.zeros((0, 0))
+        out.append(CharacteristicData(point, rank, (pos, rank - pos), lam_kept, vecs_all[:, kept], gram))
+    return out
 
 
 class Involutivity(enum.Enum):
@@ -253,18 +253,15 @@ def involutivity_check(
     if samples is None:
         samples = pair.chart.sample_points()
     fields = characteristic_generators(pair)
-    commutators = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            commutators[(i, j)] = lie_bracket(fields[i], fields[j])
-    ranks = []
+    commutators = [lie_bracket(fields[i], fields[j]) for i in range(n) for j in range(i + 1, n)]
+    spectra = _characteristic_stack(pair.theta, samples, pair.theta.evaluate_on(samples), tol)
+    tables = [comm.evaluate_on(samples) for comm in commutators]
+    ranks = tuple(data.rank for data in spectra)
     worst = 0.0
     failed = False
-    for p in samples:
-        data = characteristic_data(pair.theta, p, tol)
-        ranks.append(data.rank)
-        for comm in commutators.values():
-            v = comm.evaluate(p)
+    for s, data in enumerate(spectra):
+        for table in tables:
+            v = table[s]
             res = data.project_residual(v) / (1.0 + float(np.linalg.norm(v)))
             if not math.isfinite(res):
                 res = math.inf
@@ -277,7 +274,7 @@ def involutivity_check(
         verdict = Involutivity.INCONCLUSIVE
     else:
         verdict = Involutivity.INVOLUTIVE_ON_SAMPLES
-    return InvolutivityReport(verdict, worst, tuple(ranks))
+    return InvolutivityReport(verdict, worst, ranks)
 
 
 def characteristic_generators(pair: SymPoissonPair) -> list[SymTensorField]:

@@ -25,7 +25,7 @@ from . import geometry as geo
 from .defaults import DT, RANK_TOL
 from .expr import ScalarField
 from .geometry import Chart, Connection, SymFormField, SymTensorField, levi_civita
-from .poisson import SymPoissonPair, characteristic_data, schouten_self
+from .poisson import SymPoissonPair, _characteristic_stack, schouten_self
 
 
 class DynamicsError(Exception):
@@ -363,7 +363,7 @@ def integrate_geodesic(
     acc = [ex.ZERO] * n
     for k, i, j in np.ndindex(n, n, n):
         g = conn.gamma[k, i, j]
-        if not (isinstance(g, ex.Const) and g.value == 0.0):
+        if not ex.is_structural_zero(g):
             # acc[k] -= G^k_ij v^i v^j, accumulated from 0.0 in this order
             acc[k] = ex.BinOp("-", acc[k], ex.mul(ex.mul(g, velocity[i]), velocity[j]))
     y0 = [float(c) for c in x0] + [float(c) for c in v0]
@@ -478,10 +478,11 @@ def check_locally_geodesically_invariant(
     lifted = integrate_pw(pair.nabla, h, CotangentState(tuple(x0), tuple(zeta0)), dt, steps)
     plain = integrate_geodesic(pair.nabla, x0, v0, dt, steps)
     base_dist = float(np.linalg.norm(lifted.xs - plain.xs, axis=1).max())
+    picked = slice(0, len(plain.xs), max(1, len(plain.xs) // 50))
+    states = plain.xs[picked]
+    spectra = _characteristic_stack(pair.theta, states, pair.theta.evaluate_on(states), rank_tol)
     worst_res = 0.0
-    for k in range(0, len(plain.xs), max(1, len(plain.xs) // 50)):
-        data = characteristic_data(pair.theta, plain.xs[k], rank_tol)
-        v = plain.velocities[k]
+    for data, v in zip(spectra, plain.velocities[picked]):
         worst_res = max(worst_res, data.project_residual(v) / (1.0 + np.linalg.norm(v)))
     return GeodesicInvarianceReport(base_dist, worst_res, steps)
 

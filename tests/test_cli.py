@@ -352,13 +352,13 @@ def test_dim5_commutator_line_uses_the_suite_samples(monkeypatch):
     from sympoisson.jj import catalog_entry, to_linear_structure
 
     seen = []
-    original = SymTensorField.evaluate
+    original = SymTensorField.evaluate_on
 
-    def recording(self, point):
-        seen.append(tuple(point))
-        return original(self, point)
+    def recording(self, samples):
+        seen.extend(tuple(p) for p in samples)
+        return original(self, samples)
 
-    monkeypatch.setattr(SymTensorField, "evaluate", recording)
+    monkeypatch.setattr(SymTensorField, "evaluate_on", recording)
     lines = cli.run_catalog_id("jj:dim5_nonassoc", 1e-9, 3, 9)
     assert all(line.ok for line in lines)
     chart = to_linear_structure(catalog_entry("dim5_nonassoc").algebra).chart
@@ -570,6 +570,17 @@ def test_check_bad_number_in_probe(tmp_path):
     code, out, err = run_cli("check", str(bad))
     assert code == 1
     assert "error" in err
+
+
+def test_check_overflow_under_a_finite_theta_is_a_numeric_failure(tmp_path):
+    # 1/x^400 is finite where x^400 overflows: the sampled checks still name it
+    path = tmp_path / "overflow.ini"
+    path.write_text(
+        "[chart]\ndim = 2\nnames = x, y\nbox = 2:1000, 2:1000\n\n"
+        "[theta]\ntheta[1,2] = \"1/x^400 + y\"\n"
+    )
+    code, out, err = run_cli("check", str(path))
+    assert (code, out, err) == (3, "", "error: overflow in subterm 'x^400'\n")
 
 
 PROBE = "[chart]\ndim = 2\nnames = x, y\n\n[theta]\n{theta}\n[probe]\npoint = {point}\nrank = {rank}\n"

@@ -378,6 +378,16 @@ def test_plan_agrees_with_tree_walk_and_compiled_lambdas(seed):
         else:
             assert "non-finite argument" in str(got_err.value)
 
+    # table rows vs point values: where the row and its scales are finite,
+    # no node overflowed or failed, and the values are equal bit for bit
+    if want_err is None:
+        values, scales = plan.table(samples)
+        assert values.shape == scales.shape == (len(samples), len(exprs))
+        for point, row, scale in zip(samples, values, scales):
+            if np.isfinite(scale).all():
+                got = np.array(plan.values(point))
+                assert np.array_equal(got.view(np.uint64), np.array(row).view(np.uint64))
+
     # point values vs compile_expr, on tuples and on numpy float64 rows
     fns = [compile_expr(e) for e in exprs]
     for row in samples:
@@ -396,6 +406,15 @@ def test_plan_agrees_with_tree_walk_and_compiled_lambdas(seed):
             except (ArithmeticError, ValueError, RuntimeWarning):
                 continue
         assert _same_floats(plan.values(row), want_values)
+
+
+def test_table_reads_an_overflow_in_power_as_inf():
+    odd = Plan([parse("x^401", ["x"]).expr])
+    values, scales = odd.table([[1000.0], [-1000.0]])
+    assert values.tolist() == [[math.inf], [-math.inf]] and scales.tolist() == [[math.inf], [math.inf]]
+    assert odd.residual([[1000.0]]) == math.inf
+    with pytest.raises(EvalDomainError, match="overflow in subterm 'x1\\^401'"):
+        odd.values((1000.0,))
 
 
 # ---------------------------------------------------------------------------

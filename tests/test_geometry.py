@@ -480,6 +480,17 @@ def test_levi_civita_rejects_degenerate():
         levi_civita(g)
 
 
+def test_invert_metric_names_the_first_degenerate_sample():
+    # x - sqrt(x^2) is exactly 0 where x >= 0 and nonzero elsewhere
+    g = SymFormField.from_dict(R2, 2, {(0, 0): "1", (1, 1): "x - sqrt(x^2)"})
+    samples = R2.sample_points()
+    first = next(p for p in samples if p[0] >= 0.0)
+    assert samples[0][0] < 0.0  # the first sample is not the degenerate one
+    with pytest.raises(geo.DegenerateMetricError) as err:
+        invert_metric(g)
+    assert str(err.value) == f"degenerate at sample point {tuple(first)}"
+
+
 def test_ricci_symmetry_for_levi_civita():
     g = SymFormField.from_dict(R2, 2, {(0, 0): "exp(2*x)", (1, 1): "exp(2*y) + x^2"})
     ric = ricci(levi_civita(g))

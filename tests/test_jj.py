@@ -158,6 +158,30 @@ def test_from_linear_structure_rejects_nonlinear():
         from_linear_structure(theta)
 
 
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ({(0, 1): "x^2", (1, 1): "1 + y"}, "component (0,1) is not linear in the coordinates"),
+        ({(0, 1): "1 + y", (1, 1): "x^2"}, "component (0,1) has a constant part"),
+    ],
+)
+def test_from_linear_structure_names_the_first_faulty_component(entries, message):
+    from sympoisson.geometry import Chart, SymTensorField
+
+    theta = SymTensorField.from_dict(Chart(["x", "y"]), 2, entries)
+    with pytest.raises(AlgebraError) as err:
+        from_linear_structure(theta)
+    assert str(err.value) == message
+
+
+def test_catalog_entries_are_shared_and_read_only():
+    entry = catalog_entry("dim2")
+    assert entry is catalog_entry("dim2") and entry in catalog()
+    with pytest.raises(TypeError):
+        entry.expect["strong"] = False
+    assert entry.expect["strong"] is True
+
+
 def test_round_trip_on_random_jacobi_jordan():
     rng = np.random.default_rng(8)
     base = catalog_entry("dim4_4").algebra
