@@ -30,7 +30,7 @@ import numpy as np
 from . import jj, registry
 from .defaults import N_SAMPLES, SEED, TOL
 from .expr import EvalDomainError, ExprError, ParseError, is_structural_zero, number_text
-from .geometry import Chart, Connection, GeometryError, SymTensorField
+from .geometry import GeometryError
 from .poisson import (
     Involutivity,
     SymPoissonPair,
@@ -165,16 +165,34 @@ def load_structure(path: str) -> StructureFile:
 
     hamiltonian = None
     if cp.has_section("hamiltonian"):
-        hamiltonian = _unquote(cp.get("hamiltonian", "H"))
+        hamiltonian = _unquote(_option(cp, "hamiltonian", "H"))
 
     return StructureFile(pair, expect, probes, hamiltonian)
+
+
+def _option(cp: configparser.ConfigParser, section: str, key: str) -> str:
+    if not cp.has_option(section, key):
+        raise StructureFileError(f"[{section}] needs {key}")
+    return cp.get(section, key)
+
+
+def _entries(cp: configparser.ConfigParser, section: str, name: str, count: int, dim: int) -> dict:
+    """The {0-based indices: expression text} of a [theta] or [connection] section."""
+    entries = {}
+    if cp.has_section(section):
+        for key, raw in cp.items(section):
+            idx = _parse_indices(key, name, count)
+            if max(idx) >= dim:
+                raise StructureFileError(f"index out of range in '{key}'")
+            entries[idx] = _unquote(raw)
+    return entries
 
 
 def _pair_from_sections(cp: configparser.ConfigParser) -> SymPoissonPair:
     if not cp.has_section("chart"):
         raise StructureFileError("missing [chart] section (or a [catalog] reference)")
-    dim = cp.getint("chart", "dim")
-    names = [tok.strip() for tok in cp.get("chart", "names").split(",")]
+    dim = int(_option(cp, "chart", "dim"))
+    names = [tok.strip() for tok in _option(cp, "chart", "names").split(",")]
     if len(names) != dim:
         raise StructureFileError("names list does not match dim")
     box = None
@@ -187,26 +205,9 @@ def _pair_from_sections(cp: configparser.ConfigParser) -> SymPoissonPair:
             box.append((float(lo), float(hi)))
         if len(box) != dim:
             raise StructureFileError("box must list one interval per coordinate")
-    chart = Chart(names, box)
-
-    theta_entries = {}
-    if cp.has_section("theta"):
-        for key, raw in cp.items("theta"):
-            idx = _parse_indices(key, "theta", 2)
-            if max(idx) >= dim:
-                raise StructureFileError(f"index out of range in '{key}'")
-            theta_entries[idx] = _unquote(raw)
-    theta = SymTensorField.from_dict(chart, 2, theta_entries)
-
-    gamma_entries = {}
-    if cp.has_section("connection"):
-        for key, raw in cp.items("connection"):
-            idx = _parse_indices(key, "gamma", 3)
-            if max(idx) >= dim:
-                raise StructureFileError(f"index out of range in '{key}'")
-            gamma_entries[idx] = _unquote(raw)
-    conn = Connection.from_dict(chart, gamma_entries)
-    return SymPoissonPair(theta, conn)
+    theta = _entries(cp, "theta", "theta", 2, dim)
+    gamma = _entries(cp, "connection", "gamma", 3, dim)
+    return registry.chart_pair(names, theta, gamma, box)
 
 
 def export_structure(pair: SymPoissonPair, expect: dict | None = None) -> str:
@@ -487,8 +488,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_integrate(args) -> int:
-    if args.steps < 1 or args.dt <= 0:
-        print("error: need --steps >= 1 and --dt > 0", file=sys.stderr)
+    if args.steps < 1 or not (math.isfinite(args.dt) and args.dt > 0):
+        print("error: need --steps >= 1 and a finite --dt > 0", file=sys.stderr)
         return USAGE_ERROR
     try:
         sf = load_structure(args.file)

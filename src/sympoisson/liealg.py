@@ -372,38 +372,36 @@ def aff1xR_parallelizing_connection() -> LeftInvariantConnection:
 # chart export
 # ---------------------------------------------------------------------------
 
+# ident -> (coordinate names, sample box, the components of each frame field)
+POLYNOMIAL_FRAMES = {
+    "heisenberg3": (("x", "y", "z"), None, (("1", "0", "0"), ("0", "1", "x"), ("0", "0", "1"))),
+    "aff1": (("a", "b"), ((0.5, 1.5), (-1.0, 1.0)), (("a", "0"), ("0", "a"))),
+    "aff1xR": (
+        ("a", "b", "c"),
+        ((0.5, 1.5), (-1.0, 1.0), (-1.0, 1.0)),
+        (("a", "0", "0"), ("0", "a", "0"), ("0", "0", "1")),
+    ),
+}
+
+
 def polynomial_frame(ident: str):
     """Chart plus an exact polynomial invariant frame for the named algebra.
 
     Available for algebras whose invariant frames close in polynomial (or
-    rational) coordinate expressions: abelian_n, heisenberg3, aff1, aff1xR.
+    rational) coordinate expressions: abelian_n and POLYNOMIAL_FRAMES.
     """
     from .geometry import Chart, SymTensorField
 
-    def vec(chart, *entries):
-        return SymTensorField.from_dict(chart, 1, {(i,): e for i, e in enumerate(entries)})
-
     if ident.startswith("abelian_"):
         n = int(ident.split("_")[1])
-        chart = Chart([f"x{i + 1}" for i in range(n)])
-        frame = [
-            SymTensorField.from_dict(chart, 1, {(i,): 1.0}) for i in range(n)
-        ]
-        return chart, frame
-    if ident == "heisenberg3":
-        chart = Chart(["x", "y", "z"])
-        return chart, [vec(chart, "1", "0", "0"), vec(chart, "0", "1", "x"), vec(chart, "0", "0", "1")]
-    if ident == "aff1":
-        chart = Chart(["a", "b"], box=[(0.5, 1.5), (-1.0, 1.0)])
-        return chart, [vec(chart, "a", "0"), vec(chart, "0", "a")]
-    if ident == "aff1xR":
-        chart = Chart(["a", "b", "c"], box=[(0.5, 1.5), (-1.0, 1.0), (-1.0, 1.0)])
-        return chart, [
-            vec(chart, "a", "0", "0"),
-            vec(chart, "0", "a", "0"),
-            vec(chart, "0", "0", "1"),
-        ]
-    raise KeyError(f"no polynomial frame for '{ident}'")
+        names, box, rows = [f"x{i + 1}" for i in range(n)], None, [{i: 1.0} for i in range(n)]
+    elif ident in POLYNOMIAL_FRAMES:
+        names, box, texts = POLYNOMIAL_FRAMES[ident]
+        rows = [dict(enumerate(row)) for row in texts]
+    else:
+        raise KeyError(f"no polynomial frame for '{ident}'")
+    chart = Chart(names, box)
+    return chart, [SymTensorField.from_dict(chart, 1, row) for row in rows]
 
 
 def chart_export(

@@ -171,8 +171,8 @@ class CharacteristicData:
         coeffs = self.basis.T @ v
         return float(np.linalg.norm(v - self.basis @ coeffs))
 
-    def contains(self, v: np.ndarray, tol: float = RANK_TOL) -> bool:
-        return self.project_residual(v) <= tol * (1.0 + float(np.linalg.norm(v)))
+    def contains(self, v: np.ndarray) -> bool:
+        return self.project_residual(v) <= RANK_TOL * (1.0 + float(np.linalg.norm(v)))
 
     def metric_value(self, u: np.ndarray, v: np.ndarray) -> float:
         """Induced metric evaluated on two vectors of im theta."""
@@ -189,17 +189,17 @@ class CharacteristicData:
         return self.basis @ gram_inv @ self.basis.T
 
 
-def characteristic_data(theta: SymTensorField, point, rank_tol: float = RANK_TOL) -> CharacteristicData:
+def characteristic_data(theta: SymTensorField, point) -> CharacteristicData:
     """Rank, signature, and the induced metric of theta at a point.
 
     Eigen-restricted inversion: eigenvalues below the threshold count as zero,
     the rest are inverted to produce the Gram matrix of the induced metric.
     A theta or an eigenvalue that is not finite raises EvalDomainError.
     """
-    return _characteristic_stack(theta, [point], theta.evaluate(point)[None], rank_tol)[0]
+    return _characteristic_stack(theta, [point], theta.evaluate(point)[None])[0]
 
 
-def _characteristic_stack(theta: SymTensorField, points, matrices: np.ndarray, rank_tol: float) -> list[CharacteristicData]:
+def _characteristic_stack(theta: SymTensorField, points, matrices: np.ndarray) -> list[CharacteristicData]:
     """`characteristic_data` at each point, from the values of theta there
     (samples, n, n), with one symmetrize / eigh / threshold over the stack.
 
@@ -216,7 +216,7 @@ def _characteristic_stack(theta: SymTensorField, points, matrices: np.ndarray, r
     bad = np.flatnonzero(~np.isfinite(lam).all(axis=1))
     if len(bad):
         raise ex.EvalDomainError(f"the eigenvalues of theta overflow at {where[bad[0]]}", "theta")
-    keep = np.abs(lam) > rank_tol * (np.abs(lam).max(axis=1, keepdims=True) + 1.0)
+    keep = np.abs(lam) > RANK_TOL * (np.abs(lam).max(axis=1, keepdims=True) + 1.0)
     out = []
     for point, lam_all, vecs_all, kept in zip(where, lam, vecs, keep):
         lam_kept = lam_all[kept]
@@ -239,12 +239,9 @@ class InvolutivityReport:
     ranks: tuple[int, ...]
 
 
-def involutivity_check(
-    pair: SymPoissonPair,
-    tol: float = RANK_TOL,
-    samples=None,
-) -> InvolutivityReport:
-    """Pointwise test whether [theta(dx^i), theta(dx^j)] stays in im theta.
+def involutivity_check(pair: SymPoissonPair, samples=None) -> InvolutivityReport:
+    """Pointwise test whether [theta(dx^i), theta(dx^j)] stays in im theta,
+    up to a distance of RANK_TOL (1 + |commutator|).
 
     A rank jump across samples downgrades a positive answer to inconclusive;
     a failed membership is conclusive either way.
@@ -254,7 +251,7 @@ def involutivity_check(
         samples = pair.chart.sample_points()
     fields = characteristic_generators(pair)
     commutators = [lie_bracket(fields[i], fields[j]) for i in range(n) for j in range(i + 1, n)]
-    spectra = _characteristic_stack(pair.theta, samples, pair.theta.evaluate_on(samples), tol)
+    spectra = _characteristic_stack(pair.theta, samples, pair.theta.evaluate_on(samples))
     tables = [comm.evaluate_on(samples) for comm in commutators]
     ranks = tuple(data.rank for data in spectra)
     worst = 0.0
@@ -266,7 +263,7 @@ def involutivity_check(
             if not math.isfinite(res):
                 res = math.inf
             worst = max(worst, res)
-            if res > tol:
+            if res > RANK_TOL:
                 failed = True
     if failed:
         verdict = Involutivity.NOT_INVOLUTIVE

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import expr as ex
 from . import geometry as geo
-from .defaults import DT, RANK_TOL
+from .defaults import DT
 from .expr import ScalarField
 from .geometry import Chart, Connection, SymFormField, SymTensorField, levi_civita
 from .poisson import SymPoissonPair, _characteristic_stack, schouten_self
@@ -339,8 +339,8 @@ def integrate_pw(
     leaves the finite range, TrajectoryError on a domain error; both carry
     the finite prefix.
     """
-    if dt <= 0 or steps < 1:
-        raise DynamicsError("need dt > 0 and steps >= 1")
+    if not (math.isfinite(dt) and dt > 0) or steps < 1:
+        raise DynamicsError("need a finite dt > 0 and steps >= 1")
     n = conn.chart.n
     grad = [f.expr for f in pw_gradient(conn, h)]
     monitors = {"hamiltonian": h, **(extra_monitors or {})}
@@ -356,8 +356,8 @@ def integrate_geodesic(
     steps: int = 1000,
 ) -> Trajectory:
     """RK4 solution of xddot^k + G^k_{ij} xdot^i xdot^j = 0."""
-    if dt <= 0 or steps < 1:
-        raise DynamicsError("need dt > 0 and steps >= 1")
+    if not (math.isfinite(dt) and dt > 0) or steps < 1:
+        raise DynamicsError("need a finite dt > 0 and steps >= 1")
     n = conn.chart.n
     velocity = [ex.var(n + i) for i in range(n)]
     acc = [ex.ZERO] * n
@@ -460,7 +460,6 @@ def check_locally_geodesically_invariant(
     zeta0,
     dt: float = DT,
     steps: int = 1000,
-    rank_tol: float = RANK_TOL,
 ) -> GeodesicInvarianceReport:
     """Launch the gradient flow of the lifted bivector from (x0, zeta0) and
     compare with the plain geodesic started with velocity theta(zeta0).
@@ -480,7 +479,7 @@ def check_locally_geodesically_invariant(
     base_dist = float(np.linalg.norm(lifted.xs - plain.xs, axis=1).max())
     picked = slice(0, len(plain.xs), max(1, len(plain.xs) // 50))
     states = plain.xs[picked]
-    spectra = _characteristic_stack(pair.theta, states, pair.theta.evaluate_on(states), rank_tol)
+    spectra = _characteristic_stack(pair.theta, states, pair.theta.evaluate_on(states))
     worst_res = 0.0
     for data, v in zip(spectra, plain.velocities[picked]):
         worst_res = max(worst_res, data.project_residual(v) / (1.0 + np.linalg.norm(v)))

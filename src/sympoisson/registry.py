@@ -3,19 +3,23 @@
 `CATALOG` maps each full id to its entry, in report order: the linear
 structures of `jj.catalog()` (`jj:`), the left-invariant structures of
 `LIE_ENTRIES` (`liealg:`) and the worked chart structures of
-`CHART_ENTRIES` (`ex:`).  Every entry's `pair()` builds a fresh pair so
+`CHART_ENTRIES` (`ex:`), data rows that `chart_pair` builds the way a
+structure file is built.  Every entry's `pair()` builds a fresh pair so
 callers may mutate nothing shared.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from types import MappingProxyType
 from typing import Callable, ClassVar
 
 from . import jj, liealg
-from .geometry import Chart, Connection, SymFormField, SymTensorField
+from .geometry import Chart, Connection, SymFormField, SymTensorField, invert_metric
 from .poisson import Involutivity, SymPoissonPair
 
 
@@ -29,25 +33,33 @@ class ChartEntry:
     ident: str
     title: str
     build: Callable[[], SymPoissonPair]
-    expect: dict
+    expect: Mapping
 
     def pair(self) -> SymPoissonPair:
         return self.build()
 
 
+def chart_pair(names, theta: Mapping, gamma: Mapping | None = None, box=None) -> SymPoissonPair:
+    """The pair on `Chart(names, box)` with theta {(i, j): value} and the
+    Christoffels {(k, i, j): value}, both 0-based with their symmetries
+    filled in; a value is expression text or a number."""
+    chart = Chart(names, box)
+    return SymPoissonPair(SymTensorField.from_dict(chart, 2, theta), Connection.from_dict(chart, gamma or {}))
+
+
 def flat_pair(p: int, q: int) -> SymPoissonPair:
     """Pseudo-Euclidean R^{p+q}: theta = sum d_i x d_i - sum d_j x d_j, flat."""
     n = p + q
-    chart = Chart([f"x{i + 1}" for i in range(n)]) if n > 2 else Chart(["x", "y"][:n])
-    entries = {(i, i): 1.0 for i in range(p)}
-    entries.update({(p + j, p + j): -1.0 for j in range(q)})
-    theta = SymTensorField.from_dict(chart, 2, entries)
-    return SymPoissonPair(theta, Connection.euclidean(chart))
+    names = [f"x{i + 1}" for i in range(n)] if n > 2 else ["x", "y"][:n]
+    return chart_pair(names, {(i, i): 1.0 if i < p else -1.0 for i in range(n)})
+
+
+# torsion-free on R^2: nabla_dx dy = dx + dy, everything else zero
+_KILL = MappingProxyType({(0, 0, 1): "1", (1, 0, 1): "1"})
 
 
 def kill_connection(chart: Chart) -> Connection:
-    """Torsion-free on R^2: nabla_dx dy = dx + dy, everything else zero."""
-    return Connection.from_dict(chart, {(0, 0, 1): "1", (1, 0, 1): "1"})
+    return Connection.from_dict(chart, _KILL)
 
 
 def kill_metric(chart: Chart) -> SymFormField:
@@ -55,199 +67,122 @@ def kill_metric(chart: Chart) -> SymFormField:
     return SymFormField.from_dict(chart, 2, {(0, 1): "exp(2*y) * exp(2*x)"})
 
 
-def _build_flat_11() -> SymPoissonPair:
-    return flat_pair(1, 1)
-
-
-def _build_flat_2() -> SymPoissonPair:
-    return flat_pair(2, 0)
-
-
-def _build_zero_bivector() -> SymPoissonPair:
-    chart = Chart(["x", "y"])
-    theta = SymTensorField.zero(chart, 2)
-    return SymPoissonPair(theta, kill_connection(chart))
-
-
-def _build_inclusion() -> SymPoissonPair:
-    # theta = h(y) dx x dx with non-constant h depending only on y
-    chart = Chart(["x", "y"])
-    theta = SymTensorField.from_dict(chart, 2, {(0, 0): "exp(y)"})
-    return SymPoissonPair(theta, Connection.euclidean(chart))
-
-
 def _build_nondeg_kill() -> SymPoissonPair:
-    from .geometry import invert_metric
-
+    # theta is the symbolic inverse of the Killing metric, so it is computed
     chart = Chart(["x", "y"])
     theta = invert_metric(kill_metric(chart))
     return SymPoissonPair(theta, kill_connection(chart))
 
 
-def _build_sing_line() -> SymPoissonPair:
-    chart = Chart(["x"])
-    theta = SymTensorField.from_dict(chart, 2, {(0, 0): "x"})
-    return SymPoissonPair(theta, Connection.euclidean(chart))
-
-
-def _build_cubic_line() -> SymPoissonPair:
-    chart = Chart(["x"], box=[(0.5, 2.5)])
-    theta = SymTensorField.from_dict(chart, 2, {(0, 0): "x^3"})
-    return SymPoissonPair(theta, Connection.euclidean(chart))
+# a box kept away from the origin where the rotation structure degenerates
+_PUNCTURED = ((0.4, 1.4), (0.4, 1.4))
 
 
 def _punctured_chart() -> Chart:
-    # box kept away from the origin where the rotation structure degenerates
-    return Chart(["x", "y"], box=[(0.4, 1.4), (0.4, 1.4)])
+    return Chart(["x", "y"], box=_PUNCTURED)
 
 
-def rotation_connection(chart: Chart, sign: float) -> Connection:
+def _rotation_gamma(sign: float) -> dict:
     # nabla_dx dx = nabla_dy dy = sign * R / (x^2 + y^2), nabla_dx dy = 0,
     # with R = x dx + y dy the radial field
     rr = "(x^2 + y^2)"
-    return Connection.from_dict(
-        chart,
-        {
-            (0, 0, 0): f"{sign:g} * x / {rr}",
-            (1, 0, 0): f"{sign:g} * y / {rr}",
-            (0, 1, 1): f"{sign:g} * x / {rr}",
-            (1, 1, 1): f"{sign:g} * y / {rr}",
-        },
-    )
+    return {
+        (0, 0, 0): f"{sign:g} * x / {rr}",
+        (1, 0, 0): f"{sign:g} * y / {rr}",
+        (0, 1, 1): f"{sign:g} * x / {rr}",
+        (1, 1, 1): f"{sign:g} * y / {rr}",
+    }
 
 
-def _build_rotation() -> SymPoissonPair:
-    # theta = S x S for the rotation field S = -y dx + x dy, plus the
-    # connection that makes S autoparallel (+ sign)
-    chart = _punctured_chart()
-    theta = SymTensorField.from_dict(
-        chart, 2, {(0, 0): "y^2", (0, 1): "-x*y", (1, 1): "x^2"}
-    )
-    return SymPoissonPair(theta, rotation_connection(chart, +1.0))
-
-
-def _build_radial() -> SymPoissonPair:
-    # theta = R x R for the radial field R = x dx + y dy (with the - sign)
-    chart = _punctured_chart()
-    theta = SymTensorField.from_dict(
-        chart, 2, {(0, 0): "x^2", (0, 1): "x*y", (1, 1): "y^2"}
-    )
-    return SymPoissonPair(theta, rotation_connection(chart, -1.0))
-
-
-def r5_chart() -> Chart:
-    return Chart([f"x{i + 1}" for i in range(5)])
-
-
-def _build_r5() -> SymPoissonPair:
-    """Linear 5-dimensional structure whose algebra is not associative."""
-    chart = r5_chart()
-    theta = SymTensorField.from_dict(
-        chart,
-        2,
-        {
-            (0, 0): "x2",
-            (0, 3): "x5",
-            (0, 4): "-0.5 * x3",
-            (1, 3): "x3",
-        },
-    )
-    return SymPoissonPair(theta, Connection.euclidean(chart))
-
-
-def _build_plane_rank2() -> SymPoissonPair:
-    # regular rank-2 structure in R^3: parallel, hence strong
-    chart = Chart(["x", "y", "z"])
-    theta = SymTensorField.from_dict(chart, 2, {(0, 0): 1.0, (1, 1): 1.0})
-    return SymPoissonPair(theta, Connection.euclidean(chart))
-
-
-def _build_heisenberg_frame() -> SymPoissonPair:
-    # theta = X1 x X1 + X2 x X2 for X1 = dx, X2 = dy + x dz: the bracket
-    # [X1, X2] = dz leaves the span, so the module is not involutive
-    chart = Chart(["x", "y", "z"])
-    theta = SymTensorField.from_dict(
-        chart, 2, {(0, 0): "1", (1, 1): "1", (1, 2): "x", (2, 2): "x^2"}
-    )
-    return SymPoissonPair(theta, Connection.euclidean(chart))
+def rotation_connection(chart: Chart, sign: float) -> Connection:
+    return Connection.from_dict(chart, _rotation_gamma(sign))
 
 
 INV = Involutivity
+_PASSES = MappingProxyType(dict(sp=True, strong=True, parallel=True, involutive=INV.INVOLUTIVE_ON_SAMPLES))
+_STRONG = MappingProxyType(dict(sp=True, strong=True, parallel=False, involutive=INV.INVOLUTIVE_ON_SAMPLES))
+_NOT_STRONG = MappingProxyType(dict(sp=True, strong=False, parallel=False, involutive=INV.INVOLUTIVE_ON_SAMPLES))
+_NOT_SP = MappingProxyType(dict(sp=False, strong=False, parallel=False))
+_XY, _XYZ = ("x", "y"), ("x", "y", "z")
 
 CHART_ENTRIES: dict[str, ChartEntry] = {
     e.ident: e
     for e in [
-        ChartEntry(
-            "flat_11",
-            "flat split-signature plane",
-            _build_flat_11,
-            dict(sp=True, strong=True, parallel=True, involutive=INV.INVOLUTIVE_ON_SAMPLES),
-        ),
-        ChartEntry(
-            "flat_2",
-            "flat Euclidean plane",
-            _build_flat_2,
-            dict(sp=True, strong=True, parallel=True, involutive=INV.INVOLUTIVE_ON_SAMPLES),
-        ),
+        ChartEntry("flat_11", "flat split-signature plane", partial(flat_pair, 1, 1), _PASSES),
+        ChartEntry("flat_2", "flat Euclidean plane", partial(flat_pair, 2, 0), _PASSES),
         ChartEntry(
             "zero_bivector",
             "zero bivector with a curved torsion-free connection",
-            _build_zero_bivector,
-            dict(sp=True, strong=True, parallel=True, involutive=INV.INVOLUTIVE_ON_SAMPLES),
+            partial(chart_pair, _XY, {}, _KILL),
+            _PASSES,
         ),
+        # theta = h(y) dx x dx with non-constant h depending only on y
         ChartEntry(
             "inclusion",
             "height-dependent rank-1 structure on the plane",
-            _build_inclusion,
-            dict(sp=True, strong=True, parallel=False, involutive=INV.INVOLUTIVE_ON_SAMPLES),
+            partial(chart_pair, _XY, {(0, 0): "exp(y)"}),
+            _STRONG,
         ),
         ChartEntry(
             "nondeg_kill",
             "inverse of a Killing metric with a non-metric connection",
             _build_nondeg_kill,
-            dict(sp=True, strong=False, parallel=False, involutive=INV.INVOLUTIVE_ON_SAMPLES),
+            _NOT_STRONG,
         ),
         ChartEntry(
             "sing_line",
             "x d/dx x d/dx on the line (not integrable)",
-            _build_sing_line,
-            dict(sp=False, strong=False, parallel=False),
+            partial(chart_pair, ("x",), {(0, 0): "x"}),
+            _NOT_SP,
         ),
         ChartEntry(
             "cubic_line",
             "x^3 d/dx x d/dx on the half line",
-            _build_cubic_line,
-            dict(sp=False, strong=False, parallel=False),
+            partial(chart_pair, ("x",), {(0, 0): "x^3"}, box=((0.5, 2.5),)),
+            _NOT_SP,
         ),
+        # theta = S x S for the rotation field S = -y dx + x dy, plus the
+        # connection that makes S autoparallel (+ sign)
         ChartEntry(
             "rotation",
             "circle foliation of the punctured plane",
-            _build_rotation,
-            dict(sp=True, strong=True, parallel=False, involutive=INV.INVOLUTIVE_ON_SAMPLES),
+            partial(chart_pair, _XY, {(0, 0): "y^2", (0, 1): "-x*y", (1, 1): "x^2"},
+                    _rotation_gamma(+1.0), box=_PUNCTURED),
+            _STRONG,
         ),
+        # theta = R x R for the radial field R = x dx + y dy (with the - sign)
         ChartEntry(
             "radial",
             "ray foliation of the punctured plane",
-            _build_radial,
-            dict(sp=True, strong=True, parallel=False, involutive=INV.INVOLUTIVE_ON_SAMPLES),
+            partial(chart_pair, _XY, {(0, 0): "x^2", (0, 1): "x*y", (1, 1): "y^2"},
+                    _rotation_gamma(-1.0), box=_PUNCTURED),
+            _STRONG,
         ),
+        # linear, and its algebra is not associative
         ChartEntry(
             "r5",
             "five-dimensional linear structure, involutive but never strong",
-            _build_r5,
-            dict(sp=True, strong=False, parallel=False, involutive=INV.INVOLUTIVE_ON_SAMPLES),
+            partial(
+                chart_pair,
+                ("x1", "x2", "x3", "x4", "x5"),
+                {(0, 0): "x2", (0, 3): "x5", (0, 4): "-0.5 * x3", (1, 3): "x3"},
+            ),
+            _NOT_STRONG,
         ),
+        # regular rank-2 structure in R^3: parallel, hence strong
         ChartEntry(
             "plane_rank2",
             "parallel rank-2 plane field in R^3",
-            _build_plane_rank2,
-            dict(sp=True, strong=True, parallel=True, involutive=INV.INVOLUTIVE_ON_SAMPLES),
+            partial(chart_pair, _XYZ, {(0, 0): 1.0, (1, 1): 1.0}),
+            _PASSES,
         ),
+        # theta = X1 x X1 + X2 x X2 for X1 = dx, X2 = dy + x dz: the bracket
+        # [X1, X2] = dz leaves the span, so the module is not involutive
         ChartEntry(
             "heisenberg_frame",
             "rank-2 frame structure with non-involutive module",
-            _build_heisenberg_frame,
-            dict(involutive=INV.NOT_INVOLUTIVE),
+            partial(chart_pair, _XYZ, {(0, 0): "1", (1, 1): "1", (1, 2): "x", (2, 2): "x^2"}),
+            MappingProxyType(dict(involutive=INV.NOT_INVOLUTIVE)),
         ),
     ]
 }

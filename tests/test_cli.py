@@ -74,6 +74,23 @@ def test_check_missing_file():
     assert code == 1
 
 
+MISSING_KEYS = {
+    "dim": "[chart]\nnames = x\n\n[theta]\ntheta[1,1] = \"1\"\n",
+    "names": "[chart]\ndim = 1\n\n[theta]\ntheta[1,1] = \"1\"\n",
+    "H": "[chart]\ndim = 1\nnames = x\n\n[theta]\ntheta[1,1] = \"1\"\n\n[hamiltonian]\n",
+}
+
+
+@pytest.mark.parametrize("key", MISSING_KEYS)
+def test_a_missing_key_is_a_usage_error(tmp_path, key):
+    path = tmp_path / "missing.ini"
+    path.write_text(MISSING_KEYS[key])
+    section = "hamiltonian" if key == "H" else "chart"
+    for argv in (["check"], ["integrate", "--x0", "1", "--p0", "0", "--steps", "3"]):
+        code, out, err = run_cli(argv[0], str(path), *argv[1:])
+        assert (code, out, err) == (1, "", f"error: [{section}] needs {key}\n"), argv
+
+
 def test_check_index_out_of_range(tmp_path):
     bad = tmp_path / "range.ini"
     bad.write_text("[chart]\ndim = 1\nnames = x\n\n[theta]\ntheta[1,2] = \"x\"\n")
@@ -146,6 +163,19 @@ def test_integrate_usage_error_on_zero_steps():
         "--steps", "0",
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("dt", ["nan", "inf", "-inf"])
+def test_integrate_non_finite_dt_is_a_usage_error(dt):
+    code, out, err = run_cli(
+        "integrate",
+        str(STRUCTURES / "oscillator.ini"),
+        "--x0", "1",
+        "--p0", "0",
+        f"--dt={dt}",
+        "--steps", "3",
+    )
+    assert (code, out, err) == (1, "", "error: need --steps >= 1 and a finite --dt > 0\n")
 
 
 def test_integrate_blow_up_flushes_partial(tmp_path):

@@ -1,10 +1,12 @@
-"""Generated structure files through `sympoisson check`, in-process.
+"""Generated structure files through `sympoisson check` and `integrate`,
+in-process.
 
-Whatever the file holds, `check` ends with a documented exit code (0 pass,
-1 usage or parse error, 2 mismatch, 3 numeric failure) and no exception
-escapes.  A sample box that is not finite with lo < hi, a `[catalog]` id
-outside the catalog, and a `[probe]` point with a coordinate that is not
-finite are usage errors.
+Whatever the file holds, both commands end with a documented exit code (0
+pass, 1 usage or parse error, 2 mismatch, 3 numeric failure) and no
+exception escapes.  A sample box that is not finite with lo < hi, a
+`[catalog]` id outside the catalog, a `[probe]` point with a coordinate that
+is not finite, a `[chart]` without `dim` or `names` and a `[hamiltonian]`
+without `H` are usage errors.
 """
 
 import contextlib
@@ -77,20 +79,26 @@ def _box_ok(box: list[str]) -> bool | None:
 
 
 @st.composite
-def structure_files(draw):
-    drawn_probes = draw(probes)
+def structure_files(draw, command):
+    # integrate reads probes as check does; without them it reaches a run more often
+    drawn_probes = draw(probes) if command == "check" else []
     facts = {"non_finite_point": any(_non_finite_point(tokens) for tokens, _, _ in drawn_probes)}
-    probe_lines = []
+    extra_lines = []
     for number, (tokens, rank, signature) in enumerate(drawn_probes):
         section = "probe" if number == 0 else f"probe.{number}"
-        probe_lines += [f"[{section}]", f"point = {', '.join(tokens)}"]
-        probe_lines += [] if rank is None else [f"rank = {rank}"]
-        probe_lines += [] if signature is None else [f"signature = {signature}"]
+        extra_lines += [f"[{section}]", f"point = {', '.join(tokens)}"]
+        extra_lines += [] if rank is None else [f"rank = {rank}"]
+        extra_lines += [] if signature is None else [f"signature = {signature}"]
+    hamiltonian = draw(st.sampled_from([None, "missing", "given"]))
+    if hamiltonian is not None:
+        extra_lines += ["[hamiltonian]"] + ([f'H = "{draw(exprs)} * p1 + p2^2"'] if hamiltonian == "given" else [])
+    facts["missing_h"] = hamiltonian == "missing"
     if draw(st.booleans()):
         ident = draw(catalog_ids)
-        return "\n".join([f"[catalog]\nid = {ident}", *probe_lines]) + "\n", {"ident": ident, **facts}
+        return "\n".join([f"[catalog]\nid = {ident}", *extra_lines]) + "\n", {"ident": ident, **facts}
+    missing = draw(st.sampled_from([None, None, None, "dim", "names"]))
     box = draw(st.one_of(st.none(), st.lists(intervals, min_size=2, max_size=2)))
-    lines = ["[chart]", "dim = 2", "names = x, y"]
+    lines = ["[chart]"] + [line for key, line in [("dim", "dim = 2"), ("names", "names = x, y")] if key != missing]
     if box is not None:
         lines.append(f"box = {', '.join(box)}")
     lines.append("[theta]")
@@ -100,20 +108,31 @@ def structure_files(draw):
         lines += ["[connection]", f'gamma[1,1,2] = "{draw(exprs)}"']
     if draw(st.booleans()):
         lines += ["[expect]", f"symmetric_poisson = {draw(st.sampled_from(['true', 'false']))}"]
-    return "\n".join(lines + probe_lines) + "\n", {"box": box, **facts}
+    return "\n".join(lines + extra_lines) + "\n", {"box": box, "missing": missing, **facts}
+
+
+ARGS = {"check": [], "integrate": ["--x0", "0.5, 0.5", "--p0", "1, 0", "--steps", "3"]}
+runs = st.sampled_from(list(ARGS)).flatmap(lambda command: st.tuples(st.just(command), structure_files(command)))
 
 
 @settings(max_examples=60, deadline=None)
-@given(structure_files())
-def test_check_never_escapes_its_exit_codes(drawn):
-    text, facts = drawn
+@given(runs)
+def test_check_never_escapes_its_exit_codes(run):
+    command, (text, facts) = run
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "drawn.ini"
         path.write_text(text)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(["check", str(path), "--samples", "3"])
+            code = cli.main([command, str(path), "--samples", "3", *ARGS[command]])
     assert code in (0, 1, 2, 3), text
+    if facts.get("missing") is not None:
+        assert code == 1, text
+        assert err.getvalue() == f"error: [chart] needs {facts['missing']}\n", text
+        return
+    if facts["missing_h"]:
+        assert code == 1, text
+        assert err.getvalue().startswith("error: "), text
     if "ident" in facts and facts["ident"] not in cli.catalog_ids():
         assert code == 1, text
         assert err.getvalue().startswith("error: "), text

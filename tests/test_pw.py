@@ -353,6 +353,18 @@ def test_geodesic_domain_error_names_the_step():
     assert len(err.value.trajectory.xs) == 1
 
 
+@pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
+def test_step_size_must_be_finite_and_positive(dt):
+    from sympoisson.pw import DynamicsError
+
+    line = Chart(["x"])
+    conn = Connection.euclidean(line)
+    with pytest.raises(DynamicsError, match="finite dt > 0"):
+        integrate_pw(conn, PhaseField.parse(line, "p1"), CotangentState((0.0,), (1.0,)), dt=dt, steps=3)
+    with pytest.raises(DynamicsError, match="finite dt > 0"):
+        integrate_geodesic(conn, (0.0,), (1.0,), dt=dt, steps=3)
+
+
 def test_integrate_geodesic_straight_lines():
     conn = Connection.euclidean(R2)
     traj = integrate_geodesic(conn, (0.0, 0.0), (1.0, 2.0), dt=1e-3, steps=500)
