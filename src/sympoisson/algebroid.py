@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import expr as ex
-from .defaults import TOL
 from .geometry import (
     Connection,
     SymFormField,
@@ -33,9 +32,7 @@ from .poisson import SymPoissonPair
 # Killing tensors via the bracket
 # ---------------------------------------------------------------------------
 
-def killing_via_schouten(
-    g: SymFormField, k: SymFormField, tol: float = TOL, samples=None
-) -> bool:
+def killing_via_schouten(g: SymFormField, k: SymFormField) -> bool:
     """K is Killing for the metric connection iff [g^{-1}, g^{-1}(K)] = 0.
 
     The bracket is taken with the Levi-Civita connection of g; this is the
@@ -44,7 +41,7 @@ def killing_via_schouten(
     ginv = invert_metric(g)
     lifted = raise_indices(ginv, k)
     conn = levi_civita(g)
-    return schouten(conn, ginv, lifted).is_zero_on(samples, tol)
+    return schouten(conn, ginv, lifted).is_zero_on()
 
 
 # ---------------------------------------------------------------------------

@@ -177,13 +177,19 @@ def _option(cp: configparser.ConfigParser, section: str, key: str) -> str:
 
 
 def _entries(cp: configparser.ConfigParser, section: str, name: str, count: int, dim: int) -> dict:
-    """The {0-based indices: expression text} of a [theta] or [connection] section."""
+    """The {0-based indices: expression text} of a [theta] or [connection]
+    section; two keys that differ in the order of the last two name one slot."""
     entries = {}
+    keys = {}
     if cp.has_section(section):
         for key, raw in cp.items(section):
             idx = _parse_indices(key, name, count)
             if max(idx) >= dim:
                 raise StructureFileError(f"index out of range in '{key}'")
+            slot = idx[:-2] + tuple(sorted(idx[-2:]))
+            if slot in keys:
+                raise StructureFileError(f"[{section}] {keys[slot]} and {key} name the same slot")
+            keys[slot] = key
             entries[idx] = _unquote(raw)
     return entries
 

@@ -205,18 +205,14 @@ class _SymField:
             self.evaluate(samples[s])
         return np.ascontiguousarray(values).reshape((len(values),) + self.comps.shape)
 
-    def is_zero_on(
-        self,
-        samples: Iterable[Sequence[float]] | None = None,
-        tol: float = TOL,
-    ) -> bool:
-        return self.residual_on(samples) <= tol
-
     def residual_on(self, samples: Iterable[Sequence[float]] | None = None) -> float:
-        """Worst scaled residual of all components over the samples."""
+        """Worst scaled residual of all components over the samples (default: the chart's)."""
         if samples is None:
             samples = self.chart.sample_points()
         return self.plan().residual(samples)
+
+    def is_zero_on(self, samples: Iterable[Sequence[float]] | None = None) -> bool:
+        return self.residual_on(samples) <= TOL
 
     # -- arithmetic --------------------------------------------------------------
 
@@ -365,11 +361,8 @@ class CurvatureField:
 
     plan = _SymField.plan
     evaluate = _SymField.evaluate
-
-    def is_zero_on(self, samples=None, tol: float = TOL) -> bool:
-        if samples is None:
-            samples = self.chart.sample_points()
-        return self.plan().residual(samples) <= tol
+    residual_on = _SymField.residual_on
+    is_zero_on = _SymField.is_zero_on
 
 
 # ---------------------------------------------------------------------------
@@ -470,13 +463,18 @@ class MixedDerivative:
     comps[i][J] = (nabla_{d_i} T)^J with the derivative index first.
     """
 
-    __slots__ = ("chart", "base_kind", "base_degree", "comps")
+    __slots__ = ("chart", "base_kind", "base_degree", "comps", "_compiled")
 
     def __init__(self, chart: Chart, base_kind: type, base_degree: int, comps: np.ndarray):
         self.chart = chart
         self.base_kind = base_kind
         self.base_degree = base_degree
         self.comps = comps
+        self._compiled = None
+
+    plan = _SymField.plan
+    residual_on = _SymField.residual_on
+    is_zero_on = _SymField.is_zero_on
 
     def directional(self, i: int):
         """nabla_{d_i} T as a field of the original kind."""
@@ -487,14 +485,6 @@ class MixedDerivative:
         if x.degree != 1:
             raise GeometryError("direction must be a vector field")
         return self.base_kind(self.chart, self.base_degree, _contract_first_slot(x.comps, self.comps))
-
-    def residual_on(self, samples=None) -> float:
-        if samples is None:
-            samples = self.chart.sample_points()
-        return ex.residual(self.comps.flat, samples)
-
-    def is_zero_on(self, samples=None, tol: float = TOL) -> bool:
-        return self.residual_on(samples) <= tol
 
 
 def covariant_derivative(conn: Connection, t: _SymField) -> MixedDerivative:
@@ -733,7 +723,7 @@ def _symbolic_det(m: np.ndarray):
     return ex.expr_sum(terms)
 
 
-def invert_metric(g: _SymField, tol: float = TOL) -> _SymField:
+def invert_metric(g: _SymField) -> _SymField:
     """Symbolic inverse of a nondegenerate degree-2 field, as the other kind.
 
     A metric gives a bivector and a bivector gives a form, so
@@ -744,7 +734,7 @@ def invert_metric(g: _SymField, tol: float = TOL) -> _SymField:
     samples = g.chart.sample_points()
     m = g.evaluate_on(samples)
     scale = np.abs(m).max(axis=(1, 2)) + 1.0
-    degenerate = np.abs(np.linalg.det(m)) <= (tol * scale) ** g.chart.n
+    degenerate = np.abs(np.linalg.det(m)) <= (TOL * scale) ** g.chart.n
     if degenerate.any():
         raise DegenerateMetricError(f"degenerate at sample point {tuple(samples[np.argmax(degenerate)])}")
     dual = SymTensorField if isinstance(g, SymFormField) else SymFormField
@@ -754,9 +744,9 @@ def invert_metric(g: _SymField, tol: float = TOL) -> _SymField:
 invert_bivector = invert_metric
 
 
-def levi_civita(g: SymFormField, tol: float = TOL) -> Connection:
+def levi_civita(g: SymFormField) -> Connection:
     """G^k_{ij} = 1/2 g^{kl} (d_i g_{lj} + d_j g_{li} - d_l g_{ij})."""
-    ginv = invert_metric(g, tol).comps
+    ginv = invert_metric(g).comps
     n = g.chart.n
     half = ex.const(0.5)
     gamma = np.empty((n, n, n), dtype=object)
@@ -799,6 +789,6 @@ def raise_indices(ginv: _SymField, phi: _SymField) -> _SymField:
 lower_indices = raise_indices
 
 
-def is_killing(conn: Connection, phi: SymFormField, tol: float = TOL, samples=None) -> bool:
+def is_killing(conn: Connection, phi: SymFormField) -> bool:
     """phi is Killing iff nabla^s phi vanishes (kernel of the symmetric derivative)."""
-    return symmetric_derivative(conn, phi).is_zero_on(samples, tol)
+    return symmetric_derivative(conn, phi).is_zero_on()

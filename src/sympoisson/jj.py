@@ -234,7 +234,11 @@ def to_linear_structure(alg: CommutativeAlgebra, names: Sequence[str] | None = N
     return SymPoissonPair(theta, Connection.euclidean(chart))
 
 
-def from_linear_structure(theta: SymTensorField, tol: float = 1e-12) -> CommutativeAlgebra:
+# the largest constant part or second derivative that still reads as zero
+_LINEAR_TOL = 1e-12
+
+
+def from_linear_structure(theta: SymTensorField) -> CommutativeAlgebra:
     """Recover structure constants from a homogeneous-linear bivector field.
 
     Raises AlgebraError when any component is not homogeneous linear.
@@ -246,11 +250,11 @@ def from_linear_structure(theta: SymTensorField, tol: float = 1e-12) -> Commutat
     comps = {(i, j): ex.ScalarField(theta.comps[i, j], d) for i, j in np.ndindex(d, d)}
     firsts = {(i, j, k): e.diff(k) for (i, j), e in comps.items() for k in range(d)}
     seconds = ex.Plan(f.diff(m).expr for f in firsts.values() for m in range(d))
-    curved = (np.abs(seconds.table(theta.chart.sample_points(5))[0]) > tol).any(axis=0)
+    curved = (np.abs(seconds.table(theta.chart.sample_points(5))[0]) > _LINEAR_TOL).any(axis=0)
     curved = curved.reshape(d, d, d * d).any(axis=2)
     c = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
     for i, j in np.ndindex(d, d):
-        if abs(comps[i, j](origin)) > tol:
+        if abs(comps[i, j](origin)) > _LINEAR_TOL:
             raise AlgebraError(f"component ({i},{j}) has a constant part")
         for k in range(d):
             c[k][i][j] = Fraction(firsts[i, j, k](origin))

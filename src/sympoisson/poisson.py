@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +44,9 @@ class PoissonError(Exception):
 
 @dataclass(frozen=True)
 class SymPoissonPair:
-    """A symmetric bivector field together with a torsion-free connection."""
+    """A symmetric bivector field together with a torsion-free connection.
+
+    nabla theta and theta^{im} nabla_m theta are built once, on first use."""
 
     theta: SymTensorField
     nabla: Connection
@@ -58,6 +61,16 @@ class SymPoissonPair:
     @property
     def chart(self) -> Chart:
         return self.theta.chart
+
+    @cached_property
+    def nabla_theta(self) -> geo.MixedDerivative:
+        return covariant_derivative(self.nabla, self.theta)
+
+    @cached_property
+    def directional(self) -> geo.MixedDerivative:
+        """comps[i] = nabla_{theta(dx^i)} theta = theta^{im} nabla_m theta."""
+        rows = [geo._contract_first_slot(row, self.nabla_theta.comps) for row in self.theta.comps]
+        return geo.MixedDerivative(self.chart, SymTensorField, 2, np.stack(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -97,33 +110,27 @@ def schouten_self_cyclic(pair: SymPoissonPair) -> SymTensorField:
         1/2 [theta, theta](a, b, c) = (nabla_{theta(a)} theta)(b, c) + cyclic.
     """
     n = pair.chart.n
-    d = _theta_directional(pair)
+    d = pair.directional.comps
     out = np.empty((n, n, n), dtype=object)
     two = ex.const(2.0)
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                cyc = ex.expr_sum([d[i][j, k], d[j][k, i], d[k][i, j]])
+                cyc = ex.expr_sum([d[i, j, k], d[j, k, i], d[k, i, j]])
                 out[i, j, k] = ex.mul(two, cyc)
     return SymTensorField(pair.chart, 3, out)
 
 
-def _theta_directional(pair: SymPoissonPair) -> list[np.ndarray]:
-    """D[i] = nabla_{theta(dx^i)} theta = theta^{im} nabla_m theta, n x n each."""
-    nabla_theta = covariant_derivative(pair.nabla, pair.theta).comps
-    return [geo._contract_first_slot(row, nabla_theta) for row in pair.theta.comps]
-
-
-def is_symmetric_poisson(pair: SymPoissonPair, tol: float = TOL, samples=None) -> bool:
-    return symmetric_poisson_residual(pair, samples) <= tol
+def is_symmetric_poisson(pair: SymPoissonPair) -> bool:
+    return symmetric_poisson_residual(pair) <= TOL
 
 
 def symmetric_poisson_residual(pair: SymPoissonPair, samples=None) -> float:
     return schouten_self_cyclic(pair).residual_on(samples)
 
 
-def is_strong(pair: SymPoissonPair, tol: float = TOL, samples=None) -> bool:
-    return strong_residual(pair, samples) <= tol
+def is_strong(pair: SymPoissonPair) -> bool:
+    return strong_residual(pair) <= TOL
 
 
 def strong_residual(pair: SymPoissonPair, samples=None) -> float:
@@ -131,17 +138,15 @@ def strong_residual(pair: SymPoissonPair, samples=None) -> float:
 
     Tensoriality in the covector slot makes the basis sufficient.
     """
-    if samples is None:
-        samples = pair.chart.sample_points()
-    return ex.residual([e for d in _theta_directional(pair) for e in d.flat], samples)
+    return pair.directional.residual_on(samples)
 
 
-def is_parallel(pair: SymPoissonPair, tol: float = TOL, samples=None) -> bool:
-    return parallel_residual(pair, samples) <= tol
+def is_parallel(pair: SymPoissonPair) -> bool:
+    return parallel_residual(pair) <= TOL
 
 
 def parallel_residual(pair: SymPoissonPair, samples=None) -> float:
-    return covariant_derivative(pair.nabla, pair.theta).residual_on(samples)
+    return pair.nabla_theta.residual_on(samples)
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +176,13 @@ class CharacteristicData:
         coeffs = self.basis.T @ v
         return float(np.linalg.norm(v - self.basis @ coeffs))
 
+    def membership_residual(self, v: np.ndarray) -> float:
+        """project_residual(v) / (1 + |v|), or inf where that is not finite."""
+        res = self.project_residual(v) / (1.0 + float(np.linalg.norm(v)))
+        return res if math.isfinite(res) else math.inf
+
     def contains(self, v: np.ndarray) -> bool:
-        return self.project_residual(v) <= RANK_TOL * (1.0 + float(np.linalg.norm(v)))
+        return self.membership_residual(v) <= RANK_TOL
 
     def metric_value(self, u: np.ndarray, v: np.ndarray) -> float:
         """Induced metric evaluated on two vectors of im theta."""
@@ -254,18 +264,9 @@ def involutivity_check(pair: SymPoissonPair, samples=None) -> InvolutivityReport
     spectra = _characteristic_stack(pair.theta, samples, pair.theta.evaluate_on(samples))
     tables = [comm.evaluate_on(samples) for comm in commutators]
     ranks = tuple(data.rank for data in spectra)
-    worst = 0.0
-    failed = False
-    for s, data in enumerate(spectra):
-        for table in tables:
-            v = table[s]
-            res = data.project_residual(v) / (1.0 + float(np.linalg.norm(v)))
-            if not math.isfinite(res):
-                res = math.inf
-            worst = max(worst, res)
-            if res > RANK_TOL:
-                failed = True
-    if failed:
+    residuals = [data.membership_residual(table[s]) for s, data in enumerate(spectra) for table in tables]
+    worst = max(residuals, default=0.0)
+    if worst > RANK_TOL:
         verdict = Involutivity.NOT_INVOLUTIVE
     elif len(set(ranks)) > 1:
         verdict = Involutivity.INCONCLUSIVE

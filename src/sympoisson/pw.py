@@ -480,9 +480,7 @@ def check_locally_geodesically_invariant(
     picked = slice(0, len(plain.xs), max(1, len(plain.xs) // 50))
     states = plain.xs[picked]
     spectra = _characteristic_stack(pair.theta, states, pair.theta.evaluate_on(states))
-    worst_res = 0.0
-    for data, v in zip(spectra, plain.velocities[picked]):
-        worst_res = max(worst_res, data.project_residual(v) / (1.0 + np.linalg.norm(v)))
+    worst_res = max((data.membership_residual(v) for data, v in zip(spectra, plain.velocities[picked])), default=0.0)
     return GeodesicInvarianceReport(base_dist, worst_res, steps)
 
 

@@ -457,6 +457,35 @@ def test_check_catalog_section_without_an_id_exits_1(tmp_path):
     assert err == "error: unknown catalog id ''\n"
 
 
+def test_a_symmetric_slot_given_twice_is_a_usage_error(tmp_path):
+    path = tmp_path / "twice.ini"
+    path.write_text('[chart]\ndim = 2\nnames = x, y\n[connection]\ngamma[1,1,2] = "1"\ngamma[1,2,1] = "5"\n')
+    code, out, err = run_cli("check", str(path))
+    assert code == 1, out + err
+    assert err == "error: [connection] gamma[1,1,2] and gamma[1,2,1] name the same slot\n"
+
+
+# sha256 of `check` on each shipped structure file, recorded before the pair
+# built its derivative chain once
+CHECK_DIGESTS = {
+    "flat_11.ini": "1a7d226694e1617d7823b382bb4d299e24294a933a98947869d747de9bdca254",
+    "inclusion.ini": "d0e639cb9ca9278651959c200b479315d61d5949151e19fa5e7fd35b0670efa7",
+    "nondeg_kill.ini": "513f2939414decfa71e0a702a364447c45687b2e039ec3abdd2468822356fb04",
+    "oscillator.ini": "af0f55c13d2203b9c61a42e532bedc9e1816517bc494a58e1d628d6eff5c143a",
+    "r5.ini": "f652b5c157df548690ebf1c594f639d2fb948c8c88e47b3128bab957be8ffa46",
+    "sing_line.ini": "4f4f8bc6f4f69a0c229ce5bcde025c503d20c762f629274ab766213a9396ac97",
+}
+
+
+@pytest.mark.parametrize("name", CHECK_DIGESTS)
+def test_check_output_bytes_are_pinned(name):
+    import hashlib
+
+    code, out, err = run_cli("check", str(STRUCTURES / name))
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_DIGESTS[name]
+
+
 # sha256 of export_structure() of each [catalog] reference, recorded before the
 # catalog became a table (aff1 exports the (1, 1, 1) member of its family)
 REFERENCE_DIGESTS = {

@@ -5,8 +5,9 @@ Whatever the file holds, both commands end with a documented exit code (0
 pass, 1 usage or parse error, 2 mismatch, 3 numeric failure) and no
 exception escapes.  A sample box that is not finite with lo < hi, a
 `[catalog]` id outside the catalog, a `[probe]` point with a coordinate that
-is not finite, a `[chart]` without `dim` or `names` and a `[hamiltonian]`
-without `H` are usage errors.
+is not finite, a `[chart]` without `dim` or `names`, a `[hamiltonian]`
+without `H` and a `[theta]` that gives one symmetric slot twice are usage
+errors.
 """
 
 import contextlib
@@ -102,8 +103,11 @@ def structure_files(draw, command):
     if box is not None:
         lines.append(f"box = {', '.join(box)}")
     lines.append("[theta]")
-    for key in draw(st.lists(st.sampled_from(["1,1", "1,2", "2,2"]), min_size=1, max_size=3, unique=True)):
+    keys = draw(st.lists(st.sampled_from(["1,1", "1,2", "2,2", "2,1"]), min_size=1, max_size=3, unique=True))
+    for key in keys:
         lines.append(f'theta[{key}] = "{draw(exprs)}"')
+    twice = [key for key in keys if key in ("1,2", "2,1")]
+    facts["twice"] = twice if len(twice) == 2 else None
     if draw(st.booleans()):
         lines += ["[connection]", f'gamma[1,1,2] = "{draw(exprs)}"']
     if draw(st.booleans()):
@@ -129,6 +133,14 @@ def test_check_never_escapes_its_exit_codes(run):
     if facts.get("missing") is not None:
         assert code == 1, text
         assert err.getvalue() == f"error: [chart] needs {facts['missing']}\n", text
+        return
+    if facts.get("twice") is not None:
+        # theta[1,2] and theta[2,1] name one slot; only a box that does not
+        # parse is reported before them
+        assert code == 1, text
+        if facts["box"] is None or _box_ok(facts["box"]) is not None:
+            first, second = facts["twice"]
+            assert err.getvalue() == f"error: [theta] theta[{first}] and theta[{second}] name the same slot\n", text
         return
     if facts["missing_h"]:
         assert code == 1, text

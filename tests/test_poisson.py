@@ -16,6 +16,7 @@ from sympoisson.geometry import (
     levi_civita,
 )
 from sympoisson.poisson import (
+    VERDICTS,
     Involutivity,
     SymPoissonPair,
     characteristic_data,
@@ -163,6 +164,19 @@ def test_verdict_hierarchy_battery():
             assert got == expected, f"{ident}: {key}"
 
 
+# a jj: suite, as the catalog runs it, asks for every verdict but parallel
+@pytest.mark.parametrize("ident,verdicts", [("ex:inclusion", VERDICTS), ("jj:dim4_5", VERDICTS[:2] + VERDICTS[3:])])
+def test_verdict_suite_builds_nabla_theta_once(monkeypatch, ident, verdicts):
+    from sympoisson import poisson
+
+    calls = []
+    original = poisson.covariant_derivative
+    monkeypatch.setattr(poisson, "covariant_derivative", lambda *args: calls.append(args) or original(*args))
+    suite = verdict_suite(registry.catalog_entry(ident).pair(), verdicts=verdicts)
+    assert len(calls) == 1
+    assert tuple(suite.residuals) == verdicts
+
+
 # ---------------------------------------------------------------------------
 # characteristic data
 # ---------------------------------------------------------------------------
@@ -174,6 +188,14 @@ def test_characteristic_cubic_line():
     assert data.signature == (1, 0)
     e = np.array([1.0])
     assert data.metric_value(e, e) == pytest.approx(1.0 / 8.0, rel=1e-12)
+
+
+def test_membership_residual_is_scaled_and_reads_inf_where_not_finite():
+    data = characteristic_data(registry.build("r5").theta, (0.1, 0.2, 0.0, 0.5, 0.8))
+    off = np.eye(5)[2] * 3.0
+    assert data.membership_residual(off) == pytest.approx(data.project_residual(off) / 4.0, rel=1e-15)
+    assert not data.contains(off)
+    assert data.membership_residual(np.full(5, np.nan)) == math.inf
 
 
 def test_characteristic_zero():
