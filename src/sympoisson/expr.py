@@ -16,12 +16,19 @@ The concrete grammar (ASCII) accepted by :func:`parse`:
 Identifiers bind to the declared coordinate names, in order.  Differentiation
 is symbolic with constant folding only; there is no simplification to a
 canonical form.  Zero-testing is done by sampling (see :func:`is_zero_field`).
+
+Nodes are interned (hash-consed): while a node is alive, building the same
+structure again, by any constructor, returns that node, so a tree is a DAG
+with maximal sharing.  `Expr.diff` is memoised per node and variable, so
+differentiating a DAG costs one rule per distinct node.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import struct
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -74,21 +81,27 @@ _FUNCS: dict[str, Callable[[float], float]] = {
 
 
 class Expr:
-    """Immutable expression node.  Construct via the helper functions below."""
+    """Immutable, interned expression node.  Construct via the helper functions below.
 
-    __slots__ = ()
+    Each kind's constructor returns the live node of the same structure if
+    there is one, so structurally equal nodes are one object and compare,
+    hash and deduplicate by identity.
+    """
 
-    # -- evaluation --------------------------------------------------------
-
-    def eval_scaled(self, values: Sequence[float]) -> tuple[float, float]:
-        """Return (value, scale) with scale = max |v| over all subterm values.
-
-        A tree walk at one point: the reference route that `Plan.residual`
-        is tested against.
-        """
-        raise NotImplementedError
+    __slots__ = ("_dmemo", "__weakref__")
 
     def diff(self, index: int) -> "Expr":
+        """The derivative in variable `index`, built once per node and index."""
+        memo = self._dmemo
+        if memo is None:
+            memo = {}
+            _set_dmemo(self, memo)
+        d = memo.get(index)
+        if d is None:
+            d = memo[index] = self._diff(index)
+        return d
+
+    def _diff(self, index: int) -> "Expr":
         raise NotImplementedError
 
     def max_var(self) -> int:
@@ -104,58 +117,99 @@ class Expr:
     def __repr__(self) -> str:
         return f"Expr({self.to_string()})"
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the interning constructor
+        return type(self), tuple(getattr(self, name) for name in self.__dataclass_fields__)
 
-@dataclass(frozen=True, slots=True, repr=False)
+
+# The intern table: one entry per live node.  A key is the node's kind, its
+# payload and the ids of its children; the node holds its children, so those
+# ids stay unique while the entry can be found.  A value is a weak reference
+# that removes its entry when the node dies.
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
+
+
+_NODES: dict[tuple, _Ref] = {}
+_float_bits = struct.Struct("<d").pack
+_set_dmemo = Expr._dmemo.__set__
+
+
+def _forget(ref: _Ref) -> None:
+    # a newer node of the same structure may already hold the key
+    if _NODES.get(ref.key) is ref:
+        _NODES.pop(ref.key, None)
+
+
+def _intern(cls, key: tuple, *values) -> Expr:
+    """The live node entered under `key`; else a new node of kind `cls` with
+    the given field values, entered there."""
+    ref = _NODES.get(key)
+    node = None if ref is None else ref()
+    if node is None:
+        node = object.__new__(cls)
+        for put, value in zip(cls._puts, values):
+            put(node, value)
+        _set_dmemo(node, None)
+        ref = _NODES[key] = _Ref(node, _forget)
+        ref.key = key
+    return node
+
+
+def _node(cls):
+    """A node kind: a frozen slotted dataclass built by its interning __new__.
+
+    init=False, as __new__ sets the fields, through the slot setters in
+    `_puts`; eq=False, as identity is structural equality.
+    """
+    cls = dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)(cls)
+    cls._puts = tuple(cls.__dict__[name].__set__ for name in cls.__dataclass_fields__)
+    return cls
+
+
+@_node
 class Const(Expr):
     value: float
 
-    def eval_scaled(self, values):
-        return self.value, abs(self.value)
+    def __new__(cls, value: float):
+        # keyed on the bits, so 0.0 and -0.0 stay apart and a NaN finds
+        # itself; float(), so the payload's type does not depend on who
+        # built the node first
+        value = float(value)
+        return _intern(cls, (cls, _float_bits(value)), value)
 
-    def diff(self, index):
+    def _diff(self, index):
         return ZERO
 
     def max_var(self):
         return -1
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Var(Expr):
     index: int
 
-    def eval_scaled(self, values):
-        v = values[self.index]
-        return v, abs(v)
+    def __new__(cls, index: int):
+        index = int(index)
+        return _intern(cls, (cls, index), index)
 
-    def diff(self, index):
+    def _diff(self, index):
         return ONE if index == self.index else ZERO
 
     def max_var(self):
         return self.index
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class BinOp(Expr):
     op: str  # one of + - * /
     left: Expr
     right: Expr
 
-    def eval_scaled(self, values):
-        a, sa = self.left.eval_scaled(values)
-        b, sb = self.right.eval_scaled(values)
-        if self.op == "+":
-            v = a + b
-        elif self.op == "-":
-            v = a - b
-        elif self.op == "*":
-            v = a * b
-        else:
-            if b == 0.0:
-                raise EvalDomainError("division by zero", self)
-            v = a / b
-        return v, max(sa, sb, abs(v))
+    def __new__(cls, op: str, left: Expr, right: Expr):
+        return _intern(cls, (cls, op, id(left), id(right)), op, left, right)
 
-    def diff(self, index):
+    def _diff(self, index):
         da = self.left.diff(index)
         db = self.right.diff(index)
         if self.op == "+":
@@ -172,19 +226,15 @@ class BinOp(Expr):
         return max(self.left.max_var(), self.right.max_var())
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Pow(Expr):
     base: Expr
     exponent: int
 
-    def eval_scaled(self, values):
-        b, sb = self.base.eval_scaled(values)
-        if b == 0.0 and self.exponent < 0:
-            raise EvalDomainError("zero raised to a negative power", self)
-        v = b ** self.exponent
-        return v, max(sb, abs(v))
+    def __new__(cls, base: Expr, exponent: int):
+        return _intern(cls, (cls, id(base), exponent), base, exponent)
 
-    def diff(self, index):
+    def _diff(self, index):
         db = self.base.diff(index)
         k = self.exponent
         return mul(mul(Const(float(k)), powi(self.base, k - 1)), db)
@@ -193,42 +243,29 @@ class Pow(Expr):
         return self.base.max_var()
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Neg(Expr):
     arg: Expr
 
-    def eval_scaled(self, values):
-        v, s = self.arg.eval_scaled(values)
-        return -v, s
+    def __new__(cls, arg: Expr):
+        return _intern(cls, (cls, id(arg)), arg)
 
-    def diff(self, index):
+    def _diff(self, index):
         return neg(self.arg.diff(index))
 
     def max_var(self):
         return self.arg.max_var()
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Call(Expr):
     func: str
     arg: Expr
 
-    def _apply(self, a: float) -> float:
-        if self.func == "ln" and a <= 0.0:
-            raise EvalDomainError("ln of a non-positive argument", self)
-        if self.func == "sqrt" and a < 0.0:
-            raise EvalDomainError("sqrt of a negative argument", self)
-        try:
-            return _FUNCS[self.func](a)
-        except OverflowError:
-            raise EvalDomainError("overflow", self) from None
+    def __new__(cls, func: str, arg: Expr):
+        return _intern(cls, (cls, func, id(arg)), func, arg)
 
-    def eval_scaled(self, values):
-        a, s = self.arg.eval_scaled(values)
-        v = self._apply(a)
-        return v, max(s, abs(v))
-
-    def diff(self, index):
+    def _diff(self, index):
         da = self.arg.diff(index)
         if self.func == "exp":
             outer = Call("exp", self.arg)
@@ -634,10 +671,11 @@ def _point_op(kind: str, exponent: int | None):
 
 
 class Plan:
-    """The distinct node objects behind some component expressions.
+    """The distinct nodes behind some component expressions.
 
-    Nodes are deduplicated by object identity, so a subterm shared between
-    components, or repeated inside one, is evaluated once.  `nodes` lists
+    Nodes are deduplicated by object identity, which for interned nodes is
+    structure, so a subterm shared between components, or repeated inside
+    one, is evaluated once.  `nodes` lists
     the constants, then the variables, then every other node in post-order
     of a left-to-right walk over the expressions with repeats dropped; a
     node's position is its slot in the value list.  `roots` holds the slots

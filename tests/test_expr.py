@@ -1,4 +1,8 @@
+import copy
+import dataclasses
+import gc
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -6,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import eval_scaled
 from sympoisson import expr
 from sympoisson.expr import (
     EvalDomainError,
@@ -256,8 +261,8 @@ def test_plan_evaluates_each_shared_node_once():
     shared = expr.mul(expr.add(x, expr.const(1.0)), expr.add(x, expr.const(1.0)))
     roots = [expr.add(shared, shared), expr.sub(shared, x), shared]
     plan = Plan(roots)
-    # x, 1.0 twice (two Const objects), both sums, the product, and the two roots
-    assert len(plan) == 8
+    # x, 1.0, x + 1 (both sums are one interned node), the product, and the two roots
+    assert len(plan) == 6
     assert plan.values((2.0,)) == [18.0, 7.0, 9.0]
 
 
@@ -344,7 +349,7 @@ def _tree_walk_residual(exprs, samples):
     with np.errstate(all="ignore"):
         for e in exprs:
             for p in samples:
-                v, scale = e.eval_scaled(p)
+                v, scale = eval_scaled(e, p)
                 r = abs(v) / (1.0 + scale)
                 worst = max(worst, r if math.isfinite(r) and math.isfinite(scale) else math.inf)
     return worst
@@ -415,6 +420,116 @@ def test_table_reads_an_overflow_in_power_as_inf():
     assert odd.residual([[1000.0]]) == math.inf
     with pytest.raises(EvalDomainError, match="overflow in subterm 'x1\\^401'"):
         odd.values((1000.0,))
+
+
+# ---------------------------------------------------------------------------
+# interning and memoised derivatives
+# ---------------------------------------------------------------------------
+
+def test_building_a_structure_twice_gives_one_node():
+    names = ["x", "y"]
+    text = "x * sin(y) - 2 / (x + 1)^3"
+    assert parse(text, names).expr is parse(text, names).expr
+    x, one = expr.var(0), expr.const(1.0)
+    assert expr.mul(expr.add(x, one), x) is expr.mul(expr.add(x, one), x)
+    direct = expr.BinOp("+", expr.Var(0), expr.Const(1.0))
+    assert direct is expr.BinOp("+", expr.Var(0), expr.Const(1.0))
+    assert direct is expr.add(x, one) is parse("x + 1", ["x"]).expr
+    assert copy.deepcopy(direct) is direct and pickle.loads(pickle.dumps(direct)) is direct
+
+
+def test_signed_zero_constants_stay_apart():
+    pos, negz = expr.Const(0.0), expr.Const(-0.0)
+    assert pos is expr.ZERO and negz is not pos and negz is expr.Const(-0.0)
+    assert (str(pos), str(negz)) == ("0", "-0")
+    assert expr.is_structural_zero(pos) and expr.is_structural_zero(negz)
+    values = Plan([pos, negz]).values(())
+    assert [math.copysign(1.0, v) for v in values] == [1.0, -1.0]
+
+
+def test_a_nan_constant_interns_and_evaluates_to_nan():
+    nan = expr.Const(math.nan)
+    assert nan is expr.Const(math.nan)
+    assert str(nan) == "nan"
+    assert math.isnan(Plan([nan]).values(())[0])
+    assert math.isnan(compile_expr(expr.add(expr.var(0), nan))((1.0,)))
+
+
+def test_diff_is_built_once_per_node_and_variable():
+    e = parse("x^3 * exp(x * y) / (1 + y^2)", ["x", "y"]).expr
+    for i in (0, 1):
+        assert e.diff(i) is e.diff(i)
+    assert e.diff(0) is not e.diff(1)
+
+
+def test_the_intern_table_releases_dead_nodes():
+    x = expr.var(0)
+    gc.collect()
+    before = len(expr._NODES)
+    # exp(x + c) is its own derivative, so each memo holds a cycle back to its node
+    nodes = [expr.call("exp", expr.add(x, expr.const(i + 0.5))) for i in range(3400)]
+    assert all(n.diff(0) is n for n in nodes)
+    assert len(expr._NODES) >= before + 10_000
+    del nodes
+    gc.collect()
+    assert len(expr._NODES) == before
+
+
+def test_diff_is_linear_in_the_nodes_of_a_shared_dag(monkeypatch):
+    calls = []
+    for kind in (expr.Const, expr.Var, expr.BinOp, expr.Pow, expr.Neg, expr.Call):
+        def counted(self, index, rule=kind._diff):
+            calls.append(self)
+            return rule(self, index)
+        monkeypatch.setattr(kind, "_diff", counted)
+    depth = 16
+    x = expr.var(0)
+    e = x
+    for _ in range(depth):
+        e = expr.mul(e, expr.add(e, x))  # a tree of 2^depth leaves, 2 new nodes per level
+    d = e.diff(0)
+    assert len(calls) <= 3 * depth
+    # at x = 0.5 every level is 0.5, and level k+1 has derivative 1.5 d_k + 0.5
+    want = 1.0
+    for _ in range(depth):
+        want = 1.5 * want + 0.5
+    assert Plan([d]).values((0.5,))[0] == pytest.approx(want, rel=1e-12)
+
+
+def _distinct_structures(roots) -> int:
+    """How many structurally distinct nodes lie under the roots, by a walk
+    that keys each node on its kind, its payload (floats by float.hex) and
+    the keys of its children."""
+    canon: dict[int, int] = {}
+    keys: dict[tuple, int] = {}
+
+    def walk(e):
+        if id(e) not in canon:
+            parts = [type(e).__name__]
+            for f in dataclasses.fields(e):
+                value = getattr(e, f.name)
+                parts.append(walk(value) if isinstance(value, expr.Expr)
+                             else value.hex() if isinstance(value, float) else value)
+            canon[id(e)] = keys.setdefault(tuple(parts), len(keys))
+        return canon[id(e)]
+
+    for root in roots:
+        walk(root)
+    return len(keys)
+
+
+def _rebuilt(e):
+    """A copy of e made by calling each node kind's constructor on copied children."""
+    values = (getattr(e, f.name) for f in dataclasses.fields(e))
+    return type(e)(*(_rebuilt(v) if isinstance(v, expr.Expr) else v for v in values))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_plans_are_maximally_shared(seed):
+    roots = _shared_exprs(np.random.default_rng(seed))
+    assert len(Plan(roots)) == _distinct_structures(roots)
+    assert all(_rebuilt(r) is r for r in roots)
 
 
 # ---------------------------------------------------------------------------
