@@ -303,7 +303,6 @@ class Report:
 
 def _verdict_rows(suite: str, verdicts: VerdictSuite, expect: dict) -> list[CheckLine]:
     """One line per computed verdict, judged against `expect` where it has one."""
-    expect = {{"sp": "symmetric_poisson"}.get(k, k): v for k, v in expect.items()}
     lines = []
     for name, residual in verdicts.residuals.items():
         got, expected = getattr(verdicts, name), expect.get(name)
@@ -476,6 +475,17 @@ def _catalog_lines(idents: list[str], args) -> list[CheckLine]:
     return lines
 
 
+def _write(path: str, text: str) -> bool:
+    """Write `text` to the file `path`; on failure say why and return False."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as err:
+        print(f"error: cannot write {path}: {err.strerror or err}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_check(args) -> int:
     try:
         sf = load_structure(args.file)
@@ -543,8 +553,8 @@ def cmd_integrate(args) -> int:
 
     csv_text = trajectory_to_csv(traj)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(csv_text)
+        if not _write(args.out, csv_text):
+            return USAGE_ERROR
         sink = sys.stdout
     else:
         sys.stdout.write(csv_text)
@@ -580,8 +590,8 @@ def cmd_report(args) -> int:
     report = Report(lines, args.samples, args.seed, args.tol)
     text = report.render_csv() if args.format == "csv" else report.render_text()
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        if not _write(args.out, text):
+            return USAGE_ERROR
     else:
         sys.stdout.write(text)
     return 0 if report.ok else MISMATCH

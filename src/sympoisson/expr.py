@@ -356,7 +356,7 @@ def powi(a: Expr, k: int) -> Expr:
     if _is_const(a):
         try:
             return Const(a.value ** k)
-        except EVAL_FAILURES as err:
+        except _EVAL_FAILURES as err:
             raise _domain_error(err, "^", Pow(a, k)) from None
     return Pow(a, k)
 
@@ -383,7 +383,7 @@ def call(func: str, a: Expr) -> Expr:
     if _is_const(a):
         try:
             return Const(_FUNCS[func](a.value))
-        except EVAL_FAILURES as err:
+        except _EVAL_FAILURES as err:
             raise _domain_error(err, func, Call(func, a)) from None
     return Call(func, a)
 
@@ -603,12 +603,12 @@ _DOMAIN_MESSAGES = {
     "cos": "cos of a non-finite argument",
 }
 
-# what float arithmetic and math.* raise on Python floats; generated code
-# raises these, Plan.values turns them into a located EvalDomainError
-EVAL_FAILURES = (ZeroDivisionError, ValueError, OverflowError)
+# what float arithmetic and math.* raise on Python floats; the point paths
+# turn them into a located EvalDomainError (Plan._located)
+_EVAL_FAILURES = (ZeroDivisionError, ValueError, OverflowError)
 
 
-def _domain_error(err: Exception, kind: str, node: Expr) -> EvalDomainError:
+def _domain_error(err: Exception | None, kind: str, node: Expr) -> EvalDomainError:
     message = "overflow" if isinstance(err, OverflowError) else _DOMAIN_MESSAGES[kind]
     return EvalDomainError(message, node)
 
@@ -642,14 +642,14 @@ def _elementwise(fn, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """
     try:
         return np.array([fn(x) for x in xs.tolist()], dtype=float), None
-    except EVAL_FAILURES:
+    except _EVAL_FAILURES:
         pass
     out = np.empty(len(xs))
     failed = np.zeros(len(xs), dtype=bool)
     for i, x in enumerate(xs.tolist()):
         try:
             out[i] = fn(x)
-        except EVAL_FAILURES:
+        except _EVAL_FAILURES:
             out[i] = math.nan
             failed[i] = True
     return out, failed
@@ -682,9 +682,11 @@ class Plan:
     of the expressions themselves.
 
     `table` runs the plan over numpy arrays of samples, and `residual`
-    reduces the table; `values` runs it at one point on Python floats with
-    `math.*`, in the order of the code `compile_plan` generates, so their
-    values are equal.
+    reduces the table.  At one point, `values` interprets the plan on
+    Python floats with `math.*` in slot order, and `compile_plan` generates
+    the same steps as code, which costs more to build and less per call.
+    Both give equal values and, where a node fails, the same located
+    EvalDomainError, built by `_located`.
     """
 
     __slots__ = ("nodes", "roots", "_consts", "_vars", "_ops", "_point_ops")
@@ -738,18 +740,23 @@ class Plan:
     def values(self, point: Sequence[float]) -> list[float]:
         """The root values at one point.
 
-        Raises EvalDomainError where the code `compile_plan` generates raises:
-        a domain error, or an overflow in ``**`` or exp.
+        Raises the EvalDomainError of the first node that fails: a domain
+        error, or an overflow in ``**`` or exp.  The code `compile_plan`
+        generates raises the same error at the same point.
         """
         v = self._consts + [float(point[i]) for i in self._vars]
         append = v.append
         try:
             for op, a, b in self._point_ops:
                 append(op(v[a], v[b]))
-        except EVAL_FAILURES as err:
-            kind = self._ops[len(v) - self._leaves][0]
-            raise _domain_error(err, kind, self.nodes[len(v)]) from None
+        except _EVAL_FAILURES as err:
+            raise self._located(len(v), err) from None
         return [v[r] for r in self.roots]
+
+    def _located(self, slot: int, err: Exception | None = None) -> EvalDomainError:
+        """The located error of the node at `slot`, which raised `err`; the
+        one place a plan's runners build it."""
+        return _domain_error(err, self._ops[slot - self._leaves][0], self.nodes[slot])
 
     # -- many samples ----------------------------------------------------------
 
@@ -816,9 +823,7 @@ class Plan:
             hit = sorted(i for i in self._reach(root) if i in failures)
             if hit:
                 sample = int(np.argmax(np.any([failures[i] for i in hit], axis=0)))
-                node = next(i for i in hit if failures[i][sample])
-                message = _DOMAIN_MESSAGES[self._ops[node - self._leaves][0]]
-                return EvalDomainError(message, self.nodes[node])
+                return self._located(next(i for i in hit if failures[i][sample]))
         raise AssertionError("a failing node is reachable from some root")
 
     def _reach(self, root: int) -> set[int]:
@@ -845,7 +850,7 @@ def residual(exprs: Iterable[Expr], samples) -> float:
 # Code generation: one straight-line function per plan
 # ---------------------------------------------------------------------------
 
-_COMPILE_ENV = {"_float": float, **{f"_{name}": fn for name, fn in _FUNCS.items()}}
+_COMPILE_ENV = {"_float": float, "_FAILURES": _EVAL_FAILURES, **{f"_{name}": fn for name, fn in _FUNCS.items()}}
 
 
 def compile_plan(exprs: Iterable[Expr]) -> Callable[[Sequence[float]], tuple[float, ...]]:
@@ -856,13 +861,16 @@ def compile_plan(exprs: Iterable[Expr]) -> Callable[[Sequence[float]], tuple[flo
     a local, so a shared subterm is computed once.  Constants are bound by
     name, so a negative or non-finite one needs no literal.  Every node keeps
     its operation and its `math.*` call, so the values equal `Plan.values`
-    bit for bit; where that raises EvalDomainError, this function raises the
-    plain ZeroDivisionError, ValueError or OverflowError behind it.
+    bit for bit.  The interior nodes run inside one ``try``, one node per
+    line; a failure's line number gives its slot, so the function raises
+    the EvalDomainError `Plan.values` raises, naming the same node.
     """
     plan = Plan(exprs)
-    env = dict(_COMPILE_ENV)
+    reads = (f"    s{i} = _float(v[{k}])" for i, k in enumerate(plan._vars, len(plan._consts)))
+    src = ["def f(v):", *reads, "    try:"]
+    offset = len(src) + 1 - plan._leaves  # slot i runs on line i + offset; the def is line 1
+    env = dict(_COMPILE_ENV, _located=lambda err: plan._located(err.__traceback__.tb_lineno - offset, err))
     env.update((f"s{i}", c) for i, c in enumerate(plan._consts))
-    body = [f"s{i} = _float(v[{index}])" for i, index in enumerate(plan._vars, len(plan._consts))]
     for i, (kind, a, b) in enumerate(plan._ops, plan._leaves):
         if kind in _BINARY:
             rhs = f"s{a} {kind} s{b}"
@@ -872,10 +880,10 @@ def compile_plan(exprs: Iterable[Expr]) -> Callable[[Sequence[float]], tuple[flo
             rhs = f"-s{a}"
         else:
             rhs = f"_{kind}(s{a})"
-        body.append(f"s{i} = {rhs}")
-    body.append(f"return ({''.join(f's{r}, ' for r in plan.roots)})")
-    src = "def f(v):\n" + "".join(f"    {line}\n" for line in body)
-    exec(src, env)  # noqa: S102 - source is machine generated
+        src.append(f"        s{i} = {rhs}")
+    src += [f"        return ({''.join(f's{r}, ' for r in plan.roots)})",
+            "    except _FAILURES as err:", "        raise _located(err) from None"]
+    exec("\n".join(src), env)  # noqa: S102 - source is machine generated
     return env["f"]
 
 
@@ -892,7 +900,7 @@ def compile_expr(e: Expr) -> Callable[[Sequence[float]], float]:
 class ScalarField:
     """A function of n chart coordinates given by an expression tree."""
 
-    __slots__ = ("expr", "arity", "_compiled", "_plan")
+    __slots__ = ("expr", "arity", "_plan")
 
     def __init__(self, expr: Expr, arity: int):
         if expr.max_var() >= arity:
@@ -902,7 +910,6 @@ class ScalarField:
             )
         self.expr = expr
         self.arity = arity
-        self._compiled: Callable[[Sequence[float]], float] | None = None
         self._plan: Plan | None = None
 
     # -- constructors -------------------------------------------------------
@@ -922,9 +929,8 @@ class ScalarField:
     # -- evaluation ----------------------------------------------------------
 
     def compiled(self) -> Callable[[Sequence[float]], float]:
-        if self._compiled is None:
-            self._compiled = compile_expr(self.expr)
-        return self._compiled
+        """A new generated function of the expression (see `compile_plan`)."""
+        return compile_expr(self.expr)
 
     def plan(self) -> Plan:
         """The evaluation plan of the expression, built once and cached."""

@@ -267,10 +267,6 @@ class SymFormField(_SymField):
     """Totally symmetric covariant field (degree 2 = metric candidate)."""
 
 
-def vector_field(chart: Chart, entries: dict) -> SymTensorField:
-    return SymTensorField.from_dict(chart, 1, entries)
-
-
 # ---------------------------------------------------------------------------
 # Connections and curvature
 # ---------------------------------------------------------------------------

@@ -279,7 +279,7 @@ class CatalogEntry:
 def _expect(associative: bool) -> Mapping:
     # every entry is Jacobi-Jordan, and strong exactly when associative
     return MappingProxyType(dict(
-        jacobi=True, associative=associative, sp=True, strong=associative,
+        jacobi=True, associative=associative, symmetric_poisson=True, strong=associative,
         involutive=Involutivity.INVOLUTIVE_ON_SAMPLES,
     ))
 

@@ -279,35 +279,27 @@ def _integrate(
 
     `rhs_exprs` give the derivative of the state; `observe_exprs` give the
     velocity and then one value per channel at each stored state.  Both run
-    as generated code.  A failed step is run again through `Plan.values`,
-    which fails at the same node and names it.  A non-finite state or an
-    overflow raises BlowUpError, any other domain error TrajectoryError;
-    both name the step and carry the states before it.
+    as generated code, which raises an EvalDomainError naming the failing
+    node.  A non-finite state or an overflow raises BlowUpError, any other
+    domain error TrajectoryError; both name the step and carry the states
+    before it.
     """
     rhs, observe = ex.compile_plan(rhs_exprs), ex.compile_plan(observe_exprs)
     rows: list[tuple[float, ...]] = []
     y = tuple(y0)
     try:
         for step in range(steps + 1):
-            prev = y
             if step:
-                y = _rk4(rhs, prev, dt)
+                y = _rk4(rhs, y, dt)
                 if not all(map(math.isfinite, y)):
                     raise BlowUpError(step, _make_traj(dt, rows, chart.n, channels, second))
             rows.append(y + observe(y))
-    except ex.EVAL_FAILURES:
-        rhs, observe = ex.Plan(rhs_exprs).values, ex.Plan(observe_exprs).values
-        try:
-            observe(_rk4(rhs, prev, dt) if step else prev)
-        except ex.EvalDomainError as err:
-            located = err
-        else:  # Plan.values fails where the generated code does
-            raise
+    except ex.EvalDomainError as err:
         partial = _make_traj(dt, rows, chart.n, channels, second)
-        cause = located.named([*chart.names, *(f"p{i + 1}" for i in range(chart.n))])
-        if located.reason == "overflow":
-            raise BlowUpError(step, partial, cause) from located
-        raise TrajectoryError(f"{cause} at step {step}", step, partial) from located
+        cause = err.named([*chart.names, *(f"p{i + 1}" for i in range(chart.n))])
+        if err.reason == "overflow":
+            raise BlowUpError(step, partial, cause) from err
+        raise TrajectoryError(f"{cause} at step {step}", step, partial) from err
     return _make_traj(dt, rows, chart.n, channels, second)
 
 
@@ -427,17 +419,11 @@ def monitor_geodesic_residual(pair: SymPoissonPair, traj: Trajectory) -> np.ndar
     n = pair.chart.n
     cubic = schouten_self(pair)
     # Gamma^k_ij, then [theta,theta]^ijm, in one generated call per state
-    exprs = [*pair.nabla.gamma.flat, *cubic.comps.flat]
-    fields = ex.compile_plan(exprs)
+    fields = ex.compile_plan([*pair.nabla.gamma.flat, *cubic.comps.flat])
     xs = traj.xs.tolist()
     out = []
     for k in range(1, len(traj.xs) - 1):
-        try:
-            values = fields(xs[k])
-        except ex.EVAL_FAILURES:
-            ex.Plan(exprs).values(xs[k])  # raises the located EvalDomainError
-            raise
-        gamma, bracket = np.array(values).reshape(2, n, n, n)
+        gamma, bracket = np.array(fields(xs[k])).reshape(2, n, n, n)
         p = traj.ps[k]
         v = traj.velocities[k]
         acc = _fd_velocity(traj, k)
@@ -547,8 +533,3 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     template = ",".join(["%.17g"] * table.shape[1])
     lines = [",".join(header), *(template % tuple(row) for row in table.tolist())]
     return "\n".join(lines) + "\n"
-
-
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(trajectory_to_csv(traj))

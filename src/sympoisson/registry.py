@@ -98,11 +98,11 @@ def rotation_connection(chart: Chart, sign: float) -> Connection:
     return Connection.from_dict(chart, _rotation_gamma(sign))
 
 
-INV = Involutivity
-_PASSES = MappingProxyType(dict(sp=True, strong=True, parallel=True, involutive=INV.INVOLUTIVE_ON_SAMPLES))
-_STRONG = MappingProxyType(dict(sp=True, strong=True, parallel=False, involutive=INV.INVOLUTIVE_ON_SAMPLES))
-_NOT_STRONG = MappingProxyType(dict(sp=True, strong=False, parallel=False, involutive=INV.INVOLUTIVE_ON_SAMPLES))
-_NOT_SP = MappingProxyType(dict(sp=False, strong=False, parallel=False))
+_ON = Involutivity.INVOLUTIVE_ON_SAMPLES
+_PASSES = MappingProxyType(dict(symmetric_poisson=True, strong=True, parallel=True, involutive=_ON))
+_STRONG = MappingProxyType(dict(symmetric_poisson=True, strong=True, parallel=False, involutive=_ON))
+_NOT_STRONG = MappingProxyType(dict(symmetric_poisson=True, strong=False, parallel=False, involutive=_ON))
+_NOT_SP = MappingProxyType(dict(symmetric_poisson=False, strong=False, parallel=False))
 _XY, _XYZ = ("x", "y"), ("x", "y", "z")
 
 CHART_ENTRIES: dict[str, ChartEntry] = {
@@ -182,7 +182,7 @@ CHART_ENTRIES: dict[str, ChartEntry] = {
             "heisenberg_frame",
             "rank-2 frame structure with non-involutive module",
             partial(chart_pair, _XYZ, {(0, 0): "1", (1, 1): "1", (1, 2): "x", (2, 2): "x^2"}),
-            MappingProxyType(dict(involutive=INV.NOT_INVOLUTIVE)),
+            MappingProxyType(dict(involutive=Involutivity.NOT_INVOLUTIVE)),
         ),
     ]
 }

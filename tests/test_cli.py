@@ -284,6 +284,14 @@ def test_integrate_deterministic_bytes(tmp_path):
     assert once(tmp_path / "a.csv") == once(tmp_path / "b.csv")
 
 
+def test_integrate_unwritable_out_exits_1(tmp_path):
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(
+        "integrate", str(STRUCTURES / "oscillator.ini"), "--x0=1", "--p0=0", "--steps", "5", "--out", str(path),
+    )
+    assert (code, out, err) == (1, "", f"error: cannot write {path}: No such file or directory\n")
+
+
 # ---------------------------------------------------------------------------
 # verdicts that must not pass by accident
 # ---------------------------------------------------------------------------
@@ -534,6 +542,12 @@ def test_report_deterministic():
     assert a == b
 
 
+def test_report_unwritable_out_exits_1(tmp_path):
+    path = tmp_path / "missing" / "report.csv"
+    code, out, err = run_cli("report", "--format", "csv", "--out", str(path))
+    assert (code, out, err) == (1, "", f"error: cannot write {path}: No such file or directory\n")
+
+
 # sha256 of the catalog's output, recorded before the catalog became a table;
 # the residual column and every line's order are pinned with the verdicts
 CATALOG_DIGESTS = [
@@ -557,6 +571,7 @@ def test_console_script_entry_point():
         [sys.executable, "-m", "sympoisson.cli", "catalog", "--id", "jj:dim2"],
         capture_output=True,
         text=True,
+        cwd=ROOT / "src",  # -m imports from the working directory first
     )
     assert proc.returncode == 0, proc.stderr
     assert "PASS" in proc.stdout

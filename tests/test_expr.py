@@ -3,7 +3,6 @@ import dataclasses
 import gc
 import math
 import pickle
-import warnings
 
 import numpy as np
 import pytest
@@ -359,6 +358,22 @@ def _same_floats(a, b):
     return len(a) == len(b) and all(x == y or (math.isnan(x) and math.isnan(y)) for x, y in zip(a, b))
 
 
+def _same_outcome(run, want, point):
+    """run(point) returns the floats want(point) returns, or raises the same
+    EvalDomainError: the same message about the same node.  Returns what
+    run returned, or None."""
+    try:
+        expected = want(point)
+    except EvalDomainError as err:
+        with pytest.raises(EvalDomainError) as got:
+            run(point)
+        assert str(got.value) == str(err) and got.value.node is err.node is not None
+        return None
+    got = run(point)
+    assert _same_floats(got, expected)
+    return got
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_plan_agrees_with_tree_walk_and_compiled_lambdas(seed):
@@ -393,24 +408,12 @@ def test_plan_agrees_with_tree_walk_and_compiled_lambdas(seed):
                 got = np.array(plan.values(point))
                 assert np.array_equal(got.view(np.uint64), np.array(row).view(np.uint64))
 
-    # point values vs compile_expr, on tuples and on numpy float64 rows
+    # point values vs compile_expr, on tuples and on numpy float64 rows:
+    # equal values, or the error of the same node
     fns = [compile_expr(e) for e in exprs]
     for row in samples:
-        point = tuple(float(c) for c in row)
-        try:
-            want_values = [f(point) for f in fns]
-        except (ZeroDivisionError, ValueError, OverflowError):
-            with pytest.raises(EvalDomainError):
-                plan.values(point)
-        else:
-            assert _same_floats(plan.values(point), want_values)
-        with warnings.catch_warnings(), np.errstate(all="raise"):
-            warnings.simplefilter("error")
-            try:
-                want_values = [f(row) for f in fns]
-            except (ArithmeticError, ValueError, RuntimeWarning):
-                continue
-        assert _same_floats(plan.values(row), want_values)
+        for point in (tuple(float(c) for c in row), row):
+            _same_outcome(lambda p: [f(p) for f in fns], plan.values, point)
 
 
 def test_table_reads_an_overflow_in_power_as_inf():
@@ -585,21 +588,34 @@ def test_domain_error_names_the_subterm_in_given_names():
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_compile_plan_agrees_with_plan_values(seed):
-    """All roots in one generated function: equal values, and a raw float
-    error exactly where Plan.values raises EvalDomainError, at tuple points
-    and at numpy rows."""
+    """All roots in one generated function: equal values, and the same
+    EvalDomainError about the same node where Plan.values raises one, at
+    tuple points and at numpy rows."""
     rng = np.random.default_rng(seed)
     exprs = _shared_exprs(rng)
     plan = Plan(exprs)
     fn = compile_plan(exprs)
     for row in sample_box([(-2, 2), (-2, 2)], count=int(rng.integers(1, 8)), seed=seed):
         for point in (tuple(float(c) for c in row), row):
-            try:
-                want = plan.values(point)
-            except EvalDomainError:
-                with pytest.raises(expr.EVAL_FAILURES):
-                    fn(point)
-            else:
-                got = fn(point)
+            got = _same_outcome(fn, plan.values, point)
+            if got is not None:
                 assert type(got) is tuple and all(type(v) is float for v in got)
-                assert _same_floats(got, want)
+
+
+@pytest.mark.parametrize(
+    "text, point, message",
+    [
+        ("y + 1 / (x - 1)", (1.0, 0.0), "division by zero in subterm '1 / (x - 1)'"),
+        ("y + ln(x)", (-1.0, 0.0), "ln of a non-positive argument in subterm 'ln(x)'"),
+        ("sqrt(y) * x", (1.0, -4.0), "sqrt of a negative argument in subterm 'sqrt(y)'"),
+        ("x^400 - y", (1000.0, 0.0), "overflow in subterm 'x^400'"),
+        ("exp(x) + y", (800.0, 0.0), "overflow in subterm 'exp(x)'"),
+    ],
+)
+def test_generated_code_names_the_failing_subterm(text, point, message):
+    f = parse(text, ["x", "y"])
+    for run in (f.compiled(), compile_expr(f.expr), lambda p: compile_plan([f.expr])(p)[0], f):
+        with pytest.raises(EvalDomainError) as err:
+            run(point)
+        assert err.value.named(["x", "y"]) == message
+        assert err.value.node is not None and err.value.__cause__ is None

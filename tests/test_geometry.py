@@ -475,6 +475,14 @@ def test_levi_civita_conformal_koszul_oracle():
         assert np.allclose(conn.gamma_at(p), expected, atol=1e-12)
 
 
+def test_gamma_at_names_the_failing_subterm():
+    conn = Connection.from_dict(R2, {(0, 0, 1): "y / x", (1, 1, 1): "x"})
+    assert conn.gamma_at((2.0, 1.0))[0, 1, 0] == 0.5
+    with pytest.raises(ex.EvalDomainError) as err:
+        conn.gamma_at((0.0, 1.0))
+    assert err.value.named(R2.names) == "division by zero in subterm 'y / x'"
+
+
 def test_levi_civita_rejects_degenerate():
     g = SymFormField.from_dict(R2, 2, {(0, 0): "1", (1, 1): "0"})
     with pytest.raises(geo.DegenerateMetricError):

@@ -219,7 +219,7 @@ def test_catalog_size_and_ids():
 def test_catalog_all_low_dim_strong():
     for entry in catalog():
         pair = to_linear_structure(entry.algebra)
-        assert is_symmetric_poisson(pair) == entry.expect["sp"]
+        assert is_symmetric_poisson(pair) == entry.expect["symmetric_poisson"]
         assert is_strong(pair) == entry.expect["strong"]
         if entry.dim <= 4:
             assert is_strong(pair)

@@ -156,7 +156,7 @@ def test_verdict_hierarchy_battery():
             ), ident
         for key, expected in entry.expect.items():
             got = {
-                "sp": suite.symmetric_poisson,
+                "symmetric_poisson": suite.symmetric_poisson,
                 "strong": suite.strong,
                 "parallel": suite.parallel,
                 "involutive": suite.involutive,
