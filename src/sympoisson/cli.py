@@ -419,6 +419,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
+def _tolerance(text: str) -> float:
+    """A --tol value: a finite number >= 0 (NaN or a negative tolerance would
+    fail every verdict, inf would pass every one)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got '{text}'")
+    return value
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     """The command-line parser, built once; `parse_args` leaves it unchanged."""
@@ -426,7 +438,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=TOL)
+    common.add_argument("--tol", type=_tolerance, default=TOL)
     common.add_argument("--samples", type=int, default=N_SAMPLES)
     common.add_argument("--seed", type=lambda s: int(s, 0), default=SEED)
 
@@ -528,6 +540,8 @@ def cmd_integrate(args) -> int:
             if m == "speed_sq":
                 extra["speed_sq"] = speed_square_field(pair)
             elif m == "geodesic_residual":
+                if args.steps < 2:
+                    raise StructureFileError("the geodesic_residual monitor needs --steps >= 2")
                 want_geo = True
             elif m != "hamiltonian":
                 raise StructureFileError(f"unknown monitor '{m}'")

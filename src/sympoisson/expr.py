@@ -293,57 +293,59 @@ ONE = Const(1.0)
 # Smart constructors with constant folding
 # ---------------------------------------------------------------------------
 
-def _is_const(e: Expr, v: float | None = None) -> bool:
-    return isinstance(e, Const) and (v is None or e.value == v)
-
-
 def is_structural_zero(e: Expr) -> bool:
     """Whether e is the constant 0 or -0: zero without sampling."""
-    return _is_const(e, 0.0)
+    return type(e) is Const and e.value == 0.0
 
+
+# Each constructor tests an operand's kind once, with `type(x) is Const`;
+# `== 0.0` keeps -0.0 a zero, which an identity test against ZERO would not.
 
 def add(a: Expr, b: Expr) -> Expr:
-    if _is_const(a) and _is_const(b):
+    ca, cb = type(a) is Const, type(b) is Const
+    if ca and cb:
         return Const(a.value + b.value)
-    if _is_const(a, 0.0):
+    if ca and a.value == 0.0:
         return b
-    if _is_const(b, 0.0):
+    if cb and b.value == 0.0:
         return a
     return BinOp("+", a, b)
 
 
 def sub(a: Expr, b: Expr) -> Expr:
-    if _is_const(a) and _is_const(b):
+    ca, cb = type(a) is Const, type(b) is Const
+    if ca and cb:
         return Const(a.value - b.value)
-    if _is_const(b, 0.0):
+    if cb and b.value == 0.0:
         return a
-    if _is_const(a, 0.0):
+    if ca and a.value == 0.0:
         return neg(b)
     return BinOp("-", a, b)
 
 
 def mul(a: Expr, b: Expr) -> Expr:
-    if _is_const(a) and _is_const(b):
+    ca, cb = type(a) is Const, type(b) is Const
+    if ca and cb:
         return Const(a.value * b.value)
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
-        return ZERO
-    if _is_const(a, 1.0):
-        return b
-    if _is_const(b, 1.0):
-        return a
-    if _is_const(a, -1.0):
-        return neg(b)
-    if _is_const(b, -1.0):
-        return neg(a)
+    # at most one operand is a constant from here on
+    if ca or cb:
+        c, other = (a.value, b) if ca else (b.value, a)
+        if c == 0.0:
+            return ZERO
+        if c == 1.0:
+            return other
+        if c == -1.0:
+            return neg(other)
     return BinOp("*", a, b)
 
 
 def div(a: Expr, b: Expr) -> Expr:
-    if _is_const(b, 1.0):
+    ca, cb = type(a) is Const, type(b) is Const
+    if cb and b.value == 1.0:
         return a
-    if _is_const(a, 0.0) and not _is_const(b, 0.0):
+    if ca and a.value == 0.0 and not (cb and b.value == 0.0):
         return ZERO
-    if _is_const(a) and _is_const(b) and b.value != 0.0:
+    if ca and cb and b.value != 0.0:
         return Const(a.value / b.value)
     return BinOp("/", a, b)
 
@@ -353,7 +355,7 @@ def powi(a: Expr, k: int) -> Expr:
         return ONE
     if k == 1:
         return a
-    if _is_const(a):
+    if type(a) is Const:
         try:
             return Const(a.value ** k)
         except _EVAL_FAILURES as err:
@@ -362,9 +364,10 @@ def powi(a: Expr, k: int) -> Expr:
 
 
 def neg(a: Expr) -> Expr:
-    if _is_const(a):
+    t = type(a)
+    if t is Const:
         return Const(-a.value)
-    if isinstance(a, Neg):
+    if t is Neg:
         return a.arg
     return Neg(a)
 
@@ -380,7 +383,7 @@ def var(i: int) -> Expr:
 def call(func: str, a: Expr) -> Expr:
     if func not in _FUNCS:
         raise ExprError(f"unknown function {func}")
-    if _is_const(a):
+    if type(a) is Const:
         try:
             return Const(_FUNCS[func](a.value))
         except _EVAL_FAILURES as err:
@@ -613,16 +616,6 @@ def _domain_error(err: Exception | None, kind: str, node: Expr) -> EvalDomainErr
     return EvalDomainError(message, node)
 
 
-def _children(e: Expr) -> tuple[Expr, ...]:
-    if isinstance(e, BinOp):
-        return (e.left, e.right)
-    if isinstance(e, Pow):
-        return (e.base,)
-    if isinstance(e, (Neg, Call)):
-        return (e.arg,)
-    return ()
-
-
 def _power(x: float, k: int) -> float:
     """x ** k on Python floats; an overflow gives the +-inf a numpy float would."""
     try:
@@ -662,14 +655,6 @@ _POINT_UNARY = {
 }
 
 
-def _point_op(kind: str, exponent: int | None):
-    if kind in _BINARY:
-        return _BINARY[kind]
-    if kind == "^":
-        return lambda x, _: x ** exponent
-    return _POINT_UNARY[kind]
-
-
 class Plan:
     """The distinct nodes behind some component expressions.
 
@@ -692,41 +677,59 @@ class Plan:
     __slots__ = ("nodes", "roots", "_consts", "_vars", "_ops", "_point_ops")
 
     def __init__(self, exprs: Iterable[Expr]):
+        # one walk sorts the leaves out as it meets them and pushes no child
+        # already seen; `_first_failure` relies on the resulting slot order
         exprs = list(exprs)
+        consts: list[Expr] = []
+        variables: list[Expr] = []
+        interior: list[Expr] = []
         seen: set[int] = set()
-        walk: list[Expr] = []
         for root in exprs:
             stack = [(root, False)]
+            pop, push = stack.pop, stack.append
             while stack:
-                e, expanded = stack.pop()
-                if id(e) in seen:
-                    continue
+                e, expanded = pop()
                 if expanded:
                     seen.add(id(e))
-                    walk.append(e)
+                    interior.append(e)
+                    continue
+                if id(e) in seen:
+                    continue
+                t = type(e)
+                if t is Const or t is Var:
+                    seen.add(id(e))
+                    (consts if t is Const else variables).append(e)
+                    continue
+                push((e, True))
+                # children pushed right to left, so they finish left to right
+                if t is BinOp:
+                    if id(e.right) not in seen:
+                        push((e.right, False))
+                    child = e.left
                 else:
-                    stack.append((e, True))
-                    stack.extend((c, False) for c in reversed(_children(e)))
-        consts = [e for e in walk if isinstance(e, Const)]
-        variables = [e for e in walk if isinstance(e, Var)]
-        interior = [e for e in walk if not isinstance(e, (Const, Var))]
+                    child = e.base if t is Pow else e.arg
+                if id(child) not in seen:
+                    push((child, False))
         self.nodes = consts + variables + interior
         slot = {id(e): i for i, e in enumerate(self.nodes)}
         self.roots = [slot[id(root)] for root in exprs]
         self._consts = [e.value for e in consts]
         self._vars = [e.index for e in variables]
-        self._ops = []
+        self._ops = ops = []
+        self._point_ops = point_ops = []
         for e in interior:
-            a, *rest = (slot[id(c)] for c in _children(e))
-            if isinstance(e, BinOp):
-                self._ops.append((e.op, a, rest[0]))
-            elif isinstance(e, Pow):
-                self._ops.append(("^", a, e.exponent))
+            t = type(e)
+            if t is BinOp:
+                a, b = slot[id(e.left)], slot[id(e.right)]
+                ops.append((e.op, a, b))
+                point_ops.append((_BINARY[e.op], a, b))
+                continue
+            if t is Pow:
+                a, kind, k = slot[id(e.base)], "^", e.exponent
             else:
-                self._ops.append(("neg" if isinstance(e, Neg) else e.func, a, None))
-        self._point_ops = [
-            (_point_op(kind, b), a, b if kind in _BINARY else a) for kind, a, b in self._ops
-        ]
+                a, kind, k = slot[id(e.arg)], "neg" if t is Neg else e.func, None
+            ops.append((kind, a, k))
+            point_ops.append((_POINT_UNARY[kind] if k is None else lambda x, _, k=k: x ** k, a, a))
 
     def __len__(self) -> int:
         return len(self.nodes)

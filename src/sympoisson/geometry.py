@@ -4,7 +4,10 @@ Conventions (see CONVENTIONS.md at the repo root for worked component
 formulas):
 
 - Tensor components are stored as full symmetric arrays indexed by all
-  permutations, e.g. a degree-2 field stores T[i][j] = T[j][i].
+  permutations, e.g. a degree-2 field stores T[i][j] = T[j][i].  A
+  `_SymField`'s components are symmetric by construction, so the builders
+  (`_build_symmetric`) build each sorted index once and store that one node
+  at every permutation of it: T[j][i] is T[i][j].
 - The symmetric product `sym_product` is the unnormalized shuffle sum, so for
   vector fields (X . Y)^{ij} = X^i Y^j + X^j Y^i and X . X = 2 (X x X).
 - Contraction of a 1-form into a degree-r field fills the first slot with no
@@ -18,6 +21,7 @@ Degrees are capped at 4; nothing in the toolkit needs more.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -128,6 +132,33 @@ def _zero_comps(n: int, degree: int) -> np.ndarray:
     return comps
 
 
+@functools.cache
+def _orbits(n: int, rank: int) -> tuple:
+    """Each sorted multi-index of the given rank with its distinct permutations."""
+    return tuple(
+        (idx, tuple(set(itertools.permutations(idx))))
+        for idx in itertools.combinations_with_replacement(range(n), rank)
+    )
+
+
+def _build_symmetric(n: int, rank: int, build, fixed: int = 0) -> np.ndarray:
+    """The (n,)*rank component array symmetric in the axes after `fixed`.
+
+    `build(idx)` runs once per index whose axes after `fixed` are sorted, in
+    lexicographic order, and its node is stored at every permutation of
+    those axes.  Callers build from symmetric fields, whose components are
+    symmetric by construction, so the skipped builds would only have summed
+    the same terms in another order.
+    """
+    comps = np.empty((n,) * rank, dtype=object)
+    for head in itertools.product(range(n), repeat=fixed):
+        for tail, perms in _orbits(n, rank - fixed):
+            node = build(head + tail)
+            for perm in perms:
+                comps[head + perm] = node
+    return comps
+
+
 class _SymField:
     """Shared machinery for symmetric contravariant/covariant fields."""
 
@@ -218,9 +249,9 @@ class _SymField:
 
     def _map(self, op, *others):
         """The field of the same kind with components op(T[idx], *(O[idx] for O in others))."""
-        comps = np.empty(self.comps.shape, dtype=object)
-        for idx in np.ndindex(*self.comps.shape):
-            comps[idx] = op(self.comps[idx], *(o.comps[idx] for o in others))
+        comps = _build_symmetric(
+            self.chart.n, self.degree, lambda idx: op(self.comps[idx], *(o.comps[idx] for o in others))
+        )
         return type(self)(self.chart, self.degree, comps)
 
     def _binary(self, other, op):
@@ -377,28 +408,24 @@ def sym_product(a: _SymField, b: _SymField):
         return b.scale(a.scalar())
     if q == 0:
         return a.scale(b.scalar())
-    n = a.chart.n
-    comps = np.empty((n,) * (p + q), dtype=object)
     positions = range(p + q)
-    subsets = list(itertools.combinations(positions, p))
-    for idx in np.ndindex(*comps.shape):
-        terms = []
-        for s in subsets:
-            ia = tuple(idx[t] for t in s)
-            ib = tuple(idx[t] for t in positions if t not in s)
-            terms.append(ex.mul(a.comps[ia], b.comps[ib]))
-        comps[idx] = ex.expr_sum(terms)
-    return type(a)(a.chart, p + q, comps)
+    splits = [(s, tuple(t for t in positions if t not in s)) for s in itertools.combinations(positions, p)]
+
+    def build(idx):
+        return ex.expr_sum([
+            ex.mul(a.comps[tuple(idx[t] for t in sa)], b.comps[tuple(idx[t] for t in sb)]) for sa, sb in splits
+        ])
+
+    return type(a)(a.chart, p + q, _build_symmetric(a.chart.n, p + q, build))
 
 
 def _contract_first_slot(one_comps: np.ndarray, comps: np.ndarray) -> np.ndarray:
-    """a_m T^{m j...}: a 1-index array against the first axis of a component array."""
-    out = np.empty(comps.shape[1:], dtype=object)
-    for idx in np.ndindex(*out.shape):
-        out[idx] = ex.expr_sum(
-            [ex.mul(one_comps[m], comps[(m,) + idx]) for m in range(len(one_comps))]
-        )
-    return out
+    """a_m T^{m j...}: a 1-index array against the first axis of a component
+    array that is symmetric in the other axes."""
+    n = len(one_comps)
+    return _build_symmetric(
+        n, comps.ndim - 1, lambda idx: ex.expr_sum([ex.mul(one_comps[m], comps[(m,) + idx]) for m in range(n)])
+    )
 
 
 def contract(a, b):
@@ -439,13 +466,12 @@ def multi_contract(x: SymTensorField, phi: SymFormField) -> SymFormField:
         return SymFormField.zero(phi.chart, 0)
     n = x.chart.n
     inv = ex.const(1.0 / math.factorial(r))
-    comps = np.empty((n,) * (s - r), dtype=object)
-    for idx in np.ndindex(*comps.shape):
-        terms = []
-        for multi in np.ndindex(*(n,) * r):
-            terms.append(ex.mul(x.comps[multi], phi.comps[multi + idx]))
-        comps[idx] = ex.mul(inv, ex.expr_sum(terms))
-    return SymFormField(phi.chart, s - r, comps)
+    multis = list(np.ndindex(*(n,) * r))
+
+    def build(idx):
+        return ex.mul(inv, ex.expr_sum([ex.mul(x.comps[multi], phi.comps[multi + idx]) for multi in multis]))
+
+    return SymFormField(phi.chart, s - r, _build_symmetric(n, s - r, build))
 
 
 def differential(f: ScalarField, chart: Chart) -> SymFormField:
@@ -494,38 +520,33 @@ def covariant_derivative(conn: Connection, t: _SymField) -> MixedDerivative:
     _require_same_chart(conn, t)
     n = conn.chart.n
     r = t.degree
-    comps = np.empty((n,) * (r + 1), dtype=object)
     contravariant = isinstance(t, SymTensorField)
-    for full in np.ndindex(*comps.shape):
-        i = full[0]
-        idx = full[1:]
-        terms = [t.comps[idx].diff(i) if r > 0 else t.comps[()].diff(i)]
-        for a in range(r):
-            ja = idx[a]
+
+    def build(full):
+        i, idx = full[0], full[1:]
+        terms = [t.comps[idx].diff(i)]
+        for a, ja in enumerate(idx):
             for m in range(n):
                 swapped = idx[:a] + (m,) + idx[a + 1:]
                 if contravariant:
                     terms.append(ex.mul(conn.gamma[ja, i, m], t.comps[swapped]))
                 else:
                     terms.append(ex.neg(ex.mul(conn.gamma[m, i, ja], t.comps[swapped])))
-        comps[full] = ex.expr_sum(terms)
-    return MixedDerivative(conn.chart, type(t), r, comps)
+        return ex.expr_sum(terms)
+
+    return MixedDerivative(conn.chart, type(t), r, _build_symmetric(n, r + 1, build, fixed=1))
 
 
 def symmetric_derivative(conn: Connection, phi: SymFormField) -> SymFormField:
     """(r+1) sym(nabla phi): the derivative index is summed over every slot."""
     conn.require_torsion_free()
     nabla = covariant_derivative(conn, phi)
-    n = conn.chart.n
     r = phi.degree
-    comps = np.empty((n,) * (r + 1), dtype=object)
-    for idx in np.ndindex(*comps.shape):
-        terms = []
-        for m in range(r + 1):
-            rest = idx[:m] + idx[m + 1:]
-            terms.append(nabla.comps[(idx[m],) + rest])
-        comps[idx] = ex.expr_sum(terms)
-    return SymFormField(conn.chart, r + 1, comps)
+
+    def build(idx):
+        return ex.expr_sum([nabla.comps[(idx[m],) + idx[:m] + idx[m + 1:]] for m in range(r + 1)])
+
+    return SymFormField(conn.chart, r + 1, _build_symmetric(conn.chart.n, r + 1, build))
 
 
 def symmetric_bracket(conn: Connection, x: SymTensorField, y: SymTensorField) -> SymTensorField:
@@ -771,15 +792,14 @@ def raise_indices(ginv: _SymField, phi: _SymField) -> _SymField:
     r = phi.degree
     if r == 0:
         return type(ginv)(phi.chart, 0, phi.comps.copy())
-    comps = np.empty((n,) * r, dtype=object)
-    for idx in np.ndindex(*comps.shape):
-        terms = []
-        for multi in np.ndindex(*(n,) * r):
-            factors = [ginv.comps[idx[a], multi[a]] for a in range(r)]
-            factors.append(phi.comps[multi])
-            terms.append(ex.expr_product(factors))
-        comps[idx] = ex.expr_sum(terms)
-    return type(ginv)(phi.chart, r, comps)
+    multis = list(np.ndindex(*(n,) * r))
+
+    def build(idx):
+        return ex.expr_sum([
+            ex.expr_product([*(ginv.comps[i, j] for i, j in zip(idx, multi)), phi.comps[multi]]) for multi in multis
+        ])
+
+    return type(ginv)(phi.chart, r, _build_symmetric(n, r, build))
 
 
 lower_indices = raise_indices

@@ -1,12 +1,20 @@
-"""The reference route that evaluation plans are tested against.
+"""The reference routes that evaluation plans and symmetric builders are
+tested against.
 
 `eval_scaled` walks an expression tree recursively at one point, node by
 node with multiplicity, independently of `expr.Plan` and `compile_plan`.
+`plan_order` gives `Plan.nodes` by a recursive walk.  The `*_comps`
+functions build a symmetric field's components index by index.
 """
 
+import dataclasses
+import itertools
 import math
 
-from sympoisson.expr import BinOp, Call, Const, EvalDomainError, Neg, Pow, Var
+import numpy as np
+
+from sympoisson import expr as ex
+from sympoisson.expr import BinOp, Call, Const, EvalDomainError, Expr, Neg, Pow, Var
 
 _FUNCS = {"exp": math.exp, "ln": math.log, "sin": math.sin, "cos": math.cos, "sqrt": math.sqrt}
 
@@ -58,3 +66,104 @@ def _apply(e, a):
         return _FUNCS[e.func](a)
     except OverflowError:
         raise EvalDomainError("overflow", e) from None
+
+
+# ---------------------------------------------------------------------------
+# Per-permutation builds: every component index built on its own, so no
+# permutation shares the node of its sorted index as `geometry` builds them.
+# Arguments and results are component arrays of Expr.
+# ---------------------------------------------------------------------------
+
+def sym_product_comps(a, b, n):
+    p, q = a.ndim, b.ndim
+    positions = range(p + q)
+    comps = np.empty((n,) * (p + q), dtype=object)
+    for idx in np.ndindex(*comps.shape):
+        terms = []
+        for s in itertools.combinations(positions, p):
+            ia = tuple(idx[t] for t in s)
+            ib = tuple(idx[t] for t in positions if t not in s)
+            terms.append(ex.mul(a[ia], b[ib]))
+        comps[idx] = ex.expr_sum(terms)
+    return comps
+
+
+def contract_first_slot_comps(one, comps):
+    out = np.empty(comps.shape[1:], dtype=object)
+    for idx in np.ndindex(*out.shape):
+        out[idx] = ex.expr_sum([ex.mul(one[m], comps[(m,) + idx]) for m in range(len(one))])
+    return out
+
+
+def multi_contract_comps(x, phi, n):
+    r, s = x.ndim, phi.ndim
+    inv = ex.const(1.0 / math.factorial(r))
+    comps = np.empty((n,) * (s - r), dtype=object)
+    for idx in np.ndindex(*comps.shape):
+        terms = [ex.mul(x[multi], phi[multi + idx]) for multi in np.ndindex(*(n,) * r)]
+        comps[idx] = ex.mul(inv, ex.expr_sum(terms))
+    return comps
+
+
+def raise_indices_comps(ginv, phi, n):
+    r = phi.ndim
+    comps = np.empty((n,) * r, dtype=object)
+    for idx in np.ndindex(*comps.shape):
+        terms = []
+        for multi in np.ndindex(*(n,) * r):
+            factors = [ginv[idx[a], multi[a]] for a in range(r)] + [phi[multi]]
+            terms.append(ex.expr_product(factors))
+        comps[idx] = ex.expr_sum(terms)
+    return comps
+
+
+def covariant_derivative_comps(gamma, t, contravariant, n):
+    r = t.ndim
+    comps = np.empty((n,) * (r + 1), dtype=object)
+    for full in np.ndindex(*comps.shape):
+        i, idx = full[0], full[1:]
+        terms = [t[idx].diff(i)]
+        for a in range(r):
+            for m in range(n):
+                swapped = idx[:a] + (m,) + idx[a + 1:]
+                if contravariant:
+                    terms.append(ex.mul(gamma[idx[a], i, m], t[swapped]))
+                else:
+                    terms.append(ex.neg(ex.mul(gamma[m, i, idx[a]], t[swapped])))
+        comps[full] = ex.expr_sum(terms)
+    return comps
+
+
+def symmetric_derivative_comps(nabla):
+    comps = np.empty(nabla.shape, dtype=object)
+    r = nabla.ndim - 1
+    for idx in np.ndindex(*comps.shape):
+        comps[idx] = ex.expr_sum([nabla[(idx[m],) + idx[:m] + idx[m + 1:]] for m in range(r + 1)])
+    return comps
+
+
+# ---------------------------------------------------------------------------
+# The node order of an evaluation plan, by a recursive walk
+# ---------------------------------------------------------------------------
+
+def plan_order(exprs):
+    """The constants, then the variables, then every other node, each group
+    in the post-order of a left-to-right walk over `exprs` with repeats
+    dropped.  Children are the node's Expr-valued dataclass fields, in
+    field order."""
+    seen, order = set(), []
+
+    def walk(e):
+        if id(e) in seen:
+            return
+        for f in dataclasses.fields(e):
+            child = getattr(e, f.name)
+            if isinstance(child, Expr):
+                walk(child)
+        seen.add(id(e))
+        order.append(e)
+
+    for root in exprs:
+        walk(root)
+    kinds = [Const, Var]
+    return [e for k in kinds for e in order if type(e) is k] + [e for e in order if type(e) not in kinds]

@@ -178,6 +178,16 @@ def test_integrate_non_finite_dt_is_a_usage_error(dt):
     assert (code, out, err) == (1, "", "error: need --steps >= 1 and a finite --dt > 0\n")
 
 
+def test_integrate_geodesic_monitor_needs_two_steps(tmp_path):
+    out_path = tmp_path / "run.csv"
+    code, out, err = run_cli(
+        "integrate", str(STRUCTURES / "nondeg_kill.ini"), "--x0", "0.1,0.2", "--p0", "0.4,-0.3",
+        "--steps", "1", "--monitors", "hamiltonian,geodesic_residual", "--out", str(out_path),
+    )
+    assert (code, out, err) == (1, "", "error: the geodesic_residual monitor needs --steps >= 2\n")
+    assert not out_path.exists()
+
+
 def test_integrate_blow_up_flushes_partial(tmp_path):
     src = tmp_path / "explode.ini"
     src.write_text(
@@ -370,6 +380,21 @@ def test_sample_counts_below_one_are_usage_errors(argv, count):
     assert code == 1, out + err
     assert err == f"error: sample count must be at least 1, got {count}\n"
     assert out == ""
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", str(STRUCTURES / "sing_line.ini")],
+        ["catalog", "--id", "jj:dim5_nonassoc"],
+        ["report", "--format", "csv"],
+    ],
+)
+def test_a_tolerance_that_is_not_finite_and_non_negative_is_a_usage_error(argv, tol):
+    code, out, err = run_cli(*argv, f"--tol={tol}")
+    assert (code, out) == (1, ""), err
+    assert err.endswith(f"error: argument --tol: must be a finite number >= 0, got '{tol}'\n"), err
 
 
 @pytest.mark.parametrize("argv", [["catalog", "--all"], ["report"]])

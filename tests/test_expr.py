@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import gc
+import hashlib
 import math
 import pickle
 
@@ -448,6 +449,36 @@ def test_signed_zero_constants_stay_apart():
     assert expr.is_structural_zero(pos) and expr.is_structural_zero(negz)
     values = Plan([pos, negz]).values(())
     assert [math.copysign(1.0, v) for v in values] == [1.0, -1.0]
+
+
+# recorded with the constructors as they were before each tested an
+# operand's kind once
+FOLDING_DIGEST = "b5f0702ab3b3eef6126fc21e0999ce94d33ec0fa7c4418fe3df83c676d16bb99"
+
+
+def test_constant_folding_rules_are_pinned():
+    """Every constructor on every pair of operands from constants that fold
+    specially (+-0, +-1, nan, inf), a plain constant, a variable and a
+    negation: the built tree, by its text and constants' bits, or the error."""
+    operands = [expr.Const(v) for v in (0.0, -0.0, 1.0, -1.0, 2.5, math.nan, math.inf)]
+    operands += [expr.Var(0), expr.Neg(expr.Var(1))]
+
+    def built(make):
+        try:
+            e = make()
+        except EvalDomainError as err:
+            return f"error {err}"
+        leaves = [f"{type(n).__name__}:{n.value.hex()}" for n in Plan([e]).nodes if type(n) is expr.Const]
+        return f"{type(e).__name__} {e} {leaves} {expr.is_structural_zero(e)}"
+
+    lines = []
+    for a in operands:
+        for b in operands:
+            lines += [built(lambda f=f: f(a, b)) for f in (expr.add, expr.sub, expr.mul, expr.div)]
+        lines += [built(lambda k=k: expr.powi(a, k)) for k in (-1, 0, 1, 2)]
+        lines += [built(lambda name=name: expr.call(name, a)) for name in ("exp", "ln", "sin", "cos", "sqrt")]
+        lines.append(built(lambda: expr.neg(a)))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == FOLDING_DIGEST
 
 
 def test_a_nan_constant_interns_and_evaluates_to_nan():
