@@ -445,7 +445,7 @@ def _build_parser() -> _Parser:
     p_check = sub.add_parser("check", parents=[common], help="verify a structure file")
     p_check.add_argument("file")
 
-    p_int = sub.add_parser("integrate", parents=[common], help="run dynamics from a structure file")
+    p_int = sub.add_parser("integrate", help="run dynamics from a structure file")
     p_int.add_argument("file")
     p_int.add_argument("--hamiltonian", default=None, help="'theta_v', or a phase expression")
     p_int.add_argument("--x0", required=True, help="comma-separated base point")

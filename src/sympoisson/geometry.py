@@ -707,17 +707,24 @@ def ricci(conn: Connection) -> np.ndarray:
 
 
 def _symbolic_inverse(m: np.ndarray) -> np.ndarray:
-    """Adjugate-over-determinant inverse of a square array of Expr."""
+    """Adjugate-over-determinant inverse of a square array of Expr.
+
+    When every m[i, j] is m[j, i], the inverse is built symmetric: entry
+    (i, j) with i <= j once, and stored at (j, i) too.
+    """
     n = m.shape[0]
     det = _symbolic_det(m)
+
+    def entry(idx):
+        i, j = idx
+        cof = _symbolic_det(np.delete(np.delete(m, j, axis=0), i, axis=1))
+        return ex.div(ex.neg(cof) if (i + j) % 2 == 1 else cof, det)
+
+    if all(m[i, j] is m[j, i] for i in range(n) for j in range(i)):
+        return _build_symmetric(n, 2, entry)
     inv = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            minor = np.delete(np.delete(m, j, axis=0), i, axis=1)
-            cof = _symbolic_det(minor)
-            if (i + j) % 2 == 1:
-                cof = ex.neg(cof)
-            inv[i, j] = ex.div(cof, det)
+    for idx in np.ndindex(n, n):
+        inv[idx] = entry(idx)
     return inv
 
 

@@ -362,28 +362,36 @@ def integrate_geodesic(
     return _integrate(velocity + acc, velocity, y0, dt, steps, conn.chart, [], "v")
 
 
-def geodesic_residual_along(conn: Connection, traj: Trajectory) -> np.ndarray:
-    """|nabla_{xdot} xdot| along a trajectory's own states (self-consistency)."""
+def _geodesic_defect(conn: Connection, cubic: SymTensorField | None, traj: Trajectory) -> np.ndarray:
+    """| nabla_{xdot} xdot - (1/4) i_a i_a cubic | at each interior stored state.
+
+    The acceleration is a central finite difference of the stored velocity
+    channel.  Gamma^k_ij, then the components of `cubic` when one is given,
+    come from one generated call per state; the rest runs over the stack.
+    Without `cubic` the defect is the geodesic equation's own residual.
+    """
+    states = len(traj.xs)
+    if states < 3:
+        raise DynamicsError("need at least 3 stored states for finite differences")
     n = conn.chart.n
-    out = []
-    for k in range(len(traj.xs)):
-        x = tuple(traj.xs[k])
-        v = traj.velocities[k]
-        gamma = conn.gamma_at(x)
-        acc_fd = _fd_velocity(traj, k)
-        res = acc_fd + np.einsum("kij,i,j->k", gamma, v, v)
-        out.append(np.linalg.norm(res))
-    return np.array(out)
-
-
-def _fd_velocity(traj: Trajectory, k: int) -> np.ndarray:
-    """Central finite difference of the stored velocity channel (interior only)."""
+    exprs = [*conn.gamma.flat, *(() if cubic is None else cubic.comps.flat)]
+    fields = ex.compile_plan(exprs)
+    table = np.empty((states - 2, len(exprs)))
+    for s, x in enumerate(traj.xs[1:-1].tolist()):
+        table[s] = fields(x)
     v = traj.velocities
-    if 0 < k < len(v) - 1:
-        return (v[k + 1] - v[k - 1]) / (2.0 * traj.dt)
-    if k == 0:
-        return (v[1] - v[0]) / traj.dt
-    return (v[-1] - v[-2]) / traj.dt
+    gamma = table[:, : n**3].reshape(-1, n, n, n)
+    defect = (v[2:] - v[:-2]) / (2.0 * traj.dt) + np.einsum("skij,si,sj->sk", gamma, v[1:-1], v[1:-1])
+    if cubic is not None:
+        p = traj.ps[1:-1]
+        defect = defect - 0.25 * np.einsum("si,sj,sijm->sm", p, p, table[:, n**3 :].reshape(-1, n, n, n))
+    # np.linalg.norm per row: a stacked sqrt(sum(x**2)) rounds differently in the last bit
+    return np.array([np.linalg.norm(d) for d in defect])
+
+
+def geodesic_residual_along(conn: Connection, traj: Trajectory) -> np.ndarray:
+    """|nabla_{xdot} xdot| at a trajectory's interior states (self-consistency)."""
+    return _geodesic_defect(conn, None, traj)
 
 
 # ---------------------------------------------------------------------------
@@ -405,32 +413,18 @@ def speed_square_field(pair: SymPoissonPair) -> PhaseField:
 def monitor_speed_square(pair: SymPoissonPair, traj: Trajectory) -> np.ndarray:
     """Per-step values of theta(a, a) along a cotangent trajectory."""
     fn = speed_square_field(pair).f.compiled()
-    return np.array([fn(tuple(traj.xs[k]) + tuple(traj.ps[k])) for k in range(len(traj.xs))])
+    out = np.empty(len(traj.xs))
+    for k, state in enumerate(np.hstack([traj.xs, traj.ps]).tolist()):
+        out[k] = fn(state)
+    return out
 
 
 def monitor_geodesic_residual(pair: SymPoissonPair, traj: Trajectory) -> np.ndarray:
     """Per interior step: | nabla_{xdot} xdot - (1/4) i_a i_a [theta,theta] |.
 
-    The acceleration side is a central finite difference of the stored
-    velocity channel; the bracket side is evaluated symbolically.
+    The bracket side is evaluated symbolically (see `_geodesic_defect`).
     """
-    if len(traj.xs) < 3:
-        raise DynamicsError("need at least 3 stored states for finite differences")
-    n = pair.chart.n
-    cubic = schouten_self(pair)
-    # Gamma^k_ij, then [theta,theta]^ijm, in one generated call per state
-    fields = ex.compile_plan([*pair.nabla.gamma.flat, *cubic.comps.flat])
-    xs = traj.xs.tolist()
-    out = []
-    for k in range(1, len(traj.xs) - 1):
-        gamma, bracket = np.array(fields(xs[k])).reshape(2, n, n, n)
-        p = traj.ps[k]
-        v = traj.velocities[k]
-        acc = _fd_velocity(traj, k)
-        lhs = acc + np.einsum("kij,i,j->k", gamma, v, v)
-        rhs = 0.25 * np.einsum("i,j,ijm->m", p, p, bracket)
-        out.append(np.linalg.norm(lhs - rhs))
-    return np.array(out)
+    return _geodesic_defect(pair.nabla, schouten_self(pair), traj)
 
 
 @dataclass
@@ -487,29 +481,11 @@ def run_newtonian(
 
     Exposes `energy` = (1/2) g(xdot, xdot) + f and per-step position/velocity.
     """
-    chart = g.chart
     conn = levi_civita(g)
-    ginv = geo.invert_metric(g)
-    h = vertical_lift(ginv) - base_lift(chart, f)
-    g_at0 = g.evaluate(x0)
-    p0 = tuple(g_at0 @ np.array(v0, dtype=float))
-    energy = PhaseField.from_expr(chart, _energy_expr(chart, ginv, f))
-    traj = integrate_pw(conn, h, CotangentState(tuple(float(v) for v in x0), p0), dt, steps, {"energy": energy})
-    return traj
-
-
-def _energy_expr(chart: Chart, ginv: SymTensorField, f: ScalarField) -> ex.Expr:
-    # (1/2) g^{ij} p_i p_j + f: kinetic plus potential along the flow
-    n = chart.n
-    terms = []
-    for i in range(n):
-        for j in range(n):
-            terms.append(
-                ex.expr_product(
-                    [ex.const(0.5), ginv.comps[i, j], ex.var(n + i), ex.var(n + j)]
-                )
-            )
-    return ex.add(ex.expr_sum(terms), f.expr)
+    kinetic, potential = vertical_lift(geo.invert_metric(g)), base_lift(g.chart, f)
+    p0 = tuple(g.evaluate(x0) @ np.array(v0, dtype=float))
+    state = CotangentState(tuple(float(v) for v in x0), p0)
+    return integrate_pw(conn, kinetic - potential, state, dt, steps, {"energy": kinetic + potential})
 
 
 # ---------------------------------------------------------------------------

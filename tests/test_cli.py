@@ -188,6 +188,16 @@ def test_integrate_geodesic_monitor_needs_two_steps(tmp_path):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("option", ["--tol=5", "--samples=0", "--seed=3"])
+def test_integrate_refuses_the_verdict_options(option):
+    # integrate samples nothing, so the verdict suite's knobs are not its own
+    code, out, err = run_cli(
+        "integrate", str(STRUCTURES / "oscillator.ini"), "--x0", "1", "--p0", "0", "--steps", "2", option,
+    )
+    assert (code, out) == (1, "")
+    assert err.endswith(f"error: unrecognized arguments: {option}\n"), err
+
+
 def test_integrate_blow_up_flushes_partial(tmp_path):
     src = tmp_path / "explode.ini"
     src.write_text(

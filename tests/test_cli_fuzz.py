@@ -115,7 +115,7 @@ def structure_files(draw, command):
     return "\n".join(lines + extra_lines) + "\n", {"box": box, "missing": missing, **facts}
 
 
-ARGS = {"check": [], "integrate": ["--x0", "0.5, 0.5", "--p0", "1, 0", "--steps", "3"]}
+ARGS = {"check": ["--samples", "3"], "integrate": ["--x0", "0.5, 0.5", "--p0", "1, 0", "--steps", "3"]}
 runs = st.sampled_from(list(ARGS)).flatmap(lambda command: st.tuples(st.just(command), structure_files(command)))
 
 
@@ -128,7 +128,7 @@ def test_check_never_escapes_its_exit_codes(run):
         path.write_text(text)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main([command, str(path), "--samples", "3", *ARGS[command]])
+            code = cli.main([command, str(path), *ARGS[command]])
     assert code in (0, 1, 2, 3), text
     if facts.get("missing") is not None:
         assert code == 1, text

@@ -16,9 +16,11 @@ from sympoisson.geometry import (
     schouten,
     sym_product,
 )
+from sympoisson.poisson import SymPoissonPair
 from sympoisson.pw import (
     BlowUpError,
     CotangentState,
+    DynamicsError,
     PhaseField,
     TrajectoryError,
     base_lift,
@@ -395,6 +397,25 @@ def test_geodesic_self_residual():
     assert res[1:-1].max() <= 1e-7
 
 
+def test_geodesic_residual_along_is_the_monitor_for_zero_theta():
+    # one defect routine: with theta = 0 the bracket side drops out exactly
+    chart = registry._punctured_chart()
+    conn = registry.rotation_connection(chart, +1.0)
+    traj = integrate_geodesic(conn, (1.0, 0.0), (0.0, 1.0), dt=1e-3, steps=300)
+    pair = SymPoissonPair(SymTensorField.zero(chart, 2), conn)
+    res = geodesic_residual_along(conn, traj)
+    assert res.shape == (len(traj.xs) - 2,)
+    assert res.tobytes() == monitor_geodesic_residual(pair, traj).tobytes()
+
+
+def test_geodesic_residual_along_needs_three_states():
+    chart = registry._punctured_chart()
+    conn = registry.rotation_connection(chart, +1.0)
+    traj = integrate_geodesic(conn, (1.0, 0.0), (0.0, 1.0), dt=1e-3, steps=1)
+    with pytest.raises(DynamicsError, match="at least 3 stored states"):
+        geodesic_residual_along(conn, traj)
+
+
 # ---------------------------------------------------------------------------
 # monitors
 # ---------------------------------------------------------------------------
@@ -416,6 +437,16 @@ def test_speed_square_zero_structure():
     assert np.abs(sq).max() == 0.0
     # base point never moves for the zero bivector
     assert np.allclose(traj.xs, traj.xs[0])
+
+
+@pytest.mark.parametrize("ident", ["inclusion", "sing_line", "nondeg_kill"])
+def test_speed_square_monitor_equals_its_integrated_channel(ident):
+    pair = registry.build(ident)
+    n = pair.chart.n
+    s0 = CotangentState((0.3,) * n, tuple(0.5 - 0.25 * i for i in range(n)))
+    traj = integrate_pw(pair.nabla, vertical_lift(pair.theta), s0, dt=1e-2, steps=100,
+                        extra_monitors={"speed_sq": speed_square_field(pair)})
+    assert monitor_speed_square(pair, traj).tobytes() == traj.channels["speed_sq"].tobytes()
 
 
 def test_speed_square_drifts_for_non_integrable_pair():

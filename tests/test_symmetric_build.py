@@ -155,6 +155,15 @@ def test_componentwise_arithmetic_builds_each_sorted_index_once(degree):
         _assert_agree(out.comps, np.frompyfunc(op, 2, 1)(a.comps, w.comps), R3)
 
 
+def test_invert_metric_builds_each_sorted_index_once():
+    rng = np.random.default_rng(3)
+    g = _field(SymFormField, R3, 2, rng)
+    ginv = invert_metric(g)
+    _assert_identity_symmetric(ginv.comps)
+    want = np.linalg.inv(g.evaluate_on(R3.sample_points()))
+    assert np.allclose(ginv.evaluate_on(R3.sample_points()), want, rtol=1e-9, atol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # Plan.nodes keeps the reference post-order
 # ---------------------------------------------------------------------------
