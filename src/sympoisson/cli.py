@@ -30,7 +30,7 @@ import numpy as np
 from . import jj, registry
 from .defaults import N_SAMPLES, SEED, TOL
 from .expr import EvalDomainError, ExprError, ParseError, is_structural_zero, number_text
-from .geometry import GeometryError
+from .geometry import GeometryError, lie_bracket
 from .poisson import (
     Involutivity,
     SymPoissonPair,
@@ -45,6 +45,7 @@ from .pw import (
     TrajectoryError,
     integrate_pw,
     monitor_geodesic_residual,
+    phase_names,
     speed_square_field,
     trajectory_to_csv,
     vertical_lift,
@@ -356,18 +357,17 @@ def _bool_line(suite, name, expected: bool, got: bool) -> CheckLine:
 JJ_VERDICTS = ("symmetric_poisson", "strong", "involutive")
 
 
-def jj_suite(ident: str, tol: float, samples_n: int, seed: int) -> list[CheckLine]:
-    entry = jj.catalog_entry(ident)
-    suite = f"jj:{ident}"
+def jj_suite(entry: jj.CatalogEntry, tol: float, samples_n: int, seed: int) -> list[CheckLine]:
+    suite = f"jj:{entry.ident}"
     alg = entry.algebra
-    pair = jj.to_linear_structure(alg)
+    pair = entry.pair()
     samples = pair.chart.sample_points(samples_n, seed)
     lines = [
         _bool_line(suite, "jacobi", entry.expect["jacobi"], jj.is_jacobi_jordan(alg)),
         _bool_line(suite, "associative", entry.expect["associative"], jj.is_associative(alg)),
     ]
     lines += _verdict_rows(suite, verdict_suite(pair, tol, samples, JJ_VERDICTS), entry.expect)
-    if ident == "dim5_nonassoc":
+    if entry.ident == "dim5_nonassoc":
         lines.append(_dim5_commutator_line(suite, pair, samples))
     return lines
 
@@ -375,8 +375,6 @@ def jj_suite(ident: str, tol: float, samples_n: int, seed: int) -> list[CheckLin
 def _dim5_commutator_line(suite: str, pair: SymPoissonPair, samples) -> CheckLine:
     """The only surviving commutator of the module generators is [X1, X3],
     an exact constant multiple of x3 d1 (hence inside the module)."""
-    from .geometry import lie_bracket
-
     gens = jj.characteristic_generators(pair)
     x1, x3 = gens[0], gens[3]
     v = lie_bracket(x1, x3).evaluate_on(samples)
@@ -400,7 +398,7 @@ def run_catalog_id(ident: str, tol: float, samples_n: int, seed: int) -> list[Ch
     entry = registry.catalog_entry(ident, bare=True)
     suite = f"{entry.kind}:{entry.ident}"
     if entry.kind == "jj":
-        return jj_suite(entry.ident, tol, samples_n, seed)
+        return jj_suite(entry, tol, samples_n, seed)
     if entry.kind == "liealg":
         return [_bool_line(suite, *row) for row in entry.verdicts()]
     pair = entry.pair()
@@ -528,6 +526,7 @@ def cmd_integrate(args) -> int:
         state = CotangentState(x0, p0)
         if len(x0) != chart.n:
             raise StructureFileError("--x0 has the wrong dimension")
+        phase_names(chart)  # refuses a base coordinate named like a momentum, whatever H is
         source = args.hamiltonian or sf.hamiltonian or "theta_v"
         if source == "theta_v":
             h = vertical_lift(pair.theta)

@@ -14,11 +14,12 @@ Catalog constants are exact rationals; verdicts on them are exact.
 
 from __future__ import annotations
 
+import itertools
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
@@ -29,6 +30,9 @@ from .poisson import Involutivity, SymPoissonPair, characteristic_generators  # 
 
 class AlgebraError(Exception):
     pass
+
+
+_ZERO = Fraction(0)
 
 
 def _frac(v) -> Fraction:
@@ -50,7 +54,7 @@ class _StructureConstants:
     antisymmetric constants; `_error` is the exception it raises.
     """
 
-    __slots__ = ("dim", "c")
+    __slots__ = ("dim", "c", "_double")
     _sign = 1
     _error = AlgebraError
 
@@ -68,6 +72,16 @@ class _StructureConstants:
                 i, j = next((i, j) for i in range(dim) for j in range(dim) if level[i][j] != mirror[i][j])
                 kind = "symmetric" if self._sign > 0 else "antisymmetric"
                 raise self._error(f"constants not {kind} at (k,i,j)=({k},{i},{j})")
+        # the double products ((e_j e_k) e_i)^l = sum_m c^m_jk c^l_mi, keyed
+        # (l, i, j, k), built from the nonzero constants and kept where nonzero
+        nonzero = [(k, i, j, v) for k, level in enumerate(self.c) for i, row in enumerate(level)
+                   for j, v in enumerate(row) if v]
+        double = {}
+        for m, j, k, v in nonzero:
+            for l, first, i, w in nonzero:
+                if first == m:
+                    double[l, i, j, k] = double.get((l, i, j, k), 0) + v * w
+        self._double = {key: t for key, t in double.items() if t}
 
     @classmethod
     def _from_entries(cls, dim: int, entries: dict):
@@ -92,17 +106,24 @@ class _StructureConstants:
             for k in range(self.dim)
         )
 
-    def basis_product(self, i: int, j: int) -> tuple[Fraction, ...]:
-        return tuple(self.c[k][i][j] for k in range(self.dim))
+    def double_product(self, i: int, j: int, k: int) -> tuple[Fraction, ...]:
+        """(e_j e_k) e_i in coordinates."""
+        return tuple(self._double.get((l, i, j, k), _ZERO) for l in range(self.dim))
 
-    def _times(self, vec: Sequence[Fraction], k: int) -> list[Fraction]:
-        """(sum_m vec[m] e_m) * e_k, skipping the zero coordinates of vec."""
-        out = [Fraction(0)] * self.dim
-        for m, vm in enumerate(vec):
-            if vm:
-                for l in range(self.dim):
-                    out[l] += self.c[l][m][k] * vm
-        return out
+    def jacobiator(self, i: int, j: int, k: int) -> tuple[Fraction, ...]:
+        """The cyclic sum (e_j e_k) e_i + (e_k e_i) e_j + (e_i e_j) e_k."""
+        rotations = zip(self.double_product(i, j, k), self.double_product(j, k, i), self.double_product(k, i, j))
+        return tuple(a + b + c for a, b, c in rotations)
+
+    def satisfies_jacobi(self) -> bool:
+        """Exact check of the cyclic Jacobiator over the sorted basis triples:
+        it is symmetric for symmetric constants and alternating for
+        antisymmetric ones, so the sorted triples decide every triple."""
+        zero = (_ZERO,) * self.dim
+        return all(
+            self.jacobiator(i, j, k) == zero
+            for i, j, k in itertools.combinations_with_replacement(range(self.dim), 3)
+        )
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim})"
@@ -125,21 +146,9 @@ class CommutativeAlgebra(_StructureConstants):
 
     product = _StructureConstants._product
 
-    def _triple(self, i: int, j: int, k: int) -> list[Fraction]:
-        """e_i . (e_j . e_k), computed as (e_j . e_k) . e_i."""
-        return self._times(self.basis_product(j, k), i)
-
-    def jacobiator(self, i: int, j: int, k: int) -> tuple[Fraction, ...]:
-        a = self._triple(i, j, k)
-        b = self._triple(j, k, i)
-        c = self._triple(k, i, j)
-        return tuple(a[l] + b[l] + c[l] for l in range(self.dim))
-
     def associator(self, i: int, j: int, k: int) -> tuple[Fraction, ...]:
         """e_i . (e_j . e_k) - (e_i . e_j) . e_k."""
-        left = self._triple(i, j, k)
-        right = self._times(self.basis_product(i, j), k)
-        return tuple(left[l] - right[l] for l in range(self.dim))
+        return tuple(a - b for a, b in zip(self.double_product(i, j, k), self.double_product(k, i, j)))
 
     def __eq__(self, other):
         return isinstance(other, CommutativeAlgebra) and self.c == other.c
@@ -150,25 +159,14 @@ def product(alg: CommutativeAlgebra, u, v):
 
 
 def is_jacobi_jordan(alg: CommutativeAlgebra) -> bool:
-    """Exact check of the cyclic Jacobiator over all basis triples."""
-    d = alg.dim
-    zero = (Fraction(0),) * d
-    return all(
-        alg.jacobiator(i, j, k) == zero
-        for i in range(d)
-        for j in range(i, d)
-        for k in range(j, d)
-    )
+    """Exact check that the cyclic Jacobiator vanishes."""
+    return alg.satisfies_jacobi()
 
 
 def is_associative(alg: CommutativeAlgebra) -> bool:
-    d = alg.dim
-    zero = (Fraction(0),) * d
+    zero = (_ZERO,) * alg.dim
     return all(
-        alg.associator(i, j, k) == zero
-        for i in range(d)
-        for j in range(d)
-        for k in range(d)
+        alg.associator(i, j, k) == zero for i, j, k in itertools.product(range(alg.dim), repeat=3)
     )
 
 
@@ -269,11 +267,15 @@ def from_linear_structure(theta: SymTensorField) -> CommutativeAlgebra:
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    kind: ClassVar[str] = "jj"
     ident: str
     dim: int
     algebra: CommutativeAlgebra
     coords: str  # display form of theta in chart coordinates
     expect: Mapping  # read-only: entries are shared by every lookup
+
+    def pair(self) -> SymPoissonPair:
+        return to_linear_structure(self.algebra)
 
 
 def _expect(associative: bool) -> Mapping:

@@ -10,12 +10,16 @@ conditions, and curvature of that connection is -1/4 [[X,Y],Z].
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from . import expr as ex
+from .geometry import Chart, Connection, SymTensorField, _symbolic_inverse
 from .jj import _exact_inverse, _frac, _StructureConstants
+from .poisson import SymPoissonPair
 
 
 class LieAlgebraError(Exception):
@@ -31,21 +35,8 @@ class LieAlgebra(_StructureConstants):
 
     def __init__(self, dim: int, c):
         super().__init__(dim, c)
-        self._check_jacobi()
-
-    def _check_jacobi(self):
-        d = self.dim
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    for l in range(d):
-                        total = Fraction(0)
-                        for m in range(d):
-                            total += self.c[m][i][j] * self.c[l][m][k]
-                            total += self.c[m][j][k] * self.c[l][m][i]
-                            total += self.c[m][k][i] * self.c[l][m][j]
-                        if total != 0:
-                            raise LieAlgebraError("Jacobi identity fails")
+        if not self.satisfies_jacobi():
+            raise LieAlgebraError("Jacobi identity fails")
 
     @classmethod
     def from_brackets(cls, dim: int, brackets: dict) -> "LieAlgebra":
@@ -112,8 +103,6 @@ class LeftInvariantSymTensor:
 
     @classmethod
     def from_dict(cls, dim: int, degree: int, entries: dict) -> "LeftInvariantSymTensor":
-        import itertools
-
         comps = np.empty((dim,) * degree, dtype=object)
         comps[...] = Fraction(0)
         for idx, v in entries.items():
@@ -146,57 +135,36 @@ def li_covariant_derivative(
     conn: LeftInvariantConnection, theta: LeftInvariantSymTensor, i: int
 ) -> LeftInvariantSymTensor:
     """(nabla_i theta)^J = sum over slots of A^{j_a}_{i m} theta^{..m..}."""
-    d = conn.dim
-    r = theta.degree
-    comps = np.empty((d,) * r, dtype=object)
-    for idx in np.ndindex(*comps.shape):
-        total = Fraction(0)
-        for a_slot in range(r):
-            ja = idx[a_slot]
-            for m in range(d):
-                swapped = idx[:a_slot] + (m,) + idx[a_slot + 1:]
-                total += conn.a[ja][i][m] * theta.comps[swapped]
-        comps[idx] = total
-    return LeftInvariantSymTensor(d, r, comps)
+    a_i = np.array(conn.a, dtype=object)[:, i, :]  # a_i[j, m] = A^j_{im}
+    comps = np.full(theta.comps.shape, Fraction(0), dtype=object)
+    for slot in range(theta.degree):
+        comps = comps + np.moveaxis(np.tensordot(a_i, theta.comps, axes=([1], [slot])), 0, slot)
+    return LeftInvariantSymTensor(conn.dim, theta.degree, comps)
 
 
-def _directional_derivatives(conn, theta):
-    """D[i] = nabla_{theta(eps^i)} theta = theta^{im} nabla_m theta."""
+def _derivative_chain(conn: LeftInvariantConnection, theta: LeftInvariantSymTensor):
+    """(nabla, d) with nabla[i] = nabla_i theta and d[i] = theta^{im} nabla_m theta."""
     if theta.degree != 2:
         raise LieAlgebraError("directional derivatives expect a degree-2 tensor")
-    d = conn.dim
-    out = []
-    for i in range(d):
-        acc = LeftInvariantSymTensor.from_dict(d, 2, {})
-        for m in range(d):
-            if theta.comps[i, m] != 0:
-                acc = acc + li_covariant_derivative(conn, theta, m).scale(theta.comps[i, m])
-        out.append(acc)
-    return out
+    nabla = np.stack([li_covariant_derivative(conn, theta, i).comps for i in range(conn.dim)])
+    return nabla, np.tensordot(theta.comps, nabla, axes=([1], [0]))
 
 
 def li_is_parallel(theta: LeftInvariantSymTensor, conn: LeftInvariantConnection) -> bool:
     conn.require_torsion_free()
-    return all(li_covariant_derivative(conn, theta, i).is_zero() for i in range(conn.dim))
+    return not bool(_derivative_chain(conn, theta)[0].any())
 
 
 def li_is_strong(theta: LeftInvariantSymTensor, conn: LeftInvariantConnection) -> bool:
     conn.require_torsion_free()
-    return all(d.is_zero() for d in _directional_derivatives(conn, theta))
+    return not bool(_derivative_chain(conn, theta)[1].any())
 
 
 def li_is_symmetric_poisson(theta: LeftInvariantSymTensor, conn: LeftInvariantConnection) -> bool:
     """Cyclic alternative: sum_cyc (nabla_{theta(eps^i)} theta)^{jk} = 0 exactly."""
     conn.require_torsion_free()
-    d = conn.dim
-    dirs = _directional_derivatives(conn, theta)
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                total = dirs[i].comps[j, k] + dirs[j].comps[k, i] + dirs[k].comps[i, j]
-                if total != 0:
-                    return False
-    return True
+    dirs = _derivative_chain(conn, theta)[1]
+    return not bool((dirs + dirs.transpose(1, 2, 0) + dirs.transpose(2, 0, 1)).any())
 
 
 def li_is_involutive(theta: LeftInvariantSymTensor, g: LieAlgebra) -> bool:
@@ -238,8 +206,7 @@ def _in_span(basis, row):
 
 def li_curvature_weitzenboeck(g: LieAlgebra, i: int, j: int, k: int) -> tuple[Fraction, ...]:
     """R(X_i, X_j) X_k = -1/4 [[X_i, X_j], X_k] for the halved-bracket connection."""
-    q = Fraction(-1, 4)
-    return tuple(q * v for v in g._times(g.basis_product(i, j), k))
+    return tuple(Fraction(-1, 4) * v for v in g.double_product(k, i, j))
 
 
 def li_curvature_general(
@@ -390,8 +357,6 @@ def polynomial_frame(ident: str):
     Available for algebras whose invariant frames close in polynomial (or
     rational) coordinate expressions: abelian_n and POLYNOMIAL_FRAMES.
     """
-    from .geometry import Chart, SymTensorField
-
     if ident.startswith("abelian_"):
         n = int(ident.split("_")[1])
         names, box, rows = [f"x{i + 1}" for i in range(n)], None, [{i: 1.0} for i in range(n)]
@@ -417,10 +382,6 @@ def chart_export(
     resulting chart connection reproduces nabla_{E_i} E_j = A^k_{ij} E_k and
     theta pushes forward through the frame.
     """
-    from . import expr as ex
-    from .geometry import Connection, SymTensorField, _symbolic_inverse
-    from .poisson import SymPoissonPair
-
     n = chart.n
     if g.dim != n or len(frame) != n:
         raise LieAlgebraError("frame must match the algebra dimension")

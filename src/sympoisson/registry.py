@@ -196,17 +196,6 @@ def build(ident: str) -> SymPoissonPair:
 # linear structures and left-invariant structures
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class JJEntry:
-    """A linear structure of `jj.catalog()`, read back through `jj.catalog_entry`."""
-
-    kind: ClassVar[str] = "jj"
-    ident: str
-
-    def pair(self) -> SymPoissonPair:
-        return jj.to_linear_structure(jj.catalog_entry(self.ident).algebra)
-
-
 # Exact verdicts on (algebra, theta, connection) and the connections they
 # judge.  They look the liealg functions up when they run, so a wrapper
 # installed on the module afterwards sees every call.
@@ -328,7 +317,7 @@ LIE_ENTRIES: dict[str, LieEntry] = {
 
 CATALOG: dict = {
     f"{e.kind}:{e.ident}": e
-    for e in [*(JJEntry(j.ident) for j in jj.catalog()), *LIE_ENTRIES.values(), *CHART_ENTRIES.values()]
+    for e in [*jj.catalog(), *LIE_ENTRIES.values(), *CHART_ENTRIES.values()]
 }
 
 

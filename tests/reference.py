@@ -4,12 +4,15 @@ tested against.
 `eval_scaled` walks an expression tree recursively at one point, node by
 node with multiplicity, independently of `expr.Plan` and `compile_plan`.
 `plan_order` gives `Plan.nodes` by a recursive walk.  The `*_comps`
-functions build a symmetric field's components index by index.
+functions build a symmetric field's components index by index.  The
+`*_sum` functions spell the exact algebra identities out term by term over
+the structure constants and connection coefficients.
 """
 
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -167,3 +170,58 @@ def plan_order(exprs):
         walk(root)
     kinds = [Const, Var]
     return [e for k in kinds for e in order if type(e) is k] + [e for e in order if type(e) not in kinds]
+
+
+# ---------------------------------------------------------------------------
+# Exact identities term by term, over structure constants c[k][i][j]
+# (e_i e_j = c^k_ij e_k) and connection coefficients a[k][i][j]
+# (nabla_i X_j = A^k_ij X_k); every value is a Fraction.
+# ---------------------------------------------------------------------------
+
+def _fsum(terms):
+    return sum(terms, start=Fraction(0))
+
+
+def triple_sum(c, i, j, k):
+    """((e_j e_k) e_i)^l = sum_m c^m_jk c^l_mi, for every l."""
+    d = len(c)
+    return tuple(_fsum(c[m][j][k] * c[l][m][i] for m in range(d)) for l in range(d))
+
+
+def jacobi_sum(c, i, j, k):
+    """sum_m c^m_ij c^l_mk + c^m_jk c^l_mi + c^m_ki c^l_mj, for every l."""
+    d = len(c)
+    return tuple(
+        _fsum(c[m][i][j] * c[l][m][k] + c[m][j][k] * c[l][m][i] + c[m][k][i] * c[l][m][j] for m in range(d))
+        for l in range(d)
+    )
+
+
+def associator_sum(c, i, j, k):
+    """e_i (e_j e_k) - (e_i e_j) e_k = sum_m c^m_jk c^l_im - c^m_ij c^l_mk."""
+    d = len(c)
+    return tuple(_fsum(c[m][j][k] * c[l][i][m] - c[m][i][j] * c[l][m][k] for m in range(d)) for l in range(d))
+
+
+def covariant_derivative_sum(a, comps, i):
+    """(nabla_i theta)^J = sum over slots s and m of A^{J_s}_im theta^{J with m at s}."""
+    d = len(a)
+    out = np.empty(comps.shape, dtype=object)
+    for idx in np.ndindex(*comps.shape):
+        out[idx] = _fsum(
+            a[idx[s]][i][m] * comps[idx[:s] + (m,) + idx[s + 1:]] for s in range(len(idx)) for m in range(d)
+        )
+    return out
+
+
+def directional_sum(a, theta):
+    """Row i: sum_m theta_im nabla_m theta, one m at a time."""
+    d = len(a)
+    nabla = [covariant_derivative_sum(a, theta, m) for m in range(d)]
+    rows = []
+    for i in range(d):
+        row = np.full((d, d), Fraction(0), dtype=object)
+        for m in range(d):
+            row = row + theta[i, m] * nabla[m]
+        rows.append(row)
+    return rows

@@ -198,6 +198,20 @@ def test_integrate_refuses_the_verdict_options(option):
     assert err.endswith(f"error: unrecognized arguments: {option}\n"), err
 
 
+@pytest.mark.parametrize("hamiltonian", [[], ["--hamiltonian", "p1^2"], ["--hamiltonian", "theta_v"]])
+def test_integrate_refuses_a_coordinate_named_like_a_momentum(tmp_path, hamiltonian):
+    # the phase chart names its momenta p1..pn, so a base coordinate p1 is
+    # ambiguous whichever Hamiltonian the run lifts
+    structure = tmp_path / "clash.ini"
+    structure.write_text('[chart]\ndim = 1\nnames = p1\n\n[theta]\ntheta[1,1] = "1/p1"\n')
+    out_path = tmp_path / "run.csv"
+    code, out, err = run_cli(
+        "integrate", str(structure), "--x0", "0.5", "--p0", "1", "--steps", "3", "--out", str(out_path), *hamiltonian,
+    )
+    assert (code, out, err) == (1, "", "error: base coordinates {'p1'} collide with momentum names\n")
+    assert not out_path.exists()
+
+
 def test_integrate_blow_up_flushes_partial(tmp_path):
     src = tmp_path / "explode.ini"
     src.write_text(
