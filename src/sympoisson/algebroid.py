@@ -17,6 +17,7 @@ from .geometry import (
     contract,
     covariant_derivative,
     curvature,
+    differential,
     invert_metric,
     levi_civita,
     lie_bracket,
@@ -138,8 +139,7 @@ def leibniz_residual(
     chart = pair.chart
     f = chart.parse(f) if isinstance(f, str) else f
     lhs = cotangent_bracket(pair, alpha, beta.scale(f))
-    ta = anchor(pair, alpha)
-    taf = sum((ta.entry(i) * f.diff(i) for i in range(chart.n)), start=chart.zero())
+    taf = contract(differential(f, chart), anchor(pair, alpha)).scalar()
     rhs = beta.scale(taf) + cotangent_bracket(pair, alpha, beta).scale(f)
     return lhs - rhs
 

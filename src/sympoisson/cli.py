@@ -429,6 +429,17 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """A --seed value: an integer >= 0 in any base Python reads (0x5EED)."""
+    try:
+        value = int(text, 0)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got '{text}'")
+    return value
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     """The command-line parser, built once; `parse_args` leaves it unchanged."""
@@ -438,7 +449,7 @@ def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=_tolerance, default=TOL)
     common.add_argument("--samples", type=int, default=N_SAMPLES)
-    common.add_argument("--seed", type=lambda s: int(s, 0), default=SEED)
+    common.add_argument("--seed", type=_seed, default=SEED)
 
     p_check = sub.add_parser("check", parents=[common], help="verify a structure file")
     p_check.add_argument("file")
@@ -612,6 +623,10 @@ def cmd_report(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.command != "integrate" and args.samples < 1:
+        # checked before any suite runs: a liealg: suite samples nothing
+        print(f"error: sample count must be at least 1, got {args.samples}", file=sys.stderr)
+        return USAGE_ERROR
     if args.command == "check":
         return cmd_check(args)
     if args.command == "integrate":

@@ -578,11 +578,10 @@ def symmetric_lie_derivative(conn: Connection, x: SymTensorField, phi: SymFormFi
     """L^s_X phi = i_X nabla^s phi - nabla^s i_X phi."""
     conn.require_torsion_free()
     first = contract(x, symmetric_derivative(conn, phi))
-    second = symmetric_derivative(conn, contract(x, phi)) if phi.degree >= 1 else SymFormField.zero(phi.chart, 1)
     if phi.degree == 0:
         # i_X phi = 0 for scalars, so only the first term survives; its degree is 0.
         return first
-    return first - second
+    return first - symmetric_derivative(conn, contract(x, phi))
 
 
 def schouten(conn: Connection, a: SymTensorField, b: SymTensorField) -> SymTensorField:

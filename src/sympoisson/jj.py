@@ -187,20 +187,33 @@ def basis_change(alg: CommutativeAlgebra, p: Sequence[Sequence]) -> CommutativeA
 
 
 def _exact_inverse(m):
+    """The inverse of a square rational matrix: the right block of the reduced
+    echelon form of [m | I], whose pivots all fall in the left block exactly
+    when m is invertible."""
     d = len(m)
-    a = [[Fraction(m[i][j]) for j in range(d)] + [Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if a[r][col] != 0), None)
-        if pivot is None:
-            raise AlgebraError("matrix not invertible")
-        a[col], a[pivot] = a[pivot], a[col]
-        pv = a[col][col]
-        a[col] = [v / pv for v in a[col]]
-        for r in range(d):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [a[r][j] - f * a[col][j] for j in range(2 * d)]
-    return [[a[i][d + j] for j in range(d)] for i in range(d)]
+    basis = _echelon([list(row) + [int(i == j) for j in range(d)] for i, row in enumerate(m)])
+    if [lead for lead, _ in basis] != list(range(d)):
+        raise AlgebraError("matrix not invertible")
+    return [row[d:] for _, row in basis]
+
+
+def _echelon(rows, basis=()) -> list[tuple[int, list[Fraction]]]:
+    """The reduced row echelon basis, as (pivot, row) by pivot, of the span of
+    `rows` and `basis` (an earlier result), exact over the rationals."""
+    basis = list(basis)
+    for row in rows:
+        row = [Fraction(v) for v in row]
+        for lead, b in basis:
+            if row[lead]:
+                f = row[lead]
+                row = [v - f * w for v, w in zip(row, b)]
+        lead = next((c for c, v in enumerate(row) if v), None)
+        if lead is None:
+            continue
+        row = [v / row[lead] for v in row]
+        basis = [(p, [v - b[lead] * w for v, w in zip(b, row)] if b[lead] else b) for p, b in basis]
+        basis = sorted(basis + [(lead, row)], key=lambda entry: entry[0])
+    return basis
 
 
 # ---------------------------------------------------------------------------

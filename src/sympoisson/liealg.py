@@ -18,7 +18,7 @@ import numpy as np
 
 from . import expr as ex
 from .geometry import Chart, Connection, SymTensorField, _symbolic_inverse
-from .jj import _exact_inverse, _frac, _StructureConstants
+from .jj import _echelon, _exact_inverse, _frac, _StructureConstants
 from .poisson import SymPoissonPair
 
 
@@ -142,17 +142,22 @@ def li_covariant_derivative(
     return LeftInvariantSymTensor(conn.dim, theta.degree, comps)
 
 
-def _derivative_chain(conn: LeftInvariantConnection, theta: LeftInvariantSymTensor):
-    """(nabla, d) with nabla[i] = nabla_i theta and d[i] = theta^{im} nabla_m theta."""
+def _nabla_theta(conn: LeftInvariantConnection, theta: LeftInvariantSymTensor) -> np.ndarray:
+    """nabla[i] = nabla_i theta, stacked."""
     if theta.degree != 2:
         raise LieAlgebraError("directional derivatives expect a degree-2 tensor")
-    nabla = np.stack([li_covariant_derivative(conn, theta, i).comps for i in range(conn.dim)])
+    return np.stack([li_covariant_derivative(conn, theta, i).comps for i in range(conn.dim)])
+
+
+def _derivative_chain(conn: LeftInvariantConnection, theta: LeftInvariantSymTensor):
+    """(nabla, d) with nabla[i] = nabla_i theta and d[i] = theta^{im} nabla_m theta."""
+    nabla = _nabla_theta(conn, theta)
     return nabla, np.tensordot(theta.comps, nabla, axes=([1], [0]))
 
 
 def li_is_parallel(theta: LeftInvariantSymTensor, conn: LeftInvariantConnection) -> bool:
     conn.require_torsion_free()
-    return not bool(_derivative_chain(conn, theta)[0].any())
+    return not bool(_nabla_theta(conn, theta).any())
 
 
 def li_is_strong(theta: LeftInvariantSymTensor, conn: LeftInvariantConnection) -> bool:
@@ -168,40 +173,14 @@ def li_is_symmetric_poisson(theta: LeftInvariantSymTensor, conn: LeftInvariantCo
 
 
 def li_is_involutive(theta: LeftInvariantSymTensor, g: LieAlgebra) -> bool:
-    """Closure of span{theta(eps^i)} under the bracket, by exact elimination."""
+    """Closure of span{theta(eps^i)} under the bracket, by exact elimination:
+    no bracket of two rows adds a pivot to the echelon basis of the rows."""
     d = g.dim
     rows = [[theta.comps[i, m] for m in range(d)] for i in range(d)]
-    basis = _row_space(rows)
-    for i in range(d):
-        for j in range(i + 1, d):
-            br = g.bracket(rows[i], rows[j])
-            if not _in_span(basis, list(br)):
-                return False
-    return True
-
-
-def _row_space(rows):
-    basis = []
-    for row in rows:
-        row = _reduce_against(basis, [Fraction(v) for v in row])
-        if any(v != 0 for v in row):
-            lead = next(idx for idx, v in enumerate(row) if v != 0)
-            row = [v / row[lead] for v in row]
-            basis.append((lead, row))
-            basis.sort()
-    return basis
-
-
-def _reduce_against(basis, row):
-    for lead, b in basis:
-        if row[lead] != 0:
-            f = row[lead]
-            row = [r - f * bv for r, bv in zip(row, b)]
-    return row
-
-
-def _in_span(basis, row):
-    return all(v == 0 for v in _reduce_against(basis, [Fraction(v) for v in row]))
+    basis = _echelon(rows)
+    return all(
+        len(_echelon([g.bracket(rows[i], rows[j])], basis)) == len(basis) for i in range(d) for j in range(i + 1, d)
+    )
 
 
 def li_curvature_weitzenboeck(g: LieAlgebra, i: int, j: int, k: int) -> tuple[Fraction, ...]:

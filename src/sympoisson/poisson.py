@@ -26,7 +26,6 @@ from .expr import ScalarField
 from .geometry import (
     Chart,
     Connection,
-    SymFormField,
     SymTensorField,
     contract,
     covariant_derivative,
@@ -78,16 +77,8 @@ class SymPoissonPair:
 # ---------------------------------------------------------------------------
 
 def poisson_bracket(pair: SymPoissonPair, f: ScalarField, g: ScalarField) -> ScalarField:
-    """{f, g} = theta(df, dg); symmetric and Leibniz in each slot."""
-    chart = pair.chart
-    n = chart.n
-    terms = []
-    for i in range(n):
-        for j in range(n):
-            terms.append(
-                ex.expr_product([pair.theta.comps[i, j], f.diff(i).expr, g.diff(j).expr])
-            )
-    return ScalarField(ex.expr_sum(terms), n)
+    """{f, g} = dg(X_f) = theta(df, dg); symmetric and Leibniz in each slot."""
+    return contract(differential(g, pair.chart), gradient(pair, f)).scalar()
 
 
 def gradient(pair: SymPoissonPair, f: ScalarField) -> SymTensorField:
@@ -276,12 +267,9 @@ def involutivity_check(pair: SymPoissonPair, samples=None) -> InvolutivityReport
 
 
 def characteristic_generators(pair: SymPoissonPair) -> list[SymTensorField]:
-    """theta(dx^i) for each coordinate covector (spanning the module)."""
-    chart = pair.chart
-    return [
-        contract(SymFormField.from_dict(chart, 1, {(i,): 1.0}), pair.theta)
-        for i in range(chart.n)
-    ]
+    """theta(dx^i) for each coordinate covector (spanning the module): the
+    rows of theta, sharing its nodes."""
+    return [SymTensorField(pair.chart, 1, geo._slot_fill(pair.theta.comps, i)) for i in range(pair.chart.n)]
 
 
 # ---------------------------------------------------------------------------
@@ -325,31 +313,20 @@ def strong_morphism_check(
 # curvature scalars
 # ---------------------------------------------------------------------------
 
+def _theta_trace(pair: SymPoissonPair, m: np.ndarray) -> ScalarField:
+    """theta^{ij} m_{ij} for an (n, n) array of covariant components."""
+    n = pair.chart.n
+    return ScalarField(ex.expr_sum([ex.mul(pair.theta.comps[i, j], m[i, j]) for i in range(n) for j in range(n)]), n)
+
+
 def scalar_curvature(pair: SymPoissonPair) -> ScalarField:
     """tr(theta x Ric) = theta^{ij} Ric_{ij}."""
-    ric = ricci(pair.nabla)
-    n = pair.chart.n
-    terms = [
-        ex.mul(pair.theta.comps[i, j], ric[i, j])
-        for i in range(n)
-        for j in range(n)
-    ]
-    return ScalarField(ex.expr_sum(terms), n)
+    return _theta_trace(pair, ricci(pair.nabla))
 
 
 def laplacian(pair: SymPoissonPair, f: ScalarField) -> ScalarField:
     """tr(theta x nabla df) = theta^{ij} (d_i d_j f - G^k_{ij} d_k f)."""
-    chart = pair.chart
-    n = chart.n
-    terms = []
-    for i in range(n):
-        for j in range(n):
-            hess = f.diff(i).diff(j).expr
-            corr = ex.expr_sum(
-                [ex.mul(pair.nabla.gamma[k, i, j], f.diff(k).expr) for k in range(n)]
-            )
-            terms.append(ex.mul(pair.theta.comps[i, j], ex.sub(hess, corr)))
-    return ScalarField(ex.expr_sum(terms), n)
+    return _theta_trace(pair, covariant_derivative(pair.nabla, differential(f, pair.chart)).comps)
 
 
 # ---------------------------------------------------------------------------

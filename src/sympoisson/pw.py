@@ -4,8 +4,8 @@ A torsion-free connection on an n-chart induces on the 2n phase chart
 (x^1..x^n, p_1..p_n):
 
 - the metric matrix   [[ -2 p_k G^k_{ij},  I ], [ I, 0 ]]           (blocks x|p)
-- the bracket         {F,G} = F_{x^i} G_{p_i} + F_{p_i} G_{x^i}
-                               + 2 p_k G^k_{ij} F_{p_i} G_{p_j}
+- the bracket         {F,G} = dG(grad F) = F_{x^i} G_{p_i} + F_{p_i} G_{x^i}
+                                            + 2 p_k G^k_{ij} F_{p_i} G_{p_j}
 - the gradient flow   xdot^i = H_{p_i},
                       pdot_j = H_{x^j} + 2 p_k G^k_{ij} H_{p_i}
 
@@ -158,41 +158,23 @@ def pw_metric_matrix(conn: Connection, state: CotangentState) -> np.ndarray:
 
 
 def pw_bracket(conn: Connection, f: PhaseField, g: PhaseField) -> PhaseField:
-    """Symmetric bracket on phase functions induced by the connection."""
+    """{F, G}_PW = dG(grad F): G differentiated along the gradient flow of F."""
     if f.chart != conn.chart or g.chart != conn.chart:
         raise geo.ChartMismatchError("phase fields on a different chart")
-    n = conn.chart.n
-    terms = []
-    for i in range(n):
-        terms.append(ex.mul(f.diff(i).expr, g.diff(n + i).expr))
-        terms.append(ex.mul(f.diff(n + i).expr, g.diff(i).expr))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                terms.append(
-                    ex.expr_product(
-                        [
-                            ex.const(2.0),
-                            ex.var(n + k),
-                            conn.gamma[k, i, j],
-                            f.diff(n + i).expr,
-                            g.diff(n + j).expr,
-                        ]
-                    )
-                )
-    return PhaseField.from_expr(conn.chart, ex.expr_sum(terms))
+    return _along(pw_gradient(conn, f), g)
 
 
 def canonical_bracket(f: PhaseField, g: PhaseField) -> PhaseField:
-    """{F,G}_can = F_{x^i} G_{p_i} - G_{x^i} F_{p_i}."""
+    """{F,G}_can = dF(X_G) = F_{x^i} G_{p_i} - G_{x^i} F_{p_i}."""
     if f.chart != g.chart:
         raise geo.ChartMismatchError("phase fields on different charts")
-    n = f.chart.n
-    terms = []
-    for i in range(n):
-        terms.append(ex.mul(f.diff(i).expr, g.diff(n + i).expr))
-        terms.append(ex.neg(ex.mul(g.diff(i).expr, f.diff(n + i).expr)))
-    return PhaseField.from_expr(f.chart, ex.expr_sum(terms))
+    return _along(hamiltonian_vector_field(g), f)
+
+
+def _along(components: list[ScalarField], g: PhaseField) -> PhaseField:
+    """sum_a V^a d_a G: the derivative of G along the phase vector field V."""
+    terms = [ex.mul(v.expr, g.diff(a).expr) for a, v in enumerate(components)]
+    return PhaseField.from_expr(g.chart, ex.expr_sum(terms))
 
 
 def pw_gradient(conn: Connection, h: PhaseField) -> list[ScalarField]:

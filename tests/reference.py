@@ -6,7 +6,10 @@ node with multiplicity, independently of `expr.Plan` and `compile_plan`.
 `plan_order` gives `Plan.nodes` by a recursive walk.  The `*_comps`
 functions build a symmetric field's components index by index.  The
 `*_sum` functions spell the exact algebra identities out term by term over
-the structure constants and connection coefficients.
+the structure constants and connection coefficients.  The `*_bracket_sum`,
+`laplacian_sum` and `derivative_along_sum` functions expand the bracket
+formulas over components, one term at a time, without the vector field
+that induces each bracket.
 """
 
 import dataclasses
@@ -143,6 +146,56 @@ def symmetric_derivative_comps(nabla):
     for idx in np.ndindex(*comps.shape):
         comps[idx] = ex.expr_sum([nabla[(idx[m],) + idx[:m] + idx[m + 1:]] for m in range(r + 1)])
     return comps
+
+
+# ---------------------------------------------------------------------------
+# Bracket formulas expanded term by term.  theta and gamma are component
+# arrays of Expr; f and g are scalar or phase fields (anything with `diff`);
+# the results are Expr.
+# ---------------------------------------------------------------------------
+
+def poisson_bracket_sum(theta, f, g):
+    """theta^ij d_i f d_j g."""
+    n = len(theta)
+    return ex.expr_sum([
+        ex.expr_product([theta[i, j], f.diff(i).expr, g.diff(j).expr]) for i in range(n) for j in range(n)
+    ])
+
+
+def pw_bracket_sum(gamma, f, g):
+    """F_{x^i} G_{p_i} + F_{p_i} G_{x^i} + 2 p_k G^k_ij F_{p_i} G_{p_j} on the
+    phase chart (x^1..x^n, p_1..p_n)."""
+    n = len(gamma)
+    terms = []
+    for i in range(n):
+        terms += [ex.mul(f.diff(i).expr, g.diff(n + i).expr), ex.mul(f.diff(n + i).expr, g.diff(i).expr)]
+    for i, j, k in np.ndindex(n, n, n):
+        factors = [ex.const(2.0), ex.var(n + k), gamma[k, i, j], f.diff(n + i).expr, g.diff(n + j).expr]
+        terms.append(ex.expr_product(factors))
+    return ex.expr_sum(terms)
+
+
+def canonical_bracket_sum(f, g, n):
+    """F_{x^i} G_{p_i} - G_{x^i} F_{p_i} on the phase chart of an n-chart."""
+    terms = []
+    for i in range(n):
+        terms += [ex.mul(f.diff(i).expr, g.diff(n + i).expr), ex.neg(ex.mul(g.diff(i).expr, f.diff(n + i).expr))]
+    return ex.expr_sum(terms)
+
+
+def laplacian_sum(theta, gamma, f):
+    """theta^ij (d_i d_j f - G^k_ij d_k f)."""
+    n = len(theta)
+    terms = []
+    for i, j in np.ndindex(n, n):
+        corr = ex.expr_sum([ex.mul(gamma[k, i, j], f.diff(k).expr) for k in range(n)])
+        terms.append(ex.mul(theta[i, j], ex.sub(f.diff(i).diff(j).expr, corr)))
+    return ex.expr_sum(terms)
+
+
+def derivative_along_sum(x, f):
+    """X^i d_i f for the components X^i of a vector field."""
+    return ex.expr_sum([ex.mul(x[i], f.diff(i).expr) for i in range(len(x))])
 
 
 # ---------------------------------------------------------------------------

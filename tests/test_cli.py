@@ -757,3 +757,33 @@ def test_integrate_bad_initial_state():
         "--p0", "1,0",
     )
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", str(STRUCTURES / "r5.ini"), "--seed", "-1"],
+        ["catalog", "--id", "jj:dim2", "--seed", "-5"],
+        ["catalog", "--all", "--seed=-0x10"],
+        ["report", "--seed", "-1"],
+        ["report", "--seed", "seven"],
+    ],
+)
+def test_a_seed_that_is_not_a_non_negative_integer_is_a_usage_error(argv):
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (1, ""), err
+    assert err.endswith(f"error: argument --seed: must be an integer >= 0, got '{argv[-1].split('=')[-1]}'\n"), err
+    assert "Traceback" not in err
+
+
+def test_a_seed_is_read_in_any_base():
+    assert run_cli("catalog", "--id", "jj:dim2", "--seed", "0x5EED") == run_cli("catalog", "--id", "jj:dim2")
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+@pytest.mark.parametrize("ident", ["liealg:so3", "liealg:heisenberg3"])
+def test_sample_counts_below_one_are_refused_before_any_suite_runs(ident, count):
+    # a liealg: suite is exact and samples nothing, so the count is checked up front
+    code, out, err = run_cli("catalog", "--id", ident, "--samples", count)
+    assert (code, out) == (1, "")
+    assert err == f"error: sample count must be at least 1, got {count}\n"

@@ -1,11 +1,16 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sympoisson.jj import (
     AlgebraError,
     CommutativeAlgebra,
+    _echelon,
+    _exact_inverse,
     basis_change,
     catalog,
     catalog_entry,
@@ -266,3 +271,68 @@ def _random_symmetric_algebra(rng, dim):
         c[k][i][j] = v
         c[k][j][i] = v
     return CommutativeAlgebra(dim, c)
+
+
+# ---------------------------------------------------------------------------
+# exact elimination
+# ---------------------------------------------------------------------------
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+def _rows(width: int, count: int):
+    return st.lists(st.lists(rationals, min_size=width, max_size=width), min_size=count, max_size=count)
+
+
+def _det(m):
+    """Leibniz expansion over Fractions, independent of the elimination."""
+    d = len(m)
+    total = F(0)
+    for perm in itertools.permutations(range(d)):
+        inversions = sum(perm[i] > perm[j] for i in range(d) for j in range(i + 1, d))
+        term = F(-1 if inversions % 2 else 1)
+        for i in range(d):
+            term *= m[i][perm[i]]
+        total += term
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: _rows(d, d)))
+def test_exact_inverse_inverts_invertible_rational_matrices(m):
+    assume(_det(m) != 0)
+    inv = _exact_inverse(m)
+    d = len(m)
+    identity = [[F(int(i == j)) for j in range(d)] for i in range(d)]
+    assert [[sum((inv[i][k] * m[k][j] for k in range(d)), F(0)) for j in range(d)] for i in range(d)] == identity
+    assert [[sum((m[i][k] * inv[k][j] for k in range(d)), F(0)) for j in range(d)] for i in range(d)] == identity
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 4).flatmap(lambda d: _rows(d, d - 1)),
+    st.lists(rationals, min_size=4, max_size=4),
+    st.data(),
+)
+def test_exact_inverse_refuses_singular_rational_matrices(rows, weights, data):
+    # the last row is a rational combination of the others, so m is singular
+    d = len(rows) + 1
+    dependent = [sum((w * row[j] for w, row in zip(weights, rows)), F(0)) for j in range(d)]
+    m = list(rows)
+    m.insert(data.draw(st.integers(0, d - 1)), dependent)
+    assert _det(m) == 0
+    with pytest.raises(AlgebraError, match="not invertible"):
+        _exact_inverse(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=1, max_size=5))
+def test_echelon_basis_is_reduced_and_spans_the_rows(rows):
+    basis = _echelon(rows)
+    leads = [lead for lead, _ in basis]
+    assert leads == sorted(set(leads))
+    for lead, row in basis:
+        assert [row[other] for other in leads] == [F(int(other == lead)) for other in leads]
+        assert all(v == 0 for v in row[:lead])
+    # every input row is in the span, so adding one again adds no pivot
+    assert all(len(_echelon([row], basis)) == len(basis) for row in rows)
