@@ -14,6 +14,7 @@ from .geometry import (
     Connection,
     SymFormField,
     SymTensorField,
+    _build_components,
     contract,
     covariant_derivative,
     curvature,
@@ -59,57 +60,26 @@ def derived_bracket_check(
     derivative.
 
     Both sides are expanded on phi; the result is a form whose sampled norm
-    measures the defect (identically zero in exact arithmetic).
+    measures the defect (identically zero in exact arithmetic).  Both sides
+    have degree deg phi - deg X - deg Y + 1; below 0 they vanish, and the
+    residual is the degree-0 zero form.
     """
     conn.require_torsion_free()
-    lhs = _apply_commutator(conn, x, y, phi)
-    if x.degree + y.degree - 1 > phi.degree:
-        rhs = SymFormField.zero(phi.chart, max(phi.degree - x.degree - y.degree + 1, 0))
-    else:
-        rhs = multi_contract(schouten(conn, x, y), phi)
-    if lhs.degree != rhs.degree:
-        # one side collapsed structurally; the residual is the surviving side
-        if _is_structural_zero(lhs) and _is_structural_zero(rhs):
-            return SymFormField.zero(phi.chart, 0)
-        if _is_structural_zero(lhs):
-            return rhs.scale(-1.0)
-        if _is_structural_zero(rhs):
-            return lhs
-        raise ValueError("degree mismatch with nonzero sides")
-    return lhs - rhs
-
-
-def _apply_commutator(conn, x, y, phi):
-    """[[i_X, D], i_Y] phi = i_X D i_Y phi - D i_X i_Y phi - i_Y i_X D phi + i_Y D i_X phi."""
+    degree = phi.degree - x.degree - y.degree + 1
+    if degree < 0:
+        return SymFormField.zero(phi.chart, 0)
     d = lambda f: symmetric_derivative(conn, f)  # noqa: E731
     ix = lambda f: multi_contract(x, f)  # noqa: E731
     iy = lambda f: multi_contract(y, f)  # noqa: E731
-    t1 = ix(d(iy(phi)))
-    t2 = d(ix(iy(phi)))
-    t3 = iy(ix(d(phi)))
-    t4 = iy(d(ix(phi)))
-    return _sum_forms([t1, t2.scale(-1.0), t3.scale(-1.0), t4])
-
-
-def _sum_forms(forms):
-    # structurally zero terms absorb into whatever degree the live terms carry
-    degrees = {f.degree for f in forms if not _is_structural_zero(f)}
-    if not degrees:
-        return forms[0]
-    if len(degrees) > 1:
-        raise ValueError(f"cannot sum forms of degrees {degrees}")
-    deg = degrees.pop()
-    chart = forms[0].chart
-    out = SymFormField.zero(chart, deg)
-    for f in forms:
-        if f.degree != deg:
-            continue
-        out = out + f
-    return out
-
-
-def _is_structural_zero(f) -> bool:
-    return all(map(ex.is_structural_zero, f.comps.flat))
+    # [[i_X, D], i_Y] phi = i_X D i_Y phi - D i_X i_Y phi - i_Y i_X D phi + i_Y D i_X phi;
+    # a term that collapsed to another degree must be a structural zero
+    lhs = SymFormField.zero(phi.chart, degree)
+    for term in (ix(d(iy(phi))), d(ix(iy(phi))).scale(-1.0), iy(ix(d(phi))).scale(-1.0), iy(d(ix(phi)))):
+        if term.degree == degree:
+            lhs = lhs + term
+        elif not all(map(ex.is_structural_zero, term.comps.flat)):
+            raise ValueError(f"a term of degree {term.degree} is not zero; the identity has degree {degree}")
+    return lhs - multi_contract(schouten(conn, x, y), phi)
 
 
 # ---------------------------------------------------------------------------
@@ -175,22 +145,16 @@ def bianchi_residual(
     r = curvature(pair.nabla).comps
     fields = [alpha, beta, eta]
     anchors = [anchor(pair, f) for f in fields]
-    comps = np.empty((n,), dtype=object)
-    for k in range(n):
+
+    def build(idx):
+        (k,) = idx
         terms = []
         for a_ix in range(3):
             x = anchors[a_ix]
             y = anchors[(a_ix + 1) % 3]
             w = fields[(a_ix + 2) % 3]
-            for l in range(n):
-                for i in range(n):
-                    for j in range(n):
-                        terms.append(
-                            ex.neg(
-                                ex.expr_product(
-                                    [w.comps[(l,)], r[l, k, i, j], x.comps[(i,)], y.comps[(j,)]]
-                                )
-                            )
-                        )
-        comps[(k,)] = ex.expr_sum(terms)
-    return SymFormField(chart, 1, comps)
+            for l, i, j in np.ndindex(n, n, n):
+                terms.append(ex.neg(ex.expr_product([w.comps[(l,)], r[l, k, i, j], x.comps[(i,)], y.comps[(j,)]])))
+        return ex.expr_sum(terms)
+
+    return SymFormField(chart, 1, _build_components(n, 1, build, fixed=1))

@@ -320,28 +320,10 @@ def _probe_lines(suite: str, pair: SymPoissonPair, probes: list[Probe]) -> list[
     lines = []
     for probe in probes:
         data = characteristic_data(pair.theta, probe.point)
-        if probe.rank is not None:
-            lines.append(
-                CheckLine(
-                    suite,
-                    f"rank@{probe.point}",
-                    str(probe.rank),
-                    str(data.rank),
-                    None,
-                    data.rank == probe.rank,
-                )
-            )
-        if probe.signature is not None:
-            lines.append(
-                CheckLine(
-                    suite,
-                    f"signature@{probe.point}",
-                    str(probe.signature),
-                    str(data.signature),
-                    None,
-                    data.signature == probe.signature,
-                )
-            )
+        for name in ("rank", "signature"):
+            expected = getattr(probe, name)
+            if expected is not None:
+                lines.append(_bool_line(suite, f"{name}@{probe.point}", expected, getattr(data, name)))
     return lines
 
 
@@ -349,7 +331,7 @@ def _probe_lines(suite: str, pair: SymPoissonPair, probes: list[Probe]) -> list[
 # catalog suites
 # ---------------------------------------------------------------------------
 
-def _bool_line(suite, name, expected: bool, got: bool) -> CheckLine:
+def _bool_line(suite, name, expected, got) -> CheckLine:
     return CheckLine(suite, name, str(expected), str(got), None, expected == got)
 
 
@@ -468,10 +450,12 @@ def _build_parser() -> _Parser:
     group = p_cat.add_mutually_exclusive_group(required=True)
     group.add_argument("--id", dest="ident")
     group.add_argument("--all", action="store_true")
+    p_cat.set_defaults(format="text", out=None)
 
     p_rep = sub.add_parser("report", parents=[common], help="run the full battery")
     p_rep.add_argument("--format", choices=["text", "csv"], default="text")
     p_rep.add_argument("--out", default=None)
+    p_rep.set_defaults(ident=None)
     return parser
 
 
@@ -487,13 +471,6 @@ def _verdict_error(err: Exception, names=None) -> int:
         return NUMERIC_FAILURE
     print(f"error: {err}", file=sys.stderr)
     return USAGE_ERROR
-
-
-def _catalog_lines(idents: list[str], args) -> list[CheckLine]:
-    lines = []
-    for ident in idents:
-        lines += run_catalog_id(ident, args.tol, args.samples, args.seed)
-    return lines
 
 
 def _write(path: str, text: str) -> bool:
@@ -594,21 +571,13 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    """`catalog` and `report`: the suites of one catalog id, or of every id."""
+    idents = catalog_ids() if args.ident is None else [args.ident]
     try:
-        lines = _catalog_lines(catalog_ids() if args.all else [args.ident], args)
+        lines = [line for ident in idents for line in run_catalog_id(ident, args.tol, args.samples, args.seed)]
     except registry.CatalogError as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
-    except (ExprError, GeometryError) as err:
-        return _verdict_error(err)
-    report = Report(lines, args.samples, args.seed, args.tol)
-    sys.stdout.write(report.render_text())
-    return 0 if report.ok else MISMATCH
-
-
-def cmd_report(args) -> int:
-    try:
-        lines = _catalog_lines(catalog_ids(), args)
     except (ExprError, GeometryError) as err:
         return _verdict_error(err)
     report = Report(lines, args.samples, args.seed, args.tol)
@@ -631,11 +600,7 @@ def main(argv=None) -> int:
         return cmd_check(args)
     if args.command == "integrate":
         return cmd_integrate(args)
-    if args.command == "catalog":
-        return cmd_catalog(args)
-    if args.command == "report":
-        return cmd_report(args)
-    raise AssertionError("unreachable")
+    return cmd_catalog(args)
 
 
 if __name__ == "__main__":

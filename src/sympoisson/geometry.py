@@ -6,7 +6,7 @@ formulas):
 - Tensor components are stored as full symmetric arrays indexed by all
   permutations, e.g. a degree-2 field stores T[i][j] = T[j][i].  A
   `_SymField`'s components are symmetric by construction, so the builders
-  (`_build_symmetric`) build each sorted index once and store that one node
+  (`_build_components`) build each sorted index once and store that one node
   at every permutation of it: T[j][i] is T[i][j].
 - The symmetric product `sym_product` is the unnormalized shuffle sum, so for
   vector fields (X . Y)^{ij} = X^i Y^j + X^j Y^i and X . X = 2 (X x X).
@@ -141,14 +141,15 @@ def _orbits(n: int, rank: int) -> tuple:
     )
 
 
-def _build_symmetric(n: int, rank: int, build, fixed: int = 0) -> np.ndarray:
+def _build_components(n: int, rank: int, build, fixed: int = 0) -> np.ndarray:
     """The (n,)*rank component array symmetric in the axes after `fixed`.
 
     `build(idx)` runs once per index whose axes after `fixed` are sorted, in
     lexicographic order, and its node is stored at every permutation of
     those axes.  Callers build from symmetric fields, whose components are
     symmetric by construction, so the skipped builds would only have summed
-    the same terms in another order.
+    the same terms in another order.  With `fixed=rank` it runs once per
+    index, in `np.ndindex` order: the array need not be symmetric at all.
     """
     comps = np.empty((n,) * rank, dtype=object)
     for head in itertools.product(range(n), repeat=fixed):
@@ -249,7 +250,7 @@ class _SymField:
 
     def _map(self, op, *others):
         """The field of the same kind with components op(T[idx], *(O[idx] for O in others))."""
-        comps = _build_symmetric(
+        comps = _build_components(
             self.chart.n, self.degree, lambda idx: op(self.comps[idx], *(o.comps[idx] for o in others))
         )
         return type(self)(self.chart, self.degree, comps)
@@ -366,14 +367,14 @@ class Connection:
 
 def torsion_free_part(conn: Connection) -> Connection:
     """The associated torsion-free connection: gamma0 = (gamma + gamma^T)/2."""
-    n = conn.chart.n
+    g = conn.gamma
     half = ex.const(0.5)
-    gamma = _zero_comps(n, 3)
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                gamma[k, i, j] = ex.mul(half, ex.add(conn.gamma[k, i, j], conn.gamma[k, j, i]))
-    return Connection(conn.chart, gamma)
+
+    def build(idx):
+        k, i, j = idx
+        return ex.mul(half, ex.add(g[k, i, j], g[k, j, i]))
+
+    return Connection(conn.chart, _build_components(conn.chart.n, 3, build, fixed=3))
 
 
 class CurvatureField:
@@ -416,14 +417,14 @@ def sym_product(a: _SymField, b: _SymField):
             ex.mul(a.comps[tuple(idx[t] for t in sa)], b.comps[tuple(idx[t] for t in sb)]) for sa, sb in splits
         ])
 
-    return type(a)(a.chart, p + q, _build_symmetric(a.chart.n, p + q, build))
+    return type(a)(a.chart, p + q, _build_components(a.chart.n, p + q, build))
 
 
 def _contract_first_slot(one_comps: np.ndarray, comps: np.ndarray) -> np.ndarray:
     """a_m T^{m j...}: a 1-index array against the first axis of a component
     array that is symmetric in the other axes."""
     n = len(one_comps)
-    return _build_symmetric(
+    return _build_components(
         n, comps.ndim - 1, lambda idx: ex.expr_sum([ex.mul(one_comps[m], comps[(m,) + idx]) for m in range(n)])
     )
 
@@ -471,7 +472,7 @@ def multi_contract(x: SymTensorField, phi: SymFormField) -> SymFormField:
     def build(idx):
         return ex.mul(inv, ex.expr_sum([ex.mul(x.comps[multi], phi.comps[multi + idx]) for multi in multis]))
 
-    return SymFormField(phi.chart, s - r, _build_symmetric(n, s - r, build))
+    return SymFormField(phi.chart, s - r, _build_components(n, s - r, build))
 
 
 def differential(f: ScalarField, chart: Chart) -> SymFormField:
@@ -534,7 +535,7 @@ def covariant_derivative(conn: Connection, t: _SymField) -> MixedDerivative:
                     terms.append(ex.neg(ex.mul(conn.gamma[m, i, ja], t.comps[swapped])))
         return ex.expr_sum(terms)
 
-    return MixedDerivative(conn.chart, type(t), r, _build_symmetric(n, r + 1, build, fixed=1))
+    return MixedDerivative(conn.chart, type(t), r, _build_components(n, r + 1, build, fixed=1))
 
 
 def symmetric_derivative(conn: Connection, phi: SymFormField) -> SymFormField:
@@ -546,7 +547,7 @@ def symmetric_derivative(conn: Connection, phi: SymFormField) -> SymFormField:
     def build(idx):
         return ex.expr_sum([nabla.comps[(idx[m],) + idx[:m] + idx[m + 1:]] for m in range(r + 1)])
 
-    return SymFormField(conn.chart, r + 1, _build_symmetric(conn.chart.n, r + 1, build))
+    return SymFormField(conn.chart, r + 1, _build_components(conn.chart.n, r + 1, build))
 
 
 def symmetric_bracket(conn: Connection, x: SymTensorField, y: SymTensorField) -> SymTensorField:
@@ -564,14 +565,15 @@ def lie_bracket(x: SymTensorField, y: SymTensorField) -> SymTensorField:
         raise GeometryError("lie bracket is defined on vector fields")
     _require_same_chart(x, y)
     n = x.chart.n
-    comps = np.empty((n,), dtype=object)
-    for k in range(n):
+
+    def build(idx):
         terms = []
         for i in range(n):
-            terms.append(ex.mul(x.comps[(i,)], y.comps[(k,)].diff(i)))
-            terms.append(ex.neg(ex.mul(y.comps[(i,)], x.comps[(k,)].diff(i))))
-        comps[(k,)] = ex.expr_sum(terms)
-    return SymTensorField(x.chart, 1, comps)
+            terms.append(ex.mul(x.comps[(i,)], y.comps[idx].diff(i)))
+            terms.append(ex.neg(ex.mul(y.comps[(i,)], x.comps[idx].diff(i))))
+        return ex.expr_sum(terms)
+
+    return SymTensorField(x.chart, 1, _build_components(n, 1, build, fixed=1))
 
 
 def symmetric_lie_derivative(conn: Connection, x: SymTensorField, phi: SymFormField) -> SymFormField:
@@ -681,28 +683,23 @@ def curvature(conn: Connection) -> CurvatureField:
     """R^l_{k i j} = d_i G^l_{j k} - d_j G^l_{i k} + G^l_{i m} G^m_{j k} - G^l_{j m} G^m_{i k}."""
     n = conn.chart.n
     g = conn.gamma
-    comps = np.empty((n, n, n, n), dtype=object)
-    for l in range(n):
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    terms = [g[l, j, k].diff(i), ex.neg(g[l, i, k].diff(j))]
-                    for m in range(n):
-                        terms.append(ex.mul(g[l, i, m], g[m, j, k]))
-                        terms.append(ex.neg(ex.mul(g[l, j, m], g[m, i, k])))
-                    comps[l, k, i, j] = ex.expr_sum(terms)
-    return CurvatureField(conn.chart, comps)
+
+    def build(idx):
+        l, k, i, j = idx
+        terms = [g[l, j, k].diff(i), ex.neg(g[l, i, k].diff(j))]
+        for m in range(n):
+            terms.append(ex.mul(g[l, i, m], g[m, j, k]))
+            terms.append(ex.neg(ex.mul(g[l, j, m], g[m, i, k])))
+        return ex.expr_sum(terms)
+
+    return CurvatureField(conn.chart, _build_components(n, 4, build, fixed=4))
 
 
 def ricci(conn: Connection) -> np.ndarray:
     """Ric_{k j} = R^l_{k l j} as a covariant component array."""
     r = curvature(conn).comps
     n = conn.chart.n
-    out = np.empty((n, n), dtype=object)
-    for k in range(n):
-        for j in range(n):
-            out[k, j] = ex.expr_sum([r[l, k, l, j] for l in range(n)])
-    return out
+    return _build_components(n, 2, lambda idx: ex.expr_sum([r[l, idx[0], l, idx[1]] for l in range(n)]), fixed=2)
 
 
 def _symbolic_inverse(m: np.ndarray) -> np.ndarray:
@@ -719,12 +716,8 @@ def _symbolic_inverse(m: np.ndarray) -> np.ndarray:
         cof = _symbolic_det(np.delete(np.delete(m, j, axis=0), i, axis=1))
         return ex.div(ex.neg(cof) if (i + j) % 2 == 1 else cof, det)
 
-    if all(m[i, j] is m[j, i] for i in range(n) for j in range(i)):
-        return _build_symmetric(n, 2, entry)
-    inv = np.empty((n, n), dtype=object)
-    for idx in np.ndindex(n, n):
-        inv[idx] = entry(idx)
-    return inv
+    symmetric = all(m[i, j] is m[j, i] for i in range(n) for j in range(i))
+    return _build_components(n, 2, entry, fixed=0 if symmetric else 2)
 
 
 def _symbolic_det(m: np.ndarray):
@@ -772,19 +765,19 @@ def levi_civita(g: SymFormField) -> Connection:
     ginv = invert_metric(g).comps
     n = g.chart.n
     half = ex.const(0.5)
-    gamma = np.empty((n, n, n), dtype=object)
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                terms = []
-                for l in range(n):
-                    inner = ex.add(
-                        g.comps[l, j].diff(i),
-                        ex.sub(g.comps[l, i].diff(j), g.comps[i, j].diff(l)),
-                    )
-                    terms.append(ex.mul(ginv[k, l], inner))
-                gamma[k, i, j] = ex.mul(half, ex.expr_sum(terms))
-    return Connection(g.chart, gamma)
+
+    def build(idx):
+        k, i, j = idx
+        terms = []
+        for l in range(n):
+            inner = ex.add(
+                g.comps[l, j].diff(i),
+                ex.sub(g.comps[l, i].diff(j), g.comps[i, j].diff(l)),
+            )
+            terms.append(ex.mul(ginv[k, l], inner))
+        return ex.mul(half, ex.expr_sum(terms))
+
+    return Connection(g.chart, _build_components(n, 3, build, fixed=3))
 
 
 def raise_indices(ginv: _SymField, phi: _SymField) -> _SymField:
@@ -805,7 +798,7 @@ def raise_indices(ginv: _SymField, phi: _SymField) -> _SymField:
             ex.expr_product([*(ginv.comps[i, j] for i, j in zip(idx, multi)), phi.comps[multi]]) for multi in multis
         ])
 
-    return type(ginv)(phi.chart, r, _build_symmetric(n, r, build))
+    return type(ginv)(phi.chart, r, _build_components(n, r, build))
 
 
 lower_indices = raise_indices

@@ -24,7 +24,7 @@ from typing import ClassVar, Mapping, Sequence
 import numpy as np
 
 from . import expr as ex
-from .geometry import Chart, Connection, SymTensorField
+from .geometry import Chart, Connection, SymTensorField, _build_components
 from .poisson import Involutivity, SymPoissonPair, characteristic_generators  # noqa: F401 (re-exported)
 
 
@@ -231,17 +231,13 @@ def to_linear_structure(alg: CommutativeAlgebra, names: Sequence[str] | None = N
     names = list(names) if names is not None else _chart_names(alg.dim)
     chart = Chart(names)
     d = alg.dim
-    comps = np.empty((d, d), dtype=object)
-    for i in range(d):
-        for j in range(d):
-            comps[i, j] = ex.expr_sum(
-                [
-                    ex.mul(ex.const(float(alg.c[k][i][j])), ex.var(k))
-                    for k in range(d)
-                    if alg.c[k][i][j] != 0
-                ]
-            )
-    theta = SymTensorField(chart, 2, comps)
+
+    def build(idx):
+        i, j = idx
+        c = [alg.c[k][i][j] for k in range(d)]
+        return ex.expr_sum([ex.mul(ex.const(float(c[k])), ex.var(k)) for k in range(d) if c[k] != 0])
+
+    theta = SymTensorField(chart, 2, _build_components(d, 2, build, fixed=2))
     return SymPoissonPair(theta, Connection.euclidean(chart))
 
 

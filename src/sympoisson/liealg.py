@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import expr as ex
-from .geometry import Chart, Connection, SymTensorField, _symbolic_inverse
+from .geometry import Chart, Connection, SymTensorField, _build_components, _symbolic_inverse
 from .jj import _echelon, _exact_inverse, _frac, _StructureConstants
 from .poisson import SymPoissonPair
 
@@ -365,56 +365,33 @@ def chart_export(
     if g.dim != n or len(frame) != n:
         raise LieAlgebraError("frame must match the algebra dimension")
     conn.require_torsion_free()
-    m = np.empty((n, n), dtype=object)
-    for a in range(n):
-        for i in range(n):
-            m[a, i] = frame[i].comps[(a,)]
+    m = _build_components(n, 2, lambda idx: frame[idx[1]].comps[idx[:1]], fixed=2)  # m[a, i] = E_i^a
     m_inv = _symbolic_inverse(m)  # m_inv[i, a]
 
-    # F^b_{ij} = A^k_{ij} E_k^b - E_i^a d_a E_j^b
-    f = np.empty((n, n, n), dtype=object)
-    for b in range(n):
-        for i in range(n):
-            for j in range(n):
-                terms = [
-                    ex.mul(ex.const(float(conn.a[k][i][j])), frame[k].comps[(b,)])
-                    for k in range(n)
-                    if conn.a[k][i][j] != 0
-                ]
-                for a in range(n):
-                    terms.append(
-                        ex.neg(ex.mul(frame[i].comps[(a,)], frame[j].comps[(b,)].diff(a)))
-                    )
-                f[b, i, j] = ex.expr_sum(terms)
-
-    gamma = np.empty((n, n, n), dtype=object)
-    for b in range(n):
+    def frame_defect(idx):
+        # F^b_{ij} = A^k_{ij} E_k^b - E_i^a d_a E_j^b
+        b, i, j = idx
+        a_ij = [conn.a[k][i][j] for k in range(n)]
+        terms = [ex.mul(ex.const(float(a_ij[k])), frame[k].comps[(b,)]) for k in range(n) if a_ij[k] != 0]
         for a in range(n):
-            for c in range(n):
-                terms = []
-                for i in range(n):
-                    for j in range(n):
-                        terms.append(
-                            ex.expr_product([m_inv[i, a], m_inv[j, c], f[b, i, j]])
-                        )
-                gamma[b, a, c] = ex.expr_sum(terms)
+            terms.append(ex.neg(ex.mul(frame[i].comps[(a,)], frame[j].comps[(b,)].diff(a))))
+        return ex.expr_sum(terms)
 
-    comps = np.empty((n, n), dtype=object)
-    for a in range(n):
-        for b in range(n):
-            terms = []
-            for i in range(n):
-                for j in range(n):
-                    if theta.comps[i, j] != 0:
-                        terms.append(
-                            ex.expr_product(
-                                [
-                                    ex.const(float(theta.comps[i, j])),
-                                    frame[i].comps[(a,)],
-                                    frame[j].comps[(b,)],
-                                ]
-                            )
-                        )
-            comps[a, b] = ex.expr_sum(terms)
+    f = _build_components(n, 3, frame_defect, fixed=3)
+
+    def christoffel(idx):
+        b, a, c = idx
+        return ex.expr_sum([ex.expr_product([m_inv[i, a], m_inv[j, c], f[b, i, j]]) for i, j in np.ndindex(n, n)])
+
+    def pushed_theta(idx):
+        a, b = idx
+        return ex.expr_sum([
+            ex.expr_product([ex.const(float(theta.comps[i, j])), frame[i].comps[(a,)], frame[j].comps[(b,)]])
+            for i, j in np.ndindex(n, n)
+            if theta.comps[i, j] != 0
+        ])
+
+    gamma = _build_components(n, 3, christoffel, fixed=3)
+    comps = _build_components(n, 2, pushed_theta, fixed=2)
     theta_chart = SymTensorField(chart, 2, comps)
     return SymPoissonPair(theta_chart, Connection(chart, gamma))

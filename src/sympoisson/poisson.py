@@ -100,16 +100,14 @@ def schouten_self_cyclic(pair: SymPoissonPair) -> SymTensorField:
 
         1/2 [theta, theta](a, b, c) = (nabla_{theta(a)} theta)(b, c) + cyclic.
     """
-    n = pair.chart.n
     d = pair.directional.comps
-    out = np.empty((n, n, n), dtype=object)
     two = ex.const(2.0)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                cyc = ex.expr_sum([d[i, j, k], d[j, k, i], d[k, i, j]])
-                out[i, j, k] = ex.mul(two, cyc)
-    return SymTensorField(pair.chart, 3, out)
+
+    def build(idx):
+        i, j, k = idx
+        return ex.mul(two, ex.expr_sum([d[i, j, k], d[j, k, i], d[k, i, j]]))
+
+    return SymTensorField(pair.chart, 3, geo._build_components(pair.chart.n, 3, build, fixed=3))
 
 
 def is_symmetric_poisson(pair: SymPoissonPair) -> bool:

@@ -1,10 +1,10 @@
-"""The reference routes that evaluation plans and symmetric builders are
+"""The reference routes that evaluation plans and component builders are
 tested against.
 
 `eval_scaled` walks an expression tree recursively at one point, node by
 node with multiplicity, independently of `expr.Plan` and `compile_plan`.
 `plan_order` gives `Plan.nodes` by a recursive walk.  The `*_comps`
-functions build a symmetric field's components index by index.  The
+functions build a component array index by index with nested loops.  The
 `*_sum` functions spell the exact algebra identities out term by term over
 the structure constants and connection coefficients.  The `*_bracket_sum`,
 `laplacian_sum` and `derivative_along_sum` functions expand the bracket
@@ -146,6 +146,162 @@ def symmetric_derivative_comps(nabla):
     for idx in np.ndindex(*comps.shape):
         comps[idx] = ex.expr_sum([nabla[(idx[m],) + idx[:m] + idx[m + 1:]] for m in range(r + 1)])
     return comps
+
+
+# ---------------------------------------------------------------------------
+# Arrays built index by index with nested loops, in the library's term order;
+# `geometry._build_components(..., fixed=rank)` builds each of them.
+# ---------------------------------------------------------------------------
+
+def torsion_free_part_comps(gamma):
+    n = len(gamma)
+    half = ex.const(0.5)
+    comps = np.empty((n, n, n), dtype=object)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                comps[k, i, j] = ex.mul(half, ex.add(gamma[k, i, j], gamma[k, j, i]))
+    return comps
+
+
+def lie_bracket_comps(x, y):
+    n = len(x)
+    comps = np.empty((n,), dtype=object)
+    for k in range(n):
+        terms = []
+        for i in range(n):
+            terms.append(ex.mul(x[i], y[k].diff(i)))
+            terms.append(ex.neg(ex.mul(y[i], x[k].diff(i))))
+        comps[k] = ex.expr_sum(terms)
+    return comps
+
+
+def curvature_comps(gamma):
+    n = len(gamma)
+    comps = np.empty((n, n, n, n), dtype=object)
+    for l in range(n):
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    terms = [gamma[l, j, k].diff(i), ex.neg(gamma[l, i, k].diff(j))]
+                    for m in range(n):
+                        terms.append(ex.mul(gamma[l, i, m], gamma[m, j, k]))
+                        terms.append(ex.neg(ex.mul(gamma[l, j, m], gamma[m, i, k])))
+                    comps[l, k, i, j] = ex.expr_sum(terms)
+    return comps
+
+
+def ricci_comps(r):
+    n = len(r)
+    comps = np.empty((n, n), dtype=object)
+    for k in range(n):
+        for j in range(n):
+            comps[k, j] = ex.expr_sum([r[l, k, l, j] for l in range(n)])
+    return comps
+
+
+def inverse_comps(m, det):
+    """Adjugate over `det`, one cofactor expansion per entry."""
+    n = len(m)
+    comps = np.empty((n, n), dtype=object)
+    for i in range(n):
+        for j in range(n):
+            cof = det(np.delete(np.delete(m, j, axis=0), i, axis=1))
+            comps[i, j] = ex.div(ex.neg(cof) if (i + j) % 2 == 1 else cof, det(m))
+    return comps
+
+
+def levi_civita_comps(g, ginv):
+    n = len(g)
+    half = ex.const(0.5)
+    comps = np.empty((n, n, n), dtype=object)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                terms = []
+                for l in range(n):
+                    inner = ex.add(g[l, j].diff(i), ex.sub(g[l, i].diff(j), g[i, j].diff(l)))
+                    terms.append(ex.mul(ginv[k, l], inner))
+                comps[k, i, j] = ex.mul(half, ex.expr_sum(terms))
+    return comps
+
+
+def schouten_self_cyclic_comps(d):
+    n = len(d)
+    two = ex.const(2.0)
+    comps = np.empty((n, n, n), dtype=object)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                comps[i, j, k] = ex.mul(two, ex.expr_sum([d[i, j, k], d[j, k, i], d[k, i, j]]))
+    return comps
+
+
+def bianchi_comps(r, forms, anchors):
+    """-(eta_l R^l_{kij} X^i Y^j) + cyclic over (alpha, beta, eta) and their anchors."""
+    n = len(r)
+    comps = np.empty((n,), dtype=object)
+    for k in range(n):
+        terms = []
+        for a in range(3):
+            x, y, w = anchors[a], anchors[(a + 1) % 3], forms[(a + 2) % 3]
+            for l in range(n):
+                for i in range(n):
+                    for j in range(n):
+                        terms.append(ex.neg(ex.expr_product([w[l], r[l, k, i, j], x[i], y[j]])))
+        comps[k] = ex.expr_sum(terms)
+    return comps
+
+
+def linear_structure_comps(c):
+    """theta^{ij} = c^k_{ij} x^k over the nonzero constants."""
+    d = len(c)
+    comps = np.empty((d, d), dtype=object)
+    for i in range(d):
+        for j in range(d):
+            terms = [ex.mul(ex.const(float(c[k][i][j])), ex.var(k)) for k in range(d) if c[k][i][j] != 0]
+            comps[i, j] = ex.expr_sum(terms)
+    return comps
+
+
+def chart_export_comps(a, theta, frame, inverse):
+    """(Gamma, theta) in the chart of a frame, E_i^b = frame[i][b]: the
+    frame matrix m[b, i] = E_i^b, F^b_{ij} = A^k_{ij} E_k^b - E_i^c d_c E_j^b,
+    Gamma^b_{ac} = m^{-1}[i, a] m^{-1}[j, c] F^b_{ij} and
+    theta^{ab} = theta^{ij} E_i^a E_j^b, with m^{-1} = inverse(m)."""
+    n = len(frame)
+    m = np.empty((n, n), dtype=object)
+    for b in range(n):
+        for i in range(n):
+            m[b, i] = frame[i][b]
+    m_inv = inverse(m)
+    f = np.empty((n, n, n), dtype=object)
+    for b in range(n):
+        for i in range(n):
+            for j in range(n):
+                terms = [ex.mul(ex.const(float(a[k][i][j])), frame[k][b]) for k in range(n) if a[k][i][j] != 0]
+                for c in range(n):
+                    terms.append(ex.neg(ex.mul(frame[i][c], frame[j][b].diff(c))))
+                f[b, i, j] = ex.expr_sum(terms)
+    gamma = np.empty((n, n, n), dtype=object)
+    for b in range(n):
+        for a_ in range(n):
+            for c in range(n):
+                terms = []
+                for i in range(n):
+                    for j in range(n):
+                        terms.append(ex.expr_product([m_inv[i, a_], m_inv[j, c], f[b, i, j]]))
+                gamma[b, a_, c] = ex.expr_sum(terms)
+    pushed = np.empty((n, n), dtype=object)
+    for a_ in range(n):
+        for b in range(n):
+            terms = []
+            for i in range(n):
+                for j in range(n):
+                    if theta[i, j] != 0:
+                        terms.append(ex.expr_product([ex.const(float(theta[i, j])), frame[i][a_], frame[j][b]]))
+            pushed[a_, b] = ex.expr_sum(terms)
+    return gamma, pushed
 
 
 # ---------------------------------------------------------------------------

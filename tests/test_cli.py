@@ -615,6 +615,22 @@ def test_catalog_output_bytes_are_pinned(argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the stdout of `report --format csv --seed S` for S = 1..40,
+# concatenated in seed order: every verdict and residual bit at 40 seeds
+REPORT_SEEDS_DIGEST = "31335091356d3e26080cefe786f81fa61c95610411b114d94aa0650e10ebd691"
+
+
+def test_report_csv_at_forty_seeds_is_pinned():
+    import hashlib
+
+    digest = hashlib.sha256()
+    for seed in range(1, 41):
+        code, out, err = run_cli("report", "--format", "csv", "--seed", str(seed))
+        assert code == 0, (seed, err)
+        digest.update(out.encode())
+    assert digest.hexdigest() == REPORT_SEEDS_DIGEST
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "sympoisson.cli", "catalog", "--id", "jj:dim2"],
