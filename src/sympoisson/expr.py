@@ -669,8 +669,9 @@ class Plan:
     `table` runs the plan over numpy arrays of samples, and `residual`
     reduces the table.  At one point, `values` interprets the plan on
     Python floats with `math.*` in slot order, and `compile_plan` generates
-    the same steps as code, which costs more to build and less per call.
-    Both give equal values and, where a node fails, the same located
+    the same steps as code, which costs more to build and less per call
+    (`compile_rk4` generates them once per RK4 stage of a whole trajectory).
+    All give equal values and, where a node fails, the same located
     EvalDomainError, built by `_located`.
     """
 
@@ -850,50 +851,133 @@ def residual(exprs: Iterable[Expr], samples) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Code generation: one straight-line function per plan
+# Code generation: plans as straight-line Python
 # ---------------------------------------------------------------------------
 
-_COMPILE_ENV = {"_float": float, "_FAILURES": _EVAL_FAILURES, **{f"_{name}": fn for name, fn in _FUNCS.items()}}
+_COMPILE_ENV = {
+    "_float": float,
+    "_isfinite": math.isfinite,
+    "_FAILURES": _EVAL_FAILURES,
+    **{f"_{name}": fn for name, fn in _FUNCS.items()},
+}
+
+
+class _Source:
+    """A generated function under construction: its lines, the (plan, slot)
+    computed on each node line, and the globals the code reads.
+
+    The code is written to wrap its nodes in one ``try`` whose ``except``
+    raises ``_located(err)``: the failing line gives the node, so the error
+    is the one `Plan.values` raises, built by `Plan._located`.
+    """
+
+    def __init__(self, *lines: str):
+        self.lines = list(lines)
+        self.sites: dict[int, tuple[Plan, int]] = {}
+        self.env = dict(_COMPILE_ENV, _located=self._located)
+
+    def add(self, indent: str, *lines: str) -> None:
+        self.lines += [indent + line for line in lines]
+
+    def nodes(self, plan: Plan, prefix: str, inputs: Sequence[str], indent: str) -> list[str]:
+        """Emit `plan` in slot order, one line per interior node, and return
+        the names holding its roots.
+
+        Slot i is the local ``{prefix}{i}``, a constant the global of that
+        name; variable k is read from the local `inputs[k]`.  Every node
+        keeps its operation and its `math.*` call, so the values equal
+        `Plan.values` bit for bit.
+        """
+        names = [f"{prefix}{i}" for i in range(len(plan.nodes))]
+        for i, k in enumerate(plan._vars, len(plan._consts)):
+            names[i] = inputs[k]
+        self.env.update(zip(names, plan._consts))
+        for i, (kind, a, b) in enumerate(plan._ops, plan._leaves):
+            if kind in _BINARY:
+                rhs = f"{names[a]} {kind} {names[b]}"
+            elif kind == "^":
+                rhs = f"{names[a]} ** {b}"
+            elif kind == "neg":
+                rhs = f"-{names[a]}"
+            else:
+                rhs = f"_{kind}({names[a]})"
+            self.add(indent, f"{names[i]} = {rhs}")
+            self.sites[len(self.lines)] = (plan, i)  # lines count from 1
+        return [names[r] for r in plan.roots]
+
+    def _located(self, err: Exception) -> EvalDomainError:
+        plan, slot = self.sites[err.__traceback__.tb_lineno]
+        return plan._located(slot, err)
+
+    def function(self) -> Callable:
+        exec("\n".join(self.lines), self.env)  # noqa: S102 - source is machine generated
+        return self.env["f"]
+
+
+def _tuple(names: Iterable[str]) -> str:
+    return f"({''.join(f'{name}, ' for name in names)})"
 
 
 def compile_plan(exprs: Iterable[Expr]) -> Callable[[Sequence[float]], tuple[float, ...]]:
     """One generated Python function returning the values of `exprs` at a point.
 
-    The function walks `Plan(exprs)` as straight-line code: it reads each
-    variable once as a Python float and assigns each interior node once to
-    a local, so a shared subterm is computed once.  Constants are bound by
-    name, so a negative or non-finite one needs no literal.  Every node keeps
-    its operation and its `math.*` call, so the values equal `Plan.values`
-    bit for bit.  The interior nodes run inside one ``try``, one node per
-    line; a failure's line number gives its slot, so the function raises
+    The function walks `Plan(exprs)` as straight-line code (`_Source.nodes`):
+    it reads each variable once as a Python float and assigns each interior
+    node once to a local, so a shared subterm is computed once.  Constants
+    are bound by name, so a negative or non-finite one needs no literal.
+    The values equal `Plan.values` bit for bit, and a failing node raises
     the EvalDomainError `Plan.values` raises, naming the same node.
     """
     plan = Plan(exprs)
-    reads = (f"    s{i} = _float(v[{k}])" for i, k in enumerate(plan._vars, len(plan._consts)))
-    src = ["def f(v):", *reads, "    try:"]
-    offset = len(src) + 1 - plan._leaves  # slot i runs on line i + offset; the def is line 1
-    env = dict(_COMPILE_ENV, _located=lambda err: plan._located(err.__traceback__.tb_lineno - offset, err))
-    env.update((f"s{i}", c) for i, c in enumerate(plan._consts))
-    for i, (kind, a, b) in enumerate(plan._ops, plan._leaves):
-        if kind in _BINARY:
-            rhs = f"s{a} {kind} s{b}"
-        elif kind == "^":
-            rhs = f"s{a} ** {b}"
-        elif kind == "neg":
-            rhs = f"-s{a}"
-        else:
-            rhs = f"_{kind}(s{a})"
-        src.append(f"        s{i} = {rhs}")
-    src += [f"        return ({''.join(f's{r}, ' for r in plan.roots)})",
-            "    except _FAILURES as err:", "        raise _located(err) from None"]
-    exec("\n".join(src), env)  # noqa: S102 - source is machine generated
-    return env["f"]
+    inputs = {k: f"v{k}" for k in plan._vars}
+    code = _Source("def f(v):")
+    code.add("    ", *(f"{inputs[k]} = _float(v[{k}])" for k in plan._vars), "try:")
+    roots = code.nodes(plan, "s", inputs, "        ")
+    code.add("    ", f"    return {_tuple(roots)}", "except _FAILURES as err:", "    raise _located(err) from None")
+    return code.function()
 
 
 def compile_expr(e: Expr) -> Callable[[Sequence[float]], float]:
     """The one-expression case of `compile_plan`: a function returning a float."""
     fn = compile_plan([e])
     return lambda v: fn(v)[0]
+
+
+def compile_rk4(rhs: Sequence[Expr], observe: Iterable[Expr]) -> Callable:
+    """One generated function ``f(y, dt, steps, rows)`` running a whole
+    classical RK4 trajectory of ``y' = rhs(y)`` from the state `y`.
+
+    For each stored state it appends to `rows` the tuple of the state
+    followed by the values of `observe` there.  A step is straight-line
+    code: the four stages are `rhs`'s plan emitted four times, and between
+    them the stage inputs ``y + (dt/2) k`` and ``y + dt k`` and the update
+    ``y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4)`` run element by element in
+    that order, so each state equals the array form's bit for bit.  The run
+    returns after `steps` steps, or early as soon as an updated state is
+    not finite, without storing it.  A failing node raises the located
+    EvalDomainError of `compile_plan`; either way `rows` holds the states
+    before the step that stopped the run.
+    """
+    dim = len(rhs)
+    plan, seen = Plan(rhs), Plan(observe)
+    state = [f"y{k}" for k in range(dim)]
+    code = _Source("def f(y, dt, steps, rows):")
+    code.add("    ", *(f"y{k} = _float(y[{k}])" for k in range(dim)))
+    code.add("    ", "dt = _float(dt)", "half = 0.5 * dt", "sixth = dt / 6.0", "try:")
+    code.add("        ", "for step in range(steps + 1):", "    if step:")
+    body = " " * 16
+    stages = [code.nodes(plan, "a", state, body)]
+    for prefix, scale in (("b", "half"), ("c", "half"), ("d", "dt")):
+        inputs = [f"y{prefix}{k}" for k in range(dim)]
+        code.add(body, *(f"{inputs[k]} = y{k} + {scale} * {stages[-1][k]}" for k in plan._vars))
+        stages.append(code.nodes(plan, prefix, inputs, body))
+    update = (f"y{k} + sixth * ((({a} + 2.0 * {b}) + 2.0 * {c}) + {d})" for k, (a, b, c, d) in enumerate(zip(*stages)))
+    code.add(body, f"{', '.join(state)}, = {_tuple(update)}")
+    code.add(body, f"if not ({' and '.join(f'_isfinite({y})' for y in state)}):", "    return")
+    values = code.nodes(seen, "o", state, " " * 12)
+    code.add(" " * 12, f"rows.append({_tuple(state + values)})")
+    code.add("    ", "except _FAILURES as err:", "    raise _located(err) from None")
+    return code.function()
 
 
 # ---------------------------------------------------------------------------

@@ -237,52 +237,32 @@ class Trajectory:
         return float(np.abs(c - c[0]).max())
 
 
-def _rk4(rhs, y: tuple[float, ...], dt: float) -> tuple[float, ...]:
-    """One classical RK4 step on tuples of Python floats.
-
-    The operation order is that of the array form
-    ``y + (dt/6) * (k1 + 2 k2 + 2 k3 + k4)``, element by element.
-    """
-    half = 0.5 * dt
-    k1 = rhs(y)
-    k2 = rhs([a + half * b for a, b in zip(y, k1)])
-    k3 = rhs([a + half * b for a, b in zip(y, k2)])
-    k4 = rhs([a + dt * b for a, b in zip(y, k3)])
-    sixth = dt / 6.0
-    return tuple(
-        [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-    )
-
-
 def _integrate(
     rhs_exprs, observe_exprs, y0, dt: float, steps: int, chart: Chart, channels: list[str], second: str
 ) -> Trajectory:
     """RK4 from y0 with `steps` steps of size dt.
 
     `rhs_exprs` give the derivative of the state; `observe_exprs` give the
-    velocity and then one value per channel at each stored state.  Both run
-    as generated code, which raises an EvalDomainError naming the failing
-    node.  A non-finite state or an overflow raises BlowUpError, any other
-    domain error TrajectoryError; both name the step and carry the states
-    before it.
+    velocity and then one value per channel at each stored state.  The
+    whole run is one generated function (`expr.compile_rk4`), which raises
+    an EvalDomainError naming the failing node.  A non-finite state or an
+    overflow raises BlowUpError, any other domain error TrajectoryError;
+    both name the step and carry the states before it.
     """
-    rhs, observe = ex.compile_plan(rhs_exprs), ex.compile_plan(observe_exprs)
     rows: list[tuple[float, ...]] = []
-    y = tuple(y0)
     try:
-        for step in range(steps + 1):
-            if step:
-                y = _rk4(rhs, y, dt)
-                if not all(map(math.isfinite, y)):
-                    raise BlowUpError(step, _make_traj(dt, rows, chart.n, channels, second))
-            rows.append(y + observe(y))
+        ex.compile_rk4(rhs_exprs, observe_exprs)(y0, dt, steps, rows)
     except ex.EvalDomainError as err:
+        step = len(rows)
         partial = _make_traj(dt, rows, chart.n, channels, second)
         cause = err.named([*chart.names, *(f"p{i + 1}" for i in range(chart.n))])
         if err.reason == "overflow":
             raise BlowUpError(step, partial, cause) from err
         raise TrajectoryError(f"{cause} at step {step}", step, partial) from err
-    return _make_traj(dt, rows, chart.n, channels, second)
+    traj = _make_traj(dt, rows, chart.n, channels, second)
+    if len(rows) <= steps:  # the run stopped at a non-finite state
+        raise BlowUpError(len(rows), traj)
+    return traj
 
 
 def _make_traj(dt: float, rows, n: int, channels: list[str], second: str) -> Trajectory:
@@ -308,8 +288,8 @@ def integrate_pw(
 ) -> Trajectory:
     """Integrate the gradient flow of `h`; records the `hamiltonian` channel.
 
-    The gradient is one generated function of the phase point, and the
-    velocities and monitors are another.  Raises BlowUpError if the state
+    The whole run, gradient, velocities and monitors, is one generated
+    function (see `_integrate`).  Raises BlowUpError if the state
     leaves the finite range, TrajectoryError on a domain error; both carry
     the finite prefix.
     """
@@ -367,8 +347,10 @@ def _geodesic_defect(conn: Connection, cubic: SymTensorField | None, traj: Traje
     if cubic is not None:
         p = traj.ps[1:-1]
         defect = defect - 0.25 * np.einsum("si,sj,sijm->sm", p, p, table[:, n**3 :].reshape(-1, n, n, n))
-    # np.linalg.norm per row: a stacked sqrt(sum(x**2)) rounds differently in the last bit
-    return np.array([np.linalg.norm(d) for d in defect])
+    # each row's dot product with itself, as a stacked matmul: it takes the
+    # dot kernel np.linalg.norm takes, so every entry equals the row's norm bit
+    # for bit; einsum or (d * d).sum(1) round differently in the last bit
+    return np.sqrt(np.matmul(defect[:, None, :], defect[:, :, None])[:, 0, 0])
 
 
 def geodesic_residual_along(conn: Connection, traj: Trajectory) -> np.ndarray:
@@ -488,6 +470,5 @@ def trajectory_to_csv(traj: Trajectory) -> str:
         + list(traj.channels.keys())
     )
     table = np.column_stack([traj.times, traj.xs, traj.ps, *traj.channels.values()])
-    template = ",".join(["%.17g"] * table.shape[1])
-    lines = [",".join(header), *(template % tuple(row) for row in table.tolist())]
-    return "\n".join(lines) + "\n"
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return ",".join(header) + "\n" + (row * len(table)) % tuple(table.ravel().tolist())

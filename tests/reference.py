@@ -9,7 +9,8 @@ functions build a component array index by index with nested loops.  The
 the structure constants and connection coefficients.  The `*_bracket_sum`,
 `laplacian_sum` and `derivative_along_sum` functions expand the bracket
 formulas over components, one term at a time, without the vector field
-that induces each bracket.
+that induces each bracket.  `integrate_stepwise` runs a trajectory one RK4
+step at a time, calling a generated right-hand side once per stage.
 """
 
 import dataclasses
@@ -20,6 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from sympoisson import expr as ex
+from sympoisson import pw
 from sympoisson.expr import BinOp, Call, Const, EvalDomainError, Expr, Neg, Pow, Var
 
 _FUNCS = {"exp": math.exp, "ln": math.log, "sin": math.sin, "cos": math.cos, "sqrt": math.sqrt}
@@ -434,3 +436,44 @@ def directional_sum(a, theta):
             row = row + theta[i, m] * nabla[m]
         rows.append(row)
     return rows
+
+
+# ---------------------------------------------------------------------------
+# RK4 one step at a time: the stepper `pw._integrate` ran before the whole
+# trajectory became one generated function
+# ---------------------------------------------------------------------------
+
+def rk4_step(rhs, y, dt):
+    """One classical RK4 step on tuples of Python floats, in the operation
+    order of ``y + (dt/6) * (k1 + 2 k2 + 2 k3 + k4)``, element by element."""
+    half = 0.5 * dt
+    k1 = rhs(y)
+    k2 = rhs([a + half * b for a, b in zip(y, k1)])
+    k3 = rhs([a + half * b for a, b in zip(y, k2)])
+    k4 = rhs([a + dt * b for a, b in zip(y, k3)])
+    sixth = dt / 6.0
+    return tuple(
+        [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+    )
+
+
+def integrate_stepwise(rhs_exprs, observe_exprs, y0, dt, steps, chart, channels, second):
+    """`pw._integrate` with one `compile_plan` call per stage and per stored
+    state, raising the same errors with the same partial trajectories."""
+    rhs, observe = ex.compile_plan(rhs_exprs), ex.compile_plan(observe_exprs)
+    rows = []
+    y = tuple(y0)
+    try:
+        for step in range(steps + 1):
+            if step:
+                y = rk4_step(rhs, y, dt)
+                if not all(map(math.isfinite, y)):
+                    raise pw.BlowUpError(step, pw._make_traj(dt, rows, chart.n, channels, second))
+            rows.append(y + observe(y))
+    except EvalDomainError as err:
+        partial = pw._make_traj(dt, rows, chart.n, channels, second)
+        cause = err.named([*chart.names, *(f"p{i + 1}" for i in range(chart.n))])
+        if err.reason == "overflow":
+            raise pw.BlowUpError(step, partial, cause) from err
+        raise pw.TrajectoryError(f"{cause} at step {step}", step, partial) from err
+    return pw._make_traj(dt, rows, chart.n, channels, second)
