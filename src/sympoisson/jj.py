@@ -14,7 +14,7 @@ Catalog constants are exact rationals; verdicts on them are exact.
 
 from __future__ import annotations
 
-import itertools
+import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,97 +47,106 @@ def _frac(v) -> Fraction:
     raise AlgebraError(f"cannot interpret {v!r} as an exact rational")
 
 
+def _fractions(values, shape: tuple[int, ...], error=AlgebraError) -> np.ndarray:
+    """The one exact tensor format: an object array of Fractions of exactly
+    `shape`, from nested sequences or an array, or from a dict {index: value}
+    of entries (an int index stands for a 1-tuple) with the rest zero.
+    Raises `error` on any other shape or an index that names no entry."""
+    if isinstance(values, Mapping):
+        out = np.full(shape, _ZERO, dtype=object)
+        for idx, v in values.items():
+            idx = (idx,) if isinstance(idx, numbers.Integral) else tuple(idx)
+            if len(idx) != len(shape) or not all(
+                isinstance(i, numbers.Integral) and 0 <= i < n for i, n in zip(idx, shape)
+            ):
+                raise error(f"index {idx} names no entry of shape {shape}")
+            out[idx] = _frac(v)
+        return out
+    arr = np.array(values, dtype=object)
+    if arr.shape != shape:
+        raise error(f"dimension mismatch: expected shape {shape}, got {arr.shape}")
+    return np.array([_frac(v) for v in arr.flat], dtype=object).reshape(shape)
+
+
+def _integers(q: np.ndarray) -> tuple[np.ndarray, int]:
+    """(s q, s) for an array q of Fractions and s the lcm of its denominators:
+    the integer table as Python ints, zero exactly where q is.
+
+    An exact verdict tests a sum of products of one fixed degree in each
+    array for zero; scaling an array by s > 0 scales every term of such a
+    sum alike, so the integer sum vanishes exactly where the rational one does.
+    """
+    s = math.lcm(*(v.denominator for v in q.flat))
+    return np.array([v.numerator * (s // v.denominator) for v in q.flat], dtype=object).reshape(q.shape), s
+
+
 class _StructureConstants:
-    """Exact constants c[k][i][j] of a bilinear product e_i * e_j = c^k_{ij} e_k.
+    """Exact constants c[k, i, j] of a bilinear product e_i * e_j = c^k_{ij} e_k.
 
     A subclass fixes the symmetry in (i, j): `_sign` 1 for symmetric, -1 for
     antisymmetric constants; `_error` is the exception it raises.
     """
 
-    __slots__ = ("dim", "c", "_double")
+    __slots__ = ("dim", "c", "_scale", "_table")
     _sign = 1
     _error = AlgebraError
 
     def __init__(self, dim: int, c):
         self.dim = dim
-        self.c = tuple(
-            tuple(tuple(_frac(c[k][i][j]) for j in range(dim)) for i in range(dim))
-            for k in range(dim)
-        )
-        for k, level in enumerate(self.c):
-            mirror = tuple(zip(*level))
-            if self._sign < 0:
-                mirror = tuple(tuple(-v for v in row) for row in mirror)
-            if level != mirror:
-                i, j = next((i, j) for i in range(dim) for j in range(dim) if level[i][j] != mirror[i][j])
-                kind = "symmetric" if self._sign > 0 else "antisymmetric"
-                raise self._error(f"constants not {kind} at (k,i,j)=({k},{i},{j})")
-        # the double products ((e_j e_k) e_i)^l = sum_m c^m_jk c^l_mi, keyed
-        # (l, i, j, k), built from the nonzero constants and kept where nonzero
-        nonzero = [(k, i, j, v) for k, level in enumerate(self.c) for i, row in enumerate(level)
-                   for j, v in enumerate(row) if v]
-        double = {}
-        for m, j, k, v in nonzero:
-            for l, first, i, w in nonzero:
-                if first == m:
-                    double[l, i, j, k] = double.get((l, i, j, k), 0) + v * w
-        self._double = {key: t for key, t in double.items() if t}
+        self.c = _fractions(c, (dim,) * 3, self._error)
+        ints, self._scale = _integers(self.c)
+        asymmetric = np.argwhere(ints != self._sign * ints.transpose(0, 2, 1))
+        if len(asymmetric):
+            kind = "symmetric" if self._sign > 0 else "antisymmetric"
+            raise self._error(f"constants not {kind} at (k,i,j)=({','.join(map(str, asymmetric[0]))})")
+        # the double products T[l, i, j, k] = ((e_j e_k) e_i)^l = sum_m c^m_jk
+        # c^l_mi, times the scale squared
+        self._table = np.tensordot(ints, ints, axes=([1], [0]))
 
     @classmethod
     def _from_entries(cls, dim: int, entries: dict):
         """{(i, j): {k: value}} meaning e_i * e_j = sum value * e_k (0-based)."""
-        c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-        for (i, j), comp in entries.items():
+        c = {}
+        for ij, comp in entries.items():
             for k, v in comp.items():
-                c[k][i][j] = _frac(v)
-                c[k][j][i] = cls._sign * _frac(v)
+                c[(k, *ij)] = _frac(v)
+                c[(k, *ij[::-1])] = cls._sign * _frac(v)
         return cls(dim, c)
 
     def _product(self, u: Sequence, v: Sequence) -> tuple[Fraction, ...]:
-        if len(u) != self.dim or len(v) != self.dim:
-            raise self._error("vector dimension mismatch")
-        u = [_frac(a) for a in u]
-        v = [_frac(a) for a in v]
-        return tuple(
-            sum(
-                (self.c[k][i][j] * u[i] * v[j] for i in range(self.dim) for j in range(self.dim)),
-                start=Fraction(0),
-            )
-            for k in range(self.dim)
-        )
+        shape = (self.dim,)
+        return tuple(self.c.dot(_fractions(v, shape, self._error)).dot(_fractions(u, shape, self._error)))
+
+    def _rational(self, column) -> tuple[Fraction, ...]:
+        """A column of the integer double-product table as the exact vector."""
+        return tuple(Fraction(v, self._scale**2) for v in column)
 
     def double_product(self, i: int, j: int, k: int) -> tuple[Fraction, ...]:
         """(e_j e_k) e_i in coordinates."""
-        return tuple(self._double.get((l, i, j, k), _ZERO) for l in range(self.dim))
+        return self._rational(self._table[:, i, j, k])
 
     def jacobiator(self, i: int, j: int, k: int) -> tuple[Fraction, ...]:
         """The cyclic sum (e_j e_k) e_i + (e_k e_i) e_j + (e_i e_j) e_k."""
-        rotations = zip(self.double_product(i, j, k), self.double_product(j, k, i), self.double_product(k, i, j))
-        return tuple(a + b + c for a, b, c in rotations)
+        t = self._table
+        return self._rational(t[:, i, j, k] + t[:, j, k, i] + t[:, k, i, j])
 
     def satisfies_jacobi(self) -> bool:
-        """Exact check of the cyclic Jacobiator over the sorted basis triples:
-        it is symmetric for symmetric constants and alternating for
-        antisymmetric ones, so the sorted triples decide every triple."""
-        zero = (_ZERO,) * self.dim
-        return all(
-            self.jacobiator(i, j, k) == zero
-            for i, j, k in itertools.combinations_with_replacement(range(self.dim), 3)
-        )
+        """Exact check that the cyclic Jacobiator vanishes at every triple."""
+        t = self._table
+        return not (t + t.transpose(0, 3, 1, 2) + t.transpose(0, 2, 3, 1)).any()
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim})"
 
 
 class CommutativeAlgebra(_StructureConstants):
-    """Structure constants c[k][i][j], exactly symmetric in (i, j)."""
+    """Structure constants c[k, i, j], exactly symmetric in (i, j)."""
 
     __slots__ = ()
 
     @classmethod
     def zero(cls, dim: int) -> "CommutativeAlgebra":
-        z = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
-        return cls(dim, z)
+        return cls(dim, np.zeros((dim,) * 3, dtype=int))
 
     @classmethod
     def from_products(cls, dim: int, products: dict) -> "CommutativeAlgebra":
@@ -148,10 +157,10 @@ class CommutativeAlgebra(_StructureConstants):
 
     def associator(self, i: int, j: int, k: int) -> tuple[Fraction, ...]:
         """e_i . (e_j . e_k) - (e_i . e_j) . e_k."""
-        return tuple(a - b for a, b in zip(self.double_product(i, j, k), self.double_product(k, i, j)))
+        return self._rational(self._table[:, i, j, k] - self._table[:, k, i, j])
 
     def __eq__(self, other):
-        return isinstance(other, CommutativeAlgebra) and self.c == other.c
+        return isinstance(other, CommutativeAlgebra) and np.array_equal(self.c, other.c)
 
 
 def product(alg: CommutativeAlgebra, u, v):
@@ -164,26 +173,17 @@ def is_jacobi_jordan(alg: CommutativeAlgebra) -> bool:
 
 
 def is_associative(alg: CommutativeAlgebra) -> bool:
-    zero = (_ZERO,) * alg.dim
-    return all(
-        alg.associator(i, j, k) == zero for i, j, k in itertools.product(range(alg.dim), repeat=3)
-    )
+    """Exact check that every associator T[l,i,j,k] - T[l,k,i,j] vanishes."""
+    t = alg._table
+    return not (t - t.transpose(0, 2, 3, 1)).any()
 
 
 def basis_change(alg: CommutativeAlgebra, p: Sequence[Sequence]) -> CommutativeAlgebra:
-    """Structure constants in the basis f_i = sum_m p[m][i] e_m (p invertible)."""
-    d = alg.dim
-    pm = [[_frac(p[m][i]) for i in range(d)] for m in range(d)]
-    inv = _exact_inverse(pm)
-    c = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            prod = alg.product([pm[m][i] for m in range(d)], [pm[m][j] for m in range(d)])
-            for r in range(d):
-                c[r][i][j] = sum(
-                    (inv[r][k] * prod[k] for k in range(d)), start=Fraction(0)
-                )
-    return CommutativeAlgebra(d, c)
+    """Structure constants in the basis f_i = sum_m p[m][i] e_m (p invertible):
+    c'^r_ij = sum inv[r][k] c^k_mn p[m][i] p[n][j]."""
+    pm = _fractions(p, (alg.dim,) * 2)
+    inv = np.array(_exact_inverse(pm), dtype=object)
+    return CommutativeAlgebra(alg.dim, np.tensordot(inv, pm.T @ alg.c @ pm, axes=([1], [0])))
 
 
 def _exact_inverse(m):
@@ -234,7 +234,7 @@ def to_linear_structure(alg: CommutativeAlgebra, names: Sequence[str] | None = N
 
     def build(idx):
         i, j = idx
-        c = [alg.c[k][i][j] for k in range(d)]
+        c = alg.c[:, i, j]
         return ex.expr_sum([ex.mul(ex.const(float(c[k])), ex.var(k)) for k in range(d) if c[k] != 0])
 
     theta = SymTensorField(chart, 2, _build_components(d, 2, build, fixed=2))
@@ -254,19 +254,18 @@ def from_linear_structure(theta: SymTensorField) -> CommutativeAlgebra:
         raise AlgebraError("expected a degree-2 field")
     d = theta.chart.n
     origin = (0.0,) * d
-    comps = {(i, j): ex.ScalarField(theta.comps[i, j], d) for i, j in np.ndindex(d, d)}
-    firsts = {(i, j, k): e.diff(k) for (i, j), e in comps.items() for k in range(d)}
-    seconds = ex.Plan(f.diff(m).expr for f in firsts.values() for m in range(d))
+    comps = [ex.ScalarField(theta.comps[idx], d) for idx in np.ndindex(d, d)]
+    firsts = [f.diff(k) for f in comps for k in range(d)]
+    seconds = ex.Plan(f.diff(m).expr for f in firsts for m in range(d))
     curved = (np.abs(seconds.table(theta.chart.sample_points(5))[0]) > _LINEAR_TOL).any(axis=0)
-    curved = curved.reshape(d, d, d * d).any(axis=2)
-    c = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-    for i, j in np.ndindex(d, d):
-        if abs(comps[i, j](origin)) > _LINEAR_TOL:
+    curved = curved.reshape(d * d, d * d).any(axis=1)
+    for (i, j), f, bent in zip(np.ndindex(d, d), comps, curved):
+        if abs(f(origin)) > _LINEAR_TOL:
             raise AlgebraError(f"component ({i},{j}) has a constant part")
-        for k in range(d):
-            c[k][i][j] = Fraction(firsts[i, j, k](origin))
-        if curved[i, j]:
+        if bent:
             raise AlgebraError(f"component ({i},{j}) is not linear in the coordinates")
+    # firsts[(i d + j) d + k] = d_k theta^{ij} = c^k_{ij}
+    c = np.array([f(origin) for f in firsts], dtype=object).reshape(d, d, d).transpose(2, 0, 1)
     return CommutativeAlgebra(d, c)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import expr as ex
 from .geometry import Chart, Connection, SymTensorField, _build_components, _symbolic_inverse
-from .jj import _echelon, _exact_inverse, _frac, _StructureConstants
+from .jj import _echelon, _exact_inverse, _frac, _fractions, _integers, _StructureConstants
 from .poisson import SymPoissonPair
 
 
@@ -27,7 +27,7 @@ class LieAlgebraError(Exception):
 
 
 class LieAlgebra(_StructureConstants):
-    """Structure constants c[k][i][j] with [X_i, X_j] = c^k_{ij} X_k."""
+    """Structure constants c[k, i, j] with [X_i, X_j] = c^k_{ij} X_k."""
 
     __slots__ = ()
     _sign = -1
@@ -46,25 +46,21 @@ class LieAlgebra(_StructureConstants):
     bracket = _StructureConstants._product
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LeftInvariantConnection:
     """nabla_{X_i} X_j = A^k_{ij} X_k with constant coefficients."""
 
     algebra: LieAlgebra
-    a: tuple  # a[k][i][j]
+    a: np.ndarray  # a[k, i, j], Fractions
 
     @property
     def dim(self) -> int:
         return self.algebra.dim
 
     def is_torsion_free(self) -> bool:
-        d = self.dim
-        return all(
-            self.a[k][i][j] - self.a[k][j][i] == self.algebra.c[k][i][j]
-            for k in range(d)
-            for i in range(d)
-            for j in range(d)
-        )
+        """A^k_ij - A^k_ji = c^k_ij, on the integer form of the stacked (a, c)."""
+        a, c = _integers(np.stack([self.a, self.algebra.c]))[0]
+        return not (a - a.transpose(0, 2, 1) - c).any()
 
     def require_torsion_free(self):
         if not self.is_torsion_free():
@@ -73,22 +69,12 @@ class LeftInvariantConnection:
 
 def left_invariant_connection(g: LieAlgebra, entries: dict) -> LeftInvariantConnection:
     """Sparse coefficients {(k, i, j): value} for nabla_{X_i} X_j = A^k_{ij} X_k."""
-    d = g.dim
-    a = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-    for (k, i, j), v in entries.items():
-        a[k][i][j] = _frac(v)
-    return LeftInvariantConnection(g, tuple(tuple(tuple(r) for r in lvl) for lvl in a))
+    return LeftInvariantConnection(g, _fractions(entries, (g.dim,) * 3, LieAlgebraError))
 
 
 def weitzenboeck0(g: LieAlgebra) -> LeftInvariantConnection:
     """The torsion-free part of the parallelizing connection: nabla_X Y = [X,Y]/2."""
-    d = g.dim
-    half = Fraction(1, 2)
-    a = tuple(
-        tuple(tuple(half * g.c[k][i][j] for j in range(d)) for i in range(d))
-        for k in range(d)
-    )
-    return LeftInvariantConnection(g, a)
+    return LeftInvariantConnection(g, Fraction(1, 2) * g.c)
 
 
 class LeftInvariantSymTensor:
@@ -103,17 +89,17 @@ class LeftInvariantSymTensor:
 
     @classmethod
     def from_dict(cls, dim: int, degree: int, entries: dict) -> "LeftInvariantSymTensor":
-        comps = np.empty((dim,) * degree, dtype=object)
-        comps[...] = Fraction(0)
-        for idx, v in entries.items():
-            if isinstance(idx, int):
-                idx = (idx,)
-            for perm in set(itertools.permutations(idx)):
-                comps[perm] = _frac(v)
-        return cls(dim, degree, comps)
+        """{indices: value}, each value written at every permutation of its
+        indices (an int stands for a 1-tuple)."""
+        entries = {
+            perm: v
+            for idx, v in entries.items()
+            for perm in itertools.permutations((idx,) if isinstance(idx, int) else idx)
+        }
+        return cls(dim, degree, _fractions(entries, (dim,) * degree, LieAlgebraError))
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.comps.flat)
+        return not self.comps.any()
 
     def __add__(self, other):
         return LeftInvariantSymTensor(self.dim, self.degree, self.comps + other.comps)
@@ -127,56 +113,63 @@ class LeftInvariantSymTensor:
 
 def li_symmetric_bracket(conn: LeftInvariantConnection, i: int, j: int) -> tuple[Fraction, ...]:
     """<X_i, X_j> = nabla_i X_j + nabla_j X_i in frame components."""
-    d = conn.dim
-    return tuple(conn.a[k][i][j] + conn.a[k][j][i] for k in range(d))
+    return tuple(conn.a[:, i, j] + conn.a[:, j, i])
+
+
+def _nabla(a: np.ndarray, comps: np.ndarray) -> np.ndarray:
+    """nabla[i] = nabla_i comps for each i of a[:, i, :], stacked: the sum over
+    slots s of A^{j_s}_{i m} comps^{..m at s..}, with no derivative term."""
+    return sum(
+        (np.moveaxis(np.tensordot(a, comps, axes=([2], [s])), (1, 0), (0, 1 + s)) for s in range(comps.ndim)),
+        np.zeros(a.shape[1:2] + comps.shape, dtype=object),
+    )
 
 
 def li_covariant_derivative(
     conn: LeftInvariantConnection, theta: LeftInvariantSymTensor, i: int
 ) -> LeftInvariantSymTensor:
     """(nabla_i theta)^J = sum over slots of A^{j_a}_{i m} theta^{..m..}."""
-    a_i = np.array(conn.a, dtype=object)[:, i, :]  # a_i[j, m] = A^j_{im}
-    comps = np.full(theta.comps.shape, Fraction(0), dtype=object)
-    for slot in range(theta.degree):
-        comps = comps + np.moveaxis(np.tensordot(a_i, theta.comps, axes=([1], [slot])), 0, slot)
-    return LeftInvariantSymTensor(conn.dim, theta.degree, comps)
+    comps = _nabla(conn.a[:, [i], :], theta.comps)[0]
+    # a degree-0 theta has no slot, so its derivative is the int zero start
+    return LeftInvariantSymTensor(conn.dim, theta.degree, _fractions(comps, theta.comps.shape, LieAlgebraError))
 
 
-def _nabla_theta(conn: LeftInvariantConnection, theta: LeftInvariantSymTensor) -> np.ndarray:
-    """nabla[i] = nabla_i theta, stacked."""
+def _derivative_chain(a: np.ndarray, theta: np.ndarray):
+    """(nabla, D) for connection coefficients a[k, i, j] and degree-2
+    components theta: nabla[i] = nabla_i theta and D[i] = theta^{im} nabla_m theta."""
+    nabla = _nabla(a, theta)
+    return nabla, np.tensordot(theta, nabla, axes=([1], [0]))
+
+
+def _integer_tables(theta: LeftInvariantSymTensor, conn: LeftInvariantConnection):
+    """The integer tables of conn's coefficients and of a degree-2 theta,
+    which the verdicts below read: nabla is of degree 1 in each, D of degree
+    1 in a and 2 in theta, so each vanishes exactly where its rational form does."""
+    conn.require_torsion_free()
     if theta.degree != 2:
         raise LieAlgebraError("directional derivatives expect a degree-2 tensor")
-    return np.stack([li_covariant_derivative(conn, theta, i).comps for i in range(conn.dim)])
-
-
-def _derivative_chain(conn: LeftInvariantConnection, theta: LeftInvariantSymTensor):
-    """(nabla, d) with nabla[i] = nabla_i theta and d[i] = theta^{im} nabla_m theta."""
-    nabla = _nabla_theta(conn, theta)
-    return nabla, np.tensordot(theta.comps, nabla, axes=([1], [0]))
+    return _integers(conn.a)[0], _integers(theta.comps)[0]
 
 
 def li_is_parallel(theta: LeftInvariantSymTensor, conn: LeftInvariantConnection) -> bool:
-    conn.require_torsion_free()
-    return not bool(_nabla_theta(conn, theta).any())
+    return not _nabla(*_integer_tables(theta, conn)).any()
 
 
 def li_is_strong(theta: LeftInvariantSymTensor, conn: LeftInvariantConnection) -> bool:
-    conn.require_torsion_free()
-    return not bool(_derivative_chain(conn, theta)[1].any())
+    return not _derivative_chain(*_integer_tables(theta, conn))[1].any()
 
 
 def li_is_symmetric_poisson(theta: LeftInvariantSymTensor, conn: LeftInvariantConnection) -> bool:
     """Cyclic alternative: sum_cyc (nabla_{theta(eps^i)} theta)^{jk} = 0 exactly."""
-    conn.require_torsion_free()
-    dirs = _derivative_chain(conn, theta)[1]
-    return not bool((dirs + dirs.transpose(1, 2, 0) + dirs.transpose(2, 0, 1)).any())
+    dirs = _derivative_chain(*_integer_tables(theta, conn))[1]
+    return not (dirs + dirs.transpose(1, 2, 0) + dirs.transpose(2, 0, 1)).any()
 
 
 def li_is_involutive(theta: LeftInvariantSymTensor, g: LieAlgebra) -> bool:
     """Closure of span{theta(eps^i)} under the bracket, by exact elimination:
     no bracket of two rows adds a pivot to the echelon basis of the rows."""
     d = g.dim
-    rows = [[theta.comps[i, m] for m in range(d)] for i in range(d)]
+    rows = list(theta.comps)
     basis = _echelon(rows)
     return all(
         len(_echelon([g.bracket(rows[i], rows[j])], basis)) == len(basis) for i in range(d) for j in range(i + 1, d)
@@ -192,39 +185,22 @@ def li_curvature_general(
     conn: LeftInvariantConnection, i: int, j: int, k: int
 ) -> tuple[Fraction, ...]:
     """R(X_i, X_j) X_k = nabla_i nabla_j X_k - nabla_j nabla_i X_k - nabla_{[X_i,X_j]} X_k."""
-    d = conn.dim
     a, c = conn.a, conn.algebra.c
-    out = [Fraction(0)] * d
-    for m in range(d):
-        for l in range(d):
-            out[l] += a[m][j][k] * a[l][i][m] - a[m][i][k] * a[l][j][m]
-        for l in range(d):
-            out[l] -= c[m][i][j] * a[l][m][k]
-    return tuple(out)
+    return tuple(a[:, i, :].dot(a[:, j, k]) - a[:, j, :].dot(a[:, i, k]) - a[:, :, k].dot(c[:, i, j]))
 
 
 def li_levi_civita(g: LieAlgebra, metric) -> LeftInvariantConnection:
-    """Koszul formula on the invariant frame for a constant metric g_{ij}.
+    """Koszul formula on the invariant frame for a constant symmetric metric g_{ij}.
 
     2 g(nabla_i j, k) = g([i,j],k) - g([j,k],i) + g([k,i],j)
     """
-    d = g.dim
-    gm = [[_frac(metric[i][j]) for j in range(d)] for i in range(d)]
-    ginv = _exact_inverse(gm)
-    a = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            rhs = []
-            for k in range(d):
-                term = Fraction(0)
-                for m in range(d):
-                    term += g.c[m][i][j] * gm[m][k]
-                    term -= g.c[m][j][k] * gm[m][i]
-                    term += g.c[m][k][i] * gm[m][j]
-                rhs.append(term / 2)
-            for l in range(d):
-                a[l][i][j] = sum((ginv[l][k] * rhs[k] for k in range(d)), start=Fraction(0))
-    return LeftInvariantConnection(g, tuple(tuple(tuple(r) for r in lvl) for lvl in a))
+    gm = _fractions(metric, (g.dim,) * 2, LieAlgebraError)
+    if (gm != gm.T).any():
+        raise LieAlgebraError("metric not symmetric")
+    b = np.tensordot(g.c, gm, axes=([0], [0]))  # b[i, j, k] = g([i,j], k)
+    rhs = (b - b.transpose(2, 0, 1) + b.transpose(1, 2, 0)) / 2
+    ginv = np.array(_exact_inverse(gm), dtype=object)
+    return LeftInvariantConnection(g, np.tensordot(ginv, rhs, axes=([1], [2])))
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +347,7 @@ def chart_export(
     def frame_defect(idx):
         # F^b_{ij} = A^k_{ij} E_k^b - E_i^a d_a E_j^b
         b, i, j = idx
-        a_ij = [conn.a[k][i][j] for k in range(n)]
+        a_ij = conn.a[:, i, j]
         terms = [ex.mul(ex.const(float(a_ij[k])), frame[k].comps[(b,)]) for k in range(n) if a_ij[k] != 0]
         for a in range(n):
             terms.append(ex.neg(ex.mul(frame[i].comps[(a,)], frame[j].comps[(b,)].diff(a))))

@@ -10,13 +10,14 @@ callers may mutate nothing shared.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from types import MappingProxyType
 from typing import Callable, ClassVar
+
+import numpy as np
 
 from . import jj, liealg
 from .geometry import Chart, Connection, SymFormField, SymTensorField, invert_metric
@@ -204,14 +205,12 @@ LIE_VERDICTS: dict[str, Callable] = {
     "strong": lambda g, theta, conn: liealg.li_is_strong(theta, conn),
     "parallel": lambda g, theta, conn: liealg.li_is_parallel(theta, conn),
     "involutive": lambda g, theta, conn: liealg.li_is_involutive(theta, g),
-    # the halved-bracket connection of g is flat
-    "flat": lambda g, theta, conn: all(
-        liealg.li_curvature_weitzenboeck(g, i, j, k) == (Fraction(0),) * g.dim
-        for i, j, k in itertools.product(range(g.dim), repeat=3)
-    ),
+    # the halved-bracket connection of g is flat: its curvature -1/4 T[l,k,i,j]
+    # vanishes with the (integer) double-product table T
+    "flat": lambda g, theta, conn: not g._table.any(),
     # conn is the Levi-Civita connection of the metric theta^-1
-    "levi_civita": lambda g, theta, conn: (
-        liealg.li_levi_civita(g, jj._exact_inverse(theta.comps.tolist())).a == conn.a
+    "levi_civita": lambda g, theta, conn: np.array_equal(
+        liealg.li_levi_civita(g, jj._exact_inverse(theta.comps)).a, conn.a
     ),
 }
 LIE_CONNECTIONS: dict[str, Callable] = {

@@ -146,7 +146,7 @@ def test_criterion_01_worked_example_battery():
     )
     expect(liealg.li_is_strong(round_inv, w_su2), "round-metric inverse strong")
     lc = liealg.li_levi_civita(g_su2, [[2, 0, 0], [0, 2, 0], [0, 0, 2]])
-    expect(lc.a == w_su2.a, "halved bracket is the metric connection")
+    expect(np.array_equal(lc.a, w_su2.a), "halved bracket is the metric connection")
 
     g_ar = liealg.algebra("aff1xR")
     w_ar = liealg.weitzenboeck0(g_ar)

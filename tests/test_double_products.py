@@ -55,7 +55,7 @@ def check_lie(g):
 
 def check_chain(conn, theta):
     a = conn.a
-    nabla, d = liealg._derivative_chain(conn, theta)
+    nabla, d = liealg._derivative_chain(a, theta.comps)
     for i in range(conn.dim):
         assert (nabla[i] == reference.covariant_derivative_sum(a, theta.comps, i)).all()
     rows = reference.directional_sum(a, theta.comps)

@@ -68,6 +68,24 @@ def test_commutativity_enforced():
         CommutativeAlgebra(2, [[[0, 1], [0, 0]], [[0, 0], [0, 0]]])
 
 
+def test_constants_of_another_shape_are_refused():
+    big = np.zeros((3, 3, 3), dtype=int)
+    with pytest.raises(AlgebraError, match="expected shape"):
+        CommutativeAlgebra(2, big)  # not cut down to its 2x2x2 block
+    with pytest.raises(AlgebraError, match="expected shape"):
+        CommutativeAlgebra(3, np.zeros((2, 2, 2), dtype=int))
+    with pytest.raises(AlgebraError, match="names no entry"):
+        CommutativeAlgebra.from_products(2, {(0, 2): {0: 1}})
+    with pytest.raises(AlgebraError, match="names no entry"):
+        CommutativeAlgebra.from_products(2, {(0, 0): {-1: 1}})
+
+
+def test_basis_change_refuses_a_matrix_that_is_not_square():
+    p = [[1, 0], [0, 1], [1, 1]]
+    with pytest.raises(AlgebraError, match="expected shape"):
+        basis_change(catalog_entry("dim3_1").algebra, p)  # not read as its leading rows
+
+
 def test_jacobi_and_associativity_catalog():
     for entry in catalog():
         assert is_jacobi_jordan(entry.algebra) == entry.expect["jacobi"]

@@ -60,6 +60,31 @@ def test_constants_must_be_antisymmetric_and_vectors_match_the_dimension():
         algebra("so3").bracket([1, 0], [0, 1, 0])
 
 
+def test_a_theta_entry_must_name_a_component():
+    with pytest.raises(LieAlgebraError, match="names no entry"):
+        LeftInvariantSymTensor.from_dict(3, 2, {(0,): 1})  # not a whole row of ones
+    with pytest.raises(LieAlgebraError, match="names no entry"):
+        LeftInvariantSymTensor.from_dict(3, 2, {(0, 3): 1})
+
+
+def test_a_connection_entry_must_name_a_coefficient():
+    g = algebra("so3")
+    with pytest.raises(LieAlgebraError, match="names no entry"):
+        left_invariant_connection(g, {(-1, 0, 1): 1})  # not written to a[2][0][1]
+    with pytest.raises(LieAlgebraError, match="names no entry"):
+        left_invariant_connection(g, {(3, 0, 0): 1})
+    with pytest.raises(LieAlgebraError, match="names no entry"):
+        left_invariant_connection(g, {(0, 1): 1})
+
+
+def test_levi_civita_refuses_a_metric_that_is_not_symmetric():
+    g = algebra("so3")
+    with pytest.raises(LieAlgebraError, match="metric not symmetric"):
+        li_levi_civita(g, [[2, 1, 0], [0, 2, 0], [0, 0, 2]])
+    with pytest.raises(LieAlgebraError, match="expected shape"):
+        li_levi_civita(g, [[2, 0], [0, 2]])
+
+
 def test_weitzenboeck0_abelian():
     conn = weitzenboeck0(algebra("abelian_3"))
     assert all(
@@ -141,7 +166,7 @@ def test_su2_round_metric_strong():
     # the halved bracket is the Levi-Civita connection of the metric 2*I
     metric = [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
     lc = li_levi_civita(g, metric)
-    assert lc.a == conn.a
+    assert np.array_equal(lc.a, conn.a)
 
 
 def test_aff1xR_involutive_not_strong_with_halved_bracket():
