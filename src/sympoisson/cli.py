@@ -30,7 +30,7 @@ import numpy as np
 from . import jj, registry
 from .defaults import N_SAMPLES, SEED, TOL
 from .expr import EvalDomainError, ExprError, ParseError, is_structural_zero, number_text
-from .geometry import GeometryError, lie_bracket
+from .geometry import GeometryError, _orbits, lie_bracket
 from .poisson import (
     Involutivity,
     SymPoissonPair,
@@ -228,25 +228,18 @@ def export_structure(pair: SymPoissonPair, expect: dict | None = None) -> str:
     lines = ["[chart]", f"dim = {n}", f"names = {', '.join(chart.names)}"]
     box = ", ".join(f"{number_text(lo)}:{number_text(hi)}" for lo, hi in chart.box)
     lines.append(f"box = {box}")
-    theta_lines = []
-    for i in range(n):
-        for j in range(i, n):
-            e = pair.theta.comps[i, j]
-            if not is_structural_zero(e):
-                theta_lines.append(f"theta[{i + 1},{j + 1}] = \"{e.to_string(chart.names)}\"")
-    if theta_lines:
-        lines += ["", "[theta]"] + theta_lines
-    gamma_lines = []
-    for k in range(n):
-        for i in range(n):
-            for j in range(i, n):
-                e = pair.nabla.gamma[k, i, j]
-                if not is_structural_zero(e):
-                    gamma_lines.append(
-                        f"gamma[{k + 1},{i + 1},{j + 1}] = \"{e.to_string(chart.names)}\""
-                    )
-    if gamma_lines:
-        lines += ["", "[connection]"] + gamma_lines
+    slots = [idx for idx, _ in _orbits(n, 2)]
+    for section, name, comps, indices in (
+        ("theta", "theta", pair.theta.comps, slots),
+        ("connection", "gamma", pair.nabla.gamma, [(k, *idx) for k in range(n) for idx in slots]),
+    ):
+        entries = [
+            f"{name}[{','.join(str(i + 1) for i in idx)}] = \"{comps[idx].to_string(chart.names)}\""
+            for idx in indices
+            if not is_structural_zero(comps[idx])
+        ]
+        if entries:
+            lines += ["", f"[{section}]"] + entries
     if expect:
         lines += ["", "[expect]"]
         for key, value in expect.items():

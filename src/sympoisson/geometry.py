@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import operator
 from typing import Iterable, Sequence
 
@@ -116,6 +117,13 @@ def _require_same_chart(*objs):
         raise ChartMismatchError(f"objects live on different charts: {charts}")
 
 
+def _require_points(chart: Chart, points, ndim: int):
+    """Refuse a point (ndim 1) or samples (ndim 2) without one value per coordinate."""
+    shape = np.shape(points)
+    if len(shape) != ndim or shape[-1] != chart.n:
+        raise GeometryError(f"points of shape {shape} on a chart of dimension {chart.n}")
+
+
 def _as_field(chart: Chart, value) -> ScalarField:
     if isinstance(value, ScalarField):
         if value.arity != chart.n:
@@ -160,6 +168,34 @@ def _build_components(n: int, rank: int, build, fixed: int = 0) -> np.ndarray:
     return comps
 
 
+def _parity(perm: Sequence[int]) -> int:
+    """1 for an odd permutation of range(len(perm)), 0 for an even one."""
+    return sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
+
+
+def _fill(out: np.ndarray, entries: dict, value, sym: int, error: type, sign: int = 1) -> np.ndarray:
+    """`out` with `value(v)` of each given {index: v} at the index and at every
+    permutation of its last `sym` axes, negated at odd ones when `sign` is -1.
+    An index (an int is a 1-tuple) must be `out.ndim` integers in range, and
+    its slot (head axes, sorted tail) no other key's; else it raises `error`."""
+    head = out.ndim - sym
+    perms = [(perm, sign < 0 and _parity(perm)) for perm in itertools.permutations(range(sym))]
+    given = {}
+    for idx, v in entries.items():
+        idx = idx if isinstance(idx, tuple) else (idx,)
+        in_range = [isinstance(i, numbers.Integral) and 0 <= i < n for i, n in zip(idx, out.shape)]
+        if len(idx) != out.ndim or not all(in_range):
+            raise error(f"index {idx} names no entry of shape {out.shape}")
+        slot = idx[:head] + tuple(sorted(idx[head:]))
+        if slot in given:
+            raise error(f"indices {given[slot]} and {idx} name the same entry")
+        given[slot] = idx
+        node = value(v)
+        for perm, odd in perms:
+            out[idx[:head] + tuple(idx[head + t] for t in perm)] = -node if odd else node
+    return out
+
+
 class _SymField:
     """Shared machinery for symmetric contravariant/covariant fields."""
 
@@ -189,15 +225,7 @@ class _SymField:
         Indices are 0-based tuples (an int for degree 1).  A value may be an
         Expr source string, a ScalarField, or a number.
         """
-        comps = _zero_comps(chart.n, degree)
-        for idx, value in entries.items():
-            if isinstance(idx, int):
-                idx = (idx,)
-            if len(idx) != degree:
-                raise GeometryError(f"index {idx} has wrong length for degree {degree}")
-            f = _as_field(chart, value)
-            for perm in set(itertools.permutations(idx)):
-                comps[perm] = f.expr
+        comps = _fill(_zero_comps(chart.n, degree), entries, lambda v: _as_field(chart, v).expr, degree, GeometryError)
         return cls(chart, degree, comps)
 
     @classmethod
@@ -224,6 +252,7 @@ class _SymField:
 
     def evaluate(self, point: Sequence[float]) -> np.ndarray:
         """Numeric component array at a point."""
+        _require_points(self.chart, point, 1)
         return np.array(self.plan().values(point), dtype=float).reshape(self.comps.shape)
 
     def evaluate_on(self, samples) -> np.ndarray:
@@ -232,6 +261,7 @@ class _SymField:
         Where a row's scales are not finite, `evaluate` runs there first, so
         this raises where the point path raises (an overflow in ``**``).
         """
+        _require_points(self.chart, samples, 2)
         values, scales = self.plan().table(samples)
         for s in np.flatnonzero(~np.isfinite(scales).all(axis=1)):
             self.evaluate(samples[s])
@@ -241,6 +271,7 @@ class _SymField:
         """Worst scaled residual of all components over the samples (default: the chart's)."""
         if samples is None:
             samples = self.chart.sample_points()
+        _require_points(self.chart, samples, 2)
         return self.plan().residual(samples)
 
     def is_zero_on(self, samples: Iterable[Sequence[float]] | None = None) -> bool:
@@ -325,14 +356,10 @@ class Connection:
         return cls(chart, _zero_comps(chart.n, 3))
 
     @classmethod
-    def from_dict(cls, chart: Chart, entries: dict, symmetrize: bool = True) -> "Connection":
-        """Sparse Christoffels {(k, i, j): expr}; (i, j)-symmetry applied by default."""
-        gamma = _zero_comps(chart.n, 3)
-        for (k, i, j), value in entries.items():
-            f = _as_field(chart, value)
-            gamma[k, i, j] = f.expr
-            if symmetrize:
-                gamma[k, j, i] = f.expr
+    def from_dict(cls, chart: Chart, entries: dict) -> "Connection":
+        """Sparse Christoffels {(k, i, j): expr}, each stored at (k, j, i) too;
+        a connection with torsion is built from its full array."""
+        gamma = _fill(_zero_comps(chart.n, 3), entries, lambda v: _as_field(chart, v).expr, 2, GeometryError)
         return cls(chart, gamma)
 
     def entry(self, k: int, i: int, j: int) -> ScalarField:
@@ -347,13 +374,8 @@ class Connection:
     def is_torsion_free(self) -> bool:
         """Whether the torsion vanishes on the chart's samples; computed once."""
         if self._torsion_free is None:
-            n = self.chart.n
-            torsion = [
-                ex.sub(self.gamma[k, i, j], self.gamma[k, j, i])
-                for k in range(n)
-                for i in range(n)
-                for j in range(i + 1, n)
-            ]
+            n, g = self.chart.n, self.gamma
+            torsion = [ex.sub(g[k, i, j], g[k, j, i]) for k in range(n) for i, j in itertools.combinations(range(n), 2)]
             self._torsion_free = ex.residual(torsion, self.chart.sample_points()) <= TOL
         return self._torsion_free
 
@@ -437,11 +459,8 @@ def contract(a, b):
     degree -1 derivation of the shuffle product.  Contraction into a degree-0
     field returns the zero scalar.
     """
-    if isinstance(a, SymFormField) and isinstance(b, SymTensorField):
-        pass
-    elif isinstance(a, SymTensorField) and isinstance(b, SymFormField):
-        pass
-    else:
+    kinds = (SymFormField, SymTensorField)
+    if not (isinstance(a, kinds) and isinstance(b, kinds) and type(a) is not type(b)):
         raise GeometryError("contract expects (form, tensor) or (vector, form)")
     if a.degree != 1:
         raise GeometryError("first argument must have degree 1")
@@ -728,14 +747,8 @@ def _symbolic_det(m: np.ndarray):
         return m[0, 0]
     terms = []
     for perm in itertools.permutations(range(n)):
-        sign = 1
-        seen = list(perm)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if seen[i] > seen[j]:
-                    sign = -sign
         prod = ex.expr_product([m[i, perm[i]] for i in range(n)])
-        terms.append(prod if sign > 0 else ex.neg(prod))
+        terms.append(ex.neg(prod) if _parity(perm) else prod)
     return ex.expr_sum(terms)
 
 

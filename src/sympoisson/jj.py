@@ -24,7 +24,7 @@ from typing import ClassVar, Mapping, Sequence
 import numpy as np
 
 from . import expr as ex
-from .geometry import Chart, Connection, SymTensorField, _build_components
+from .geometry import Chart, Connection, SymTensorField, _build_components, _fill
 from .poisson import Involutivity, SymPoissonPair, characteristic_generators  # noqa: F401 (re-exported)
 
 
@@ -47,21 +47,14 @@ def _frac(v) -> Fraction:
     raise AlgebraError(f"cannot interpret {v!r} as an exact rational")
 
 
-def _fractions(values, shape: tuple[int, ...], error=AlgebraError) -> np.ndarray:
+def _fractions(values, shape: tuple[int, ...], error=AlgebraError, sym: int = 0, sign: int = 1) -> np.ndarray:
     """The one exact tensor format: an object array of Fractions of exactly
     `shape`, from nested sequences or an array, or from a dict {index: value}
-    of entries (an int index stands for a 1-tuple) with the rest zero.
-    Raises `error` on any other shape or an index that names no entry."""
+    of entries with the rest zero, written by `geometry._fill` with its `sym`
+    and `sign`.  Raises `error` on any other shape or an index that `_fill`
+    refuses."""
     if isinstance(values, Mapping):
-        out = np.full(shape, _ZERO, dtype=object)
-        for idx, v in values.items():
-            idx = (idx,) if isinstance(idx, numbers.Integral) else tuple(idx)
-            if len(idx) != len(shape) or not all(
-                isinstance(i, numbers.Integral) and 0 <= i < n for i, n in zip(idx, shape)
-            ):
-                raise error(f"index {idx} names no entry of shape {shape}")
-            out[idx] = _frac(v)
-        return out
+        return _fill(np.full(shape, _ZERO, dtype=object), values, _frac, sym, error, sign)
     arr = np.array(values, dtype=object)
     if arr.shape != shape:
         raise error(f"dimension mismatch: expected shape {shape}, got {arr.shape}")
@@ -106,12 +99,8 @@ class _StructureConstants:
     @classmethod
     def _from_entries(cls, dim: int, entries: dict):
         """{(i, j): {k: value}} meaning e_i * e_j = sum value * e_k (0-based)."""
-        c = {}
-        for ij, comp in entries.items():
-            for k, v in comp.items():
-                c[(k, *ij)] = _frac(v)
-                c[(k, *ij[::-1])] = cls._sign * _frac(v)
-        return cls(dim, c)
+        c = {(k, *ij): v for ij, comp in entries.items() for k, v in comp.items()}
+        return cls(dim, _fractions(c, (dim,) * 3, cls._error, 2, cls._sign))
 
     def _product(self, u: Sequence, v: Sequence) -> tuple[Fraction, ...]:
         shape = (self.dim,)

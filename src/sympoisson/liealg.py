@@ -10,7 +10,6 @@ conditions, and curvature of that connection is -1/4 [[X,Y],Z].
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -91,12 +90,7 @@ class LeftInvariantSymTensor:
     def from_dict(cls, dim: int, degree: int, entries: dict) -> "LeftInvariantSymTensor":
         """{indices: value}, each value written at every permutation of its
         indices (an int stands for a 1-tuple)."""
-        entries = {
-            perm: v
-            for idx, v in entries.items()
-            for perm in itertools.permutations((idx,) if isinstance(idx, int) else idx)
-        }
-        return cls(dim, degree, _fractions(entries, (dim,) * degree, LieAlgebraError))
+        return cls(dim, degree, _fractions(entries, (dim,) * degree, LieAlgebraError, degree))
 
     def is_zero(self) -> bool:
         return not self.comps.any()
@@ -166,14 +160,14 @@ def li_is_symmetric_poisson(theta: LeftInvariantSymTensor, conn: LeftInvariantCo
 
 
 def li_is_involutive(theta: LeftInvariantSymTensor, g: LieAlgebra) -> bool:
-    """Closure of span{theta(eps^i)} under the bracket, by exact elimination:
-    no bracket of two rows adds a pivot to the echelon basis of the rows."""
-    d = g.dim
-    rows = list(theta.comps)
-    basis = _echelon(rows)
-    return all(
-        len(_echelon([g.bracket(rows[i], rows[j])], basis)) == len(basis) for i in range(d) for j in range(i + 1, d)
-    )
+    """Closure of span{theta(eps^i)} under the bracket, by exact elimination on
+    the integer tables: b[:, i, j] = c^k_{mn} t^{im} t^{jn}, a positive multiple
+    of [row i, row j], adds no pivot to the echelon basis of the rows t."""
+    c, t = _integers(g.c)[0], _integers(theta.comps)[0]
+    b = np.tensordot(np.tensordot(c, t, axes=([1], [1])), t, axes=([1], [1]))
+    i, j = np.triu_indices(g.dim, 1)
+    basis = _echelon(t)
+    return len(_echelon(b[:, i, j].T, basis)) == len(basis)
 
 
 def li_curvature_weitzenboeck(g: LieAlgebra, i: int, j: int, k: int) -> tuple[Fraction, ...]:

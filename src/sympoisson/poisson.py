@@ -198,6 +198,16 @@ def characteristic_data(theta: SymTensorField, point) -> CharacteristicData:
     return _characteristic_stack(theta, [point], theta.evaluate(point)[None])[0]
 
 
+def _require_finite(what: str, field, points, values: np.ndarray):
+    """Raise EvalDomainError, naming the component, at the first of the points
+    at which the field's values there (points, *comps.shape) are not finite."""
+    bad = np.flatnonzero(~np.isfinite(values.reshape(len(values), -1)).all(axis=1))
+    if len(bad):
+        entry = np.flatnonzero(~np.isfinite(values[bad[0]]))[0]
+        where = tuple(float(v) for v in points[bad[0]])
+        raise ex.EvalDomainError(f"{what} is not finite at {where}", field.comps.flat[entry])
+
+
 def _characteristic_stack(theta: SymTensorField, points, matrices: np.ndarray) -> list[CharacteristicData]:
     """`characteristic_data` at each point, from the values of theta there
     (samples, n, n), with one symmetrize / eigh / threshold over the stack.
@@ -205,11 +215,8 @@ def _characteristic_stack(theta: SymTensorField, points, matrices: np.ndarray) -
     A matrix or an eigenvalue that is not finite raises EvalDomainError at
     the first such point.
     """
+    _require_finite("theta", theta, points, matrices)
     where = [tuple(float(v) for v in p) for p in points]
-    bad = np.flatnonzero(~np.isfinite(matrices).all(axis=(1, 2)))
-    if len(bad):
-        entry = np.flatnonzero(~np.isfinite(matrices[bad[0]]))[0]
-        raise ex.EvalDomainError(f"theta is not finite at {where[bad[0]]}", theta.comps.flat[entry])
     # symmetrize away representation roundoff; halving first cannot overflow
     lam, vecs = np.linalg.eigh(0.5 * matrices + 0.5 * np.swapaxes(matrices, 1, 2))
     bad = np.flatnonzero(~np.isfinite(lam).all(axis=1))
@@ -243,7 +250,8 @@ def involutivity_check(pair: SymPoissonPair, samples=None) -> InvolutivityReport
     up to a distance of RANK_TOL (1 + |commutator|).
 
     A rank jump across samples downgrades a positive answer to inconclusive;
-    a failed membership is conclusive either way.
+    a failed membership is conclusive either way.  A commutator that is not
+    finite at a sample (an overflow) raises EvalDomainError, like theta.
     """
     n = pair.chart.n
     if samples is None:
@@ -252,6 +260,8 @@ def involutivity_check(pair: SymPoissonPair, samples=None) -> InvolutivityReport
     commutators = [lie_bracket(fields[i], fields[j]) for i in range(n) for j in range(i + 1, n)]
     spectra = _characteristic_stack(pair.theta, samples, pair.theta.evaluate_on(samples))
     tables = [comm.evaluate_on(samples) for comm in commutators]
+    for comm, table in zip(commutators, tables):
+        _require_finite("a commutator", comm, samples, table)
     ranks = tuple(data.rank for data in spectra)
     residuals = [data.membership_residual(table[s]) for s, data in enumerate(spectra) for table in tables]
     worst = max(residuals, default=0.0)

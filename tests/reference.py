@@ -6,11 +6,13 @@ node with multiplicity, independently of `expr.Plan` and `compile_plan`.
 `plan_order` gives `Plan.nodes` by a recursive walk.  The `*_comps`
 functions build a component array index by index with nested loops.  The
 `*_sum` functions spell the exact algebra identities out term by term over
-the structure constants and connection coefficients.  The `*_bracket_sum`,
-`laplacian_sum` and `derivative_along_sum` functions expand the bracket
-formulas over components, one term at a time, without the vector field
-that induces each bracket.  `integrate_stepwise` runs a trajectory one RK4
-step at a time, calling a generated right-hand side once per stage.
+the structure constants and connection coefficients, and
+`involutive_pairwise` tests one bracket of two rows at a time.  The
+`*_bracket_sum`, `laplacian_sum` and `derivative_along_sum` functions expand
+the bracket formulas over components, one term at a time, without the
+vector field that induces each bracket.  `integrate_stepwise` runs a
+trajectory one RK4 step at a time, calling a generated right-hand side once
+per stage.
 """
 
 import dataclasses
@@ -423,6 +425,37 @@ def covariant_derivative_sum(a, comps, i):
             a[idx[s]][i][m] * comps[idx[:s] + (m,) + idx[s + 1:]] for s in range(len(idx)) for m in range(d)
         )
     return out
+
+
+def _rank(rows):
+    """The rank of rational rows, by Gaussian elimination over Fractions."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def involutive_pairwise(c, theta):
+    """Whether each bracket [row i, row j]^k = sum_mn c^k_mn theta_im theta_jn
+    lies in the span of the rows of theta, one pair and one rank at a time."""
+    d = len(c)
+    rows = [list(theta[i]) for i in range(d)]
+    base = _rank(rows)
+    for i in range(d):
+        for j in range(i + 1, d):
+            bracket = [_fsum(c[k][m][n] * rows[i][m] * rows[j][n] for m in range(d) for n in range(d)) for k in range(d)]
+            if _rank(rows + [bracket]) != base:
+                return False
+    return True
 
 
 def directional_sum(a, theta):

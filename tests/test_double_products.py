@@ -155,7 +155,7 @@ def lie_pairs(draw):
         s[k][i][j] = s[k][j][i] = v
     entries = {(k, i, j): half * g.c[k][i][j] + s[k][i][j] for k, i, j in triples(d)}
     conn = liealg.left_invariant_connection(g, entries)
-    theta = {(i, j): v for (i, j), v in draw(st.lists(st.tuples(st.tuples(idx, idx), _VALUES), max_size=4))}
+    theta = {tuple(sorted(ij)): v for ij, v in draw(st.lists(st.tuples(st.tuples(idx, idx), _VALUES), max_size=4))}
     return conn, LeftInvariantSymTensor.from_dict(d, 2, theta)
 
 
@@ -174,9 +174,8 @@ def test_covariant_derivative_of_degree_0_and_3(drawn, data):
     d = conn.dim
     idx = st.integers(min_value=0, max_value=d - 1)
     scalar = LeftInvariantSymTensor.from_dict(d, 0, {(): data.draw(_VALUES)})
-    cubic = LeftInvariantSymTensor.from_dict(
-        d, 3, dict(data.draw(st.lists(st.tuples(st.tuples(idx, idx, idx), _VALUES), max_size=4)))
-    )
+    drawn_cubic = data.draw(st.lists(st.tuples(st.tuples(idx, idx, idx), _VALUES), max_size=4))
+    cubic = LeftInvariantSymTensor.from_dict(d, 3, {tuple(sorted(ijk)): v for ijk, v in drawn_cubic})
     for i in range(d):
         zero = liealg.li_covariant_derivative(conn, scalar, i)
         assert isinstance(zero, LeftInvariantSymTensor) and zero.degree == 0

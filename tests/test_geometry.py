@@ -229,7 +229,9 @@ def test_symmetric_derivative_killing_one_forms(kill_conn):
 
 
 def test_symmetric_derivative_requires_torsion_free():
-    conn = Connection.from_dict(R2, {(0, 0, 1): "1"}, symmetrize=False)
+    gamma = geo._zero_comps(2, 3)
+    gamma[0, 0, 1] = ex.ONE  # gamma[0, 1, 0] stays zero: torsion
+    conn = Connection(R2, gamma)
     with pytest.raises(geo.TorsionError):
         symmetric_derivative(conn, form1(R2, "x", "y"))
 
@@ -528,7 +530,9 @@ def test_invert_metric_pointwise(kill_metric):
 
 
 def test_torsion_free_part():
-    conn = Connection.from_dict(R2, {(0, 0, 1): "x"}, symmetrize=False)
+    gamma = geo._zero_comps(2, 3)
+    gamma[0, 0, 1] = R2.parse("x").expr
+    conn = Connection(R2, gamma)
     assert not conn.is_torsion_free()
     fixed = torsion_free_part(conn)
     assert fixed.is_torsion_free()

@@ -201,7 +201,7 @@ def test_left_invariant_always_integrable_battery():
         entries = {}
         for _ in range(d):
             i, j = rng.integers(0, d, size=2)
-            entries[(int(i), int(j))] = int(rng.integers(-3, 4))
+            entries[(int(min(i, j)), int(max(i, j)))] = int(rng.integers(-3, 4))
         theta = tensor(d, entries)
         conn = weitzenboeck0(g)
         assert li_is_symmetric_poisson(theta, conn)

@@ -55,7 +55,12 @@ def _connection(chart, rng, symmetric=True):
     n = chart.n
     entries = {(k, i, j): _poly(rng, chart.names)
                for k in range(n) for i in range(n) for j in range(n) if i <= j or not symmetric}
-    return Connection.from_dict(chart, entries, symmetrize=symmetric)
+    if symmetric:
+        return Connection.from_dict(chart, entries)
+    gamma = np.empty((n, n, n), dtype=object)
+    for idx, text in entries.items():
+        gamma[idx] = chart.parse(text).expr
+    return Connection(chart, gamma)
 
 
 def _assert_identity_symmetric(comps, fixed=0):
