@@ -374,8 +374,13 @@ class Connection:
     def is_torsion_free(self) -> bool:
         """Whether the torsion vanishes on the chart's samples; computed once."""
         if self._torsion_free is None:
-            n, g = self.chart.n, self.gamma
-            torsion = [ex.sub(g[k, i, j], g[k, j, i]) for k in range(n) for i, j in itertools.combinations(range(n), 2)]
+            n = self.chart.n
+            torsion = [
+                ex.sub(self.gamma[k, i, j], self.gamma[k, j, i])
+                for k in range(n)
+                for i in range(n)
+                for j in range(i + 1, n)
+            ]
             self._torsion_free = ex.residual(torsion, self.chart.sample_points()) <= TOL
         return self._torsion_free
 
@@ -459,8 +464,11 @@ def contract(a, b):
     degree -1 derivation of the shuffle product.  Contraction into a degree-0
     field returns the zero scalar.
     """
-    kinds = (SymFormField, SymTensorField)
-    if not (isinstance(a, kinds) and isinstance(b, kinds) and type(a) is not type(b)):
+    if isinstance(a, SymFormField) and isinstance(b, SymTensorField):
+        pass
+    elif isinstance(a, SymTensorField) and isinstance(b, SymFormField):
+        pass
+    else:
         raise GeometryError("contract expects (form, tensor) or (vector, form)")
     if a.degree != 1:
         raise GeometryError("first argument must have degree 1")
