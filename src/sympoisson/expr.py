@@ -304,6 +304,10 @@ def is_structural_zero(e: Expr) -> bool:
 def add(a: Expr, b: Expr) -> Expr:
     ca, cb = type(a) is Const, type(b) is Const
     if ca and cb:
+        # 0.0 + b is b bit for bit, or +0.0 where b is a zero (not a NaN):
+        # the node exists, so no Const is built (the start of every expr_sum)
+        if a is ZERO and b.value == b.value:
+            return ZERO if b.value == 0.0 else b
         return Const(a.value + b.value)
     if ca and a.value == 0.0:
         return b
@@ -326,6 +330,11 @@ def sub(a: Expr, b: Expr) -> Expr:
 def mul(a: Expr, b: Expr) -> Expr:
     ca, cb = type(a) is Const, type(b) is Const
     if ca and cb:
+        # 0.0 times +0.0 or a finite positive constant is 0.0 bit for bit
+        if a is ZERO or b is ZERO:
+            other = b if a is ZERO else a
+            if other is ZERO or 0.0 < other.value < math.inf:
+                return ZERO
         return Const(a.value * b.value)
     # at most one operand is a constant from here on
     if ca or cb:

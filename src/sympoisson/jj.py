@@ -98,8 +98,13 @@ class _StructureConstants:
 
     @classmethod
     def _from_entries(cls, dim: int, entries: dict):
-        """{(i, j): {k: value}} meaning e_i * e_j = sum value * e_k (0-based)."""
-        c = {(k, *ij): v for ij, comp in entries.items() for k, v in comp.items()}
+        """{(i, j): {k: value}} meaning e_i * e_j = sum value * e_k (0-based);
+        any other shape raises the class's error."""
+        c = {}
+        for ij, comp in entries.items():
+            if not isinstance(ij, tuple) or not isinstance(comp, Mapping):
+                raise cls._error(f"entry {ij!r}: {comp!r} is not of the form (i, j): {{k: value}}")
+            c.update(((k, *ij), v) for k, v in comp.items())
         return cls(dim, _fractions(c, (dim,) * 3, cls._error, 2, cls._sign))
 
     def _product(self, u: Sequence, v: Sequence) -> tuple[Fraction, ...]:

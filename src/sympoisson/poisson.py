@@ -158,17 +158,18 @@ class CharacteristicData:
     basis: np.ndarray  # n x rank, orthonormal columns
     metric_gram: np.ndarray  # rank x rank
 
+    def _one(self, routine, v) -> float:
+        # this point as a stack of one whose kept columns are the basis
+        keep = np.ones((1, self.rank), bool)
+        return float(routine(self.basis[None], keep, np.asarray(v, dtype=float)[None, None])[0, 0])
+
     def project_residual(self, v: np.ndarray) -> float:
         """Distance from v to im theta (least squares onto the basis)."""
-        if self.rank == 0:
-            return float(np.linalg.norm(v))
-        coeffs = self.basis.T @ v
-        return float(np.linalg.norm(v - self.basis @ coeffs))
+        return self._one(_distances, v)
 
     def membership_residual(self, v: np.ndarray) -> float:
         """project_residual(v) / (1 + |v|), or inf where that is not finite."""
-        res = self.project_residual(v) / (1.0 + float(np.linalg.norm(v)))
-        return res if math.isfinite(res) else math.inf
+        return self._one(_membership, v)
 
     def contains(self, v: np.ndarray) -> bool:
         return self.membership_residual(v) <= RANK_TOL
@@ -195,7 +196,12 @@ def characteristic_data(theta: SymTensorField, point) -> CharacteristicData:
     the rest are inverted to produce the Gram matrix of the induced metric.
     A theta or an eigenvalue that is not finite raises EvalDomainError.
     """
-    return _characteristic_stack(theta, [point], theta.evaluate(point)[None])[0]
+    lam, vecs, keep = _spectra(theta, [point], theta.evaluate(point)[None])
+    lam_kept = lam[0][keep[0]]
+    rank, pos = len(lam_kept), int((lam_kept > 0).sum())
+    gram = np.diag(1.0 / lam_kept) if rank else np.zeros((0, 0))
+    where = tuple(float(v) for v in point)
+    return CharacteristicData(where, rank, (pos, rank - pos), lam_kept, vecs[0][:, keep[0]], gram)
 
 
 def _require_finite(what: str, field, points, values: np.ndarray):
@@ -208,28 +214,62 @@ def _require_finite(what: str, field, points, values: np.ndarray):
         raise ex.EvalDomainError(f"{what} is not finite at {where}", field.comps.flat[entry])
 
 
-def _characteristic_stack(theta: SymTensorField, points, matrices: np.ndarray) -> list[CharacteristicData]:
-    """`characteristic_data` at each point, from the values of theta there
-    (samples, n, n), with one symmetrize / eigh / threshold over the stack.
+def _spectra(theta: SymTensorField, points, matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lam, vecs, keep): one symmetrize / eigh / threshold over the values of
+    theta at the points (samples, n, n).  vecs[s][:, keep[s]] is an
+    orthonormal basis of im theta at points[s], and keep.sum(axis=1) the ranks.
 
     A matrix or an eigenvalue that is not finite raises EvalDomainError at
     the first such point.
     """
     _require_finite("theta", theta, points, matrices)
-    where = [tuple(float(v) for v in p) for p in points]
     # symmetrize away representation roundoff; halving first cannot overflow
     lam, vecs = np.linalg.eigh(0.5 * matrices + 0.5 * np.swapaxes(matrices, 1, 2))
     bad = np.flatnonzero(~np.isfinite(lam).all(axis=1))
     if len(bad):
-        raise ex.EvalDomainError(f"the eigenvalues of theta overflow at {where[bad[0]]}", "theta")
+        where = tuple(float(v) for v in points[bad[0]])
+        raise ex.EvalDomainError(f"the eigenvalues of theta overflow at {where}", "theta")
     keep = np.abs(lam) > RANK_TOL * (np.abs(lam).max(axis=1, keepdims=True) + 1.0)
-    out = []
-    for point, lam_all, vecs_all, kept in zip(where, lam, vecs, keep):
-        lam_kept = lam_all[kept]
-        rank, pos = len(lam_kept), int((lam_kept > 0).sum())
-        gram = np.diag(1.0 / lam_kept) if rank else np.zeros((0, 0))
-        out.append(CharacteristicData(point, rank, (pos, rank - pos), lam_kept, vecs_all[:, kept], gram))
+    return lam, vecs, keep
+
+
+def _norms(d: np.ndarray) -> np.ndarray:
+    """|d| over the last axis, by the dot kernel that np.linalg.norm uses."""
+    return np.sqrt(np.matmul(d[..., None, :], d[..., :, None]))[..., 0, 0]
+
+
+def _distances(vecs: np.ndarray, keep: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """|v - B B^T v| for every vector v of the table (samples, m, n), where
+    B = vecs[s][:, keep[s]] at v's sample: (samples, m).
+
+    Samples are grouped by rank, and each group takes one batched matmul for
+    B^T v and one for B (B^T v); a rank-0 group reads |v|.  Each B is laid
+    out in memory as the one-point slice vecs[s][:, keep[s]] is, column by
+    column, so each product runs the BLAS kernel of the one-point
+    `B.T @ v` and every value equals it bit for bit.
+    """
+    ranks = keep.sum(axis=1)
+    out = np.empty(table.shape[:2])
+    for k in np.unique(ranks):
+        group = np.flatnonzero(ranks == k)
+        d = table[group]
+        if k:
+            columns = np.swapaxes(vecs[group], 1, 2)[keep[group]].reshape(len(group), k, -1)
+            basis = np.swapaxes(columns, 1, 2)[:, None]
+            d = d - np.matmul(basis, np.matmul(np.swapaxes(basis, 2, 3), d[..., None]))[..., 0]
+        out[group] = _norms(d)
     return out
+
+
+def _membership(vecs: np.ndarray, keep: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The scaled residual |v - B B^T v| / (1 + |v|) of every vector of the
+    table against im theta at its sample (see `_distances`): (samples, m).
+    A value that is not finite reads inf.
+    """
+    with np.errstate(all="ignore"):
+        res = _distances(vecs, keep, table) / (1.0 + _norms(table))
+    res[~np.isfinite(res)] = math.inf
+    return res
 
 
 class Involutivity(enum.Enum):
@@ -258,13 +298,10 @@ def involutivity_check(pair: SymPoissonPair, samples=None) -> InvolutivityReport
         samples = pair.chart.sample_points()
     fields = characteristic_generators(pair)
     commutators = [lie_bracket(fields[i], fields[j]) for i in range(n) for j in range(i + 1, n)]
-    spectra = _characteristic_stack(pair.theta, samples, pair.theta.evaluate_on(samples))
-    tables = [comm.evaluate_on(samples) for comm in commutators]
-    for comm, table in zip(commutators, tables):
-        _require_finite("a commutator", comm, samples, table)
-    ranks = tuple(data.rank for data in spectra)
-    residuals = [data.membership_residual(table[s]) for s, data in enumerate(spectra) for table in tables]
-    worst = max(residuals, default=0.0)
+    _, vecs, keep = _spectra(pair.theta, samples, pair.theta.evaluate_on(samples))
+    table = _commutator_table(commutators, samples, n)
+    ranks = tuple(keep.sum(axis=1).tolist())
+    worst = float(_membership(vecs, keep, table).max(initial=0.0))
     if worst > RANK_TOL:
         verdict = Involutivity.NOT_INVOLUTIVE
     elif len(set(ranks)) > 1:
@@ -272,6 +309,24 @@ def involutivity_check(pair: SymPoissonPair, samples=None) -> InvolutivityReport
     else:
         verdict = Involutivity.INVOLUTIVE_ON_SAMPLES
     return InvolutivityReport(verdict, worst, ranks)
+
+
+def _commutator_table(commutators: list[SymTensorField], samples, n: int) -> np.ndarray:
+    """The vector fields' values at every sample from one plan: (samples, m, n).
+
+    Where a row's scales are not finite, the point path runs there first, so
+    this raises where it raises (an overflow in ``**``); a value that is
+    still not finite raises EvalDomainError naming its field's component.
+    """
+    plan = ex.Plan(e for comm in commutators for e in comm.comps)
+    values, scales = plan.table(samples)
+    for s in np.flatnonzero(~np.isfinite(scales).all(axis=1)):
+        plan.values(samples[s])
+    table = values.reshape(len(samples), len(commutators), n)
+    if not np.isfinite(table).all():
+        for c, comm in enumerate(commutators):
+            _require_finite("a commutator", comm, samples, table[:, c])
+    return table
 
 
 def characteristic_generators(pair: SymPoissonPair) -> list[SymTensorField]:

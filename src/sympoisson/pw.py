@@ -25,7 +25,7 @@ from . import geometry as geo
 from .defaults import DT
 from .expr import ScalarField
 from .geometry import Chart, Connection, SymFormField, SymTensorField, levi_civita
-from .poisson import SymPoissonPair, _characteristic_stack, schouten_self
+from .poisson import SymPoissonPair, _membership, _spectra, schouten_self
 
 
 class DynamicsError(Exception):
@@ -423,8 +423,8 @@ def check_locally_geodesically_invariant(
     base_dist = float(np.linalg.norm(lifted.xs - plain.xs, axis=1).max())
     picked = slice(0, len(plain.xs), max(1, len(plain.xs) // 50))
     states = plain.xs[picked]
-    spectra = _characteristic_stack(pair.theta, states, pair.theta.evaluate_on(states))
-    worst_res = max((data.membership_residual(v) for data, v in zip(spectra, plain.velocities[picked])), default=0.0)
+    _, vecs, keep = _spectra(pair.theta, states, pair.theta.evaluate_on(states))
+    worst_res = float(_membership(vecs, keep, plain.velocities[picked][:, None]).max(initial=0.0))
     return GeodesicInvarianceReport(base_dist, worst_res, steps)
 
 

@@ -12,7 +12,11 @@ the structure constants and connection coefficients, and
 the bracket formulas over components, one term at a time, without the
 vector field that induces each bracket.  `integrate_stepwise` runs a
 trajectory one RK4 step at a time, calling a generated right-hand side once
-per stage.
+per stage.  `add_folded` and `mul_folded` fold two constants into a new
+`Const` every time, as `expr.add` and `expr.mul` did before they returned
+existing nodes.  `membership_pointwise` tests one vector against im theta
+at one point, with its own eigendecomposition, as `involutivity_check` did
+sample by sample before the stacked routine.
 """
 
 import dataclasses
@@ -24,6 +28,7 @@ import numpy as np
 
 from sympoisson import expr as ex
 from sympoisson import pw
+from sympoisson.defaults import RANK_TOL
 from sympoisson.expr import BinOp, Call, Const, EvalDomainError, Expr, Neg, Pow, Var
 
 _FUNCS = {"exp": math.exp, "ln": math.log, "sin": math.sin, "cos": math.cos, "sqrt": math.sqrt}
@@ -510,3 +515,56 @@ def integrate_stepwise(rhs_exprs, observe_exprs, y0, dt, steps, chart, channels,
             raise pw.BlowUpError(step, partial, cause) from err
         raise pw.TrajectoryError(f"{cause} at step {step}", step, partial) from err
     return pw._make_traj(dt, rows, chart.n, channels, second)
+
+
+# ---------------------------------------------------------------------------
+# Constant folds as `expr.add` and `expr.mul` made them before they returned
+# an operand's node where the folded value is that operand bit for bit
+# ---------------------------------------------------------------------------
+
+def add_folded(a, b):
+    ca, cb = type(a) is Const, type(b) is Const
+    if ca and cb:
+        return Const(a.value + b.value)
+    if ca and a.value == 0.0:
+        return b
+    if cb and b.value == 0.0:
+        return a
+    return BinOp("+", a, b)
+
+
+def mul_folded(a, b):
+    ca, cb = type(a) is Const, type(b) is Const
+    if ca and cb:
+        return Const(a.value * b.value)
+    if ca or cb:
+        c, other = (a.value, b) if ca else (b.value, a)
+        if c == 0.0:
+            return ex.ZERO
+        if c == 1.0:
+            return other
+        if c == -1.0:
+            return ex.neg(other)
+    return BinOp("*", a, b)
+
+
+# ---------------------------------------------------------------------------
+# Membership in im theta one point and one vector at a time: the loop that
+# `involutivity_check` ran over per-sample characteristic data
+# ---------------------------------------------------------------------------
+
+def membership_pointwise(matrix, v):
+    """|v - B B^T v| / (1 + |v|), or inf where that is not finite, with B the
+    eigenvectors of the symmetrized matrix (theta at a point) whose
+    eigenvalue passes the rank threshold."""
+    lam, vecs = np.linalg.eigh(0.5 * matrix + 0.5 * matrix.T)
+    keep = np.abs(lam) > RANK_TOL * (np.abs(lam).max() + 1.0)
+    basis = vecs[:, keep]
+    with np.errstate(all="ignore"):
+        if not keep.any():
+            dist = float(np.linalg.norm(v))
+        else:
+            coeffs = basis.T @ v
+            dist = float(np.linalg.norm(v - basis @ coeffs))
+        res = dist / (1.0 + float(np.linalg.norm(v)))
+    return res if math.isfinite(res) else math.inf
