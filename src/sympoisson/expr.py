@@ -676,12 +676,16 @@ class Plan:
     of the expressions themselves.
 
     `table` runs the plan over numpy arrays of samples, and `residual`
-    reduces the table.  At one point, `values` interprets the plan on
-    Python floats with `math.*` in slot order, and `compile_plan` generates
-    the same steps as code, which costs more to build and less per call
-    (`compile_rk4` generates them once per RK4 stage of a whole trajectory).
-    All give equal values and, where a node fails, the same located
-    EvalDomainError, built by `_located`.
+    reduces the table; points known in advance, such as the stored states
+    an integrate monitor reads, take one table.  At one point, `values`
+    interprets the plan on Python floats with `math.*` in slot order, and
+    `compile_plan` generates the same steps as code, which costs more to
+    build and less per call; generated code serves points that come one at
+    a time, as in sequential stepping, where each point depends on the last
+    (`compile_rk4` generates the steps once per RK4 stage of a whole
+    trajectory).  All give equal values and,
+    where a node fails, the same located EvalDomainError, built by
+    `_located`.
     """
 
     __slots__ = ("nodes", "roots", "_consts", "_vars", "_ops", "_point_ops")

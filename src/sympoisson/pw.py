@@ -324,12 +324,42 @@ def integrate_geodesic(
     return _integrate(velocity + acc, velocity, y0, dt, steps, conn.chart, [], "v")
 
 
+def _values_at(exprs: list[ex.Expr], points: np.ndarray) -> np.ndarray:
+    """The values of `exprs` at each row of `points`, one column per expression.
+
+    One `Plan.table` evaluates the expressions that are not structural zeros
+    over all rows together, each distinct node once; a structural zero's
+    column holds its own constant, so a -0.0 stays -0.0.  Each row equals a
+    generated call at that point bit for bit.  The table reads an overflow
+    in ``**`` as +-inf and meets failures root by root, so where it raises
+    or a scale is not finite, `Plan.values` runs over the rows in order and
+    the first row that fails raises the EvalDomainError a per-row loop
+    would.  Where no row fails, the infinities are the values.
+    """
+    zero = [ex.is_structural_zero(e) for e in exprs]
+    live = [c for c, z in enumerate(zero) if not z]
+    out = np.empty((len(points), len(exprs)))
+    out[:] = [e.value if z else math.nan for e, z in zip(exprs, zero)]
+    plan = ex.Plan(exprs[c] for c in live)
+    try:
+        values, scales = plan.table(points)
+    except ex.EvalDomainError:
+        values = scales = None
+    if scales is None or not np.isfinite(scales).all():
+        for row in points.tolist():
+            plan.values(row)
+        assert values is not None, "a failure in the table is a failure at its row"
+    out[:, live] = values
+    return out
+
+
 def _geodesic_defect(conn: Connection, cubic: SymTensorField | None, traj: Trajectory) -> np.ndarray:
     """| nabla_{xdot} xdot - (1/4) i_a i_a cubic | at each interior stored state.
 
     The acceleration is a central finite difference of the stored velocity
     channel.  Gamma^k_ij, then the components of `cubic` when one is given,
-    come from one generated call per state; the rest runs over the stack.
+    come from one table over all interior states (`_values_at`), scattered
+    into dense (states, n, n, n) stacks; the rest runs over the stack.
     Without `cubic` the defect is the geodesic equation's own residual.
     """
     states = len(traj.xs)
@@ -337,10 +367,7 @@ def _geodesic_defect(conn: Connection, cubic: SymTensorField | None, traj: Traje
         raise DynamicsError("need at least 3 stored states for finite differences")
     n = conn.chart.n
     exprs = [*conn.gamma.flat, *(() if cubic is None else cubic.comps.flat)]
-    fields = ex.compile_plan(exprs)
-    table = np.empty((states - 2, len(exprs)))
-    for s, x in enumerate(traj.xs[1:-1].tolist()):
-        table[s] = fields(x)
+    table = _values_at(exprs, traj.xs[1:-1])
     v = traj.velocities
     gamma = table[:, : n**3].reshape(-1, n, n, n)
     defect = (v[2:] - v[:-2]) / (2.0 * traj.dt) + np.einsum("skij,si,sj->sk", gamma, v[1:-1], v[1:-1])
@@ -376,11 +403,7 @@ def speed_square_field(pair: SymPoissonPair) -> PhaseField:
 
 def monitor_speed_square(pair: SymPoissonPair, traj: Trajectory) -> np.ndarray:
     """Per-step values of theta(a, a) along a cotangent trajectory."""
-    fn = speed_square_field(pair).f.compiled()
-    out = np.empty(len(traj.xs))
-    for k, state in enumerate(np.hstack([traj.xs, traj.ps]).tolist()):
-        out[k] = fn(state)
-    return out
+    return _values_at([speed_square_field(pair).f.expr], np.hstack([traj.xs, traj.ps]))[:, 0]
 
 
 def monitor_geodesic_residual(pair: SymPoissonPair, traj: Trajectory) -> np.ndarray:

@@ -16,7 +16,9 @@ per stage.  `add_folded` and `mul_folded` fold two constants into a new
 `Const` every time, as `expr.add` and `expr.mul` did before they returned
 existing nodes.  `membership_pointwise` tests one vector against im theta
 at one point, with its own eigendecomposition, as `involutivity_check` did
-sample by sample before the stacked routine.
+sample by sample before the stacked routine.  `geodesic_defect_pointwise`
+evaluates Gamma and the cubic with one generated call per interior state,
+as `pw._geodesic_defect` did before it read one table.
 """
 
 import dataclasses
@@ -568,3 +570,29 @@ def membership_pointwise(matrix, v):
             dist = float(np.linalg.norm(v - basis @ coeffs))
         res = dist / (1.0 + float(np.linalg.norm(v)))
     return res if math.isfinite(res) else math.inf
+
+
+# ---------------------------------------------------------------------------
+# The geodesic defect with one generated call per interior state: the loop
+# `pw._geodesic_defect` ran before it read one table over all states
+# ---------------------------------------------------------------------------
+
+def geodesic_defect_pointwise(conn, cubic, traj):
+    """| nabla_{xdot} xdot - (1/4) i_a i_a cubic | at each interior state,
+    with Gamma and `cubic` from `compile_plan` called state by state."""
+    states = len(traj.xs)
+    if states < 3:
+        raise pw.DynamicsError("need at least 3 stored states for finite differences")
+    n = conn.chart.n
+    exprs = [*conn.gamma.flat, *(() if cubic is None else cubic.comps.flat)]
+    fields = ex.compile_plan(exprs)
+    table = np.empty((states - 2, len(exprs)))
+    for s, x in enumerate(traj.xs[1:-1].tolist()):
+        table[s] = fields(x)
+    v = traj.velocities
+    gamma = table[:, : n**3].reshape(-1, n, n, n)
+    defect = (v[2:] - v[:-2]) / (2.0 * traj.dt) + np.einsum("skij,si,sj->sk", gamma, v[1:-1], v[1:-1])
+    if cubic is not None:
+        p = traj.ps[1:-1]
+        defect = defect - 0.25 * np.einsum("si,sj,sijm->sm", p, p, table[:, n**3 :].reshape(-1, n, n, n))
+    return np.sqrt(np.matmul(defect[:, None, :], defect[:, :, None])[:, 0, 0])
