@@ -631,6 +631,25 @@ def test_report_csv_at_forty_seeds_is_pinned():
     assert digest.hexdigest() == REPORT_SEEDS_DIGEST
 
 
+# sha256 of the same 40 reports with the residual column dropped: every verdict,
+# expectation and ok flag, recorded while residuals were read from symbolic trees
+VERDICT_COLUMNS_DIGEST = "230ba1e9ca1f57c5b1b752aa88fb5cbfcf74baf106a98d0d88d4f92cfb9c58e8"
+
+
+def test_report_verdict_columns_at_forty_seeds_are_pinned():
+    import hashlib
+
+    digest = hashlib.sha256()
+    for seed in range(1, 41):
+        code, out, err = run_cli("report", "--format", "csv", "--seed", str(seed))
+        assert code == 0, (seed, err)
+        for line in out.splitlines(keepends=True):
+            # the expected column may hold commas; the residual is fifth from the right
+            fields = line.split(",")
+            digest.update(",".join(fields[:-5] + fields[-4:]).encode())
+    assert digest.hexdigest() == VERDICT_COLUMNS_DIGEST
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "sympoisson.cli", "catalog", "--id", "jj:dim2"],
