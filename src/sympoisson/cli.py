@@ -542,6 +542,9 @@ def cmd_integrate(args) -> int:
         except EvalDomainError as err:
             print(f"error: {err.named(chart.names)} in the geodesic_residual monitor", file=sys.stderr)
             code = NUMERIC_FAILURE
+        except DynamicsError as err:
+            print(f"error: {err}", file=sys.stderr)
+            code = NUMERIC_FAILURE
         else:
             traj.channels["geodesic_residual"] = np.concatenate([[np.nan], res, [np.nan]])
 

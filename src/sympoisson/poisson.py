@@ -8,6 +8,19 @@ connection.  The three verdicts form a hierarchy:
 
 with strong additionally implying an involutive characteristic module.
 All verdicts are sampled identity checks on the chart's sample box.
+
+Every condition is built from theta, its first derivatives and the
+Christoffel symbols, so the sampled verdicts read one table of those
+values, the pair's `Jets`, and contract numbers instead of building trees:
+nabla theta, theta^{im} nabla_m theta, the cyclic [theta, theta] and the
+commutators of the module generators.  Each contraction sums the terms a
+symbolic tree would, in the tree's order, so its values equal the tree's.
+A residual is max |v| / (1 + scale), where the scale is the same
+contraction taken over the leaves' scales (a running error bound of a sum
+of products).  Where a leaf or a contracted value or scale is not finite,
+the symbolic route (`schouten_self_cyclic`, `pair.directional`,
+`pair.nabla_theta` and the `lie_bracket` commutators) runs instead: it
+raises the located EvalDomainError, or reads inf.
 """
 
 from __future__ import annotations
@@ -15,7 +28,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -45,7 +58,8 @@ class PoissonError(Exception):
 class SymPoissonPair:
     """A symmetric bivector field together with a torsion-free connection.
 
-    nabla theta and theta^{im} nabla_m theta are built once, on first use."""
+    nabla theta, theta^{im} nabla_m theta and [theta, theta] are built once,
+    on first use, and so is the table of `jets` at each sample set."""
 
     theta: SymTensorField
     nabla: Connection
@@ -71,6 +85,138 @@ class SymPoissonPair:
         rows = [geo._contract_first_slot(row, self.nabla_theta.comps) for row in self.theta.comps]
         return geo.MixedDerivative(self.chart, SymTensorField, 2, np.stack(rows))
 
+    @cached_property
+    def schouten_self(self) -> SymTensorField:
+        """[theta, theta] by the trace formula."""
+        return schouten(self.nabla, self.theta, self.theta)
+
+    @cached_property
+    def _jet_plan(self) -> tuple[ex.Plan, np.ndarray]:
+        """A plan of the distinct nodes among theta^{ij}, d_m theta^{ij} in (m, i, j)
+        order and Gamma^k_{ij}, and the plan's column of each of those leaves."""
+        t, n = self.theta.comps, self.chart.n
+        leaves = [*t.flat, *(t[i, j].diff(m) for m in range(n) for i in range(n) for j in range(n)),
+                  *self.nabla.gamma.flat]
+        distinct = {id(e): e for e in leaves}
+        column = {key: c for c, key in enumerate(distinct)}
+        return ex.Plan(distinct.values()), np.array([column[id(e)] for e in leaves])
+
+    @cached_property
+    def _jet_tables(self) -> dict:
+        return {}
+
+    def jets(self, samples=None) -> Jets | None:
+        """theta, d theta and Gamma at the samples (default: the chart's), from
+        one `Plan.table` per sample set, kept on the pair; None where the
+        table raises or a value or scale of it is not finite."""
+        if samples is None:
+            samples = self.chart.sample_points()
+        geo._require_points(self.chart, samples, 2)
+        pts = np.asarray(samples, dtype=float)
+        key = (pts.shape, pts.tobytes())
+        if key not in self._jet_tables:
+            self._jet_tables[key] = Jets.of(*self._jet_plan, pts, self.chart.n)
+        return self._jet_tables[key]
+
+
+class Jets:
+    """theta, d theta and Gamma at some samples, and what the sampled verdicts
+    contract from them.
+
+    `theta` (samples, i, j), `dtheta` (samples, m, i, j) = d_m theta^{ij}
+    and `gamma` (samples, k, i, j) = Gamma^k_{ij} are (value, scale) pairs of
+    the jet table: a scale is the largest |subterm| of its leaf there.  Each
+    contraction below adds its terms one at a time in the order the symbolic
+    builder sums them, so its values equal the tree's, up to the sign of a
+    zero; its scale is the sum of the terms' scale products.
+    """
+
+    def __init__(self, samples: np.ndarray, theta, dtheta, gamma):
+        self.samples = samples
+        self.theta, self.dtheta, self.gamma = theta, dtheta, gamma
+
+    @classmethod
+    def of(cls, plan: ex.Plan, columns: np.ndarray, samples: np.ndarray, n: int) -> Jets | None:
+        try:
+            values, scales = (table[:, columns] for table in plan.table(samples))
+        except ex.EvalDomainError:
+            return None
+        if not (np.isfinite(values).all() and np.isfinite(scales).all()):
+            return None
+        s = len(samples)
+
+        def split(table):
+            return (table[:, : n * n].reshape(s, n, n), table[:, n * n : n * n + n**3].reshape(s, n, n, n),
+                    table[:, n * n + n**3 :].reshape(s, n, n, n))
+
+        return cls(samples, *zip(split(values), split(scales)))
+
+    @cached_property
+    def nabla_theta(self) -> tuple[np.ndarray, np.ndarray]:
+        """nabla_m theta^{ij} = d_m theta^{ij} + Gamma^i_{mk} theta^{kj} + Gamma^j_{mk} theta^{ik}: (samples, m, i, j)."""
+        (t, st), (d, sd), (g, sg) = self.theta, self.dtheta, self.gamma
+        s, n = t.shape[:2]
+        # [k, s, m, i] = Gamma^i_{mk}; a k whose Gamma are all zero adds only zeros
+        g = g.transpose(3, 0, 2, 1)
+        live = np.flatnonzero(g.any(axis=(1, 2, 3)))
+        g = g[live]
+        with np.errstate(all="ignore"):
+            first = g[..., None] * t.transpose(1, 0, 2)[live, :, None, None, :]
+            second = g[:, :, :, None, :] * t.transpose(2, 0, 1)[live, :, None, :, None]
+            v = _fold(np.concatenate([d[None], first, second]))
+            first = np.matmul(sg.transpose(0, 2, 1, 3).reshape(s, n * n, n), st).reshape(s, n, n, n)
+            scale = sd + first + np.swapaxes(first, 2, 3)
+        # the tree of (i, j) with i <= j is stored at (j, i) too
+        i, j = _above_diagonal(n)
+        v[:, :, j, i] = v[:, :, i, j]
+        return v, scale
+
+    @cached_property
+    def directional(self) -> tuple[np.ndarray, np.ndarray]:
+        """D^{ijk} = theta^{im} nabla_m theta^{jk}: (samples, i, j, k)."""
+        (t, st), (nt, snt) = self.theta, self.nabla_theta
+        s, n = t.shape[:2]
+        with np.errstate(all="ignore"):
+            v = _fold(t.transpose(2, 0, 1)[..., None, None] * nt.transpose(1, 0, 2, 3)[:, :, None])
+            return v, np.matmul(st, snt.reshape(s, n, n * n)).reshape(s, n, n, n)
+
+    @cached_property
+    def schouten(self) -> tuple[np.ndarray, np.ndarray]:
+        """[theta, theta]^{ijk} = 2 (D^{ijk} + D^{jki} + D^{kij}): (samples, i, j, k)."""
+        with np.errstate(all="ignore"):
+            return tuple(2.0 * (a + a.transpose(0, 3, 1, 2) + a.transpose(0, 2, 3, 1)) for a in self.directional)
+
+    @cached_property
+    def commutators(self) -> np.ndarray:
+        """[theta(dx^i), theta(dx^j)]^k = theta^{im} d_m theta^{jk} - theta^{jm} d_m theta^{ik}
+        for each i < j in order: (samples, pairs, k)."""
+        (t, _), (d, _) = self.theta, self.dtheta
+        s, n = t.shape[:2]
+        i, j = _above_diagonal(n)
+        with np.errstate(all="ignore"):
+            plus = t[:, i].transpose(2, 0, 1)[..., None] * d[:, :, j].transpose(1, 0, 2, 3)
+            minus = t[:, j].transpose(2, 0, 1)[..., None] * d[:, :, i].transpose(1, 0, 2, 3)
+            # the tree adds X^m d_m Y^k, then -(Y^m d_m X^k), for each m in turn
+            return _fold(np.stack([plus, -minus], axis=1).reshape((2 * n, s, len(i), n)))
+
+
+@cache
+def _above_diagonal(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (i, j) with i < j, in row order; read-only, as every caller shares them."""
+    pairs = np.triu_indices(n, 1)
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
+
+
+def _fold(terms: np.ndarray) -> np.ndarray:
+    """((t0 + t1) + t2) + ... over the first axis, one term at a time, in the
+    order `expr.expr_sum` adds a tree's terms."""
+    out = terms[0].copy()
+    for term in terms[1:]:
+        out += term
+    return out
+
 
 # ---------------------------------------------------------------------------
 # bracket and gradient
@@ -91,8 +237,8 @@ def gradient(pair: SymPoissonPair, f: ScalarField) -> SymTensorField:
 # ---------------------------------------------------------------------------
 
 def schouten_self(pair: SymPoissonPair) -> SymTensorField:
-    """[theta, theta] as a degree-3 field (trace-formula route)."""
-    return schouten(pair.nabla, pair.theta, pair.theta)
+    """[theta, theta] as a degree-3 field (trace-formula route), built once per pair."""
+    return pair.schouten_self
 
 
 def schouten_self_cyclic(pair: SymPoissonPair) -> SymTensorField:
@@ -110,12 +256,30 @@ def schouten_self_cyclic(pair: SymPoissonPair) -> SymTensorField:
     return SymTensorField(pair.chart, 3, geo._build_components(pair.chart.n, 3, build, fixed=3))
 
 
+def _jet_residual(pair: SymPoissonPair, samples, quantity: str, tree) -> float:
+    """max |v| / (1 + scale) of a contraction of the jet table; where that
+    is not finite, the residual of the symbolic field `tree()` instead."""
+    jets = pair.jets(samples)
+    if jets is not None:
+        value, scale = getattr(jets, quantity)
+        if np.isfinite(value).all() and np.isfinite(scale).all():
+            return float((np.abs(value) / (1.0 + scale)).max(initial=0.0))
+    return tree().residual_on(samples)
+
+
 def is_symmetric_poisson(pair: SymPoissonPair) -> bool:
     return symmetric_poisson_residual(pair) <= TOL
 
 
 def symmetric_poisson_residual(pair: SymPoissonPair, samples=None) -> float:
-    return schouten_self_cyclic(pair).residual_on(samples)
+    """Worst scaled residual of the cyclic [theta, theta] = 2 (D^{ijk} + cyclic),
+    D^{ijk} = theta^{im} nabla_m theta^{jk}, contracted from the jet table.
+
+    The scale of each component is the same contraction over the leaves'
+    scales.  Where a value or scale is not finite, `schouten_self_cyclic`
+    is evaluated instead: it raises the located EvalDomainError, or reads inf.
+    """
+    return _jet_residual(pair, samples, "schouten", lambda: schouten_self_cyclic(pair))
 
 
 def is_strong(pair: SymPoissonPair) -> bool:
@@ -123,11 +287,14 @@ def is_strong(pair: SymPoissonPair) -> bool:
 
 
 def strong_residual(pair: SymPoissonPair, samples=None) -> float:
-    """Worst residual of nabla_{theta(dx^i)} theta over the covector basis.
+    """Worst scaled residual of nabla_{theta(dx^i)} theta = theta^{im} nabla_m theta
+    over the covector basis, contracted from the jet table.
 
-    Tensoriality in the covector slot makes the basis sufficient.
+    Tensoriality in the covector slot makes the basis sufficient.  The
+    scale and the route where a value is not finite (`pair.directional`)
+    are as in `symmetric_poisson_residual`.
     """
-    return pair.directional.residual_on(samples)
+    return _jet_residual(pair, samples, "directional", lambda: pair.directional)
 
 
 def is_parallel(pair: SymPoissonPair) -> bool:
@@ -135,7 +302,13 @@ def is_parallel(pair: SymPoissonPair) -> bool:
 
 
 def parallel_residual(pair: SymPoissonPair, samples=None) -> float:
-    return pair.nabla_theta.residual_on(samples)
+    """Worst scaled residual of nabla_m theta^{ij} = d_m theta^{ij} + Gamma^i_{mk}
+    theta^{kj} + Gamma^j_{mk} theta^{ik}, contracted from the jet table.
+
+    The scale and the route where a value is not finite (`pair.nabla_theta`)
+    are as in `symmetric_poisson_residual`.
+    """
+    return _jet_residual(pair, samples, "nabla_theta", lambda: pair.nabla_theta)
 
 
 # ---------------------------------------------------------------------------
@@ -289,17 +462,29 @@ def involutivity_check(pair: SymPoissonPair, samples=None) -> InvolutivityReport
     """Pointwise test whether [theta(dx^i), theta(dx^j)] stays in im theta,
     up to a distance of RANK_TOL (1 + |commutator|).
 
-    A rank jump across samples downgrades a positive answer to inconclusive;
-    a failed membership is conclusive either way.  A commutator that is not
-    finite at a sample (an overflow) raises EvalDomainError, like theta.
+    theta and the commutators theta^{im} d_m theta^{jk} - theta^{jm} d_m
+    theta^{ik} are read from the jet table.  Where a commutator there is not
+    finite, the `lie_bracket` commutators are evaluated instead, and one that
+    is not finite at a sample (an overflow) raises EvalDomainError, like
+    theta.  A rank jump across samples downgrades a positive answer to
+    inconclusive; a failed membership is conclusive either way.
     """
+    jets = pair.jets(samples)
+    if jets is not None:
+        table = jets.commutators
+        if np.isfinite(table).all():
+            _, vecs, keep = _spectra(pair.theta, jets.samples, jets.theta[0])
+            return _involutivity_report(vecs, keep, table)
     n = pair.chart.n
     if samples is None:
         samples = pair.chart.sample_points()
     fields = characteristic_generators(pair)
     commutators = [lie_bracket(fields[i], fields[j]) for i in range(n) for j in range(i + 1, n)]
     _, vecs, keep = _spectra(pair.theta, samples, pair.theta.evaluate_on(samples))
-    table = _commutator_table(commutators, samples, n)
+    return _involutivity_report(vecs, keep, _commutator_table(commutators, samples, n))
+
+
+def _involutivity_report(vecs: np.ndarray, keep: np.ndarray, table: np.ndarray) -> InvolutivityReport:
     ranks = tuple(keep.sum(axis=1).tolist())
     worst = float(_membership(vecs, keep, table).max(initial=0.0))
     if worst > RANK_TOL:

@@ -409,9 +409,16 @@ def monitor_speed_square(pair: SymPoissonPair, traj: Trajectory) -> np.ndarray:
 def monitor_geodesic_residual(pair: SymPoissonPair, traj: Trajectory) -> np.ndarray:
     """Per interior step: | nabla_{xdot} xdot - (1/4) i_a i_a [theta,theta] |.
 
-    The bracket side is evaluated symbolically (see `_geodesic_defect`).
+    The bracket side is the pair's [theta, theta], built once per pair (see
+    `_geodesic_defect`).  A defect that is not finite, such as one whose
+    square overflows, raises DynamicsError naming the first such step.
     """
-    return _geodesic_defect(pair.nabla, schouten_self(pair), traj)
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = _geodesic_defect(pair.nabla, schouten_self(pair), traj)
+    bad = np.flatnonzero(~np.isfinite(defect))
+    if len(bad):
+        raise DynamicsError(f"the geodesic residual is not finite at step {bad[0] + 1}")
+    return defect
 
 
 @dataclass

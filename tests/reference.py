@@ -18,7 +18,10 @@ existing nodes.  `membership_pointwise` tests one vector against im theta
 at one point, with its own eigendecomposition, as `involutivity_check` did
 sample by sample before the stacked routine.  `geodesic_defect_pointwise`
 evaluates Gamma and the cubic with one generated call per interior state,
-as `pw._geodesic_defect` did before it read one table.
+as `pw._geodesic_defect` did before it read one table.  `verdict_trees`
+builds the symbolic fields the sampled verdicts contract from the jet
+table, and `tree_verdicts` reads the verdicts from those trees, as
+`verdict_suite` did before the jet table.
 """
 
 import dataclasses
@@ -29,8 +32,8 @@ from fractions import Fraction
 import numpy as np
 
 from sympoisson import expr as ex
-from sympoisson import pw
-from sympoisson.defaults import RANK_TOL
+from sympoisson import poisson, pw
+from sympoisson.defaults import RANK_TOL, TOL
 from sympoisson.expr import BinOp, Call, Const, EvalDomainError, Expr, Neg, Pow, Var
 
 _FUNCS = {"exp": math.exp, "ln": math.log, "sin": math.sin, "cos": math.cos, "sqrt": math.sqrt}
@@ -596,3 +599,48 @@ def geodesic_defect_pointwise(conn, cubic, traj):
         p = traj.ps[1:-1]
         defect = defect - 0.25 * np.einsum("si,sj,sijm->sm", p, p, table[:, n**3 :].reshape(-1, n, n, n))
     return np.sqrt(np.matmul(defect[:, None, :], defect[:, :, None])[:, 0, 0])
+
+
+# ---------------------------------------------------------------------------
+# The sampled verdicts read from symbolic trees: the route `verdict_suite`
+# took before it contracted one jet table of theta, d theta and Gamma
+# ---------------------------------------------------------------------------
+
+def verdict_trees(pair):
+    """{quantity: component array of nodes}: nabla theta (m, i, j), theta^{im}
+    nabla_m theta (i, j, k), the cyclic [theta, theta] (i, j, k) and the Lie
+    brackets of the rows of theta, one row per i < j (pairs, k), each built
+    index by index with the nested loops above."""
+    n = pair.chart.n
+    theta = pair.theta.comps
+    nabla_theta = covariant_derivative_comps(pair.nabla.gamma, theta, True, n)
+    directional = np.stack([contract_first_slot_comps(row, nabla_theta) for row in theta])
+    commutators = [lie_bracket_comps(theta[i], theta[j]) for i in range(n) for j in range(i + 1, n)]
+    return {
+        "nabla_theta": nabla_theta,
+        "directional": directional,
+        "schouten": schouten_self_cyclic_comps(directional),
+        "commutators": np.array(commutators, dtype=object).reshape(len(commutators), n),
+    }
+
+
+def tree_table(comps, samples):
+    """(values, scales) of a component array of nodes at the samples, each
+    (samples, *comps.shape), from one plan."""
+    values, scales = ex.Plan(comps.flat).table(samples)
+    shape = (len(samples),) + comps.shape
+    return values.reshape(shape), scales.reshape(shape)
+
+
+def tree_verdicts(pair, samples):
+    """The four verdicts from the trees of `verdict_trees`: each residual
+    scaled by its largest subterm, and the membership of the commutators."""
+    trees = verdict_trees(pair)
+    got = {
+        name: ex.Plan(trees[quantity].flat).residual(samples) <= TOL
+        for name, quantity in [("symmetric_poisson", "schouten"), ("strong", "directional"), ("parallel", "nabla_theta")]
+    }
+    _, vecs, keep = poisson._spectra(pair.theta, samples, pair.theta.evaluate_on(samples))
+    table, _ = tree_table(trees["commutators"], samples)
+    got["involutive"] = poisson._involutivity_report(vecs, keep, table).verdict
+    return got

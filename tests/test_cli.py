@@ -284,6 +284,28 @@ def test_integrate_geodesic_monitor_domain_error(tmp_path):
     assert len(lines) == 52
 
 
+def test_integrate_geodesic_monitor_overflow_exits_3_and_flushes(tmp_path):
+    import warnings
+
+    src = tmp_path / "line.ini"
+    src.write_text("[chart]\ndim = 1\nnames = x\n\n[theta]\ntheta[1,1] = \"x\"\n")
+    out_path = tmp_path / "run.csv"
+    # p grows along the flow, so the defect ~ p^2 x is finite at first and its
+    # square overflows from step 11; every state stays finite
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(
+            "integrate", str(src), "--x0=1", "--p0=1e77", "--dt=1e-78", "--steps", "15",
+            "--monitors", "hamiltonian,geodesic_residual", "--out", str(out_path),
+        )
+    assert (code, err) == (3, "error: the geodesic residual is not finite at step 11\n"), out + err
+    assert "geodesic_residual" not in out
+    lines = out_path.read_text().splitlines()
+    assert lines[0] == "t,x1,p1,hamiltonian"
+    assert len(lines) == 17
+    assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize(
     "theta, message",
     [
@@ -597,12 +619,13 @@ def test_report_unwritable_out_exits_1(tmp_path):
     assert (code, out, err) == (1, "", f"error: cannot write {path}: No such file or directory\n")
 
 
-# sha256 of the catalog's output, recorded before the catalog became a table;
-# the residual column and every line's order are pinned with the verdicts
+# sha256 of the catalog's output, recorded when the sampled verdicts began to
+# contract the jet table; the residual column and every line's order are
+# pinned with the verdicts
 CATALOG_DIGESTS = [
-    (("report", "--format", "csv"), "ad309a6de93e39043579684f0281a4841ded51d72d305ab5e88ebe015a4abcf9"),
-    (("report", "--format", "csv", "--seed", "7"), "4df7e0decab16e6296b4445175d5798de4fd83d9c20c6cf22c7e813f48cd8c5b"),
-    (("catalog", "--all"), "b19469f520e0add7cfb07b2ed02fcbc8ab995fc23234f4e839b1faf7ad73d304"),
+    (("report", "--format", "csv"), "a01df8b786ec8d1747b404c4286a91422c3c36e6d658a5c9f93934ce2324885b"),
+    (("report", "--format", "csv", "--seed", "7"), "5ca16f8c26358bc98f50ca3768cb522c265592cad2fb98ef92951cb3e4f70822"),
+    (("catalog", "--all"), "0db0b76fae7895199b226197220229f48694eb39a51c1db96c29fa6577a54213"),
 ]
 
 
@@ -616,8 +639,9 @@ def test_catalog_output_bytes_are_pinned(argv, digest):
 
 
 # sha256 of the stdout of `report --format csv --seed S` for S = 1..40,
-# concatenated in seed order: every verdict and residual bit at 40 seeds
-REPORT_SEEDS_DIGEST = "31335091356d3e26080cefe786f81fa61c95610411b114d94aa0650e10ebd691"
+# concatenated in seed order: every verdict and residual bit at 40 seeds,
+# recorded when the sampled verdicts began to contract the jet table
+REPORT_SEEDS_DIGEST = "e96ba036fd8d541a7a537feed3daf7486cd1f12dd9e2102fd8205afdf22e8f3c"
 
 
 def test_report_csv_at_forty_seeds_is_pinned():

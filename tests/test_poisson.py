@@ -166,15 +166,24 @@ def test_verdict_hierarchy_battery():
 
 # a jj: suite, as the catalog runs it, asks for every verdict but parallel
 @pytest.mark.parametrize("ident,verdicts", [("ex:inclusion", VERDICTS), ("jj:dim4_5", VERDICTS[:2] + VERDICTS[3:])])
-def test_verdict_suite_builds_nabla_theta_once(monkeypatch, ident, verdicts):
+def test_verdict_suite_builds_one_jet_plan_and_no_covariant_derivative(monkeypatch, ident, verdicts):
+    from sympoisson import expr as ex
     from sympoisson import poisson
 
-    calls = []
-    original = poisson.covariant_derivative
+    calls, plans = [], []
+    original, plan_init = poisson.covariant_derivative, ex.Plan.__init__
     monkeypatch.setattr(poisson, "covariant_derivative", lambda *args: calls.append(args) or original(*args))
-    suite = verdict_suite(registry.catalog_entry(ident).pair(), verdicts=verdicts)
-    assert len(calls) == 1
+    pair = registry.catalog_entry(ident).pair()
+    monkeypatch.setattr(ex.Plan, "__init__", lambda plan, exprs: plans.append(plan) or plan_init(plan, exprs))
+    suite = verdict_suite(pair, verdicts=verdicts)
+    assert calls == []
+    assert plans == [pair._jet_plan[0]]
     assert tuple(suite.residuals) == verdicts
+    # the same samples again read the table kept on the pair; new ones take a table, not a plan
+    verdict_suite(pair, verdicts=verdicts)
+    verdict_suite(pair, samples=pair.chart.sample_points(5, 2), verdicts=verdicts)
+    assert plans == [pair._jet_plan[0]] and calls == []
+    assert len(pair._jet_tables) == 2
 
 
 # ---------------------------------------------------------------------------

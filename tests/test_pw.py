@@ -465,6 +465,21 @@ def test_geodesic_residual_monitor_integrable():
     assert res.max() <= 1e-6
 
 
+def test_the_geodesic_monitor_reads_the_bracket_built_once(monkeypatch):
+    from sympoisson import poisson
+    from sympoisson.geometry import schouten
+
+    calls = []
+    monkeypatch.setattr(poisson, "schouten", lambda *args: calls.append(args) or schouten(*args))
+    pair = registry.build("nondeg_kill")
+    traj = integrate_pw(pair.nabla, vertical_lift(pair.theta), CotangentState((0.0, 0.0), (0.7, 0.3)), dt=1e-3, steps=20)
+    first = monitor_geodesic_residual(pair, traj)
+    assert monitor_geodesic_residual(pair, traj).tobytes() == first.tobytes()
+    assert len(calls) == 1 and poisson.schouten_self(pair) is pair.schouten_self
+    # the cached tree is the one the trace formula builds
+    assert pair.schouten_self.comps.tolist() == schouten(pair.nabla, pair.theta, pair.theta).comps.tolist()
+
+
 def test_geodesic_residual_monitor_matches_bracket_defect():
     pair = registry.build("sing_line")
     h = vertical_lift(pair.theta)
