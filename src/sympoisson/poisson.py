@@ -115,7 +115,7 @@ class SymPoissonPair:
         pts = np.asarray(samples, dtype=float)
         key = (pts.shape, pts.tobytes())
         if key not in self._jet_tables:
-            self._jet_tables[key] = Jets.of(*self._jet_plan, pts, self.chart.n)
+            self._jet_tables[key] = Jets.of(*self._jet_plan, pts)
         return self._jet_tables[key]
 
 
@@ -136,14 +136,14 @@ class Jets:
         self.theta, self.dtheta, self.gamma = theta, dtheta, gamma
 
     @classmethod
-    def of(cls, plan: ex.Plan, columns: np.ndarray, samples: np.ndarray, n: int) -> Jets | None:
+    def of(cls, plan: ex.Plan, columns: np.ndarray, samples: np.ndarray) -> Jets | None:
         try:
             values, scales = (table[:, columns] for table in plan.table(samples))
         except ex.EvalDomainError:
             return None
         if not (np.isfinite(values).all() and np.isfinite(scales).all()):
             return None
-        s = len(samples)
+        s, n = samples.shape
 
         def split(table):
             return (table[:, : n * n].reshape(s, n, n), table[:, n * n : n * n + n**3].reshape(s, n, n, n),
