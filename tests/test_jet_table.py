@@ -10,6 +10,8 @@ built as trees index by index, evaluated by `expr.Plan`.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
 from sympoisson import expr as ex
@@ -65,6 +67,40 @@ def test_jet_contractions_equal_the_trees(ident):
             "parallel": suite.parallel,
             "involutive": suite.involutive,
         }, seed
+
+
+def _expressions(names, depth):
+    leaf = st.sampled_from(["0", "1", "-1", "2", "0.5", *names])
+    return st.recursive(leaf, lambda sub: st.tuples(sub, st.sampled_from("+-*"), sub).map(
+        lambda t: f"({t[0]} {t[1]} {t[2]})"), max_leaves=depth)
+
+
+@st.composite
+def _pairs(draw):
+    """A pair on a 1-3 dimensional chart with polynomial theta and Gamma,
+    each entry present or a structural zero."""
+    names = ["x", "y", "z"][: draw(st.integers(1, 3))]
+    n = len(names)
+
+    def entries(slots, depth):
+        return {slot: draw(_expressions(names, depth)) for slot in slots if draw(st.booleans())}
+
+    theta = entries([(i, j) for i in range(n) for j in range(i, n)], 6)
+    gamma = entries([(k, i, j) for k in range(n) for i in range(n) for j in range(i, n)], 3)
+    chart = Chart(names)
+    return SymPoissonPair(SymTensorField.from_dict(chart, 2, theta), Connection.from_dict(chart, gamma))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pairs(), st.integers(0, 2**16))
+def test_jet_contractions_equal_the_trees_on_drawn_pairs(pair, seed):
+    # constants 0 and +-1 exercise every fold the trees make of their terms
+    samples = pair.chart.sample_points(6, seed)
+    jets = pair.jets(samples)
+    library = _library_trees(pair)
+    for quantity in library:
+        got, _ = reference.tree_table(library[quantity], samples)
+        assert np.array_equal(np.abs(_jet_values(jets, quantity)[0]), np.abs(got)), quantity
 
 
 def test_the_scale_is_the_contraction_over_the_leaf_scales():
