@@ -675,17 +675,16 @@ class Plan:
     node's position is its slot in the value list.  `roots` holds the slots
     of the expressions themselves.
 
-    `table` runs the plan over numpy arrays of samples, and `residual`
-    reduces the table; points known in advance, such as the stored states
-    an integrate monitor reads, take one table.  At one point, `values`
-    interprets the plan on Python floats with `math.*` in slot order, and
-    `compile_plan` generates the same steps as code, which costs more to
-    build and less per call; generated code serves points that come one at
-    a time, as in sequential stepping, where each point depends on the last
-    (`compile_rk4` generates the steps once per RK4 stage of a whole
-    trajectory).  All give equal values and,
-    where a node fails, the same located EvalDomainError, built by
-    `_located`.
+    `values` interprets the plan at one point on Python floats with
+    `math.*` in slot order; it is the one point runner.  `table` runs the
+    plan over numpy arrays of samples with the same elementwise operations,
+    `residual` reduces the table, and `rows` reads the values at many
+    points, such as the samples of a field or the stored states an
+    integrate monitor reads, from one table, raising where a `values` loop
+    over them would.  Generated code serves only whole RK4 trajectories
+    (`compile_rk4`), where each point depends on the last.  All give equal
+    values and, where a node fails, the same located EvalDomainError,
+    built by `_located`.
     """
 
     __slots__ = ("nodes", "roots", "_consts", "_vars", "_ops", "_point_ops")
@@ -757,9 +756,8 @@ class Plan:
     def values(self, point: Sequence[float]) -> list[float]:
         """The root values at one point.
 
-        Raises the EvalDomainError of the first node that fails: a domain
-        error, or an overflow in ``**`` or exp.  The code `compile_plan`
-        generates raises the same error at the same point.
+        Raises the EvalDomainError of the first node in slot order that
+        fails: a domain error, or an overflow in ``**`` or exp.
         """
         v = self._consts + [float(point[i]) for i in self._vars]
         append = v.append
@@ -831,6 +829,25 @@ class Plan:
             return math.inf
         return float((np.abs(value) / (1.0 + scale)).max(initial=0.0))
 
+    def rows(self, points) -> np.ndarray:
+        """The root values at each point, (points, roots): what `values`
+        returns row by row, read from one `table`.
+
+        The table reads an overflow in ``**`` as +-inf and meets failures
+        root by root, so where it raises or a scale is not finite, `values`
+        runs over the rows in order and the first row that fails raises its
+        EvalDomainError.  Where no row fails, the infinities are the values.
+        """
+        try:
+            values, scales = self.table(points)
+            bad = np.flatnonzero(~np.isfinite(scales).all(axis=1))
+        except EvalDomainError:
+            values, bad = None, range(len(points))
+        for s in bad:
+            self.values(points[s])
+        assert values is not None, "a failure in the table is a failure at its row"
+        return values
+
     def _first_failure(self, failures: dict[int, np.ndarray]) -> EvalDomainError:
         # A tree walk goes root by root, then sample by sample, and stops at
         # the first failing node in post-order.  Nodes that an earlier root
@@ -864,7 +881,7 @@ def residual(exprs: Iterable[Expr], samples) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Code generation: plans as straight-line Python
+# Code generation: whole RK4 trajectories as straight-line Python
 # ---------------------------------------------------------------------------
 
 _COMPILE_ENV = {
@@ -876,8 +893,9 @@ _COMPILE_ENV = {
 
 
 class _Source:
-    """A generated function under construction: its lines, the (plan, slot)
-    computed on each node line, and the globals the code reads.
+    """The function `compile_rk4` generates, under construction: its lines,
+    the (plan, slot) computed on each node line, and the globals the code
+    reads.
 
     The code is written to wrap its nodes in one ``try`` whose ``except``
     raises ``_located(err)``: the failing line gives the node, so the error
@@ -931,29 +949,15 @@ def _tuple(names: Iterable[str]) -> str:
     return f"({''.join(f'{name}, ' for name in names)})"
 
 
-def compile_plan(exprs: Iterable[Expr]) -> Callable[[Sequence[float]], tuple[float, ...]]:
-    """One generated Python function returning the values of `exprs` at a point.
-
-    The function walks `Plan(exprs)` as straight-line code (`_Source.nodes`):
-    it reads each variable once as a Python float and assigns each interior
-    node once to a local, so a shared subterm is computed once.  Constants
-    are bound by name, so a negative or non-finite one needs no literal.
-    The values equal `Plan.values` bit for bit, and a failing node raises
-    the EvalDomainError `Plan.values` raises, naming the same node.
-    """
-    plan = Plan(exprs)
-    inputs = {k: f"v{k}" for k in plan._vars}
-    code = _Source("def f(v):")
-    code.add("    ", *(f"{inputs[k]} = _float(v[{k}])" for k in plan._vars), "try:")
-    roots = code.nodes(plan, "s", inputs, "        ")
-    code.add("    ", f"    return {_tuple(roots)}", "except _FAILURES as err:", "    raise _located(err) from None")
-    return code.function()
-
-
 def compile_expr(e: Expr) -> Callable[[Sequence[float]], float]:
-    """The one-expression case of `compile_plan`: a function returning a float."""
-    fn = compile_plan([e])
-    return lambda v: fn(v)[0]
+    """A function of a point returning the value of `e` there (`Plan.values`).
+
+    Nothing in the library calls it; it stays only while the benchmark
+    tracer wraps it by name, until the tracer's compile span moves to
+    `compile_rk4`.
+    """
+    plan = Plan([e])
+    return lambda v: plan.values(v)[0]
 
 
 def compile_rk4(rhs: Sequence[Expr], observe: Iterable[Expr]) -> Callable:
@@ -968,7 +972,7 @@ def compile_rk4(rhs: Sequence[Expr], observe: Iterable[Expr]) -> Callable:
     that order, so each state equals the array form's bit for bit.  The run
     returns after `steps` steps, or early as soon as an updated state is
     not finite, without storing it.  A failing node raises the located
-    EvalDomainError of `compile_plan`; either way `rows` holds the states
+    EvalDomainError of `Plan.values`; either way `rows` holds the states
     before the step that stopped the run.
     """
     dim = len(rhs)
@@ -1028,10 +1032,6 @@ class ScalarField:
 
     # -- evaluation ----------------------------------------------------------
 
-    def compiled(self) -> Callable[[Sequence[float]], float]:
-        """A new generated function of the expression (see `compile_plan`)."""
-        return compile_expr(self.expr)
-
     def plan(self) -> Plan:
         """The evaluation plan of the expression, built once and cached."""
         if self._plan is None:
@@ -1039,8 +1039,10 @@ class ScalarField:
         return self._plan
 
     def __call__(self, point: Sequence[float]) -> float:
-        """The value at a point (Plan.values: EvalDomainError on a domain
-        error or an overflow)."""
+        """The value at a point of `arity` coordinates (Plan.values:
+        EvalDomainError on a domain error or an overflow)."""
+        if len(point) != self.arity:
+            raise ExprError(f"a point of {len(point)} coordinates for arity {self.arity}")
         return self.plan().values(point)[0]
 
     def is_zero_expr(self) -> bool:

@@ -199,7 +199,7 @@ def _fill(out: np.ndarray, entries: dict, value, sym: int, error: type, sign: in
 class _SymField:
     """Shared machinery for symmetric contravariant/covariant fields."""
 
-    __slots__ = ("chart", "degree", "comps", "_compiled")
+    __slots__ = ("chart", "degree", "comps", "_plan")
 
     def __init__(self, chart: Chart, degree: int, comps: np.ndarray):
         if degree < 0 or degree > DEGREE_CAP:
@@ -210,7 +210,7 @@ class _SymField:
         self.chart = chart
         self.degree = degree
         self.comps = comps
-        self._compiled = None
+        self._plan = None
 
     # -- constructors --------------------------------------------------------
 
@@ -246,9 +246,9 @@ class _SymField:
 
     def plan(self) -> ex.Plan:
         """The evaluation plan of the components, built once per field."""
-        if self._compiled is None:
-            self._compiled = ex.Plan(self.comps.flat)
-        return self._compiled
+        if self._plan is None:
+            self._plan = ex.Plan(self.comps.flat)
+        return self._plan
 
     def evaluate(self, point: Sequence[float]) -> np.ndarray:
         """Numeric component array at a point."""
@@ -256,15 +256,10 @@ class _SymField:
         return np.array(self.plan().values(point), dtype=float).reshape(self.comps.shape)
 
     def evaluate_on(self, samples) -> np.ndarray:
-        """The component arrays at every sample, stacked: the rows of `Plan.table`.
-
-        Where a row's scales are not finite, `evaluate` runs there first, so
-        this raises where the point path raises (an overflow in ``**``).
-        """
+        """The component arrays at every sample, stacked: `Plan.rows`, so the
+        first sample at which `evaluate` raises raises its error here."""
         _require_points(self.chart, samples, 2)
-        values, scales = self.plan().table(samples)
-        for s in np.flatnonzero(~np.isfinite(scales).all(axis=1)):
-            self.evaluate(samples[s])
+        values = self.plan().rows(samples)
         return np.ascontiguousarray(values).reshape((len(values),) + self.comps.shape)
 
     def residual_on(self, samples: Iterable[Sequence[float]] | None = None) -> float:
@@ -340,7 +335,7 @@ class Connection:
     The upper index comes first: nabla_{d_i} d_j = G[k][i][j] d_k.
     """
 
-    __slots__ = ("chart", "gamma", "_compiled", "_torsion_free")
+    __slots__ = ("chart", "gamma", "_plan", "_torsion_free")
 
     def __init__(self, chart: Chart, gamma: np.ndarray):
         n = chart.n
@@ -348,7 +343,7 @@ class Connection:
             raise GeometryError(f"gamma must have shape {(n, n, n)}")
         self.chart = chart
         self.gamma = gamma
-        self._compiled = None
+        self._plan = None
         self._torsion_free: bool | None = None
 
     @classmethod
@@ -366,10 +361,11 @@ class Connection:
         return ScalarField(self.gamma[k, i, j], self.chart.n)
 
     def gamma_at(self, point: Sequence[float]) -> np.ndarray:
-        if self._compiled is None:
-            self._compiled = ex.compile_plan(self.gamma.flat)
-        n = self.chart.n
-        return np.array(self._compiled(point)).reshape(n, n, n)
+        """G[k][i][j] at a point (Plan.values)."""
+        _require_points(self.chart, point, 1)
+        if self._plan is None:
+            self._plan = ex.Plan(self.gamma.flat)
+        return np.array(self._plan.values(point)).reshape(self.gamma.shape)
 
     def is_torsion_free(self) -> bool:
         """Whether the torsion vanishes on the chart's samples; computed once."""
@@ -407,12 +403,12 @@ def torsion_free_part(conn: Connection) -> Connection:
 class CurvatureField:
     """Curvature R[l][k][i][j]: R(d_i, d_j) d_k = R[l][k][i][j] d_l."""
 
-    __slots__ = ("chart", "comps", "_compiled")
+    __slots__ = ("chart", "comps", "_plan")
 
     def __init__(self, chart: Chart, comps: np.ndarray):
         self.chart = chart
         self.comps = comps
-        self._compiled = None
+        self._plan = None
 
     plan = _SymField.plan
     evaluate = _SymField.evaluate
@@ -513,14 +509,14 @@ class MixedDerivative:
     comps[i][J] = (nabla_{d_i} T)^J with the derivative index first.
     """
 
-    __slots__ = ("chart", "base_kind", "base_degree", "comps", "_compiled")
+    __slots__ = ("chart", "base_kind", "base_degree", "comps", "_plan")
 
     def __init__(self, chart: Chart, base_kind: type, base_degree: int, comps: np.ndarray):
         self.chart = chart
         self.base_kind = base_kind
         self.base_degree = base_degree
         self.comps = comps
-        self._compiled = None
+        self._plan = None
 
     plan = _SymField.plan
     residual_on = _SymField.residual_on

@@ -499,15 +499,12 @@ def _involutivity_report(vecs: np.ndarray, keep: np.ndarray, table: np.ndarray) 
 def _commutator_table(commutators: list[SymTensorField], samples, n: int) -> np.ndarray:
     """The vector fields' values at every sample from one plan: (samples, m, n).
 
-    Where a row's scales are not finite, the point path runs there first, so
-    this raises where it raises (an overflow in ``**``); a value that is
-    still not finite raises EvalDomainError naming its field's component.
+    The values are `Plan.rows`, so the first sample at which the point path
+    raises raises its error here; a value that is still not finite raises
+    EvalDomainError naming its field's component.
     """
     plan = ex.Plan(e for comm in commutators for e in comm.comps)
-    values, scales = plan.table(samples)
-    for s in np.flatnonzero(~np.isfinite(scales).all(axis=1)):
-        plan.values(samples[s])
-    table = values.reshape(len(samples), len(commutators), n)
+    table = plan.rows(samples).reshape(len(samples), len(commutators), n)
     if not np.isfinite(table).all():
         for c, comm in enumerate(commutators):
             _require_finite("a commutator", comm, samples, table[:, c])

@@ -327,29 +327,16 @@ def integrate_geodesic(
 def _values_at(exprs: list[ex.Expr], points: np.ndarray) -> np.ndarray:
     """The values of `exprs` at each row of `points`, one column per expression.
 
-    One `Plan.table` evaluates the expressions that are not structural zeros
-    over all rows together, each distinct node once; a structural zero's
-    column holds its own constant, so a -0.0 stays -0.0.  Each row equals a
-    generated call at that point bit for bit.  The table reads an overflow
-    in ``**`` as +-inf and meets failures root by root, so where it raises
-    or a scale is not finite, `Plan.values` runs over the rows in order and
-    the first row that fails raises the EvalDomainError a per-row loop
-    would.  Where no row fails, the infinities are the values.
+    The expressions that are not structural zeros are read by one
+    `Plan.rows`, each distinct node once, so each row equals `Plan.values`
+    there bit for bit and the first row that fails raises its error; a
+    structural zero's column holds its own constant, so a -0.0 stays -0.0.
     """
     zero = [ex.is_structural_zero(e) for e in exprs]
     live = [c for c, z in enumerate(zero) if not z]
     out = np.empty((len(points), len(exprs)))
     out[:] = [e.value if z else math.nan for e, z in zip(exprs, zero)]
-    plan = ex.Plan(exprs[c] for c in live)
-    try:
-        values, scales = plan.table(points)
-    except ex.EvalDomainError:
-        values = scales = None
-    if scales is None or not np.isfinite(scales).all():
-        for row in points.tolist():
-            plan.values(row)
-        assert values is not None, "a failure in the table is a failure at its row"
-    out[:, live] = values
+    out[:, live] = ex.Plan(exprs[c] for c in live).rows(points)
     return out
 
 

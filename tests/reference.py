@@ -2,7 +2,7 @@
 tested against.
 
 `eval_scaled` walks an expression tree recursively at one point, node by
-node with multiplicity, independently of `expr.Plan` and `compile_plan`.
+node with multiplicity, independently of `expr.Plan`.
 `plan_order` gives `Plan.nodes` by a recursive walk.  The `*_comps`
 functions build a component array index by index with nested loops.  The
 `*_sum` functions spell the exact algebra identities out term by term over
@@ -11,13 +11,13 @@ the structure constants and connection coefficients, and
 `*_bracket_sum`, `laplacian_sum` and `derivative_along_sum` functions expand
 the bracket formulas over components, one term at a time, without the
 vector field that induces each bracket.  `integrate_stepwise` runs a
-trajectory one RK4 step at a time, calling a generated right-hand side once
-per stage.  `add_folded` and `mul_folded` fold two constants into a new
-`Const` every time, as `expr.add` and `expr.mul` did before they returned
+trajectory one RK4 step at a time, calling `Plan.values` on the right-hand
+side once per stage.  `add_folded` and `mul_folded` fold two constants into
+a new `Const` every time, as `expr.add` and `expr.mul` did before they returned
 existing nodes.  `membership_pointwise` tests one vector against im theta
 at one point, with its own eigendecomposition, as `involutivity_check` did
 sample by sample before the stacked routine.  `geodesic_defect_pointwise`
-evaluates Gamma and the cubic with one generated call per interior state,
+evaluates Gamma and the cubic with one `Plan.values` call per interior state,
 as `pw._geodesic_defect` did before it read one table.  `verdict_trees`
 builds the symbolic fields the sampled verdicts contract from the jet
 table, and `tree_verdicts` reads the verdicts from those trees, as
@@ -501,9 +501,9 @@ def rk4_step(rhs, y, dt):
 
 
 def integrate_stepwise(rhs_exprs, observe_exprs, y0, dt, steps, chart, channels, second):
-    """`pw._integrate` with one `compile_plan` call per stage and per stored
+    """`pw._integrate` with one `Plan.values` call per stage and per stored
     state, raising the same errors with the same partial trajectories."""
-    rhs, observe = ex.compile_plan(rhs_exprs), ex.compile_plan(observe_exprs)
+    rhs, observe = ex.Plan(rhs_exprs).values, ex.Plan(observe_exprs).values
     rows = []
     y = tuple(y0)
     try:
@@ -512,7 +512,7 @@ def integrate_stepwise(rhs_exprs, observe_exprs, y0, dt, steps, chart, channels,
                 y = rk4_step(rhs, y, dt)
                 if not all(map(math.isfinite, y)):
                     raise pw.BlowUpError(step, pw._make_traj(dt, rows, chart.n, channels, second))
-            rows.append(y + observe(y))
+            rows.append(y + tuple(observe(y)))
     except EvalDomainError as err:
         partial = pw._make_traj(dt, rows, chart.n, channels, second)
         cause = err.named([*chart.names, *(f"p{i + 1}" for i in range(chart.n))])
@@ -576,19 +576,19 @@ def membership_pointwise(matrix, v):
 
 
 # ---------------------------------------------------------------------------
-# The geodesic defect with one generated call per interior state: the loop
+# The geodesic defect with one point evaluation per interior state: the loop
 # `pw._geodesic_defect` ran before it read one table over all states
 # ---------------------------------------------------------------------------
 
 def geodesic_defect_pointwise(conn, cubic, traj):
     """| nabla_{xdot} xdot - (1/4) i_a i_a cubic | at each interior state,
-    with Gamma and `cubic` from `compile_plan` called state by state."""
+    with Gamma and `cubic` from `Plan.values` called state by state."""
     states = len(traj.xs)
     if states < 3:
         raise pw.DynamicsError("need at least 3 stored states for finite differences")
     n = conn.chart.n
     exprs = [*conn.gamma.flat, *(() if cubic is None else cubic.comps.flat)]
-    fields = ex.compile_plan(exprs)
+    fields = ex.Plan(exprs).values
     table = np.empty((states - 2, len(exprs)))
     for s, x in enumerate(traj.xs[1:-1].tolist()):
         table[s] = fields(x)

@@ -18,7 +18,6 @@ from sympoisson.expr import (
     Plan,
     ScalarField,
     compile_expr,
-    compile_plan,
     differentiate,
     evaluate,
     is_zero_field,
@@ -225,9 +224,9 @@ def _random_expr(rng, depth):
 
 def test_compiled_matches_interpreted():
     f = parse("exp(x*y) - sin(x)^3 / (2 + cos(y))", ["x", "y"])
-    fc = f.compiled()
+    fc = _generated([f.expr], 2)
     for p in sample_box([(-1, 1), (-1, 1)], count=30, seed=5):
-        assert fc(tuple(p)) == f(tuple(p))
+        assert fc(tuple(p)) == (f(tuple(p)),)
 
 
 def test_sample_box_deterministic():
@@ -355,6 +354,21 @@ def _tree_walk_residual(exprs, samples):
     return worst
 
 
+def _generated(exprs, dim):
+    """The values of `exprs` at a point of `dim` coordinates as generated code
+    computes them: a zero-step `compile_rk4` run stores the state followed by
+    the observed values there.  A point of no coordinates is padded to one,
+    the least a chart has."""
+    run = expr.compile_rk4([expr.ZERO] * max(dim, 1), exprs)
+
+    def values(point):
+        y, rows = tuple(point) or (0.0,), []
+        run(y, 1.0, 0, rows)
+        return rows[0][len(y):]
+
+    return values
+
+
 def _same_floats(a, b):
     return len(a) == len(b) and all(x == y or (math.isnan(x) and math.isnan(y)) for x, y in zip(a, b))
 
@@ -409,12 +423,12 @@ def test_plan_agrees_with_tree_walk_and_compiled_lambdas(seed):
                 got = np.array(plan.values(point))
                 assert np.array_equal(got.view(np.uint64), np.array(row).view(np.uint64))
 
-    # point values vs compile_expr, on tuples and on numpy float64 rows:
-    # equal values, or the error of the same node
-    fns = [compile_expr(e) for e in exprs]
+    # point values vs generated code, one function per expression, on tuples
+    # and on numpy float64 rows: equal values, or the error of the same node
+    fns = [_generated([e], 2) for e in exprs]
     for row in samples:
         for point in (tuple(float(c) for c in row), row):
-            _same_outcome(lambda p: [f(p) for f in fns], plan.values, point)
+            _same_outcome(lambda p: [f(p)[0] for f in fns], plan.values, point)
 
 
 def test_table_reads_an_overflow_in_power_as_inf():
@@ -486,7 +500,7 @@ def test_a_nan_constant_interns_and_evaluates_to_nan():
     assert nan is expr.Const(math.nan)
     assert str(nan) == "nan"
     assert math.isnan(Plan([nan]).values(())[0])
-    assert math.isnan(compile_expr(expr.add(expr.var(0), nan))((1.0,)))
+    assert math.isnan(_generated([expr.add(expr.var(0), nan)], 1)((1.0,))[0])
 
 
 def test_diff_is_built_once_per_node_and_variable():
@@ -570,8 +584,8 @@ def test_plans_are_maximally_shared(seed):
 # generated code
 # ---------------------------------------------------------------------------
 
-def test_compile_plan_of_no_expressions_returns_an_empty_tuple():
-    assert compile_plan([])((1.0, 2.0)) == ()
+def test_generated_code_of_no_expressions_returns_an_empty_tuple():
+    assert _generated([], 2)((1.0, 2.0)) == ()
 
 
 @pytest.mark.parametrize(
@@ -589,8 +603,7 @@ def test_compile_plan_of_no_expressions_returns_an_empty_tuple():
 )
 def test_compiled_constants_evaluate_like_the_plan(node, point):
     want = Plan([node]).values(point)
-    assert _same_floats(compile_plan([node])(point), want)
-    assert _same_floats([compile_expr(node)(point)], want)
+    assert _same_floats(_generated([node], len(point))(point), want)
 
 
 def test_constant_folding_raises_domain_errors():
@@ -618,14 +631,14 @@ def test_domain_error_names_the_subterm_in_given_names():
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
-def test_compile_plan_agrees_with_plan_values(seed):
+def test_generated_code_agrees_with_plan_values(seed):
     """All roots in one generated function: equal values, and the same
     EvalDomainError about the same node where Plan.values raises one, at
     tuple points and at numpy rows."""
     rng = np.random.default_rng(seed)
     exprs = _shared_exprs(rng)
     plan = Plan(exprs)
-    fn = compile_plan(exprs)
+    fn = _generated(exprs, 2)
     for row in sample_box([(-2, 2), (-2, 2)], count=int(rng.integers(1, 8)), seed=seed):
         for point in (tuple(float(c) for c in row), row):
             got = _same_outcome(fn, plan.values, point)
@@ -645,7 +658,7 @@ def test_compile_plan_agrees_with_plan_values(seed):
 )
 def test_generated_code_names_the_failing_subterm(text, point, message):
     f = parse(text, ["x", "y"])
-    for run in (f.compiled(), compile_expr(f.expr), lambda p: compile_plan([f.expr])(p)[0], f):
+    for run in (_generated([f.expr], 2), compile_expr(f.expr), f):
         with pytest.raises(EvalDomainError) as err:
             run(point)
         assert err.value.named(["x", "y"]) == message

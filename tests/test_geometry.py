@@ -572,5 +572,5 @@ def test_killing_bracket_plan_shares_nodes():
     assert bracket.plan() is bracket.plan()
     assert bracket.residual_on() <= 1e-9
     p = R2.sample_points()[3]
-    compiled = [ex.compile_expr(e)(p) for e in bracket.comps.flat]
-    assert bracket.evaluate(p).ravel().tolist() == compiled
+    one_by_one = [ex.Plan([e]).values(p)[0] for e in bracket.comps.flat]
+    assert bracket.evaluate(p).ravel().tolist() == one_by_one

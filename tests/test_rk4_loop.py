@@ -1,8 +1,8 @@
 """The generated RK4 loop against the stepwise reference.
 
 `pw._integrate` runs a whole trajectory as one generated function
-(`expr.compile_rk4`).  `reference.integrate_stepwise` calls a generated
-right-hand side once per stage instead.  Both must store the same states
+(`expr.compile_rk4`).  `reference.integrate_stepwise` calls `Plan.values`
+on the right-hand side once per stage instead.  Both must store the same states
 bit for bit and stop with the same error: class, message, step, failing
 node and partial trajectory.
 """
@@ -51,7 +51,7 @@ def _same_as_stepwise(run):
 
 def _failing_stage(rhs_exprs, y0, dt, steps):
     """(step, stage) at which a stepwise run meets its first domain error."""
-    fn, calls = ex.compile_plan(rhs_exprs), []
+    fn, calls = ex.Plan(rhs_exprs).values, []
 
     def rhs(y):
         calls.append(y)
