@@ -476,7 +476,10 @@ def run_newtonian(
 def trajectory_to_csv(traj: Trajectory) -> str:
     """Delimited export: t, x1..xn, p1..pn, then one column per monitor.
 
-    Full double precision (17 significant digits), one row per stored state.
+    One row per stored state.  Each value is exactly what `'%.17g'` prints
+    for the stored double, `nan` and `inf` included (full double precision,
+    17 significant digits); the whole table is written by one vectorized
+    routine, `_csv_rows`.
     """
     n = traj.xs.shape[1]
     second = traj.second
@@ -487,5 +490,173 @@ def trajectory_to_csv(traj: Trajectory) -> str:
         + list(traj.channels.keys())
     )
     table = np.column_stack([traj.times, traj.xs, traj.ps, *traj.channels.values()])
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    return ",".join(header) + "\n" + (row * len(table)) % tuple(table.ravel().tolist())
+    return ",".join(header) + "\n" + _csv_rows(table)
+
+
+# Each value x != 0 is printed from its 17 significant digits, the integer
+# D = |x| 10^(16-e) rounded half to even, 10^16 <= D < 10^17, where
+# e = floor(log10 |x|).  `_decimal` forms |x| 10^(16-e) exactly as p + q:
+# p = fl(|x| hi) is an integer (p > 2^53), q = err + fl(|x| lo), err = |x| hi - p
+# is exact by Dekker's product, and hi + lo is 10^(16-e) rounded twice from
+# exact integers.  q is within 5e-15 of the exact remainder, so
+# D = p + floor(q) + (frac(q) > 1/2) unless frac(q) is within _TIE of 1/2.
+# Those values, a floor p + floor(q) outside [10^16, 10^17) (log10 put e one
+# off), zeros, inf, NaN and |x| outside [_LOW, _HIGH] (where the split
+# overflows) are printed by '%.17g' itself.
+_BLOCK = 4096  # values laid out at a time, so the temporaries stay small
+_LOW, _HIGH = 1e-270, 1e270
+_TIE = 1e-13
+_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split into two 26-bit halves
+_EMIN = -330  # exponent suffixes from 10^-330 up: past both ends of [_LOW, _HIGH]
+
+
+def _digit_groups() -> np.ndarray:
+    """The 4 ASCII digits of 0..9999 as uint32; at 10000 + g, g's digits without its trailing zeros."""
+    out = np.empty((2, 10000, 4), np.uint8)
+    out[:] = 48 + np.indices((10,) * 4, np.uint8).reshape(4, -1).T
+    trailing = np.ones(10000, bool)
+    for j in (3, 2, 1, 0):
+        trailing &= out[1, :, j] == 48
+        out[1, trailing, j] = 0
+    return out.view(np.uint32).ravel()
+
+
+def _exponent_suffixes() -> np.ndarray:
+    """'e-05', 'e+17', 'e+100' ... as uint64 for the exponents _EMIN..-_EMIN."""
+    e = np.arange(_EMIN, -_EMIN + 1)
+    a = np.abs(e)
+    wide = a >= 100
+    out = np.zeros((len(e), 8), np.uint8)
+    out[:, 0] = ord("e")
+    out[:, 1] = np.where(e < 0, ord("-"), ord("+"))
+    out[:, 2] = 48 + np.where(wide, a // 100, a // 10 % 10)
+    out[:, 3] = 48 + np.where(wide, a // 10 % 10, a % 10)
+    out[:, 4] = np.where(wide, 48 + a % 10, 0)
+    return out.view(np.uint64).ravel()
+
+
+# the 8 bytes before the last 16 digits, right-aligned, at 60 * negative +
+# 10 * form + leading digit: the forms are 'd', 'd.' and, for e = -1..-4,
+# '0.d', '0.0d', '0.00d', '0.000d'
+_LEADS = np.frombuffer(
+    b"".join(
+        (sign + head + bytes([48 + d]) + tail).rjust(8, b"\0")
+        for sign in (b"", b"-")
+        for head, tail in [(b"", b""), (b"", b".")] + [(b"0." + b"0" * z, b"") for z in range(4)]
+        for d in range(10)
+    ),
+    np.uint64,
+)
+_QUADS = _digit_groups()
+_EXPONENTS = _exponent_suffixes()
+_COLUMNS = np.arange(18)
+
+
+def _scale(s: int) -> tuple[float, float]:
+    """10^s as hi + lo: hi is 10^s rounded to a double, lo the rounded remainder."""
+    if s >= 0:
+        hi = float(10**s)
+        return hi, float(10**s - int(hi))
+    k = 10**-s
+    hi = 1 / k
+    num, den = hi.as_integer_ratio()
+    return hi, (den - num * k) / (den * k)
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(D, e, exact) for each value: |x| to 17 digits is D 10^(e-16) where `exact`.
+
+    Elsewhere D is 10^16 and e is meaningless (see the comment above).
+    """
+    a = np.abs(x)
+    exact = (a >= _LOW) & (a <= _HIGH)
+    a[~exact] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int64)
+    s = 16 - e
+    first = int(s.min())
+    hi_t, lo_t = np.empty((2, int(s.max()) - first + 1))
+    for j in np.flatnonzero(np.bincount(s - first)).tolist():
+        hi_t[j], lo_t[j] = _scale(first + j)
+    hi, lo = hi_t[s - first], lo_t[s - first]
+    p = a * hi
+    ah, al = _split(a)
+    hh, hl = _split(hi)
+    q = (((ah * hh - p) + ah * hl + al * hh) + al * hl) + a * lo
+    whole = np.floor(q)
+    frac = q - whole
+    d = p.astype(np.int64) + whole.astype(np.int64)
+    exact &= (d >= 10**16) & (d < 10**17) & (np.abs(frac - 0.5) > _TIE)
+    d += frac > 0.5
+    carry = d == 10**17
+    d[carry | ~exact] = 10**16
+    return d, e + carry, exact
+
+
+def _slots(x: np.ndarray) -> np.ndarray:
+    """(len(x), 32) uint8: each value's '%.17g' bytes with zero bytes among them.
+
+    A slot is the lead (`_LEADS`), four groups of 4 digits (`_QUADS`, the
+    trailing zeros of the number blanked), the exponent suffix and, in its
+    last byte, room for the separator.  A fixed-point value with e >= 1
+    moves its digits after the integer part one byte right for the point.
+    """
+    d, e, exact = _decimal(x)
+    top = d // 10**16
+    rest = d - top * 10**16
+    high = rest // 10**8
+    low = rest - high * 10**8
+    groups = np.empty((len(x), 4), np.int64)
+    groups[:, 0] = high // 10**4
+    groups[:, 1] = high - groups[:, 0] * 10**4
+    groups[:, 2] = low // 10**4
+    groups[:, 3] = low - groups[:, 2] * 10**4 + 10000
+    # a group drops its trailing zeros when every group after it is 0
+    groups[:, 2] += 10000 * (groups[:, 3] == 10000)
+    groups[:, 1] += 10000 * (low == 0)
+    groups[:, 0] += 10000 * ((low == 0) & (groups[:, 1] == 10000))
+    out = np.empty((len(x), 32), np.uint8)
+    words = out.view(np.uint64)
+    out.view(np.uint32)[:, 2:6] = _QUADS.take(groups)
+    small = (e < 0) & (e >= -4)
+    fixed = (e > 0) & (e < 17)
+    form = np.where(small, 1 - e, np.where(fixed, 0, rest != 0))
+    words[:, 0] = _LEADS.take(60 * (x < 0) + 10 * form + top)
+    words[:, 3] = 0
+    wide = np.flatnonzero((e < -4) | (e > 16))
+    words[wide, 3] = _EXPONENTS[e[wide] - _EMIN]
+    at = np.flatnonzero(fixed)
+    if len(at):
+        # the integer part keeps its zeros; the point follows it if digits do
+        ef = e[at][:, None]
+        digits = out[at, 7:25]
+        digits = np.where((_COLUMNS <= ef) & (digits == 0), 48, digits)
+        point = np.where(np.take_along_axis(digits, ef + 1, axis=1) != 0, 46, 0)
+        moved = np.zeros_like(digits)
+        moved[:, 1:] = digits[:, :-1]
+        out[at, 7:25] = np.where(_COLUMNS <= ef, digits, np.where(_COLUMNS == ef + 1, point, moved))
+    back = np.flatnonzero(~exact)
+    if len(back):
+        text = ["%.17g" % v for v in x[back].tolist()]
+        out[back, :31] = np.array(text, "S31").view(np.uint8).reshape(-1, 31)
+    return out
+
+
+def _csv_rows(table: np.ndarray) -> str:
+    """The rows of a (rows, columns) float table as CSV lines, each value as '%.17g' prints it."""
+    rows, cols = table.shape
+    step = max(1, _BLOCK // cols)
+    parts = []
+    for start in range(0, rows, step):
+        block = table[start : start + step]
+        out = _slots(block.ravel())
+        sep = out[:, 31].reshape(block.shape)
+        sep[:, :-1] = ord(",")
+        sep[:, -1] = ord("\n")
+        parts.append(out[out != 0].tobytes().decode("ascii"))
+    return "".join(parts)

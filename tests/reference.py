@@ -21,7 +21,9 @@ evaluates Gamma and the cubic with one `Plan.values` call per interior state,
 as `pw._geodesic_defect` did before it read one table.  `verdict_trees`
 builds the symbolic fields the sampled verdicts contract from the jet
 table, and `tree_verdicts` reads the verdicts from those trees, as
-`verdict_suite` did before the jet table.
+`verdict_suite` did before the jet table.  `csv_rows` prints a float table
+with one `'%.17g'` per value, as `pw.trajectory_to_csv` did before its
+vectorized writer.
 """
 
 import dataclasses
@@ -644,3 +646,9 @@ def tree_verdicts(pair, samples):
     table, _ = tree_table(trees["commutators"], samples)
     got["involutive"] = poisson._involutivity_report(vecs, keep, table).verdict
     return got
+
+
+def csv_rows(table):
+    """The rows of a (rows, columns) float table as CSV lines, one '%.17g' per value."""
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return row * len(table) % tuple(table.ravel().tolist())

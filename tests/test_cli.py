@@ -27,6 +27,13 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def assert_exact_fields(path):
+    """Every value of an integrate CSV is exactly what '%.17g' prints for its double."""
+    for line in path.read_text().splitlines()[1:]:
+        for field in line.split(","):
+            assert field == "%.17g" % float(field), line
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
@@ -119,6 +126,26 @@ def test_integrate_writes_csv(tmp_path):
     assert len(lines) == 202
     assert "monitor hamiltonian" in out
     assert "monitor speed_sq" in out
+
+
+def test_integrate_without_out_writes_the_same_bytes_to_stdout(tmp_path):
+    # without --out the CSV takes stdout, so the monitor lines go to stderr
+    out_path = tmp_path / "traj.csv"
+    argv = [
+        sys.executable, "-m", "sympoisson.cli", "integrate", str(STRUCTURES / "nondeg_kill.ini"),
+        "--x0=0.1,0.2", "--p0=0.4,-0.3", "--steps", "50", "--monitors", "hamiltonian,speed_sq,geodesic_residual",
+    ]
+    to_file = subprocess.run([*argv, "--out", str(out_path)], capture_output=True, cwd=ROOT / "src")
+    to_stdout = subprocess.run(argv, capture_output=True, cwd=ROOT / "src")
+    assert (to_file.returncode, to_file.stderr) == (0, b"")
+    assert to_stdout.returncode == 0
+    assert to_stdout.stdout == out_path.read_bytes()
+    monitors = to_file.stdout.decode().splitlines()
+    assert [line.split(":")[0] for line in monitors] == [
+        "monitor hamiltonian", "monitor speed_sq", "monitor geodesic_residual"
+    ]
+    assert to_stdout.stderr.decode().splitlines() == monitors
+    assert_exact_fields(out_path)
 
 
 def test_integrate_conserves_for_integrable_structure(tmp_path):
@@ -232,6 +259,7 @@ def test_integrate_blow_up_flushes_partial(tmp_path):
     assert "blew up" in err
     assert out_path.exists()
     assert len(out_path.read_text().strip().split("\n")) > 1
+    assert_exact_fields(out_path)
 
 
 @pytest.mark.parametrize(
@@ -254,6 +282,7 @@ def test_integrate_domain_error_exits_3_and_flushes(tmp_path, x0, p0, message, r
     lines = out_path.read_text().splitlines()
     assert lines[0] == "t,x1,p1,hamiltonian"
     assert len(lines) == 1 + rows
+    assert_exact_fields(out_path)
 
 
 def test_integrate_monitor_overflow_exits_3_and_flushes(tmp_path):
@@ -265,6 +294,7 @@ def test_integrate_monitor_overflow_exits_3_and_flushes(tmp_path):
     assert code == 3, out + err
     assert re.match(r"error: trajectory blew up at step \d+: overflow in subterm '(p1|x)\^[24]'\n", err), err
     assert len(out_path.read_text().splitlines()) >= 2
+    assert_exact_fields(out_path)
 
 
 def test_integrate_geodesic_monitor_domain_error(tmp_path):
@@ -282,6 +312,7 @@ def test_integrate_geodesic_monitor_domain_error(tmp_path):
     lines = out_path.read_text().splitlines()
     assert lines[0] == "t,x1,p1,hamiltonian"
     assert len(lines) == 52
+    assert_exact_fields(out_path)
 
 
 def test_integrate_geodesic_monitor_overflow_exits_3_and_flushes(tmp_path):
@@ -303,6 +334,7 @@ def test_integrate_geodesic_monitor_overflow_exits_3_and_flushes(tmp_path):
     lines = out_path.read_text().splitlines()
     assert lines[0] == "t,x1,p1,hamiltonian"
     assert len(lines) == 17
+    assert_exact_fields(out_path)
     assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
 
 
