@@ -680,18 +680,19 @@ class Plan:
     plan over numpy arrays of samples with the same elementwise operations,
     `residual` reduces the table, and `rows` reads the values at many
     points, such as the samples of a field or the stored states an
-    integrate monitor reads, from one table, raising where a `values` loop
-    over them would.  Generated code serves only whole RK4 trajectories
-    (`compile_rk4`), where each point depends on the last.  All give equal
-    values and, where a node fails, the same located EvalDomainError,
-    built by `_located`.
+    integrate monitor reads, from one table.  Where a node fails, all three
+    raise what a `values` loop over the samples raises first: the error of
+    the first failing sample.  Generated code serves only whole RK4
+    trajectories (`compile_rk4`), where each point depends on the last.
+    All give equal values and, where a node fails, the same located
+    EvalDomainError, built by `_located`.
     """
 
     __slots__ = ("nodes", "roots", "_consts", "_vars", "_ops", "_point_ops")
 
     def __init__(self, exprs: Iterable[Expr]):
         # one walk sorts the leaves out as it meets them and pushes no child
-        # already seen; `_first_failure` relies on the resulting slot order
+        # already seen
         exprs = list(exprs)
         consts: list[Expr] = []
         variables: list[Expr] = []
@@ -782,16 +783,17 @@ class Plan:
         point path's elementwise operations.  A root's scale is the largest
         |value| of any of its subterms at the sample, so where a row of
         scales is finite the values equal `values` at that sample bit for
-        bit.  An overflow in ``**`` reads +-inf here, where `values` raises;
-        any other domain error raises the EvalDomainError that a per-root,
-        per-sample tree walk would meet first.
+        bit.  Where no node fails, an overflow in ``**`` reads +-inf here,
+        where `values` raises; where one fails, the table raises the error of
+        the first row at which `values` raises (`_raise_first_failing_row`),
+        which may be an earlier row's overflow in ``**``.
         """
         pts = np.asarray(samples, dtype=float)
         if pts.ndim != 2 or len(pts) == 0:
             raise ExprError("samples must be a non-empty list of points")
         vals = [np.full(len(pts), c) for c in self._consts] + [pts[:, i] for i in self._vars]
         scales = [np.abs(v) for v in vals]
-        failures: dict[int, np.ndarray] = {}
+        any_failed = False
         with np.errstate(all="ignore"):
             for kind, a, b in self._ops:
                 failed = None
@@ -810,19 +812,21 @@ class Plan:
                     s = scales[a]
                 if failed is not None and failed.any():
                     v[failed] = math.nan
-                    failures[len(vals)] = failed
+                    any_failed = True
                 vals.append(v)
                 scales.append(np.maximum(s, np.abs(v)))
-        if failures:
-            raise self._first_failure(failures)
         shape = (len(self.roots), len(pts))
-        return tuple(np.array([col[r] for r in self.roots]).reshape(shape).T for col in (vals, scales))
+        value, scale = (np.array([col[r] for r in self.roots]).reshape(shape).T for col in (vals, scales))
+        if any_failed:
+            self._raise_first_failing_row(pts, scale)
+        return value, scale
 
     def residual(self, samples) -> float:
         """max over roots and samples of |v| / (1 + scale), from `table`.
 
         A NaN or infinite value or scale makes the residual inf; no roots
-        give 0.
+        give 0.  Where a node fails, it raises the error `table` raises:
+        that of the first sample at which `values` raises.
         """
         value, scale = self.table(samples)
         if not np.isfinite(scale).all():
@@ -833,46 +837,20 @@ class Plan:
         """The root values at each point, (points, roots): what `values`
         returns row by row, read from one `table`.
 
-        The table reads an overflow in ``**`` as +-inf and meets failures
-        root by root, so where it raises or a scale is not finite, `values`
-        runs over the rows in order and the first row that fails raises its
-        EvalDomainError.  Where no row fails, the infinities are the values.
+        The first row at which `values` raises raises its EvalDomainError,
+        as in `table`; where no row raises, infinities in the table, such as
+        a product that overflows, are the values.
         """
-        try:
-            values, scales = self.table(points)
-            bad = np.flatnonzero(~np.isfinite(scales).all(axis=1))
-        except EvalDomainError:
-            values, bad = None, range(len(points))
-        for s in bad:
-            self.values(points[s])
-        assert values is not None, "a failure in the table is a failure at its row"
+        values, scales = self.table(points)
+        self._raise_first_failing_row(points, scales)
         return values
 
-    def _first_failure(self, failures: dict[int, np.ndarray]) -> EvalDomainError:
-        # A tree walk goes root by root, then sample by sample, and stops at
-        # the first failing node in post-order.  Nodes that an earlier root
-        # reaches never fail (that root would have raised), so within the
-        # first failing root, slot order is its walk order.
-        for root in self.roots:
-            hit = sorted(i for i in self._reach(root) if i in failures)
-            if hit:
-                sample = int(np.argmax(np.any([failures[i] for i in hit], axis=0)))
-                return self._located(next(i for i in hit if failures[i][sample]))
-        raise AssertionError("a failing node is reachable from some root")
-
-    def _reach(self, root: int) -> set[int]:
-        seen = set()
-        stack = [root]
-        while stack:
-            i = stack.pop()
-            if i not in seen:
-                seen.add(i)
-                if i >= self._leaves:
-                    kind, a, b = self._ops[i - self._leaves]
-                    stack.append(a)
-                    if kind in _BINARY:
-                        stack.append(b)
-        return seen
+    def _raise_first_failing_row(self, points, scales: np.ndarray) -> None:
+        # A failed node reads NaN and an overflow in ** reads inf, and
+        # np.maximum carries both into every ancestor's scale, so only rows
+        # whose root scales are not finite can raise.
+        for s in np.flatnonzero(~np.isfinite(scales).all(axis=1)):
+            self.values(points[s])
 
 
 def residual(exprs: Iterable[Expr], samples) -> float:
@@ -1155,4 +1133,7 @@ def sample_box(
     rng = np.random.default_rng(seed)
     lo = np.array([b[0] for b in box], dtype=float)
     hi = np.array([b[1] for b in box], dtype=float)
-    return lo + (hi - lo) * rng.random((count, len(box)))
+    try:
+        return lo + (hi - lo) * rng.random((count, len(box)))
+    except MemoryError:
+        raise ExprError(f"cannot allocate {count} samples of {len(box)} coordinates") from None

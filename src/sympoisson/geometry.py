@@ -68,6 +68,15 @@ class Chart:
             raise GeometryError("chart needs at least one coordinate")
         if len(set(names)) != len(names):
             raise GeometryError("coordinate names must be distinct")
+        for i, name in enumerate(names):
+            # a name that does not parse back to its own coordinate could not
+            # be read from an exported structure file
+            try:
+                readable = ex.parse(name, names).expr is ex.var(i)
+            except ex.ExprError:
+                readable = False
+            if not readable:
+                raise GeometryError(f"coordinate name {name!r} is not an identifier the expression parser reads")
         self.names = names
         self.box = tuple(box) if box is not None else tuple((-1.0, 1.0) for _ in names)
         if len(self.box) != len(names):

@@ -41,17 +41,19 @@ from sympoisson.expr import BinOp, Call, Const, EvalDomainError, Expr, Neg, Pow,
 _FUNCS = {"exp": math.exp, "ln": math.log, "sin": math.sin, "cos": math.cos, "sqrt": math.sqrt}
 
 
-def eval_scaled(e, values):
+def eval_scaled(e, values, power_overflow_is_inf=False):
     """(value, scale) of `e` at the point `values`; scale = max |v| over all
-    subterm values.  Raises EvalDomainError naming the first failing subterm."""
+    subterm values.  Raises EvalDomainError naming the first failing subterm.
+    An overflow in ``**`` is one, as in `Plan.values`, unless
+    `power_overflow_is_inf`, when it reads +-inf, as in `Plan.table`."""
     if isinstance(e, Const):
         return e.value, abs(e.value)
     if isinstance(e, Var):
         v = values[e.index]
         return v, abs(v)
     if isinstance(e, BinOp):
-        a, sa = eval_scaled(e.left, values)
-        b, sb = eval_scaled(e.right, values)
+        a, sa = eval_scaled(e.left, values, power_overflow_is_inf)
+        b, sb = eval_scaled(e.right, values, power_overflow_is_inf)
         if e.op == "+":
             v = a + b
         elif e.op == "-":
@@ -64,16 +66,21 @@ def eval_scaled(e, values):
             v = a / b
         return v, max(sa, sb, abs(v))
     if isinstance(e, Pow):
-        b, sb = eval_scaled(e.base, values)
+        b, sb = eval_scaled(e.base, values, power_overflow_is_inf)
         if b == 0.0 and e.exponent < 0:
             raise EvalDomainError("zero raised to a negative power", e)
-        v = b ** e.exponent
+        try:
+            v = b ** e.exponent
+        except OverflowError:
+            if not power_overflow_is_inf:
+                raise EvalDomainError("overflow", e) from None
+            v = -math.inf if b < 0 and e.exponent % 2 else math.inf
         return v, max(sb, abs(v))
     if isinstance(e, Neg):
-        v, s = eval_scaled(e.arg, values)
+        v, s = eval_scaled(e.arg, values, power_overflow_is_inf)
         return -v, s
     if isinstance(e, Call):
-        a, s = eval_scaled(e.arg, values)
+        a, s = eval_scaled(e.arg, values, power_overflow_is_inf)
         v = _apply(e, a)
         return v, max(s, abs(v))
     raise TypeError(f"not an expression node: {e!r}")

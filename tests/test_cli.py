@@ -443,6 +443,39 @@ def test_check_domain_error_exits_3(tmp_path):
     assert out == ""
 
 
+def test_check_names_the_first_failing_samples_subterm(tmp_path):
+    # on the default samples theta[1,1] first fails at the fourth sample
+    # (x = 0.59) and theta[2,2] at the first (y = 0.98): the earlier sample
+    # wins, whichever component comes first
+    path = tmp_path / "two.ini"
+    path.write_text(
+        "[chart]\ndim = 2\nnames = x, y\n\n"
+        "[theta]\ntheta[1,1] = \"ln(0.5 - x)\"\ntheta[2,2] = \"ln(0.5 - y)\"\n"
+    )
+    code, out, err = run_cli("check", str(path))
+    assert (code, out) == (3, ""), err
+    assert err == "error: ln of a non-positive argument in subterm 'ln(0.5 - y)'\n"
+
+
+def test_check_refuses_a_coordinate_name_the_parser_cannot_read(tmp_path):
+    path = tmp_path / "names.ini"
+    path.write_text("[chart]\ndim = 2\nnames = x, exp\n\n[theta]\ntheta[1,1] = \"1\"\n")
+    code, out, err = run_cli("check", str(path))
+    assert (code, out) == (1, ""), err
+    assert err == "error: coordinate name 'exp' is not an identifier the expression parser reads\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["catalog", "--id", "ex:flat_2"], ["check", str(STRUCTURES / "flat_11.ini")]]
+)
+def test_a_sample_count_that_cannot_be_allocated_is_a_usage_error(argv):
+    # 10**15 points of two coordinates are 16 PB, more than any 64-bit
+    # address space, so the allocation fails at once
+    code, out, err = run_cli(*argv, "--samples", str(10**15))
+    assert (code, out) == (1, ""), err
+    assert err == f"error: cannot allocate {10**15} samples of 2 coordinates\n"
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 @pytest.mark.parametrize(
     "argv",

@@ -562,6 +562,12 @@ def test_chart_rejects_a_box_that_is_not_finite_with_lo_below_hi(interval):
         Chart(["x", "y"], box=[(-1.0, 1.0), interval])
 
 
+@pytest.mark.parametrize("name", ["", "1a", "x y", "exp"])
+def test_chart_rejects_a_name_the_parser_cannot_read_back(name):
+    with pytest.raises(geo.GeometryError, match="not an identifier the expression parser reads"):
+        Chart([name, "y"])
+
+
 def test_killing_bracket_plan_shares_nodes():
     # [g^-1, g^-1 K] for K = g: a tree of 53,068 nodes over 382 distinct
     # structures, each one interned object (978 objects without interning)

@@ -1,10 +1,10 @@
 """`Plan.rows`, the one located read of many points, and its three callers.
 
 `rows` returns what a `Plan.values` loop over the points returns, and
-raises what that loop raises first: the error of the first failing row,
-whatever the table's root-first order would name.  `_SymField.evaluate_on`,
+raises what that loop raises first: the error of the first failing row.
+`Plan.table` raises the same error, and `_SymField.evaluate_on`,
 `poisson._commutator_table` and `pw._values_at` read their values through
-it, so each raises at the same row.  Points of the wrong length are
+`rows`, so each raises at the same row.  Points of the wrong length are
 refused before any evaluation.
 """
 
@@ -28,11 +28,11 @@ def _loop(plan, points):
     return np.array([plan.values(p) for p in points])
 
 
-# the root-first table names 1 / (x1 - 2) (root 0 fails at row 1); a loop
-# over the rows meets ln(x1 - 1.5) at row 0 first
+# root 0, 1 / (x1 - 2), fails only at row 1; ln(x1 - 1.5) fails at row 0,
+# which a loop over the rows meets first
 EARLIER_ROW = (("1/(x-2)", "ln(x-1.5)"), [[1.0, 0.0], [2.0, 0.0]], "ln of a non-positive argument in subterm 'ln(x1 - 1.5)'")
-# row 1 overflows in ** (the table reads inf there); row 2 is a domain
-# error that the table raises on, root-first and naming ln(x1)
+# row 1 overflows in ** (the table alone would read inf there); row 2 is a
+# domain error, so the table raises, and row 1 is the first to raise
 OVERFLOW_FIRST = (("x^401", "ln(x)"), [[1.0, 0.0], [1000.0, 0.0], [-1.0, 0.0]], "overflow in subterm 'x1^401'")
 
 
@@ -40,13 +40,11 @@ OVERFLOW_FIRST = (("x^401", "ln(x)"), [[1.0, 0.0], [1000.0, 0.0], [-1.0, 0.0]], 
 def test_the_first_failing_row_raises(components, samples, message):
     field = _field(*components)
     plan = field.plan()
-    with pytest.raises(ex.EvalDomainError) as table_err:
-        plan.table(samples)
-    assert str(table_err.value) != message
     with pytest.raises(ex.EvalDomainError) as loop_err:
         _loop(plan, samples)
     assert str(loop_err.value) == message
-    for read in (plan.rows, field.evaluate_on, lambda s: poisson._commutator_table([field], s, 2),
+    for read in (plan.table, plan.residual, field.residual_on, plan.rows, field.evaluate_on,
+                 lambda s: poisson._commutator_table([field], s, 2),
                  lambda s: pw._values_at(list(field.comps), np.array(s))):
         with pytest.raises(ex.EvalDomainError) as err:
             read(samples)
