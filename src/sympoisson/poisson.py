@@ -17,10 +17,12 @@ commutators of the module generators.  Each contraction sums the terms a
 symbolic tree would, in the tree's order, so its values equal the tree's.
 A residual is max |v| / (1 + scale), where the scale is the same
 contraction taken over the leaves' scales (a running error bound of a sum
-of products).  Where a leaf or a contracted value or scale is not finite,
-the symbolic route (`schouten_self_cyclic`, `pair.directional`,
-`pair.nabla_theta` and the `lie_bracket` commutators) runs instead: it
-raises the located EvalDomainError, or reads inf.
+of products).  The jet table is the one sampled route, and it reads what
+the trees reach: a product with a structural zero of theta adds nothing to
+a contraction, even where its other factor is not finite.  A leaf that
+fails raises the table's located EvalDomainError, a residual whose value
+or scale is not finite reads inf, and a commutator that is not finite
+raises.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .geometry import (
     contract,
     covariant_derivative,
     differential,
-    lie_bracket,
     ricci,
     schouten,
     symmetric_bracket,
@@ -58,8 +59,8 @@ class PoissonError(Exception):
 class SymPoissonPair:
     """A symmetric bivector field together with a torsion-free connection.
 
-    nabla theta, theta^{im} nabla_m theta and [theta, theta] are built once,
-    on first use, and so is the table of `jets` at each sample set."""
+    [theta, theta] is built once, on first use, and so is the table of
+    `jets` at each sample set."""
 
     theta: SymTensorField
     nabla: Connection
@@ -76,39 +77,35 @@ class SymPoissonPair:
         return self.theta.chart
 
     @cached_property
-    def nabla_theta(self) -> geo.MixedDerivative:
-        return covariant_derivative(self.nabla, self.theta)
-
-    @cached_property
-    def directional(self) -> geo.MixedDerivative:
-        """comps[i] = nabla_{theta(dx^i)} theta = theta^{im} nabla_m theta."""
-        rows = [geo._contract_first_slot(row, self.nabla_theta.comps) for row in self.theta.comps]
-        return geo.MixedDerivative(self.chart, SymTensorField, 2, np.stack(rows))
-
-    @cached_property
     def schouten_self(self) -> SymTensorField:
         """[theta, theta] by the trace formula."""
         return schouten(self.nabla, self.theta, self.theta)
 
     @cached_property
-    def _jet_plan(self) -> tuple[ex.Plan, np.ndarray]:
+    def _jet_plan(self) -> tuple[ex.Plan, np.ndarray, np.ndarray]:
         """A plan of the distinct nodes among theta^{ij}, d_m theta^{ij} in (m, i, j)
-        order and Gamma^k_{ij}, and the plan's column of each of those leaves."""
+        order and Gamma^k_{ij}, the plan's column of each of those leaves, and
+        where theta is a structural zero (i, j).
+
+        Gamma^k_{ij} multiplies only theta's row j, so where that row is all
+        structural zeros no verdict reads it and its leaf is `ex.ZERO`."""
         t, n = self.theta.comps, self.chart.n
-        leaves = [*t.flat, *(t[i, j].diff(m) for m in range(n) for i in range(n) for j in range(n)),
-                  *self.nabla.gamma.flat]
+        zero = np.fromiter(map(ex.is_structural_zero, t.flat), bool, n * n).reshape(n, n)
+        gamma = np.where(zero.all(axis=1), ex.ZERO, self.nabla.gamma)
+        leaves = [*t.flat, *(t[i, j].diff(m) for m in range(n) for i in range(n) for j in range(n)), *gamma.flat]
         distinct = {id(e): e for e in leaves}
         column = {key: c for c, key in enumerate(distinct)}
-        return ex.Plan(distinct.values()), np.array([column[id(e)] for e in leaves])
+        return ex.Plan(distinct.values()), np.array([column[id(e)] for e in leaves]), zero
 
     @cached_property
     def _jet_tables(self) -> dict:
         return {}
 
-    def jets(self, samples=None) -> Jets | None:
+    def jets(self, samples=None) -> Jets:
         """theta, d theta and Gamma at the samples (default: the chart's), from
-        one `Plan.table` per sample set, kept on the pair; None where the
-        table raises or a value or scale of it is not finite."""
+        one `Plan.table` per sample set, kept on the pair.  A leaf that fails
+        raises the table's located EvalDomainError; one that overflows reads
+        inf."""
         if samples is None:
             samples = self.chart.sample_points()
         geo._require_points(self.chart, samples, 2)
@@ -128,28 +125,26 @@ class Jets:
     the jet table: a scale is the largest |subterm| of its leaf there.  Each
     contraction below adds its terms one at a time in the order the symbolic
     builder sums them, so its values equal the tree's, up to the sign of a
-    zero; its scale is the sum of the terms' scale products.
+    zero; its scale is the sum of the terms' scale products.  `zero` (i, j)
+    marks the structural zeros of theta, whose products a tree never forms:
+    where the other factor is not finite, 0 * inf must not make a NaN.
     """
 
-    def __init__(self, samples: np.ndarray, theta, dtheta, gamma):
+    def __init__(self, samples: np.ndarray, theta, dtheta, gamma, zero: np.ndarray):
         self.samples = samples
         self.theta, self.dtheta, self.gamma = theta, dtheta, gamma
+        self.zero = zero
 
     @classmethod
-    def of(cls, plan: ex.Plan, columns: np.ndarray, samples: np.ndarray) -> Jets | None:
-        try:
-            values, scales = (table[:, columns] for table in plan.table(samples))
-        except ex.EvalDomainError:
-            return None
-        if not (np.isfinite(values).all() and np.isfinite(scales).all()):
-            return None
+    def of(cls, plan: ex.Plan, columns: np.ndarray, zero: np.ndarray, samples: np.ndarray) -> Jets:
+        values, scales = (table[:, columns] for table in plan.table(samples))
         s, n = samples.shape
 
         def split(table):
             return (table[:, : n * n].reshape(s, n, n), table[:, n * n : n * n + n**3].reshape(s, n, n, n),
                     table[:, n * n + n**3 :].reshape(s, n, n, n))
 
-        return cls(samples, *zip(split(values), split(scales)))
+        return cls(samples, *zip(split(values), split(scales)), zero)
 
     @cached_property
     def nabla_theta(self) -> tuple[np.ndarray, np.ndarray]:
@@ -176,6 +171,12 @@ class Jets:
         """D^{ijk} = theta^{im} nabla_m theta^{jk}: (samples, i, j, k)."""
         (t, st), (nt, snt) = self.theta, self.nabla_theta
         s, n = t.shape[:2]
+        dead = self.zero.all(axis=1)
+        if dead.any() and not (np.isfinite(nt).all() and np.isfinite(snt).all()):
+            # no tree reads nabla_m theta where theta's row m is all structural
+            # zeros; where it is not, a tree that skips a product reads the
+            # same entry in another component, so the residual reads inf too
+            nt, snt = (np.where(dead[:, None, None], 0.0, a) for a in (nt, snt))
         with np.errstate(all="ignore"):
             v = _fold(t.transpose(2, 0, 1)[..., None, None] * nt.transpose(1, 0, 2, 3)[:, :, None])
             return v, np.matmul(st, snt.reshape(s, n, n * n)).reshape(s, n, n, n)
@@ -189,15 +190,32 @@ class Jets:
     @cached_property
     def commutators(self) -> np.ndarray:
         """[theta(dx^i), theta(dx^j)]^k = theta^{im} d_m theta^{jk} - theta^{jm} d_m theta^{ik}
-        for each i < j in order: (samples, pairs, k)."""
+        for each i < j in order: (samples, pairs, k).  Where d theta is not
+        finite, each term whose theta factor is a structural zero adds zero,
+        as the tree has no such term."""
         (t, _), (d, _) = self.theta, self.dtheta
         s, n = t.shape[:2]
         i, j = _above_diagonal(n)
+        finite = np.isfinite(d).all()
+
+        def terms(a, b):
+            # (m, samples, pairs, k): theta^{am} d_m theta^{bk}
+            out = t[:, a].transpose(2, 0, 1)[..., None] * d[:, :, b].transpose(1, 0, 2, 3)
+            return out if finite else np.where(self.zero[a].T[:, None, :, None], 0.0, out)
+
         with np.errstate(all="ignore"):
-            plus = t[:, i].transpose(2, 0, 1)[..., None] * d[:, :, j].transpose(1, 0, 2, 3)
-            minus = t[:, j].transpose(2, 0, 1)[..., None] * d[:, :, i].transpose(1, 0, 2, 3)
             # the tree adds X^m d_m Y^k, then -(Y^m d_m X^k), for each m in turn
-            return _fold(np.stack([plus, -minus], axis=1).reshape((2 * n, s, len(i), n)))
+            return _fold(np.stack([terms(i, j), -terms(j, i)], axis=1).reshape((2 * n, s, len(i), n)))
+
+    def commutator_leaves_finite(self) -> bool:
+        """Whether the scales of theta and of each d_m theta^{bk} that some
+        commutator multiplies by a theta^{am} (a != b) that is not a
+        structural zero are finite."""
+        finite = np.isfinite(self.dtheta[1])
+        if not finite.all():
+            live = ~self.zero
+            finite = finite[:, live.sum(axis=0)[:, None] > live.T]  # at (m, b)
+        return bool(finite.all() and np.isfinite(self.theta[1]).all())
 
 
 @cache
@@ -241,30 +259,13 @@ def schouten_self(pair: SymPoissonPair) -> SymTensorField:
     return pair.schouten_self
 
 
-def schouten_self_cyclic(pair: SymPoissonPair) -> SymTensorField:
-    """[theta, theta] assembled from the cyclic identity
-
-        1/2 [theta, theta](a, b, c) = (nabla_{theta(a)} theta)(b, c) + cyclic.
-    """
-    d = pair.directional.comps
-    two = ex.const(2.0)
-
-    def build(idx):
-        i, j, k = idx
-        return ex.mul(two, ex.expr_sum([d[i, j, k], d[j, k, i], d[k, i, j]]))
-
-    return SymTensorField(pair.chart, 3, geo._build_components(pair.chart.n, 3, build, fixed=3))
-
-
-def _jet_residual(pair: SymPoissonPair, samples, quantity: str, tree) -> float:
-    """max |v| / (1 + scale) of a contraction of the jet table; where that
-    is not finite, the residual of the symbolic field `tree()` instead."""
-    jets = pair.jets(samples)
-    if jets is not None:
-        value, scale = getattr(jets, quantity)
-        if np.isfinite(value).all() and np.isfinite(scale).all():
-            return float((np.abs(value) / (1.0 + scale)).max(initial=0.0))
-    return tree().residual_on(samples)
+def _jet_residual(pair: SymPoissonPair, samples, quantity: str) -> float:
+    """max |v| / (1 + scale) of a contraction of the jet table, or inf
+    wherever a value or a scale is not finite, as `Plan.residual` reads."""
+    value, scale = getattr(pair.jets(samples), quantity)
+    if not (np.isfinite(value).all() and np.isfinite(scale).all()):
+        return math.inf
+    return float((np.abs(value) / (1.0 + scale)).max(initial=0.0))
 
 
 def is_symmetric_poisson(pair: SymPoissonPair) -> bool:
@@ -276,10 +277,11 @@ def symmetric_poisson_residual(pair: SymPoissonPair, samples=None) -> float:
     D^{ijk} = theta^{im} nabla_m theta^{jk}, contracted from the jet table.
 
     The scale of each component is the same contraction over the leaves'
-    scales.  Where a value or scale is not finite, `schouten_self_cyclic`
-    is evaluated instead: it raises the located EvalDomainError, or reads inf.
+    scales.  A value or scale that is not finite reads inf; a jet leaf that
+    fails, even one only `parallel_residual` multiplies in, raises its
+    located EvalDomainError.
     """
-    return _jet_residual(pair, samples, "schouten", lambda: schouten_self_cyclic(pair))
+    return _jet_residual(pair, samples, "schouten")
 
 
 def is_strong(pair: SymPoissonPair) -> bool:
@@ -291,10 +293,9 @@ def strong_residual(pair: SymPoissonPair, samples=None) -> float:
     over the covector basis, contracted from the jet table.
 
     Tensoriality in the covector slot makes the basis sufficient.  The
-    scale and the route where a value is not finite (`pair.directional`)
-    are as in `symmetric_poisson_residual`.
+    scale, inf and errors are as in `symmetric_poisson_residual`.
     """
-    return _jet_residual(pair, samples, "directional", lambda: pair.directional)
+    return _jet_residual(pair, samples, "directional")
 
 
 def is_parallel(pair: SymPoissonPair) -> bool:
@@ -305,10 +306,9 @@ def parallel_residual(pair: SymPoissonPair, samples=None) -> float:
     """Worst scaled residual of nabla_m theta^{ij} = d_m theta^{ij} + Gamma^i_{mk}
     theta^{kj} + Gamma^j_{mk} theta^{ik}, contracted from the jet table.
 
-    The scale and the route where a value is not finite (`pair.nabla_theta`)
-    are as in `symmetric_poisson_residual`.
+    The scale, inf and errors are as in `symmetric_poisson_residual`.
     """
-    return _jet_residual(pair, samples, "nabla_theta", lambda: pair.nabla_theta)
+    return _jet_residual(pair, samples, "nabla_theta")
 
 
 # ---------------------------------------------------------------------------
@@ -463,25 +463,29 @@ def involutivity_check(pair: SymPoissonPair, samples=None) -> InvolutivityReport
     up to a distance of RANK_TOL (1 + |commutator|).
 
     theta and the commutators theta^{im} d_m theta^{jk} - theta^{jm} d_m
-    theta^{ik} are read from the jet table.  Where a commutator there is not
-    finite, the `lie_bracket` commutators are evaluated instead, and one that
-    is not finite at a sample (an overflow) raises EvalDomainError, like
-    theta.  A rank jump across samples downgrades a positive answer to
-    inconclusive; a failed membership is conclusive either way.
+    theta^{ik} are read from the jet table.  Where a commutator, or the
+    scale of a leaf it reads, is not finite, the jet plan's `Plan.rows`
+    raises the first failing sample's located error (an overflow in
+    ``**``).  A value that is still not finite (a product that overflows)
+    raises EvalDomainError: theta's names its component, a commutator's its
+    pair (i, j), component k and first sample.  A rank jump across samples
+    downgrades a positive answer to inconclusive; a failed membership is
+    conclusive either way.
     """
     jets = pair.jets(samples)
-    if jets is not None:
-        table = jets.commutators
-        if np.isfinite(table).all():
-            _, vecs, keep = _spectra(pair.theta, jets.samples, jets.theta[0])
-            return _involutivity_report(vecs, keep, table)
-    n = pair.chart.n
-    if samples is None:
-        samples = pair.chart.sample_points()
-    fields = characteristic_generators(pair)
-    commutators = [lie_bracket(fields[i], fields[j]) for i in range(n) for j in range(i + 1, n)]
-    _, vecs, keep = _spectra(pair.theta, samples, pair.theta.evaluate_on(samples))
-    return _involutivity_report(vecs, keep, _commutator_table(commutators, samples, n))
+    theta, table = jets.theta[0], jets.commutators
+    finite = np.isfinite(table).all()
+    if not (finite and jets.commutator_leaves_finite()):
+        pair._jet_plan[0].rows(jets.samples)
+    _, vecs, keep = _spectra(pair.theta, jets.samples, theta)
+    if not finite:
+        c, s, k = np.argwhere(~np.isfinite(table.transpose(1, 0, 2)))[0]
+        i, j = (pairs[c] for pairs in _above_diagonal(pair.chart.n))
+        names, where = pair.chart.names, tuple(float(v) for v in jets.samples[s])
+        raise ex.EvalDomainError(
+            f"a commutator is not finite at {where}", f"[theta(d{names[i]}), theta(d{names[j]})]^{names[k]}"
+        )
+    return _involutivity_report(vecs, keep, table)
 
 
 def _involutivity_report(vecs: np.ndarray, keep: np.ndarray, table: np.ndarray) -> InvolutivityReport:
@@ -494,21 +498,6 @@ def _involutivity_report(vecs: np.ndarray, keep: np.ndarray, table: np.ndarray) 
     else:
         verdict = Involutivity.INVOLUTIVE_ON_SAMPLES
     return InvolutivityReport(verdict, worst, ranks)
-
-
-def _commutator_table(commutators: list[SymTensorField], samples, n: int) -> np.ndarray:
-    """The vector fields' values at every sample from one plan: (samples, m, n).
-
-    The values are `Plan.rows`, so the first sample at which the point path
-    raises raises its error here; a value that is still not finite raises
-    EvalDomainError naming its field's component.
-    """
-    plan = ex.Plan(e for comm in commutators for e in comm.comps)
-    table = plan.rows(samples).reshape(len(samples), len(commutators), n)
-    if not np.isfinite(table).all():
-        for c, comm in enumerate(commutators):
-            _require_finite("a commutator", comm, samples, table[:, c])
-    return table
 
 
 def characteristic_generators(pair: SymPoissonPair) -> list[SymTensorField]:

@@ -3,10 +3,10 @@
 With `fixed` axes kept per index, the builder calls `build` once per index
 whose remaining axes are sorted, in `np.ndindex` order; with `fixed=rank`
 that is every index.  The arrays that are not symmetric (Gamma, R, Ric, the
-Lie bracket, the cyclic [theta, theta], the Bianchi term, linear structures
-and chart exports) are built that way, so each component is the very node
-the nested loops in `reference` build: the same terms in the same order,
-and nodes are interned.
+Lie bracket, the Bianchi term, linear structures and chart exports) are
+built that way, so each component is the very node the nested loops in
+`reference` build: the same terms in the same order, and nodes are
+interned.  So is a contraction into the first slot of nabla theta.
 """
 
 import functools
@@ -31,6 +31,7 @@ from sympoisson.geometry import (
     _build_components,
     _symbolic_det,
     _symbolic_inverse,
+    covariant_derivative,
     curvature,
     invert_metric,
     levi_civita,
@@ -124,11 +125,13 @@ def test_levi_civita_connections_of_nondegenerate_catalog_thetas_are_the_loop_no
     assert metrics == 7
 
 
-def test_cyclic_schouten_and_generator_brackets_of_the_catalog_are_the_loop_nodes():
+def test_directional_derivatives_and_generator_brackets_of_the_catalog_are_the_loop_nodes():
     for ident, pair in _catalog_pairs().items():
-        got = poisson.schouten_self_cyclic(pair).comps
-        _assert_same_nodes(got, reference.schouten_self_cyclic_comps(pair.directional.comps))
+        nabla_theta = covariant_derivative(pair.nabla, pair.theta)
         fields = poisson.characteristic_generators(pair)
+        for x in fields:
+            want = reference.contract_first_slot_comps(x.comps, nabla_theta.comps)
+            _assert_same_nodes(nabla_theta.along(x).comps, want)
         for x, y in itertools.combinations(fields, 2):
             _assert_same_nodes(lie_bracket(x, y).comps, reference.lie_bracket_comps(x.comps, y.comps))
 

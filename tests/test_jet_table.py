@@ -4,8 +4,9 @@ trees they were read from before.
 `SymPoissonPair.jets` evaluates theta, d theta and Gamma with one plan per
 pair and one table per sample set; `Jets` contracts nabla theta, theta^{im}
 nabla_m theta, the cyclic [theta, theta] and the module commutators from
-them.  The second route is `reference.verdict_trees`: the same quantities
-built as trees index by index, evaluated by `expr.Plan`.
+them.  It is the library's one sampled route.  The second route is
+`reference.verdict_trees`: the same quantities built as trees index by
+index, evaluated by `expr.Plan`.
 """
 
 import numpy as np
@@ -32,14 +33,17 @@ def _jet_values(jets, quantity):
 
 
 def _library_trees(pair):
-    """The library's own trees of the four quantities, as the fallback route builds them."""
+    """The four quantities as trees over the library's nabla theta and Lie
+    bracket, which build each (i <= j) once, in the order the contraction adds."""
     n = pair.chart.n
+    nabla_theta = geometry.covariant_derivative(pair.nabla, pair.theta).comps
+    directional = np.stack([reference.contract_first_slot_comps(row, nabla_theta) for row in pair.theta.comps])
     gens = poisson.characteristic_generators(pair)
     brackets = [geometry.lie_bracket(gens[i], gens[j]).comps for i in range(n) for j in range(i + 1, n)]
     return {
-        "nabla_theta": pair.nabla_theta.comps,
-        "directional": pair.directional.comps,
-        "schouten": poisson.schouten_self_cyclic(pair).comps,
+        "nabla_theta": nabla_theta,
+        "directional": directional,
+        "schouten": reference.schouten_self_cyclic_comps(directional),
         "commutators": np.array(brackets, dtype=object).reshape(len(brackets), n),
     }
 
@@ -131,22 +135,93 @@ def test_one_table_per_sample_set_kept_on_the_pair(monkeypatch):
     assert len(tables) == 2 and tables[0] is tables[1] is pair._jet_plan[0]
 
 
-def test_a_leaf_no_tree_reaches_falls_back_to_the_trees():
+def test_the_jet_table_reads_only_what_the_trees_reach():
     # Gamma^y_yy = ln(x) fails where x < 0, but theta^{yy} and theta^{xy} are
-    # structural zeros, so no tree multiplies it in: the jet table raises and
-    # the verdicts come from the trees
+    # structural zeros, so no tree multiplies it in, and the jet plan holds
+    # zero in its place
     chart = Chart(["x", "y"])
     theta = SymTensorField.from_dict(chart, 2, {(0, 0): "x"})
+    ln = chart.parse("ln(x)").expr
     pair = SymPoissonPair(theta, Connection.from_dict(chart, {(1, 1, 1): "ln(x)"}))
     samples = chart.sample_points()
     assert (samples[:, 0] < 0).any()
-    assert pair.jets(samples) is None
+    assert not any(node is ln for node in pair._jet_plan[0].nodes)
+    assert isinstance(pair.jets(samples), poisson.Jets)
     suite = verdict_suite(pair)
-    assert suite.residuals["parallel"] == pair.nabla_theta.residual_on(samples)
-    assert suite.residuals["strong"] == pair.directional.residual_on(samples)
+    trees = reference.verdict_trees(pair)
+    for name, quantity in [("symmetric_poisson", "schouten"), ("strong", "directional"), ("parallel", "nabla_theta")]:
+        assert suite.residuals[name] == ex.Plan(trees[quantity].flat).residual(samples), name
     assert reference.tree_verdicts(pair, samples) == {
         "symmetric_poisson": suite.symmetric_poisson,
         "strong": suite.strong,
         "parallel": suite.parallel,
         "involutive": suite.involutive,
     }
+
+
+def test_a_leaf_only_the_parallel_tree_reads_fails_every_sampled_verdict():
+    # d_x theta^{yy} = d_x sqrt(x^2) divides by zero at x = 0.  Only nabla_x
+    # theta^{yy} reads it, as theta^{xx} and theta^{xy} are structural zeros,
+    # but every verdict reads the one jet table, so each raises its error.
+    chart = Chart(["x", "y"])
+    pair = SymPoissonPair(SymTensorField.from_dict(chart, 2, {(1, 1): "sqrt(x^2)"}), Connection.euclidean(chart))
+    samples = np.array([[0.5, 0.1], [0.0, 0.2]])
+    with pytest.raises(ex.EvalDomainError) as want:
+        poisson.parallel_residual(pair, samples)
+    for verdict in (poisson.symmetric_poisson_residual, poisson.strong_residual, poisson.involutivity_check):
+        with pytest.raises(ex.EvalDomainError) as err:
+            verdict(pair, samples)
+        assert str(err.value) == str(want.value) and err.value.node is want.value.node, verdict.__name__
+
+
+def test_a_finite_value_over_an_infinite_scale_reads_inf(monkeypatch):
+    # d theta = 1 whose scale is inf: every contraction is finite, every
+    # scale inf, and |v| / (1 + inf) = 0 must not pass for a residual
+    chart = Chart(["x"])
+    pair = SymPoissonPair(SymTensorField.from_dict(chart, 2, {(0, 0): "x"}), Connection.euclidean(chart))
+    samples = np.array([[0.5]])
+    one, zero = np.ones((1, 1, 1, 1)), np.zeros((1, 1, 1, 1))
+    jets = poisson.Jets(samples, (one[0], one[0]), (one, np.inf * one), (zero, zero), np.array([[False]]))
+    for quantity in ("nabla_theta", "directional", "schouten"):
+        value, scale = getattr(jets, quantity)
+        assert np.isfinite(value).all() and np.isinf(scale).all(), quantity
+    monkeypatch.setattr(SymPoissonPair, "jets", lambda self, samples=None: jets)
+    for residual in (poisson.symmetric_poisson_residual, poisson.strong_residual, poisson.parallel_residual):
+        assert residual(pair, samples) == np.inf, residual.__name__
+
+
+@pytest.mark.parametrize("theta", [{(1, 1): "1e308 * sin(2*x)"}, {(0, 1): "x*y", (1, 1): "1e308 * sin(2*x)"}],
+                         ids=["dead-row", "structural-zero"])
+def test_a_leaf_only_the_parallel_tree_reads_may_overflow(theta):
+    # d_x theta^{yy} = 1e308 (2 cos(2 x)) overflows in a product near x = 0.
+    # theta^{xx} is a structural zero, so no commutator reads it; with theta's
+    # row x all structural zeros, neither does theta^{im} nabla_m theta.  The
+    # verdicts are the trees': parallel reads inf, and involutivity holds.
+    chart = Chart(["x", "y"])
+    pair = SymPoissonPair(SymTensorField.from_dict(chart, 2, theta), Connection.euclidean(chart))
+    samples = chart.sample_points()
+    assert not np.isfinite(pair.jets(samples).dtheta[1]).all()
+    suite = verdict_suite(pair)
+    trees = reference.verdict_trees(pair)
+    for name, quantity in [("symmetric_poisson", "schouten"), ("strong", "directional"), ("parallel", "nabla_theta")]:
+        assert suite.residuals[name] == ex.Plan(trees[quantity].flat).residual(samples), name
+    assert suite.residuals["parallel"] == np.inf
+    assert reference.tree_verdicts(pair, samples) == {
+        "symmetric_poisson": suite.symmetric_poisson,
+        "strong": suite.strong,
+        "parallel": suite.parallel,
+        "involutive": suite.involutive,
+    }
+
+
+def test_an_overflow_under_a_finite_commutator_is_located():
+    # [theta(dx), theta(dy)]^x = -theta^{yy} d_y theta^{xx}, and d_y (1 / (1e200 y))
+    # = -1e200 / (1e200 y)^2 reads -0 where the square overflows: the
+    # commutator is finite, but the point runner raises on the leaf it reads
+    chart = Chart(["x", "y"])
+    theta = SymTensorField.from_dict(chart, 2, {(0, 0): "1/(1e200*y)", (1, 1): "1"})
+    pair = SymPoissonPair(theta, Connection.euclidean(chart))
+    samples = np.array([[0.5, 1e-210], [0.5, 0.5]])
+    assert np.isfinite(pair.jets(samples).commutators).all()
+    with pytest.raises(ex.EvalDomainError, match=r"^overflow in subterm '\(1e\+200 \* x2\)\^2'$"):
+        poisson.involutivity_check(pair, samples)

@@ -1,11 +1,12 @@
-"""`Plan.rows`, the one located read of many points, and its three callers.
+"""`Plan.rows`, the one located read of many points, and its callers.
 
 `rows` returns what a `Plan.values` loop over the points returns, and
 raises what that loop raises first: the error of the first failing row.
-`Plan.table` raises the same error, and `_SymField.evaluate_on`,
-`poisson._commutator_table` and `pw._values_at` read their values through
-`rows`, so each raises at the same row.  Points of the wrong length are
-refused before any evaluation.
+`Plan.table` raises the same error, and `_SymField.evaluate_on` and
+`pw._values_at` read their values through `rows`, so each raises at the
+same row; so does `poisson.involutivity_check`, which reads the jet table
+of theta and its derivatives.  Points of the wrong length are refused
+before any evaluation.
 """
 
 import math
@@ -22,6 +23,12 @@ XY = Chart(["x", "y"])
 
 def _field(*components):
     return SymTensorField.from_dict(XY, 1, dict(enumerate(components)))
+
+
+def _pair(*diagonal):
+    """The flat pair whose theta is diagonal with these entries."""
+    theta = SymTensorField.from_dict(XY, 2, {(i, i): e for i, e in enumerate(diagonal)})
+    return poisson.SymPoissonPair(theta, Connection.euclidean(XY))
 
 
 def _loop(plan, points):
@@ -44,7 +51,7 @@ def test_the_first_failing_row_raises(components, samples, message):
         _loop(plan, samples)
     assert str(loop_err.value) == message
     for read in (plan.table, plan.residual, field.residual_on, plan.rows, field.evaluate_on,
-                 lambda s: poisson._commutator_table([field], s, 2),
+                 lambda s: poisson.involutivity_check(_pair(*components), s),
                  lambda s: pw._values_at(list(field.comps), np.array(s))):
         with pytest.raises(ex.EvalDomainError) as err:
             read(samples)
@@ -56,7 +63,7 @@ def test_an_overflow_in_power_at_a_later_row_raises_there():
     samples = [[1.0, 0.0], [1000.0, 0.0]]
     values, scales = field.plan().table(samples)
     assert np.isfinite(scales[0]).all() and values[1, 0] == math.inf
-    for read in (field.plan().rows, field.evaluate_on, lambda s: poisson._commutator_table([field], s, 2)):
+    for read in (field.plan().rows, field.evaluate_on, lambda s: poisson.involutivity_check(_pair("x^401", "y"), s)):
         with pytest.raises(ex.EvalDomainError, match="overflow in subterm 'x1\\^401'"):
             read(samples)
 
@@ -69,9 +76,17 @@ def test_an_infinity_no_row_raises_on_is_returned():
     assert field.plan().rows(samples).tolist() == want
     assert field.evaluate_on(samples).tolist() == want
     assert pw._values_at(list(field.comps), np.array(samples)).tolist() == want
-    # the commutator table refuses a value that is not finite by name
-    with pytest.raises(ex.EvalDomainError, match="a commutator is not finite at"):
-        poisson._commutator_table([field], samples, 2)
+
+
+def test_a_commutator_no_row_raises_on_is_refused_by_name():
+    # theta = x^2 (dx^2 + dy^2) is finite at x = 1e120, where the commutator
+    # [theta(dx), theta(dy)]^y = x^2 (2 x) overflows in a product
+    pair = _pair("x^2", "x^2")
+    samples = [[1.0, 0.5], [1e120, -0.5]]
+    message = "a commutator is not finite at (1e+120, -0.5) in subterm '[theta(dx), theta(dy)]^y'"
+    with pytest.raises(ex.EvalDomainError) as err:
+        poisson.involutivity_check(pair, samples)
+    assert str(err.value) == message
 
 
 def test_rows_equal_the_point_loop_bit_for_bit():

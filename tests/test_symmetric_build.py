@@ -179,7 +179,9 @@ def test_plan_order_on_catalog_trees():
             pair = entry.pair()
         except registry.CatalogError:
             continue
-        roots = [*pair.theta.comps.flat, *pair.nabla.gamma.flat, *pair.directional.comps.flat,
+        nabla_theta = covariant_derivative(pair.nabla, pair.theta).comps
+        directional = [reference.contract_first_slot_comps(row, nabla_theta) for row in pair.theta.comps]
+        roots = [*pair.theta.comps.flat, *pair.nabla.gamma.flat, *np.stack(directional).flat,
                  *poisson.schouten_self(pair).comps.flat]
         assert Plan(roots).nodes == reference.plan_order(roots), ident
 
