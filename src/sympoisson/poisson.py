@@ -13,21 +13,24 @@ Every condition is built from theta, its first derivatives and the
 Christoffel symbols, so the sampled verdicts read one table of those
 values, the pair's `Jets`, and contract numbers instead of building trees:
 nabla theta, theta^{im} nabla_m theta, the cyclic [theta, theta] and the
-commutators of the module generators.  Each contraction sums the terms a
-symbolic tree would, in the tree's order, so its values equal the tree's.
-A residual is max |v| / (1 + scale), where the scale is the same
-contraction taken over the leaves' scales (a running error bound of a sum
-of products).  The jet table is the one sampled route, and it reads what
-the trees reach: a product with a structural zero of theta adds nothing to
-a contraction, even where its other factor is not finite.  A leaf that
-fails raises the table's located EvalDomainError, a residual whose value
-or scale is not finite reads inf, and a commutator that is not finite
-raises.
+commutators of the module generators.  Each contraction sums only the
+terms a symbolic tree has, its structurally live terms, in the tree's
+order, so its values equal the tree's; a product with a structural zero is
+never formed.  A residual is max |v| / (1 + scale), where the scale is the
+same contraction taken over the leaves' scales (a running error bound of a
+sum of products); where that sum overflows over finite leaf scales it is
+formed again over leaf scales times a power of two.  The jet table is the
+one sampled route.  A leaf that fails raises the table's located
+EvalDomainError, a residual whose value or scale is not finite otherwise
+reads inf, and a commutator that is not finite raises.  The geodesic
+monitor (`GeodesicTerms`) reads the same leaves and nabla theta terms and
+sums [theta, theta] in the trace formula's order.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -59,8 +62,9 @@ class PoissonError(Exception):
 class SymPoissonPair:
     """A symmetric bivector field together with a torsion-free connection.
 
-    [theta, theta] is built once, on first use, and so is the table of
-    `jets` at each sample set."""
+    Its jet leaves and their term lists (`_leaves`), the verdicts' jet plan,
+    each sample set's table of `jets` and the geodesic monitor's terms are
+    built once, on first use; no bracket tree is built for any of them."""
 
     theta: SymTensorField
     nabla: Connection
@@ -77,25 +81,16 @@ class SymPoissonPair:
         return self.theta.chart
 
     @cached_property
-    def schouten_self(self) -> SymTensorField:
-        """[theta, theta] by the trace formula."""
-        return schouten(self.nabla, self.theta, self.theta)
+    def _leaves(self) -> _Leaves:
+        return _Leaves(self.theta.comps, self.nabla.gamma)
 
     @cached_property
-    def _jet_plan(self) -> tuple[ex.Plan, np.ndarray, np.ndarray]:
-        """A plan of the distinct nodes among theta^{ij}, d_m theta^{ij} in (m, i, j)
-        order and Gamma^k_{ij}, the plan's column of each of those leaves, and
-        where theta is a structural zero (i, j).
+    def _jet_plan(self) -> _JetPlan:
+        return _JetPlan(self._leaves)
 
-        Gamma^k_{ij} multiplies only theta's row j, so where that row is all
-        structural zeros no verdict reads it and its leaf is `ex.ZERO`."""
-        t, n = self.theta.comps, self.chart.n
-        zero = np.fromiter(map(ex.is_structural_zero, t.flat), bool, n * n).reshape(n, n)
-        gamma = np.where(zero.all(axis=1), ex.ZERO, self.nabla.gamma)
-        leaves = [*t.flat, *(t[i, j].diff(m) for m in range(n) for i in range(n) for j in range(n)), *gamma.flat]
-        distinct = {id(e): e for e in leaves}
-        column = {key: c for c, key in enumerate(distinct)}
-        return ex.Plan(distinct.values()), np.array([column[id(e)] for e in leaves]), zero
+    @cached_property
+    def _geodesic(self) -> GeodesicTerms:
+        return GeodesicTerms(self._leaves)
 
     @cached_property
     def _jet_tables(self) -> dict:
@@ -112,110 +107,333 @@ class SymPoissonPair:
         pts = np.asarray(samples, dtype=float)
         key = (pts.shape, pts.tobytes())
         if key not in self._jet_tables:
-            self._jet_tables[key] = Jets.of(*self._jet_plan, pts)
+            self._jet_tables[key] = Jets.of(self._jet_plan, pts)
         return self._jet_tables[key]
+
+
+# ---------------------------------------------------------------------------
+# jet leaves and the ordered sums of their live terms
+# ---------------------------------------------------------------------------
+
+class _Sums:
+    """Ordered sums of terms, as `expr.expr_sum` adds a tree's terms.
+
+    `live` (components, positions) marks the terms each component has;
+    term t is the t-th True of `live` in row order, so a component's terms
+    are consecutive.  A component adds its terms one at a time, ((t0 + t1)
+    + t2) + ..., so its value is the tree's bit for bit; one with no term is
+    0.0.  Components run by term count, most first, so each position adds
+    one gathered block to a prefix of them.
+    """
+
+    def __init__(self, live: np.ndarray):
+        counts = live.sum(axis=1)
+        self.order = np.argsort(-counts, kind="stable")
+        ranked = counts[self.order]
+        # ids[l, :sizes[l]]: the l-th term of each component with more than l terms
+        positions = np.arange(ranked.max(initial=0))
+        self.sizes = (ranked[:, None] > positions).sum(axis=0).tolist()
+        self.ids = (np.cumsum(counts) - counts)[self.order] + positions[:, None]
+        self.size = len(counts)
+
+    def __call__(self, terms: np.ndarray) -> np.ndarray:
+        """(samples, components) from the terms' values (samples, terms)."""
+        out = np.zeros((len(terms), self.size))
+        if self.sizes:
+            acc = terms[:, self.ids[0, : self.sizes[0]]]
+            for ids, size in zip(self.ids[1:], self.sizes[1:]):
+                acc[:, :size] += terms[:, ids[:size]]
+            out[:, self.order[: self.sizes[0]]] = acc
+        return out
+
+
+class _Terms:
+    """Ordered sums (`_Sums`) of products a[:, left] * b[:, right], one per
+    live entry of (components, positions) arrays; the products where
+    `negated` is True enter negated, -(a b)."""
+
+    def __init__(self, live: np.ndarray, left: np.ndarray, right: np.ndarray, negated=None):
+        self.sums = _Sums(live)
+        self.left, self.right = left[live], right[live]
+        self.negated = None if negated is None else np.flatnonzero(negated[live])
+
+    def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        terms = a[:, self.left] * b[:, self.right]
+        if self.negated is not None:
+            terms[:, self.negated] = -terms[:, self.negated]
+        return self.sums(terms)
+
+
+class _Layout:
+    """The index tables of the jet contractions on an n-chart, each term at
+    its position in the tree that sums it.  A pair's live terms are read
+    from them through its structural zeros (`_Leaves`).
+
+    Leaf ids: theta^{ij} at i n + j, d_m theta^{ij} in (m, i, j) order from
+    n^2, Gamma^k_{ij} in (k, i, j) order from n^2 + n^3, the constant 1 last.
+
+    - nabla_m theta^{ij} for i <= j, in (m, i, j) order (`nabla_index` maps
+      every (m, i, j) to it), as `geometry.covariant_derivative` sums it:
+      d_m theta^{ij} * 1, Gamma^i_{mk} theta^{kj} (k), Gamma^j_{mk} theta^{ik} (k).
+    - D^{ijk} = theta^{im} nabla_m theta^{jk} over m, for every (i, j, k).
+    - the commutator of theta's rows a < b (`_above_diagonal` order), for
+      each k: theta^{am} d_m theta^{bk}, then -(theta^{bm} d_m theta^{ak}), for
+      each m in turn.
+    - the trace formula's [theta, theta] for each i <= j <= k (`triples`):
+      for each m, theta^{ma} N^{bc} for a = i, j, k ({b, c} the other two,
+      N = nabla_m theta), then the same products in reverse order.
+    """
+
+    def __init__(self, n: int):
+        self.n, self.size = n, n * n + 2 * n**3 + 1
+        theta = np.arange(n * n).reshape(n, n)
+        dtheta = n * n + np.arange(n**3).reshape(n, n, n)
+        self.gamma = n * n + n**3 + np.arange(n**3).reshape(n, n, n)
+        i, j = np.triu_indices(n)
+        m, i, j = (a[:, None] for a in (np.repeat(np.arange(n), len(i)), np.tile(i, n), np.tile(j, n)))
+        k = np.arange(n)
+        self.nabla_left = np.concatenate([dtheta[m, i, j], self.gamma[i, m, k], self.gamma[j, m, k]], axis=1)
+        self.nabla_right = np.concatenate([np.full_like(m, self.size - 1), theta[k, j], theta[i, k]], axis=1)
+        self.nabla_index = np.empty((n, n, n), int)
+        self.nabla_index[m, i, j] = self.nabla_index[m, j, i] = np.arange(len(m))[:, None]
+        i, j, k, m = np.indices((n, n, n, n)).reshape(4, n**3, n)
+        self.directional_left, self.directional_comp = theta[i, m], self.nabla_index[m, j, k]
+        self.directional_right = (m * n + j) * n + k
+        a, b = _above_diagonal(n)
+        p, k, m = np.indices((len(a), n, n))
+        a, b = a[p], b[p]
+        self.commutator_left = np.stack([theta[a, m], theta[b, m]], axis=-1).reshape(-1, 2 * n)
+        self.commutator_right = np.stack([dtheta[m, b, k], dtheta[m, a, k]], axis=-1).reshape(-1, 2 * n)
+        self.commutator_negated = np.arange(2 * n) % 2 == 1
+        self.triples = np.array(list(itertools.combinations_with_replacement(range(n), 3)), int).reshape(-1, 3)
+        m, t = np.arange(n)[None, :, None], self.triples[:, None]
+        self.bracket_theta = np.broadcast_to(theta[m, t], (len(t), n, 3))
+        self.bracket_comp = self.nabla_index[m, t[..., [1, 0, 0]], t[..., [2, 2, 1]]]
+        # p_i p_j [theta, theta]^{ijk} for each k over (i, j): the triple of each (i, j, k)
+        rank = np.empty((n, n, n), int)
+        for r, triple in enumerate(self.triples.tolist()):
+            for index in itertools.permutations(triple):
+                rank[index] = r
+        k, i, j = np.indices((n, n, n)).reshape(3, n, n * n)
+        self.cubic, self.pair_i, self.pair_j = rank[i, j, k], i, j
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+
+@cache
+def _layout(n: int) -> _Layout:
+    return _Layout(n)
+
+
+class _Leaves:
+    """The jet leaves of a pair by `_Layout` id, which of them are structural
+    zeros, and which terms of nabla theta are live: where neither factor is
+    a structural zero, as in the tree.  `nabla_zero` marks the components
+    that tree folds to a structural zero: no term, or constant terms that
+    sum to 0."""
+
+    def __init__(self, theta: np.ndarray, gamma: np.ndarray):
+        n = len(theta)
+        self.layout = layout = _layout(n)
+        self.exprs = [*theta.flat, *(theta[i, j].diff(m) for m, i, j in itertools.product(range(n), repeat=3)),
+                      *gamma.flat, ex.ONE]
+        const = np.array([e.value if type(e) is ex.Const else math.nan for e in self.exprs])
+        self.zero = zero = const == 0.0
+        left, right = layout.nabla_left, layout.nabla_right
+        self.nabla_live = live = ~zero[left] & ~zero[right]
+        self.nabla_zero = empty = ~live.any(axis=1)
+        constant = ~np.isnan(const[left]) & ~np.isnan(const[right])
+        for c in np.flatnonzero(~empty & (constant | ~live).all(axis=1)).tolist():
+            total, *rest = (const[left[c]] * const[right[c]])[live[c]].tolist()
+            for term in rest:
+                total += term
+            empty[c] = total == 0.0
+
+    @property
+    def theta_zero(self) -> np.ndarray:
+        n = self.layout.n
+        return self.zero[: n * n].reshape(n, n)
+
+    def nabla(self, components, column: np.ndarray) -> _Terms:
+        """The terms of the given nabla theta components, their factors read
+        from the table columns `column[leaf id]`."""
+        layout = self.layout
+        return _Terms(self.nabla_live[components], column[layout.nabla_left[components]],
+                      column[layout.nabla_right[components]])
+
+
+class _JetPlan:
+    """The sampled verdicts' plan of the distinct jet leaves, the table column
+    of each leaf id, and the term lists of their contractions.
+
+    Gamma^k_{ij} multiplies only theta's row j, so where that row is all
+    structural zeros no verdict reads it and the plan holds `ex.ZERO` in its
+    place.  Every term list holds only the terms a tree has: a product with
+    a structural zero is never formed."""
+
+    def __init__(self, leaves: _Leaves):
+        self.leaves, layout = leaves, leaves.layout
+        n = self.n = layout.n
+        exprs = list(leaves.exprs)
+        dead = leaves.theta_zero.all(axis=1)
+        for g in layout.gamma[:, :, dead].ravel().tolist():
+            exprs[g] = ex.ZERO
+        distinct = {id(e): e for e in exprs}
+        slot = {key: c for c, key in enumerate(distinct)}
+        self.plan = ex.Plan(distinct.values())
+        self.columns = np.array([slot[id(e)] for e in exprs])
+        self.theta_rows = np.flatnonzero(~dead)
+
+    @cached_property
+    def nabla(self) -> _Terms:
+        return self.leaves.nabla(slice(None), np.arange(self.leaves.layout.size))
+
+    @cached_property
+    def directional(self) -> _Terms:
+        """theta from the leaves, nabla theta from its (m, j, k) values."""
+        layout, leaves = self.leaves.layout, self.leaves
+        live = ~leaves.zero[layout.directional_left] & ~leaves.nabla_zero[layout.directional_comp]
+        return _Terms(live, layout.directional_left, layout.directional_right)
+
+    @cached_property
+    def commutators(self) -> _Terms:
+        layout, zero = self.leaves.layout, self.leaves.zero
+        left, right = layout.commutator_left, layout.commutator_right
+        live = ~zero[left] & ~zero[right]
+        return _Terms(live, left, right, np.broadcast_to(layout.commutator_negated, live.shape))
 
 
 class Jets:
     """theta, d theta and Gamma at some samples, and what the sampled verdicts
     contract from them.
 
-    `theta` (samples, i, j), `dtheta` (samples, m, i, j) = d_m theta^{ij}
-    and `gamma` (samples, k, i, j) = Gamma^k_{ij} are (value, scale) pairs of
-    the jet table: a scale is the largest |subterm| of its leaf there.  Each
-    contraction below adds its terms one at a time in the order the symbolic
-    builder sums them, so its values equal the tree's, up to the sign of a
-    zero; its scale is the sum of the terms' scale products.  `zero` (i, j)
-    marks the structural zeros of theta, whose products a tree never forms:
-    where the other factor is not finite, 0 * inf must not make a NaN.
+    `values` and `scales` (samples, leaves) hold each jet leaf in `_Leaves`
+    order; `theta` (samples, i, j), `dtheta` (samples, m, i, j) = d_m
+    theta^{ij} and `gamma` (samples, k, i, j) = Gamma^k_{ij} are (value,
+    scale) views of them.  A scale is the largest |subterm| of its leaf
+    there.  Each contraction sums only its live terms (`_JetPlan`), one at
+    a time in the order the symbolic builder sums them, so its values equal
+    the tree's, up to the sign of a zero.  Its scale is the sum of the
+    terms' scale products, taken over the dense leaf scales, where a
+    structural zero's scale is 0.
     """
 
-    def __init__(self, samples: np.ndarray, theta, dtheta, gamma, zero: np.ndarray):
-        self.samples = samples
-        self.theta, self.dtheta, self.gamma = theta, dtheta, gamma
-        self.zero = zero
-
-    @classmethod
-    def of(cls, plan: ex.Plan, columns: np.ndarray, zero: np.ndarray, samples: np.ndarray) -> Jets:
-        values, scales = (table[:, columns] for table in plan.table(samples))
-        s, n = samples.shape
+    def __init__(self, samples: np.ndarray, plan: _JetPlan, values: np.ndarray, scales: np.ndarray):
+        self.samples, self._plan = samples, plan
+        self.values, self.scales = values, scales
+        s, n = len(samples), plan.n
 
         def split(table):
             return (table[:, : n * n].reshape(s, n, n), table[:, n * n : n * n + n**3].reshape(s, n, n, n),
-                    table[:, n * n + n**3 :].reshape(s, n, n, n))
+                    table[:, n * n + n**3 : -1].reshape(s, n, n, n))
 
-        return cls(samples, *zip(split(values), split(scales)), zero)
+        self.theta, self.dtheta, self.gamma = zip(split(values), split(scales))
+
+    @classmethod
+    def of(cls, plan: _JetPlan, samples: np.ndarray) -> Jets:
+        values, scales = (table[:, plan.columns] for table in plan.plan.table(samples))
+        return cls(samples, plan, values, scales)
+
+    @cached_property
+    def _nabla(self) -> np.ndarray:
+        """nabla theta (samples, m, i, j); the tree of (i, j) with i <= j is stored at (j, i) too."""
+        with np.errstate(all="ignore"):
+            v = self._plan.nabla(self.values, self.values)
+        return v[:, self._plan.leaves.layout.nabla_index.ravel()].reshape(self.dtheta[0].shape)
 
     @cached_property
     def nabla_theta(self) -> tuple[np.ndarray, np.ndarray]:
         """nabla_m theta^{ij} = d_m theta^{ij} + Gamma^i_{mk} theta^{kj} + Gamma^j_{mk} theta^{ik}: (samples, m, i, j)."""
-        (t, st), (d, sd), (g, sg) = self.theta, self.dtheta, self.gamma
-        s, n = t.shape[:2]
-        # [k, s, m, i] = Gamma^i_{mk}; a k whose Gamma are all zero adds only zeros
-        g = g.transpose(3, 0, 2, 1)
-        live = np.flatnonzero(g.any(axis=(1, 2, 3)))
-        g = g[live]
-        with np.errstate(all="ignore"):
-            first = g[..., None] * t.transpose(1, 0, 2)[live, :, None, None, :]
-            second = g[:, :, :, None, :] * t.transpose(2, 0, 1)[live, :, None, :, None]
-            v = _fold(np.concatenate([d[None], first, second]))
-            first = np.matmul(sg.transpose(0, 2, 1, 3).reshape(s, n * n, n), st).reshape(s, n, n, n)
-            scale = sd + first + np.swapaxes(first, 2, 3)
-        # the tree of (i, j) with i <= j is stored at (j, i) too
-        i, j = _above_diagonal(n)
-        v[:, :, j, i] = v[:, :, i, j]
-        return v, scale
+        return self._nabla, self._scale["nabla_theta"]
 
     @cached_property
     def directional(self) -> tuple[np.ndarray, np.ndarray]:
         """D^{ijk} = theta^{im} nabla_m theta^{jk}: (samples, i, j, k)."""
-        (t, st), (nt, snt) = self.theta, self.nabla_theta
-        s, n = t.shape[:2]
-        dead = self.zero.all(axis=1)
-        if dead.any() and not (np.isfinite(nt).all() and np.isfinite(snt).all()):
-            # no tree reads nabla_m theta where theta's row m is all structural
-            # zeros; where it is not, a tree that skips a product reads the
-            # same entry in another component, so the residual reads inf too
-            nt, snt = (np.where(dead[:, None, None], 0.0, a) for a in (nt, snt))
+        s, n = len(self.samples), self._plan.n
         with np.errstate(all="ignore"):
-            v = _fold(t.transpose(2, 0, 1)[..., None, None] * nt.transpose(1, 0, 2, 3)[:, :, None])
-            return v, np.matmul(st, snt.reshape(s, n, n * n)).reshape(s, n, n, n)
+            v = self._plan.directional(self.values, self._nabla.reshape(s, n**3)).reshape(s, n, n, n)
+        return v, self._scale["directional"]
 
     @cached_property
     def schouten(self) -> tuple[np.ndarray, np.ndarray]:
         """[theta, theta]^{ijk} = 2 (D^{ijk} + D^{jki} + D^{kij}): (samples, i, j, k)."""
         with np.errstate(all="ignore"):
-            return tuple(2.0 * (a + a.transpose(0, 3, 1, 2) + a.transpose(0, 2, 3, 1)) for a in self.directional)
+            return _cyclic(self.directional[0]), self._scale["schouten"]
+
+    @cached_property
+    def _scale(self) -> dict[str, np.ndarray]:
+        return _contraction_scales(self.theta[1], self.dtheta[1], self.gamma[1], self._plan.theta_rows)
+
+    def residual(self, quantity: str) -> float:
+        """max |v| / (1 + scale) of a contraction, or inf wherever a value is
+        not finite, as `Plan.residual` reads.
+
+        Where a scale overflows while every leaf scale is finite, it is formed
+        again over the scales of theta and d theta times 2^-e, which brings
+        the largest below 1: the contraction is of degree d in them, so that
+        scale is 2^-de times the true one, exactly unless a term underflows.
+        Where that scale is above 2^60 the residual is |v| / scale, from the
+        mantissas and exponents of both, so no step overflows and 1 is below
+        the scale's last bit; below, |v| / (1 + scale) is formed as it is.
+        A scale that is still not finite reads inf.
+        """
+        value, scale = getattr(self, quantity)
+        if not np.isfinite(value).all():
+            return math.inf
+        with np.errstate(all="ignore"):
+            res = np.abs(value) / (1.0 + scale)
+        over = ~np.isfinite(scale)
+        if over.any():
+            (_, st), (_, sd), (_, sg) = self.theta, self.dtheta, self.gamma
+            if not (np.isfinite(st).all() and np.isfinite(sd).all() and np.isfinite(sg).all()):
+                return math.inf
+            e = int(np.frexp(max(st.max(), sd.max()))[1])
+            again = _contraction_scales(np.ldexp(st, -e), np.ldexp(sd, -e), sg, self._plan.theta_rows)[quantity][over]
+            if not np.isfinite(again).all():
+                return math.inf
+            de = e if quantity == "nabla_theta" else 2 * e
+            (mv, ev), (ms, es) = np.frexp(np.abs(value[over])), np.frexp(again)
+            huge = (again > 0.0) & (es + de > 60)
+            with np.errstate(all="ignore"):
+                res[over] = np.where(huge, np.ldexp(mv / ms, ev - es - de),
+                                     np.abs(value[over]) / (1.0 + np.ldexp(np.where(huge, 0.0, again), de)))
+        return float(res.max(initial=0.0))
 
     @cached_property
     def commutators(self) -> np.ndarray:
         """[theta(dx^i), theta(dx^j)]^k = theta^{im} d_m theta^{jk} - theta^{jm} d_m theta^{ik}
-        for each i < j in order: (samples, pairs, k).  Where d theta is not
-        finite, each term whose theta factor is a structural zero adds zero,
-        as the tree has no such term."""
-        (t, _), (d, _) = self.theta, self.dtheta
-        s, n = t.shape[:2]
-        i, j = _above_diagonal(n)
-        finite = np.isfinite(d).all()
-
-        def terms(a, b):
-            # (m, samples, pairs, k): theta^{am} d_m theta^{bk}
-            out = t[:, a].transpose(2, 0, 1)[..., None] * d[:, :, b].transpose(1, 0, 2, 3)
-            return out if finite else np.where(self.zero[a].T[:, None, :, None], 0.0, out)
-
+        for each i < j in order: (samples, pairs, k)."""
+        s, n = len(self.samples), self._plan.n
         with np.errstate(all="ignore"):
-            # the tree adds X^m d_m Y^k, then -(Y^m d_m X^k), for each m in turn
-            return _fold(np.stack([terms(i, j), -terms(j, i)], axis=1).reshape((2 * n, s, len(i), n)))
+            return self._plan.commutators(self.values, self.values).reshape(s, -1, n)
 
     def commutator_leaves_finite(self) -> bool:
-        """Whether the scales of theta and of each d_m theta^{bk} that some
-        commutator multiplies by a theta^{am} (a != b) that is not a
-        structural zero are finite."""
-        finite = np.isfinite(self.dtheta[1])
-        if not finite.all():
-            live = ~self.zero
-            finite = finite[:, live.sum(axis=0)[:, None] > live.T]  # at (m, b)
-        return bool(finite.all() and np.isfinite(self.theta[1]).all())
+        """Whether the scales of theta and of each d theta leaf some commutator
+        term reads are finite."""
+        read = self._plan.commutators.right
+        return bool(np.isfinite(self.scales[:, read]).all() and np.isfinite(self.theta[1]).all())
+
+
+def _contraction_scales(st, sd, sg, rows: np.ndarray) -> dict[str, np.ndarray]:
+    """The scales of nabla theta, D and [theta, theta] from the leaf scales of
+    theta `st`, d theta `sd` and Gamma `sg`: each term's scale product, summed
+    by `np.matmul` over the dense scales, where a structural zero's is 0.
+    theta's `rows` that are not all structural zeros are the only ones D
+    sums, so a scale that is not finite in another row adds nothing.  nabla
+    theta is of degree 1 in (theta, d theta), the others of degree 2: scaling
+    both by 2^-e scales them by 2^-e and 2^-2e, exactly unless they underflow."""
+    s, n = st.shape[:2]
+    with np.errstate(all="ignore"):
+        first = np.matmul(sg.transpose(0, 2, 1, 3).reshape(s, n * n, n), st).reshape(s, n, n, n)
+        nabla = sd + first + np.swapaxes(first, 2, 3)
+        d = np.matmul(st[:, :, rows], nabla[:, rows].reshape(s, len(rows), n * n)).reshape(s, n, n, n)
+        return {"nabla_theta": nabla, "directional": d, "schouten": _cyclic(d)}
+
+
+def _cyclic(d: np.ndarray) -> np.ndarray:
+    """2 ((a^{ijk} + a^{jki}) + a^{kij}) over (samples, i, j, k), the order the cyclic tree adds."""
+    return 2.0 * (d + d.transpose(0, 3, 1, 2) + d.transpose(0, 2, 3, 1))
 
 
 @cache
@@ -227,13 +445,76 @@ def _above_diagonal(n: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
-def _fold(terms: np.ndarray) -> np.ndarray:
-    """((t0 + t1) + t2) + ... over the first axis, one term at a time, in the
-    order `expr.expr_sum` adds a tree's terms."""
-    out = terms[0].copy()
-    for term in terms[1:]:
-        out += term
-    return out
+# ---------------------------------------------------------------------------
+# the geodesic monitor's terms
+# ---------------------------------------------------------------------------
+
+class GeodesicTerms:
+    """Gamma^k_{ij} v^i v^j and p_i p_j [theta, theta]^{ijk} (the sums
+    `np.einsum` forms, over (i, j) in order, of (Gamma v^i) v^j and (p_i p_j)
+    [theta, theta]^{ijk}) from one plan of live leaves: every Gamma that is
+    not a structural zero, then the theta and d theta leaves [theta, theta]
+    reads.
+
+    [theta, theta] is summed as the trace formula's tree (`geometry.schouten`)
+    sums it: for each m, ((theta^{mi} N^{jk} + theta^{mj} N^{ik}) + theta^{mk}
+    N^{ij}), then the same products in reverse order, with N = nabla_m theta,
+    for each i <= j <= k.  The leaves come in the order that tree's walk
+    meets them, so a table of them raises what a table of the tree raises.
+    Only live terms are formed: where p_i p_j overflows against a structural
+    zero of [theta, theta], or a velocity against one of Gamma, the sum
+    does not read the NaN a dense product would.
+    """
+
+    def __init__(self, leaves: _Leaves):
+        layout, zero = leaves.layout, leaves.zero
+        n, size = layout.n, layout.size
+        theta, comp = layout.bracket_theta, layout.bracket_comp
+        live = ~zero[theta] & ~leaves.nabla_zero[comp]
+        # the tree's walk meets theta^{ma}, then the leaves of N, product by product:
+        # d_m theta^{bc} (position 0), then the theta of each Gamma theta
+        units = np.stack([theta, size + comp], axis=-1)[live].ravel()
+        _, first = np.unique(units, return_index=True)
+        nleaf = np.where(np.arange(2 * n + 1) == 0, layout.nabla_left, layout.nabla_right)
+        walk = []
+        for u in units[np.sort(first)].tolist():
+            if u < size:
+                walk.append(u)
+            else:
+                walk.extend(nleaf[u - size][leaves.nabla_live[u - size]].tolist())
+        gamma = layout.gamma.reshape(n, n * n)
+        live_gamma = ~zero[gamma]
+        ids = [*gamma[live_gamma].tolist(), *(i for i in dict.fromkeys(walk) if not zero[i]), size - 1]
+        self.plan = ex.Plan(leaves.exprs[i] for i in ids)
+        column = np.zeros(size, int)
+        column[ids] = np.arange(len(ids))
+        i, j = layout.pair_i, layout.pair_j
+        self._quadratic = _Sums(live_gamma), column[gamma[live_gamma]], i[live_gamma], j[live_gamma]
+        # nabla theta where a product reads it
+        used = np.unique(comp[live])
+        self._nabla = leaves.nabla(used, column)
+        where = np.zeros(len(leaves.nabla_zero), int)
+        where[used] = np.arange(len(used))
+        # per triple and m: the group theta N (products 0, 1, 2), then N theta
+        # (2, 1, 0); only groups with a live product are formed
+        grouped = live.any(axis=-1).repeat(2, axis=1)
+        self._groups = _Terms(*(np.stack([x, x[..., ::-1]], axis=2).reshape(-1, 3)[grouped.ravel()]
+                                for x in (live, column[theta], where[comp])))
+        self._bracket = _Sums(grouped)
+        present = grouped.any(axis=1)[layout.cubic]
+        self._cubic = _Sums(present), layout.cubic[present], i[present], j[present]
+        self.has_bracket = bool(present.any())
+
+    def quadratic(self, values: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Gamma^k_{ij} v^i v^j (states, k) from the plan's values at the states."""
+        sums, gamma, i, j = self._quadratic
+        return sums(values[:, gamma] * v[:, i] * v[:, j])
+
+    def cubic(self, values: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """p_i p_j [theta, theta]^{ijk} (states, k) from the plan's values at the states."""
+        bracket = self._bracket(self._groups(values, self._nabla(values, values)))
+        sums, triple, i, j = self._cubic
+        return sums(p[:, i] * p[:, j] * bracket[:, triple])
 
 
 # ---------------------------------------------------------------------------
@@ -255,17 +536,13 @@ def gradient(pair: SymPoissonPair, f: ScalarField) -> SymTensorField:
 # ---------------------------------------------------------------------------
 
 def schouten_self(pair: SymPoissonPair) -> SymTensorField:
-    """[theta, theta] as a degree-3 field (trace-formula route), built once per pair."""
-    return pair.schouten_self
+    """[theta, theta] as a degree-3 field by the trace formula, built anew on
+    each call: the symbolic route the jet contractions are checked against."""
+    return schouten(pair.nabla, pair.theta, pair.theta)
 
 
 def _jet_residual(pair: SymPoissonPair, samples, quantity: str) -> float:
-    """max |v| / (1 + scale) of a contraction of the jet table, or inf
-    wherever a value or a scale is not finite, as `Plan.residual` reads."""
-    value, scale = getattr(pair.jets(samples), quantity)
-    if not (np.isfinite(value).all() and np.isfinite(scale).all()):
-        return math.inf
-    return float((np.abs(value) / (1.0 + scale)).max(initial=0.0))
+    return pair.jets(samples).residual(quantity)
 
 
 def is_symmetric_poisson(pair: SymPoissonPair) -> bool:
@@ -476,7 +753,7 @@ def involutivity_check(pair: SymPoissonPair, samples=None) -> InvolutivityReport
     theta, table = jets.theta[0], jets.commutators
     finite = np.isfinite(table).all()
     if not (finite and jets.commutator_leaves_finite()):
-        pair._jet_plan[0].rows(jets.samples)
+        pair._jet_plan.plan.rows(jets.samples)
     _, vecs, keep = _spectra(pair.theta, jets.samples, theta)
     if not finite:
         c, s, k = np.argwhere(~np.isfinite(table.transpose(1, 0, 2)))[0]

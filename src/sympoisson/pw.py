@@ -25,7 +25,7 @@ from . import geometry as geo
 from .defaults import DT
 from .expr import ScalarField
 from .geometry import Chart, Connection, SymFormField, SymTensorField, levi_civita
-from .poisson import SymPoissonPair, _membership, _spectra, schouten_self
+from .poisson import GeodesicTerms, SymPoissonPair, _Leaves, _membership, _spectra
 
 
 class DynamicsError(Exception):
@@ -340,27 +340,24 @@ def _values_at(exprs: list[ex.Expr], points: np.ndarray) -> np.ndarray:
     return out
 
 
-def _geodesic_defect(conn: Connection, cubic: SymTensorField | None, traj: Trajectory) -> np.ndarray:
-    """| nabla_{xdot} xdot - (1/4) i_a i_a cubic | at each interior stored state.
+def _geodesic_defect(terms: GeodesicTerms, traj: Trajectory) -> np.ndarray:
+    """| nabla_{xdot} xdot - (1/4) i_a i_a [theta, theta] | at each interior stored state.
 
     The acceleration is a central finite difference of the stored velocity
-    channel.  Gamma^k_ij, then the components of `cubic` when one is given,
-    come from one table over all interior states (`_values_at`), scattered
-    into dense (states, n, n, n) stacks; the rest runs over the stack.
-    Without `cubic` the defect is the geodesic equation's own residual.
+    channel.  The live leaves come from one `Plan.rows` over all interior
+    states, so the first state that fails raises its error; Gamma^k_{ij}
+    v^i v^j and p_i p_j [theta, theta]^{ijk} are their live terms' ordered
+    sums (`GeodesicTerms`), equal bit for bit to the dense `np.einsum`s over
+    the trees' values.  Without [theta, theta] the defect is the geodesic
+    equation's own residual.
     """
-    states = len(traj.xs)
-    if states < 3:
+    if len(traj.xs) < 3:
         raise DynamicsError("need at least 3 stored states for finite differences")
-    n = conn.chart.n
-    exprs = [*conn.gamma.flat, *(() if cubic is None else cubic.comps.flat)]
-    table = _values_at(exprs, traj.xs[1:-1])
+    values = terms.plan.rows(traj.xs[1:-1])
     v = traj.velocities
-    gamma = table[:, : n**3].reshape(-1, n, n, n)
-    defect = (v[2:] - v[:-2]) / (2.0 * traj.dt) + np.einsum("skij,si,sj->sk", gamma, v[1:-1], v[1:-1])
-    if cubic is not None:
-        p = traj.ps[1:-1]
-        defect = defect - 0.25 * np.einsum("si,sj,sijm->sm", p, p, table[:, n**3 :].reshape(-1, n, n, n))
+    defect = (v[2:] - v[:-2]) / (2.0 * traj.dt) + terms.quadratic(values, v[1:-1])
+    if terms.has_bracket:
+        defect = defect - 0.25 * terms.cubic(values, traj.ps[1:-1])
     # each row's dot product with itself, as a stacked matmul: it takes the
     # dot kernel np.linalg.norm takes, so every entry equals the row's norm bit
     # for bit; einsum or (d * d).sum(1) round differently in the last bit
@@ -369,7 +366,8 @@ def _geodesic_defect(conn: Connection, cubic: SymTensorField | None, traj: Traje
 
 def geodesic_residual_along(conn: Connection, traj: Trajectory) -> np.ndarray:
     """|nabla_{xdot} xdot| at a trajectory's interior states (self-consistency)."""
-    return _geodesic_defect(conn, None, traj)
+    zero = np.full((conn.chart.n,) * 2, ex.ZERO, dtype=object)
+    return _geodesic_defect(GeodesicTerms(_Leaves(zero, conn.gamma)), traj)
 
 
 # ---------------------------------------------------------------------------
@@ -396,12 +394,15 @@ def monitor_speed_square(pair: SymPoissonPair, traj: Trajectory) -> np.ndarray:
 def monitor_geodesic_residual(pair: SymPoissonPair, traj: Trajectory) -> np.ndarray:
     """Per interior step: | nabla_{xdot} xdot - (1/4) i_a i_a [theta,theta] |.
 
-    The bracket side is the pair's [theta, theta], built once per pair (see
-    `_geodesic_defect`).  A defect that is not finite, such as one whose
-    square overflows, raises DynamicsError naming the first such step.
+    theta, d theta and every Gamma that is not a structural zero are read
+    at the interior states from one table of live leaves, and [theta, theta]
+    is contracted from them in the trace formula's order; no bracket tree is
+    built (see `_geodesic_defect`).  A defect that is not finite, such as
+    one whose square overflows, raises DynamicsError naming the first such
+    step.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        defect = _geodesic_defect(pair.nabla, schouten_self(pair), traj)
+        defect = _geodesic_defect(pair._geodesic, traj)
     bad = np.flatnonzero(~np.isfinite(defect))
     if len(bad):
         raise DynamicsError(f"the geodesic residual is not finite at step {bad[0] + 1}")

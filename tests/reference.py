@@ -17,11 +17,14 @@ a new `Const` every time, as `expr.add` and `expr.mul` did before they returned
 existing nodes.  `membership_pointwise` tests one vector against im theta
 at one point, with its own eigendecomposition, as `involutivity_check` did
 sample by sample before the stacked routine.  `geodesic_defect_pointwise`
-evaluates Gamma and the cubic with one `Plan.values` call per interior state,
-as `pw._geodesic_defect` did before it read one table.  `verdict_trees`
+evaluates Gamma and the cubic with one `Plan.values` call per interior state
+and contracts them with `np.einsum`, as the geodesic monitor did before it
+read a table of live leaves.  `verdict_trees`
 builds the symbolic fields the sampled verdicts contract from the jet
 table, and `tree_verdicts` reads the verdicts from those trees, as
-`verdict_suite` did before the jet table.  `csv_rows` prints a float table
+`verdict_suite` did before the jet table.  `dense_jet_contractions`
+contracts a jet table over every index, structural zeros included, as
+`poisson.Jets` did before it summed only live terms.  `csv_rows` prints a float table
 with one `'%.17g'` per value, as `pw.trajectory_to_csv` did before its
 vectorized writer.
 """
@@ -630,6 +633,47 @@ def verdict_trees(pair):
         "directional": directional,
         "schouten": schouten_self_cyclic_comps(directional),
         "commutators": np.array(commutators, dtype=object).reshape(len(commutators), n),
+    }
+
+
+def _fold(terms):
+    out = terms[0].copy()
+    for term in terms[1:]:
+        out += term
+    return out
+
+
+def dense_jet_contractions(jets):
+    """{quantity: (value, scale)} of `poisson.Jets` by dense products over
+    every index, each sum folded in the trees' order: nabla theta (samples,
+    m, i, j), D (samples, i, j, k), the cyclic [theta, theta] and the
+    commutators (samples, pairs, k; no scale).  Terms with a structural zero
+    are formed too, so the leaves must be finite."""
+    (t, st), (d, sd), (g, sg) = jets.theta, jets.dtheta, jets.gamma
+    s, n = t.shape[:2]
+    gk = g.transpose(3, 0, 2, 1)  # [k, s, m, i] = Gamma^i_{mk}
+    first = gk[..., None] * t.transpose(1, 0, 2)[:, :, None, None, :]
+    second = gk[:, :, :, None, :] * t.transpose(2, 0, 1)[:, :, None, :, None]
+    nabla = _fold(np.concatenate([d[None], first, second]))
+    i, j = np.triu_indices(n, 1)
+    nabla[:, :, j, i] = nabla[:, :, i, j]
+    f = np.matmul(sg.transpose(0, 2, 1, 3).reshape(s, n * n, n), st).reshape(s, n, n, n)
+    nabla_scale = sd + f + np.swapaxes(f, 2, 3)
+    directional = _fold(t.transpose(2, 0, 1)[..., None, None] * nabla.transpose(1, 0, 2, 3)[:, :, None])
+    directional_scale = np.matmul(st, nabla_scale.reshape(s, n, n * n)).reshape(s, n, n, n)
+
+    def cyclic(a):
+        return 2.0 * (a + a.transpose(0, 3, 1, 2) + a.transpose(0, 2, 3, 1))
+
+    def terms(x, y):
+        return t[:, x].transpose(2, 0, 1)[..., None] * d[:, :, y].transpose(1, 0, 2, 3)
+
+    commutators = _fold(np.stack([terms(i, j), -terms(j, i)], axis=1).reshape((2 * n, s, len(i), n)))
+    return {
+        "nabla_theta": (nabla, nabla_scale),
+        "directional": (directional, directional_scale),
+        "schouten": (cyclic(directional), cyclic(directional_scale)),
+        "commutators": (commutators, None),
     }
 
 

@@ -315,6 +315,51 @@ def test_integrate_geodesic_monitor_domain_error(tmp_path):
     assert_exact_fields(out_path)
 
 
+def test_the_geodesic_monitor_reads_a_gamma_no_verdict_reads(tmp_path):
+    # theta's row y is all structural zeros, so the verdicts' jet plan holds
+    # zero for Gamma^y_yy = ln(x); the monitor's Gamma v v reads it, and x
+    # crosses 0 at t = 0.01
+    src = tmp_path / "masked.ini"
+    src.write_text("[chart]\ndim = 2\nnames = x, y\n\n[theta]\ntheta[1,1] = \"x\"\n\n"
+                   "[connection]\ngamma[2,2,2] = \"ln(x)\"\n")
+    code, out, err = run_cli("check", str(src))
+    assert (code, out.splitlines()[-1]) == (0, "PASS (4/4)"), out + err
+    out_path = tmp_path / "run.csv"
+    code, out, err = run_cli(
+        "integrate", str(src), "--hamiltonian", "0.5*p1^2", "--x0=0.01,0.2", "--p0=-1,0",
+        "--steps", "50", "--monitors", "hamiltonian,geodesic_residual", "--out", str(out_path),
+    )
+    assert code == 3, out + err
+    assert err.startswith("error: ln of a non-positive argument")
+    assert err.endswith("in subterm 'ln(x)' in the geodesic_residual monitor\n"), err
+    assert len(out_path.read_text().splitlines()) == 52
+
+
+def test_a_verdict_scale_that_overflows_over_finite_leaves_stays_finite(tmp_path):
+    # the scale of theta^{im} nabla_m theta sums products of leaf scales near
+    # 1e150 and 1e300, which overflow; every value and leaf scale is finite,
+    # so the scale is formed again over leaf scales times 2^-e
+    src = tmp_path / "overflow.ini"
+    src.write_text("[chart]\ndim = 2\nnames = x, y\n\n[theta]\ntheta[1,1] = \"-1\"\n"
+                   "theta[1,2] = \"sin(x) / (1e150*x)\"\ntheta[2,2] = \"x - 1e150*x\"\n")
+    code, out, err = run_cli("check", str(src))
+    assert (code, err) == (0, ""), out + err
+    assert out.splitlines()[1:3] == [
+        "check:symmetric_poisson  expected=- got=True residual=9.07e-298 [ok]",
+        "check:strong             expected=- got=False residual=1 [ok]",
+    ]
+    from sympoisson import poisson
+
+    pair = cli.load_structure(str(src)).pair
+    jets = pair.jets()
+    for quantity in ("directional", "schouten"):
+        value, scale = getattr(jets, quantity)
+        assert np.isfinite(value).all() and not np.isfinite(scale).all(), quantity
+        assert np.isfinite(jets.theta[1]).all() and np.isfinite(jets.dtheta[1]).all()
+    assert 0.0 < poisson.symmetric_poisson_residual(pair) < 1e-290
+    assert poisson.strong_residual(pair) == 1.0
+
+
 def test_integrate_geodesic_monitor_overflow_exits_3_and_flushes(tmp_path):
     import warnings
 

@@ -1,23 +1,32 @@
-"""The geodesic defect read from one table against the per-state loop.
+"""The geodesic defect read from one table of live leaves against the
+per-state loop over the trees.
 
-`pw._geodesic_defect` evaluates Gamma and the cubic once over all interior
-states (`Plan.table`).  `reference.geodesic_defect_pointwise` calls one
-generated function per state instead.  Both must give the same defect bit
-for bit, or stop with the same error: class, message and failing node,
-met at the first failing state.
+`pw._geodesic_defect` evaluates every live Gamma and the theta and d theta
+leaves [theta, theta] reads once over all interior states (`Plan.rows`),
+and contracts Gamma v v and p p [theta, theta] from them
+(`poisson.GeodesicTerms`).  `reference.geodesic_defect_pointwise` builds
+[theta, theta] as the trace formula's tree and evaluates Gamma and that
+tree state by state with `Plan.values`, then contracts with `np.einsum`.
+Both must give the same defect bit for bit, or stop with the same error:
+class, message and failing node, met at the first failing state.
 """
 
 import math
+import operator
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference
+from sympoisson import cli, geometry, poisson, pw
 from sympoisson import expr as ex
-from sympoisson import pw
 from sympoisson.expr import EvalDomainError
 from sympoisson.geometry import Chart, Connection, SymTensorField
+from sympoisson.poisson import GeodesicTerms, _Leaves
+from test_catalog_trees import _catalog_pairs
 
 LINE = Chart(["x"])
 PLANE = Chart(["x", "y"])
@@ -31,19 +40,33 @@ def _trajectory(xs, dt=1e-2):
     return pw.Trajectory(dt=dt, xs=xs, ps=0.5 - 0.125 * grid, velocities=1.0 + 0.25 * grid)
 
 
-def _outcome(defect, conn, cubic, traj):
+def _library(conn, theta, traj):
+    if theta is None:
+        return pw.geodesic_residual_along(conn, traj)
+    return pw._geodesic_defect(GeodesicTerms(_Leaves(theta.comps, conn.gamma)), traj)
+
+
+def _pointwise(conn, theta, traj):
+    # the trace formula's tree, built without the torsion check, which
+    # samples Gamma on the chart's box
+    cubic = None if theta is None else geometry._trace_bracket(
+        theta, theta, lambda t: geometry.covariant_derivative(conn, t).directional, operator.add)
+    return reference.geodesic_defect_pointwise(conn, cubic, traj)
+
+
+def _outcome(defect, conn, theta, traj):
     # huge coordinates overflow the shared numpy stacks of both routes
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            return "done", defect(conn, cubic, traj).tobytes()
+            return "done", defect(conn, theta, traj).tobytes()
     except EvalDomainError as err:
         return type(err), str(err), err.node
 
 
-def _same_as_pointwise(conn, cubic, traj):
+def _same_as_pointwise(conn, theta, traj):
     """The (equal) outcome of the table route and the per-state reference."""
-    got = _outcome(pw._geodesic_defect, conn, cubic, traj)
-    assert got == _outcome(reference.geodesic_defect_pointwise, conn, cubic, traj)
+    got = _outcome(_library, conn, theta, traj)
+    assert got == _outcome(_pointwise, conn, theta, traj)
     return got
 
 
@@ -71,18 +94,21 @@ def _draw_expr(draw, arity, depth):
     return ex.neg(a) if kind == "neg" else ex.call(kind, a)
 
 
-def _draw_comps(draw, n, pool):
-    """An (n, n, n) array of structural zeros (0.0 and -0.0) and of entries
-    from `pool`, so components repeat."""
-    comps = np.empty((n, n, n), dtype=object)
-    for idx in np.ndindex(n, n, n):
+def _draw_comps(draw, n, pool, rank):
+    """An (n,) * rank array of structural zeros (0.0 and -0.0) and of entries
+    from `pool`, so components repeat; a 2-index array is symmetric."""
+    comps = np.empty((n,) * rank, dtype=object)
+    for idx in np.ndindex(*comps.shape):
+        if rank == 2 and idx[0] > idx[1]:
+            comps[idx] = comps[idx[::-1]]
+            continue
         comps[idx] = draw(st.sampled_from(_ZEROS)) if draw(st.booleans()) else draw(st.sampled_from(pool))
     return comps
 
 
 @st.composite
 def _defects(draw):
-    """A chart of dimension 1-3, a connection, a cubic or None, and a
+    """A chart of dimension 1-3, a connection, a theta or None, and a
     trajectory of 3-8 stored states."""
     n = draw(st.integers(1, 3))
     chart = Chart(["x", "y", "z"][:n])
@@ -90,11 +116,11 @@ def _defects(draw):
         pool = [_draw_expr(draw, n, 3) for _ in range(draw(st.integers(1, 4)))]
     except EvalDomainError:  # constant folding met a domain error while building
         pool = [ex.var(0)]
-    conn = Connection(chart, _draw_comps(draw, n, pool))
-    cubic = SymTensorField(chart, 3, _draw_comps(draw, n, pool)) if draw(st.booleans()) else None
+    conn = Connection(chart, _draw_comps(draw, n, pool, 3))
+    theta = SymTensorField(chart, 2, _draw_comps(draw, n, pool, 2)) if draw(st.booleans()) else None
     steps = draw(st.integers(3, 8))
     xs = draw(st.lists(st.sampled_from(_COORDS), min_size=steps * n, max_size=steps * n))
-    return conn, cubic, _trajectory(np.reshape(xs, (steps, n)), dt=draw(st.sampled_from([1e-3, 0.25])))
+    return conn, theta, _trajectory(np.reshape(xs, (steps, n)), dt=draw(st.sampled_from([1e-3, 0.25])))
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -113,10 +139,21 @@ def test_division_by_zero_at_a_later_state():
     assert got[:2] == (EvalDomainError, "division by zero in subterm '1 / x1'")
 
 
-def test_ln_of_a_negative_in_the_cubic():
-    cubic = SymTensorField.from_dict(LINE, 3, {(0, 0, 0): "ln(x)"})
-    got = _same_as_pointwise(Connection.euclidean(LINE), cubic, _trajectory([[1.0], [2.0], [-1.0], [3.0]]))
+def test_ln_of_a_negative_in_the_bracket():
+    theta = SymTensorField.from_dict(LINE, 2, {(0, 0): "ln(x)"})
+    got = _same_as_pointwise(Connection.euclidean(LINE), theta, _trajectory([[1.0], [2.0], [-1.0], [3.0]]))
     assert got[:2] == (EvalDomainError, "ln of a non-positive argument in subterm 'ln(x1)'")
+
+
+def test_the_bracket_tree_walk_names_the_first_of_two_failing_leaves():
+    # at (0, -1) both d_x theta^{xx} = 1 / (2 sqrt(x)) and theta^{xy} = ln(y)
+    # fail.  The trace formula's tree meets theta^{xx} d_x theta^{xx} first,
+    # so it names the division, where a table in leaf order (theta before
+    # d theta) would name the ln
+    theta = SymTensorField.from_dict(PLANE, 2, {(0, 0): "sqrt(x)", (0, 1): "ln(y)"})
+    traj = _trajectory([[1.0, 1.0], [1.0, 1.0], [0.0, -1.0], [1.0, 1.0], [1.0, 1.0]])
+    got = _same_as_pointwise(Connection.euclidean(PLANE), theta, traj)
+    assert got[:2] == (EvalDomainError, "division by zero in subterm '1 / (2 * sqrt(x1))'")
 
 
 def test_overflow_in_a_power_raises_as_the_loop_does():
@@ -145,3 +182,28 @@ def test_structural_zeros_keep_their_sign():
     zeros = [ex.const(-0.0), ex.ZERO, ex.var(0), ex.const(-0.0)]
     table = pw._values_at(zeros, np.array([[1.5], [2.5]]))
     assert table.tobytes() == np.array([[-0.0, 0.0, 1.5, -0.0], [-0.0, 0.0, 2.5, -0.0]]).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the monitor against the trace formula's tree, on every pair integrate runs
+# ---------------------------------------------------------------------------
+
+STRUCTURES = Path(__file__).resolve().parents[1] / "structures"
+CATALOG = dict(_catalog_pairs())
+INTEGRATED = ["nondeg_kill", "oscillator", "r5", "inclusion"]
+
+
+@pytest.mark.parametrize("ident", [f"file:{name}" for name in INTEGRATED] + list(CATALOG))
+def test_the_monitor_is_the_trace_formula_defect_bit_for_bit(ident):
+    # where the cyclic [theta, theta] sums in another order (liealg:aff1,
+    # ex:rotation, ex:radial) the monitor still reads the trace formula's bits
+    if ident.startswith("file:"):
+        pair = cli.load_structure(str(STRUCTURES / f"{ident[5:]}.ini")).pair
+    else:
+        pair = CATALOG[ident]
+    n = pair.chart.n
+    lo, hi = np.array(pair.chart.box, dtype=float).T
+    start = pw.CotangentState(tuple(lo + (hi - lo) * np.linspace(0.3, 0.7, n)), tuple(np.linspace(-0.6, 0.5, n)))
+    traj = pw.integrate_pw(pair.nabla, pw.vertical_lift(pair.theta), start, dt=1e-3, steps=40)
+    got = pw.monitor_geodesic_residual(pair, traj)
+    assert got.tobytes() == reference.geodesic_defect_pointwise(pair.nabla, poisson.schouten_self(pair), traj).tobytes()

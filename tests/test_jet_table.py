@@ -73,6 +73,19 @@ def test_jet_contractions_equal_the_trees(ident):
         }, seed
 
 
+@pytest.mark.parametrize("ident", list(PAIRS))
+def test_live_term_contractions_equal_the_dense_contractions(ident):
+    # the live terms, summed in order, against every index summed densely:
+    # values up to the sign of a zero, scales bit for bit
+    pair = PAIRS[ident]
+    for seed in SEEDS:
+        jets = pair.jets(pair.chart.sample_points(25, seed))
+        for quantity, (value, scale) in reference.dense_jet_contractions(jets).items():
+            got, got_scale = _jet_values(jets, quantity)
+            assert np.isfinite(value).all() and (got + 0.0).tobytes() == (value + 0.0).tobytes(), (seed, quantity)
+            assert scale is None or got_scale.tobytes() == scale.tobytes(), (seed, quantity)
+
+
 def _expressions(names, depth):
     leaf = st.sampled_from(["0", "1", "-1", "2", "0.5", *names])
     return st.recursive(leaf, lambda sub: st.tuples(sub, st.sampled_from("+-*"), sub).map(
@@ -132,7 +145,7 @@ def test_one_table_per_sample_set_kept_on_the_pair(monkeypatch):
     first = pair.chart.sample_points(7, 3)
     assert pair.jets(first) is pair.jets(first.copy())
     assert pair.jets(pair.chart.sample_points(7, 4)) is not pair.jets(first)
-    assert len(tables) == 2 and tables[0] is tables[1] is pair._jet_plan[0]
+    assert len(tables) == 2 and tables[0] is tables[1] is pair._jet_plan.plan
 
 
 def test_the_jet_table_reads_only_what_the_trees_reach():
@@ -145,7 +158,7 @@ def test_the_jet_table_reads_only_what_the_trees_reach():
     pair = SymPoissonPair(theta, Connection.from_dict(chart, {(1, 1, 1): "ln(x)"}))
     samples = chart.sample_points()
     assert (samples[:, 0] < 0).any()
-    assert not any(node is ln for node in pair._jet_plan[0].nodes)
+    assert not any(node is ln for node in pair._jet_plan.plan.nodes)
     assert isinstance(pair.jets(samples), poisson.Jets)
     suite = verdict_suite(pair)
     trees = reference.verdict_trees(pair)
@@ -180,8 +193,9 @@ def test_a_finite_value_over_an_infinite_scale_reads_inf(monkeypatch):
     chart = Chart(["x"])
     pair = SymPoissonPair(SymTensorField.from_dict(chart, 2, {(0, 0): "x"}), Connection.euclidean(chart))
     samples = np.array([[0.5]])
-    one, zero = np.ones((1, 1, 1, 1)), np.zeros((1, 1, 1, 1))
-    jets = poisson.Jets(samples, (one[0], one[0]), (one, np.inf * one), (zero, zero), np.array([[False]]))
+    # leaves theta, d theta, Gamma and the constant 1
+    values, scales = np.array([[1.0, 1.0, 0.0, 1.0]]), np.array([[1.0, np.inf, 0.0, 1.0]])
+    jets = poisson.Jets(samples, pair._jet_plan, values, scales)
     for quantity in ("nabla_theta", "directional", "schouten"):
         value, scale = getattr(jets, quantity)
         assert np.isfinite(value).all() and np.isinf(scale).all(), quantity

@@ -178,12 +178,12 @@ def test_verdict_suite_builds_one_jet_plan_and_no_covariant_derivative(monkeypat
     monkeypatch.setattr(ex.Plan, "__init__", lambda plan, exprs: plans.append(plan) or plan_init(plan, exprs))
     suite = verdict_suite(pair, verdicts=verdicts)
     assert calls == []
-    assert plans == [pair._jet_plan[0]]
+    assert plans == [pair._jet_plan.plan]
     assert tuple(suite.residuals) == verdicts
     # the same samples again read the table kept on the pair; new ones take a table, not a plan
     verdict_suite(pair, verdicts=verdicts)
     verdict_suite(pair, samples=pair.chart.sample_points(5, 2), verdicts=verdicts)
-    assert plans == [pair._jet_plan[0]] and calls == []
+    assert plans == [pair._jet_plan.plan] and calls == []
     assert len(pair._jet_tables) == 2
 
 

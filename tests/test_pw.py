@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reference
 from reference import eval_scaled
 from sympoisson import cli, registry
 from sympoisson.geometry import (
@@ -465,19 +466,22 @@ def test_geodesic_residual_monitor_integrable():
     assert res.max() <= 1e-6
 
 
-def test_the_geodesic_monitor_reads_the_bracket_built_once(monkeypatch):
-    from sympoisson import poisson
-    from sympoisson.geometry import schouten
+def test_the_geodesic_monitor_builds_no_bracket(monkeypatch):
+    from sympoisson import geometry, poisson
 
-    calls = []
-    monkeypatch.setattr(poisson, "schouten", lambda *args: calls.append(args) or schouten(*args))
     pair = registry.build("nondeg_kill")
     traj = integrate_pw(pair.nabla, vertical_lift(pair.theta), CotangentState((0.0, 0.0), (0.7, 0.3)), dt=1e-3, steps=20)
-    first = monitor_geodesic_residual(pair, traj)
-    assert monitor_geodesic_residual(pair, traj).tobytes() == first.tobytes()
-    assert len(calls) == 1 and poisson.schouten_self(pair) is pair.schouten_self
-    # the cached tree is the one the trace formula builds
-    assert pair.schouten_self.comps.tolist() == schouten(pair.nabla, pair.theta, pair.theta).comps.tolist()
+    want = reference.geodesic_defect_pointwise(pair.nabla, poisson.schouten_self(pair), traj)
+
+    def refuse(*args):
+        raise AssertionError("the monitor built a tree")
+
+    for owner, name in [(geometry, "schouten"), (poisson, "schouten"), (geometry, "_trace_bracket"),
+                        (geometry, "covariant_derivative"), (poisson, "covariant_derivative")]:
+        monkeypatch.setattr(owner, name, refuse)
+    fresh = registry.build("nondeg_kill")
+    assert monitor_geodesic_residual(fresh, traj).tobytes() == want.tobytes()
+    assert monitor_geodesic_residual(fresh, traj).tobytes() == want.tobytes()
 
 
 def test_geodesic_residual_monitor_matches_bracket_defect():

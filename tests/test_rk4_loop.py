@@ -218,13 +218,13 @@ def test_blow_ups_match_the_stepwise_reference(hamiltonian, x0, p0, dt):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 8), st.integers(3, 400), st.integers(-8, 8), st.integers(0, 2**32 - 1))
 def test_geodesic_defect_norm_is_the_row_norm(n, states, exponent, seed):
-    """`_geodesic_defect` takes the norms of all rows in one stacked call;
+    """`geodesic_residual_along` takes the norms of all rows in one stacked call;
     each must equal np.linalg.norm of its row bit for bit.  Under the flat
     connection the defect is the central difference of the velocities."""
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((states, n)) * 10.0**exponent
     traj = pw.Trajectory(dt=1e-3, xs=rng.standard_normal((states, n)), ps=np.zeros((states, n)), velocities=v)
     chart = Chart([f"x{i + 1}" for i in range(n)])
-    got = pw._geodesic_defect(Connection.euclidean(chart), None, traj)
+    got = pw.geodesic_residual_along(Connection.euclidean(chart), traj)
     want = np.array([np.linalg.norm(d) for d in (v[2:] - v[:-2]) / (2.0 * traj.dt)])
     assert got.tobytes() == want.tobytes()
