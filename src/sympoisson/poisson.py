@@ -471,25 +471,18 @@ class GeodesicTerms:
         n, size = layout.n, layout.size
         theta, comp = layout.bracket_theta, layout.bracket_comp
         live = ~zero[theta] & ~leaves.nabla_zero[comp]
-        # the tree's walk meets theta^{ma}, then the leaves of N, product by product:
-        # d_m theta^{bc} (position 0), then the theta of each Gamma theta
-        units = np.stack([theta, size + comp], axis=-1)[live].ravel()
-        _, first = np.unique(units, return_index=True)
-        nleaf = np.where(np.arange(2 * n + 1) == 0, layout.nabla_left, layout.nabla_right)
-        walk = []
-        for u in units[np.sort(first)].tolist():
-            if u < size:
-                walk.append(u)
-            else:
-                walk.extend(nleaf[u - size][leaves.nabla_live[u - size]].tolist())
+        self.has_bracket = bool(live.any())
         gamma = layout.gamma.reshape(n, n * n)
         live_gamma = ~zero[gamma]
-        ids = [*gamma[live_gamma].tolist(), *(i for i in dict.fromkeys(walk) if not zero[i]), size - 1]
+        walk = _bracket_walk(leaves, theta[live], comp[live]) if self.has_bracket else []
+        ids = [*gamma[live_gamma].tolist(), *(i for i in walk if not zero[i]), size - 1]
         self.plan = ex.Plan(leaves.exprs[i] for i in ids)
         column = np.zeros(size, int)
         column[ids] = np.arange(len(ids))
         i, j = layout.pair_i, layout.pair_j
         self._quadratic = _Sums(live_gamma), column[gamma[live_gamma]], i[live_gamma], j[live_gamma]
+        if not self.has_bracket:
+            return
         # nabla theta where a product reads it
         used = np.unique(comp[live])
         self._nabla = leaves.nabla(used, column)
@@ -503,7 +496,6 @@ class GeodesicTerms:
         self._bracket = _Sums(grouped)
         present = grouped.any(axis=1)[layout.cubic]
         self._cubic = _Sums(present), layout.cubic[present], i[present], j[present]
-        self.has_bracket = bool(present.any())
 
     def quadratic(self, values: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Gamma^k_{ij} v^i v^j (states, k) from the plan's values at the states."""
@@ -515,6 +507,25 @@ class GeodesicTerms:
         bracket = self._bracket(self._groups(values, self._nabla(values, values)))
         sums, triple, i, j = self._cubic
         return sums(p[:, i] * p[:, j] * bracket[:, triple])
+
+
+def _bracket_walk(leaves: _Leaves, theta: np.ndarray, comp: np.ndarray) -> list[int]:
+    """The ids of the theta and d theta leaves in the order the trace
+    formula's tree first meets them: theta^{ma}, then the leaves of N =
+    nabla_m theta^{bc} (d_m theta^{bc}, then the theta of each Gamma theta),
+    for the live products (`theta`, `comp`) in order."""
+    layout = leaves.layout
+    size = layout.size
+    units = np.stack([theta, size + comp], axis=-1).ravel()
+    _, first = np.unique(units, return_index=True)
+    nleaf = np.where(np.arange(2 * layout.n + 1) == 0, layout.nabla_left, layout.nabla_right)
+    walk = []
+    for u in units[np.sort(first)].tolist():
+        if u < size:
+            walk.append(u)
+        else:
+            walk.extend(nleaf[u - size][leaves.nabla_live[u - size]].tolist())
+    return list(dict.fromkeys(walk))
 
 
 # ---------------------------------------------------------------------------
