@@ -369,14 +369,15 @@ class Jets:
         """max |v| / (1 + scale) of a contraction, or inf wherever a value is
         not finite, as `Plan.residual` reads.
 
-        Where a scale overflows while every leaf scale is finite, it is formed
-        again over the scales of theta and d theta times 2^-e, which brings
-        the largest below 1: the contraction is of degree d in them, so that
-        scale is 2^-de times the true one, exactly unless a term underflows.
-        Where that scale is above 2^60 the residual is |v| / scale, from the
-        mantissas and exponents of both, so no step overflows and 1 is below
-        the scale's last bit; below, |v| / (1 + scale) is formed as it is.
-        A scale that is still not finite reads inf.
+        Where a scale is not finite while every leaf scale is, it is summed
+        again over the contraction's live terms alone, so no product with a
+        structural zero's 0 makes a NaN.  Where that sum overflows, it is
+        summed once more over the scales of theta and d theta times 2^-e,
+        which brings the largest below 1: the contraction is of degree d in
+        them, so the sum is 2^-de times the scale, and the residual is
+        |v| / scale from the mantissas and exponents of both (1 is below the
+        scale's last bit).  A scale still not finite, or lost to underflow,
+        reads inf.
         """
         value, scale = getattr(self, quantity)
         if not np.isfinite(value).all():
@@ -385,20 +386,37 @@ class Jets:
             res = np.abs(value) / (1.0 + scale)
         over = ~np.isfinite(scale)
         if over.any():
-            (_, st), (_, sd), (_, sg) = self.theta, self.dtheta, self.gamma
-            if not (np.isfinite(st).all() and np.isfinite(sd).all() and np.isfinite(sg).all()):
+            if not np.isfinite(self.scales).all():
                 return math.inf
-            e = int(np.frexp(max(st.max(), sd.max()))[1])
-            again = _contraction_scales(np.ldexp(st, -e), np.ldexp(sd, -e), sg, self._plan.theta_rows)[quantity][over]
-            if not np.isfinite(again).all():
-                return math.inf
-            de = e if quantity == "nabla_theta" else 2 * e
-            (mv, ev), (ms, es) = np.frexp(np.abs(value[over])), np.frexp(again)
-            huge = (again > 0.0) & (es + de > 60)
+            n = self._plan.n
+            again = self._live_scale(quantity, self.scales)[over]
             with np.errstate(all="ignore"):
-                res[over] = np.where(huge, np.ldexp(mv / ms, ev - es - de),
-                                     np.abs(value[over]) / (1.0 + np.ldexp(np.where(huge, 0.0, again), de)))
+                res[over] = np.abs(value[over]) / (1.0 + again)
+            huge = ~np.isfinite(again)
+            if huge.any():
+                e = int(np.frexp(self.scales[:, : n * n + n**3].max())[1])
+                shifted = self.scales.copy()
+                shifted[:, : n * n + n**3] = np.ldexp(shifted[:, : n * n + n**3], -e)
+                again = self._live_scale(quantity, shifted)[over][huge]
+                if not (np.isfinite(again).all() and (again > 0.0).all()):
+                    return math.inf
+                (mv, ev), (ms, es) = np.frexp(np.abs(value[over][huge])), np.frexp(again)
+                part = res[over]
+                part[huge] = np.ldexp(mv / ms, ev - es - (e if quantity == "nabla_theta" else 2 * e))
+                res[over] = part
         return float(res.max(initial=0.0))
+
+    def _live_scale(self, quantity: str, scales: np.ndarray) -> np.ndarray:
+        """A contraction's scale summed over its live terms only, from the
+        leaf scales `scales` (samples, leaves)."""
+        plan = self._plan
+        s, n = len(self.samples), plan.n
+        with np.errstate(all="ignore"):
+            nabla = plan.nabla(scales, scales)[:, plan.leaves.layout.nabla_index.ravel()]
+            if quantity == "nabla_theta":
+                return nabla.reshape(s, n, n, n)
+            d = plan.directional(scales, nabla).reshape(s, n, n, n)
+            return d if quantity == "directional" else _cyclic(d)
 
     @cached_property
     def commutators(self) -> np.ndarray:

@@ -239,3 +239,19 @@ def test_an_overflow_under_a_finite_commutator_is_located():
     assert np.isfinite(pair.jets(samples).commutators).all()
     with pytest.raises(ex.EvalDomainError, match=r"^overflow in subterm '\(1e\+200 \* x2\)\^2'$"):
         poisson.involutivity_check(pair, samples)
+
+
+def test_a_scale_that_is_not_finite_is_summed_again_over_live_terms():
+    # Gamma^z_yy = x^400 - 1 / (1e200 y) makes nabla theta's scale overflow,
+    # and the dense sum of D's scale multiplies that by a structural zero's 0
+    # (NaN).  Summed again over live terms, and over leaf scales times 2^-e
+    # where it still overflows, the scale bounds |v|: each residual is at most 1
+    chart = Chart(["x", "y", "z"])
+    theta = SymTensorField.from_dict(chart, 2, {(1, 1): "x - sin(x)/(1e150*x)", (1, 2): "exp(-2*(x+y))"})
+    gamma = {(0, 0, 2): "cos(y)", (0, 1, 1): "z * y", (2, 1, 1): "x^400 - 1/(1e200*y)"}
+    pair = SymPoissonPair(theta, Connection.from_dict(chart, gamma))
+    samples = chart.sample_points(25, 2)
+    jets = pair.jets(samples)
+    assert np.isfinite(jets.scales).all() and np.isnan(jets.schouten[1]).any()
+    for residual in (poisson.symmetric_poisson_residual, poisson.strong_residual, poisson.parallel_residual):
+        assert 0.0 <= residual(pair, samples) <= 1.0, residual.__name__
