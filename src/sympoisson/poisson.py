@@ -121,29 +121,28 @@ class _Sums:
     `live` (components, positions) marks the terms each component has;
     term t is the t-th True of `live` in row order, so a component's terms
     are consecutive.  A component adds its terms one at a time, ((t0 + t1)
-    + t2) + ..., so its value is the tree's bit for bit; one with no term is
-    0.0.  Components run by term count, most first, so each position adds
-    one gathered block to a prefix of them.
+    + t2) + ..., so its value is the tree's bit for bit up to the sign of a
+    zero: a component with fewer terms than the longest adds 0.0 (the last
+    column of the terms) for each one it lacks, and one with no term is 0.0.
     """
 
     def __init__(self, live: np.ndarray):
         counts = live.sum(axis=1)
-        self.order = np.argsort(-counts, kind="stable")
-        ranked = counts[self.order]
-        # ids[l, :sizes[l]]: the l-th term of each component with more than l terms
-        positions = np.arange(ranked.max(initial=0))
-        self.sizes = (ranked[:, None] > positions).sum(axis=0).tolist()
-        self.ids = (np.cumsum(counts) - counts)[self.order] + positions[:, None]
+        ends = np.cumsum(counts)
+        position = np.arange(counts.max(initial=0))[:, None]
+        # ids[l]: the l-th term of every component, or the zero column
+        self.ids = ends - counts + position
+        self.ids[position >= counts] = ends[-1] if len(ends) else 0
         self.size = len(counts)
 
     def __call__(self, terms: np.ndarray) -> np.ndarray:
-        """(samples, components) from the terms' values (samples, terms)."""
-        out = np.zeros((len(terms), self.size))
-        if self.sizes:
-            acc = terms[:, self.ids[0, : self.sizes[0]]]
-            for ids, size in zip(self.ids[1:], self.sizes[1:]):
-                acc[:, :size] += terms[:, ids[:size]]
-            out[:, self.order[: self.sizes[0]]] = acc
+        """(samples, components) from the terms' values (samples, terms + 1),
+        whose last column is 0."""
+        if not len(self.ids):
+            return np.zeros((len(terms), self.size))
+        out = terms[:, self.ids[0]]
+        for ids in self.ids[1:]:
+            out += terms[:, ids]
         return out
 
 
@@ -158,10 +157,22 @@ class _Terms:
         self.negated = None if negated is None else np.flatnonzero(negated[live])
 
     def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        terms = a[:, self.left] * b[:, self.right]
+        terms = _product(a[:, self.left], b[:, self.right])
         if self.negated is not None:
             terms[:, self.negated] = -terms[:, self.negated]
         return self.sums(terms)
+
+
+def _product(first: np.ndarray, *rest: np.ndarray) -> np.ndarray:
+    """((first * rest[0]) * rest[1]) ... elementwise, (samples, terms), with a
+    column of 0 appended, as `_Sums` reads terms."""
+    out = np.empty((len(first), first.shape[1] + 1))
+    out[:, -1] = 0.0
+    body = out[:, :-1]
+    body[...] = first
+    for factor in rest:
+        np.multiply(body, factor, out=body)
+    return out
 
 
 class _Layout:
@@ -204,7 +215,7 @@ class _Layout:
         a, b = a[p], b[p]
         self.commutator_left = np.stack([theta[a, m], theta[b, m]], axis=-1).reshape(-1, 2 * n)
         self.commutator_right = np.stack([dtheta[m, b, k], dtheta[m, a, k]], axis=-1).reshape(-1, 2 * n)
-        self.commutator_negated = np.arange(2 * n) % 2 == 1
+        self.commutator_negated = np.broadcast_to(np.arange(2 * n) % 2 == 1, self.commutator_left.shape)
         self.triples = np.array(list(itertools.combinations_with_replacement(range(n), 3)), int).reshape(-1, 3)
         m, t = np.arange(n)[None, :, None], self.triples[:, None]
         self.bracket_theta = np.broadcast_to(theta[m, t], (len(t), n, 3))
@@ -242,25 +253,26 @@ class _Leaves:
         self.zero = zero = const == 0.0
         left, right = layout.nabla_left, layout.nabla_right
         self.nabla_live = live = ~zero[left] & ~zero[right]
-        self.nabla_zero = empty = ~live.any(axis=1)
-        constant = ~np.isnan(const[left]) & ~np.isnan(const[right])
-        for c in np.flatnonzero(~empty & (constant | ~live).all(axis=1)).tolist():
-            total, *rest = (const[left[c]] * const[right[c]])[live[c]].tolist()
-            for term in rest:
-                total += term
-            empty[c] = total == 0.0
+        # the sum of the constant terms in order, NaN where a term is not constant
+        with np.errstate(all="ignore"):
+            products = np.where(live, const[left] * const[right], 0.0)
+            total = products[:, 0].copy()
+            for column in products.T[1:]:
+                total += column
+        self.nabla_zero = total == 0.0
 
     @property
     def theta_zero(self) -> np.ndarray:
         n = self.layout.n
         return self.zero[: n * n].reshape(n, n)
 
-    def nabla(self, components, column: np.ndarray) -> _Terms:
+    def nabla(self, components, column: np.ndarray | None = None) -> _Terms:
         """The terms of the given nabla theta components, their factors read
-        from the table columns `column[leaf id]`."""
-        layout = self.layout
-        return _Terms(self.nabla_live[components], column[layout.nabla_left[components]],
-                      column[layout.nabla_right[components]])
+        from the table columns `column[leaf id]` (default: the leaf ids)."""
+        left, right = self.layout.nabla_left[components], self.layout.nabla_right[components]
+        if column is not None:
+            left, right = column[left], column[right]
+        return _Terms(self.nabla_live[components], left, right)
 
 
 class _JetPlan:
@@ -287,7 +299,7 @@ class _JetPlan:
 
     @cached_property
     def nabla(self) -> _Terms:
-        return self.leaves.nabla(slice(None), np.arange(self.leaves.layout.size))
+        return self.leaves.nabla(slice(None))
 
     @cached_property
     def directional(self) -> _Terms:
@@ -301,7 +313,7 @@ class _JetPlan:
         layout, zero = self.leaves.layout, self.leaves.zero
         left, right = layout.commutator_left, layout.commutator_right
         live = ~zero[left] & ~zero[right]
-        return _Terms(live, left, right, np.broadcast_to(layout.commutator_negated, live.shape))
+        return _Terms(live, left, right, layout.commutator_negated)
 
 
 class Jets:
@@ -382,29 +394,29 @@ class Jets:
         value, scale = getattr(self, quantity)
         if not np.isfinite(value).all():
             return math.inf
-        with np.errstate(all="ignore"):
-            res = np.abs(value) / (1.0 + scale)
         over = ~np.isfinite(scale)
-        if over.any():
-            if not np.isfinite(self.scales).all():
-                return math.inf
+        if not over.any():
+            return float((np.abs(value) / (1.0 + scale)).max(initial=0.0))
+        if not np.isfinite(self.scales).all():
+            return math.inf
+        res = np.abs(value)
+        res[~over] /= 1.0 + scale[~over]
+        again = self._live_scale(quantity, self.scales)[over]
+        huge = ~np.isfinite(again)
+        res[over] /= 1.0 + np.where(huge, 0.0, again)
+        if huge.any():
             n = self._plan.n
-            again = self._live_scale(quantity, self.scales)[over]
-            with np.errstate(all="ignore"):
-                res[over] = np.abs(value[over]) / (1.0 + again)
-            huge = ~np.isfinite(again)
-            if huge.any():
-                e = int(np.frexp(self.scales[:, : n * n + n**3].max())[1])
-                shifted = self.scales.copy()
-                shifted[:, : n * n + n**3] = np.ldexp(shifted[:, : n * n + n**3], -e)
-                again = self._live_scale(quantity, shifted)[over][huge]
-                if not (np.isfinite(again).all() and (again > 0.0).all()):
-                    return math.inf
-                (mv, ev), (ms, es) = np.frexp(np.abs(value[over][huge])), np.frexp(again)
-                part = res[over]
-                part[huge] = np.ldexp(mv / ms, ev - es - (e if quantity == "nabla_theta" else 2 * e))
-                res[over] = part
-        return float(res.max(initial=0.0))
+            e = int(np.frexp(self.scales[:, : n * n + n**3].max())[1])
+            shifted = self.scales.copy()
+            shifted[:, : n * n + n**3] = np.ldexp(shifted[:, : n * n + n**3], -e)
+            lower = self._live_scale(quantity, shifted)[over][huge]
+            if not (np.isfinite(lower).all() and (lower > 0.0).all()):
+                return math.inf
+            (mv, ev), (ms, es) = np.frexp(res[over][huge]), np.frexp(lower)
+            part = res[over]
+            part[huge] = np.ldexp(mv / ms, ev - es - (e if quantity == "nabla_theta" else 2 * e))
+            res[over] = part
+        return float(res.max())
 
     def _live_scale(self, quantity: str, scales: np.ndarray) -> np.ndarray:
         """A contraction's scale summed over its live terms only, from the
@@ -518,13 +530,13 @@ class GeodesicTerms:
     def quadratic(self, values: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Gamma^k_{ij} v^i v^j (states, k) from the plan's values at the states."""
         sums, gamma, i, j = self._quadratic
-        return sums(values[:, gamma] * v[:, i] * v[:, j])
+        return sums(_product(values[:, gamma], v[:, i], v[:, j]))
 
     def cubic(self, values: np.ndarray, p: np.ndarray) -> np.ndarray:
         """p_i p_j [theta, theta]^{ijk} (states, k) from the plan's values at the states."""
-        bracket = self._bracket(self._groups(values, self._nabla(values, values)))
+        bracket = self._bracket(_product(self._groups(values, self._nabla(values, values))))
         sums, triple, i, j = self._cubic
-        return sums(p[:, i] * p[:, j] * bracket[:, triple])
+        return sums(_product(p[:, i], p[:, j], bracket[:, triple]))
 
 
 def _bracket_walk(leaves: _Leaves, theta: np.ndarray, comp: np.ndarray) -> list[int]:
