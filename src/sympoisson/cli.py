@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import functools
+import itertools
 import math
 import re
 import sys
@@ -30,7 +31,7 @@ import numpy as np
 from . import jj, registry
 from .defaults import N_SAMPLES, SEED, TOL
 from .expr import EvalDomainError, ExprError, ParseError, is_structural_zero, number_text
-from .geometry import GeometryError, _orbits, lie_bracket
+from .geometry import GeometryError, _orbits
 from .poisson import (
     Involutivity,
     SymPoissonPair,
@@ -349,18 +350,16 @@ def jj_suite(entry: jj.CatalogEntry, tol: float, samples_n: int, seed: int) -> l
 
 def _dim5_commutator_line(suite: str, pair: SymPoissonPair, samples) -> CheckLine:
     """The only surviving commutator of the module generators is [X1, X3],
-    an exact constant multiple of x3 d1 (hence inside the module)."""
-    gens = jj.characteristic_generators(pair)
-    x1, x3 = gens[0], gens[3]
-    v = lie_bracket(x1, x3).evaluate_on(samples)
+    an exact constant multiple of x3 d1 (hence inside the module).  The
+    commutators are the ones the suite's involutive verdict contracted."""
+    table = pair.jets(samples).commutators
+    column = {ij: c for c, ij in enumerate(itertools.combinations(range(pair.chart.n), 2))}
+    v = table[:, column[0, 3]]
     expected = np.zeros_like(v)
     expected[:, 0] = -1.5 * np.asarray(samples, dtype=float)[:, 2]
     worst = float(np.abs(v - expected).max())
-    ok = bool(np.allclose(v, expected, atol=1e-12))
-    others = [(0, 1), (0, 4), (1, 3), (1, 4), (3, 4)]
-    for i, j in others:
-        if not lie_bracket(gens[i], gens[j]).is_zero_on(samples):
-            ok = False
+    others = [column[ij] for ij in [(0, 1), (0, 4), (1, 3), (1, 4), (3, 4)]]
+    ok = bool(np.allclose(v, expected, atol=1e-12)) and not table[:, others].any()
     return CheckLine(suite, "module_commutator", "[X1,X3] = -3/2 x3 d1", "same" if ok else "different", worst, ok)
 
 

@@ -217,7 +217,8 @@ def su2_flow_matrix(a: float, b: float, c: float) -> np.ndarray:
 
 
 def su2_flow(a: float, b: float, c: float, q0, t: float, dt: float = 1e-3) -> np.ndarray:
-    """RK4 solution of qdot = M(a,b,c) q from a unit 4-vector q0.
+    """RK4 solution of qdot = M(a,b,c) q from a unit 4-vector q0, as one
+    `expr.compile_rk4` run.
 
     The generator is skew, so the Euclidean norm is preserved; a norm check
     guards against misuse anyway.
@@ -225,18 +226,14 @@ def su2_flow(a: float, b: float, c: float, q0, t: float, dt: float = 1e-3) -> np
     q = np.array(q0, dtype=float)
     if abs(np.linalg.norm(q) - 1.0) > 1e-12:
         raise LieAlgebraError("q0 must be a unit 4-vector")
-    m = su2_flow_matrix(a, b, c)
+    rhs = [ex.expr_sum([ex.mul(ex.const(m), ex.var(j)) for j, m in enumerate(row)])
+           for row in su2_flow_matrix(a, b, c).tolist()]
     steps = max(1, int(round(abs(t) / dt)))
-    h = t / steps
-    for _ in range(steps):
-        k1 = m @ q
-        k2 = m @ (q + 0.5 * h * k1)
-        k3 = m @ (q + 0.5 * h * k2)
-        k4 = m @ (q + h * k3)
-        q = q + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.isfinite(q).all():  # unreachable for a skew generator
-            raise LieAlgebraError("flow left the finite range")
-    return q
+    rows: list[tuple[float, ...]] = []
+    ex.compile_rk4(rhs, [])(q.tolist(), t / steps, steps, rows)
+    if len(rows) <= steps:  # unreachable for a skew generator
+        raise LieAlgebraError("flow left the finite range")
+    return np.array(rows[-1])
 
 
 def su2_flow_closed_form_i(q0, t: float) -> np.ndarray:

@@ -17,9 +17,9 @@ commutators of the module generators.  Each contraction sums only the
 terms a symbolic tree has, its structurally live terms, in the tree's
 order, so its values equal the tree's; a product with a structural zero is
 never formed.  A residual is max |v| / (1 + scale), where the scale is the
-same contraction taken over the leaves' scales (a running error bound of a
-sum of products); where that sum overflows over finite leaf scales it is
-formed again over leaf scales times a power of two.  The jet table is the
+same live-term sums taken over the leaves' scales (a running error bound
+of a sum of products); where that sum overflows over finite leaf scales it
+is formed again over leaf scales times a power of two.  The jet table is the
 one sampled route.  A leaf that fails raises the table's located
 EvalDomainError, a residual whose value or scale is not finite otherwise
 reads inf, and a commutator that is not finite raises.  The geodesic
@@ -295,7 +295,6 @@ class _JetPlan:
         slot = {key: c for c, key in enumerate(distinct)}
         self.plan = ex.Plan(distinct.values())
         self.columns = np.array([slot[id(e)] for e in exprs])
-        self.theta_rows = np.flatnonzero(~dead)
 
     @cached_property
     def nabla(self) -> _Terms:
@@ -326,9 +325,8 @@ class Jets:
     scale) views of them.  A scale is the largest |subterm| of its leaf
     there.  Each contraction sums only its live terms (`_JetPlan`), one at
     a time in the order the symbolic builder sums them, so its values equal
-    the tree's, up to the sign of a zero.  Its scale is the sum of the
-    terms' scale products, taken over the dense leaf scales, where a
-    structural zero's scale is 0.
+    the tree's, up to the sign of a zero.  Its scale is the same live-term
+    sum taken over the leaf scales.
     """
 
     def __init__(self, samples: np.ndarray, plan: _JetPlan, values: np.ndarray, scales: np.ndarray):
@@ -347,51 +345,52 @@ class Jets:
         values, scales = (table[:, plan.columns] for table in plan.plan.table(samples))
         return cls(samples, plan, values, scales)
 
-    @cached_property
-    def _nabla(self) -> np.ndarray:
-        """nabla theta (samples, m, i, j); the tree of (i, j) with i <= j is stored at (j, i) too."""
+    def _contract(self, table: np.ndarray) -> dict[str, np.ndarray]:
+        """nabla theta (samples, m, i, j), D^{ijk} = theta^{im} nabla_m theta^{jk}
+        and the cyclic [theta, theta] (samples, i, j, k) from a (samples,
+        leaves) table of leaf values or scales; the tree of nabla_m theta^{ij}
+        with i <= j is stored at (m, j, i) too."""
+        plan = self._plan
+        s, n = len(self.samples), plan.n
         with np.errstate(all="ignore"):
-            v = self._plan.nabla(self.values, self.values)
-        return v[:, self._plan.leaves.layout.nabla_index.ravel()].reshape(self.dtheta[0].shape)
+            nabla = plan.nabla(table, table)[:, plan.leaves.layout.nabla_index.ravel()]
+            d = plan.directional(table, nabla).reshape(s, n, n, n)
+            return {"nabla_theta": nabla.reshape(s, n, n, n), "directional": d, "schouten": _cyclic(d)}
 
     @cached_property
+    def _contracted(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """{quantity: (value, scale)}, each scale the same live-term sums as
+        its value, over the leaf scales."""
+        values, scales = self._contract(self.values), self._contract(self.scales)
+        return {quantity: (values[quantity], scales[quantity]) for quantity in values}
+
+    @property
     def nabla_theta(self) -> tuple[np.ndarray, np.ndarray]:
         """nabla_m theta^{ij} = d_m theta^{ij} + Gamma^i_{mk} theta^{kj} + Gamma^j_{mk} theta^{ik}: (samples, m, i, j)."""
-        return self._nabla, self._scale["nabla_theta"]
+        return self._contracted["nabla_theta"]
 
-    @cached_property
+    @property
     def directional(self) -> tuple[np.ndarray, np.ndarray]:
         """D^{ijk} = theta^{im} nabla_m theta^{jk}: (samples, i, j, k)."""
-        s, n = len(self.samples), self._plan.n
-        with np.errstate(all="ignore"):
-            v = self._plan.directional(self.values, self._nabla.reshape(s, n**3)).reshape(s, n, n, n)
-        return v, self._scale["directional"]
+        return self._contracted["directional"]
 
-    @cached_property
+    @property
     def schouten(self) -> tuple[np.ndarray, np.ndarray]:
         """[theta, theta]^{ijk} = 2 (D^{ijk} + D^{jki} + D^{kij}): (samples, i, j, k)."""
-        with np.errstate(all="ignore"):
-            return _cyclic(self.directional[0]), self._scale["schouten"]
-
-    @cached_property
-    def _scale(self) -> dict[str, np.ndarray]:
-        return _contraction_scales(self.theta[1], self.dtheta[1], self.gamma[1], self._plan.theta_rows)
+        return self._contracted["schouten"]
 
     def residual(self, quantity: str) -> float:
         """max |v| / (1 + scale) of a contraction, or inf wherever a value is
         not finite, as `Plan.residual` reads.
 
-        Where a scale is not finite while every leaf scale is, it is summed
-        again over the contraction's live terms alone, so no product with a
-        structural zero's 0 makes a NaN.  Where that sum overflows, it is
-        summed once more over the scales of theta and d theta times 2^-e,
-        which brings the largest below 1: the contraction is of degree d in
-        them, so the sum is 2^-de times the scale, and the residual is
-        |v| / scale from the mantissas and exponents of both (1 is below the
-        scale's last bit).  A scale still not finite, or lost to underflow,
-        reads inf.
+        Where a scale overflows while every leaf scale is finite, it is
+        summed again over the scales of theta and d theta times 2^-e, which
+        brings the largest below 1: the contraction is of degree d in them,
+        so the sum is 2^-de times the scale, and the residual is |v| / scale
+        from the mantissas and exponents of both (1 is below the scale's last
+        bit).  A scale still not finite, or lost to underflow, reads inf.
         """
-        value, scale = getattr(self, quantity)
+        value, scale = self._contracted[quantity]
         if not np.isfinite(value).all():
             return math.inf
         over = ~np.isfinite(scale)
@@ -401,34 +400,16 @@ class Jets:
             return math.inf
         res = np.abs(value)
         res[~over] /= 1.0 + scale[~over]
-        again = self._live_scale(quantity, self.scales)[over]
-        huge = ~np.isfinite(again)
-        res[over] /= 1.0 + np.where(huge, 0.0, again)
-        if huge.any():
-            n = self._plan.n
-            e = int(np.frexp(self.scales[:, : n * n + n**3].max())[1])
-            shifted = self.scales.copy()
-            shifted[:, : n * n + n**3] = np.ldexp(shifted[:, : n * n + n**3], -e)
-            lower = self._live_scale(quantity, shifted)[over][huge]
-            if not (np.isfinite(lower).all() and (lower > 0.0).all()):
-                return math.inf
-            (mv, ev), (ms, es) = np.frexp(res[over][huge]), np.frexp(lower)
-            part = res[over]
-            part[huge] = np.ldexp(mv / ms, ev - es - (e if quantity == "nabla_theta" else 2 * e))
-            res[over] = part
+        n = self._plan.n
+        e = int(np.frexp(self.scales[:, : n * n + n**3].max())[1])
+        shifted = self.scales.copy()
+        shifted[:, : n * n + n**3] = np.ldexp(shifted[:, : n * n + n**3], -e)
+        lower = self._contract(shifted)[quantity][over]
+        if not (np.isfinite(lower).all() and (lower > 0.0).all()):
+            return math.inf
+        (mv, ev), (ms, es) = np.frexp(res[over]), np.frexp(lower)
+        res[over] = np.ldexp(mv / ms, ev - es - (e if quantity == "nabla_theta" else 2 * e))
         return float(res.max())
-
-    def _live_scale(self, quantity: str, scales: np.ndarray) -> np.ndarray:
-        """A contraction's scale summed over its live terms only, from the
-        leaf scales `scales` (samples, leaves)."""
-        plan = self._plan
-        s, n = len(self.samples), plan.n
-        with np.errstate(all="ignore"):
-            nabla = plan.nabla(scales, scales)[:, plan.leaves.layout.nabla_index.ravel()]
-            if quantity == "nabla_theta":
-                return nabla.reshape(s, n, n, n)
-            d = plan.directional(scales, nabla).reshape(s, n, n, n)
-            return d if quantity == "directional" else _cyclic(d)
 
     @cached_property
     def commutators(self) -> np.ndarray:
@@ -443,22 +424,6 @@ class Jets:
         term reads are finite."""
         read = self._plan.commutators.right
         return bool(np.isfinite(self.scales[:, read]).all() and np.isfinite(self.theta[1]).all())
-
-
-def _contraction_scales(st, sd, sg, rows: np.ndarray) -> dict[str, np.ndarray]:
-    """The scales of nabla theta, D and [theta, theta] from the leaf scales of
-    theta `st`, d theta `sd` and Gamma `sg`: each term's scale product, summed
-    by `np.matmul` over the dense scales, where a structural zero's is 0.
-    theta's `rows` that are not all structural zeros are the only ones D
-    sums, so a scale that is not finite in another row adds nothing.  nabla
-    theta is of degree 1 in (theta, d theta), the others of degree 2: scaling
-    both by 2^-e scales them by 2^-e and 2^-2e, exactly unless they underflow."""
-    s, n = st.shape[:2]
-    with np.errstate(all="ignore"):
-        first = np.matmul(sg.transpose(0, 2, 1, 3).reshape(s, n * n, n), st).reshape(s, n, n, n)
-        nabla = sd + first + np.swapaxes(first, 2, 3)
-        d = np.matmul(st[:, :, rows], nabla[:, rows].reshape(s, len(rows), n * n)).reshape(s, n, n, n)
-        return {"nabla_theta": nabla, "directional": d, "schouten": _cyclic(d)}
 
 
 def _cyclic(d: np.ndarray) -> np.ndarray:

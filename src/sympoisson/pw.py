@@ -324,22 +324,6 @@ def integrate_geodesic(
     return _integrate(velocity + acc, velocity, y0, dt, steps, conn.chart, [], "v")
 
 
-def _values_at(exprs: list[ex.Expr], points: np.ndarray) -> np.ndarray:
-    """The values of `exprs` at each row of `points`, one column per expression.
-
-    The expressions that are not structural zeros are read by one
-    `Plan.rows`, each distinct node once, so each row equals `Plan.values`
-    there bit for bit and the first row that fails raises its error; a
-    structural zero's column holds its own constant, so a -0.0 stays -0.0.
-    """
-    zero = [ex.is_structural_zero(e) for e in exprs]
-    live = [c for c, z in enumerate(zero) if not z]
-    out = np.empty((len(points), len(exprs)))
-    out[:] = [e.value if z else math.nan for e, z in zip(exprs, zero)]
-    out[:, live] = ex.Plan(exprs[c] for c in live).rows(points)
-    return out
-
-
 def _geodesic_defect(terms: GeodesicTerms, traj: Trajectory) -> np.ndarray:
     """| nabla_{xdot} xdot - (1/4) i_a i_a [theta, theta] | at each interior stored state.
 
@@ -388,7 +372,7 @@ def speed_square_field(pair: SymPoissonPair) -> PhaseField:
 
 def monitor_speed_square(pair: SymPoissonPair, traj: Trajectory) -> np.ndarray:
     """Per-step values of theta(a, a) along a cotangent trajectory."""
-    return _values_at([speed_square_field(pair).f.expr], np.hstack([traj.xs, traj.ps]))[:, 0]
+    return ex.Plan([speed_square_field(pair).f.expr]).rows(np.hstack([traj.xs, traj.ps]))[:, 0]
 
 
 def monitor_geodesic_residual(pair: SymPoissonPair, traj: Trajectory) -> np.ndarray:

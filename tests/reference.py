@@ -645,22 +645,22 @@ def _fold(terms):
 
 def dense_jet_contractions(jets):
     """{quantity: (value, scale)} of `poisson.Jets` by dense products over
-    every index, each sum folded in the trees' order: nabla theta (samples,
-    m, i, j), D (samples, i, j, k), the cyclic [theta, theta] and the
-    commutators (samples, pairs, k; no scale).  Terms with a structural zero
-    are formed too, so the leaves must be finite."""
+    every index, each sum folded in the trees' order, over the leaf values
+    and over the leaf scales alike: nabla theta (samples, m, i, j), D
+    (samples, i, j, k), the cyclic [theta, theta] and the commutators
+    (samples, pairs, k; no scale).  Terms with a structural zero are formed
+    too, so the leaves and their scales must be finite."""
     (t, st), (d, sd), (g, sg) = jets.theta, jets.dtheta, jets.gamma
-    s, n = t.shape[:2]
-    gk = g.transpose(3, 0, 2, 1)  # [k, s, m, i] = Gamma^i_{mk}
-    first = gk[..., None] * t.transpose(1, 0, 2)[:, :, None, None, :]
-    second = gk[:, :, :, None, :] * t.transpose(2, 0, 1)[:, :, None, :, None]
-    nabla = _fold(np.concatenate([d[None], first, second]))
+    n = t.shape[1]
     i, j = np.triu_indices(n, 1)
-    nabla[:, :, j, i] = nabla[:, :, i, j]
-    f = np.matmul(sg.transpose(0, 2, 1, 3).reshape(s, n * n, n), st).reshape(s, n, n, n)
-    nabla_scale = sd + f + np.swapaxes(f, 2, 3)
-    directional = _fold(t.transpose(2, 0, 1)[..., None, None] * nabla.transpose(1, 0, 2, 3)[:, :, None])
-    directional_scale = np.matmul(st, nabla_scale.reshape(s, n, n * n)).reshape(s, n, n, n)
+
+    def contract(t, d, g):
+        gk = g.transpose(3, 0, 2, 1)  # [k, s, m, i] = Gamma^i_{mk}
+        first = gk[..., None] * t.transpose(1, 0, 2)[:, :, None, None, :]
+        second = gk[:, :, :, None, :] * t.transpose(2, 0, 1)[:, :, None, :, None]
+        nabla = _fold(np.concatenate([d[None], first, second]))
+        nabla[:, :, j, i] = nabla[:, :, i, j]
+        return nabla, _fold(t.transpose(2, 0, 1)[..., None, None] * nabla.transpose(1, 0, 2, 3)[:, :, None])
 
     def cyclic(a):
         return 2.0 * (a + a.transpose(0, 3, 1, 2) + a.transpose(0, 2, 3, 1))
@@ -668,7 +668,8 @@ def dense_jet_contractions(jets):
     def terms(x, y):
         return t[:, x].transpose(2, 0, 1)[..., None] * d[:, :, y].transpose(1, 0, 2, 3)
 
-    commutators = _fold(np.stack([terms(i, j), -terms(j, i)], axis=1).reshape((2 * n, s, len(i), n)))
+    (nabla, directional), (nabla_scale, directional_scale) = contract(t, d, g), contract(st, sd, sg)
+    commutators = _fold(np.stack([terms(i, j), -terms(j, i)], axis=1).reshape((2 * n, len(t), len(i), n)))
     return {
         "nabla_theta": (nabla, nabla_scale),
         "directional": (directional, directional_scale),

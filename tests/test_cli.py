@@ -567,19 +567,20 @@ def test_catalog_domain_error_exits_3(monkeypatch, argv):
 
 
 def test_dim5_commutator_line_uses_the_suite_samples(monkeypatch):
-    from sympoisson.geometry import SymTensorField
     from sympoisson.jj import catalog_entry, to_linear_structure
+    from sympoisson.poisson import Jets
 
     seen = []
-    original = SymTensorField.evaluate_on
+    original = Jets.commutators.func
 
-    def recording(self, samples):
-        seen.extend(tuple(p) for p in samples)
-        return original(self, samples)
+    def recording(self):
+        seen.extend(tuple(p) for p in self.samples)
+        return original(self)
 
-    monkeypatch.setattr(SymTensorField, "evaluate_on", recording)
+    monkeypatch.setattr(Jets, "commutators", property(recording))
     lines = cli.run_catalog_id("jj:dim5_nonassoc", 1e-9, 3, 9)
     assert all(line.ok for line in lines)
+    assert lines[-1].name == "module_commutator"
     chart = to_linear_structure(catalog_entry("dim5_nonassoc").algebra).chart
     suite_points = {tuple(p) for p in chart.sample_points(3, 9)}
     assert seen and set(seen) == suite_points
@@ -730,11 +731,12 @@ def test_report_unwritable_out_exits_1(tmp_path):
 
 
 # sha256 of the catalog's output, recorded when the sampled verdicts began to
-# contract the jet table; the residual column and every line's order are
-# pinned with the verdicts
+# contract the jet table (seed 7 again when each verdict scale became its
+# value's live-term sum over the leaf scales); the residual column and every
+# line's order are pinned with the verdicts
 CATALOG_DIGESTS = [
     (("report", "--format", "csv"), "a01df8b786ec8d1747b404c4286a91422c3c36e6d658a5c9f93934ce2324885b"),
-    (("report", "--format", "csv", "--seed", "7"), "5ca16f8c26358bc98f50ca3768cb522c265592cad2fb98ef92951cb3e4f70822"),
+    (("report", "--format", "csv", "--seed", "7"), "2f1bed893db3c4718f886b2f2955d06e9a141c3a22bbf42971d50274a283e058"),
     (("catalog", "--all"), "0db0b76fae7895199b226197220229f48694eb39a51c1db96c29fa6577a54213"),
 ]
 
@@ -750,8 +752,9 @@ def test_catalog_output_bytes_are_pinned(argv, digest):
 
 # sha256 of the stdout of `report --format csv --seed S` for S = 1..40,
 # concatenated in seed order: every verdict and residual bit at 40 seeds,
-# recorded when the sampled verdicts began to contract the jet table
-REPORT_SEEDS_DIGEST = "e96ba036fd8d541a7a537feed3daf7486cd1f12dd9e2102fd8205afdf22e8f3c"
+# recorded when each verdict scale became its value's live-term sum over the
+# leaf scales
+REPORT_SEEDS_DIGEST = "b48ccc06ffd3c98e80c500856e8d93bed5098a2c5fffc58bcb2431f070550e5e"
 
 
 def test_report_csv_at_forty_seeds_is_pinned():

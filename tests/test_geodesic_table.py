@@ -180,7 +180,7 @@ def test_infinities_no_state_raises_on_are_the_values():
 
 def test_structural_zeros_keep_their_sign():
     zeros = [ex.const(-0.0), ex.ZERO, ex.var(0), ex.const(-0.0)]
-    table = pw._values_at(zeros, np.array([[1.5], [2.5]]))
+    table = ex.Plan(zeros).rows(np.array([[1.5], [2.5]]))
     assert table.tobytes() == np.array([[-0.0, 0.0, 1.5, -0.0], [-0.0, 0.0, 2.5, -0.0]]).tobytes()
 
 

@@ -241,17 +241,36 @@ def test_an_overflow_under_a_finite_commutator_is_located():
         poisson.involutivity_check(pair, samples)
 
 
-def test_a_scale_that_is_not_finite_is_summed_again_over_live_terms():
+def test_a_scale_that_overflows_over_finite_leaf_scales_is_rescaled():
     # Gamma^z_yy = x^400 - 1 / (1e200 y) makes nabla theta's scale overflow,
-    # and the dense sum of D's scale multiplies that by a structural zero's 0
-    # (NaN).  Summed again over live terms, and over leaf scales times 2^-e
-    # where it still overflows, the scale bounds |v|: each residual is at most 1
+    # and D's and [theta, theta]'s with it, while every leaf scale is finite.
+    # Summed again over leaf scales times 2^-e, each scale bounds |v|, and
+    # each residual is the one the dense-then-live route read
     chart = Chart(["x", "y", "z"])
     theta = SymTensorField.from_dict(chart, 2, {(1, 1): "x - sin(x)/(1e150*x)", (1, 2): "exp(-2*(x+y))"})
     gamma = {(0, 0, 2): "cos(y)", (0, 1, 1): "z * y", (2, 1, 1): "x^400 - 1/(1e200*y)"}
     pair = SymPoissonPair(theta, Connection.from_dict(chart, gamma))
     samples = chart.sample_points(25, 2)
     jets = pair.jets(samples)
-    assert np.isfinite(jets.scales).all() and np.isnan(jets.schouten[1]).any()
-    for residual in (poisson.symmetric_poisson_residual, poisson.strong_residual, poisson.parallel_residual):
-        assert 0.0 <= residual(pair, samples) <= 1.0, residual.__name__
+    assert np.isfinite(jets.scales).all()
+    for quantity in ("nabla_theta", "directional", "schouten"):
+        scale = getattr(jets, quantity)[1]
+        assert np.isinf(scale).any() and not np.isnan(scale).any(), quantity
+    assert [residual(pair, samples) for residual in (
+        poisson.symmetric_poisson_residual, poisson.strong_residual, poisson.parallel_residual)] == [
+        0.7381151814050632, 0.6653227650829363, 0.9846772121952726]
+
+
+def test_a_scale_sums_no_term_of_a_component_its_tree_folds_to_zero():
+    # nabla_z theta^{xz} = Gamma^x_{zx} theta^{xz} + Gamma^z_{zz} theta^{xz} =
+    # 1 * 1 + (-1) * 1 has constant terms only, which sum to 0: its tree is a
+    # structural zero, so D^{xxz} = theta^{xz} nabla_z theta^{xz} forms no
+    # term, and its scale is 0 (a dense sum over every index read 2 there)
+    chart = Chart(["x", "y", "z"])
+    theta = SymTensorField.from_dict(chart, 2, {(0, 2): "1", (2, 2): "2"})
+    gamma = {(0, 0, 0): "-1", (0, 0, 2): "1", (1, 0, 1): "-1", (2, 0, 1): "2", (2, 0, 2): "1", (2, 2, 2): "-1"}
+    pair = SymPoissonPair(theta, Connection.from_dict(chart, gamma))
+    samples = chart.sample_points()
+    assert pair.jets(samples).directional[1][:, 0, 0, 2].tolist() == [0.0] * len(samples)
+    assert [residual(pair, samples) for residual in (
+        poisson.symmetric_poisson_residual, poisson.strong_residual, poisson.parallel_residual)] == [0.8, 2 / 3, 0.8]

@@ -2,9 +2,8 @@
 
 `rows` returns what a `Plan.values` loop over the points returns, and
 raises what that loop raises first: the error of the first failing row.
-`Plan.table` raises the same error, and `_SymField.evaluate_on` and
-`pw._values_at` read their values through `rows`, so each raises at the
-same row; so does `poisson.involutivity_check`, which reads the jet table
+`Plan.table` raises the same error, and `_SymField.evaluate_on` reads its
+values through `rows`, so it raises at the same row; so does `poisson.involutivity_check`, which reads the jet table
 of theta and its derivatives.  Points of the wrong length are refused
 before any evaluation.
 """
@@ -15,7 +14,7 @@ import numpy as np
 import pytest
 
 from sympoisson import expr as ex
-from sympoisson import poisson, pw
+from sympoisson import poisson
 from sympoisson.geometry import Chart, Connection, GeometryError, SymTensorField
 
 XY = Chart(["x", "y"])
@@ -51,8 +50,7 @@ def test_the_first_failing_row_raises(components, samples, message):
         _loop(plan, samples)
     assert str(loop_err.value) == message
     for read in (plan.table, plan.residual, field.residual_on, plan.rows, field.evaluate_on,
-                 lambda s: poisson.involutivity_check(_pair(*components), s),
-                 lambda s: pw._values_at(list(field.comps), np.array(s))):
+                 lambda s: poisson.involutivity_check(_pair(*components), s)):
         with pytest.raises(ex.EvalDomainError) as err:
             read(samples)
         assert str(err.value) == message and err.value.node is loop_err.value.node
@@ -75,7 +73,6 @@ def test_an_infinity_no_row_raises_on_is_returned():
     assert _loop(field.plan(), samples).tolist() == want
     assert field.plan().rows(samples).tolist() == want
     assert field.evaluate_on(samples).tolist() == want
-    assert pw._values_at(list(field.comps), np.array(samples)).tolist() == want
 
 
 def test_a_commutator_no_row_raises_on_is_refused_by_name():
