@@ -884,35 +884,58 @@ class _Source:
         self.lines = list(lines)
         self.sites: dict[int, tuple[Plan, int]] = {}
         self.env = dict(_COMPILE_ENV, _located=self._located)
+        self._consts: dict[Expr, str] = {}
 
     def add(self, indent: str, *lines: str) -> None:
         self.lines += [indent + line for line in lines]
 
-    def nodes(self, plan: Plan, prefix: str, inputs: Sequence[str], indent: str) -> list[str]:
-        """Emit `plan` in slot order, one line per interior node, and return
-        the names holding its roots.
+    def nodes(self, plan: Plan, prefix: str, inputs: Sequence[str], known: dict | None = None):
+        """The lines computing `plan` in slot order, the names holding its
+        roots, and the keys of the nodes computed (key -> local).
 
-        Slot i is the local ``{prefix}{i}``, a constant the global of that
-        name; variable k is read from the local `inputs[k]`.  Every node
-        keeps its operation and its `math.*` call, so the values equal
-        `Plan.values` bit for bit.
+        Slot i is the local ``{prefix}{i}``, a constant a global named once
+        per source and variable k the local `inputs[k]`.  A node's key is
+        its operation and its operands' names, those of ``+`` and ``*``
+        sorted: IEEE ``+`` and ``*`` give one value in either order and
+        never raise on Python floats.  Where `known` is given, a node whose
+        key it holds, or an earlier line of this plan holds, gets no line
+        and reads that local, so the first line that fails is at the first
+        slot where `Plan.values` fails; without it every interior node gets
+        a line.  Each line keeps its node's operation and `math.*` call, so
+        the values equal `Plan.values` bit for bit.  A line is (text, plan,
+        slot), as `emit` takes it.
         """
+        share = known is not None
+        keys = dict(known or ())
         names = [f"{prefix}{i}" for i in range(len(plan.nodes))]
+        for i, c in enumerate(plan.nodes[: len(plan._consts)]):
+            names[i] = self._consts.setdefault(c, f"k{len(self._consts)}")
+            self.env[names[i]] = c.value
         for i, k in enumerate(plan._vars, len(plan._consts)):
             names[i] = inputs[k]
-        self.env.update(zip(names, plan._consts))
+        lines = []
         for i, (kind, a, b) in enumerate(plan._ops, plan._leaves):
+            x = names[a]
             if kind in _BINARY:
-                rhs = f"{names[a]} {kind} {names[b]}"
+                y = names[b]
+                key = (kind, *sorted((x, y))) if kind in ("+", "*") else (kind, x, y)
+                rhs = f"{x} {kind} {y}"
             elif kind == "^":
-                rhs = f"{names[a]} ** {b}"
-            elif kind == "neg":
-                rhs = f"-{names[a]}"
+                key, rhs = (kind, x, b), f"{x} ** {b}"
             else:
-                rhs = f"_{kind}({names[a]})"
-            self.add(indent, f"{names[i]} = {rhs}")
-            self.sites[len(self.lines)] = (plan, i)  # lines count from 1
-        return [names[r] for r in plan.roots]
+                key, rhs = (kind, x), f"-{x}" if kind == "neg" else f"_{kind}({x})"
+            if share and key in keys:
+                names[i] = keys[key]
+                continue
+            keys.setdefault(key, names[i])
+            lines.append((f"{names[i]} = {rhs}", plan, i))
+        return lines, [names[r] for r in plan.roots], keys
+
+    def emit(self, indent: str, lines) -> None:
+        """Add node lines from `nodes`, recording the node each computes."""
+        for text, plan, slot in lines:
+            self.add(indent, text)
+            self.sites[len(self.lines)] = (plan, slot)  # lines count from 1
 
     def _located(self, err: Exception) -> EvalDomainError:
         plan, slot = self.sites[err.__traceback__.tb_lineno]
@@ -947,29 +970,46 @@ def compile_rk4(rhs: Sequence[Expr], observe: Iterable[Expr]) -> Callable:
     code: the four stages are `rhs`'s plan emitted four times, and between
     them the stage inputs ``y + (dt/2) k`` and ``y + dt k`` and the update
     ``y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4)`` run element by element in
-    that order, so each state equals the array form's bit for bit.  The run
-    returns after `steps` steps, or early as soon as an updated state is
-    not finite, without storing it.  A failing node raises the located
-    EvalDomainError of `Plan.values`; either way `rows` holds the states
-    before the step that stopped the run.
+    that order, so each state equals the array form's bit for bit.
+
+    Each value is computed once.  Stage 1 is evaluated at the state the
+    observation was evaluated at, so it reads the observation's locals
+    for every node the observation computes (the stored velocity is k1's x
+    block) and emits only the rest, at the top of the next step, so a run
+    that ends never evaluates them.  Within a stage, each (operation,
+    operands) gets one line, ``+`` and ``*`` keyed in either operand order
+    (`_Source.nodes`).  The observation keeps a line per node: its values
+    are stored, and a ``+`` or ``*`` of two NaNs returns its first
+    operand's NaN, so a commutative twin could store other NaN bits.
+
+    The run returns after `steps` steps, or early as soon as an updated
+    state is not finite, without storing it.  A failing node raises the
+    located EvalDomainError of `Plan.values` at the first failing node of
+    the first stage or observation that fails; either way `rows` holds
+    the states before the step that stopped the run.
     """
     dim = len(rhs)
-    plan, seen = Plan(rhs), Plan(observe)
+    plan = Plan(rhs)
     state = [f"y{k}" for k in range(dim)]
     code = _Source("def f(y, dt, steps, rows):")
     code.add("    ", *(f"y{k} = _float(y[{k}])" for k in range(dim)))
     code.add("    ", "dt = _float(dt)", "half = 0.5 * dt", "sixth = dt / 6.0", "try:")
     code.add("        ", "for step in range(steps + 1):", "    if step:")
     body = " " * 16
-    stages = [code.nodes(plan, "a", state, body)]
+    seen, values, computed = code.nodes(Plan(observe), "o", state)
+    lines, k1, _ = code.nodes(plan, "a", state, computed)
+    code.emit(body, lines)
+    stages = [k1]
     for prefix, scale in (("b", "half"), ("c", "half"), ("d", "dt")):
         inputs = [f"y{prefix}{k}" for k in range(dim)]
         code.add(body, *(f"{inputs[k]} = y{k} + {scale} * {stages[-1][k]}" for k in plan._vars))
-        stages.append(code.nodes(plan, prefix, inputs, body))
+        lines, k, _ = code.nodes(plan, prefix, inputs, {})
+        code.emit(body, lines)
+        stages.append(k)
     update = (f"y{k} + sixth * ((({a} + 2.0 * {b}) + 2.0 * {c}) + {d})" for k, (a, b, c, d) in enumerate(zip(*stages)))
     code.add(body, f"{', '.join(state)}, = {_tuple(update)}")
     code.add(body, f"if not ({' and '.join(f'_isfinite({y})' for y in state)}):", "    return")
-    values = code.nodes(seen, "o", state, " " * 12)
+    code.emit(" " * 12, seen)
     code.add(" " * 12, f"rows.append({_tuple(state + values)})")
     code.add("    ", "except _FAILURES as err:", "    raise _located(err) from None")
     return code.function()

@@ -377,16 +377,22 @@ class Connection:
         return np.array(self._plan.values(point)).reshape(self.gamma.shape)
 
     def is_torsion_free(self) -> bool:
-        """Whether the torsion vanishes on the chart's samples; computed once."""
+        """Whether the torsion vanishes on the chart's samples; computed once.
+
+        A slot pair that holds one node, as every symmetric builder and
+        structure file stores G^k_{ij} and G^k_{ji}, has no torsion and is not
+        sampled; with no other pair the answer is True without sampling.
+        """
         if self._torsion_free is None:
-            n = self.chart.n
+            n, g = self.chart.n, self.gamma
             torsion = [
-                ex.sub(self.gamma[k, i, j], self.gamma[k, j, i])
+                ex.sub(g[k, i, j], g[k, j, i])
                 for k in range(n)
                 for i in range(n)
                 for j in range(i + 1, n)
+                if g[k, i, j] is not g[k, j, i]
             ]
-            self._torsion_free = ex.residual(torsion, self.chart.sample_points()) <= TOL
+            self._torsion_free = not torsion or ex.residual(torsion, self.chart.sample_points()) <= TOL
         return self._torsion_free
 
     def require_torsion_free(self):

@@ -15,6 +15,7 @@ monitors are recorded per step so an inadequate step size is visible.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -178,21 +179,25 @@ def _along(components: list[ScalarField], g: PhaseField) -> PhaseField:
 
 
 def pw_gradient(conn: Connection, h: PhaseField) -> list[ScalarField]:
-    """Components of the gradient flow on the phase chart (x block then p block)."""
+    """Components of the gradient flow on the phase chart (x block then p block).
+
+    The p block sums H_{x^j} and 2 p_k G^k_{ij} H_{p_i} over i, then k.  Where
+    G^k_{ij} is a structural zero the product folds to 0 * H_{p_i} whatever
+    k is, so it is built once per i and no product is formed.
+    """
     n = conn.chart.n
-    out: list[ScalarField] = []
-    for i in range(n):
-        out.append(h.diff(n + i))
+    h_p = [h.diff(n + i) for i in range(n)]
+    two = ex.const(2.0)
+    out = list(h_p)
     for j in range(n):
-        terms = [h.diff(j).expr]
-        for i in range(n):
+        total = ex.add(ex.ZERO, h.diff(j).expr)
+        for i, f in enumerate(h_p):
+            zero = ex.mul(ex.ZERO, f.expr)
             for k in range(n):
-                terms.append(
-                    ex.expr_product(
-                        [ex.const(2.0), ex.var(n + k), conn.gamma[k, i, j], h.diff(n + i).expr]
-                    )
-                )
-        out.append(ScalarField(ex.expr_sum(terms), 2 * n))
+                g = conn.gamma[k, i, j]
+                term = zero if ex.is_structural_zero(g) else ex.expr_product([two, ex.var(n + k), g, f.expr])
+                total = ex.add(total, term)
+        out.append(ScalarField(total, 2 * n))
     return out
 
 
@@ -267,7 +272,8 @@ def _integrate(
 
 def _make_traj(dt: float, rows, n: int, channels: list[str], second: str) -> Trajectory:
     """Rows hold x, the second block, the velocity, then one value per channel."""
-    table = np.array(rows, dtype=float).reshape(len(rows), 3 * n + len(channels))
+    width = 3 * n + len(channels)
+    table = np.fromiter(itertools.chain.from_iterable(rows), float, len(rows) * width).reshape(len(rows), width)
     return Trajectory(
         dt=dt,
         xs=table[:, :n],

@@ -10,7 +10,9 @@ the structure constants and connection coefficients, and
 `involutive_pairwise` tests one bracket of two rows at a time.  The
 `*_bracket_sum`, `laplacian_sum` and `derivative_along_sum` functions expand
 the bracket formulas over components, one term at a time, without the
-vector field that induces each bracket.  `integrate_stepwise` runs a
+vector field that induces each bracket; `pw_gradient_dense` forms every
+product of the gradient flow, as `pw.pw_gradient` did before it skipped the
+structural zeros of gamma.  `integrate_stepwise` runs a
 trajectory one RK4 step at a time, calling `Plan.values` on the right-hand
 side once per stage.  `add_folded` and `mul_folded` fold two constants into
 a new `Const` every time, as `expr.add` and `expr.mul` did before they returned
@@ -355,6 +357,19 @@ def pw_bracket_sum(gamma, f, g):
         factors = [ex.const(2.0), ex.var(n + k), gamma[k, i, j], f.diff(n + i).expr, g.diff(n + j).expr]
         terms.append(ex.expr_product(factors))
     return ex.expr_sum(terms)
+
+
+def pw_gradient_dense(gamma, h):
+    """The gradient flow's components (H_{p_i}, then H_{x^j} + 2 p_k G^k_ij
+    H_{p_i}), one product per (i, k), structural zeros of gamma included."""
+    n = len(gamma)
+    out = [h.diff(n + i).expr for i in range(n)]
+    for j in range(n):
+        terms = [h.diff(j).expr]
+        for i, k in np.ndindex(n, n):
+            terms.append(ex.expr_product([ex.const(2.0), ex.var(n + k), gamma[k, i, j], h.diff(n + i).expr]))
+        out.append(ex.expr_sum(terms))
+    return out
 
 
 def canonical_bracket_sum(f, g, n):

@@ -488,6 +488,17 @@ def test_check_domain_error_exits_3(tmp_path):
     assert out == ""
 
 
+def test_a_gamma_stored_once_for_both_slots_is_not_sampled_for_torsion(tmp_path):
+    # the file stores Gamma^x_{xy} and Gamma^x_{yx} as one node, so the
+    # torsion check samples nothing and the file loads; ln(y) then fails in
+    # the verdicts, a numeric failure where loading failed as a usage error
+    path = tmp_path / "torsion.ini"
+    path.write_text("[chart]\ndim = 2\nnames = x, y\n\n[theta]\ntheta[1,2] = \"0.5\"\n\n"
+                    "[connection]\ngamma[1,1,2] = \"y - 1e150*y + ln(y)\"\n")
+    assert cli.load_structure(str(path)).pair.nabla.is_torsion_free()
+    assert run_cli("check", str(path)) == (3, "", "error: ln of a non-positive argument in subterm 'ln(y)'\n")
+
+
 def test_check_names_the_first_failing_samples_subterm(tmp_path):
     # on the default samples theta[1,1] first fails at the fourth sample
     # (x = 0.59) and theta[2,2] at the first (y = 0.98): the earlier sample

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 import reference
+from test_geodesic_table import CATALOG, INTEGRATED, STRUCTURES
 from reference import eval_scaled
 from sympoisson import cli, registry
+from sympoisson import expr as ex
 from sympoisson.geometry import (
     Chart,
     Connection,
@@ -269,6 +271,25 @@ def test_gradient_plus_hamiltonian_is_vertical():
             ]
         )
         assert np.allclose(w2[n:], 2.0 * vert_of_ham, rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("ident", [f"file:{name}" for name in INTEGRATED] + list(CATALOG))
+def test_the_gradient_is_the_dense_products_node_for_node(ident):
+    # the vertical lift; -1.5 (p_1 + ... + p_n), where a zero Gamma's product
+    # is 0.0 * -1.5 = -0.0; and inf * p_1, where it is 0.0 * inf = NaN, which
+    # the sum keeps
+    if ident.startswith("file:"):
+        pair = cli.load_structure(str(STRUCTURES / f"{ident[5:]}.ini")).pair
+    else:
+        pair = CATALOG[ident]
+    n = pair.chart.n
+    linear = ex.neg(ex.expr_sum([ex.mul(ex.const(1.5), ex.var(n + i)) for i in range(n)]))
+    infinite = ex.mul(ex.const(math.inf), ex.var(n))
+    for h in (vertical_lift(pair.theta), *(PhaseField.from_expr(pair.chart, e) for e in (linear, infinite))):
+        got = [f.expr for f in pw_gradient(pair.nabla, h)]
+        want = reference.pw_gradient_dense(pair.nabla.gamma, h)
+        assert len(got) == len(want) == 2 * n
+        assert all(a is b for a, b in zip(got, want)), ident
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ bit for bit and stop with the same error: class, message, step, failing
 node and partial trajectory.
 """
 
+import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -15,6 +17,7 @@ from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
 import reference
+from sympoisson import cli
 from sympoisson import expr as ex
 from sympoisson import pw
 from sympoisson.expr import EvalDomainError, ScalarField
@@ -209,6 +212,89 @@ def test_blow_ups_match_the_stepwise_reference(hamiltonian, x0, p0, dt):
     )
     assert kind is pw.BlowUpError and message.startswith(f"trajectory blew up at step {step}")
     assert len(np.frombuffer(partial[2])) == step
+
+
+# ---------------------------------------------------------------------------
+# the generated source: stage 1 reads the observation, one line per key
+# ---------------------------------------------------------------------------
+
+def _generated_source(run):
+    """The `_Source` of the one function `run` generates."""
+    made, function = [], ex._Source.function
+
+    def spy(source):
+        made.append(source)
+        return function(source)
+
+    with mock.patch.object(ex._Source, "function", spy):
+        run()
+    (source,) = made
+    return source
+
+
+def _node_keys(source):
+    """{block: [key of each node line]}: the block is the local's prefix
+    (a-d the four stages, o the observation), the key the operation and its
+    operands as the line spells them, those of + and * sorted."""
+    blocks = {}
+    for line in source.lines:
+        m = re.fullmatch(r" *([abcdo])\d+ = (.*)", line)
+        if m:
+            parts = m[2].split(" ")
+            if len(parts) == 3 and parts[1] in ("+", "*"):
+                parts = [parts[1], *sorted(parts[::2])]
+            blocks.setdefault(m[1], []).append(tuple(parts))
+    return blocks
+
+
+def test_each_value_of_a_step_is_computed_once(tmp_path):
+    r5 = Path(__file__).resolve().parents[1] / "structures" / "r5.ini"
+    argv = ["integrate", str(r5), "--x0=0.1,0.2,-0.3,0.4,0.5", "--p0=0.3,-0.2,0.1,0.5,-0.4",
+            "--monitors", "hamiltonian,speed_sq,geodesic_residual", "--steps", "5", "--out", str(tmp_path / "r5.csv")]
+    source = _generated_source(lambda: cli.main(argv))
+    keys = _node_keys(source)
+    for block in "abcd":
+        assert len(set(keys[block])) == len(keys[block]), block
+    assert not set(keys["a"]) & set(keys["o"])
+    # not vacuous: the plan has commutative twins, and stage 1 reads most of
+    # its values from the observation (the velocity is k1's x block)
+    pair = cli.load_structure(str(r5)).pair
+    rhs = [f.expr for f in pw.pw_gradient(pair.nabla, pw.vertical_lift(pair.theta))]
+    interior = len(ex.Plan(rhs)._ops)
+    assert len(keys["a"]) < len(keys["b"]) == len(keys["c"]) == len(keys["d"]) < interior
+
+
+# Gamma^x_xx = ln(x) and H = p^2/2 from x = 1.125, p = -1.875 at dt = 1/16:
+# every stage input of the first seven steps has x > 0 and the seventh state
+# has x <= 0, so ln(x) first fails in stage 1 of step 8.  With a monitor ln(x)
+# the observation computes it at that state first, and stage 1 reads it.
+@pytest.mark.parametrize("monitors, step", [({"log": "ln(x)"}, 7), ({}, 8)])
+def test_a_failing_node_stage_1_reads_or_computes(monitors, step):
+    conn = Connection.from_dict(LINE, {(0, 0, 0): "ln(x)"})
+    h = PhaseField.parse(LINE, "0.5*p1^2")
+    rhs = [f.expr for f in pw.pw_gradient(conn, h)]
+    assert _failing_stage(rhs, (1.125, -1.875), 0.0625, 12) == (8, 1)
+    extra = {name: PhaseField.parse(LINE, text) for name, text in monitors.items()}
+
+    def run():
+        return integrate_pw(conn, h, CotangentState((1.125,), (-1.875,)), 0.0625, 12, extra)
+
+    kind, message, got_step, node, partial = _same_as_stepwise(run)
+    assert kind is pw.TrajectoryError
+    assert message == f"ln of a non-positive argument in subterm 'ln(x)' at step {step}"
+    assert (got_step, node) == (step, conn.gamma[0, 0, 0])
+    assert len(np.frombuffer(partial[2])) == step
+    stage_1 = [line for line in _generated_source(lambda: pytest.raises(pw.TrajectoryError, run)).lines
+               if re.match(r" *a\d+ = ", line)]
+    assert any("_ln(" in line for line in stage_1) == (not monitors)
+
+
+def test_a_run_that_ends_never_evaluates_the_next_stage_1():
+    # the same flow stopped at the seventh state, where ln(x) would fail
+    conn = Connection.from_dict(LINE, {(0, 0, 0): "ln(x)"})
+    h = PhaseField.parse(LINE, "0.5*p1^2")
+    kind, bits = _same_as_stepwise(lambda: integrate_pw(conn, h, CotangentState((1.125,), (-1.875,)), 0.0625, 7))
+    assert kind == "done" and np.frombuffer(bits[2])[-1] <= 0.0
 
 
 # ---------------------------------------------------------------------------
