@@ -211,8 +211,6 @@ def _pair_from_sections(cp: configparser.ConfigParser) -> SymPoissonPair:
             if not hi:
                 raise StructureFileError("box intervals use lo:hi")
             box.append((float(lo), float(hi)))
-        if len(box) != dim:
-            raise StructureFileError("box must list one interval per coordinate")
     theta = _entries(cp, "theta", "theta", 2, dim)
     gamma = _entries(cp, "connection", "gamma", 3, dim)
     return registry.chart_pair(names, theta, gamma, box)

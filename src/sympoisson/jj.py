@@ -157,10 +157,6 @@ class CommutativeAlgebra(_StructureConstants):
         return isinstance(other, CommutativeAlgebra) and np.array_equal(self.c, other.c)
 
 
-def product(alg: CommutativeAlgebra, u, v):
-    return alg.product(u, v)
-
-
 def is_jacobi_jordan(alg: CommutativeAlgebra) -> bool:
     """Exact check that the cyclic Jacobiator vanishes."""
     return alg.satisfies_jacobi()
@@ -220,10 +216,9 @@ def _chart_names(dim: int) -> list[str]:
     return [f"x{i + 1}" for i in range(dim)]
 
 
-def to_linear_structure(alg: CommutativeAlgebra, names: Sequence[str] | None = None) -> SymPoissonPair:
+def to_linear_structure(alg: CommutativeAlgebra) -> SymPoissonPair:
     """theta^{ij} = c^k_{ij} x^k on the dual chart, with the flat connection."""
-    names = list(names) if names is not None else _chart_names(alg.dim)
-    chart = Chart(names)
+    chart = Chart(_chart_names(alg.dim))
     d = alg.dim
 
     def build(idx):

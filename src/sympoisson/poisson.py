@@ -115,64 +115,48 @@ class SymPoissonPair:
 # jet leaves and the ordered sums of their live terms
 # ---------------------------------------------------------------------------
 
-class _Sums:
-    """Ordered sums of terms, as `expr.expr_sum` adds a tree's terms.
+class _Terms:
+    """Ordered sums of products, as `expr.expr_sum` adds a tree's terms.
 
-    `live` (components, positions) marks the terms each component has;
-    term t is the t-th True of `live` in row order, so a component's terms
-    are consecutive.  A component adds its terms one at a time, ((t0 + t1)
-    + t2) + ..., so its value is the tree's bit for bit up to the sign of a
-    zero: a component with fewer terms than the longest adds 0.0 (the last
-    column of the terms) for each one it lacks, and one with no term is 0.0.
+    `live` (components, positions) marks the products each component has;
+    product t is the t-th True of `live` in row order, so a component's
+    products are consecutive.  Factor f of a product reads column `ids[f]`
+    (an array shaped as `live`) of the f-th table passed to the call, and
+    the factors multiply left to right, ((a b) c) ...; the products where
+    `negated` is True enter negated, -(a b).  A component adds its products
+    one at a time, ((t0 + t1) + t2) + ..., so its value is the tree's bit
+    for bit up to the sign of a zero: a component with fewer products than
+    the longest adds 0.0 for each one it lacks, and one with none is 0.0.
     """
 
-    def __init__(self, live: np.ndarray):
+    def __init__(self, live: np.ndarray, *ids: np.ndarray, negated=None):
         counts = live.sum(axis=1)
         ends = np.cumsum(counts)
         position = np.arange(counts.max(initial=0))[:, None]
-        # ids[l]: the l-th term of every component, or the zero column
-        self.ids = ends - counts + position
-        self.ids[position >= counts] = ends[-1] if len(ends) else 0
+        # positions[l]: the l-th product of every component, or the zero column
+        self.positions = ends - counts + position
+        self.positions[position >= counts] = ends[-1] if len(ends) else 0
         self.size = len(counts)
-
-    def __call__(self, terms: np.ndarray) -> np.ndarray:
-        """(samples, components) from the terms' values (samples, terms + 1),
-        whose last column is 0."""
-        if not len(self.ids):
-            return np.zeros((len(terms), self.size))
-        out = terms[:, self.ids[0]]
-        for ids in self.ids[1:]:
-            out += terms[:, ids]
-        return out
-
-
-class _Terms:
-    """Ordered sums (`_Sums`) of products a[:, left] * b[:, right], one per
-    live entry of (components, positions) arrays; the products where
-    `negated` is True enter negated, -(a b)."""
-
-    def __init__(self, live: np.ndarray, left: np.ndarray, right: np.ndarray, negated=None):
-        self.sums = _Sums(live)
-        self.left, self.right = left[live], right[live]
+        self.ids = tuple(column[live] for column in ids)
         self.negated = None if negated is None else np.flatnonzero(negated[live])
 
-    def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        terms = _product(a[:, self.left], b[:, self.right])
+    def __call__(self, *tables: np.ndarray) -> np.ndarray:
+        """(samples, components) from one (samples, columns) table per factor."""
+        first = tables[0]
+        if not len(self.positions):
+            return np.zeros((len(first), self.size))
+        terms = np.empty((len(first), len(self.ids[0]) + 1))
+        terms[:, -1] = 0.0
+        body = terms[:, :-1]
+        body[...] = first[:, self.ids[0]]
+        for table, ids in zip(tables[1:], self.ids[1:]):
+            np.multiply(body, table[:, ids], out=body)
         if self.negated is not None:
             terms[:, self.negated] = -terms[:, self.negated]
-        return self.sums(terms)
-
-
-def _product(first: np.ndarray, *rest: np.ndarray) -> np.ndarray:
-    """((first * rest[0]) * rest[1]) ... elementwise, (samples, terms), with a
-    column of 0 appended, as `_Sums` reads terms."""
-    out = np.empty((len(first), first.shape[1] + 1))
-    out[:, -1] = 0.0
-    body = out[:, :-1]
-    body[...] = first
-    for factor in rest:
-        np.multiply(body, factor, out=body)
-    return out
+        out = terms[:, self.positions[0]]
+        for position in self.positions[1:]:
+            out += terms[:, position]
+        return out
 
 
 class _Layout:
@@ -187,9 +171,9 @@ class _Layout:
       every (m, i, j) to it), as `geometry.covariant_derivative` sums it:
       d_m theta^{ij} * 1, Gamma^i_{mk} theta^{kj} (k), Gamma^j_{mk} theta^{ik} (k).
     - D^{ijk} = theta^{im} nabla_m theta^{jk} over m, for every (i, j, k).
-    - the commutator of theta's rows a < b (`_above_diagonal` order), for
-      each k: theta^{am} d_m theta^{bk}, then -(theta^{bm} d_m theta^{ak}), for
-      each m in turn.
+    - the commutator of theta's rows a < b (the columns of `above_diagonal`,
+      (2, pairs), in row order), for each k: theta^{am} d_m theta^{bk}, then
+      -(theta^{bm} d_m theta^{ak}), for each m in turn.
     - the trace formula's [theta, theta] for each i <= j <= k (`triples`):
       for each m, theta^{ma} N^{bc} for a = i, j, k ({b, c} the other two,
       N = nabla_m theta), then the same products in reverse order.
@@ -210,7 +194,8 @@ class _Layout:
         i, j, k, m = np.indices((n, n, n, n)).reshape(4, n**3, n)
         self.directional_left, self.directional_comp = theta[i, m], self.nabla_index[m, j, k]
         self.directional_right = (m * n + j) * n + k
-        a, b = _above_diagonal(n)
+        self.above_diagonal = np.stack(np.triu_indices(n, 1))
+        a, b = self.above_diagonal
         p, k, m = np.indices((len(a), n, n))
         a, b = a[p], b[p]
         self.commutator_left = np.stack([theta[a, m], theta[b, m]], axis=-1).reshape(-1, 2 * n)
@@ -312,7 +297,7 @@ class _JetPlan:
         layout, zero = self.leaves.layout, self.leaves.zero
         left, right = layout.commutator_left, layout.commutator_right
         live = ~zero[left] & ~zero[right]
-        return _Terms(live, left, right, layout.commutator_negated)
+        return _Terms(live, left, right, negated=layout.commutator_negated)
 
 
 class Jets:
@@ -422,22 +407,13 @@ class Jets:
     def commutator_leaves_finite(self) -> bool:
         """Whether the scales of theta and of each d theta leaf some commutator
         term reads are finite."""
-        read = self._plan.commutators.right
+        read = self._plan.commutators.ids[1]
         return bool(np.isfinite(self.scales[:, read]).all() and np.isfinite(self.theta[1]).all())
 
 
 def _cyclic(d: np.ndarray) -> np.ndarray:
     """2 ((a^{ijk} + a^{jki}) + a^{kij}) over (samples, i, j, k), the order the cyclic tree adds."""
     return 2.0 * (d + d.transpose(0, 3, 1, 2) + d.transpose(0, 2, 3, 1))
-
-
-@cache
-def _above_diagonal(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (i, j) with i < j, in row order; read-only, as every caller shares them."""
-    pairs = np.triu_indices(n, 1)
-    for a in pairs:
-        a.flags.writeable = False
-    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +451,7 @@ class GeodesicTerms:
         column = np.zeros(size, int)
         column[ids] = np.arange(len(ids))
         i, j = layout.pair_i, layout.pair_j
-        self._quadratic = _Sums(live_gamma), column[gamma[live_gamma]], i[live_gamma], j[live_gamma]
+        self._quadratic = _Terms(live_gamma, column[gamma], i, j)
         if not self.has_bracket:
             return
         # nabla theta where a product reads it
@@ -488,20 +464,17 @@ class GeodesicTerms:
         grouped = live.any(axis=-1).repeat(2, axis=1)
         self._groups = _Terms(*(np.stack([x, x[..., ::-1]], axis=2).reshape(-1, 3)[grouped.ravel()]
                                 for x in (live, column[theta], where[comp])))
-        self._bracket = _Sums(grouped)
-        present = grouped.any(axis=1)[layout.cubic]
-        self._cubic = _Sums(present), layout.cubic[present], i[present], j[present]
+        # the groups are numbered in row order of `grouped`
+        self._bracket = _Terms(grouped, grouped.cumsum().reshape(grouped.shape) - 1)
+        self._cubic = _Terms(grouped.any(axis=1)[layout.cubic], i, j, layout.cubic)
 
     def quadratic(self, values: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Gamma^k_{ij} v^i v^j (states, k) from the plan's values at the states."""
-        sums, gamma, i, j = self._quadratic
-        return sums(_product(values[:, gamma], v[:, i], v[:, j]))
+        return self._quadratic(values, v, v)
 
     def cubic(self, values: np.ndarray, p: np.ndarray) -> np.ndarray:
         """p_i p_j [theta, theta]^{ijk} (states, k) from the plan's values at the states."""
-        bracket = self._bracket(_product(self._groups(values, self._nabla(values, values))))
-        sums, triple, i, j = self._cubic
-        return sums(_product(p[:, i], p[:, j], bracket[:, triple]))
+        return self._cubic(p, p, self._bracket(self._groups(values, self._nabla(values, values))))
 
 
 def _bracket_walk(leaves: _Leaves, theta: np.ndarray, comp: np.ndarray) -> list[int]:
@@ -763,7 +736,7 @@ def involutivity_check(pair: SymPoissonPair, samples=None) -> InvolutivityReport
     _, vecs, keep = _spectra(pair.theta, jets.samples, theta)
     if not finite:
         c, s, k = np.argwhere(~np.isfinite(table.transpose(1, 0, 2)))[0]
-        i, j = (pairs[c] for pairs in _above_diagonal(pair.chart.n))
+        i, j = _layout(pair.chart.n).above_diagonal[:, c]
         names, where = pair.chart.names, tuple(float(v) for v in jets.samples[s])
         raise ex.EvalDomainError(
             f"a commutator is not finite at {where}", f"[theta(d{names[i]}), theta(d{names[j]})]^{names[k]}"

@@ -145,17 +145,9 @@ class CotangentState:
 
 def pw_metric_matrix(conn: Connection, state: CotangentState) -> np.ndarray:
     """2n x 2n symmetric matrix of the induced metric at a state."""
-    n = conn.chart.n
-    gamma = conn.gamma_at(state.x)
-    a = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            a[i, j] = -2.0 * sum(state.p[k] * gamma[k, i, j] for k in range(n))
-    out = np.zeros((2 * n, 2 * n))
-    out[:n, :n] = a
-    out[:n, n:] = np.eye(n)
-    out[n:, :n] = np.eye(n)
-    return out
+    eye = np.eye(conn.chart.n)
+    a = -2.0 * np.tensordot(state.p, conn.gamma_at(state.x), axes=1)
+    return np.block([[a, eye], [eye, np.zeros_like(eye)]])
 
 
 def pw_bracket(conn: Connection, f: PhaseField, g: PhaseField) -> PhaseField:

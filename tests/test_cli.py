@@ -98,6 +98,40 @@ def test_a_missing_key_is_a_usage_error(tmp_path, key):
         assert (code, out, err) == (1, "", f"error: [{section}] needs {key}\n"), argv
 
 
+ONE_DIM = "[chart]\ndim = 1\nnames = x\n\n[theta]\ntheta[1,1] = \"1\"\n"
+STRUCTURE_ERRORS = {
+    "bad key": (ONE_DIM + "phi[1,1] = \"x\"\n", "bad key 'phi[1,1]', expected theta[i,...]"),
+    "index count": (ONE_DIM.replace("theta[1,1]", "theta[1]"), "key 'theta[1]' needs 2 indices"),
+    "0-based index": (ONE_DIM.replace("theta[1,1]", "theta[0,1]"), "indices in 'theta[0,1]' are 1-based"),
+    "bad boolean": (ONE_DIM + "\n[expect]\nstrong = maybe\n", "expected a boolean, got 'maybe'"),
+    "malformed": (ONE_DIM.replace("names", "dim"),
+                  "malformed file {path}: While reading from '{path}' [line  3]: option 'dim' in section 'chart' "
+                  "already exists"),
+    "involutivity verdict": (ONE_DIM + "\n[expect]\ninvolutive = maybe\n", "unknown involutivity verdict 'maybe'"),
+    "expectation": (ONE_DIM + "\n[expect]\nflat = true\n", "unknown expectation 'flat'"),
+    "probe point": (ONE_DIM + "\n[probe]\nrank = 1\n", "[probe] needs a point"),
+    "signature": (ONE_DIM + "\n[probe]\npoint = 0.5\nsignature = 1\n", "[probe] signature must be 'p, q'"),
+    "no chart": ("[theta]\ntheta[1,1] = \"1\"\n", "missing [chart] section (or a [catalog] reference)"),
+    "names and dim": (ONE_DIM.replace("dim = 1", "dim = 2"), "names list does not match dim"),
+    "box interval": (ONE_DIM.replace("names = x", "names = x\nbox = -1 1"), "box intervals use lo:hi"),
+    "box count": (ONE_DIM.replace("names = x", "names = x\nbox = -1:1, -1:1"),
+                  "sample box must list one interval per coordinate"),
+    "monitor": (ONE_DIM, "unknown monitor 'energy'"),
+}
+
+
+@pytest.mark.parametrize("case", STRUCTURE_ERRORS)
+def test_a_structure_file_error_is_one_usage_error_line(tmp_path, case):
+    text, message = STRUCTURE_ERRORS[case]
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    integrate = ["integrate", "--x0", "1", "--p0", "0", "--steps", "3"]
+    runs = [integrate + ["--monitors", "energy"]] if case == "monitor" else [["check"], integrate]
+    for argv in runs:
+        code, out, err = run_cli(argv[0], str(path), *argv[1:])
+        assert (code, out, err) == (1, "", f"error: {message.format(path=path)}\n"), argv
+
+
 def test_check_index_out_of_range(tmp_path):
     bad = tmp_path / "range.ini"
     bad.write_text("[chart]\ndim = 1\nnames = x\n\n[theta]\ntheta[1,2] = \"x\"\n")

@@ -274,3 +274,57 @@ def test_a_scale_sums_no_term_of_a_component_its_tree_folds_to_zero():
     assert pair.jets(samples).directional[1][:, 0, 0, 2].tolist() == [0.0] * len(samples)
     assert [residual(pair, samples) for residual in (
         poisson.symmetric_poisson_residual, poisson.strong_residual, poisson.parallel_residual)] == [0.8, 2 / 3, 0.8]
+
+
+def _fold(live, ids, negated, tables):
+    """`_Terms` as a plain loop: each component's live products, factors
+    multiplied left to right, added in order from the first, then 0.0 once
+    for each product it lacks against the longest component."""
+    width = int(live.sum(axis=1).max(initial=0))
+    out = np.zeros((len(tables[0]), len(live)))
+    for s, c in np.ndindex(out.shape):
+        total = None
+        for t in np.flatnonzero(live[c]).tolist():
+            product = float(tables[0][s, ids[0][c, t]])
+            for table, column in zip(tables[1:], ids[1:]):
+                product = product * float(table[s, column[c, t]])
+            product = -product if negated is not None and negated[c, t] else product
+            total = product if total is None else total + product
+        for _ in range(int(live[c].sum()), width):
+            total = 0.0 if total is None else total + 0.0
+        out[s, c] = 0.0 if total is None else total
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("negate", [False, True])
+@pytest.mark.parametrize("factors", [1, 2, 3])
+def test_the_live_term_sum_is_a_plain_fold_over_the_live_entries(factors, negate, seed):
+    # every entry that is not live reads a column holding inf or NaN, so a
+    # product formed there would show; component 1 is the one product -0.0,
+    # which the 0.0 padding turns into 0.0, and some component has none
+    rng = np.random.default_rng(seed)
+    components, positions, samples = 6, 5, 4
+    live = rng.random((components, positions)) < 0.5
+    live[0], live[1] = True, np.arange(positions) == 0
+    live[rng.integers(2, components)] = False
+    if seed == 0:
+        live[:] = False
+    finite = [0.0, -0.0, 1.5, -2.25, 1e-300, 1e100]
+    tables = []
+    for _ in range(factors):
+        values = rng.choice(finite, size=(samples, 8))
+        values[:, :3] = rng.normal(size=(samples, 3))
+        tables.append(np.concatenate([values, np.full((samples, 4), [-0.0, 1.0, np.inf, np.nan])], axis=1))
+    ids = [np.where(live, rng.integers(8, size=live.shape), rng.integers(10, 12, size=live.shape))
+           for _ in range(factors)]
+    for f, column in enumerate(ids):
+        column[1, 0] = 9 if f else 8
+    negated = rng.random(live.shape) < 0.5 if negate else None
+    if negate:
+        negated[1, 0] = False
+    got = poisson._Terms(live, *ids, negated=negated)(*tables)
+    want = _fold(live, ids, negated, tables)
+    assert got.shape == (samples, components)
+    assert got.tobytes() == want.tobytes()
+    assert not np.isnan(got).any()
