@@ -118,7 +118,9 @@ def load_structure(path: str) -> StructureFile:
     except OSError as err:
         raise StructureFileError(f"cannot read {path}: {err}") from err
     except configparser.Error as err:
-        raise StructureFileError(f"malformed file {path}: {err}") from err
+        # configparser spreads some messages over several lines
+        text = " ".join(line.strip() for line in str(err).splitlines())
+        raise StructureFileError(f"malformed file {path}: {text}") from err
 
     if cp.has_section("catalog"):
         try:

@@ -23,8 +23,9 @@ is formed again over leaf scales times a power of two.  The jet table is the
 one sampled route.  A leaf that fails raises the table's located
 EvalDomainError, a residual whose value or scale is not finite otherwise
 reads inf, and a commutator that is not finite raises.  The geodesic
-monitor (`GeodesicTerms`) reads the same leaves and nabla theta terms and
-sums [theta, theta] in the trace formula's order.
+monitor reads the same plan (`_JetPlan`) at a trajectory's states: every
+leaf is evaluated, a failing one raises in the plan's leaf order, and
+[theta, theta] is the same cyclic sum.
 """
 
 from __future__ import annotations
@@ -62,9 +63,10 @@ class PoissonError(Exception):
 class SymPoissonPair:
     """A symmetric bivector field together with a torsion-free connection.
 
-    Its jet leaves and their term lists (`_leaves`), the verdicts' jet plan,
-    each sample set's table of `jets` and the geodesic monitor's terms are
-    built once, on first use; no bracket tree is built for any of them."""
+    Its jet leaves (`_leaves`), their one jet plan with its term lists,
+    which the verdicts and the geodesic monitor both read, and each sample
+    set's table of `jets` are built once, on first use; no bracket tree is
+    built for any of them."""
 
     theta: SymTensorField
     nabla: Connection
@@ -87,10 +89,6 @@ class SymPoissonPair:
     @cached_property
     def _jet_plan(self) -> _JetPlan:
         return _JetPlan(self._leaves)
-
-    @cached_property
-    def _geodesic(self) -> GeodesicTerms:
-        return GeodesicTerms(self._leaves)
 
     @cached_property
     def _jet_tables(self) -> dict:
@@ -174,9 +172,10 @@ class _Layout:
     - the commutator of theta's rows a < b (the columns of `above_diagonal`,
       (2, pairs), in row order), for each k: theta^{am} d_m theta^{bk}, then
       -(theta^{bm} d_m theta^{ak}), for each m in turn.
-    - the trace formula's [theta, theta] for each i <= j <= k (`triples`):
-      for each m, theta^{ma} N^{bc} for a = i, j, k ({b, c} the other two,
-      N = nabla_m theta), then the same products in reverse order.
+    - the cyclic [theta, theta]^{ijk} = 2 ((D^{ijk} + D^{jki}) + D^{kij}):
+      `cyclic` (3, n^3) holds the ids of its three D, for each (i, j, k).
+    - p_i p_j [theta, theta]^{ijk} for each k, over (i, j) in order: the
+      ids `pair_i`, `pair_j` and the component (i, j, k) of each (`cubic`).
     """
 
     def __init__(self, n: int):
@@ -201,17 +200,10 @@ class _Layout:
         self.commutator_left = np.stack([theta[a, m], theta[b, m]], axis=-1).reshape(-1, 2 * n)
         self.commutator_right = np.stack([dtheta[m, b, k], dtheta[m, a, k]], axis=-1).reshape(-1, 2 * n)
         self.commutator_negated = np.broadcast_to(np.arange(2 * n) % 2 == 1, self.commutator_left.shape)
-        self.triples = np.array(list(itertools.combinations_with_replacement(range(n), 3)), int).reshape(-1, 3)
-        m, t = np.arange(n)[None, :, None], self.triples[:, None]
-        self.bracket_theta = np.broadcast_to(theta[m, t], (len(t), n, 3))
-        self.bracket_comp = self.nabla_index[m, t[..., [1, 0, 0]], t[..., [2, 2, 1]]]
-        # p_i p_j [theta, theta]^{ijk} for each k over (i, j): the triple of each (i, j, k)
-        rank = np.empty((n, n, n), int)
-        for r, triple in enumerate(self.triples.tolist()):
-            for index in itertools.permutations(triple):
-                rank[index] = r
+        ijk = np.arange(n**3).reshape(n, n, n)
+        self.cyclic = np.stack([ijk, ijk.transpose(2, 0, 1), ijk.transpose(1, 2, 0)]).reshape(3, n**3)
         k, i, j = np.indices((n, n, n)).reshape(3, n, n * n)
-        self.cubic, self.pair_i, self.pair_j = rank[i, j, k], i, j
+        self.cubic, self.pair_i, self.pair_j = ijk[i, j, k], i, j
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
@@ -246,11 +238,6 @@ class _Leaves:
                 total += column
         self.nabla_zero = total == 0.0
 
-    @property
-    def theta_zero(self) -> np.ndarray:
-        n = self.layout.n
-        return self.zero[: n * n].reshape(n, n)
-
     def nabla(self, components, column: np.ndarray | None = None) -> _Terms:
         """The terms of the given nabla theta components, their factors read
         from the table columns `column[leaf id]` (default: the leaf ids)."""
@@ -261,36 +248,35 @@ class _Leaves:
 
 
 class _JetPlan:
-    """The sampled verdicts' plan of the distinct jet leaves, the table column
-    of each leaf id, and the term lists of their contractions.
+    """The pair's one plan of the distinct jet leaves, the table column of
+    each leaf id, and the term lists of their contractions, for the sampled
+    verdicts and the geodesic monitor alike.
 
-    Gamma^k_{ij} multiplies only theta's row j, so where that row is all
-    structural zeros no verdict reads it and the plan holds `ex.ZERO` in its
-    place.  Every term list holds only the terms a tree has: a product with
-    a structural zero is never formed."""
+    Every leaf is in the plan, so a table of it raises for any leaf that
+    fails, even one no term reads.  Every term list holds only the terms a
+    tree has: a product with a structural zero is never formed."""
 
     def __init__(self, leaves: _Leaves):
-        self.leaves, layout = leaves, leaves.layout
-        n = self.n = layout.n
-        exprs = list(leaves.exprs)
-        dead = leaves.theta_zero.all(axis=1)
-        for g in layout.gamma[:, :, dead].ravel().tolist():
-            exprs[g] = ex.ZERO
-        distinct = {id(e): e for e in exprs}
+        self.leaves, self.n = leaves, leaves.layout.n
+        distinct = {id(e): e for e in leaves.exprs}
         slot = {key: c for c, key in enumerate(distinct)}
         self.plan = ex.Plan(distinct.values())
-        self.columns = np.array([slot[id(e)] for e in exprs])
+        self.columns = np.array([slot[id(e)] for e in leaves.exprs])
 
     @cached_property
     def nabla(self) -> _Terms:
         return self.leaves.nabla(slice(None))
 
     @cached_property
+    def _directional_live(self) -> np.ndarray:
+        layout, leaves = self.leaves.layout, self.leaves
+        return ~leaves.zero[layout.directional_left] & ~leaves.nabla_zero[layout.directional_comp]
+
+    @cached_property
     def directional(self) -> _Terms:
         """theta from the leaves, nabla theta from its (m, j, k) values."""
-        layout, leaves = self.leaves.layout, self.leaves
-        live = ~leaves.zero[layout.directional_left] & ~leaves.nabla_zero[layout.directional_comp]
-        return _Terms(live, layout.directional_left, layout.directional_right)
+        layout = self.leaves.layout
+        return _Terms(self._directional_live, layout.directional_left, layout.directional_right)
 
     @cached_property
     def commutators(self) -> _Terms:
@@ -298,6 +284,44 @@ class _JetPlan:
         left, right = layout.commutator_left, layout.commutator_right
         live = ~zero[left] & ~zero[right]
         return _Terms(live, left, right, negated=layout.commutator_negated)
+
+    @cached_property
+    def quadratic(self) -> _Terms:
+        """Gamma^k_{ij} v^i v^j (states, k) from the plan's values, v and v:
+        the sum `np.einsum` forms, of (Gamma v^i) v^j over (i, j) in order."""
+        layout = self.leaves.layout
+        gamma = layout.gamma.reshape(self.n, -1)
+        return _Terms(~self.leaves.zero[gamma], self.columns[gamma], layout.pair_i, layout.pair_j)
+
+    @cached_property
+    def _cubic(self) -> tuple[_Terms, _Terms, np.ndarray, _Terms]:
+        """What `cubic` sums: nabla theta and D over the plan's columns, the
+        three D of each [theta, theta] component and p p [theta, theta]."""
+        layout = self.leaves.layout
+        live = self._directional_live
+        bracket_live = live.any(axis=1)[layout.cyclic].any(axis=0)
+        # the [theta, theta] components a live p p [theta, theta] term reads,
+        # the D they add and the nabla theta those D read, each in id order
+        bracket = np.flatnonzero(bracket_live)
+        d = np.unique(layout.cyclic[:, bracket])
+        nabla = np.unique(layout.directional_comp[d][live[d]])
+        return (self.leaves.nabla(nabla, self.columns),
+                _Terms(live[d], self.columns[layout.directional_left[d]],
+                       np.searchsorted(nabla, layout.directional_comp[d])),
+                np.searchsorted(d, layout.cyclic[:, bracket]),
+                _Terms(bracket_live[layout.cubic], layout.pair_i, layout.pair_j,
+                       np.searchsorted(bracket, layout.cubic)))
+
+    def cubic(self, values: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """p_i p_j [theta, theta]^{ijk} (states, k) from the plan's values and
+        p: the sum `np.einsum` forms, of (p_i p_j) [theta, theta]^{ijk} over
+        (i, j) in order, with [theta, theta] the cyclic sum `Jets.schouten`
+        reads.  Only the nabla theta, D and [theta, theta] components a live
+        term reads are formed."""
+        nabla, directional, cyclic, terms = self._cubic
+        d = directional(values, nabla(values, values))
+        first, second, third = (d[:, ids] for ids in cyclic)
+        return terms(p, p, 2.0 * (first + second + third))
 
 
 class Jets:
@@ -368,12 +392,13 @@ class Jets:
         """max |v| / (1 + scale) of a contraction, or inf wherever a value is
         not finite, as `Plan.residual` reads.
 
-        Where a scale overflows while every leaf scale is finite, it is
-        summed again over the scales of theta and d theta times 2^-e, which
+        Where a scale overflows while every theta and d theta scale is
+        finite, it is summed again over those scales times 2^-e, which
         brings the largest below 1: the contraction is of degree d in them,
         so the sum is 2^-de times the scale, and the residual is |v| / scale
         from the mantissas and exponents of both (1 is below the scale's last
-        bit).  A scale still not finite, or lost to underflow, reads inf.
+        bit).  A scale still not finite (a live term may read a Gamma whose
+        scale is inf), or lost to underflow, reads inf.
         """
         value, scale = self._contracted[quantity]
         if not np.isfinite(value).all():
@@ -381,11 +406,11 @@ class Jets:
         over = ~np.isfinite(scale)
         if not over.any():
             return float((np.abs(value) / (1.0 + scale)).max(initial=0.0))
-        if not np.isfinite(self.scales).all():
+        n = self._plan.n
+        if not np.isfinite(self.scales[:, : n * n + n**3]).all():
             return math.inf
         res = np.abs(value)
         res[~over] /= 1.0 + scale[~over]
-        n = self._plan.n
         e = int(np.frexp(self.scales[:, : n * n + n**3].max())[1])
         shifted = self.scales.copy()
         shifted[:, : n * n + n**3] = np.ldexp(shifted[:, : n * n + n**3], -e)
@@ -414,86 +439,6 @@ class Jets:
 def _cyclic(d: np.ndarray) -> np.ndarray:
     """2 ((a^{ijk} + a^{jki}) + a^{kij}) over (samples, i, j, k), the order the cyclic tree adds."""
     return 2.0 * (d + d.transpose(0, 3, 1, 2) + d.transpose(0, 2, 3, 1))
-
-
-# ---------------------------------------------------------------------------
-# the geodesic monitor's terms
-# ---------------------------------------------------------------------------
-
-class GeodesicTerms:
-    """Gamma^k_{ij} v^i v^j and p_i p_j [theta, theta]^{ijk} (the sums
-    `np.einsum` forms, over (i, j) in order, of (Gamma v^i) v^j and (p_i p_j)
-    [theta, theta]^{ijk}) from one plan of live leaves: every Gamma that is
-    not a structural zero, then the theta and d theta leaves [theta, theta]
-    reads.
-
-    [theta, theta] is summed as the trace formula's tree (`geometry.schouten`)
-    sums it: for each m, ((theta^{mi} N^{jk} + theta^{mj} N^{ik}) + theta^{mk}
-    N^{ij}), then the same products in reverse order, with N = nabla_m theta,
-    for each i <= j <= k.  The leaves come in the order that tree's walk
-    meets them, so a table of them raises what a table of the tree raises.
-    Only live terms are formed: where p_i p_j overflows against a structural
-    zero of [theta, theta], or a velocity against one of Gamma, the sum
-    does not read the NaN a dense product would.
-    """
-
-    def __init__(self, leaves: _Leaves):
-        layout, zero = leaves.layout, leaves.zero
-        n, size = layout.n, layout.size
-        theta, comp = layout.bracket_theta, layout.bracket_comp
-        live = ~zero[theta] & ~leaves.nabla_zero[comp]
-        self.has_bracket = bool(live.any())
-        gamma = layout.gamma.reshape(n, n * n)
-        live_gamma = ~zero[gamma]
-        walk = _bracket_walk(leaves, theta[live], comp[live]) if self.has_bracket else []
-        ids = [*gamma[live_gamma].tolist(), *(i for i in walk if not zero[i]), size - 1]
-        self.plan = ex.Plan(leaves.exprs[i] for i in ids)
-        column = np.zeros(size, int)
-        column[ids] = np.arange(len(ids))
-        i, j = layout.pair_i, layout.pair_j
-        self._quadratic = _Terms(live_gamma, column[gamma], i, j)
-        if not self.has_bracket:
-            return
-        # nabla theta where a product reads it
-        used = np.unique(comp[live])
-        self._nabla = leaves.nabla(used, column)
-        where = np.zeros(len(leaves.nabla_zero), int)
-        where[used] = np.arange(len(used))
-        # per triple and m: the group theta N (products 0, 1, 2), then N theta
-        # (2, 1, 0); only groups with a live product are formed
-        grouped = live.any(axis=-1).repeat(2, axis=1)
-        self._groups = _Terms(*(np.stack([x, x[..., ::-1]], axis=2).reshape(-1, 3)[grouped.ravel()]
-                                for x in (live, column[theta], where[comp])))
-        # the groups are numbered in row order of `grouped`
-        self._bracket = _Terms(grouped, grouped.cumsum().reshape(grouped.shape) - 1)
-        self._cubic = _Terms(grouped.any(axis=1)[layout.cubic], i, j, layout.cubic)
-
-    def quadratic(self, values: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Gamma^k_{ij} v^i v^j (states, k) from the plan's values at the states."""
-        return self._quadratic(values, v, v)
-
-    def cubic(self, values: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """p_i p_j [theta, theta]^{ijk} (states, k) from the plan's values at the states."""
-        return self._cubic(p, p, self._bracket(self._groups(values, self._nabla(values, values))))
-
-
-def _bracket_walk(leaves: _Leaves, theta: np.ndarray, comp: np.ndarray) -> list[int]:
-    """The ids of the theta and d theta leaves in the order the trace
-    formula's tree first meets them: theta^{ma}, then the leaves of N =
-    nabla_m theta^{bc} (d_m theta^{bc}, then the theta of each Gamma theta),
-    for the live products (`theta`, `comp`) in order."""
-    layout = leaves.layout
-    size = layout.size
-    units = np.stack([theta, size + comp], axis=-1).ravel()
-    _, first = np.unique(units, return_index=True)
-    nleaf = np.where(np.arange(2 * layout.n + 1) == 0, layout.nabla_left, layout.nabla_right)
-    walk = []
-    for u in units[np.sort(first)].tolist():
-        if u < size:
-            walk.append(u)
-        else:
-            walk.extend(nleaf[u - size][leaves.nabla_live[u - size]].tolist())
-    return list(dict.fromkeys(walk))
 
 
 # ---------------------------------------------------------------------------

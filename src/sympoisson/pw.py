@@ -26,7 +26,7 @@ from . import geometry as geo
 from .defaults import DT
 from .expr import ScalarField
 from .geometry import Chart, Connection, SymFormField, SymTensorField, levi_civita
-from .poisson import GeodesicTerms, SymPoissonPair, _Leaves, _membership, _spectra
+from .poisson import SymPoissonPair, _JetPlan, _Leaves, _membership, _spectra
 
 
 class DynamicsError(Exception):
@@ -322,24 +322,25 @@ def integrate_geodesic(
     return _integrate(velocity + acc, velocity, y0, dt, steps, conn.chart, [], "v")
 
 
-def _geodesic_defect(terms: GeodesicTerms, traj: Trajectory) -> np.ndarray:
+def _geodesic_defect(plan: _JetPlan, traj: Trajectory) -> np.ndarray:
     """| nabla_{xdot} xdot - (1/4) i_a i_a [theta, theta] | at each interior stored state.
 
     The acceleration is a central finite difference of the stored velocity
-    channel.  The live leaves come from one `Plan.rows` over all interior
-    states, so the first state that fails raises its error; Gamma^k_{ij}
-    v^i v^j and p_i p_j [theta, theta]^{ijk} are their live terms' ordered
-    sums (`GeodesicTerms`), equal bit for bit to the dense `np.einsum`s over
+    channel.  Every jet leaf comes from one `Plan.rows` of the jet plan over
+    all interior states, so the first state that fails raises the error of
+    its first failing leaf in the plan's order.  Gamma^k_{ij} v^i v^j and
+    p_i p_j [theta, theta]^{ijk} are their live terms' ordered sums
+    (`_JetPlan.quadratic`, `_JetPlan.cubic`), with [theta, theta] the cyclic
+    sum the verdicts read, equal bit for bit to the dense `np.einsum`s over
     the trees' values.  Without [theta, theta] the defect is the geodesic
     equation's own residual.
     """
     if len(traj.xs) < 3:
         raise DynamicsError("need at least 3 stored states for finite differences")
-    values = terms.plan.rows(traj.xs[1:-1])
+    values = plan.plan.rows(traj.xs[1:-1])
     v = traj.velocities
-    defect = (v[2:] - v[:-2]) / (2.0 * traj.dt) + terms.quadratic(values, v[1:-1])
-    if terms.has_bracket:
-        defect = defect - 0.25 * terms.cubic(values, traj.ps[1:-1])
+    defect = (v[2:] - v[:-2]) / (2.0 * traj.dt) + plan.quadratic(values, v[1:-1], v[1:-1])
+    defect = defect - 0.25 * plan.cubic(values, traj.ps[1:-1])
     # each row's dot product with itself, as a stacked matmul: it takes the
     # dot kernel np.linalg.norm takes, so every entry equals the row's norm bit
     # for bit; einsum or (d * d).sum(1) round differently in the last bit
@@ -347,9 +348,11 @@ def _geodesic_defect(terms: GeodesicTerms, traj: Trajectory) -> np.ndarray:
 
 
 def geodesic_residual_along(conn: Connection, traj: Trajectory) -> np.ndarray:
-    """|nabla_{xdot} xdot| at a trajectory's interior states (self-consistency)."""
+    """|nabla_{xdot} xdot| at a trajectory's interior states (self-consistency),
+    from the jet plan of theta = 0 and Gamma; no pair is built, so Gamma may
+    have torsion."""
     zero = np.full((conn.chart.n,) * 2, ex.ZERO, dtype=object)
-    return _geodesic_defect(GeodesicTerms(_Leaves(zero, conn.gamma)), traj)
+    return _geodesic_defect(_JetPlan(_Leaves(zero, conn.gamma)), traj)
 
 
 # ---------------------------------------------------------------------------
@@ -376,15 +379,16 @@ def monitor_speed_square(pair: SymPoissonPair, traj: Trajectory) -> np.ndarray:
 def monitor_geodesic_residual(pair: SymPoissonPair, traj: Trajectory) -> np.ndarray:
     """Per interior step: | nabla_{xdot} xdot - (1/4) i_a i_a [theta,theta] |.
 
-    theta, d theta and every Gamma that is not a structural zero are read
-    at the interior states from one table of live leaves, and [theta, theta]
-    is contracted from them in the trace formula's order; no bracket tree is
-    built (see `_geodesic_defect`).  A defect that is not finite, such as
+    Every leaf of the pair's jet plan (theta, d theta and Gamma) is read at
+    the interior states from one table, and [theta, theta] is contracted
+    from them as the cyclic sum the verdicts read; no bracket tree is built
+    (see `_geodesic_defect`).  A leaf that fails raises its located error,
+    named in the plan's leaf order.  A defect that is not finite, such as
     one whose square overflows, raises DynamicsError naming the first such
     step.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        defect = _geodesic_defect(pair._geodesic, traj)
+        defect = _geodesic_defect(pair._jet_plan, traj)
     bad = np.flatnonzero(~np.isfinite(defect))
     if len(bad):
         raise DynamicsError(f"the geodesic residual is not finite at step {bad[0] + 1}")

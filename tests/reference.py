@@ -21,7 +21,8 @@ at one point, with its own eigendecomposition, as `involutivity_check` did
 sample by sample before the stacked routine.  `geodesic_defect_pointwise`
 evaluates Gamma and the cubic with one `Plan.values` call per interior state
 and contracts them with `np.einsum`, as the geodesic monitor did before it
-read a table of live leaves.  `verdict_trees`
+read a table of jet leaves; `cyclic_bracket` builds the cyclic [theta, theta]
+tree it reads.  `verdict_trees`
 builds the symbolic fields the sampled verdicts contract from the jet
 table, and `tree_verdicts` reads the verdicts from those trees, as
 `verdict_suite` did before the jet table.  `dense_jet_contractions`
@@ -39,7 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from sympoisson import expr as ex
-from sympoisson import poisson, pw
+from sympoisson import geometry, poisson, pw
 from sympoisson.defaults import RANK_TOL, TOL
 from sympoisson.expr import BinOp, Call, Const, EvalDomainError, Expr, Neg, Pow, Var
 
@@ -607,18 +608,35 @@ def membership_pointwise(matrix, v):
 # `pw._geodesic_defect` ran before it read one table over all states
 # ---------------------------------------------------------------------------
 
-def geodesic_defect_pointwise(conn, cubic, traj):
+def cyclic_bracket(conn, theta):
+    """The cyclic [theta, theta] tree, 2 ((D^{ijk} + D^{jki}) + D^{kij}) with
+    D^{ijk} = theta^{im} nabla_m theta^{jk} over the library's nabla theta,
+    built without the torsion check that samples Gamma on the chart's box."""
+    nabla = geometry.covariant_derivative(conn, theta).comps
+    d = np.stack([contract_first_slot_comps(row, nabla) for row in theta.comps])
+    return geometry.SymTensorField(theta.chart, 3, schouten_self_cyclic_comps(d))
+
+
+def geodesic_defect_pointwise(conn, cubic, traj, theta=None):
     """| nabla_{xdot} xdot - (1/4) i_a i_a cubic | at each interior state,
-    with Gamma and `cubic` from `Plan.values` called state by state."""
+    with Gamma and `cubic` from `Plan.values` called state by state.
+
+    Given `theta`, the plan's roots start with the jet leaves in
+    `poisson._Leaves` order (theta, d theta, Gamma), so where several
+    leaves fail at one state the error names the leaf the jet plan names."""
     states = len(traj.xs)
     if states < 3:
         raise pw.DynamicsError("need at least 3 stored states for finite differences")
     n = conn.chart.n
-    exprs = [*conn.gamma.flat, *(() if cubic is None else cubic.comps.flat)]
+    leaves = []
+    if theta is not None:
+        leaves = [*theta.comps.flat, *(theta.comps[i, j].diff(m) for m, i, j in np.ndindex(n, n, n))]
+    exprs = [*leaves, *conn.gamma.flat, *(() if cubic is None else cubic.comps.flat)]
     fields = ex.Plan(exprs).values
     table = np.empty((states - 2, len(exprs)))
     for s, x in enumerate(traj.xs[1:-1].tolist()):
         table[s] = fields(x)
+    table = table[:, len(leaves) :]
     v = traj.velocities
     gamma = table[:, : n**3].reshape(-1, n, n, n)
     defect = (v[2:] - v[:-2]) / (2.0 * traj.dt) + np.einsum("skij,si,sj->sk", gamma, v[1:-1], v[1:-1])

@@ -107,6 +107,11 @@ STRUCTURE_ERRORS = {
     "malformed": (ONE_DIM.replace("names", "dim"),
                   "malformed file {path}: While reading from '{path}' [line  3]: option 'dim' in section 'chart' "
                   "already exists"),
+    "bare line": (ONE_DIM.replace("names = x\n", "names = x\ngarbage\n"),
+                  "malformed file {path}: Source contains parsing errors: '{path}' [line  4]: 'garbage\\n'"),
+    "no section header": ("dim = 1\n" + ONE_DIM,
+                          "malformed file {path}: File contains no section headers. file: '{path}', line: 1 "
+                          "'dim = 1\\n'"),
     "involutivity verdict": (ONE_DIM + "\n[expect]\ninvolutive = maybe\n", "unknown involutivity verdict 'maybe'"),
     "expectation": (ONE_DIM + "\n[expect]\nflat = true\n", "unknown expectation 'flat'"),
     "probe point": (ONE_DIM + "\n[probe]\nrank = 1\n", "[probe] needs a point"),
@@ -349,15 +354,16 @@ def test_integrate_geodesic_monitor_domain_error(tmp_path):
     assert_exact_fields(out_path)
 
 
-def test_the_geodesic_monitor_reads_a_gamma_no_verdict_reads(tmp_path):
-    # theta's row y is all structural zeros, so the verdicts' jet plan holds
-    # zero for Gamma^y_yy = ln(x); the monitor's Gamma v v reads it, and x
-    # crosses 0 at t = 0.01
+def test_a_gamma_no_verdict_term_reads_fails_check_and_the_monitor(tmp_path):
+    # theta's row y is all structural zeros, so no verdict term multiplies
+    # Gamma^y_yy = ln(x) in; the one jet plan evaluates it all the same, so
+    # check fails where x < 0 on the samples, and the monitor's Gamma v v
+    # fails once x crosses 0 at t = 0.01
     src = tmp_path / "masked.ini"
     src.write_text("[chart]\ndim = 2\nnames = x, y\n\n[theta]\ntheta[1,1] = \"x\"\n\n"
                    "[connection]\ngamma[2,2,2] = \"ln(x)\"\n")
     code, out, err = run_cli("check", str(src))
-    assert (code, out.splitlines()[-1]) == (0, "PASS (4/4)"), out + err
+    assert (code, err) == (3, "error: ln of a non-positive argument in subterm 'ln(x)'\n"), out + err
     out_path = tmp_path / "run.csv"
     code, out, err = run_cli(
         "integrate", str(src), "--hamiltonian", "0.5*p1^2", "--x0=0.01,0.2", "--p0=-1,0",

@@ -1,18 +1,18 @@
-"""The geodesic defect read from one table of live leaves against the
-per-state loop over the trees.
+"""The geodesic defect read from the jet plan against the per-state loop
+over the trees.
 
-`pw._geodesic_defect` evaluates every live Gamma and the theta and d theta
-leaves [theta, theta] reads once over all interior states (`Plan.rows`),
-and contracts Gamma v v and p p [theta, theta] from them
-(`poisson.GeodesicTerms`).  `reference.geodesic_defect_pointwise` builds
-[theta, theta] as the trace formula's tree and evaluates Gamma and that
-tree state by state with `Plan.values`, then contracts with `np.einsum`.
-Both must give the same defect bit for bit, or stop with the same error:
-class, message and failing node, met at the first failing state.
+`pw._geodesic_defect` evaluates every jet leaf (theta, d theta and Gamma)
+once over all interior states (`Plan.rows` of `poisson._JetPlan`), and
+contracts Gamma v v and p p [theta, theta] from them, [theta, theta] as
+the cyclic sum the verdicts read.  `reference.geodesic_defect_pointwise`
+evaluates the jet leaves, Gamma and the cyclic [theta, theta] tree
+(`reference.cyclic_bracket`) state by state with `Plan.values`, then
+contracts with `np.einsum`.  Both must give the same defect bit for bit, or
+stop with the same error: class, message and failing node, met at the first
+failing state and, there, at the first failing leaf in the plan's order.
 """
 
 import math
-import operator
 from pathlib import Path
 
 import numpy as np
@@ -21,11 +21,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference
-from sympoisson import cli, geometry, poisson, pw
+from sympoisson import cli, poisson, pw
 from sympoisson import expr as ex
 from sympoisson.expr import EvalDomainError
 from sympoisson.geometry import Chart, Connection, SymTensorField
-from sympoisson.poisson import GeodesicTerms, _Leaves
+from sympoisson.poisson import _JetPlan, _Leaves
 from test_catalog_trees import _catalog_pairs
 
 LINE = Chart(["x"])
@@ -43,15 +43,13 @@ def _trajectory(xs, dt=1e-2):
 def _library(conn, theta, traj):
     if theta is None:
         return pw.geodesic_residual_along(conn, traj)
-    return pw._geodesic_defect(GeodesicTerms(_Leaves(theta.comps, conn.gamma)), traj)
+    return pw._geodesic_defect(_JetPlan(_Leaves(theta.comps, conn.gamma)), traj)
 
 
 def _pointwise(conn, theta, traj):
-    # the trace formula's tree, built without the torsion check, which
-    # samples Gamma on the chart's box
-    cubic = None if theta is None else geometry._trace_bracket(
-        theta, theta, lambda t: geometry.covariant_derivative(conn, t).directional, operator.add)
-    return reference.geodesic_defect_pointwise(conn, cubic, traj)
+    if theta is None:
+        return reference.geodesic_defect_pointwise(conn, None, traj)
+    return reference.geodesic_defect_pointwise(conn, reference.cyclic_bracket(conn, theta), traj, theta)
 
 
 def _outcome(defect, conn, theta, traj):
@@ -145,15 +143,15 @@ def test_ln_of_a_negative_in_the_bracket():
     assert got[:2] == (EvalDomainError, "ln of a non-positive argument in subterm 'ln(x1)'")
 
 
-def test_the_bracket_tree_walk_names_the_first_of_two_failing_leaves():
+def test_the_jet_plan_names_the_first_of_two_failing_leaves():
     # at (0, -1) both d_x theta^{xx} = 1 / (2 sqrt(x)) and theta^{xy} = ln(y)
-    # fail.  The trace formula's tree meets theta^{xx} d_x theta^{xx} first,
-    # so it names the division, where a table in leaf order (theta before
-    # d theta) would name the ln
+    # fail.  The jet plan evaluates theta before d theta, so it names the ln,
+    # where the trace formula's tree, which meets theta^{xx} d_x theta^{xx}
+    # first, would name the division
     theta = SymTensorField.from_dict(PLANE, 2, {(0, 0): "sqrt(x)", (0, 1): "ln(y)"})
     traj = _trajectory([[1.0, 1.0], [1.0, 1.0], [0.0, -1.0], [1.0, 1.0], [1.0, 1.0]])
     got = _same_as_pointwise(Connection.euclidean(PLANE), theta, traj)
-    assert got[:2] == (EvalDomainError, "division by zero in subterm '1 / (2 * sqrt(x1))'")
+    assert got[:2] == (EvalDomainError, "ln of a non-positive argument in subterm 'ln(x2)'")
 
 
 def test_overflow_in_a_power_raises_as_the_loop_does():
@@ -185,18 +183,17 @@ def test_structural_zeros_keep_their_sign():
 
 
 # ---------------------------------------------------------------------------
-# the monitor against the trace formula's tree, on every pair integrate runs
+# the monitor on every pair integrate runs
 # ---------------------------------------------------------------------------
 
 STRUCTURES = Path(__file__).resolve().parents[1] / "structures"
 CATALOG = dict(_catalog_pairs())
 INTEGRATED = ["nondeg_kill", "oscillator", "r5", "inclusion"]
+IDENTS = [f"file:{name}" for name in INTEGRATED] + list(CATALOG)
 
 
-@pytest.mark.parametrize("ident", [f"file:{name}" for name in INTEGRATED] + list(CATALOG))
-def test_the_monitor_is_the_trace_formula_defect_bit_for_bit(ident):
-    # where the cyclic [theta, theta] sums in another order (liealg:aff1,
-    # ex:rotation, ex:radial) the monitor still reads the trace formula's bits
+def _monitored(ident):
+    """A pair, a 40-step trajectory inside its box and the monitor's defect."""
     if ident.startswith("file:"):
         pair = cli.load_structure(str(STRUCTURES / f"{ident[5:]}.ini")).pair
     else:
@@ -205,5 +202,21 @@ def test_the_monitor_is_the_trace_formula_defect_bit_for_bit(ident):
     lo, hi = np.array(pair.chart.box, dtype=float).T
     start = pw.CotangentState(tuple(lo + (hi - lo) * np.linspace(0.3, 0.7, n)), tuple(np.linspace(-0.6, 0.5, n)))
     traj = pw.integrate_pw(pair.nabla, pw.vertical_lift(pair.theta), start, dt=1e-3, steps=40)
-    got = pw.monitor_geodesic_residual(pair, traj)
-    assert got.tobytes() == reference.geodesic_defect_pointwise(pair.nabla, poisson.schouten_self(pair), traj).tobytes()
+    return pair, traj, pw.monitor_geodesic_residual(pair, traj)
+
+
+@pytest.mark.parametrize("ident", IDENTS)
+def test_the_monitor_is_the_cyclic_bracket_defect_bit_for_bit(ident):
+    pair, traj, got = _monitored(ident)
+    want = reference.geodesic_defect_pointwise(pair.nabla, reference.cyclic_bracket(pair.nabla, pair.theta), traj,
+                                               pair.theta)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("ident", IDENTS)
+def test_the_monitor_is_the_trace_formula_defect_up_to_rounding(ident):
+    # the trace formula's tree sums [theta, theta] in another order, which
+    # moves the last bits on liealg:aff1, ex:rotation and ex:radial
+    pair, traj, got = _monitored(ident)
+    want = reference.geodesic_defect_pointwise(pair.nabla, poisson.schouten_self(pair), traj)
+    assert np.abs(got - want).max() / max(1.0, np.abs(got).max()) <= 1e-14

@@ -148,28 +148,38 @@ def test_one_table_per_sample_set_kept_on_the_pair(monkeypatch):
     assert len(tables) == 2 and tables[0] is tables[1] is pair._jet_plan.plan
 
 
-def test_the_jet_table_reads_only_what_the_trees_reach():
-    # Gamma^y_yy = ln(x) fails where x < 0, but theta^{yy} and theta^{xy} are
-    # structural zeros, so no tree multiplies it in, and the jet plan holds
-    # zero in its place
+def test_a_gamma_no_tree_reads_fails_every_sampled_verdict():
+    # Gamma^y_yy = ln(x) fails where x < 0.  theta^{yy} and theta^{xy} are
+    # structural zeros, so no tree multiplies it in, but the one jet plan
+    # holds every Gamma, so each verdict raises its error.
     chart = Chart(["x", "y"])
     theta = SymTensorField.from_dict(chart, 2, {(0, 0): "x"})
     ln = chart.parse("ln(x)").expr
     pair = SymPoissonPair(theta, Connection.from_dict(chart, {(1, 1, 1): "ln(x)"}))
     samples = chart.sample_points()
     assert (samples[:, 0] < 0).any()
-    assert not any(node is ln for node in pair._jet_plan.plan.nodes)
-    assert isinstance(pair.jets(samples), poisson.Jets)
-    suite = verdict_suite(pair)
-    trees = reference.verdict_trees(pair)
-    for name, quantity in [("symmetric_poisson", "schouten"), ("strong", "directional"), ("parallel", "nabla_theta")]:
-        assert suite.residuals[name] == ex.Plan(trees[quantity].flat).residual(samples), name
-    assert reference.tree_verdicts(pair, samples) == {
-        "symmetric_poisson": suite.symmetric_poisson,
-        "strong": suite.strong,
-        "parallel": suite.parallel,
-        "involutive": suite.involutive,
-    }
+    assert any(node is ln for node in pair._jet_plan.plan.nodes)
+    for verdict in (poisson.symmetric_poisson_residual, poisson.strong_residual, poisson.parallel_residual,
+                    poisson.involutivity_check):
+        with pytest.raises(ex.EvalDomainError) as err:
+            verdict(pair, samples)
+        assert str(err.value) == "ln of a non-positive argument in subterm 'ln(x1)'", verdict.__name__
+        assert err.value.node is ln, verdict.__name__
+
+
+def test_a_gamma_no_term_reads_stays_out_of_a_rescaled_scale():
+    # the scales of D and [theta, theta] overflow over finite theta and d
+    # theta scales (as in test_cli), so they are summed again over rescaled
+    # leaf scales; Gamma^x_zz = 1e308 * 10 * x reads inf, but theta's row z
+    # is all structural zeros, so no term reads it and no residual moves
+    chart = Chart(["x", "y", "z"])
+    theta = SymTensorField.from_dict(chart, 2, {(0, 0): "-1", (0, 1): "sin(x) / (1e150*x)", (1, 1): "x - 1e150*x"})
+    masked = SymPoissonPair(theta, Connection.from_dict(chart, {(0, 2, 2): "1e308*10*x"}))
+    plain = SymPoissonPair(theta, Connection.euclidean(chart))
+    assert not np.isfinite(masked.jets().gamma[1]).all()
+    assert not np.isfinite(masked.jets().schouten[1]).all()
+    assert verdict_suite(masked).residuals == verdict_suite(plain).residuals
+    assert verdict_suite(masked).symmetric_poisson
 
 
 def test_a_leaf_only_the_parallel_tree_reads_fails_every_sampled_verdict():
