@@ -11,21 +11,24 @@ All verdicts are sampled identity checks on the chart's sample box.
 
 Every condition is built from theta, its first derivatives and the
 Christoffel symbols, so the sampled verdicts read one table of those
-values, the pair's `Jets`, and contract numbers instead of building trees:
-nabla theta, theta^{im} nabla_m theta, the cyclic [theta, theta] and the
-commutators of the module generators.  Each contraction sums only the
-terms a symbolic tree has, its structurally live terms, in the tree's
-order, so its values equal the tree's; a product with a structural zero is
-never formed.  A residual is max |v| / (1 + scale), where the scale is the
+values, the pair's `Jets`, and contract numbers instead of building trees.
+There is one live-component chain, `_JetPlan.contract`: nabla theta, then
+D^{ijk} = theta^{im} nabla_m theta^{jk}, then the cyclic [theta, theta],
+each formed only on the components whose tree is not a structural zero
+(every other component is 0).  The verdicts and the geodesic monitor both
+read it.  Each contraction sums only the terms a symbolic tree has, its
+structurally live terms, in the tree's order, so its values equal the
+tree's; a product with a structural zero is never formed.  A residual is
+max |v| / (1 + scale) over the live components, where the scale is the
 same live-term sums taken over the leaves' scales (a running error bound
 of a sum of products); where that sum overflows over finite leaf scales it
-is formed again over leaf scales times a power of two.  The jet table is the
-one sampled route.  A leaf that fails raises the table's located
-EvalDomainError, a residual whose value or scale is not finite otherwise
-reads inf, and a commutator that is not finite raises.  The geodesic
-monitor reads the same plan (`_JetPlan`) at a trajectory's states: every
-leaf is evaluated, a failing one raises in the plan's leaf order, and
-[theta, theta] is the same cyclic sum.
+is formed again over leaf scales times a power of two.  A leaf that fails
+raises the table's located EvalDomainError, a residual whose value or
+scale is not finite otherwise reads inf, and a commutator that is not
+finite raises.  The geodesic monitor reads the same plan at a
+trajectory's states: every leaf is evaluated, a failing one raises in the
+plan's leaf order, and p_i p_j [theta, theta]^{ijk} reads the chain's
+[theta, theta].
 """
 
 from __future__ import annotations
@@ -63,10 +66,9 @@ class PoissonError(Exception):
 class SymPoissonPair:
     """A symmetric bivector field together with a torsion-free connection.
 
-    Its jet leaves (`_leaves`), their one jet plan with its term lists,
-    which the verdicts and the geodesic monitor both read, and each sample
-    set's table of `jets` are built once, on first use; no bracket tree is
-    built for any of them."""
+    Its one jet plan with its term lists, which the verdicts and the
+    geodesic monitor both read, and each sample set's table of `jets` are
+    built once, on first use; no bracket tree is built for any of them."""
 
     theta: SymTensorField
     nabla: Connection
@@ -83,12 +85,8 @@ class SymPoissonPair:
         return self.theta.chart
 
     @cached_property
-    def _leaves(self) -> _Leaves:
-        return _Leaves(self.theta.comps, self.nabla.gamma)
-
-    @cached_property
     def _jet_plan(self) -> _JetPlan:
-        return _JetPlan(self._leaves)
+        return _JetPlan(self.theta.comps, self.nabla.gamma)
 
     @cached_property
     def _jet_tables(self) -> dict:
@@ -159,16 +157,17 @@ class _Terms:
 
 class _Layout:
     """The index tables of the jet contractions on an n-chart, each term at
-    its position in the tree that sums it.  A pair's live terms are read
-    from them through its structural zeros (`_Leaves`).
+    its position in the tree that sums it, over leaf ids.  A pair's live
+    terms are read from them through its structural zeros (`_JetPlan`).
 
     Leaf ids: theta^{ij} at i n + j, d_m theta^{ij} in (m, i, j) order from
     n^2, Gamma^k_{ij} in (k, i, j) order from n^2 + n^3, the constant 1 last.
 
-    - nabla_m theta^{ij} for i <= j, in (m, i, j) order (`nabla_index` maps
-      every (m, i, j) to it), as `geometry.covariant_derivative` sums it:
-      d_m theta^{ij} * 1, Gamma^i_{mk} theta^{kj} (k), Gamma^j_{mk} theta^{ik} (k).
-    - D^{ijk} = theta^{im} nabla_m theta^{jk} over m, for every (i, j, k).
+    - nabla_m theta^{ij} for i <= j, in (m, i, j) order, as
+      `geometry.covariant_derivative` sums it: d_m theta^{ij} * 1,
+      Gamma^i_{mk} theta^{kj} (k), Gamma^j_{mk} theta^{ik} (k).
+    - D^{ijk} = theta^{im} nabla_m theta^{jk} over m, for every (i, j, k):
+      theta's leaf and the index of nabla_m theta^{jk} above.
     - the commutator of theta's rows a < b (the columns of `above_diagonal`,
       (2, pairs), in row order), for each k: theta^{am} d_m theta^{bk}, then
       -(theta^{bm} d_m theta^{ak}), for each m in turn.
@@ -188,11 +187,10 @@ class _Layout:
         k = np.arange(n)
         self.nabla_left = np.concatenate([dtheta[m, i, j], self.gamma[i, m, k], self.gamma[j, m, k]], axis=1)
         self.nabla_right = np.concatenate([np.full_like(m, self.size - 1), theta[k, j], theta[i, k]], axis=1)
-        self.nabla_index = np.empty((n, n, n), int)
-        self.nabla_index[m, i, j] = self.nabla_index[m, j, i] = np.arange(len(m))[:, None]
+        nabla_index = np.empty((n, n, n), int)
+        nabla_index[m, i, j] = nabla_index[m, j, i] = np.arange(len(m))[:, None]
         i, j, k, m = np.indices((n, n, n, n)).reshape(4, n**3, n)
-        self.directional_left, self.directional_comp = theta[i, m], self.nabla_index[m, j, k]
-        self.directional_right = (m * n + j) * n + k
+        self.directional_left, self.directional_comp = theta[i, m], nabla_index[m, j, k]
         self.above_diagonal = np.stack(np.triu_indices(n, 1))
         a, b = self.above_diagonal
         p, k, m = np.indices((len(a), n, n))
@@ -214,179 +212,135 @@ def _layout(n: int) -> _Layout:
     return _Layout(n)
 
 
-class _Leaves:
-    """The jet leaves of a pair by `_Layout` id, which of them are structural
-    zeros, and which terms of nabla theta are live: where neither factor is
-    a structural zero, as in the tree.  `nabla_zero` marks the components
-    that tree folds to a structural zero: no term, or constant terms that
-    sum to 0."""
+# the contractions `_JetPlan.contract` forms, in order
+QUANTITIES = ("nabla_theta", "directional", "schouten")
+
+
+class _JetPlan:
+    """The pair's one plan of its jet leaves and the live-term lists of their
+    contractions, which the sampled verdicts and the geodesic monitor both
+    read.
+
+    The plan's roots are the distinct theta and d theta leaves, then the
+    distinct Gamma leaves and the constant 1, so the first `prefix` columns
+    of a table are theta's and d theta's; `columns` maps each `_Layout` leaf
+    id to its column, and every term list reads columns.  Every leaf is in
+    the plan, so a table of it raises for any leaf that fails, even one no
+    term reads.  Every term list holds only the terms a tree has: a product
+    with a structural zero is never formed.
+
+    `components` holds the components `contract` forms, for each of
+    `QUANTITIES`: the nabla theta whose tree is not a structural zero (as
+    indices of `_Layout`'s (m, i <= j) order), the D that the live [theta,
+    theta] components add, and the [theta, theta] where a D it adds is live
+    (both as flat (i, j, k) indices).  Every other component is 0.
+    """
 
     def __init__(self, theta: np.ndarray, gamma: np.ndarray):
-        n = len(theta)
-        self.layout = layout = _layout(n)
-        self.exprs = [*theta.flat, *(theta[i, j].diff(m) for m, i, j in itertools.product(range(n), repeat=3)),
-                      *gamma.flat, ex.ONE]
-        const = np.array([e.value if type(e) is ex.Const else math.nan for e in self.exprs])
+        self.n = n = len(theta)
+        layout = _layout(n)
+        jet = [*theta.flat, *(theta[i, j].diff(m) for m, i, j in itertools.product(range(n), repeat=3))]
+        groups = (jet, [*gamma.flat, ex.ONE])
+        distinct = [{id(e): e for e in group} for group in groups]
+        self.prefix = len(distinct[0])
+        self.plan = ex.Plan([*distinct[0].values(), *distinct[1].values()])
+        slots = [{key: c for c, key in enumerate(keys, start)} for keys, start in zip(distinct, (0, self.prefix))]
+        self.columns = np.array([slot[id(e)] for slot, group in zip(slots, groups) for e in group])
+        const = np.array([e.value if type(e) is ex.Const else math.nan for group in groups for e in group])
         self.zero = zero = const == 0.0
+        # nabla theta: a term is live where neither factor is a structural
+        # zero; a component with no live term, or with constant terms that sum
+        # to 0 (NaN where a term is not constant), is a structural zero
         left, right = layout.nabla_left, layout.nabla_right
-        self.nabla_live = live = ~zero[left] & ~zero[right]
-        # the sum of the constant terms in order, NaN where a term is not constant
+        live = ~zero[left] & ~zero[right]
         with np.errstate(all="ignore"):
             products = np.where(live, const[left] * const[right], 0.0)
             total = products[:, 0].copy()
             for column in products.T[1:]:
                 total += column
-        self.nabla_zero = total == 0.0
+        nabla_live = total != 0.0
+        nabla = np.flatnonzero(nabla_live)
+        # a term theta^{im} nabla_m theta^{jk} of D^{ijk} is live where theta^{im}
+        # is not a structural zero and nabla_m theta^{jk} is live;
+        # [theta, theta]^{ijk} is live where a D it adds has a live term
+        d_live = ~zero[layout.directional_left] & nabla_live[layout.directional_comp]
+        bracket = np.flatnonzero(d_live.any(axis=1)[layout.cyclic].any(axis=0))
+        d = np.unique(layout.cyclic[:, bracket])
+        self.components = (nabla, d, bracket)
+        self.nabla = _Terms(live[nabla], self.columns[left[nabla]], self.columns[right[nabla]])
+        self.directional = _Terms(d_live[d], self.columns[layout.directional_left[d]],
+                                  np.searchsorted(nabla, layout.directional_comp[d]))
+        self.cyclic = np.searchsorted(d, layout.cyclic[:, bracket])
 
-    def nabla(self, components, column: np.ndarray | None = None) -> _Terms:
-        """The terms of the given nabla theta components, their factors read
-        from the table columns `column[leaf id]` (default: the leaf ids)."""
-        left, right = self.layout.nabla_left[components], self.layout.nabla_right[components]
-        if column is not None:
-            left, right = column[left], column[right]
-        return _Terms(self.nabla_live[components], left, right)
-
-
-class _JetPlan:
-    """The pair's one plan of the distinct jet leaves, the table column of
-    each leaf id, and the term lists of their contractions, for the sampled
-    verdicts and the geodesic monitor alike.
-
-    Every leaf is in the plan, so a table of it raises for any leaf that
-    fails, even one no term reads.  Every term list holds only the terms a
-    tree has: a product with a structural zero is never formed."""
-
-    def __init__(self, leaves: _Leaves):
-        self.leaves, self.n = leaves, leaves.layout.n
-        distinct = {id(e): e for e in leaves.exprs}
-        slot = {key: c for c, key in enumerate(distinct)}
-        self.plan = ex.Plan(distinct.values())
-        self.columns = np.array([slot[id(e)] for e in leaves.exprs])
-
-    @cached_property
-    def nabla(self) -> _Terms:
-        return self.leaves.nabla(slice(None))
-
-    @cached_property
-    def _directional_live(self) -> np.ndarray:
-        layout, leaves = self.leaves.layout, self.leaves
-        return ~leaves.zero[layout.directional_left] & ~leaves.nabla_zero[layout.directional_comp]
-
-    @cached_property
-    def directional(self) -> _Terms:
-        """theta from the leaves, nabla theta from its (m, j, k) values."""
-        layout = self.leaves.layout
-        return _Terms(self._directional_live, layout.directional_left, layout.directional_right)
+    def contract(self, table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """nabla theta, D and the cyclic [theta, theta], each (samples, its
+        `components`), from a (samples, columns) table of the plan's values
+        or scales."""
+        nabla = self.nabla(table, table)
+        d = self.directional(table, nabla)
+        first, second, third = (d[:, ids] for ids in self.cyclic)
+        return nabla, d, 2.0 * (first + second + third)
 
     @cached_property
     def commutators(self) -> _Terms:
-        layout, zero = self.leaves.layout, self.leaves.zero
+        layout, zero = _layout(self.n), self.zero
         left, right = layout.commutator_left, layout.commutator_right
         live = ~zero[left] & ~zero[right]
-        return _Terms(live, left, right, negated=layout.commutator_negated)
+        return _Terms(live, self.columns[left], self.columns[right], negated=layout.commutator_negated)
 
     @cached_property
     def quadratic(self) -> _Terms:
         """Gamma^k_{ij} v^i v^j (states, k) from the plan's values, v and v:
         the sum `np.einsum` forms, of (Gamma v^i) v^j over (i, j) in order."""
-        layout = self.leaves.layout
+        layout = _layout(self.n)
         gamma = layout.gamma.reshape(self.n, -1)
-        return _Terms(~self.leaves.zero[gamma], self.columns[gamma], layout.pair_i, layout.pair_j)
+        return _Terms(~self.zero[gamma], self.columns[gamma], layout.pair_i, layout.pair_j)
 
     @cached_property
-    def _cubic(self) -> tuple[_Terms, _Terms, np.ndarray, _Terms]:
-        """What `cubic` sums: nabla theta and D over the plan's columns, the
-        three D of each [theta, theta] component and p p [theta, theta]."""
-        layout = self.leaves.layout
-        live = self._directional_live
-        bracket_live = live.any(axis=1)[layout.cyclic].any(axis=0)
-        # the [theta, theta] components a live p p [theta, theta] term reads,
-        # the D they add and the nabla theta those D read, each in id order
-        bracket = np.flatnonzero(bracket_live)
-        d = np.unique(layout.cyclic[:, bracket])
-        nabla = np.unique(layout.directional_comp[d][live[d]])
-        return (self.leaves.nabla(nabla, self.columns),
-                _Terms(live[d], self.columns[layout.directional_left[d]],
-                       np.searchsorted(nabla, layout.directional_comp[d])),
-                np.searchsorted(d, layout.cyclic[:, bracket]),
-                _Terms(bracket_live[layout.cubic], layout.pair_i, layout.pair_j,
-                       np.searchsorted(bracket, layout.cubic)))
-
-    def cubic(self, values: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """p_i p_j [theta, theta]^{ijk} (states, k) from the plan's values and
-        p: the sum `np.einsum` forms, of (p_i p_j) [theta, theta]^{ijk} over
-        (i, j) in order, with [theta, theta] the cyclic sum `Jets.schouten`
-        reads.  Only the nabla theta, D and [theta, theta] components a live
-        term reads are formed."""
-        nabla, directional, cyclic, terms = self._cubic
-        d = directional(values, nabla(values, values))
-        first, second, third = (d[:, ids] for ids in cyclic)
-        return terms(p, p, 2.0 * (first + second + third))
+    def cubic(self) -> _Terms:
+        """p_i p_j [theta, theta]^{ijk} (states, k) from p, p and the
+        contracted [theta, theta]: the sum `np.einsum` forms, of (p_i p_j)
+        [theta, theta]^{ijk} over (i, j) in order, with the components that
+        are 0 left out."""
+        layout, bracket = _layout(self.n), self.components[2]
+        live = np.zeros(self.n**3, bool)
+        live[bracket] = True
+        return _Terms(live[layout.cubic], layout.pair_i, layout.pair_j, np.searchsorted(bracket, layout.cubic))
 
 
 class Jets:
-    """theta, d theta and Gamma at some samples, and what the sampled verdicts
-    contract from them.
+    """The jet plan's table at some samples, and what the sampled verdicts
+    contract from it.
 
-    `values` and `scales` (samples, leaves) hold each jet leaf in `_Leaves`
-    order; `theta` (samples, i, j), `dtheta` (samples, m, i, j) = d_m
-    theta^{ij} and `gamma` (samples, k, i, j) = Gamma^k_{ij} are (value,
-    scale) views of them.  A scale is the largest |subterm| of its leaf
-    there.  Each contraction sums only its live terms (`_JetPlan`), one at
-    a time in the order the symbolic builder sums them, so its values equal
-    the tree's, up to the sign of a zero.  Its scale is the same live-term
-    sum taken over the leaf scales.
+    `values` and `scales` (samples, columns) are `Plan.table` of the jet
+    plan; a scale is the largest |subterm| of its leaf there.  `contracted`
+    holds each of `QUANTITIES` over its live components (`_JetPlan.contract`),
+    each summed one term at a time in the order the symbolic builder sums
+    it, so its values equal the tree's, up to the sign of a zero, and its
+    scale is the same live-term sum taken over the leaf scales.
     """
 
     def __init__(self, samples: np.ndarray, plan: _JetPlan, values: np.ndarray, scales: np.ndarray):
         self.samples, self._plan = samples, plan
         self.values, self.scales = values, scales
-        s, n = len(samples), plan.n
-
-        def split(table):
-            return (table[:, : n * n].reshape(s, n, n), table[:, n * n : n * n + n**3].reshape(s, n, n, n),
-                    table[:, n * n + n**3 : -1].reshape(s, n, n, n))
-
-        self.theta, self.dtheta, self.gamma = zip(split(values), split(scales))
 
     @classmethod
     def of(cls, plan: _JetPlan, samples: np.ndarray) -> Jets:
-        values, scales = (table[:, plan.columns] for table in plan.plan.table(samples))
-        return cls(samples, plan, values, scales)
-
-    def _contract(self, table: np.ndarray) -> dict[str, np.ndarray]:
-        """nabla theta (samples, m, i, j), D^{ijk} = theta^{im} nabla_m theta^{jk}
-        and the cyclic [theta, theta] (samples, i, j, k) from a (samples,
-        leaves) table of leaf values or scales; the tree of nabla_m theta^{ij}
-        with i <= j is stored at (m, j, i) too."""
-        plan = self._plan
-        s, n = len(self.samples), plan.n
-        with np.errstate(all="ignore"):
-            nabla = plan.nabla(table, table)[:, plan.leaves.layout.nabla_index.ravel()]
-            d = plan.directional(table, nabla).reshape(s, n, n, n)
-            return {"nabla_theta": nabla.reshape(s, n, n, n), "directional": d, "schouten": _cyclic(d)}
+        return cls(samples, plan, *plan.plan.table(samples))
 
     @cached_property
-    def _contracted(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """{quantity: (value, scale)}, each scale the same live-term sums as
-        its value, over the leaf scales."""
-        values, scales = self._contract(self.values), self._contract(self.scales)
-        return {quantity: (values[quantity], scales[quantity]) for quantity in values}
+    def theta(self) -> tuple[np.ndarray, np.ndarray]:
+        """theta's values and scales, each (samples, i, j)."""
+        n = self._plan.n
+        read = self._plan.columns[: n * n]
+        return self.values[:, read].reshape(-1, n, n), self.scales[:, read].reshape(-1, n, n)
 
-    @property
-    def nabla_theta(self) -> tuple[np.ndarray, np.ndarray]:
-        """nabla_m theta^{ij} = d_m theta^{ij} + Gamma^i_{mk} theta^{kj} + Gamma^j_{mk} theta^{ik}: (samples, m, i, j)."""
-        return self._contracted["nabla_theta"]
-
-    @property
-    def directional(self) -> tuple[np.ndarray, np.ndarray]:
-        """D^{ijk} = theta^{im} nabla_m theta^{jk}: (samples, i, j, k)."""
-        return self._contracted["directional"]
-
-    @property
-    def schouten(self) -> tuple[np.ndarray, np.ndarray]:
-        """[theta, theta]^{ijk} = 2 (D^{ijk} + D^{jki} + D^{kij}): (samples, i, j, k)."""
-        return self._contracted["schouten"]
+    @cached_property
+    def contracted(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """{quantity: (value, scale)}, each (samples, live components).  A
+        product that overflows reads inf, as in the trees."""
+        with np.errstate(all="ignore"):
+            return dict(zip(QUANTITIES, zip(self._plan.contract(self.values), self._plan.contract(self.scales))))
 
     def residual(self, quantity: str) -> float:
         """max |v| / (1 + scale) of a contraction, or inf wherever a value is
@@ -400,21 +354,22 @@ class Jets:
         bit).  A scale still not finite (a live term may read a Gamma whose
         scale is inf), or lost to underflow, reads inf.
         """
-        value, scale = self._contracted[quantity]
+        value, scale = self.contracted[quantity]
         if not np.isfinite(value).all():
             return math.inf
         over = ~np.isfinite(scale)
         if not over.any():
             return float((np.abs(value) / (1.0 + scale)).max(initial=0.0))
-        n = self._plan.n
-        if not np.isfinite(self.scales[:, : n * n + n**3]).all():
+        prefix = self._plan.prefix
+        if not np.isfinite(self.scales[:, :prefix]).all():
             return math.inf
         res = np.abs(value)
         res[~over] /= 1.0 + scale[~over]
-        e = int(np.frexp(self.scales[:, : n * n + n**3].max())[1])
+        e = int(np.frexp(self.scales[:, :prefix].max())[1])
         shifted = self.scales.copy()
-        shifted[:, : n * n + n**3] = np.ldexp(shifted[:, : n * n + n**3], -e)
-        lower = self._contract(shifted)[quantity][over]
+        shifted[:, :prefix] = np.ldexp(shifted[:, :prefix], -e)
+        with np.errstate(all="ignore"):
+            lower = self._plan.contract(shifted)[QUANTITIES.index(quantity)][over]
         if not (np.isfinite(lower).all() and (lower > 0.0).all()):
             return math.inf
         (mv, ev), (ms, es) = np.frexp(res[over]), np.frexp(lower)
@@ -434,11 +389,6 @@ class Jets:
         term reads are finite."""
         read = self._plan.commutators.ids[1]
         return bool(np.isfinite(self.scales[:, read]).all() and np.isfinite(self.theta[1]).all())
-
-
-def _cyclic(d: np.ndarray) -> np.ndarray:
-    """2 ((a^{ijk} + a^{jki}) + a^{kij}) over (samples, i, j, k), the order the cyclic tree adds."""
-    return 2.0 * (d + d.transpose(0, 3, 1, 2) + d.transpose(0, 2, 3, 1))
 
 
 # ---------------------------------------------------------------------------

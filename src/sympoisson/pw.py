@@ -26,7 +26,7 @@ from . import geometry as geo
 from .defaults import DT
 from .expr import ScalarField
 from .geometry import Chart, Connection, SymFormField, SymTensorField, levi_civita
-from .poisson import SymPoissonPair, _JetPlan, _Leaves, _membership, _spectra
+from .poisson import SymPoissonPair, _JetPlan, _membership, _spectra
 
 
 class DynamicsError(Exception):
@@ -330,17 +330,17 @@ def _geodesic_defect(plan: _JetPlan, traj: Trajectory) -> np.ndarray:
     all interior states, so the first state that fails raises the error of
     its first failing leaf in the plan's order.  Gamma^k_{ij} v^i v^j and
     p_i p_j [theta, theta]^{ijk} are their live terms' ordered sums
-    (`_JetPlan.quadratic`, `_JetPlan.cubic`), with [theta, theta] the cyclic
-    sum the verdicts read, equal bit for bit to the dense `np.einsum`s over
-    the trees' values.  Without [theta, theta] the defect is the geodesic
-    equation's own residual.
+    (`_JetPlan.quadratic`, `_JetPlan.cubic`), with [theta, theta] the
+    contraction the verdicts read (`_JetPlan.contract`), equal bit for bit
+    to the dense `np.einsum`s over the trees' values.  Without [theta,
+    theta] the defect is the geodesic equation's own residual.
     """
     if len(traj.xs) < 3:
         raise DynamicsError("need at least 3 stored states for finite differences")
     values = plan.plan.rows(traj.xs[1:-1])
-    v = traj.velocities
+    v, p = traj.velocities, traj.ps[1:-1]
     defect = (v[2:] - v[:-2]) / (2.0 * traj.dt) + plan.quadratic(values, v[1:-1], v[1:-1])
-    defect = defect - 0.25 * plan.cubic(values, traj.ps[1:-1])
+    defect = defect - 0.25 * plan.cubic(p, p, plan.contract(values)[2])
     # each row's dot product with itself, as a stacked matmul: it takes the
     # dot kernel np.linalg.norm takes, so every entry equals the row's norm bit
     # for bit; einsum or (d * d).sum(1) round differently in the last bit
@@ -352,7 +352,7 @@ def geodesic_residual_along(conn: Connection, traj: Trajectory) -> np.ndarray:
     from the jet plan of theta = 0 and Gamma; no pair is built, so Gamma may
     have torsion."""
     zero = np.full((conn.chart.n,) * 2, ex.ZERO, dtype=object)
-    return _geodesic_defect(_JetPlan(_Leaves(zero, conn.gamma)), traj)
+    return _geodesic_defect(_JetPlan(zero, conn.gamma), traj)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,9 @@ builds the symbolic fields the sampled verdicts contract from the jet
 table, and `tree_verdicts` reads the verdicts from those trees, as
 `verdict_suite` did before the jet table.  `dense_jet_contractions`
 contracts a jet table over every index, structural zeros included, as
-`poisson.Jets` did before it summed only live terms.  `csv_rows` prints a float table
+`poisson.Jets` did before it summed only live terms; `dense_jets` scatters
+the live components `poisson.Jets` forms into the same dense arrays, and
+`jet_leaves` reads theta, d theta and Gamma from its table.  `csv_rows` prints a float table
 with one `'%.17g'` per value, as `pw.trajectory_to_csv` did before its
 vectorized writer.
 """
@@ -610,10 +612,28 @@ def membership_pointwise(matrix, v):
 
 def cyclic_bracket(conn, theta):
     """The cyclic [theta, theta] tree, 2 ((D^{ijk} + D^{jki}) + D^{kij}) with
-    D^{ijk} = theta^{im} nabla_m theta^{jk} over the library's nabla theta,
-    built without the torsion check that samples Gamma on the chart's box."""
-    nabla = geometry.covariant_derivative(conn, theta).comps
-    d = np.stack([contract_first_slot_comps(row, nabla) for row in theta.comps])
+    D^{ijk} = theta^{im} nabla_m theta^{jk}, built without the torsion check
+    that samples Gamma on the chart's box.  nabla_m theta^{ij} sums the terms
+    of `geometry.covariant_derivative` in its order, built for i <= j.
+
+    A product with a structural-zero factor is left out of its sum, as the
+    jet plan leaves it out.  `expr.add` drops such a product anyway wherever
+    `expr.mul` folds it to a zero; it differs only where the other factor is
+    an infinite constant, which `expr.mul` folds to NaN (0 * inf)."""
+    n, t, gamma = theta.chart.n, theta.comps, conn.gamma
+
+    def total(first, pairs):
+        return ex.expr_sum([*first, *(ex.mul(a, b) for a, b in pairs
+                                      if not (ex.is_structural_zero(a) or ex.is_structural_zero(b)))])
+
+    nabla = np.empty((n, n, n), dtype=object)
+    for m, i, j in np.ndindex(n, n, n):
+        if i <= j:
+            pairs = [(gamma[i, m, k], t[k, j]) for k in range(n)] + [(gamma[j, m, k], t[i, k]) for k in range(n)]
+            nabla[m, i, j] = nabla[m, j, i] = total([t[i, j].diff(m)], pairs)
+    d = np.empty((n, n, n), dtype=object)
+    for i, j, k in np.ndindex(n, n, n):
+        d[i, j, k] = total([], [(t[i, m], nabla[m, j, k]) for m in range(n)])
     return geometry.SymTensorField(theta.chart, 3, schouten_self_cyclic_comps(d))
 
 
@@ -622,7 +642,7 @@ def geodesic_defect_pointwise(conn, cubic, traj, theta=None):
     with Gamma and `cubic` from `Plan.values` called state by state.
 
     Given `theta`, the plan's roots start with the jet leaves in
-    `poisson._Leaves` order (theta, d theta, Gamma), so where several
+    `poisson._Layout` order (theta, d theta, Gamma), so where several
     leaves fail at one state the error names the leaf the jet plan names."""
     states = len(traj.xs)
     if states < 3:
@@ -676,6 +696,45 @@ def _fold(terms):
     return out
 
 
+def jet_leaves(jets):
+    """theta (samples, i, j), d theta (samples, m, i, j) = d_m theta^{ij} and
+    Gamma (samples, k, i, j) = Gamma^k_{ij} of `poisson.Jets`, each (value,
+    scale), read from the jet plan's columns."""
+    plan = jets._plan
+    n = plan.n
+    views = []
+    for table in (jets.values, jets.scales):
+        leaves = table[:, plan.columns]
+        views.append((leaves[:, : n * n].reshape(-1, n, n), leaves[:, n * n : n * n + n**3].reshape(-1, n, n, n),
+                      leaves[:, n * n + n**3 : -1].reshape(-1, n, n, n)))
+    return tuple(zip(*views))
+
+
+def dense_jets(jets):
+    """{quantity: (value, scale)} of `poisson.Jets.contracted`, each scattered
+    into (samples, n, n, n): nabla theta at (m, i, j) and (m, j, i), D and
+    [theta, theta] at (i, j, k).  A component the jet plan does not form
+    reads 0."""
+    plan = jets._plan
+    n = plan.n
+    i, j = np.triu_indices(n)
+    m, i, j = np.repeat(np.arange(n), len(i)), np.tile(i, n), np.tile(j, n)
+    out = {}
+    for quantity, components in zip(poisson.QUANTITIES, plan.components):
+        slots = [components]
+        if quantity == "nabla_theta":
+            slots = [(m[components] * n + i[components]) * n + j[components],
+                     (m[components] * n + j[components]) * n + i[components]]
+        dense = []
+        for table in jets.contracted[quantity]:
+            full = np.zeros((len(table), n**3))
+            for slot in slots:
+                full[:, slot] = table
+            dense.append(full.reshape(-1, n, n, n))
+        out[quantity] = tuple(dense)
+    return out
+
+
 def dense_jet_contractions(jets):
     """{quantity: (value, scale)} of `poisson.Jets` by dense products over
     every index, each sum folded in the trees' order, over the leaf values
@@ -683,7 +742,7 @@ def dense_jet_contractions(jets):
     (samples, i, j, k), the cyclic [theta, theta] and the commutators
     (samples, pairs, k; no scale).  Terms with a structural zero are formed
     too, so the leaves and their scales must be finite."""
-    (t, st), (d, sd), (g, sg) = jets.theta, jets.dtheta, jets.gamma
+    (t, st), (d, sd), (g, sg) = jet_leaves(jets)
     n = t.shape[1]
     i, j = np.triu_indices(n, 1)
 

@@ -231,6 +231,13 @@ def test_integrate_usage_error_on_zero_steps():
     assert code == 1
 
 
+def test_integrate_an_x0_of_the_wrong_dimension_is_a_usage_error():
+    code, out, err = run_cli(
+        "integrate", str(STRUCTURES / "nondeg_kill.ini"), "--x0=0.1", "--p0=0.2", "--steps", "3",
+    )
+    assert (code, out, err) == (1, "", "error: --x0 has the wrong dimension\n")
+
+
 @pytest.mark.parametrize("dt", ["nan", "inf", "-inf"])
 def test_integrate_non_finite_dt_is_a_usage_error(dt):
     code, out, err = run_cli(
@@ -393,9 +400,9 @@ def test_a_verdict_scale_that_overflows_over_finite_leaves_stays_finite(tmp_path
     pair = cli.load_structure(str(src)).pair
     jets = pair.jets()
     for quantity in ("directional", "schouten"):
-        value, scale = getattr(jets, quantity)
+        value, scale = jets.contracted[quantity]
         assert np.isfinite(value).all() and not np.isfinite(scale).all(), quantity
-        assert np.isfinite(jets.theta[1]).all() and np.isfinite(jets.dtheta[1]).all()
+        assert np.isfinite(jets.scales[:, : pair._jet_plan.prefix]).all()
     assert 0.0 < poisson.symmetric_poisson_residual(pair) < 1e-290
     assert poisson.strong_residual(pair) == 1.0
 

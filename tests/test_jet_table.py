@@ -29,7 +29,7 @@ EPS = np.finfo(float).eps
 def _jet_values(jets, quantity):
     if quantity == "commutators":
         return jets.commutators, None
-    return getattr(jets, quantity)
+    return reference.dense_jets(jets)[quantity]
 
 
 def _library_trees(pair):
@@ -126,12 +126,13 @@ def test_the_scale_is_the_contraction_over_the_leaf_scales():
     chart = Chart(["x"], box=[(-2.0, 2.0)])
     pair = SymPoissonPair(SymTensorField.from_dict(chart, 2, {(0, 0): "x^3 - x"}), Connection.euclidean(chart))
     samples = np.array([[0.5], [2.0]])
-    value, scale = pair.jets(samples).nabla_theta
+    dense = reference.dense_jets(pair.jets(samples))
+    value, scale = dense["nabla_theta"]
     assert value[:, 0, 0, 0].tolist() == [3 * 0.25 - 1, 11.0]
     assert scale[:, 0, 0, 0].tolist() == [3.0, 12.0]
     assert poisson.parallel_residual(pair, samples) == 11.0 / 13.0
     # D = theta nabla theta, and [theta, theta] = 6 D on the line
-    d, d_scale = pair.jets(samples).directional
+    d, d_scale = dense["directional"]
     assert d[:, 0, 0, 0].tolist() == [(0.125 - 0.5) * (0.75 - 1), 6.0 * 11.0]
     assert d_scale[:, 0, 0, 0].tolist() == [0.5 * 3.0, 8.0 * 12.0]
 
@@ -176,8 +177,8 @@ def test_a_gamma_no_term_reads_stays_out_of_a_rescaled_scale():
     theta = SymTensorField.from_dict(chart, 2, {(0, 0): "-1", (0, 1): "sin(x) / (1e150*x)", (1, 1): "x - 1e150*x"})
     masked = SymPoissonPair(theta, Connection.from_dict(chart, {(0, 2, 2): "1e308*10*x"}))
     plain = SymPoissonPair(theta, Connection.euclidean(chart))
-    assert not np.isfinite(masked.jets().gamma[1]).all()
-    assert not np.isfinite(masked.jets().schouten[1]).all()
+    assert not np.isfinite(reference.jet_leaves(masked.jets())[2][1]).all()
+    assert not np.isfinite(masked.jets().contracted["schouten"][1]).all()
     assert verdict_suite(masked).residuals == verdict_suite(plain).residuals
     assert verdict_suite(masked).symmetric_poisson
 
@@ -203,11 +204,13 @@ def test_a_finite_value_over_an_infinite_scale_reads_inf(monkeypatch):
     chart = Chart(["x"])
     pair = SymPoissonPair(SymTensorField.from_dict(chart, 2, {(0, 0): "x"}), Connection.euclidean(chart))
     samples = np.array([[0.5]])
-    # leaves theta, d theta, Gamma and the constant 1
-    values, scales = np.array([[1.0, 1.0, 0.0, 1.0]]), np.array([[1.0, np.inf, 0.0, 1.0]])
+    # leaves theta, d theta, Gamma and the constant 1, in the plan's columns
+    columns = pair._jet_plan.columns
+    values, scales = np.zeros((1, columns.max() + 1)), np.zeros((1, columns.max() + 1))
+    values[:, columns], scales[:, columns] = [1.0, 1.0, 0.0, 1.0], [1.0, np.inf, 0.0, 1.0]
     jets = poisson.Jets(samples, pair._jet_plan, values, scales)
-    for quantity in ("nabla_theta", "directional", "schouten"):
-        value, scale = getattr(jets, quantity)
+    for quantity in poisson.QUANTITIES:
+        value, scale = jets.contracted[quantity]
         assert np.isfinite(value).all() and np.isinf(scale).all(), quantity
     monkeypatch.setattr(SymPoissonPair, "jets", lambda self, samples=None: jets)
     for residual in (poisson.symmetric_poisson_residual, poisson.strong_residual, poisson.parallel_residual):
@@ -224,7 +227,7 @@ def test_a_leaf_only_the_parallel_tree_reads_may_overflow(theta):
     chart = Chart(["x", "y"])
     pair = SymPoissonPair(SymTensorField.from_dict(chart, 2, theta), Connection.euclidean(chart))
     samples = chart.sample_points()
-    assert not np.isfinite(pair.jets(samples).dtheta[1]).all()
+    assert not np.isfinite(reference.jet_leaves(pair.jets(samples))[1][1]).all()
     suite = verdict_suite(pair)
     trees = reference.verdict_trees(pair)
     for name, quantity in [("symmetric_poisson", "schouten"), ("strong", "directional"), ("parallel", "nabla_theta")]:
@@ -264,11 +267,30 @@ def test_a_scale_that_overflows_over_finite_leaf_scales_is_rescaled():
     jets = pair.jets(samples)
     assert np.isfinite(jets.scales).all()
     for quantity in ("nabla_theta", "directional", "schouten"):
-        scale = getattr(jets, quantity)[1]
+        scale = jets.contracted[quantity][1]
         assert np.isinf(scale).any() and not np.isnan(scale).any(), quantity
     assert [residual(pair, samples) for residual in (
         poisson.symmetric_poisson_residual, poisson.strong_residual, poisson.parallel_residual)] == [
         0.7381151814050632, 0.6653227650829363, 0.9846772121952726]
+
+
+def test_a_rescaled_scale_that_is_still_not_finite_reads_inf():
+    # Gamma^x_{xy} = 1 / (1e308 * 10 * x) is finite (+-0), but its subterm
+    # 1e308 * 10 folds to inf, so its scale is inf; theta^{11} = 1 is the
+    # node of the constant 1 too.  The theta and d theta columns are the
+    # plan's prefix and their scales are finite, so every contraction's
+    # scale is summed again over them times 2^-e, and the live terms of
+    # Gamma^x_{yx} theta^{xj} keep it inf: each residual reads inf
+    chart = Chart(["x", "y"])
+    theta = SymTensorField.from_dict(chart, 2, {(0, 0): "1", (0, 1): "x"})
+    pair = SymPoissonPair(theta, Connection.from_dict(chart, {(0, 0, 1): "1/(1e308*10*x)"}))
+    jets, prefix = pair.jets(), pair._jet_plan.prefix
+    assert np.isfinite(jets.scales[:, :prefix]).all() and not np.isfinite(jets.scales).all()
+    for quantity in poisson.QUANTITIES:
+        value, scale = jets.contracted[quantity]
+        assert np.isfinite(value).all() and np.isinf(scale).any(), quantity
+    assert [residual(pair) for residual in (
+        poisson.symmetric_poisson_residual, poisson.strong_residual, poisson.parallel_residual)] == [np.inf] * 3
 
 
 def test_a_scale_sums_no_term_of_a_component_its_tree_folds_to_zero():
@@ -281,7 +303,7 @@ def test_a_scale_sums_no_term_of_a_component_its_tree_folds_to_zero():
     gamma = {(0, 0, 0): "-1", (0, 0, 2): "1", (1, 0, 1): "-1", (2, 0, 1): "2", (2, 0, 2): "1", (2, 2, 2): "-1"}
     pair = SymPoissonPair(theta, Connection.from_dict(chart, gamma))
     samples = chart.sample_points()
-    assert pair.jets(samples).directional[1][:, 0, 0, 2].tolist() == [0.0] * len(samples)
+    assert reference.dense_jets(pair.jets(samples))["directional"][1][:, 0, 0, 2].tolist() == [0.0] * len(samples)
     assert [residual(pair, samples) for residual in (
         poisson.symmetric_poisson_residual, poisson.strong_residual, poisson.parallel_residual)] == [0.8, 2 / 3, 0.8]
 
