@@ -11,24 +11,23 @@ All verdicts are sampled identity checks on the chart's sample box.
 
 Every condition is built from theta, its first derivatives and the
 Christoffel symbols, so the sampled verdicts read one table of those
-values, the pair's `Jets`, and contract numbers instead of building trees.
-There is one live-component chain, `_JetPlan.contract`: nabla theta, then
-D^{ijk} = theta^{im} nabla_m theta^{jk}, then the cyclic [theta, theta],
-each formed only on the components whose tree is not a structural zero
-(every other component is 0).  The verdicts and the geodesic monitor both
-read it.  Each contraction sums only the terms a symbolic tree has, its
-structurally live terms, in the tree's order, so its values equal the
-tree's; a product with a structural zero is never formed.  A residual is
-max |v| / (1 + scale) over the live components, where the scale is the
-same live-term sums taken over the leaves' scales (a running error bound
-of a sum of products); where that sum overflows over finite leaf scales it
-is formed again over leaf scales times a power of two.  A leaf that fails
-raises the table's located EvalDomainError, a residual whose value or
+values, the pair's `Jets`, with one column per distinct leaf, and contract
+numbers instead of building trees.  Every term is a plain product of
+columns that reads its theta or d theta factor first; a commutator's minus
+sign comes from a negated copy of the values.  There is one live-component
+chain, `_JetPlan.contract`: nabla theta, then D^{ijk} = theta^{im} nabla_m
+theta^{jk}, then the cyclic [theta, theta], each formed only on the
+components whose tree is not a structural zero, for the verdicts and the
+geodesic monitor alike.  Each contraction sums only the terms a symbolic
+tree has, in the tree's order, so its values equal the tree's.  A residual
+is max |v| / (1 + scale) over the live components, where the scale is the
+same sums over the leaves' scales (a running error bound); where that
+overflows over finite leaf scales it is formed again with the theta and d
+theta factors read from the leaf scales times a power of two.  A leaf that
+fails raises the table's located EvalDomainError, a residual whose value or
 scale is not finite otherwise reads inf, and a commutator that is not
-finite raises.  The geodesic monitor reads the same plan at a
-trajectory's states: every leaf is evaluated, a failing one raises in the
-plan's leaf order, and p_i p_j [theta, theta]^{ijk} reads the chain's
-[theta, theta].
+finite raises.  The geodesic monitor reads the same plan at a trajectory's
+states: a failing leaf raises in the plan's leaf order.
 """
 
 from __future__ import annotations
@@ -118,14 +117,15 @@ class _Terms:
     product t is the t-th True of `live` in row order, so a component's
     products are consecutive.  Factor f of a product reads column `ids[f]`
     (an array shaped as `live`) of the f-th table passed to the call, and
-    the factors multiply left to right, ((a b) c) ...; the products where
-    `negated` is True enter negated, -(a b).  A component adds its products
-    one at a time, ((t0 + t1) + t2) + ..., so its value is the tree's bit
-    for bit up to the sign of a zero: a component with fewer products than
-    the longest adds 0.0 for each one it lacks, and one with none is 0.0.
+    the factors multiply left to right, ((a b) c) ...; a product that
+    enters negated reads a negated factor from its table, as (-a) b equals
+    -(a b) bit for bit.  A component adds its products one at a time,
+    ((t0 + t1) + t2) + ..., so its value is the tree's bit for bit up to
+    the sign of a zero: a component with fewer products than the longest
+    adds 0.0 for each one it lacks, and one with none is 0.0.
     """
 
-    def __init__(self, live: np.ndarray, *ids: np.ndarray, negated=None):
+    def __init__(self, live: np.ndarray, *ids: np.ndarray):
         counts = live.sum(axis=1)
         ends = np.cumsum(counts)
         position = np.arange(counts.max(initial=0))[:, None]
@@ -134,7 +134,6 @@ class _Terms:
         self.positions[position >= counts] = ends[-1] if len(ends) else 0
         self.size = len(counts)
         self.ids = tuple(column[live] for column in ids)
-        self.negated = None if negated is None else np.flatnonzero(negated[live])
 
     def __call__(self, *tables: np.ndarray) -> np.ndarray:
         """(samples, components) from one (samples, columns) table per factor."""
@@ -147,8 +146,6 @@ class _Terms:
         body[...] = first[:, self.ids[0]]
         for table, ids in zip(tables[1:], self.ids[1:]):
             np.multiply(body, table[:, ids], out=body)
-        if self.negated is not None:
-            terms[:, self.negated] = -terms[:, self.negated]
         out = terms[:, self.positions[0]]
         for position in self.positions[1:]:
             out += terms[:, position]
@@ -162,15 +159,17 @@ class _Layout:
 
     Leaf ids: theta^{ij} at i n + j, d_m theta^{ij} in (m, i, j) order from
     n^2, Gamma^k_{ij} in (k, i, j) order from n^2 + n^3, the constant 1 last.
+    Every term reads its theta or d theta factor first.
 
     - nabla_m theta^{ij} for i <= j, in (m, i, j) order, as
       `geometry.covariant_derivative` sums it: d_m theta^{ij} * 1,
-      Gamma^i_{mk} theta^{kj} (k), Gamma^j_{mk} theta^{ik} (k).
+      theta^{kj} Gamma^i_{mk} (k), theta^{ik} Gamma^j_{mk} (k).
     - D^{ijk} = theta^{im} nabla_m theta^{jk} over m, for every (i, j, k):
       theta's leaf and the index of nabla_m theta^{jk} above.
     - the commutator of theta's rows a < b (the columns of `above_diagonal`,
       (2, pairs), in row order), for each k: theta^{am} d_m theta^{bk}, then
-      -(theta^{bm} d_m theta^{ak}), for each m in turn.
+      (-theta^{bm}) d_m theta^{ak}, for each m in turn; `commutator_negated`
+      marks the second, whose theta is read from a negated table.
     - the cyclic [theta, theta]^{ijk} = 2 ((D^{ijk} + D^{jki}) + D^{kij}):
       `cyclic` (3, n^3) holds the ids of its three D, for each (i, j, k).
     - p_i p_j [theta, theta]^{ijk} for each k, over (i, j) in order: the
@@ -181,12 +180,12 @@ class _Layout:
         self.n, self.size = n, n * n + 2 * n**3 + 1
         theta = np.arange(n * n).reshape(n, n)
         dtheta = n * n + np.arange(n**3).reshape(n, n, n)
-        self.gamma = n * n + n**3 + np.arange(n**3).reshape(n, n, n)
+        self.gamma = gamma = n * n + n**3 + np.arange(n**3).reshape(n, n, n)
         i, j = np.triu_indices(n)
         m, i, j = (a[:, None] for a in (np.repeat(np.arange(n), len(i)), np.tile(i, n), np.tile(j, n)))
         k = np.arange(n)
-        self.nabla_left = np.concatenate([dtheta[m, i, j], self.gamma[i, m, k], self.gamma[j, m, k]], axis=1)
-        self.nabla_right = np.concatenate([np.full_like(m, self.size - 1), theta[k, j], theta[i, k]], axis=1)
+        self.nabla_left = np.concatenate([dtheta[m, i, j], theta[k, j], theta[i, k]], axis=1)
+        self.nabla_right = np.concatenate([np.full_like(m, self.size - 1), gamma[i, m, k], gamma[j, m, k]], axis=1)
         nabla_index = np.empty((n, n, n), int)
         nabla_index[m, i, j] = nabla_index[m, j, i] = np.arange(len(m))[:, None]
         i, j, k, m = np.indices((n, n, n, n)).reshape(4, n**3, n)
@@ -221,13 +220,13 @@ class _JetPlan:
     contractions, which the sampled verdicts and the geodesic monitor both
     read.
 
-    The plan's roots are the distinct theta and d theta leaves, then the
-    distinct Gamma leaves and the constant 1, so the first `prefix` columns
-    of a table are theta's and d theta's; `columns` maps each `_Layout` leaf
-    id to its column, and every term list reads columns.  Every leaf is in
-    the plan, so a table of it raises for any leaf that fails, even one no
-    term reads.  Every term list holds only the terms a tree has: a product
-    with a structural zero is never formed.
+    The plan's roots are the distinct leaves, theta, d theta, Gamma and the
+    constant 1, in `_Layout` order, so each table column is one distinct
+    leaf, however many of theta, d theta and Gamma hold it; `columns` maps
+    each `_Layout` leaf id to its column, and every term list reads columns.
+    Every leaf is in the plan, so a table of it raises for any leaf that
+    fails, even one no term reads.  Every term list holds only the terms a
+    tree has: a product with a structural zero is never formed.
 
     `components` holds the components `contract` forms, for each of
     `QUANTITIES`: the nabla theta whose tree is not a structural zero (as
@@ -239,14 +238,13 @@ class _JetPlan:
     def __init__(self, theta: np.ndarray, gamma: np.ndarray):
         self.n = n = len(theta)
         layout = _layout(n)
-        jet = [*theta.flat, *(theta[i, j].diff(m) for m, i, j in itertools.product(range(n), repeat=3))]
-        groups = (jet, [*gamma.flat, ex.ONE])
-        distinct = [{id(e): e for e in group} for group in groups]
-        self.prefix = len(distinct[0])
-        self.plan = ex.Plan([*distinct[0].values(), *distinct[1].values()])
-        slots = [{key: c for c, key in enumerate(keys, start)} for keys, start in zip(distinct, (0, self.prefix))]
-        self.columns = np.array([slot[id(e)] for slot, group in zip(slots, groups) for e in group])
-        const = np.array([e.value if type(e) is ex.Const else math.nan for group in groups for e in group])
+        dtheta = (theta[i, j].diff(m) for m, i, j in itertools.product(range(n), repeat=3))
+        leaves = [*theta.flat, *dtheta, *gamma.flat, ex.ONE]
+        distinct = {id(e): e for e in leaves}
+        self.plan = ex.Plan(distinct.values())
+        slot = {key: c for c, key in enumerate(distinct)}
+        self.columns = np.array([slot[id(e)] for e in leaves])
+        const = np.array([e.value if type(e) is ex.Const else math.nan for e in leaves])
         self.zero = zero = const == 0.0
         # nabla theta: a term is live where neither factor is a structural
         # zero; a component with no live term, or with constant terms that sum
@@ -272,12 +270,12 @@ class _JetPlan:
                                   np.searchsorted(nabla, layout.directional_comp[d]))
         self.cyclic = np.searchsorted(d, layout.cyclic[:, bracket])
 
-    def contract(self, table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def contract(self, jet: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """nabla theta, D and the cyclic [theta, theta], each (samples, its
-        `components`), from a (samples, columns) table of the plan's values
-        or scales."""
-        nabla = self.nabla(table, table)
-        d = self.directional(table, nabla)
+        `components`), from (samples, columns) tables of the plan's values or
+        scales: the theta and d theta factors read `jet`, the rest `table`."""
+        nabla = self.nabla(jet, table)
+        d = self.directional(jet, nabla)
         first, second, third = (d[:, ids] for ids in self.cyclic)
         return nabla, d, 2.0 * (first + second + third)
 
@@ -286,7 +284,9 @@ class _JetPlan:
         layout, zero = _layout(self.n), self.zero
         left, right = layout.commutator_left, layout.commutator_right
         live = ~zero[left] & ~zero[right]
-        return _Terms(live, self.columns[left], self.columns[right], negated=layout.commutator_negated)
+        # a negated product reads theta past the plan's columns (`Jets.commutators`)
+        negated = len(self.plan.roots) * layout.commutator_negated
+        return _Terms(live, self.columns[left] + negated, self.columns[right])
 
     @cached_property
     def quadratic(self) -> _Terms:
@@ -340,19 +340,20 @@ class Jets:
         """{quantity: (value, scale)}, each (samples, live components).  A
         product that overflows reads inf, as in the trees."""
         with np.errstate(all="ignore"):
-            return dict(zip(QUANTITIES, zip(self._plan.contract(self.values), self._plan.contract(self.scales))))
+            return dict(zip(QUANTITIES, zip(*(self._plan.contract(t, t) for t in (self.values, self.scales)))))
 
     def residual(self, quantity: str) -> float:
         """max |v| / (1 + scale) of a contraction, or inf wherever a value is
         not finite, as `Plan.residual` reads.
 
         Where a scale overflows while every theta and d theta scale is
-        finite, it is summed again over those scales times 2^-e, which
-        brings the largest below 1: the contraction is of degree d in them,
-        so the sum is 2^-de times the scale, and the residual is |v| / scale
-        from the mantissas and exponents of both (1 is below the scale's last
-        bit).  A scale still not finite (a live term may read a Gamma whose
-        scale is inf), or lost to underflow, reads inf.
+        finite, it is summed again with its theta and d theta factors read
+        from the scales times 2^-e, which brings the largest below 1: the
+        contraction is of degree d in them, so the sum is 2^-de times the
+        scale, and the residual is |v| / scale from the mantissas and
+        exponents of both (1 is below the scale's last bit).  A scale still
+        not finite (a term may read a Gamma whose scale is inf), or lost to
+        underflow, reads inf.
         """
         value, scale = self.contracted[quantity]
         if not np.isfinite(value).all():
@@ -360,16 +361,15 @@ class Jets:
         over = ~np.isfinite(scale)
         if not over.any():
             return float((np.abs(value) / (1.0 + scale)).max(initial=0.0))
-        prefix = self._plan.prefix
-        if not np.isfinite(self.scales[:, :prefix]).all():
+        n = self._plan.n
+        jet = self.scales[:, self._plan.columns[: n * n + n**3]]
+        if not np.isfinite(jet).all():
             return math.inf
         res = np.abs(value)
         res[~over] /= 1.0 + scale[~over]
-        e = int(np.frexp(self.scales[:, :prefix].max())[1])
-        shifted = self.scales.copy()
-        shifted[:, :prefix] = np.ldexp(shifted[:, :prefix], -e)
+        e = int(np.frexp(jet.max())[1])
         with np.errstate(all="ignore"):
-            lower = self._plan.contract(shifted)[QUANTITIES.index(quantity)][over]
+            lower = self._plan.contract(np.ldexp(self.scales, -e), self.scales)[QUANTITIES.index(quantity)][over]
         if not (np.isfinite(lower).all() and (lower > 0.0).all()):
             return math.inf
         (mv, ev), (ms, es) = np.frexp(res[over]), np.frexp(lower)
@@ -382,7 +382,7 @@ class Jets:
         for each i < j in order: (samples, pairs, k)."""
         s, n = len(self.samples), self._plan.n
         with np.errstate(all="ignore"):
-            return self._plan.commutators(self.values, self.values).reshape(s, -1, n)
+            return self._plan.commutators(np.hstack([self.values, -self.values]), self.values).reshape(s, -1, n)
 
     def commutator_leaves_finite(self) -> bool:
         """Whether the scales of theta and of each d theta leaf some commutator

@@ -340,7 +340,7 @@ def _geodesic_defect(plan: _JetPlan, traj: Trajectory) -> np.ndarray:
     values = plan.plan.rows(traj.xs[1:-1])
     v, p = traj.velocities, traj.ps[1:-1]
     defect = (v[2:] - v[:-2]) / (2.0 * traj.dt) + plan.quadratic(values, v[1:-1], v[1:-1])
-    defect = defect - 0.25 * plan.cubic(p, p, plan.contract(values)[2])
+    defect = defect - 0.25 * plan.cubic(p, p, plan.contract(values, values)[2])
     # each row's dot product with itself, as a stacked matmul: it takes the
     # dot kernel np.linalg.norm takes, so every entry equals the row's norm bit
     # for bit; einsum or (d * d).sum(1) round differently in the last bit

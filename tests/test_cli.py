@@ -238,6 +238,17 @@ def test_integrate_an_x0_of_the_wrong_dimension_is_a_usage_error():
     assert (code, out, err) == (1, "", "error: --x0 has the wrong dimension\n")
 
 
+@pytest.mark.parametrize("x0, p0, message", [
+    ("0.1,0.2", "0.3", "x and p must have the same length"),
+    ("nan,0.2", "0.3,0.1", "state entries must be finite"),
+])
+def test_integrate_an_initial_state_the_flow_refuses_is_a_usage_error(x0, p0, message):
+    code, out, err = run_cli(
+        "integrate", str(STRUCTURES / "nondeg_kill.ini"), f"--x0={x0}", f"--p0={p0}", "--steps", "3",
+    )
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("dt", ["nan", "inf", "-inf"])
 def test_integrate_non_finite_dt_is_a_usage_error(dt):
     code, out, err = run_cli(
@@ -402,9 +413,40 @@ def test_a_verdict_scale_that_overflows_over_finite_leaves_stays_finite(tmp_path
     for quantity in ("directional", "schouten"):
         value, scale = jets.contracted[quantity]
         assert np.isfinite(value).all() and not np.isfinite(scale).all(), quantity
-        assert np.isfinite(jets.scales[:, : pair._jet_plan.prefix]).all()
+        assert np.isfinite(jets.scales[:, pair._jet_plan.columns[: 2 * 2 + 2**3]]).all()
     assert 0.0 < poisson.symmetric_poisson_residual(pair) < 1e-290
     assert poisson.strong_residual(pair) == 1.0
+
+
+def test_a_rescaled_scale_reads_a_node_of_theta_and_gamma_once(tmp_path):
+    # Gamma^x_{xy} and theta^{yy} are one node, so one column of the jet
+    # table.  The scales of D and [theta, theta] overflow over finite leaf
+    # scales, so each is summed again with its theta and d theta factors
+    # read from the scales times 2^-e and its Gamma factors from the scales
+    src = tmp_path / "shared.ini"
+    src.write_text("[chart]\ndim = 2\nnames = x, y\n\n[theta]\ntheta[1,1] = \"-1\"\n"
+                   "theta[1,2] = \"sin(x) / (1e150*x)\"\ntheta[2,2] = \"x - 1e150*x\"\n\n"
+                   "[connection]\ngamma[1,1,2] = \"x - 1e150*x\"\n")
+    code, out, err = run_cli("check", str(src))
+    assert (code, err) == (0, ""), out + err
+    assert out.splitlines()[1:] == [
+        "check:symmetric_poisson  expected=- got=True residual=9.09e-151 [ok]",
+        "check:strong             expected=- got=False residual=1 [ok]",
+        "check:parallel           expected=- got=False residual=1 [ok]",
+        "check:involutive         expected=- got=involutive_on_samples residual=2.9e-301 [ok]",
+        "PASS (4/4)",
+    ]
+    from sympoisson import poisson
+
+    pair = cli.load_structure(str(src)).pair
+    columns, jets = pair._jet_plan.columns, pair.jets()
+    # leaf ids: theta^{yy} at 3, Gamma^x_{xy} at 2^2 + 2^3 + 1
+    assert columns[3] == columns[13]
+    for quantity in ("directional", "schouten"):
+        value, scale = jets.contracted[quantity]
+        assert np.isfinite(value).all() and not np.isfinite(scale).all(), quantity
+    assert np.isfinite(jets.scales).all()
+    assert poisson.symmetric_poisson_residual(pair) == 9.085809280526513e-151
 
 
 def test_integrate_geodesic_monitor_overflow_exits_3_and_flushes(tmp_path):
@@ -594,6 +636,21 @@ def test_sample_counts_below_one_are_usage_errors(argv, count):
     assert code == 1, out + err
     assert err == f"error: sample count must be at least 1, got {count}\n"
     assert out == ""
+
+
+def test_a_valid_tolerance_reaches_the_verdicts():
+    # at tol = 0.5, strong (residual 0.495) passes where sing_line expects
+    # it to fail, and parallel (residual 0.5) passes at the bound
+    code, out, err = run_cli("check", str(STRUCTURES / "sing_line.ini"), "--tol", "0.5")
+    assert (code, err) == (2, ""), out + err
+    assert out.splitlines() == [
+        "# samples=25 seed=0x5eed tol=0.5",
+        "check:symmetric_poisson  expected=False got=False residual=0.855 [ok]",
+        "check:strong             expected=False got=True residual=0.495 [MISMATCH]",
+        "check:parallel           expected=- got=True residual=0.5 [ok]",
+        "check:involutive         expected=- got=involutive_on_samples residual=0 [ok]",
+        "FAIL (3/4)",
+    ]
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])

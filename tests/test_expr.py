@@ -64,6 +64,15 @@ def test_parse_errors_carry_position():
     with pytest.raises(ParseError):
         parse("(x + 1", ["x"])
 
+    for text, message, position in [
+        ("1.2.3", "bad number literal '1.2.3'", 0),
+        ("x $ 1", "unexpected character '$'", 2),
+        ("exp(x", "expected ')'", 5),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse(text, ["x"])
+        assert (str(err.value), err.value.position) == (f"{message} (at position {position})", position)
+
 
 def test_grammar_shapes():
     # '-' binds at base level: -x^2 is (-x)^2 per factor := base ('^' int)?

@@ -9,6 +9,8 @@ them.  It is the library's one sampled route.  The second route is
 index, evaluated by `expr.Plan`.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -183,6 +185,22 @@ def test_a_gamma_no_term_reads_stays_out_of_a_rescaled_scale():
     assert verdict_suite(masked).symmetric_poisson
 
 
+def test_the_jet_plan_has_one_column_per_distinct_leaf():
+    # theta, d theta, Gamma and the constant 1 share a column wherever they
+    # are one node, so the 25 catalog chart pairs have 114 columns, where
+    # deduplicating theta and d theta apart from Gamma and 1 gave 153
+    total = 0
+    for ident, pair in PAIRS.items():
+        plan, n = pair._jet_plan, pair.chart.n
+        dtheta = [pair.theta.comps[i, j].diff(m) for m, i, j in itertools.product(range(n), repeat=3)]
+        leaves = [*pair.theta.comps.flat, *dtheta, *pair.nabla.gamma.flat, ex.ONE]
+        roots = [plan.plan.nodes[root] for root in plan.plan.roots]
+        assert len(roots) == len({id(e) for e in leaves}), ident
+        assert all(roots[c] is e for c, e in zip(plan.columns.tolist(), leaves, strict=True)), ident
+        total += len(roots)
+    assert (len(PAIRS), total) == (25, 114)
+
+
 def test_a_leaf_only_the_parallel_tree_reads_fails_every_sampled_verdict():
     # d_x theta^{yy} = d_x sqrt(x^2) divides by zero at x = 0.  Only nabla_x
     # theta^{yy} reads it, as theta^{xx} and theta^{xy} are structural zeros,
@@ -200,12 +218,14 @@ def test_a_leaf_only_the_parallel_tree_reads_fails_every_sampled_verdict():
 
 def test_a_finite_value_over_an_infinite_scale_reads_inf(monkeypatch):
     # d theta = 1 whose scale is inf: every contraction is finite, every
-    # scale inf, and |v| / (1 + inf) = 0 must not pass for a residual
+    # scale inf, and |v| / (1 + inf) = 0 must not pass for a residual.
+    # theta = 2 x, so d theta is the node 2, a column apart from the constant 1
     chart = Chart(["x"])
-    pair = SymPoissonPair(SymTensorField.from_dict(chart, 2, {(0, 0): "x"}), Connection.euclidean(chart))
+    pair = SymPoissonPair(SymTensorField.from_dict(chart, 2, {(0, 0): "2*x"}), Connection.euclidean(chart))
     samples = np.array([[0.5]])
     # leaves theta, d theta, Gamma and the constant 1, in the plan's columns
     columns = pair._jet_plan.columns
+    assert columns.tolist() == [0, 1, 2, 3]
     values, scales = np.zeros((1, columns.max() + 1)), np.zeros((1, columns.max() + 1))
     values[:, columns], scales[:, columns] = [1.0, 1.0, 0.0, 1.0], [1.0, np.inf, 0.0, 1.0]
     jets = poisson.Jets(samples, pair._jet_plan, values, scales)
@@ -277,15 +297,16 @@ def test_a_scale_that_overflows_over_finite_leaf_scales_is_rescaled():
 def test_a_rescaled_scale_that_is_still_not_finite_reads_inf():
     # Gamma^x_{xy} = 1 / (1e308 * 10 * x) is finite (+-0), but its subterm
     # 1e308 * 10 folds to inf, so its scale is inf; theta^{11} = 1 is the
-    # node of the constant 1 too.  The theta and d theta columns are the
-    # plan's prefix and their scales are finite, so every contraction's
-    # scale is summed again over them times 2^-e, and the live terms of
-    # Gamma^x_{yx} theta^{xj} keep it inf: each residual reads inf
+    # column of the constant 1 too.  The scales of the theta and d theta
+    # columns are finite, so every contraction's scale is summed again with
+    # those factors times 2^-e, and the live terms theta^{xj} Gamma^x_{yx}
+    # keep it inf: each residual reads inf
     chart = Chart(["x", "y"])
     theta = SymTensorField.from_dict(chart, 2, {(0, 0): "1", (0, 1): "x"})
     pair = SymPoissonPair(theta, Connection.from_dict(chart, {(0, 0, 1): "1/(1e308*10*x)"}))
-    jets, prefix = pair.jets(), pair._jet_plan.prefix
-    assert np.isfinite(jets.scales[:, :prefix]).all() and not np.isfinite(jets.scales).all()
+    jets, columns = pair.jets(), pair._jet_plan.columns
+    assert columns[0] == columns[-1]
+    assert np.isfinite(jets.scales[:, columns[: 2 * 2 + 2**3]]).all() and not np.isfinite(jets.scales).all()
     for quantity in poisson.QUANTITIES:
         value, scale = jets.contracted[quantity]
         assert np.isfinite(value).all() and np.isinf(scale).any(), quantity
@@ -310,8 +331,9 @@ def test_a_scale_sums_no_term_of_a_component_its_tree_folds_to_zero():
 
 def _fold(live, ids, negated, tables):
     """`_Terms` as a plain loop: each component's live products, factors
-    multiplied left to right, added in order from the first, then 0.0 once
-    for each product it lacks against the longest component."""
+    multiplied left to right and negated where `negated` says, added in
+    order from the first, then 0.0 once for each product it lacks against
+    the longest component."""
     width = int(live.sum(axis=1).max(initial=0))
     out = np.zeros((len(tables[0]), len(live)))
     for s, c in np.ndindex(out.shape):
@@ -334,7 +356,9 @@ def _fold(live, ids, negated, tables):
 def test_the_live_term_sum_is_a_plain_fold_over_the_live_entries(factors, negate, seed):
     # every entry that is not live reads a column holding inf or NaN, so a
     # product formed there would show; component 1 is the one product -0.0,
-    # which the 0.0 padding turns into 0.0, and some component has none
+    # which the 0.0 padding turns into 0.0, and some component has none.  A
+    # negated product reads its first factor from a negated copy of the
+    # first table, past its columns, and equals the negated product
     rng = np.random.default_rng(seed)
     components, positions, samples = 6, 5, 4
     live = rng.random((components, positions)) < 0.5
@@ -355,8 +379,12 @@ def test_the_live_term_sum_is_a_plain_fold_over_the_live_entries(factors, negate
     negated = rng.random(live.shape) < 0.5 if negate else None
     if negate:
         negated[1, 0] = False
-    got = poisson._Terms(live, *ids, negated=negated)(*tables)
     want = _fold(live, ids, negated, tables)
+    if negate:
+        ids[0] = ids[0] + tables[0].shape[1] * negated
+        tables[0] = np.hstack([tables[0], -tables[0]])
+    got = poisson._Terms(live, *ids)(*tables)
+    assert got.tobytes() == _fold(live, ids, None, tables).tobytes()
     assert got.shape == (samples, components)
     assert got.tobytes() == want.tobytes()
     assert not np.isnan(got).any()
