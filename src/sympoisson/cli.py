@@ -78,7 +78,15 @@ class StructureFile:
     hamiltonian: str | None = None
 
 
-_KEY_RE = re.compile(r"^(\w+)\[([0-9,\s]+)\]$")
+_KEY_RE = re.compile(r"^(\w+)\[(\s*[0-9]+\s*(?:,\s*[0-9]+\s*)*)\]$")
+
+
+def _number(kind, text: str, where: str):
+    """kind(text); a text it refuses is a StructureFileError saying where it came from."""
+    try:
+        return kind(text.strip())
+    except ValueError as err:
+        raise StructureFileError(f"{where}: {err}") from None
 
 
 def _parse_indices(key: str, name: str, count: int) -> tuple[int, ...]:
@@ -153,15 +161,15 @@ def load_structure(path: str) -> StructureFile:
             body = dict(cp.items(section))
             if "point" not in body:
                 raise StructureFileError(f"[{section}] needs a point")
-            point = tuple(float(tok) for tok in _unquote(body["point"]).split(","))
+            point = tuple(_number(float, tok, f"[{section}] point") for tok in _unquote(body["point"]).split(","))
             if len(point) != pair.chart.n:
                 raise StructureFileError(f"[{section}] point has wrong dimension")
             if not all(math.isfinite(v) for v in point):
                 raise StructureFileError(f"[{section}] point {point} must be finite")
-            rank = int(body["rank"]) if "rank" in body else None
+            rank = _number(int, body["rank"], f"[{section}] rank") if "rank" in body else None
             sig = None
             if "signature" in body:
-                parts = [int(tok) for tok in _unquote(body["signature"]).split(",")]
+                parts = [_number(int, tok, f"[{section}] signature") for tok in _unquote(body["signature"]).split(",")]
                 if len(parts) != 2:
                     raise StructureFileError(f"[{section}] signature must be 'p, q'")
                 sig = (parts[0], parts[1])
@@ -201,7 +209,7 @@ def _entries(cp: configparser.ConfigParser, section: str, name: str, count: int,
 def _pair_from_sections(cp: configparser.ConfigParser) -> SymPoissonPair:
     if not cp.has_section("chart"):
         raise StructureFileError("missing [chart] section (or a [catalog] reference)")
-    dim = int(_option(cp, "chart", "dim"))
+    dim = _number(int, _option(cp, "chart", "dim"), "[chart] dim")
     names = [tok.strip() for tok in _option(cp, "chart", "names").split(",")]
     if len(names) != dim:
         raise StructureFileError("names list does not match dim")
@@ -212,7 +220,7 @@ def _pair_from_sections(cp: configparser.ConfigParser) -> SymPoissonPair:
             lo, _, hi = tok.partition(":")
             if not hi:
                 raise StructureFileError("box intervals use lo:hi")
-            box.append((float(lo), float(hi)))
+            box.append((_number(float, lo, "[chart] box"), _number(float, hi, "[chart] box")))
     theta = _entries(cp, "theta", "theta", 2, dim)
     gamma = _entries(cp, "connection", "gamma", 3, dim)
     return registry.chart_pair(names, theta, gamma, box)
@@ -501,8 +509,8 @@ def cmd_integrate(args) -> int:
         sf = load_structure(args.file)
         pair = sf.pair
         chart = pair.chart
-        x0 = tuple(float(t) for t in args.x0.split(","))
-        p0 = tuple(float(t) for t in args.p0.split(","))
+        x0 = tuple(_number(float, t, "--x0") for t in args.x0.split(","))
+        p0 = tuple(_number(float, t, "--p0") for t in args.p0.split(","))
         state = CotangentState(x0, p0)
         if len(x0) != chart.n:
             raise StructureFileError("--x0 has the wrong dimension")

@@ -13,14 +13,17 @@ The concrete grammar (ASCII) accepted by :func:`parse`:
     base   := number | ident | func '(' expr ')' | '(' expr ')' | '-' base
     func   := exp | ln | sin | cos | sqrt
 
-Identifiers bind to the declared coordinate names, in order.  Differentiation
-is symbolic with constant folding only; there is no simplification to a
-canonical form.  Zero-testing is done by sampling (see :func:`is_zero_field`).
+Each text is scanned once into a token list, which a recursive-descent
+parser reads by index.  Identifiers bind to the declared coordinate names, in
+order.  Differentiation is symbolic with constant folding only; there is no
+simplification to a canonical form.  Zero-testing is done by sampling (see
+:func:`is_zero_field`).
 
 Nodes are interned (hash-consed): while a node is alive, building the same
 structure again, by any constructor, returns that node, so a tree is a DAG
-with maximal sharing.  `Expr.diff` is memoised per node and variable, so
-differentiating a DAG costs one rule per distinct node.
+with maximal sharing.  Each node stores its largest variable index when it is
+interned, so `Expr.max_var` is one read.  `Expr.diff` is memoised per node and
+variable, so differentiating a DAG costs one rule per distinct node.
 """
 
 from __future__ import annotations
@@ -88,7 +91,7 @@ class Expr:
     hash and deduplicate by identity.
     """
 
-    __slots__ = ("_dmemo", "__weakref__")
+    __slots__ = ("_dmemo", "_max_var", "__weakref__")
 
     def diff(self, index: int) -> "Expr":
         """The derivative in variable `index`, built once per node and index."""
@@ -106,7 +109,7 @@ class Expr:
 
     def max_var(self) -> int:
         """Largest variable index used, or -1 for constant expressions."""
-        raise NotImplementedError
+        return self._max_var
 
     def to_string(self, names: Sequence[str] | None = None) -> str:
         return _print(self, names, _PREC_EXPR)
@@ -133,6 +136,7 @@ class _Ref(weakref.ref):
 _NODES: dict[tuple, _Ref] = {}
 _float_bits = struct.Struct("<d").pack
 _set_dmemo = Expr._dmemo.__set__
+_set_max_var = Expr._max_var.__set__
 
 
 def _forget(ref: _Ref) -> None:
@@ -141,9 +145,10 @@ def _forget(ref: _Ref) -> None:
         _NODES.pop(ref.key, None)
 
 
-def _intern(cls, key: tuple, *values) -> Expr:
+def _intern(cls, key: tuple, max_var: int, *values) -> Expr:
     """The live node entered under `key`; else a new node of kind `cls` with
-    the given field values, entered there."""
+    the given largest variable index (-1 for a constant, else the variable's
+    own or the largest of the children's) and field values, entered there."""
     ref = _NODES.get(key)
     node = None if ref is None else ref()
     if node is None:
@@ -151,6 +156,7 @@ def _intern(cls, key: tuple, *values) -> Expr:
         for put, value in zip(cls._puts, values):
             put(node, value)
         _set_dmemo(node, None)
+        _set_max_var(node, max_var)
         ref = _NODES[key] = _Ref(node, _forget)
         ref.key = key
     return node
@@ -176,13 +182,10 @@ class Const(Expr):
         # itself; float(), so the payload's type does not depend on who
         # built the node first
         value = float(value)
-        return _intern(cls, (cls, _float_bits(value)), value)
+        return _intern(cls, (cls, _float_bits(value)), -1, value)
 
     def _diff(self, index):
         return ZERO
-
-    def max_var(self):
-        return -1
 
 
 @_node
@@ -191,13 +194,10 @@ class Var(Expr):
 
     def __new__(cls, index: int):
         index = int(index)
-        return _intern(cls, (cls, index), index)
+        return _intern(cls, (cls, index), index, index)
 
     def _diff(self, index):
         return ONE if index == self.index else ZERO
-
-    def max_var(self):
-        return self.index
 
 
 @_node
@@ -207,7 +207,9 @@ class BinOp(Expr):
     right: Expr
 
     def __new__(cls, op: str, left: Expr, right: Expr):
-        return _intern(cls, (cls, op, id(left), id(right)), op, left, right)
+        # a comparison, not max(): it runs on every call, found node or new
+        a, b = left._max_var, right._max_var
+        return _intern(cls, (cls, op, id(left), id(right)), a if a > b else b, op, left, right)
 
     def _diff(self, index):
         da = self.left.diff(index)
@@ -222,9 +224,6 @@ class BinOp(Expr):
         return sub(div(da, self.right),
                    div(mul(self.left, db), powi(self.right, 2)))
 
-    def max_var(self):
-        return max(self.left.max_var(), self.right.max_var())
-
 
 @_node
 class Pow(Expr):
@@ -232,15 +231,12 @@ class Pow(Expr):
     exponent: int
 
     def __new__(cls, base: Expr, exponent: int):
-        return _intern(cls, (cls, id(base), exponent), base, exponent)
+        return _intern(cls, (cls, id(base), exponent), base._max_var, base, exponent)
 
     def _diff(self, index):
         db = self.base.diff(index)
         k = self.exponent
         return mul(mul(Const(float(k)), powi(self.base, k - 1)), db)
-
-    def max_var(self):
-        return self.base.max_var()
 
 
 @_node
@@ -248,13 +244,10 @@ class Neg(Expr):
     arg: Expr
 
     def __new__(cls, arg: Expr):
-        return _intern(cls, (cls, id(arg)), arg)
+        return _intern(cls, (cls, id(arg)), arg._max_var, arg)
 
     def _diff(self, index):
         return neg(self.arg.diff(index))
-
-    def max_var(self):
-        return self.arg.max_var()
 
 
 @_node
@@ -263,7 +256,7 @@ class Call(Expr):
     arg: Expr
 
     def __new__(cls, func: str, arg: Expr):
-        return _intern(cls, (cls, func, id(arg)), func, arg)
+        return _intern(cls, (cls, func, id(arg)), arg._max_var, func, arg)
 
     def _diff(self, index):
         da = self.arg.diff(index)
@@ -280,9 +273,6 @@ class Call(Expr):
         else:  # pragma: no cover
             raise ExprError(f"unknown function {self.func}")
         return mul(outer, da)
-
-    def max_var(self):
-        return self.arg.max_var()
 
 
 ZERO = Const(0.0)
@@ -462,137 +452,125 @@ def _print(e: Expr, names: Sequence[str] | None, ctx: int) -> str:
 # Parsing
 # ---------------------------------------------------------------------------
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+def _tokens(text: str) -> list[tuple[str, str, int]]:
+    """The (kind, text, position) tokens of `text`, in one scan: "op", "num"
+    and "ident" tokens, then an "end" token.
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> tuple[str, str, int]:
-        save = self.pos
-        tok = self.next()
-        self.pos = save
-        return tok
-
-    def next(self) -> tuple[str, str, int]:
-        self._skip_ws()
-        start = self.pos
-        if self.pos >= len(self.text):
-            return ("end", "", start)
-        ch = self.text[self.pos]
+    Where the text cannot be lexed, the list ends with an "error" token
+    instead, its text the message; `_Parser` raises it only when it reads
+    that token, so a text fails at the first token its parse reads wrongly.
+    """
+    tokens = []
+    n, j = len(text), 0
+    while True:
+        while j < n and text[j].isspace():
+            j += 1
+        if j == n:
+            return tokens + [("end", "", j)]
+        start, ch = j, text[j]
         if ch in "+-*/^()":
-            self.pos += 1
-            return ("op", ch, start)
-        if ch.isdigit() or ch == ".":
-            j = self.pos
+            j += 1
+            tokens.append(("op", ch, start))
+        elif ch.isdigit() or ch == ".":
             seen_e = False
-            while j < len(self.text):
-                c = self.text[j]
+            while j < n:
+                c = text[j]
                 if c.isdigit() or c == ".":
                     j += 1
-                elif c in "eE" and not seen_e and j + 1 < len(self.text) and (
-                    self.text[j + 1].isdigit() or self.text[j + 1] in "+-"
-                ):
+                elif c in "eE" and not seen_e and j + 1 < n and (text[j + 1].isdigit() or text[j + 1] in "+-"):
                     seen_e = True
-                    j += 2 if self.text[j + 1] in "+-" else 1
+                    j += 2 if text[j + 1] in "+-" else 1
                 else:
                     break
-            lit = self.text[self.pos:j]
-            self.pos = j
+            lit = text[start:j]
             try:
                 float(lit)
             except ValueError:
-                raise ParseError(f"bad number literal '{lit}'", start) from None
-            return ("num", lit, start)
-        if ch.isalpha() or ch == "_":
-            j = self.pos
-            while j < len(self.text) and (self.text[j].isalnum() or self.text[j] == "_"):
+                return tokens + [("error", f"bad number literal '{lit}'", start)]
+            tokens.append(("num", lit, start))
+        elif ch.isalpha() or ch == "_":
+            while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            name = self.text[self.pos:j]
-            self.pos = j
-            return ("ident", name, start)
-        raise ParseError(f"unexpected character '{ch}'", start)
+            tokens.append(("ident", text[start:j], start))
+        else:
+            return tokens + [("error", f"unexpected character '{ch}'", start)]
 
 
 class _Parser:
     def __init__(self, text: str, names: Sequence[str]):
-        self.lexer = _Lexer(text)
-        self.names = list(names)
+        self.tokens = _tokens(text)
+        self.at = 0
+        # the first index of a repeated name, as list.index gives
+        self.index = {name: i for i, name in reversed(list(enumerate(names)))}
+
+    def next(self) -> tuple[str, str, int]:
+        token = self.tokens[self.at]
+        if token[0] == "error":
+            raise ParseError(token[1], token[2])
+        self.at += 1
+        return token
+
+    def accept(self, ops: str) -> str | None:
+        """The next token's operator, read, if it is one of `ops`; else None."""
+        kind, val, _ = self.next()
+        if kind == "op" and val in ops:
+            return val
+        self.at -= 1
+        return None
+
+    def expect(self, op: str, message: str) -> None:
+        if not self.accept(op):
+            raise ParseError(message, self.tokens[self.at][2])
 
     def parse(self) -> Expr:
         e = self.expr()
-        kind, val, pos = self.lexer.next()
+        kind, val, pos = self.next()
         if kind != "end":
             raise ParseError(f"unexpected trailing input '{val}'", pos)
         return e
 
     def expr(self) -> Expr:
         e = self.term()
-        while True:
-            kind, val, _ = self.lexer.peek()
-            if kind == "op" and val in "+-":
-                self.lexer.next()
-                rhs = self.term()
-                e = add(e, rhs) if val == "+" else sub(e, rhs)
-            else:
-                return e
+        while op := self.accept("+-"):
+            rhs = self.term()
+            e = add(e, rhs) if op == "+" else sub(e, rhs)
+        return e
 
     def term(self) -> Expr:
         e = self.factor()
-        while True:
-            kind, val, _ = self.lexer.peek()
-            if kind == "op" and val in "*/":
-                self.lexer.next()
-                rhs = self.factor()
-                e = mul(e, rhs) if val == "*" else div(e, rhs)
-            else:
-                return e
+        while op := self.accept("*/"):
+            rhs = self.factor()
+            e = mul(e, rhs) if op == "*" else div(e, rhs)
+        return e
 
     def factor(self) -> Expr:
         e = self.base()
-        kind, val, _ = self.lexer.peek()
-        if kind == "op" and val == "^":
-            self.lexer.next()
-            e = powi(e, self._int_literal())
+        if self.accept("^"):
+            sign = -1 if self.accept("-") else 1
+            kind, val, pos = self.next()
+            if kind != "num" or any(c in val for c in ".eE"):
+                raise ParseError("exponent must be a constant integer", pos)
+            e = powi(e, sign * int(val))
         return e
 
-    def _int_literal(self) -> int:
-        kind, val, pos = self.lexer.next()
-        sign = 1
-        if kind == "op" and val == "-":
-            sign = -1
-            kind, val, pos = self.lexer.next()
-        if kind != "num" or any(c in val for c in ".eE"):
-            raise ParseError("exponent must be a constant integer", pos)
-        return sign * int(val)
-
     def base(self) -> Expr:
-        kind, val, pos = self.lexer.next()
+        if self.accept("-"):
+            return neg(self.base())
+        if self.accept("("):
+            e = self.expr()
+            self.expect(")", "expected ')'")
+            return e
+        kind, val, pos = self.next()
         if kind == "num":
             return Const(float(val))
-        if kind == "op" and val == "-":
-            return neg(self.base())
-        if kind == "op" and val == "(":
+        if kind == "ident" and val in _FUNCS:
+            self.expect("(", f"expected '(' after function {val}")
             e = self.expr()
-            kind, val, pos = self.lexer.next()
-            if not (kind == "op" and val == ")"):
-                raise ParseError("expected ')'", pos)
-            return e
+            self.expect(")", "expected ')'")
+            return call(val, e)
+        if kind == "ident" and val in self.index:
+            return Var(self.index[val])
         if kind == "ident":
-            if val in _FUNCS:
-                kind2, val2, pos2 = self.lexer.next()
-                if not (kind2 == "op" and val2 == "("):
-                    raise ParseError(f"expected '(' after function {val}", pos2)
-                e = self.expr()
-                kind2, val2, pos2 = self.lexer.next()
-                if not (kind2 == "op" and val2 == ")"):
-                    raise ParseError("expected ')'", pos2)
-                return call(val, e)
-            if val in self.names:
-                return Var(self.names.index(val))
             raise ParseError(f"unknown identifier '{val}'", pos)
         raise ParseError(f"unexpected token '{val}'", pos)
 

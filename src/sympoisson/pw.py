@@ -26,7 +26,7 @@ from . import geometry as geo
 from .defaults import DT
 from .expr import ScalarField
 from .geometry import Chart, Connection, SymFormField, SymTensorField, levi_civita
-from .poisson import SymPoissonPair, _JetPlan, _membership, _spectra
+from .poisson import SymPoissonPair, _JetPlan, _membership, _norms, _spectra
 
 
 class DynamicsError(Exception):
@@ -340,11 +340,7 @@ def _geodesic_defect(plan: _JetPlan, traj: Trajectory) -> np.ndarray:
     values = plan.plan.rows(traj.xs[1:-1])
     v, p = traj.velocities, traj.ps[1:-1]
     defect = (v[2:] - v[:-2]) / (2.0 * traj.dt) + plan.quadratic(values, v[1:-1], v[1:-1])
-    defect = defect - 0.25 * plan.cubic(p, p, plan.contract(values, values)[2])
-    # each row's dot product with itself, as a stacked matmul: it takes the
-    # dot kernel np.linalg.norm takes, so every entry equals the row's norm bit
-    # for bit; einsum or (d * d).sum(1) round differently in the last bit
-    return np.sqrt(np.matmul(defect[:, None, :], defect[:, :, None])[:, 0, 0])
+    return _norms(defect - 0.25 * plan.cubic(p, p, plan.contract(values, values)[2]))
 
 
 def geodesic_residual_along(conn: Connection, traj: Trajectory) -> np.ndarray:

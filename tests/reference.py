@@ -3,7 +3,9 @@ tested against.
 
 `eval_scaled` walks an expression tree recursively at one point, node by
 node with multiplicity, independently of `expr.Plan`.
-`plan_order` gives `Plan.nodes` by a recursive walk.  The `*_comps`
+`plan_order` gives `Plan.nodes` by a recursive walk.  `parse_reference`
+parses a text with the lazy lexer and recursive-descent parser that
+`expr.parse` used before it scanned each text once.  The `*_comps`
 functions build a component array index by index with nested loops.  The
 `*_sum` functions spell the exact algebra identities out term by term over
 the structure constants and connection coefficients, and
@@ -44,7 +46,7 @@ import numpy as np
 from sympoisson import expr as ex
 from sympoisson import geometry, poisson, pw
 from sympoisson.defaults import RANK_TOL, TOL
-from sympoisson.expr import BinOp, Call, Const, EvalDomainError, Expr, Neg, Pow, Var
+from sympoisson.expr import BinOp, Call, Const, EvalDomainError, Expr, Neg, ParseError, Pow, Var
 
 _FUNCS = {"exp": math.exp, "ln": math.log, "sin": math.sin, "cos": math.cos, "sqrt": math.sqrt}
 
@@ -423,6 +425,151 @@ def plan_order(exprs):
         walk(root)
     kinds = [Const, Var]
     return [e for k in kinds for e in order if type(e) is k] + [e for e in order if type(e) not in kinds]
+
+
+# ---------------------------------------------------------------------------
+# The lazy lexer and recursive-descent parser that `expr.parse` replaced
+# ---------------------------------------------------------------------------
+
+class _Lexer:
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+
+    def _skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        save = self.pos
+        tok = self.next()
+        self.pos = save
+        return tok
+
+    def next(self):
+        self._skip_ws()
+        start = self.pos
+        if self.pos >= len(self.text):
+            return ("end", "", start)
+        ch = self.text[self.pos]
+        if ch in "+-*/^()":
+            self.pos += 1
+            return ("op", ch, start)
+        if ch.isdigit() or ch == ".":
+            j = self.pos
+            seen_e = False
+            while j < len(self.text):
+                c = self.text[j]
+                if c.isdigit() or c == ".":
+                    j += 1
+                elif c in "eE" and not seen_e and j + 1 < len(self.text) and (
+                    self.text[j + 1].isdigit() or self.text[j + 1] in "+-"
+                ):
+                    seen_e = True
+                    j += 2 if self.text[j + 1] in "+-" else 1
+                else:
+                    break
+            lit = self.text[self.pos:j]
+            self.pos = j
+            try:
+                float(lit)
+            except ValueError:
+                raise ParseError(f"bad number literal '{lit}'", start) from None
+            return ("num", lit, start)
+        if ch.isalpha() or ch == "_":
+            j = self.pos
+            while j < len(self.text) and (self.text[j].isalnum() or self.text[j] == "_"):
+                j += 1
+            name = self.text[self.pos:j]
+            self.pos = j
+            return ("ident", name, start)
+        raise ParseError(f"unexpected character '{ch}'", start)
+
+
+class _Parser:
+    def __init__(self, text, names):
+        self.lexer = _Lexer(text)
+        self.names = list(names)
+
+    def parse(self):
+        e = self.expr()
+        kind, val, pos = self.lexer.next()
+        if kind != "end":
+            raise ParseError(f"unexpected trailing input '{val}'", pos)
+        return e
+
+    def expr(self):
+        e = self.term()
+        while True:
+            kind, val, _ = self.lexer.peek()
+            if kind == "op" and val in "+-":
+                self.lexer.next()
+                rhs = self.term()
+                e = ex.add(e, rhs) if val == "+" else ex.sub(e, rhs)
+            else:
+                return e
+
+    def term(self):
+        e = self.factor()
+        while True:
+            kind, val, _ = self.lexer.peek()
+            if kind == "op" and val in "*/":
+                self.lexer.next()
+                rhs = self.factor()
+                e = ex.mul(e, rhs) if val == "*" else ex.div(e, rhs)
+            else:
+                return e
+
+    def factor(self):
+        e = self.base()
+        kind, val, _ = self.lexer.peek()
+        if kind == "op" and val == "^":
+            self.lexer.next()
+            e = ex.powi(e, self._int_literal())
+        return e
+
+    def _int_literal(self):
+        kind, val, pos = self.lexer.next()
+        sign = 1
+        if kind == "op" and val == "-":
+            sign = -1
+            kind, val, pos = self.lexer.next()
+        if kind != "num" or any(c in val for c in ".eE"):
+            raise ParseError("exponent must be a constant integer", pos)
+        return sign * int(val)
+
+    def base(self):
+        kind, val, pos = self.lexer.next()
+        if kind == "num":
+            return Const(float(val))
+        if kind == "op" and val == "-":
+            return ex.neg(self.base())
+        if kind == "op" and val == "(":
+            e = self.expr()
+            kind, val, pos = self.lexer.next()
+            if not (kind == "op" and val == ")"):
+                raise ParseError("expected ')'", pos)
+            return e
+        if kind == "ident":
+            if val in _FUNCS:
+                kind2, val2, pos2 = self.lexer.next()
+                if not (kind2 == "op" and val2 == "("):
+                    raise ParseError(f"expected '(' after function {val}", pos2)
+                e = self.expr()
+                kind2, val2, pos2 = self.lexer.next()
+                if not (kind2 == "op" and val2 == ")"):
+                    raise ParseError("expected ')'", pos2)
+                return ex.call(val, e)
+            if val in self.names:
+                return Var(self.names.index(val))
+            raise ParseError(f"unknown identifier '{val}'", pos)
+        raise ParseError(f"unexpected token '{val}'", pos)
+
+
+def parse_reference(text, names):
+    """The expression tree of `text` over the coordinate `names`, or its
+    ParseError, by the lazy lexer, which lexes a token again at each peek."""
+    return _Parser(text, names).parse()
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,18 @@ STRUCTURE_ERRORS = {
     "box count": (ONE_DIM.replace("names = x", "names = x\nbox = -1:1, -1:1"),
                   "sample box must list one interval per coordinate"),
     "monitor": (ONE_DIM, "unknown monitor 'energy'"),
+    "blank index": (ONE_DIM.replace("theta[1,1]", "theta[1, ,2]"), "bad key 'theta[1, ,2]', expected theta[i,...]"),
+    "dim number": (ONE_DIM.replace("dim = 1", "dim = 2.5"),
+                   "[chart] dim: invalid literal for int() with base 10: '2.5'"),
+    "box number": (ONE_DIM.replace("names = x", "names = x\nbox = a:1"),
+                   "[chart] box: could not convert string to float: 'a'"),
+    "point number": (ONE_DIM + "\n[probe]\npoint = 0.1, zz\n", "[probe] point: could not convert string to float: 'zz'"),
+    "point dimension": (ONE_DIM.replace("dim = 1\nnames = x", "dim = 2\nnames = x, y") + "\n[probe]\npoint = 0.1\n",
+                        "[probe] point has wrong dimension"),
+    "rank number": (ONE_DIM + "\n[probe.a]\npoint = 0.5\nrank = two\n",
+                    "[probe.a] rank: invalid literal for int() with base 10: 'two'"),
+    "signature number": (ONE_DIM + "\n[probe]\npoint = 0.5\nsignature = 1, b\n",
+                         "[probe] signature: invalid literal for int() with base 10: 'b'"),
 }
 
 
@@ -1034,6 +1046,20 @@ def test_export_keeps_box_bounds_exact(tmp_path):
     path = tmp_path / "box.ini"
     path.write_text(text)
     assert load_structure(str(path)).pair.chart.box == chart.box
+
+
+@pytest.mark.parametrize("option", ["--x0", "--p0"])
+def test_an_initial_state_that_is_not_a_number_names_its_option(option):
+    state = ["--x0", "0.5,0.5", "--p0", "1,0"]
+    state[state.index(option) + 1] = "a"
+    code, out, err = run_cli("integrate", str(STRUCTURES / "inclusion.ini"), *state)
+    assert (code, out, err) == (1, "", f"error: {option}: could not convert string to float: 'a'\n")
+
+
+def test_a_tolerance_that_is_not_a_number_is_a_usage_error():
+    code, out, err = run_cli("check", str(STRUCTURES / "sing_line.ini"), "--tol", "abc")
+    assert code == 1
+    assert err.endswith("error: argument --tol: must be a finite number >= 0, got 'abc'\n")
 
 
 def test_integrate_bad_initial_state():

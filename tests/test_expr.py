@@ -4,13 +4,14 @@ import gc
 import hashlib
 import math
 import pickle
+import time
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import eval_scaled
+from reference import eval_scaled, parse_reference
 from sympoisson import expr
 from sympoisson.expr import (
     EvalDomainError,
@@ -68,10 +69,65 @@ def test_parse_errors_carry_position():
         ("1.2.3", "bad number literal '1.2.3'", 0),
         ("x $ 1", "unexpected character '$'", 2),
         ("exp(x", "expected ')'", 5),
+        ("x )", "unexpected trailing input ')'", 2),
+        ("x^2^3", "unexpected trailing input '^'", 3),
+        ("x^y", "exponent must be a constant integer", 2),
+        ("x^-1.5", "exponent must be a constant integer", 3),
+        ("(x + 1", "expected ')'", 6),
+        ("exp 2", "expected '(' after function exp", 4),
+        ("x + w", "unknown identifier 'w'", 4),
+        ("x + * y", "unexpected token '*'", 4),
+        ("", "unexpected token ''", 0),
+        ("1e+", "bad number literal '1e+'", 0),
+        (" x ² ", "bad number literal '²'", 3),
+        # a text fails at the first token its parse reads, not at the first
+        # token that cannot be lexed
+        ("x ) $", "unexpected trailing input ')'", 2),
+        ("x ) 1.2.3", "unexpected trailing input ')'", 2),
+        ("exp $", "unexpected character '$'", 4),
     ]:
         with pytest.raises(ParseError) as err:
             parse(text, ["x"])
         assert (str(err.value), err.value.position) == (f"{message} (at position {position})", position)
+
+
+_TEXT_PIECES = [*"+-*/^()0123456789.eE \t", "\u00a0", "$", "²", "½", "٣", "é", "Ⅷ", "x", "y", "_", "exp", "ln",
+                "sqrt", "1e5", "2.5"]
+_GRAMMAR_TEXTS = st.recursive(
+    st.sampled_from(["x", "y", "e", "w", "2", "0.5", "1e-3", "3.", "٣", "0"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(" ".join),
+        inner.map("-{}".format),
+        inner.map("({})".format),
+        st.tuples(st.sampled_from(["exp", "ln", "sin", "cos", "sqrt"]), inner).map("{0[0]}({0[1]})".format),
+        st.tuples(inner, st.sampled_from(["2", "-1", "0", "1.5", "y"])).map("{0[0]}^{0[1]}".format),
+    ),
+    max_leaves=8,
+)
+
+
+def _parsed(parse_tree, text):
+    try:
+        return parse_tree(text)
+    except expr.ExprError as err:
+        return type(err), str(err), getattr(err, "position", None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.lists(st.sampled_from(_TEXT_PIECES), max_size=14).map("".join),
+    _GRAMMAR_TEXTS,
+    st.tuples(_GRAMMAR_TEXTS, st.integers(0, 40)).map(lambda cut: cut[0][:cut[1]]),
+))
+def test_parse_agrees_with_the_lazy_lexer(text):
+    # "x" twice: a repeated name binds to its first index
+    names = ["x", "y", "e", "x"]
+    got = _parsed(lambda t: parse(t, names).expr, text)
+    want = _parsed(lambda t: parse_reference(t, names), text)
+    if isinstance(want, expr.Expr):
+        assert got is want
+    else:
+        assert got == want
 
 
 def test_grammar_shapes():
@@ -253,6 +309,33 @@ def test_sample_box_deterministic():
     assert np.array_equal(a, b)
     assert a.shape == (5, 2)
     assert (a[:, 1] >= 0).all() and (a[:, 1] <= 2).all()
+
+
+def test_the_variable_range_is_stored_when_a_node_is_interned():
+    assert expr.const(2.0).max_var() == -1
+    assert expr.var(3).max_var() == 3
+    assert parse("sin(x1) * x3^2 - 4", 3).expr.max_var() == 2
+    # e_{k+1} = e_k (e_k + 1): a tree of 2^25 - 1 leaves over 50 distinct nodes
+    e = expr.var(0)
+    for _ in range(24):
+        e = expr.mul(e, expr.add(e, expr.ONE))
+    start = time.perf_counter()
+    f = ScalarField(e, 1)
+    d = f.diff(0)
+    with pytest.raises(expr.ExprError, match="cannot shrink arity below used variables"):
+        f.with_arity(0)
+    assert time.perf_counter() - start < 0.5
+    assert d.expr.max_var() == 0
+    with pytest.raises(expr.ExprError, match="expression uses variable index 3 but arity is 2"):
+        ScalarField(expr.var(3), 2)
+    assert copy.deepcopy(e) is e and pickle.loads(pickle.dumps(e)) is e
+
+
+def test_scalar_field_arithmetic_with_numbers_prints_its_tree():
+    f = parse("x1 * x2", 2)
+    assert f.arity == 2
+    assert (3 - f).to_string() == "3 - x1 * x2"
+    assert (f / 2).to_string() == "x1 * x2 / 2"
 
 
 def test_arity_validation():

@@ -580,3 +580,17 @@ def test_killing_bracket_plan_shares_nodes():
     p = R2.sample_points()[3]
     one_by_one = [ex.Plan([e]).values(p)[0] for e in bracket.comps.flat]
     assert bracket.evaluate(p).ravel().tolist() == one_by_one
+
+
+def test_contracting_a_one_form_into_a_function_gives_the_zero_function():
+    out = contract(form1(R2, "x", "1"), SymTensorField.from_dict(R2, 0, {(): "x * y"}))
+    assert type(out) is SymTensorField and out.degree == 0
+    assert ex.is_structural_zero(out.comps[()])
+
+
+def test_raising_the_indices_of_a_function_keeps_it():
+    ginv = SymTensorField.from_dict(R2, 2, {(0, 0): "1", (1, 1): "x"})
+    f = SymFormField.from_dict(R2, 0, {(): "x^2"})
+    raised = raise_indices(ginv, f)
+    assert type(raised) is SymTensorField and raised.degree == 0
+    assert raised.comps[()] is f.comps[()]

@@ -11,6 +11,7 @@ from sympoisson.jj import (
     CommutativeAlgebra,
     _echelon,
     _exact_inverse,
+    _frac,
     basis_change,
     catalog,
     catalog_entry,
@@ -354,3 +355,9 @@ def test_echelon_basis_is_reduced_and_spans_the_rows(rows):
         assert all(v == 0 for v in row[:lead])
     # every input row is in the span, so adding one again adds no pivot
     assert all(len(_echelon([row], basis)) == len(basis) for row in rows)
+
+
+def test_exact_rationals_read_from_text_and_refuse_other_objects():
+    assert _frac("3/4") == Fraction(3, 4)
+    with pytest.raises(AlgebraError, match="cannot interpret"):
+        _frac(object())

@@ -373,3 +373,8 @@ def test_polynomial_frame_unknown():
 
     with pytest.raises(KeyError):
         polynomial_frame("so3")
+
+
+def test_left_invariant_tensors_add_componentwise():
+    t = LeftInvariantSymTensor.from_dict(2, 2, {(0, 1): 1})
+    assert np.array_equal((t + t).comps, LeftInvariantSymTensor.from_dict(2, 2, {(0, 1): 2}).comps)

@@ -521,3 +521,9 @@ def test_an_overflowing_theta_on_the_line_raises_its_power():
     pair = SymPoissonPair(SymTensorField.from_dict(chart, 2, {(0, 0): "x^400"}), Connection.euclidean(chart))
     with pytest.raises(EvalDomainError, match=r"^overflow in subterm 'x1\^400'$"):
         involutivity_check(pair)
+
+
+def test_the_zero_theta_rebuilds_to_the_zero_matrix():
+    data = characteristic_data(SymTensorField.zero(R2, 2), (0.3, -0.2))
+    assert data.rank == 0
+    assert np.array_equal(data.rebuild_theta(), np.zeros((2, 2)))

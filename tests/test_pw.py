@@ -689,3 +689,10 @@ def test_integrate_csv_bytes_are_pinned(name, tmp_path, capsys):
     )
     assert code == 0, capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_the_vertical_lift_of_a_function_is_its_base_lift():
+    f = SymTensorField.from_dict(R2, 0, {(): "x * y"})
+    lift = vertical_lift(f)
+    assert lift.f.arity == 4
+    assert lift.f.expr is base_lift(R2, f.scalar()).f.expr is ex.parse("x * y", ["x", "y"]).expr
