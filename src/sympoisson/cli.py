@@ -599,11 +599,16 @@ def main(argv=None) -> int:
         # checked before any suite runs: a liealg: suite samples nothing
         print(f"error: sample count must be at least 1, got {args.samples}", file=sys.stderr)
         return USAGE_ERROR
-    if args.command == "check":
-        return cmd_check(args)
-    if args.command == "integrate":
-        return cmd_integrate(args)
-    return cmd_catalog(args)
+    try:
+        if args.command == "check":
+            return cmd_check(args)
+        if args.command == "integrate":
+            return cmd_integrate(args)
+        return cmd_catalog(args)
+    except RecursionError:
+        # differentiation and printing recurse down an expression tree
+        print("error: expression nested too deeply", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

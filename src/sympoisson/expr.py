@@ -14,16 +14,22 @@ The concrete grammar (ASCII) accepted by :func:`parse`:
     func   := exp | ln | sin | cos | sqrt
 
 Each text is scanned once into a token list, which a recursive-descent
-parser reads by index.  Identifiers bind to the declared coordinate names, in
-order.  Differentiation is symbolic with constant folding only; there is no
-simplification to a canonical form.  Zero-testing is done by sampling (see
-:func:`is_zero_field`).
+parser reads by index; it nests at most 200 unary minuses, parentheses and
+function arguments one inside another.  Identifiers bind to the declared
+coordinate names, in order.  Differentiation is symbolic with constant
+folding only; there is no simplification to a canonical form.  Zero-testing
+is done by sampling (see :func:`is_zero_field`).
 
 Nodes are interned (hash-consed): while a node is alive, building the same
 structure again, by any constructor, returns that node, so a tree is a DAG
 with maximal sharing.  Each node stores its largest variable index when it is
 interned, so `Expr.max_var` is one read.  `Expr.diff` is memoised per node and
 variable, so differentiating a DAG costs one rule per distinct node.
+
+An evaluation plan (`Plan`) has two runners with one failure rule:
+`Plan.values` at one point and `Plan.table` over many samples.  A node fails
+where its Python float operation raises (a domain error, or an overflow in
+``**`` or exp), and either runner raises a located EvalDomainError naming it.
 """
 
 from __future__ import annotations
@@ -496,10 +502,15 @@ def _tokens(text: str) -> list[tuple[str, str, int]]:
             return tokens + [("error", f"unexpected character '{ch}'", start)]
 
 
+# unary minuses, parentheses and function arguments one inside another
+_MAX_NESTING = 200
+
+
 class _Parser:
     def __init__(self, text: str, names: Sequence[str]):
         self.tokens = _tokens(text)
         self.at = 0
+        self.depth = 0
         # the first index of a repeated name, as list.index gives
         self.index = {name: i for i, name in reversed(list(enumerate(names)))}
 
@@ -555,24 +566,37 @@ class _Parser:
 
     def base(self) -> Expr:
         if self.accept("-"):
-            return neg(self.base())
-        if self.accept("("):
+            self.enter()
+            e = neg(self.base())
+        elif self.accept("("):
+            self.enter()
             e = self.expr()
             self.expect(")", "expected ')'")
-            return e
-        kind, val, pos = self.next()
-        if kind == "num":
-            return Const(float(val))
-        if kind == "ident" and val in _FUNCS:
+        else:
+            kind, val, pos = self.next()
+            if kind == "num":
+                return Const(float(val))
+            if kind != "ident":
+                raise ParseError(f"unexpected token '{val}'", pos)
+            if val not in _FUNCS:
+                if val in self.index:
+                    return Var(self.index[val])
+                raise ParseError(f"unknown identifier '{val}'", pos)
             self.expect("(", f"expected '(' after function {val}")
+            self.enter()
             e = self.expr()
             self.expect(")", "expected ')'")
-            return call(val, e)
-        if kind == "ident" and val in self.index:
-            return Var(self.index[val])
-        if kind == "ident":
-            raise ParseError(f"unknown identifier '{val}'", pos)
-        raise ParseError(f"unexpected token '{val}'", pos)
+            e = call(val, e)
+        self.depth -= 1
+        return e
+
+    def enter(self) -> None:
+        """Open a nesting level (a unary minus, a parenthesis or a function's
+        argument) at the token just read; the levels are bounded, so the
+        recursion stays within the interpreter's limit."""
+        if self.depth == _MAX_NESTING:
+            raise ParseError("expression nested too deeply", self.tokens[self.at - 1][2])
+        self.depth += 1
 
 
 # ---------------------------------------------------------------------------
@@ -601,14 +625,6 @@ _EVAL_FAILURES = (ZeroDivisionError, ValueError, OverflowError)
 def _domain_error(err: Exception | None, kind: str, node: Expr) -> EvalDomainError:
     message = "overflow" if isinstance(err, OverflowError) else _DOMAIN_MESSAGES[kind]
     return EvalDomainError(message, node)
-
-
-def _power(x: float, k: int) -> float:
-    """x ** k on Python floats; an overflow gives the +-inf a numpy float would."""
-    try:
-        return x ** k
-    except OverflowError:
-        return float(np.float64(x) ** k)
 
 
 def _elementwise(fn, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -654,16 +670,15 @@ class Plan:
     of the expressions themselves.
 
     `values` interprets the plan at one point on Python floats with
-    `math.*` in slot order; it is the one point runner.  `table` runs the
-    plan over numpy arrays of samples with the same elementwise operations,
-    `residual` reduces the table, and `rows` reads the values at many
-    points, such as the samples of a field or the stored states an
-    integrate monitor reads, from one table.  Where a node fails, all three
-    raise what a `values` loop over the samples raises first: the error of
-    the first failing sample.  Generated code serves only whole RK4
-    trajectories (`compile_rk4`), where each point depends on the last.
-    All give equal values and, where a node fails, the same located
-    EvalDomainError, built by `_located`.
+    `math.*` in slot order; `table` runs it over numpy arrays of samples
+    with the same elementwise operations, and `residual` reduces the table.
+    The two runners have one failure rule: a node fails where its Python
+    float operation raises (a domain error, or an overflow in ``**`` or
+    exp), and `table` raises what a `values` loop over the samples raises
+    first: the error of the first failing sample.  Generated code serves
+    only whole RK4 trajectories (`compile_rk4`), where each point depends
+    on the last.  All give equal values and, where a node fails, the same
+    located EvalDomainError, built by `_located`.
     """
 
     __slots__ = ("nodes", "roots", "_consts", "_vars", "_ops", "_point_ops")
@@ -758,20 +773,20 @@ class Plan:
         """The root values and their scales at every sample, each (samples, roots).
 
         Every node is evaluated once, over all samples together, with the
-        point path's elementwise operations.  A root's scale is the largest
-        |value| of any of its subterms at the sample, so where a row of
-        scales is finite the values equal `values` at that sample bit for
-        bit.  Where no node fails, an overflow in ``**`` reads +-inf here,
-        where `values` raises; where one fails, the table raises the error of
-        the first row at which `values` raises (`_raise_first_failing_row`),
-        which may be an earlier row's overflow in ``**``.
+        point path's elementwise operations, so the values equal `values`
+        at each sample bit for bit.  A root's scale is the largest |value|
+        of any of its subterms at the sample.  A node fails at a sample
+        exactly where its operation raises in `values` (a domain error, or
+        an overflow in ``**`` or exp); where any does, `values` is run
+        again at the first failing sample and raises its located error, so
+        the table raises what a `values` loop over the samples raises.
         """
         pts = np.asarray(samples, dtype=float)
         if pts.ndim != 2 or len(pts) == 0:
             raise ExprError("samples must be a non-empty list of points")
         vals = [np.full(len(pts), c) for c in self._consts] + [pts[:, i] for i in self._vars]
         scales = [np.abs(v) for v in vals]
-        any_failed = False
+        failing = np.zeros(len(pts), dtype=bool)
         with np.errstate(all="ignore"):
             for kind, a, b in self._ops:
                 failed = None
@@ -785,50 +800,31 @@ class Plan:
                         failed = vals[b] == 0.0
                     s = np.maximum(scales[a], scales[b])
                 else:
-                    fn = _FUNCS.get(kind) or (lambda x, k=b: _power(x, k))
+                    fn = _FUNCS.get(kind) or (lambda x, k=b: x ** k)
                     v, failed = _elementwise(fn, vals[a])
                     s = scales[a]
-                if failed is not None and failed.any():
-                    v[failed] = math.nan
-                    any_failed = True
+                if failed is not None:
+                    failing |= failed
                 vals.append(v)
                 scales.append(np.maximum(s, np.abs(v)))
+        if failing.any():
+            self.values(pts[failing.argmax()])  # raises there
         shape = (len(self.roots), len(pts))
         value, scale = (np.array([col[r] for r in self.roots]).reshape(shape).T for col in (vals, scales))
-        if any_failed:
-            self._raise_first_failing_row(pts, scale)
         return value, scale
 
     def residual(self, samples) -> float:
         """max over roots and samples of |v| / (1 + scale), from `table`.
 
-        A NaN or infinite value or scale makes the residual inf; no roots
-        give 0.  Where a node fails, it raises the error `table` raises:
-        that of the first sample at which `values` raises.
+        A NaN or infinite value or scale, such as a product that overflows,
+        makes the residual inf; no roots give 0.  Where a node fails, it
+        raises the error `table` raises: that of the first sample at which
+        `values` raises.
         """
         value, scale = self.table(samples)
         if not np.isfinite(scale).all():
             return math.inf
         return float((np.abs(value) / (1.0 + scale)).max(initial=0.0))
-
-    def rows(self, points) -> np.ndarray:
-        """The root values at each point, (points, roots): what `values`
-        returns row by row, read from one `table`.
-
-        The first row at which `values` raises raises its EvalDomainError,
-        as in `table`; where no row raises, infinities in the table, such as
-        a product that overflows, are the values.
-        """
-        values, scales = self.table(points)
-        self._raise_first_failing_row(points, scales)
-        return values
-
-    def _raise_first_failing_row(self, points, scales: np.ndarray) -> None:
-        # A failed node reads NaN and an overflow in ** reads inf, and
-        # np.maximum carries both into every ancestor's scale, so only rows
-        # whose root scales are not finite can raise.
-        for s in np.flatnonzero(~np.isfinite(scales).all(axis=1)):
-            self.values(points[s])
 
 
 def residual(exprs: Iterable[Expr], samples) -> float:

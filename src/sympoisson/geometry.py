@@ -265,10 +265,10 @@ class _SymField:
         return np.array(self.plan().values(point), dtype=float).reshape(self.comps.shape)
 
     def evaluate_on(self, samples) -> np.ndarray:
-        """The component arrays at every sample, stacked: `Plan.rows`, so the
+        """The component arrays at every sample, stacked: `Plan.table`, so the
         first sample at which `evaluate` raises raises its error here."""
         _require_points(self.chart, samples, 2)
-        values = self.plan().rows(samples)
+        values = self.plan().table(samples)[0]
         return np.ascontiguousarray(values).reshape((len(values),) + self.comps.shape)
 
     def residual_on(self, samples: Iterable[Sequence[float]] | None = None) -> float:

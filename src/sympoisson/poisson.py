@@ -94,8 +94,8 @@ class SymPoissonPair:
     def jets(self, samples=None) -> Jets:
         """theta, d theta and Gamma at the samples (default: the chart's), from
         one `Plan.table` per sample set, kept on the pair.  A leaf that fails
-        raises the table's located EvalDomainError; one that overflows reads
-        inf."""
+        raises the table's located EvalDomainError; one whose product
+        overflows reads inf."""
         if samples is None:
             samples = self.chart.sample_points()
         geo._require_points(self.chart, samples, 2)
@@ -384,12 +384,6 @@ class Jets:
         with np.errstate(all="ignore"):
             return self._plan.commutators(np.hstack([self.values, -self.values]), self.values).reshape(s, -1, n)
 
-    def commutator_leaves_finite(self) -> bool:
-        """Whether the scales of theta and of each d theta leaf some commutator
-        term reads are finite."""
-        read = self._plan.commutators.ids[1]
-        return bool(np.isfinite(self.scales[:, read]).all() and np.isfinite(self.theta[1]).all())
-
 
 # ---------------------------------------------------------------------------
 # bracket and gradient
@@ -614,22 +608,17 @@ def involutivity_check(pair: SymPoissonPair, samples=None) -> InvolutivityReport
     up to a distance of RANK_TOL (1 + |commutator|).
 
     theta and the commutators theta^{im} d_m theta^{jk} - theta^{jm} d_m
-    theta^{ik} are read from the jet table.  Where a commutator, or the
-    scale of a leaf it reads, is not finite, the jet plan's `Plan.rows`
-    raises the first failing sample's located error (an overflow in
-    ``**``).  A value that is still not finite (a product that overflows)
-    raises EvalDomainError: theta's names its component, a commutator's its
-    pair (i, j), component k and first sample.  A rank jump across samples
-    downgrades a positive answer to inconclusive; a failed membership is
-    conclusive either way.
+    theta^{ik} are read from the jet table, which has raised the first
+    failing sample's located error wherever a leaf fails.  A value that is
+    not finite (a product that overflows) raises EvalDomainError: theta's
+    names its component, a commutator's its pair (i, j), component k and
+    first sample.  A rank jump across samples downgrades a positive answer
+    to inconclusive; a failed membership is conclusive either way.
     """
     jets = pair.jets(samples)
     theta, table = jets.theta[0], jets.commutators
-    finite = np.isfinite(table).all()
-    if not (finite and jets.commutator_leaves_finite()):
-        pair._jet_plan.plan.rows(jets.samples)
     _, vecs, keep = _spectra(pair.theta, jets.samples, theta)
-    if not finite:
+    if not np.isfinite(table).all():
         c, s, k = np.argwhere(~np.isfinite(table.transpose(1, 0, 2)))[0]
         i, j = _layout(pair.chart.n).above_diagonal[:, c]
         names, where = pair.chart.names, tuple(float(v) for v in jets.samples[s])

@@ -326,10 +326,10 @@ def _geodesic_defect(plan: _JetPlan, traj: Trajectory) -> np.ndarray:
     """| nabla_{xdot} xdot - (1/4) i_a i_a [theta, theta] | at each interior stored state.
 
     The acceleration is a central finite difference of the stored velocity
-    channel.  Every jet leaf comes from one `Plan.rows` of the jet plan over
-    all interior states, so the first state that fails raises the error of
-    its first failing leaf in the plan's order.  Gamma^k_{ij} v^i v^j and
-    p_i p_j [theta, theta]^{ijk} are their live terms' ordered sums
+    channel.  Every jet leaf comes from one `Plan.table` of the jet plan
+    over all interior states, so the first state that fails raises the
+    error of its first failing leaf in the plan's order.  Gamma^k_{ij} v^i
+    v^j and p_i p_j [theta, theta]^{ijk} are their live terms' ordered sums
     (`_JetPlan.quadratic`, `_JetPlan.cubic`), with [theta, theta] the
     contraction the verdicts read (`_JetPlan.contract`), equal bit for bit
     to the dense `np.einsum`s over the trees' values.  Without [theta,
@@ -337,7 +337,7 @@ def _geodesic_defect(plan: _JetPlan, traj: Trajectory) -> np.ndarray:
     """
     if len(traj.xs) < 3:
         raise DynamicsError("need at least 3 stored states for finite differences")
-    values = plan.plan.rows(traj.xs[1:-1])
+    values = plan.plan.table(traj.xs[1:-1])[0]
     v, p = traj.velocities, traj.ps[1:-1]
     defect = (v[2:] - v[:-2]) / (2.0 * traj.dt) + plan.quadratic(values, v[1:-1], v[1:-1])
     return _norms(defect - 0.25 * plan.cubic(p, p, plan.contract(values, values)[2]))
@@ -369,7 +369,7 @@ def speed_square_field(pair: SymPoissonPair) -> PhaseField:
 
 def monitor_speed_square(pair: SymPoissonPair, traj: Trajectory) -> np.ndarray:
     """Per-step values of theta(a, a) along a cotangent trajectory."""
-    return ex.Plan([speed_square_field(pair).f.expr]).rows(np.hstack([traj.xs, traj.ps]))[:, 0]
+    return ex.Plan([speed_square_field(pair).f.expr]).table(np.hstack([traj.xs, traj.ps]))[0][:, 0]
 
 
 def monitor_geodesic_residual(pair: SymPoissonPair, traj: Trajectory) -> np.ndarray:

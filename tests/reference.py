@@ -2,7 +2,9 @@
 tested against.
 
 `eval_scaled` walks an expression tree recursively at one point, node by
-node with multiplicity, independently of `expr.Plan`.
+node with multiplicity, independently of `expr.Plan`; a node fails there
+where it fails in both of a plan's runners, an overflow in ``**``
+included.
 `plan_order` gives `Plan.nodes` by a recursive walk.  `parse_reference`
 parses a text with the lazy lexer and recursive-descent parser that
 `expr.parse` used before it scanned each text once.  The `*_comps`
@@ -51,19 +53,19 @@ from sympoisson.expr import BinOp, Call, Const, EvalDomainError, Expr, Neg, Pars
 _FUNCS = {"exp": math.exp, "ln": math.log, "sin": math.sin, "cos": math.cos, "sqrt": math.sqrt}
 
 
-def eval_scaled(e, values, power_overflow_is_inf=False):
+def eval_scaled(e, values):
     """(value, scale) of `e` at the point `values`; scale = max |v| over all
-    subterm values.  Raises EvalDomainError naming the first failing subterm.
-    An overflow in ``**`` is one, as in `Plan.values`, unless
-    `power_overflow_is_inf`, when it reads +-inf, as in `Plan.table`."""
+    subterm values.  Raises EvalDomainError naming the first failing subterm,
+    an overflow in ``**`` or exp among them, as `Plan.values` and
+    `Plan.table` do."""
     if isinstance(e, Const):
         return e.value, abs(e.value)
     if isinstance(e, Var):
         v = values[e.index]
         return v, abs(v)
     if isinstance(e, BinOp):
-        a, sa = eval_scaled(e.left, values, power_overflow_is_inf)
-        b, sb = eval_scaled(e.right, values, power_overflow_is_inf)
+        a, sa = eval_scaled(e.left, values)
+        b, sb = eval_scaled(e.right, values)
         if e.op == "+":
             v = a + b
         elif e.op == "-":
@@ -76,21 +78,19 @@ def eval_scaled(e, values, power_overflow_is_inf=False):
             v = a / b
         return v, max(sa, sb, abs(v))
     if isinstance(e, Pow):
-        b, sb = eval_scaled(e.base, values, power_overflow_is_inf)
+        b, sb = eval_scaled(e.base, values)
         if b == 0.0 and e.exponent < 0:
             raise EvalDomainError("zero raised to a negative power", e)
         try:
             v = b ** e.exponent
         except OverflowError:
-            if not power_overflow_is_inf:
-                raise EvalDomainError("overflow", e) from None
-            v = -math.inf if b < 0 and e.exponent % 2 else math.inf
+            raise EvalDomainError("overflow", e) from None
         return v, max(sb, abs(v))
     if isinstance(e, Neg):
-        v, s = eval_scaled(e.arg, values, power_overflow_is_inf)
+        v, s = eval_scaled(e.arg, values)
         return -v, s
     if isinstance(e, Call):
-        a, s = eval_scaled(e.arg, values, power_overflow_is_inf)
+        a, s = eval_scaled(e.arg, values)
         v = _apply(e, a)
         return v, max(s, abs(v))
     raise TypeError(f"not an expression node: {e!r}")

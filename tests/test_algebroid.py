@@ -166,6 +166,13 @@ def test_cotangent_bracket_antisymmetric():
     assert out.residual_on() <= 1e-13
 
 
+def test_cotangent_bracket_refuses_a_field_that_is_not_a_1_form():
+    pair = registry.build("nondeg_kill")
+    bivector = SymTensorField.from_dict(pair.chart, 2, {(0, 1): "x"})
+    with pytest.raises(ValueError, match="^cotangent bracket is defined on 1-forms$"):
+        cotangent_bracket(pair, bivector, form1(pair.chart, "x", "1"))
+
+
 def test_cotangent_bracket_leibniz_any_pair():
     # the Leibniz rule needs no integrability at all
     chart = Chart(["x", "y"])

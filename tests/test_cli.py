@@ -134,6 +134,12 @@ STRUCTURE_ERRORS = {
                     "[probe.a] rank: invalid literal for int() with base 10: 'two'"),
     "signature number": (ONE_DIM + "\n[probe]\npoint = 0.5\nsignature = 1, b\n",
                          "[probe] signature: invalid literal for int() with base 10: 'b'"),
+    "nested parentheses": (ONE_DIM.replace('"1"', '"' + "(" * 300 + "x" + ")" * 300 + '"'),
+                           "expression nested too deeply (at position 200)"),
+    "unary minuses": (ONE_DIM.replace('"1"', '"' + "-" * 1000 + "x" + '"'),
+                      "expression nested too deeply (at position 200)"),
+    # it parses, but differentiating it recurses past the interpreter's limit
+    "long product": (ONE_DIM.replace('"1"', '"' + "*".join(["x"] * 500) + '"'), "expression nested too deeply"),
 }
 
 
@@ -147,6 +153,15 @@ def test_a_structure_file_error_is_one_usage_error_line(tmp_path, case):
     for argv in runs:
         code, out, err = run_cli(argv[0], str(path), *argv[1:])
         assert (code, out, err) == (1, "", f"error: {message.format(path=path)}\n"), argv
+
+
+@pytest.mark.parametrize("theta", ["(" * 200 + "x" + ")" * 200, "*".join(["x"] * 400)], ids=["parentheses", "product"])
+def test_a_deep_expression_within_the_bounds_is_checked(tmp_path, theta):
+    path = tmp_path / "deep.ini"
+    path.write_text(ONE_DIM.replace('"1"', f'"{theta}"'))
+    code, out, err = run_cli("check", str(path))
+    assert (code, err) == (0, ""), err[-300:]
+    assert out.splitlines()[-1] == "PASS (4/4)"
 
 
 def test_check_index_out_of_range(tmp_path):

@@ -85,10 +85,24 @@ def test_parse_errors_carry_position():
         ("x ) $", "unexpected trailing input ')'", 2),
         ("x ) 1.2.3", "unexpected trailing input ')'", 2),
         ("exp $", "unexpected character '$'", 4),
+        # at most 200 unary minuses, parentheses and function arguments one
+        # inside another: the 201st fails at the token that opens it
+        ("(" * 201 + "x" + ")" * 201, "expression nested too deeply", 200),
+        ("-" * 1000 + "x", "expression nested too deeply", 200),
+        ("sin(" * 201 + "x" + ")" * 201, "expression nested too deeply", 803),
+        ("-(" * 100 + "-x" + ")" * 100, "expression nested too deeply", 200),
     ]:
         with pytest.raises(ParseError) as err:
             parse(text, ["x"])
         assert (str(err.value), err.value.position) == (f"{message} (at position {position})", position)
+
+
+def test_parse_reads_200_levels_of_nesting():
+    x = expr.var(0)
+    assert parse("(" * 200 + "x" + ")" * 200, ["x"]).expr is x
+    assert parse("-" * 200 + "x", ["x"]).expr is x
+    assert parse("-(" * 100 + "x" + ")" * 100, ["x"]).expr is x
+    assert parse("sin(" * 200 + "x" + ")" * 200, ["x"]).expr.max_var() == 0
 
 
 _TEXT_PIECES = [*"+-*/^()0123456789.eE \t", "\u00a0", "$", "²", "½", "٣", "é", "Ⅷ", "x", "y", "_", "exp", "ln",
@@ -344,6 +358,10 @@ def test_arity_validation():
     f = parse("x + y", ["x", "y"])
     with pytest.raises(expr.ExprError):
         f.diff(5)
+    with pytest.raises(expr.ExprError, match="^arity mismatch$"):
+        parse("x1", 1) + parse("x1", 2)
+    with pytest.raises(expr.ExprError, match="^unknown function foo$"):
+        expr.call("foo", expr.var(0))
 
 
 def test_sample_box_rejects_counts_below_one():
@@ -370,11 +388,22 @@ def test_residual_is_inf_for_non_finite_values():
     f = parse("x + y", ["x", "y"])
     with_nan = np.array([[0.5, 0.5], [math.nan, 0.5]])
     assert residual([f.expr], with_nan) == math.inf
-    # inf / (1 + inf) is NaN, which a plain max() would drop
-    big = parse("x^400 - x^400", ["x"])
+    # inf / (1 + inf) is NaN, which a plain max() would drop; a product
+    # that overflows fails no node, so it reads inf
+    big = parse("(1e200*x)*(1e200*x) - (1e200*x)*(1e200*x)", ["x"])
     pts = sample_box([(2.0, 1000.0)], count=25)
     assert zero_residual(big, pts) == math.inf
     assert not is_zero_field(big, pts)
+    # an overflow in ** fails its node: the values loop's error
+    power = parse("x^400 - x^400", ["x"])
+    with pytest.raises(EvalDomainError) as loop_err:
+        for p in pts:
+            power(p)
+    assert str(loop_err.value) == "overflow in subterm 'x1^400'"
+    for read in (zero_residual, is_zero_field):
+        with pytest.raises(EvalDomainError) as err:
+            read(power, pts)
+        assert str(err.value) == str(loop_err.value) and err.value.node is loop_err.value.node
 
 
 def test_residual_rejects_empty_samples():
@@ -444,25 +473,16 @@ def _shared_exprs(rng):
 
 
 def _tree_walk_residual(exprs, samples):
-    """The reference route: one eval_scaled walk per sample and component.
-
-    An overflow in ``**`` reads +-inf unless some walk fails; then the
-    walks run again, sample by sample and then component by component, with
-    the overflow an error as the point path reads it, and the first walk
-    that fails raises."""
+    """The reference route: one eval_scaled walk per sample and component,
+    sample by sample and then component by component; the first walk that
+    fails raises, an overflow in ``**`` included."""
     worst = 0.0
-    try:
-        with np.errstate(all="ignore"):
-            for p in samples:
-                for e in exprs:
-                    v, scale = eval_scaled(e, p, power_overflow_is_inf=True)
-                    r = abs(v) / (1.0 + scale)
-                    worst = max(worst, r if math.isfinite(r) and math.isfinite(scale) else math.inf)
-    except (EvalDomainError, ValueError):  # ValueError: sin/cos of inf
+    with np.errstate(all="ignore"):
         for p in samples:
             for e in exprs:
-                eval_scaled(e, p)
-        raise
+                v, scale = eval_scaled(e, p)
+                r = abs(v) / (1.0 + scale)
+                worst = max(worst, r if math.isfinite(r) and math.isfinite(scale) else math.inf)
     return worst
 
 
@@ -543,13 +563,17 @@ def test_plan_agrees_with_tree_walk_and_compiled_lambdas(seed):
             _same_outcome(lambda p: [f(p)[0] for f in fns], plan.values, point)
 
 
-def test_table_reads_an_overflow_in_power_as_inf():
+def test_table_raises_an_overflow_in_power_where_values_does():
     odd = Plan([parse("x^401", ["x"]).expr])
-    values, scales = odd.table([[1000.0], [-1000.0]])
-    assert values.tolist() == [[math.inf], [-math.inf]] and scales.tolist() == [[math.inf], [math.inf]]
-    assert odd.residual([[1000.0]]) == math.inf
-    with pytest.raises(EvalDomainError, match="overflow in subterm 'x1\\^401'"):
-        odd.values((1000.0,))
+    samples = [[1.0], [1000.0], [-1000.0]]
+    with pytest.raises(EvalDomainError) as loop_err:
+        for p in samples:
+            odd.values(p)
+    assert str(loop_err.value) == "overflow in subterm 'x1^401'"
+    for read in (odd.table, odd.residual, lambda s: residual([odd.nodes[odd.roots[0]]], s)):
+        with pytest.raises(EvalDomainError) as err:
+            read(samples)
+        assert str(err.value) == str(loop_err.value) and err.value.node is loop_err.value.node
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 over the trees.
 
 `pw._geodesic_defect` evaluates every jet leaf (theta, d theta and Gamma)
-once over all interior states (`Plan.rows` of `poisson._JetPlan`), and
+once over all interior states (`Plan.table` of `poisson._JetPlan`), and
 contracts Gamma v v and p p [theta, theta] from them, [theta, theta] as
 the cyclic sum the verdicts read.  `reference.geodesic_defect_pointwise`
 evaluates the jet leaves, Gamma and the cyclic [theta, theta] tree
@@ -187,7 +187,7 @@ def test_infinities_no_state_raises_on_are_the_values():
 
 def test_structural_zeros_keep_their_sign():
     zeros = [ex.const(-0.0), ex.ZERO, ex.var(0), ex.const(-0.0)]
-    table = ex.Plan(zeros).rows(np.array([[1.5], [2.5]]))
+    table = ex.Plan(zeros).table(np.array([[1.5], [2.5]]))[0]
     assert table.tobytes() == np.array([[-0.0, 0.0, 1.5, -0.0], [-0.0, 0.0, 2.5, -0.0]]).tobytes()
 
 

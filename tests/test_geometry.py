@@ -594,3 +594,50 @@ def test_raising_the_indices_of_a_function_keeps_it():
     raised = raise_indices(ginv, f)
     assert type(raised) is SymTensorField and raised.degree == 0
     assert raised.comps[()] is f.comps[()]
+
+
+# ---------------------------------------------------------------------------
+# guards: arguments no operation is defined on
+# ---------------------------------------------------------------------------
+
+_X, _BI = vec(R2, "x", "y"), SymTensorField.from_dict(R2, 2, {(0, 1): "x"})
+_A1, _F2 = form1(R2, "x", "1"), SymFormField.from_dict(R2, 2, {(0, 1): "x"})
+
+GUARDS = {
+    "no coordinate": (lambda: Chart([]), "chart needs at least one coordinate"),
+    "repeated name": (lambda: Chart(["x", "x"]), "coordinate names must be distinct"),
+    "degree 5": (lambda: SymTensorField(R2, 5, np.empty((2,) * 5, dtype=object)),
+                 "degree 5 outside supported range 0..4"),
+    "component shape": (lambda: SymTensorField(R2, 2, np.empty((2,), dtype=object)),
+                        "component array has shape (2,), expected (2, 2)"),
+    "vector plus form": (lambda: _X + _A1, "cannot mix covariant and contravariant fields"),
+    "vector plus bivector": (lambda: _X + _BI, "degree mismatch"),
+    "gamma shape": (lambda: Connection(R2, np.empty((2, 2), dtype=object)), "gamma must have shape (2, 2, 2)"),
+    "product of kinds": (lambda: sym_product(_X, _A1), "cannot multiply covariant with contravariant"),
+    "contract kinds": (lambda: contract(_X, _BI), "contract expects (form, tensor) or (vector, form)"),
+    "contract degree": (lambda: contract(_F2, _BI), "first argument must have degree 1"),
+    "lie bracket": (lambda: lie_bracket(_BI, _X), "lie bracket is defined on vector fields"),
+    "symmetric bracket": (lambda: symmetric_bracket(euclidean(R2), _BI, _X),
+                          "symmetric bracket is defined on vector fields"),
+    "along": (lambda: covariant_derivative(euclidean(R2), _X).along(_BI), "direction must be a vector field"),
+    "bracket of scalars": (lambda: anticommutative_schouten(SymTensorField.zero(R2, 0), SymTensorField.zero(R2, 0)),
+                           "bracket needs total degree at least 1"),
+    "bracket over the cap": (lambda: anticommutative_schouten(SymTensorField.zero(R2, 3), SymTensorField.zero(R2, 3)),
+                             "bracket degree 5 exceeds cap 4"),
+    "no factor": (lambda: schouten_decomposable(euclidean(R2), [], [_X]), "need at least one factor on each side"),
+    "invert a 1-form": (lambda: invert_metric(_A1), "inversion expects a degree-2 field"),
+}
+
+
+@pytest.mark.parametrize("case", GUARDS)
+def test_a_guard_refuses_an_argument_no_operation_is_defined_on(case):
+    build, message = GUARDS[case]
+    with pytest.raises(geo.GeometryError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_adding_a_number_to_a_field_is_a_type_error():
+    with pytest.raises(TypeError) as err:
+        _X + 1
+    assert str(err.value) == "unsupported operand 1"

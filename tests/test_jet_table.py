@@ -170,6 +170,24 @@ def test_a_gamma_no_tree_reads_fails_every_sampled_verdict():
         assert err.value.node is ln, verdict.__name__
 
 
+@pytest.mark.parametrize("gamma, message", [("exp(x)", "overflow in subterm 'exp(x1)'"),
+                                            ("x^400", "overflow in subterm 'x1^400'")], ids=["exp", "power"])
+def test_an_overflowing_gamma_fails_every_sampled_verdict(gamma, message):
+    # Gamma^x_{xy} overflows on most of the box 2 <= x, y <= 1000: an
+    # overflow in exp and one in ** fail their node alike, so each verdict
+    # raises the error a values loop over the samples raises
+    chart = Chart(["x", "y"], [(2.0, 1000.0), (2.0, 1000.0)])
+    theta = SymTensorField.from_dict(chart, 2, {(0, 0): "1"})
+    pair = SymPoissonPair(theta, Connection.from_dict(chart, {(0, 0, 1): gamma}))
+    samples = chart.sample_points()
+    node = chart.parse(gamma).expr
+    for verdict in (poisson.symmetric_poisson_residual, poisson.strong_residual, poisson.parallel_residual,
+                    poisson.involutivity_check):
+        with pytest.raises(ex.EvalDomainError) as err:
+            verdict(pair, samples)
+        assert str(err.value) == message and err.value.node is node, verdict.__name__
+
+
 def test_a_gamma_no_term_reads_stays_out_of_a_rescaled_scale():
     # the scales of D and [theta, theta] overflow over finite theta and d
     # theta scales (as in test_cli), so they are summed again over rescaled
@@ -263,15 +281,24 @@ def test_a_leaf_only_the_parallel_tree_reads_may_overflow(theta):
 
 def test_an_overflow_under_a_finite_commutator_is_located():
     # [theta(dx), theta(dy)]^x = -theta^{yy} d_y theta^{xx}, and d_y (1 / (1e200 y))
-    # = -1e200 / (1e200 y)^2 reads -0 where the square overflows: the
-    # commutator is finite, but the point runner raises on the leaf it reads
+    # = -1e200 / (1e200 y)^2 would read -0 where the square overflows: the
+    # commutator would be finite, but the square fails its node, so the jet
+    # table raises the values loop's error, and so does every verdict
     chart = Chart(["x", "y"])
     theta = SymTensorField.from_dict(chart, 2, {(0, 0): "1/(1e200*y)", (1, 1): "1"})
     pair = SymPoissonPair(theta, Connection.euclidean(chart))
-    samples = np.array([[0.5, 1e-210], [0.5, 0.5]])
-    assert np.isfinite(pair.jets(samples).commutators).all()
-    with pytest.raises(ex.EvalDomainError, match=r"^overflow in subterm '\(1e\+200 \* x2\)\^2'$"):
-        poisson.involutivity_check(pair, samples)
+    samples = np.array([[0.5, 0.5], [0.5, 1e-210], [0.5, 0.25]])
+    with pytest.raises(ex.EvalDomainError) as loop_err:
+        for p in samples:
+            pair._jet_plan.plan.values(p)
+    assert str(loop_err.value) == "overflow in subterm '(1e+200 * x2)^2'"
+    for read in (pair.jets, pair._jet_plan.plan.table, pair._jet_plan.plan.residual,
+                 *(lambda s, verdict=verdict: verdict(pair, s) for verdict in (
+                     poisson.symmetric_poisson_residual, poisson.strong_residual, poisson.parallel_residual,
+                     poisson.involutivity_check))):
+        with pytest.raises(ex.EvalDomainError) as err:
+            read(samples)
+        assert str(err.value) == str(loop_err.value) and err.value.node is loop_err.value.node
 
 
 def test_a_scale_that_overflows_over_finite_leaf_scales_is_rescaled():

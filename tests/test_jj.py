@@ -180,6 +180,8 @@ def test_from_linear_structure_rejects_nonlinear():
     theta = SymTensorField.from_dict(chart, 2, {(0, 0): "1 + x"})
     with pytest.raises(AlgebraError):
         from_linear_structure(theta)
+    with pytest.raises(AlgebraError, match="^expected a degree-2 field$"):
+        from_linear_structure(SymTensorField.from_dict(chart, 1, {0: "x"}))
 
 
 @pytest.mark.parametrize(

@@ -328,6 +328,15 @@ def test_chart_export_heisenberg_frame_brackets():
     assert is_symmetric_poisson(pair)
 
 
+def test_chart_export_refuses_a_frame_of_another_dimension():
+    from sympoisson.liealg import chart_export, polynomial_frame
+
+    g = algebra("heisenberg3")
+    chart, _ = polynomial_frame("heisenberg3")
+    with pytest.raises(LieAlgebraError, match="^frame must match the algebra dimension$"):
+        chart_export(g, weitzenboeck0(g), LeftInvariantSymTensor.from_dict(3, 2, {(0, 0): 1}), chart, [])
+
+
 def test_chart_export_aff1xR_matches_algebraic_verdicts():
     from sympoisson.liealg import chart_export, polynomial_frame
     from sympoisson.poisson import (

@@ -63,7 +63,7 @@ def test_stacked_memberships_equal_the_pointwise_route(ident):
         _, vecs, keep = poisson._spectra(pair.theta, samples, matrices)
         commutators = _commutators(pair)
         plan = ex.Plan(e for commutator in commutators for e in commutator.comps)
-        table = plan.rows(samples).reshape(len(samples), len(commutators), n)
+        table = plan.table(samples)[0].reshape(len(samples), len(commutators), n)
         # one plan gives each commutator's own table, bit for bit
         for c, commutator in enumerate(commutators):
             assert np.array_equal(table[:, c], commutator.evaluate_on(samples))

@@ -1,11 +1,13 @@
-"""`Plan.rows`, the one located read of many points, and its callers.
+"""`Plan.table`, the one runner over many points, and its callers.
 
-`rows` returns what a `Plan.values` loop over the points returns, and
-raises what that loop raises first: the error of the first failing row.
-`Plan.table` raises the same error, and `_SymField.evaluate_on` reads its
-values through `rows`, so it raises at the same row; so does `poisson.involutivity_check`, which reads the jet table
-of theta and its derivatives.  Points of the wrong length are refused
-before any evaluation.
+`table` runs a plan over many points with the operations of `Plan.values`,
+so its values are what a `values` loop over the points returns, and where
+a node fails it raises what that loop raises first: the error of the first
+failing row, an overflow in ``**`` included.  `Plan.residual` raises the
+same error, and `_SymField.evaluate_on` reads its values through `table`,
+so it raises at the same row; so does `poisson.involutivity_check`, which
+reads the jet table of theta and its derivatives.  Points of the wrong
+length are refused before any evaluation.
 """
 
 import math
@@ -37,8 +39,7 @@ def _loop(plan, points):
 # root 0, 1 / (x1 - 2), fails only at row 1; ln(x1 - 1.5) fails at row 0,
 # which a loop over the rows meets first
 EARLIER_ROW = (("1/(x-2)", "ln(x-1.5)"), [[1.0, 0.0], [2.0, 0.0]], "ln of a non-positive argument in subterm 'ln(x1 - 1.5)'")
-# row 1 overflows in ** (the table alone would read inf there); row 2 is a
-# domain error, so the table raises, and row 1 is the first to raise
+# row 1 overflows in **, row 2 is a domain error: row 1 is the first to raise
 OVERFLOW_FIRST = (("x^401", "ln(x)"), [[1.0, 0.0], [1000.0, 0.0], [-1.0, 0.0]], "overflow in subterm 'x1^401'")
 
 
@@ -49,7 +50,7 @@ def test_the_first_failing_row_raises(components, samples, message):
     with pytest.raises(ex.EvalDomainError) as loop_err:
         _loop(plan, samples)
     assert str(loop_err.value) == message
-    for read in (plan.table, plan.residual, field.residual_on, plan.rows, field.evaluate_on,
+    for read in (plan.table, plan.residual, field.residual_on, lambda s: plan.table(s)[0], field.evaluate_on,
                  lambda s: poisson.involutivity_check(_pair(*components), s)):
         with pytest.raises(ex.EvalDomainError) as err:
             read(samples)
@@ -59,11 +60,14 @@ def test_the_first_failing_row_raises(components, samples, message):
 def test_an_overflow_in_power_at_a_later_row_raises_there():
     field = _field("x^401", "y")
     samples = [[1.0, 0.0], [1000.0, 0.0]]
-    values, scales = field.plan().table(samples)
-    assert np.isfinite(scales[0]).all() and values[1, 0] == math.inf
-    for read in (field.plan().rows, field.evaluate_on, lambda s: poisson.involutivity_check(_pair("x^401", "y"), s)):
-        with pytest.raises(ex.EvalDomainError, match="overflow in subterm 'x1\\^401'"):
+    with pytest.raises(ex.EvalDomainError) as loop_err:
+        _loop(field.plan(), samples)
+    assert str(loop_err.value) == "overflow in subterm 'x1^401'"
+    for read in (field.plan().table, field.plan().residual, field.residual_on, field.evaluate_on,
+                 lambda s: poisson.involutivity_check(_pair("x^401", "y"), s)):
+        with pytest.raises(ex.EvalDomainError) as err:
             read(samples)
+        assert str(err.value) == str(loop_err.value) and err.value.node is loop_err.value.node
 
 
 def test_an_infinity_no_row_raises_on_is_returned():
@@ -71,7 +75,7 @@ def test_an_infinity_no_row_raises_on_is_returned():
     samples = [[1.0, 0.5], [1e200, -0.5]]
     want = [[1e200, 0.5], [math.inf, -0.5]]
     assert _loop(field.plan(), samples).tolist() == want
-    assert field.plan().rows(samples).tolist() == want
+    assert field.plan().table(samples)[0].tolist() == want
     assert field.evaluate_on(samples).tolist() == want
 
 
@@ -89,7 +93,7 @@ def test_a_commutator_no_row_raises_on_is_refused_by_name():
 def test_rows_equal_the_point_loop_bit_for_bit():
     field = _field("exp(x*y) - sin(x)^3 / (2 + cos(y))", "sqrt(1 + x^2) * ln(2 + y)")
     samples = XY.sample_points()
-    got = field.plan().rows(samples)
+    got = field.plan().table(samples)[0]
     assert np.array_equal(got.view(np.uint64), _loop(field.plan(), samples).view(np.uint64))
 
 

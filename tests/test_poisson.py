@@ -8,6 +8,7 @@ from sympoisson import registry
 from sympoisson.expr import EvalDomainError, ScalarField
 from sympoisson.geometry import (
     Chart,
+    ChartMismatchError,
     Connection,
     SymFormField,
     SymTensorField,
@@ -19,6 +20,7 @@ from sympoisson.geometry import (
 from sympoisson.poisson import (
     VERDICTS,
     Involutivity,
+    PoissonError,
     SymPoissonPair,
     characteristic_data,
     gradient,
@@ -505,14 +507,24 @@ def test_scalar_curvature_curved_connection():
 
 
 def test_overflowing_structure_fails_every_residual():
-    # x^400 overflows on most of the box; inf / (1 + inf) must not read as 0
+    # x^400 overflows on most of the box, which fails its node: every
+    # residual raises the values loop's error, at the first sample where it
+    # does, not a residual that reads inf
     chart = Chart(["x", "y"], [(2.0, 1000.0), (2.0, 1000.0)])
     theta = SymTensorField.from_dict(chart, 2, {(0, 1): "x^400 + y"})
     pair = SymPoissonPair(theta, Connection.euclidean(chart))
-    assert symmetric_poisson_residual(pair) == math.inf
-    assert strong_residual(pair) == math.inf
-    assert parallel_residual(pair) == math.inf
-    assert not is_symmetric_poisson(pair)
+    samples = chart.sample_points()
+    with pytest.raises(EvalDomainError) as loop_err:
+        for p in samples:
+            pair._jet_plan.plan.values(p)
+    assert str(loop_err.value) == "overflow in subterm 'x1^400'"
+    verdicts = (symmetric_poisson_residual, strong_residual, parallel_residual)
+    for read in (theta.residual_on, pair.jets, *(lambda s, verdict=verdict: verdict(pair, s) for verdict in verdicts)):
+        with pytest.raises(EvalDomainError) as err:
+            read(samples)
+        assert str(err.value) == str(loop_err.value) and err.value.node is loop_err.value.node
+    with pytest.raises(EvalDomainError, match=r"^overflow in subterm 'x1\^400'$"):
+        is_symmetric_poisson(pair)
 
 
 def test_an_overflowing_theta_on_the_line_raises_its_power():
@@ -527,3 +539,30 @@ def test_the_zero_theta_rebuilds_to_the_zero_matrix():
     data = characteristic_data(SymTensorField.zero(R2, 2), (0.3, -0.2))
     assert data.rank == 0
     assert np.array_equal(data.rebuild_theta(), np.zeros((2, 2)))
+
+
+
+# ---------------------------------------------------------------------------
+# guards: arguments no pair is defined on
+# ---------------------------------------------------------------------------
+
+_BIVECTOR = SymTensorField.from_dict(R2, 2, {(0, 1): "x"})
+
+GUARDS = {
+    "degree-1 theta": (lambda: SymPoissonPair(SymTensorField.from_dict(R2, 1, {0: "x"}), Connection.euclidean(R2)),
+                       PoissonError, "theta must have degree 2"),
+    "theta and connection charts": (lambda: SymPoissonPair(_BIVECTOR, Connection.euclidean(Chart(["u", "v"]))),
+                                    ChartMismatchError, "theta and connection on different charts"),
+    "one_dim_residual on the plane": (lambda: one_dim_residual(SymPoissonPair(_BIVECTOR, Connection.euclidean(R2))),
+                                      PoissonError, "one_dim_residual needs a 1-dimensional chart"),
+    "negative lam": (lambda: one_dim_poisson_family(-1.0, ScalarField.coordinate(0, 1), ScalarField.coordinate(0, 1)),
+                     PoissonError, "lam must be nonnegative for a real field"),
+}
+
+
+@pytest.mark.parametrize("case", GUARDS)
+def test_a_guard_refuses_an_argument_no_pair_is_defined_on(case):
+    build, error, message = GUARDS[case]
+    with pytest.raises(error) as err:
+        build()
+    assert str(err.value) == message

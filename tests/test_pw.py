@@ -12,6 +12,7 @@ from sympoisson import cli, registry
 from sympoisson import expr as ex
 from sympoisson.geometry import (
     Chart,
+    ChartMismatchError,
     Connection,
     SymFormField,
     SymTensorField,
@@ -696,3 +697,27 @@ def test_the_vertical_lift_of_a_function_is_its_base_lift():
     lift = vertical_lift(f)
     assert lift.f.arity == 4
     assert lift.f.expr is base_lift(R2, f.scalar()).f.expr is ex.parse("x * y", ["x", "y"]).expr
+
+
+# ---------------------------------------------------------------------------
+# guards: phase fields on the wrong chart
+# ---------------------------------------------------------------------------
+
+_UV = Chart(["u", "v"])
+_PHASE = PhaseField.parse(R2, "p1*x")
+
+GUARDS = {
+    "phase field arity": (lambda: PhaseField(R2, ex.parse("x1", 1)), DynamicsError, "phase field must have arity 2n"),
+    "pw bracket charts": (lambda: pw_bracket(Connection.euclidean(_UV), _PHASE, _PHASE), ChartMismatchError,
+                          "phase fields on a different chart"),
+    "canonical bracket charts": (lambda: canonical_bracket(_PHASE, PhaseField.parse(_UV, "p1*u")),
+                                 ChartMismatchError, "phase fields on different charts"),
+}
+
+
+@pytest.mark.parametrize("case", GUARDS)
+def test_a_guard_refuses_phase_fields_it_is_not_defined_on(case):
+    build, error, message = GUARDS[case]
+    with pytest.raises(error) as err:
+        build()
+    assert str(err.value) == message
