@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jj, registry
-from .defaults import N_SAMPLES, SEED, TOL
+from .defaults import DT, N_SAMPLES, SEED, TOL
 from .expr import EvalDomainError, ExprError, ParseError, is_structural_zero, number_text
 from .geometry import GeometryError, _orbits
 from .poisson import (
@@ -441,7 +441,7 @@ def _build_parser() -> _Parser:
     p_int.add_argument("--hamiltonian", default=None, help="'theta_v', or a phase expression")
     p_int.add_argument("--x0", required=True, help="comma-separated base point")
     p_int.add_argument("--p0", required=True, help="comma-separated momentum")
-    p_int.add_argument("--dt", type=float, default=1e-3)
+    p_int.add_argument("--dt", type=float, default=DT)
     p_int.add_argument("--steps", type=int, default=1000)
     p_int.add_argument("--monitors", default="hamiltonian")
     p_int.add_argument("--out", default=None)

@@ -60,8 +60,11 @@ class EvalDomainError(ExprError):
     """Evaluation left the function's domain (log/sqrt/division) or overflowed.
 
     `subterm` is the failing node, or its text; `reason` is the message
-    without the subterm.
+    without the subterm.  `sample` is the index of the sample `Plan.table`
+    found it at, and None where no table raised it.
     """
+
+    sample: int | None = None
 
     def __init__(self, message: str, subterm: "Expr | str"):
         super().__init__(f"{message} in subterm '{subterm}'")
@@ -779,7 +782,8 @@ class Plan:
         exactly where its operation raises in `values` (a domain error, or
         an overflow in ``**`` or exp); where any does, `values` is run
         again at the first failing sample and raises its located error, so
-        the table raises what a `values` loop over the samples raises.
+        the table raises what a `values` loop over the samples raises, with
+        that sample's index as its `sample`.
         """
         pts = np.asarray(samples, dtype=float)
         if pts.ndim != 2 or len(pts) == 0:
@@ -808,7 +812,12 @@ class Plan:
                 vals.append(v)
                 scales.append(np.maximum(s, np.abs(v)))
         if failing.any():
-            self.values(pts[failing.argmax()])  # raises there
+            at = int(failing.argmax())
+            try:
+                self.values(pts[at])  # raises there
+            except EvalDomainError as err:
+                err.sample = at
+                raise
         shape = (len(self.roots), len(pts))
         value, scale = (np.array([col[r] for r in self.roots]).reshape(shape).T for col in (vals, scales))
         return value, scale
@@ -847,7 +856,8 @@ _COMPILE_ENV = {
 class _Source:
     """The function `compile_rk4` generates, under construction: its lines,
     the (plan, slot) computed on each node line, and the globals the code
-    reads.
+    reads.  Each plan's lines are written by `nodes`, which shares a value
+    only within that plan.
 
     The code is written to wrap its nodes in one ``try`` whose ``except``
     raises ``_located(err)``: the failing line gives the node, so the error
@@ -863,24 +873,22 @@ class _Source:
     def add(self, indent: str, *lines: str) -> None:
         self.lines += [indent + line for line in lines]
 
-    def nodes(self, plan: Plan, prefix: str, inputs: Sequence[str], known: dict | None = None):
-        """The lines computing `plan` in slot order, the names holding its
-        roots, and the keys of the nodes computed (key -> local).
+    def nodes(self, plan: Plan, prefix: str, inputs: Sequence[str]):
+        """The lines computing `plan` in slot order, and the names holding
+        its roots.
 
         Slot i is the local ``{prefix}{i}``, a constant a global named once
         per source and variable k the local `inputs[k]`.  A node's key is
         its operation and its operands' names, those of ``+`` and ``*``
         sorted: IEEE ``+`` and ``*`` give one value in either order and
-        never raise on Python floats.  Where `known` is given, a node whose
-        key it holds, or an earlier line of this plan holds, gets no line
-        and reads that local, so the first line that fails is at the first
-        slot where `Plan.values` fails; without it every interior node gets
-        a line.  Each line keeps its node's operation and `math.*` call, so
-        the values equal `Plan.values` bit for bit.  A line is (text, plan,
-        slot), as `emit` takes it.
+        never raise on Python floats.  A node whose key an earlier line of
+        the plan holds gets no line and reads that local, so the first line
+        that fails is at the first slot where `Plan.values` fails.  Each
+        line keeps its node's operation and `math.*` call, so the values
+        equal `Plan.values` bit for bit.  A line is (text, plan, slot), as
+        `emit` takes it.
         """
-        share = known is not None
-        keys = dict(known or ())
+        keys: dict[tuple, str] = {}
         names = [f"{prefix}{i}" for i in range(len(plan.nodes))]
         for i, c in enumerate(plan.nodes[: len(plan._consts)]):
             names[i] = self._consts.setdefault(c, f"k{len(self._consts)}")
@@ -898,12 +906,12 @@ class _Source:
                 key, rhs = (kind, x, b), f"{x} ** {b}"
             else:
                 key, rhs = (kind, x), f"-{x}" if kind == "neg" else f"_{kind}({x})"
-            if share and key in keys:
+            if key in keys:
                 names[i] = keys[key]
                 continue
-            keys.setdefault(key, names[i])
+            keys[key] = names[i]
             lines.append((f"{names[i]} = {rhs}", plan, i))
-        return lines, [names[r] for r in plan.roots], keys
+        return lines, [names[r] for r in plan.roots]
 
     def emit(self, indent: str, lines) -> None:
         """Add node lines from `nodes`, recording the node each computes."""
@@ -935,56 +943,45 @@ def compile_expr(e: Expr) -> Callable[[Sequence[float]], float]:
     return lambda v: plan.values(v)[0]
 
 
-def compile_rk4(rhs: Sequence[Expr], observe: Iterable[Expr]) -> Callable:
+def compile_rk4(rhs: Sequence[Expr]) -> Callable:
     """One generated function ``f(y, dt, steps, rows)`` running a whole
     classical RK4 trajectory of ``y' = rhs(y)`` from the state `y`.
 
-    For each stored state it appends to `rows` the tuple of the state
-    followed by the values of `observe` there.  A step is straight-line
-    code: the four stages are `rhs`'s plan emitted four times, and between
-    them the stage inputs ``y + (dt/2) k`` and ``y + dt k`` and the update
+    It appends to `rows` the tuple of each stored state: the initial state,
+    then the state after each step.  A step is straight-line code: the four
+    stages are `rhs`'s plan emitted four times (`_Source.nodes`, so within
+    a stage each (operation, operands) gets one line, ``+`` and ``*`` keyed
+    in either operand order), and between them the stage inputs
+    ``y + (dt/2) k`` and ``y + dt k`` and the update
     ``y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4)`` run element by element in
     that order, so each state equals the array form's bit for bit.
-
-    Each value is computed once.  Stage 1 is evaluated at the state the
-    observation was evaluated at, so it reads the observation's locals
-    for every node the observation computes (the stored velocity is k1's x
-    block) and emits only the rest, at the top of the next step, so a run
-    that ends never evaluates them.  Within a stage, each (operation,
-    operands) gets one line, ``+`` and ``*`` keyed in either operand order
-    (`_Source.nodes`).  The observation keeps a line per node: its values
-    are stored, and a ``+`` or ``*`` of two NaNs returns its first
-    operand's NaN, so a commutative twin could store other NaN bits.
 
     The run returns after `steps` steps, or early as soon as an updated
     state is not finite, without storing it.  A failing node raises the
     located EvalDomainError of `Plan.values` at the first failing node of
-    the first stage or observation that fails; either way `rows` holds
-    the states before the step that stopped the run.
+    the first stage that fails; either way `rows` holds the states before
+    the step that stopped the run.
     """
     dim = len(rhs)
     plan = Plan(rhs)
     state = [f"y{k}" for k in range(dim)]
     code = _Source("def f(y, dt, steps, rows):")
     code.add("    ", *(f"y{k} = _float(y[{k}])" for k in range(dim)))
-    code.add("    ", "dt = _float(dt)", "half = 0.5 * dt", "sixth = dt / 6.0", "try:")
-    code.add("        ", "for step in range(steps + 1):", "    if step:")
-    body = " " * 16
-    seen, values, computed = code.nodes(Plan(observe), "o", state)
-    lines, k1, _ = code.nodes(plan, "a", state, computed)
-    code.emit(body, lines)
-    stages = [k1]
-    for prefix, scale in (("b", "half"), ("c", "half"), ("d", "dt")):
-        inputs = [f"y{prefix}{k}" for k in range(dim)]
-        code.add(body, *(f"{inputs[k]} = y{k} + {scale} * {stages[-1][k]}" for k in plan._vars))
-        lines, k, _ = code.nodes(plan, prefix, inputs, {})
+    code.add("    ", "dt = _float(dt)", "half = 0.5 * dt", "sixth = dt / 6.0", f"rows.append({_tuple(state)})")
+    code.add("    ", "try:", "    for _ in range(steps):")
+    body = " " * 12
+    stages, inputs = [], state
+    for prefix, scale in (("a", None), ("b", "half"), ("c", "half"), ("d", "dt")):
+        if scale:
+            inputs = [f"y{prefix}{k}" for k in range(dim)]
+            code.add(body, *(f"{inputs[k]} = y{k} + {scale} * {stages[-1][k]}" for k in plan._vars))
+        lines, k = code.nodes(plan, prefix, inputs)
         code.emit(body, lines)
         stages.append(k)
     update = (f"y{k} + sixth * ((({a} + 2.0 * {b}) + 2.0 * {c}) + {d})" for k, (a, b, c, d) in enumerate(zip(*stages)))
     code.add(body, f"{', '.join(state)}, = {_tuple(update)}")
     code.add(body, f"if not ({' and '.join(f'_isfinite({y})' for y in state)}):", "    return")
-    code.emit(" " * 12, seen)
-    code.add(" " * 12, f"rows.append({_tuple(state + values)})")
+    code.add(body, f"rows.append({_tuple(state)})")
     code.add("    ", "except _FAILURES as err:", "    raise _located(err) from None")
     return code.function()
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import expr as ex
+from .defaults import DT
 from .geometry import Chart, Connection, SymTensorField, _build_components, _symbolic_inverse
 from .jj import _echelon, _exact_inverse, _frac, _fractions, _integers, _StructureConstants
 from .poisson import SymPoissonPair
@@ -216,7 +217,7 @@ def su2_flow_matrix(a: float, b: float, c: float) -> np.ndarray:
     )
 
 
-def su2_flow(a: float, b: float, c: float, q0, t: float, dt: float = 1e-3) -> np.ndarray:
+def su2_flow(a: float, b: float, c: float, q0, t: float, dt: float = DT) -> np.ndarray:
     """RK4 solution of qdot = M(a,b,c) q from a unit 4-vector q0, as one
     `expr.compile_rk4` run.
 
@@ -230,7 +231,7 @@ def su2_flow(a: float, b: float, c: float, q0, t: float, dt: float = 1e-3) -> np
            for row in su2_flow_matrix(a, b, c).tolist()]
     steps = max(1, int(round(abs(t) / dt)))
     rows: list[tuple[float, ...]] = []
-    ex.compile_rk4(rhs, [])(q.tolist(), t / steps, steps, rows)
+    ex.compile_rk4(rhs)(q.tolist(), t / steps, steps, rows)
     if len(rows) <= steps:  # unreachable for a skew generator
         raise LieAlgebraError("flow left the finite range")
     return np.array(rows[-1])

@@ -329,11 +329,10 @@ class Jets:
         return cls(samples, plan, *plan.plan.table(samples))
 
     @cached_property
-    def theta(self) -> tuple[np.ndarray, np.ndarray]:
-        """theta's values and scales, each (samples, i, j)."""
+    def theta(self) -> np.ndarray:
+        """theta's values, (samples, i, j)."""
         n = self._plan.n
-        read = self._plan.columns[: n * n]
-        return self.values[:, read].reshape(-1, n, n), self.scales[:, read].reshape(-1, n, n)
+        return self.values[:, self._plan.columns[: n * n]].reshape(-1, n, n)
 
     @cached_property
     def contracted(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -616,7 +615,7 @@ def involutivity_check(pair: SymPoissonPair, samples=None) -> InvolutivityReport
     to inconclusive; a failed membership is conclusive either way.
     """
     jets = pair.jets(samples)
-    theta, table = jets.theta[0], jets.commutators
+    theta, table = jets.theta, jets.commutators
     _, vecs, keep = _spectra(pair.theta, jets.samples, theta)
     if not np.isfinite(table).all():
         c, s, k = np.argwhere(~np.isfinite(table.transpose(1, 0, 2)))[0]

@@ -15,7 +15,6 @@ monitors are recorded per step so an inadequate step size is visible.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -241,39 +240,39 @@ def _integrate(
 
     `rhs_exprs` give the derivative of the state; `observe_exprs` give the
     velocity and then one value per channel at each stored state.  The
-    whole run is one generated function (`expr.compile_rk4`), which raises
-    an EvalDomainError naming the failing node.  A non-finite state or an
-    overflow raises BlowUpError, any other domain error TrajectoryError;
-    both name the step and carry the states before it.
+    states come from one generated function (`expr.compile_rk4`); the
+    velocities and channels from one `Plan.table` of `observe_exprs` over
+    them.  The run stops at the earliest error in step order: a node that
+    fails at stored state k, which the table locates (`sample`), stops it
+    at step k even where the loop went on past k, and otherwise the stage
+    error or non-finite state that ended the loop.  An overflow or a
+    non-finite state raises BlowUpError, any other domain error
+    TrajectoryError; both name the step and carry the states before it,
+    with their velocities and channels.
     """
     rows: list[tuple[float, ...]] = []
+    failure = None
     try:
-        ex.compile_rk4(rhs_exprs, observe_exprs)(y0, dt, steps, rows)
+        ex.compile_rk4(rhs_exprs)(y0, dt, steps, rows)
     except ex.EvalDomainError as err:
-        step = len(rows)
-        partial = _make_traj(dt, rows, chart.n, channels, second)
-        cause = err.named([*chart.names, *(f"p{i + 1}" for i in range(chart.n))])
-        if err.reason == "overflow":
-            raise BlowUpError(step, partial, cause) from err
-        raise TrajectoryError(f"{cause} at step {step}", step, partial) from err
-    traj = _make_traj(dt, rows, chart.n, channels, second)
-    if len(rows) <= steps:  # the run stopped at a non-finite state
-        raise BlowUpError(len(rows), traj)
+        failure = err
+    states = np.array(rows)
+    observe = ex.Plan(observe_exprs)
+    try:
+        observed = observe.table(states)[0]
+    except ex.EvalDomainError as err:
+        failure, states = err, states[: err.sample]
+        observed = observe.table(states)[0] if len(states) else np.empty((0, len(observe.roots)))
+    n, step = chart.n, len(states)
+    traj = Trajectory(dt, states[:, :n], states[:, n:], observed[:, :n], dict(zip(channels, observed[:, n:].T)), second)
+    if failure is not None:
+        cause = failure.named([*chart.names, *(f"p{i + 1}" for i in range(n))])
+        if failure.reason == "overflow":
+            raise BlowUpError(step, traj, cause) from failure
+        raise TrajectoryError(f"{cause} at step {step}", step, traj) from failure
+    if step <= steps:  # the run stopped at a non-finite state
+        raise BlowUpError(step, traj)
     return traj
-
-
-def _make_traj(dt: float, rows, n: int, channels: list[str], second: str) -> Trajectory:
-    """Rows hold x, the second block, the velocity, then one value per channel."""
-    width = 3 * n + len(channels)
-    table = np.fromiter(itertools.chain.from_iterable(rows), float, len(rows) * width).reshape(len(rows), width)
-    return Trajectory(
-        dt=dt,
-        xs=table[:, :n],
-        ps=table[:, n : 2 * n],
-        velocities=table[:, 2 * n : 3 * n],
-        channels={name: table[:, 3 * n + c] for c, name in enumerate(channels)},
-        second=second,
-    )
 
 
 def integrate_pw(
@@ -286,10 +285,10 @@ def integrate_pw(
 ) -> Trajectory:
     """Integrate the gradient flow of `h`; records the `hamiltonian` channel.
 
-    The whole run, gradient, velocities and monitors, is one generated
-    function (see `_integrate`).  Raises BlowUpError if the state
-    leaves the finite range, TrajectoryError on a domain error; both carry
-    the finite prefix.
+    The states are one generated function of the gradient, and the
+    velocities and monitors one table of the stored states (see
+    `_integrate`).  Raises BlowUpError if the state leaves the finite
+    range, TrajectoryError on a domain error; both carry the finite prefix.
     """
     if not (math.isfinite(dt) and dt > 0) or steps < 1:
         raise DynamicsError("need a finite dt > 0 and steps >= 1")

@@ -677,6 +677,13 @@ def rk4_step(rhs, y, dt):
     )
 
 
+def _trajectory(dt, rows, n, channels, second):
+    """Rows hold x, the second block, the velocity, then one value per channel."""
+    table = np.array(rows, dtype=float).reshape(len(rows), 3 * n + len(channels))
+    channels = {name: table[:, 3 * n + c] for c, name in enumerate(channels)}
+    return pw.Trajectory(dt, table[:, :n], table[:, n : 2 * n], table[:, 2 * n : 3 * n], channels, second)
+
+
 def integrate_stepwise(rhs_exprs, observe_exprs, y0, dt, steps, chart, channels, second):
     """`pw._integrate` with one `Plan.values` call per stage and per stored
     state, raising the same errors with the same partial trajectories."""
@@ -688,15 +695,15 @@ def integrate_stepwise(rhs_exprs, observe_exprs, y0, dt, steps, chart, channels,
             if step:
                 y = rk4_step(rhs, y, dt)
                 if not all(map(math.isfinite, y)):
-                    raise pw.BlowUpError(step, pw._make_traj(dt, rows, chart.n, channels, second))
+                    raise pw.BlowUpError(step, _trajectory(dt, rows, chart.n, channels, second))
             rows.append(y + tuple(observe(y)))
     except EvalDomainError as err:
-        partial = pw._make_traj(dt, rows, chart.n, channels, second)
+        partial = _trajectory(dt, rows, chart.n, channels, second)
         cause = err.named([*chart.names, *(f"p{i + 1}" for i in range(chart.n))])
         if err.reason == "overflow":
             raise pw.BlowUpError(step, partial, cause) from err
         raise pw.TrajectoryError(f"{cause} at step {step}", step, partial) from err
-    return pw._make_traj(dt, rows, chart.n, channels, second)
+    return _trajectory(dt, rows, chart.n, channels, second)
 
 
 # ---------------------------------------------------------------------------

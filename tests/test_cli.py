@@ -399,6 +399,31 @@ def test_integrate_geodesic_monitor_domain_error(tmp_path):
     assert_exact_fields(out_path)
 
 
+# sha256 of the partial CSV below, recorded while the monitors were computed
+# inside the RK4 loop, one state at a time
+PARTIAL_CSV_DIGEST = "3cc92e1a0f09342892230ca27fb0d9d354bc43256982cf14395cfee046e50ce6"
+
+
+def test_a_monitor_that_fails_mid_run_leaves_pinned_partial_bytes(tmp_path):
+    import hashlib
+
+    src = tmp_path / "log.ini"
+    src.write_text("[chart]\ndim = 1\nnames = x\n\n[theta]\ntheta[1,1] = \"ln(x) + 2\"\n")
+    out_path = tmp_path / "run.csv"
+    # the flow of p1^2/2 never evaluates theta; x crosses 0 at state 11, where
+    # speed_sq = (ln(x) + 2) p1^2 fails, though the flow runs on to step 50
+    code, out, err = run_cli(
+        "integrate", str(src), "--hamiltonian", "0.5*p1^2", "--x0=0.0105", "--p0=-1",
+        "--steps", "50", "--monitors", "hamiltonian,speed_sq", "--out", str(out_path),
+    )
+    assert code == 3, out + err
+    assert err == "error: ln of a non-positive argument in subterm 'ln(x)' at step 11\n"
+    lines = out_path.read_text().splitlines()
+    assert lines[0] == "t,x1,p1,hamiltonian,speed_sq"
+    assert len(lines) == 12
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == PARTIAL_CSV_DIGEST
+
+
 def test_a_gamma_no_verdict_term_reads_fails_check_and_the_monitor(tmp_path):
     # theta's row y is all structural zeros, so no verdict term multiplies
     # Gamma^y_yy = ln(x) in; the one jet plan evaluates it all the same, so

@@ -488,17 +488,16 @@ def _tree_walk_residual(exprs, samples):
 
 def _generated(exprs, dim):
     """The values of `exprs` at a point of `dim` coordinates as generated code
-    computes them: a zero-step `compile_rk4` run stores the state followed by
-    the observed values there.  A point of no coordinates is padded to one,
-    the least a chart has."""
-    run = expr.compile_rk4([expr.ZERO] * max(dim, 1), exprs)
-
-    def values(point):
-        y, rows = tuple(point) or (0.0,), []
-        run(y, 1.0, 0, rows)
-        return rows[0][len(y):]
-
-    return values
+    computes them: a function written through `_Source`, the emitter of the
+    RK4 stages, which reads the point's coordinates, computes the plan's
+    lines in one ``try`` and returns its roots."""
+    code = expr._Source("def f(y):")
+    code.add("    ", *(f"y{k} = _float(y[{k}])" for k in range(dim)), "try:")
+    lines, roots = code.nodes(Plan(exprs), "o", [f"y{k}" for k in range(dim)])
+    code.emit("        ", lines)
+    code.add("        ", f"return {expr._tuple(roots)}")
+    code.add("    ", "except _FAILURES as err:", "    raise _located(err) from None")
+    return code.function()
 
 
 def _same_floats(a, b):

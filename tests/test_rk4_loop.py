@@ -215,7 +215,33 @@ def test_blow_ups_match_the_stepwise_reference(hamiltonian, x0, p0, dt):
 
 
 # ---------------------------------------------------------------------------
-# the generated source: stage 1 reads the observation, one line per key
+# the velocities and channels: one table of the stored states
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "name, x0, p0",
+    [("r5", (0.3, -0.2, 0.5, 0.1, -0.4), (0.2, 0.6, -0.5, 0.3, 0.1)), ("nondeg_kill", (0.1, 0.2), (0.4, -0.3))],
+)
+def test_velocities_and_channels_are_one_table_of_the_stored_states(name, x0, p0):
+    pair = cli.load_structure(str(Path(__file__).resolve().parents[1] / "structures" / f"{name}.ini")).pair
+    n = pair.chart.n
+    h, speed_sq = pw.vertical_lift(pair.theta), pw.speed_square_field(pair)
+    velocity = [f.expr for f in pw.pw_gradient(pair.nabla, h)][:n]
+    flow = integrate_pw(pair.nabla, h, CotangentState(x0, p0), 1e-3, 200, {"speed_sq": speed_sq})
+    table = ex.Plan([*velocity, h.f.expr, speed_sq.f.expr]).table(np.hstack([flow.xs, flow.ps]))[0]
+    got = np.column_stack([flow.velocities, flow.channels["hamiltonian"], flow.channels["speed_sq"]])
+    assert list(flow.channels) == ["hamiltonian", "speed_sq"] and len(got) == 201
+    assert np.array_equal(got.view(np.uint64), table.view(np.uint64))
+
+    geodesic = integrate_geodesic(pair.nabla, x0, p0, 1e-3, 200)
+    states = np.hstack([geodesic.xs, geodesic.ps])
+    table = ex.Plan([ex.var(n + i) for i in range(n)]).table(states)[0]
+    assert geodesic.channels == {} and len(table) == 201
+    assert np.array_equal(geodesic.velocities.view(np.uint64), table.view(np.uint64))
+
+
+# ---------------------------------------------------------------------------
+# the generated source: four stages, one line per key in each
 # ---------------------------------------------------------------------------
 
 def _generated_source(run):
@@ -234,8 +260,9 @@ def _generated_source(run):
 
 def _node_keys(source):
     """{block: [key of each node line]}: the block is the local's prefix
-    (a-d the four stages, o the observation), the key the operation and its
-    operands as the line spells them, those of + and * sorted."""
+    (a-d the four stages, o an observation inlined in the loop), the key the
+    operation and its operands as the line spells them, those of + and *
+    sorted."""
     blocks = {}
     for line in source.lines:
         m = re.fullmatch(r" *([abcdo])\d+ = (.*)", line)
@@ -255,19 +282,18 @@ def test_each_value_of_a_step_is_computed_once(tmp_path):
     keys = _node_keys(source)
     for block in "abcd":
         assert len(set(keys[block])) == len(keys[block]), block
-    assert not set(keys["a"]) & set(keys["o"])
-    # not vacuous: the plan has commutative twins, and stage 1 reads most of
-    # its values from the observation (the velocity is k1's x block)
+    assert set(keys) == set("abcd")  # the velocities and monitors are a table of the stored states
+    # not vacuous: the plan has commutative twins
     pair = cli.load_structure(str(r5)).pair
     rhs = [f.expr for f in pw.pw_gradient(pair.nabla, pw.vertical_lift(pair.theta))]
     interior = len(ex.Plan(rhs)._ops)
-    assert len(keys["a"]) < len(keys["b"]) == len(keys["c"]) == len(keys["d"]) < interior
+    assert len(keys["a"]) == len(keys["b"]) == len(keys["c"]) == len(keys["d"]) < interior
 
 
 # Gamma^x_xx = ln(x) and H = p^2/2 from x = 1.125, p = -1.875 at dt = 1/16:
 # every stage input of the first seven steps has x > 0 and the seventh state
 # has x <= 0, so ln(x) first fails in stage 1 of step 8.  With a monitor ln(x)
-# the observation computes it at that state first, and stage 1 reads it.
+# the table of the stored states fails at that state first: step 7.
 @pytest.mark.parametrize("monitors, step", [({"log": "ln(x)"}, 7), ({}, 8)])
 def test_a_failing_node_stage_1_reads_or_computes(monitors, step):
     conn = Connection.from_dict(LINE, {(0, 0, 0): "ln(x)"})
@@ -286,7 +312,7 @@ def test_a_failing_node_stage_1_reads_or_computes(monitors, step):
     assert len(np.frombuffer(partial[2])) == step
     stage_1 = [line for line in _generated_source(lambda: pytest.raises(pw.TrajectoryError, run)).lines
                if re.match(r" *a\d+ = ", line)]
-    assert any("_ln(" in line for line in stage_1) == (not monitors)
+    assert any("_ln(" in line for line in stage_1)
 
 
 def test_a_run_that_ends_never_evaluates_the_next_stage_1():
