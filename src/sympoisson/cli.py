@@ -606,7 +606,7 @@ def main(argv=None) -> int:
             return cmd_integrate(args)
         return cmd_catalog(args)
     except RecursionError:
-        # differentiation and printing recurse down an expression tree
+        # differentiation recurses down an expression tree
         print("error: expression nested too deeply", file=sys.stderr)
         return USAGE_ERROR
 

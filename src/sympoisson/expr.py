@@ -34,6 +34,7 @@ where its Python float operation raises (a domain error, or an overflow in
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import struct
@@ -426,35 +427,45 @@ def number_text(v: float) -> str:
     return s[:-2] if s.endswith(".0") else s
 
 
-def _default_names(upto: int) -> list[str]:
-    return [f"x{i + 1}" for i in range(upto + 1)]
-
-
 def _print(e: Expr, names: Sequence[str] | None, ctx: int) -> str:
-    if isinstance(e, Const):
-        s = number_text(e.value)
-        if s.startswith("-"):
-            return s if ctx == _PREC_EXPR else f"({s})"
-        return s
-    if isinstance(e, Var):
-        if names is None:
-            names = _default_names(e.index)
-        return names[e.index]
-    if isinstance(e, BinOp):
-        if e.op in "+-":
-            s = f"{_print(e.left, names, _PREC_EXPR)} {e.op} {_print(e.right, names, _PREC_TERM)}"
-            return f"({s})" if ctx > _PREC_EXPR else s
-        s = f"{_print(e.left, names, _PREC_TERM)} {e.op} {_print(e.right, names, _PREC_FACTOR)}"
-        return f"({s})" if ctx > _PREC_TERM else s
-    if isinstance(e, Pow):
-        s = f"{_print(e.base, names, _PREC_BASE)}^{e.exponent}"
-        return f"({s})" if ctx > _PREC_FACTOR else s
-    if isinstance(e, Neg):
-        s = f"-{_print(e.arg, names, _PREC_BASE)}"
-        return f"({s})" if ctx > _PREC_EXPR else s
-    if isinstance(e, Call):
-        return f"{e.func}({_print(e.arg, names, _PREC_EXPR)})"
-    raise ExprError(f"unprintable node {e!r}")
+    """The text of `e` in a context of precedence `ctx`: a node whose own
+    precedence is lower than the context's is parenthesised, and so is a
+    negative constant in any context but an expression's.
+
+    One loop over an explicit stack, so a tree of any depth prints: an item
+    is a piece of text, written out when popped, or a node and its context,
+    replaced by its pieces in order.
+    """
+    out: list[str] = []
+    stack: list = [(e, ctx)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        e, ctx = item
+        t = type(e)
+        if t is Const:
+            s = number_text(e.value)
+            out.append(f"({s})" if s.startswith("-") and ctx != _PREC_EXPR else s)
+            continue
+        if t is Var:
+            out.append(f"x{e.index + 1}" if names is None else names[e.index])
+            continue
+        if t is BinOp:
+            own = _PREC_EXPR if e.op in "+-" else _PREC_TERM
+            pieces = ((e.right, own + 1), f" {e.op} ", (e.left, own))
+        elif t is Pow:
+            own, pieces = _PREC_FACTOR, (f"^{e.exponent}", (e.base, _PREC_BASE))
+        elif t is Neg:
+            own, pieces = _PREC_EXPR, ((e.arg, _PREC_BASE), "-")
+        elif t is Call:
+            own, pieces = ctx, (")", (e.arg, _PREC_EXPR), f"{e.func}(")
+        else:
+            raise ExprError(f"unprintable node {e!r}")
+        # pieces are pushed last first, so they pop in order
+        stack.extend((")", *pieces, "(") if ctx > own else pieces)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -861,7 +872,10 @@ class _Source:
 
     The code is written to wrap its nodes in one ``try`` whose ``except``
     raises ``_located(err)``: the failing line gives the node, so the error
-    is the one `Plan.values` raises, built by `Plan._located`.
+    is the one `Plan.values` raises, built by `Plan._located`.  The text
+    names each constant by a global (``k0``, ``k1``, ...) bound in `env`, so
+    two plans that differ only in their constants' values write one text,
+    which `function` compiles once per process.
     """
 
     def __init__(self, *lines: str):
@@ -924,8 +938,22 @@ class _Source:
         return plan._located(slot, err)
 
     def function(self) -> Callable:
-        exec("\n".join(self.lines), self.env)  # noqa: S102 - source is machine generated
+        """The function the lines define, run in this source's own globals.
+
+        The text is compiled through `_compiled`, so an equal text written
+        again in the process reuses its code object; the constants and
+        `_located` are this source's globals, and equal texts have equal
+        line numbers, so a failing line names this source's node.
+        """
+        exec(_compiled("\n".join(self.lines)), self.env)  # noqa: S102 - source is machine generated
         return self.env["f"]
+
+
+@functools.lru_cache(maxsize=64)
+def _compiled(text: str):
+    """The code object of a generated text: each distinct text is compiled
+    once per process, while it stays among the 64 most recently used."""
+    return compile(text, "<string>", "exec")
 
 
 def _tuple(names: Iterable[str]) -> str:
@@ -961,6 +989,11 @@ def compile_rk4(rhs: Sequence[Expr]) -> Callable:
     located EvalDomainError of `Plan.values` at the first failing node of
     the first stage that fails; either way `rows` holds the states before
     the step that stopped the run.
+
+    The text depends only on the plan's shape, not on the start or the
+    constants' values, and each distinct text is compiled once per process
+    (`_Source.function`), so runs of one right-hand side from many starts
+    compile their loop once.
     """
     dim = len(rhs)
     plan = Plan(rhs)

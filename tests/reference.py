@@ -7,7 +7,9 @@ where it fails in both of a plan's runners, an overflow in ``**``
 included.
 `plan_order` gives `Plan.nodes` by a recursive walk.  `parse_reference`
 parses a text with the lazy lexer and recursive-descent parser that
-`expr.parse` used before it scanned each text once.  The `*_comps`
+`expr.parse` used before it scanned each text once, and `print_reference`
+prints a tree by recursion, as `Expr.to_string` did before it kept its own
+stack.  The `*_comps`
 functions build a component array index by index with nested loops.  The
 `*_sum` functions spell the exact algebra identities out term by term over
 the structure constants and connection coefficients, and
@@ -570,6 +572,42 @@ def parse_reference(text, names):
     """The expression tree of `text` over the coordinate `names`, or its
     ParseError, by the lazy lexer, which lexes a token again at each peek."""
     return _Parser(text, names).parse()
+
+
+# ---------------------------------------------------------------------------
+# The recursive printer that `Expr.to_string` replaced
+# ---------------------------------------------------------------------------
+
+_EXPR, _TERM, _FACTOR, _BASE = 0, 1, 2, 3
+
+
+def print_reference(e, names=None, ctx=_EXPR):
+    """The text of `e`, printed by recursion on the tree as `expr._print`
+    did before it kept its own stack."""
+    if isinstance(e, Const):
+        s = ex.number_text(e.value)
+        if s.startswith("-"):
+            return s if ctx == _EXPR else f"({s})"
+        return s
+    if isinstance(e, Var):
+        if names is None:
+            names = [f"x{i + 1}" for i in range(e.index + 1)]
+        return names[e.index]
+    if isinstance(e, BinOp):
+        if e.op in "+-":
+            s = f"{print_reference(e.left, names, _EXPR)} {e.op} {print_reference(e.right, names, _TERM)}"
+            return f"({s})" if ctx > _EXPR else s
+        s = f"{print_reference(e.left, names, _TERM)} {e.op} {print_reference(e.right, names, _FACTOR)}"
+        return f"({s})" if ctx > _TERM else s
+    if isinstance(e, Pow):
+        s = f"{print_reference(e.base, names, _BASE)}^{e.exponent}"
+        return f"({s})" if ctx > _FACTOR else s
+    if isinstance(e, Neg):
+        s = f"-{print_reference(e.arg, names, _BASE)}"
+        return f"({s})" if ctx > _EXPR else s
+    if isinstance(e, Call):
+        return f"{e.func}({print_reference(e.arg, names, _EXPR)})"
+    raise ex.ExprError(f"unprintable node {e!r}")
 
 
 # ---------------------------------------------------------------------------

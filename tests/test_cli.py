@@ -164,6 +164,18 @@ def test_a_deep_expression_within_the_bounds_is_checked(tmp_path, theta):
     assert out.splitlines()[-1] == "PASS (4/4)"
 
 
+def test_a_deep_failing_subterm_is_named(tmp_path):
+    # ln's argument is about 1,000 levels deep, past the interpreter's
+    # recursion limit, and negative on the whole box: the error prints it
+    path = tmp_path / "deep.ini"
+    product = "*".join(["x"] * 995)
+    path.write_text("[chart]\ndim = 2\nnames = x, y\n\n[theta]\ntheta[1,1] = \"1\"\n\n"
+                    f"[connection]\ngamma[1,1,2] = \"ln({product} - 1e300)\"\n")
+    code, out, err = run_cli("check", str(path))
+    assert (code, out) == (3, ""), err[-300:]
+    assert err == f"error: ln of a non-positive argument in subterm 'ln({product.replace('*', ' * ')} - 1e+300)'\n"
+
+
 def test_check_index_out_of_range(tmp_path):
     bad = tmp_path / "range.ini"
     bad.write_text("[chart]\ndim = 1\nnames = x\n\n[theta]\ntheta[1,2] = \"x\"\n")

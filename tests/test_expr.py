@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import eval_scaled, parse_reference
+from reference import eval_scaled, parse_reference, print_reference
 from sympoisson import expr
 from sympoisson.expr import (
     EvalDomainError,
@@ -288,6 +288,35 @@ def test_print_reparse_round_trip(seed):
         except EvalDomainError:
             continue
         assert g(p) == a  # tol 0: identical evaluation
+
+
+# raw constructors, so nothing folds: negative, signed-zero and non-finite
+# constants, negative exponents and every node kind in every context
+_RAW_TREES = st.recursive(
+    st.one_of(st.floats().map(expr.Const), st.integers(0, 3).map(expr.Var)),
+    lambda inner: st.one_of(
+        st.tuples(st.sampled_from("+-*/"), inner, inner).map(lambda t: expr.BinOp(*t)),
+        st.tuples(inner, st.integers(-3, 5)).map(lambda t: expr.Pow(*t)),
+        inner.map(expr.Neg),
+        st.tuples(st.sampled_from(["exp", "ln", "sin", "cos", "sqrt"]), inner).map(lambda t: expr.Call(*t)),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RAW_TREES, st.sampled_from([None, ["x", "y", "z", "w"]]), st.integers(0, 3))
+def test_print_agrees_with_the_recursive_printer(e, names, ctx):
+    assert expr._print(e, names, ctx) == print_reference(e, names, ctx)
+
+
+def test_a_tree_deeper_than_the_recursion_limit_prints():
+    x = expr.var(0)
+    left = right = x
+    for _ in range(5000):
+        left, right = expr.BinOp("*", left, x), expr.BinOp("-", x, right)
+    assert left.to_string(["x"]) == " * ".join(["x"] * 5001)
+    assert right.to_string() == "x1 - (" * 4999 + "x1 - x1" + ")" * 4999
 
 
 def _random_expr(rng, depth):

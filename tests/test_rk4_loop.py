@@ -4,9 +4,12 @@
 (`expr.compile_rk4`).  `reference.integrate_stepwise` calls `Plan.values`
 on the right-hand side once per stage instead.  Both must store the same states
 bit for bit and stop with the same error: class, message, step, failing
-node and partial trajectory.
+node and partial trajectory.  Each distinct loop text is compiled once per
+process (`expr._compiled`), so runs that share a text must still each read
+their own constants and name their own failing node.
 """
 
+import functools
 import re
 from pathlib import Path
 from unittest import mock
@@ -321,6 +324,98 @@ def test_a_run_that_ends_never_evaluates_the_next_stage_1():
     h = PhaseField.parse(LINE, "0.5*p1^2")
     kind, bits = _same_as_stepwise(lambda: integrate_pw(conn, h, CotangentState((1.125,), (-1.875,)), 0.0625, 7))
     assert kind == "done" and np.frombuffer(bits[2])[-1] <= 0.0
+
+
+# ---------------------------------------------------------------------------
+# one compile per distinct loop text
+# ---------------------------------------------------------------------------
+
+STRUCTURES = Path(__file__).resolve().parents[1] / "structures"
+
+
+def _oscillator_flow(hamiltonian, x0, p0, steps):
+    """A run of `hamiltonian` on the oscillator's chart and connection."""
+    pair = cli.load_structure(str(STRUCTURES / "oscillator.ini")).pair
+    h = PhaseField.parse(pair.chart, hamiltonian)
+    return lambda: integrate_pw(pair.nabla, h, CotangentState((x0,), (p0,)), 1e-3, steps)
+
+
+def _compiled_during(runs):
+    """Call each run in order on an empty memo: the number of texts
+    compiled, and what each run returned."""
+    ex._compiled.cache_clear()
+    results = [run() for run in runs]
+    return ex._compiled.cache_info().misses, results
+
+
+# the first and last texts are one, with other constants; the middle one
+# differs from them only in an exponent, so it has their dimension, lines
+# and nodes.  2*x^2 differentiates to 2*(2*x), whose two 2s are one node,
+# so it writes another text than 5*x^2.
+@pytest.mark.parametrize("hamiltonians, texts", [
+    (["1.5*p1^2 + 2.5*x^4", "1.5*p1^2 + 2.5*x^5", "1.5*p1^2 + 3.5*x^4"], 2),
+    (["2*x^2", "5*x^2"], 2),
+])
+def test_a_loop_text_is_compiled_once_and_runs_with_its_own_constants(hamiltonians, texts):
+    runs = [_oscillator_flow(h, 0.5, -0.25, 200) for h in hamiltonians]
+    compiled, flows = _compiled_during(runs)
+    assert compiled == texts
+    with mock.patch.object(pw, "_integrate", reference.integrate_stepwise):
+        want = [run() for run in runs]
+    for got, ref in zip(flows, want):
+        for a, b in ((got.xs, ref.xs), (got.ps, ref.ps), (got.channels["hamiltonian"], ref.channels["hamiltonian"])):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    assert not np.array_equal(flows[0].ps, flows[-1].ps)
+
+
+def test_runs_of_one_text_fail_at_their_own_node_and_step():
+    # sqrt(x - 0.25) writes another text of the same shape; the next two
+    # write one text, and the last reuses the code the middle one compiled
+    runs = [_oscillator_flow("1.5*p1^2*sqrt(x - 0.25)", 1.0, -1.0, 1000),
+            _oscillator_flow("1.5*p1^2*sqrt(x + 0.25)", 0.0, -1.0, 1000),
+            _oscillator_flow("1.5*p1^2*sqrt(x + 0.35)", 0.0, -1.0, 1000)]
+    ex._compiled.cache_clear()
+    outcomes = [_same_as_stepwise(run) for run in runs]
+    assert ex._compiled.cache_info()[:2] == (1, 2)  # (hits, misses)
+    for (kind, message, step, node, partial), shift, want in zip(outcomes[1:], ("0.25", "0.35"), (673, 794)):
+        assert kind is pw.TrajectoryError
+        assert message == f"division by zero in subterm '1 / (2 * sqrt(x + {shift}))' at step {want}"
+        assert step == want and str(node) == f"1 / (2 * sqrt(x1 + {shift}))"
+        assert len(np.frombuffer(partial[2])) == want
+
+
+def test_the_benchmark_integrate_shape_compiles_one_text_per_structure(tmp_path):
+    # 4 structure files x 3 monitor sets x 2 starts, each chart's box [-1, 1]^n
+    structures = [("nondeg_kill", ["--hamiltonian", "theta_v"], 2), ("oscillator", [], 1), ("r5", [], 5),
+                  ("inclusion", ["--hamiltonian", "theta_v"], 2)]
+    monitors = ["hamiltonian", "hamiltonian,speed_sq", "hamiltonian,speed_sq,geodesic_residual"]
+    rng = np.random.default_rng(31)
+    calls = []
+    for name, extra, n in structures:
+        for watch in monitors:
+            for _ in range(2):
+                x0, p0 = (",".join(f"{v:.6f}" for v in rng.uniform(-1, 1, n)) for _ in range(2))
+                calls.append(["integrate", str(STRUCTURES / f"{name}.ini"), *extra, f"--x0={x0}", f"--p0={p0}",
+                              "--steps", "20", "--monitors", watch, "--out", str(tmp_path / "run.csv")])
+    assert _compiled_during([functools.partial(cli.main, argv) for argv in calls]) == (4, [0] * 24)
+
+
+def test_the_memo_holds_at_most_its_bound():
+    bound = ex._compiled.cache_info().maxsize
+    flows = [[ex.var(1), ex.neg(ex.powi(ex.var(0), k))] for k in range(2, bound + 8)]
+    ex._compiled.cache_clear()
+    for rhs in flows:
+        ex.compile_rk4(rhs)
+        assert ex._compiled.cache_info().currsize <= bound
+    assert ex._compiled.cache_info()[1:] == (len(flows), bound, bound)  # (misses, maxsize, currsize)
+    # the first text was evicted: compiled again, it still runs its own flow
+    rows = []
+    ex.compile_rk4(flows[0])((0.5, 0.25), 0.125, 3, rows)
+    assert ex._compiled.cache_info().misses == len(flows) + 1
+    rhs, y, want = ex.Plan(flows[0]).values, (0.5, 0.25), [(0.5, 0.25)]
+    for _ in range(3):
+        want.append(y := reference.rk4_step(rhs, y, 0.125))
+    assert rows == want
 
 
 # ---------------------------------------------------------------------------
