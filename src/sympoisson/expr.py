@@ -230,9 +230,12 @@ class BinOp(Expr):
             return sub(da, db)
         if self.op == "*":
             return add(mul(da, self.right), mul(self.left, db))
-        # (a/b)' = a'/b - a b'/b^2
-        return sub(div(da, self.right),
-                   div(mul(self.left, db), powi(self.right, 2)))
+        # (a/b)' = a'/b - a b'/b^2, without the second term where a b' is a
+        # structural zero, so a constant b is never squared
+        quotient, num = div(da, self.right), mul(self.left, db)
+        if is_structural_zero(num):
+            return quotient
+        return sub(quotient, div(num, powi(self.right, 2)))
 
 
 @_node
@@ -641,28 +644,15 @@ def _domain_error(err: Exception | None, kind: str, node: Expr) -> EvalDomainErr
     return EvalDomainError(message, node)
 
 
-def _elementwise(fn, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+def _elementwise(fn, xs: np.ndarray) -> np.ndarray:
     """fn over the entries of xs on Python floats, as a tree walk applies it.
 
     numpy's power, exp and log differ from libm in the last ulp on a few
     percent of inputs; applying the same functions keeps residuals equal to
-    the tree walk's bit for bit.  Returns the values and a mask of the
-    entries where fn raised (their values are nan), or None when it raised
-    nowhere.
+    the tree walk's bit for bit.  Raises what fn raises at the first entry
+    where it raises.
     """
-    try:
-        return np.array([fn(x) for x in xs.tolist()], dtype=float), None
-    except _EVAL_FAILURES:
-        pass
-    out = np.empty(len(xs))
-    failed = np.zeros(len(xs), dtype=bool)
-    for i, x in enumerate(xs.tolist()):
-        try:
-            out[i] = fn(x)
-        except _EVAL_FAILURES:
-            out[i] = math.nan
-            failed[i] = True
-    return out, failed
+    return np.array([fn(x) for x in xs.tolist()], dtype=float)
 
 
 # point-path operations as functions of two operands; unary ones ignore the second
@@ -688,7 +678,8 @@ class Plan:
     with the same elementwise operations, and `residual` reduces the table.
     The two runners have one failure rule: a node fails where its Python
     float operation raises (a domain error, or an overflow in ``**`` or
-    exp), and `table` raises what a `values` loop over the samples raises
+    exp).  A table that meets a failing node runs `values` over the
+    samples in order instead, so it raises what a `values` loop raises
     first: the error of the first failing sample.  Generated code serves
     only whole RK4 trajectories (`compile_rk4`), where each point depends
     on the last.  All give equal values and, where a node fails, the same
@@ -791,47 +782,48 @@ class Plan:
         at each sample bit for bit.  A root's scale is the largest |value|
         of any of its subterms at the sample.  A node fails at a sample
         exactly where its operation raises in `values` (a domain error, or
-        an overflow in ``**`` or exp); where any does, `values` is run
-        again at the first failing sample and raises its located error, so
-        the table raises what a `values` loop over the samples raises, with
-        that sample's index as its `sample`.
+        an overflow in ``**`` or exp): a ``/`` where its divisor is 0.0 or
+        -0.0 (not NaN), any other where its Python operation raises.  The
+        table stops at the first node that fails at any sample and runs
+        `values` over the samples in order until it raises, so it raises
+        what a `values` loop raises, with that sample's index as its
+        `sample`.
         """
         pts = np.asarray(samples, dtype=float)
         if pts.ndim != 2 or len(pts) == 0:
             raise ExprError("samples must be a non-empty list of points")
         vals = [np.full(len(pts), c) for c in self._consts] + [pts[:, i] for i in self._vars]
         scales = [np.abs(v) for v in vals]
-        failing = np.zeros(len(pts), dtype=bool)
         with np.errstate(all="ignore"):
             for kind, a, b in self._ops:
-                failed = None
                 if kind == "neg":
                     vals.append(-vals[a])
                     scales.append(scales[a])
                     continue
                 if kind in _BINARY:
+                    if kind == "/" and not vals[b].all():
+                        break
                     v = _BINARY[kind](vals[a], vals[b])
-                    if kind == "/":
-                        failed = vals[b] == 0.0
                     s = np.maximum(scales[a], scales[b])
                 else:
-                    fn = _FUNCS.get(kind) or (lambda x, k=b: x ** k)
-                    v, failed = _elementwise(fn, vals[a])
+                    try:
+                        v = _elementwise(_FUNCS.get(kind) or (lambda x, k=b: x ** k), vals[a])
+                    except _EVAL_FAILURES:
+                        break
                     s = scales[a]
-                if failed is not None:
-                    failing |= failed
                 vals.append(v)
                 scales.append(np.maximum(s, np.abs(v)))
-        if failing.any():
-            at = int(failing.argmax())
+            else:
+                shape = (len(self.roots), len(pts))
+                value, scale = (np.array([col[r] for r in self.roots]).reshape(shape).T for col in (vals, scales))
+                return value, scale
+        # a node fails at some sample, so a values loop raises there first
+        for at, point in enumerate(pts):
             try:
-                self.values(pts[at])  # raises there
+                self.values(point)
             except EvalDomainError as err:
                 err.sample = at
                 raise
-        shape = (len(self.roots), len(pts))
-        value, scale = (np.array([col[r] for r in self.roots]).reshape(shape).T for col in (vals, scales))
-        return value, scale
 
     def residual(self, samples) -> float:
         """max over roots and samples of |v| / (1 + scale), from `table`.
@@ -865,51 +857,45 @@ _COMPILE_ENV = {
 
 
 class _Source:
-    """The function `compile_rk4` generates, under construction: its lines,
-    the (plan, slot) computed on each node line, and the globals the code
-    reads.  Each plan's lines are written by `nodes`, which shares a value
-    only within that plan.
+    """The function `compile_rk4` generates from one plan, under
+    construction: its lines, the slot computed on each node line, and the
+    globals the code reads.
 
     The code is written to wrap its nodes in one ``try`` whose ``except``
-    raises ``_located(err)``: the failing line gives the node, so the error
+    raises ``_located(err)``: the failing line gives the slot, so the error
     is the one `Plan.values` raises, built by `Plan._located`.  The text
-    names each constant by a global (``k0``, ``k1``, ...) bound in `env`, so
-    two plans that differ only in their constants' values write one text,
-    which `function` compiles once per process.
+    names the constant in slot i by the global ``k{i}``, bound once in
+    `env`, so two plans that differ only in their constants' values write
+    one text, which `function` compiles once per process.
     """
 
-    def __init__(self, *lines: str):
+    def __init__(self, plan: Plan, *lines: str):
+        self.plan = plan
         self.lines = list(lines)
-        self.sites: dict[int, tuple[Plan, int]] = {}
+        self.sites: dict[int, int] = {}
         self.env = dict(_COMPILE_ENV, _located=self._located)
-        self._consts: dict[Expr, str] = {}
+        self.env.update((f"k{i}", c) for i, c in enumerate(plan._consts))
 
     def add(self, indent: str, *lines: str) -> None:
         self.lines += [indent + line for line in lines]
 
-    def nodes(self, plan: Plan, prefix: str, inputs: Sequence[str]):
-        """The lines computing `plan` in slot order, and the names holding
-        its roots.
+    def nodes(self, indent: str, prefix: str, inputs: Sequence[str]) -> list[str]:
+        """Add the lines computing the plan in slot order, recording the
+        slot each computes; returns the names holding its roots.
 
-        Slot i is the local ``{prefix}{i}``, a constant a global named once
-        per source and variable k the local `inputs[k]`.  A node's key is
-        its operation and its operands' names, those of ``+`` and ``*``
-        sorted: IEEE ``+`` and ``*`` give one value in either order and
-        never raise on Python floats.  A node whose key an earlier line of
-        the plan holds gets no line and reads that local, so the first line
-        that fails is at the first slot where `Plan.values` fails.  Each
-        line keeps its node's operation and `math.*` call, so the values
-        equal `Plan.values` bit for bit.  A line is (text, plan, slot), as
-        `emit` takes it.
+        Slot i is the local ``{prefix}{i}``, a constant's global ``k{i}``
+        or variable k's local `inputs[k]`.  A node's key is its operation
+        and its operands' names, those of ``+`` and ``*`` sorted: IEEE
+        ``+`` and ``*`` give one value in either order and never raise on
+        Python floats.  A node whose key an earlier line of this call
+        holds gets no line and reads that local, so the first line that
+        fails is at the first slot where `Plan.values` fails.  Each line
+        keeps its node's operation and `math.*` call, so the values equal
+        `Plan.values` bit for bit.
         """
+        plan = self.plan
+        names = [f"k{i}" for i in range(len(plan._consts))] + [inputs[k] for k in plan._vars]
         keys: dict[tuple, str] = {}
-        names = [f"{prefix}{i}" for i in range(len(plan.nodes))]
-        for i, c in enumerate(plan.nodes[: len(plan._consts)]):
-            names[i] = self._consts.setdefault(c, f"k{len(self._consts)}")
-            self.env[names[i]] = c.value
-        for i, k in enumerate(plan._vars, len(plan._consts)):
-            names[i] = inputs[k]
-        lines = []
         for i, (kind, a, b) in enumerate(plan._ops, plan._leaves):
             x = names[a]
             if kind in _BINARY:
@@ -920,22 +906,15 @@ class _Source:
                 key, rhs = (kind, x, b), f"{x} ** {b}"
             else:
                 key, rhs = (kind, x), f"-{x}" if kind == "neg" else f"_{kind}({x})"
-            if key in keys:
-                names[i] = keys[key]
-                continue
-            keys[key] = names[i]
-            lines.append((f"{names[i]} = {rhs}", plan, i))
-        return lines, [names[r] for r in plan.roots]
-
-    def emit(self, indent: str, lines) -> None:
-        """Add node lines from `nodes`, recording the node each computes."""
-        for text, plan, slot in lines:
-            self.add(indent, text)
-            self.sites[len(self.lines)] = (plan, slot)  # lines count from 1
+            if key not in keys:
+                keys[key] = f"{prefix}{i}"
+                self.add(indent, f"{keys[key]} = {rhs}")
+                self.sites[len(self.lines)] = i  # lines count from 1
+            names.append(keys[key])
+        return [names[r] for r in plan.roots]
 
     def _located(self, err: Exception) -> EvalDomainError:
-        plan, slot = self.sites[err.__traceback__.tb_lineno]
-        return plan._located(slot, err)
+        return self.plan._located(self.sites[err.__traceback__.tb_lineno], err)
 
     def function(self) -> Callable:
         """The function the lines define, run in this source's own globals.
@@ -977,9 +956,10 @@ def compile_rk4(rhs: Sequence[Expr]) -> Callable:
 
     It appends to `rows` the tuple of each stored state: the initial state,
     then the state after each step.  A step is straight-line code: the four
-    stages are `rhs`'s plan emitted four times (`_Source.nodes`, so within
-    a stage each (operation, operands) gets one line, ``+`` and ``*`` keyed
-    in either operand order), and between them the stage inputs
+    stages are the lines of `rhs`'s one plan, which its `_Source` writes
+    four times (`_Source.nodes`, so within a stage each (operation,
+    operands) gets one line, ``+`` and ``*`` keyed in either operand
+    order), and between them the stage inputs
     ``y + (dt/2) k`` and ``y + dt k`` and the update
     ``y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4)`` run element by element in
     that order, so each state equals the array form's bit for bit.
@@ -998,7 +978,7 @@ def compile_rk4(rhs: Sequence[Expr]) -> Callable:
     dim = len(rhs)
     plan = Plan(rhs)
     state = [f"y{k}" for k in range(dim)]
-    code = _Source("def f(y, dt, steps, rows):")
+    code = _Source(plan, "def f(y, dt, steps, rows):")
     code.add("    ", *(f"y{k} = _float(y[{k}])" for k in range(dim)))
     code.add("    ", "dt = _float(dt)", "half = 0.5 * dt", "sixth = dt / 6.0", f"rows.append({_tuple(state)})")
     code.add("    ", "try:", "    for _ in range(steps):")
@@ -1008,9 +988,7 @@ def compile_rk4(rhs: Sequence[Expr]) -> Callable:
         if scale:
             inputs = [f"y{prefix}{k}" for k in range(dim)]
             code.add(body, *(f"{inputs[k]} = y{k} + {scale} * {stages[-1][k]}" for k in plan._vars))
-        lines, k = code.nodes(plan, prefix, inputs)
-        code.emit(body, lines)
-        stages.append(k)
+        stages.append(code.nodes(body, prefix, inputs))
     update = (f"y{k} + sixth * ((({a} + 2.0 * {b}) + 2.0 * {c}) + {d})" for k, (a, b, c, d) in enumerate(zip(*stages)))
     code.add(body, f"{', '.join(state)}, = {_tuple(update)}")
     code.add(body, f"if not ({' and '.join(f'_isfinite({y})' for y in state)}):", "    return")

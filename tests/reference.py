@@ -5,7 +5,9 @@ tested against.
 node with multiplicity, independently of `expr.Plan`; a node fails there
 where it fails in both of a plan's runners, an overflow in ``**``
 included.
-`plan_order` gives `Plan.nodes` by a recursive walk.  `parse_reference`
+`plan_order` gives `Plan.nodes` by a recursive walk.  `diff_reference`
+differentiates a tree by recursion with the quotient rule `Expr.diff` used
+before it dropped a structurally zero second term.  `parse_reference`
 parses a text with the lazy lexer and recursive-descent parser that
 `expr.parse` used before it scanned each text once, and `print_reference`
 prints a tree by recursion, as `Expr.to_string` did before it kept its own
@@ -427,6 +429,51 @@ def plan_order(exprs):
         walk(root)
     kinds = [Const, Var]
     return [e for k in kinds for e in order if type(e) is k] + [e for e in order if type(e) not in kinds]
+
+
+# ---------------------------------------------------------------------------
+# Differentiation with the quotient rule `BinOp._diff` applied before it
+# dropped a structurally zero second term
+# ---------------------------------------------------------------------------
+
+def diff_reference(e, index, memo=None):
+    """d e / d x_index by recursion, each node by the rule of its kind,
+    the quotient always as a'/b - a b'/b^2: a constant b is squared even
+    where a b' is a structural zero, so the square may overflow, and over
+    a zero b the second term folds to the node 0 / 0."""
+    memo = {} if memo is None else memo
+    if id(e) in memo:
+        return memo[id(e)]
+    t = type(e)
+    if t is Const:
+        out = ex.ZERO
+    elif t is Var:
+        out = ex.ONE if e.index == index else ex.ZERO
+    elif t is BinOp:
+        a, b = e.left, e.right
+        da, db = diff_reference(a, index, memo), diff_reference(b, index, memo)
+        if e.op in "+-":
+            out = (ex.add if e.op == "+" else ex.sub)(da, db)
+        elif e.op == "*":
+            out = ex.add(ex.mul(da, b), ex.mul(a, db))
+        else:
+            out = ex.sub(ex.div(da, b), ex.div(ex.mul(a, db), ex.powi(b, 2)))
+    elif t is Pow:
+        k = e.exponent
+        out = ex.mul(ex.mul(Const(float(k)), ex.powi(e.base, k - 1)), diff_reference(e.base, index, memo))
+    elif t is Neg:
+        out = ex.neg(diff_reference(e.arg, index, memo))
+    else:
+        x, da = e.arg, diff_reference(e.arg, index, memo)
+        if e.func == "ln":
+            out = ex.div(da, x)
+        elif e.func == "sqrt":
+            out = ex.div(da, ex.mul(Const(2.0), Call("sqrt", x)))
+        else:
+            outer = {"exp": Call("exp", x), "sin": Call("cos", x), "cos": ex.neg(Call("sin", x))}[e.func]
+            out = ex.mul(outer, da)
+    memo[id(e)] = out
+    return out
 
 
 # ---------------------------------------------------------------------------

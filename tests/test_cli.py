@@ -259,6 +259,20 @@ def test_integrate_oscillator_matches_cosine(tmp_path):
     assert err_max <= 1e-6
 
 
+def test_integrate_a_quotient_by_a_huge_constant_runs(tmp_path):
+    # differentiating x^2 / 1e200 squared the constant 1e200, which
+    # overflowed into a traceback; the derivative is now 2 x / 1e200
+    out_path = tmp_path / "osc.csv"
+    code, out, err = run_cli(
+        "integrate", str(STRUCTURES / "oscillator.ini"), "--hamiltonian", "0.5*p1^2 - 0.5*x^2 / 1e200 * 1e200",
+        "--x0", "1", "--p0", "0", "--steps", "1000", "--out", str(out_path),
+    )
+    assert code == 0 and err == ""
+    data = np.genfromtxt(out_path, delimiter=",", names=True)
+    assert len(data) == 1001
+    assert np.abs(data["x1"] - np.cos(data["t"])).max() <= 1e-13
+
+
 def test_integrate_usage_error_on_zero_steps():
     code, out, err = run_cli(
         "integrate",

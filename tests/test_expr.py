@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import eval_scaled, parse_reference, print_reference
+from reference import diff_reference, eval_scaled, parse_reference, print_reference
 from sympoisson import expr
 from sympoisson.expr import (
     EvalDomainError,
@@ -520,10 +520,9 @@ def _generated(exprs, dim):
     computes them: a function written through `_Source`, the emitter of the
     RK4 stages, which reads the point's coordinates, computes the plan's
     lines in one ``try`` and returns its roots."""
-    code = expr._Source("def f(y):")
+    code = expr._Source(Plan(exprs), "def f(y):")
     code.add("    ", *(f"y{k} = _float(y[{k}])" for k in range(dim)), "try:")
-    lines, roots = code.nodes(Plan(exprs), "o", [f"y{k}" for k in range(dim)])
-    code.emit("        ", lines)
+    roots = code.nodes("        ", "o", [f"y{k}" for k in range(dim)])
     code.add("        ", f"return {expr._tuple(roots)}")
     code.add("    ", "except _FAILURES as err:", "    raise _located(err) from None")
     return code.function()
@@ -672,6 +671,46 @@ def test_diff_is_built_once_per_node_and_variable():
     for i in (0, 1):
         assert e.diff(i) is e.diff(i)
     assert e.diff(0) is not e.diff(1)
+
+
+def test_a_quotient_by_a_constant_differentiates_without_a_domain_error():
+    # a b' is a structural zero here, so the quotient rule drops a b'/b^2: the
+    # old rule squared 1e200, which overflows, and 1e-200, which folds to 0
+    small, large = (parse(f"x / {c}", ["x"]) for c in ("1e-200", "1e200"))
+    assert small.diff(0).expr is expr.Const(1 / 1e-200) and small.diff(0)((2.0,)) == 1 / 1e-200
+    assert large.diff(0).expr is expr.Const(1 / 1e200) and large.diff(0)((2.0,)) == 1 / 1e200
+    assert diff_reference(small.expr, 0).to_string() == "1e+200 - 0 / 0"
+    with pytest.raises(EvalDomainError, match=r"^overflow in subterm '1e\+200\^2'$"):
+        diff_reference(large.expr, 0)
+
+
+def _divides_by_a_constant_zero(e):
+    return any(type(n) is expr.BinOp and n.op == "/" and expr.is_structural_zero(n.right) for n in Plan([e]).nodes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RAW_TREES, st.integers(0, 3))
+@example(expr.BinOp("/", expr.Var(0), expr.Const(1e200)), 0)
+@example(expr.BinOp("/", expr.Var(0), expr.Const(1e-200)), 0)
+@example(expr.BinOp("/", expr.Const(-3.0), expr.Const(1.0)), 0)  # a b' is -0.0
+@example(expr.BinOp("/", expr.Neg(expr.Const(3.0)), expr.Const(1.0)), 0)  # a' is -0.0
+def test_diff_is_the_full_quotient_rule_wherever_that_builds_cleanly(e, index):
+    """The derivative is the node the full quotient rule a'/b - a b'/b^2
+    builds, wherever that rule builds without raising and forms no division
+    by a constant zero; where it raises, only a square it no longer forms
+    can be at fault."""
+    try:
+        got = e.diff(index)
+    except EvalDomainError:
+        with pytest.raises(EvalDomainError):
+            diff_reference(e, index)
+        return
+    try:
+        want = diff_reference(e, index)
+    except EvalDomainError:
+        return
+    if not _divides_by_a_constant_zero(want):
+        assert got is want
 
 
 def test_the_intern_table_releases_dead_nodes():

@@ -36,14 +36,26 @@ def _loop(plan, points):
     return np.array([plan.values(p) for p in points])
 
 
+def _first_failing_row(plan, points):
+    for row, point in enumerate(points):
+        try:
+            plan.values(point)
+        except ex.EvalDomainError:
+            return row
+
+
 # root 0, 1 / (x1 - 2), fails only at row 1; ln(x1 - 1.5) fails at row 0,
 # which a loop over the rows meets first
 EARLIER_ROW = (("1/(x-2)", "ln(x-1.5)"), [[1.0, 0.0], [2.0, 0.0]], "ln of a non-positive argument in subterm 'ln(x1 - 1.5)'")
 # row 1 overflows in **, row 2 is a domain error: row 1 is the first to raise
 OVERFLOW_FIRST = (("x^401", "ln(x)"), [[1.0, 0.0], [1000.0, 0.0], [-1.0, 0.0]], "overflow in subterm 'x1^401'")
+# the divisor -(x1 - 2) is -0.0 at row 0 only, and a -0.0 divisor fails; the
+# ln, in an earlier slot, fails at row 1 only, which a loop meets later
+NEGATIVE_ZERO = (("ln(x - 1.5)", "1/-(x - 2)"), [[2.0, 0.0], [1.0, 0.0]], "division by zero in subterm '1 / (-(x1 - 2))'")
 
 
-@pytest.mark.parametrize("components, samples, message", [EARLIER_ROW, OVERFLOW_FIRST], ids=["domain", "overflow"])
+@pytest.mark.parametrize("components, samples, message", [EARLIER_ROW, OVERFLOW_FIRST, NEGATIVE_ZERO],
+                         ids=["domain", "overflow", "negative-zero"])
 def test_the_first_failing_row_raises(components, samples, message):
     field = _field(*components)
     plan = field.plan()
@@ -55,6 +67,8 @@ def test_the_first_failing_row_raises(components, samples, message):
         with pytest.raises(ex.EvalDomainError) as err:
             read(samples)
         assert str(err.value) == message and err.value.node is loop_err.value.node
+        if read in (plan.table, plan.residual):
+            assert err.value.sample == _first_failing_row(plan, samples)
 
 
 def test_an_overflow_in_power_at_a_later_row_raises_there():
@@ -77,6 +91,17 @@ def test_an_infinity_no_row_raises_on_is_returned():
     assert _loop(field.plan(), samples).tolist() == want
     assert field.plan().table(samples)[0].tolist() == want
     assert field.evaluate_on(samples).tolist() == want
+
+
+def test_a_nan_divisor_no_row_raises_on_is_returned():
+    # 1e308*10 folds to inf, and inf*x - inf*x is NaN at every row: a NaN
+    # divisor raises nowhere, in the loop or in the table
+    field = _field("1/(1e308*10*x - 1e308*10*x)", "y")
+    samples = [[1.0, 0.5], [-2.0, -0.5], [0.0, 0.0]]
+    want = _loop(field.plan(), samples)
+    assert np.isnan(want[:, 0]).all()
+    for got in (field.plan().table(samples)[0], field.evaluate_on(samples)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_a_commutator_no_row_raises_on_is_refused_by_name():

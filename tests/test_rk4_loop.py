@@ -263,9 +263,10 @@ def _generated_source(run):
 
 def _node_keys(source):
     """{block: [key of each node line]}: the block is the local's prefix
-    (a-d the four stages, o an observation inlined in the loop), the key the
-    operation and its operands as the line spells them, those of + and *
-    sorted."""
+    (a-d the four stages; o, the prefix of a plan evaluated in the loop
+    beside them, is matched too, so a test can see that none is), the key
+    the operation and its operands as the line spells them, those of + and
+    * sorted."""
     blocks = {}
     for line in source.lines:
         m = re.fullmatch(r" *([abcdo])\d+ = (.*)", line)
